@@ -15,7 +15,6 @@ from .channels import (
     apply,
     depolarizing_channel,
     identity_channel,
-    proper_time_propagator,
     time_ordered_propagator,
     unitality_deviation,
     unitary_channel,
@@ -24,11 +23,9 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     Spectrum,
-    hermitian_expm,
     matrix_from_pairs,
     matrix_to_pairs,
     maximally_mixed,
-    projector,
     random_hermitian,
     random_unitary,
     spectral_decompose,
@@ -69,8 +66,6 @@ from .spacetime import (
     dilation_factor,
     dilation_profile,
     point_mass_worldline,
-    rest_energy,
-    static_hamiltonian,
     uniform_gravity_worldline,
 )
 from .thermo import (

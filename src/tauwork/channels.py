@@ -2,10 +2,10 @@
 
 Channels are stored concretely as Kraus families (a unitary is a one-element
 family) because the generalized fluctuation relation needs the deviation
-from unitality for arbitrary processes. Proper-time evolution comes in two
-flavors: the closed-form exponential for a fixed internal Hamiltonian, and a
+from unitality for arbitrary processes. Proper-time evolution is a
 left-ordered product of step exponentials for piecewise-constant schedules,
-with each step's duration in proper time read off a dilation profile.
+with each step's duration in proper time read off a dilation profile; a
+one-segment schedule reproduces the closed-form exponential.
 """
 
 from __future__ import annotations
@@ -130,17 +130,6 @@ def unitality_deviation(channel: QuantumChannel) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
-def proper_time_propagator(h_int: HermitianOperator, tau: float) -> np.ndarray:
-    """e^(-i H tau): unitary evolution through an elapsed proper time tau.
-
-    The worldline enters only through the scalar tau, which is the whole
-    content of the time-independent case.
-    """
-    if not np.isfinite(tau):
-        raise ValueError(f"tau must be finite, got {tau!r}")
-    return spectrum_expm(spectral_decompose(h_int), -1j * tau)
-
-
 @dataclass(frozen=True)
 class PropagatorSchedule:
     """A piecewise-constant internal Hamiltonian over proper time, plus the clock.
@@ -199,9 +188,6 @@ class PropagatorSchedule:
     def segment_index(self, tau: float) -> int:
         idx = int(np.searchsorted(self.tau_bounds, tau, side="right"))
         return min(idx, len(self.segments) - 1)
-
-    def hamiltonian_at(self, tau: float) -> HermitianOperator:
-        return self.segments[self.segment_index(tau)]
 
     def initial_hamiltonian(self) -> HermitianOperator:
         return self.segments[0]

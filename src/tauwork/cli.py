@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, acceptance
@@ -32,12 +31,9 @@ class RunManifest:
     scenario_paths: tuple
     out_dir: Path
     fmt: str
-    seed: int
     sweep: tuple | None  # (param, start, stop, count)
     steps: int | None
     quiet: bool
-    version: str
-    timestamp: str
 
     @classmethod
     def from_args(cls, args) -> "RunManifest":
@@ -48,12 +44,9 @@ class RunManifest:
             scenario_paths=tuple(args.scenario or ()),
             out_dir=Path(args.out),
             fmt=args.format,
-            seed=args.seed,
             sweep=sweep,
             steps=getattr(args, "steps", None),
             quiet=args.quiet,
-            version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
         )
 
 
@@ -89,16 +82,7 @@ def _load_config(path: str, manifest: RunManifest) -> ScenarioConfig:
     except OSError as exc:
         raise CliError(f"cannot read scenario file {path}: {exc}", EXIT_IO) from None
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError:
-        raw = text  # let the scenario validator produce the message
-    try:
-        if isinstance(raw, dict):
-            # the file wins; the flag fills in the sampling seed default
-            raw.setdefault("seed", manifest.seed)
-            config = ScenarioConfig.from_dict(raw)
-        else:
-            config = ScenarioConfig.from_json(text)
+        config = ScenarioConfig.from_json(text)
     except ScenarioValidationError as exc:
         raise CliError(f"{path}: {exc}", EXIT_VALIDATION) from None
     if manifest.steps is not None and config.pipeline == "appendix":
@@ -272,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", action="append", help="scenario JSON file (repeatable)")
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0, help="base seed for sampling")
         p.add_argument("--steps", type=int, default=None, help="override driven-pipeline steps")
         p.add_argument("--quiet", action="store_true")
 

@@ -3,8 +3,8 @@
 Everything downstream (thermal states, channels, work statistics) is built
 on exact eigendecompositions of Hermitian matrices, so this module owns the
 validated operator types and the spectral primitives: decomposition with a
-deterministic treatment of degenerate eigenspaces, matrix exponentials
-through the eigenbasis, and rank-1 energy projectors.
+deterministic treatment of degenerate eigenspaces and matrix exponentials
+through the eigenbasis.
 
 Dimensions are assumed small (a few hundred at most); all arrays are dense
 ``complex128`` and frozen after construction.
@@ -219,28 +219,15 @@ def spectral_decompose(h: HermitianOperator) -> Spectrum:
 
 
 def spectrum_expm(spec: Spectrum, scale: complex) -> np.ndarray:
-    """exp(scale * H) evaluated through the eigenbasis of ``spec``."""
-    if not np.isfinite(complex(scale)):
-        raise ValueError("scale must be finite")
-    v = spec.eigenvectors
-    return (v * np.exp(scale * spec.eigenvalues)) @ v.conj().T
-
-
-def hermitian_expm(h: HermitianOperator, scale: complex) -> np.ndarray:
-    """exp(scale * H) for Hermitian H.
+    """exp(scale * H) evaluated through the eigenbasis of ``spec``.
 
     Computed as V diag(exp(scale * lambda)) V^dag, which keeps imaginary
     scales exactly unitary and real negative scales positive definite.
     """
-    return spectrum_expm(spectral_decompose(h), scale)
-
-
-def projector(spec: Spectrum, index: int) -> np.ndarray:
-    """Rank-1 projector |v_index><v_index| onto one eigenvector."""
-    if not 0 <= index < spec.dim:
-        raise IndexError(f"eigenvector index {index} out of range for dim {spec.dim}")
-    v = spec.eigenvectors[:, index]
-    return np.outer(v, v.conj())
+    if not np.isfinite(complex(scale)):
+        raise ValueError("scale must be finite")
+    v = spec.eigenvectors
+    return (v * np.exp(scale * spec.eigenvalues)) @ v.conj().T
 
 
 def random_hermitian(dim: int, rng: np.random.Generator | int) -> HermitianOperator:

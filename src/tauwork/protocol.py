@@ -1,6 +1,8 @@
 """The two-point-measurement work protocol and its fluctuation relations.
 
-Three pipelines share the same bookkeeping:
+Three pipelines reduce to the same two-point measurement -- initial energies
+with Gibbs weights, final energies and a transition matrix -- and share one
+tail that turns those into work atoms and estimators:
 
 * ``flat`` -- projective energy measurement, an arbitrary Kraus channel, a
   second measurement in the final Hamiltonian's eigenbasis. The exponential
@@ -30,12 +32,7 @@ import numpy as np
 from .channels import PropagatorSchedule, QuantumChannel, time_ordered_propagator, unitality_deviation
 from .operators import HermitianOperator, Spectrum, spectral_decompose
 from .spacetime import DilationProfile
-from .thermo import (
-    free_energy_difference,
-    free_energy_difference_from_values,
-    log_sum_exp,
-    thermal_state,
-)
+from .thermo import free_energy_difference_from_values, log_sum_exp, thermal_state
 
 PROB_SUM_ATOL = 1e-10
 PROB_NEGATIVE_ATOL = 1e-12
@@ -87,30 +84,23 @@ class WorkDistribution:
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray, tol: float):
-    """Cluster near-equal work values; repeat until all gaps exceed ``tol``."""
+    """Merge near-equal work values in one pass.
+
+    The rule: sort the atoms and split wherever the gap between consecutive
+    values is >= ``tol``. Each run of atoms becomes one atom carrying the
+    run's total weight, at the run's probability-weighted mean value (the
+    plain mean if the weight is 0), clipped into the run's value range so
+    that rounding cannot close a gap.
+    """
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
-    while True:
-        merged_v, merged_p = [], []
-        i = 0
-        changed = False
-        while i < values.size:
-            j = i + 1
-            while j < values.size and values[j] - values[i] < tol:
-                j += 1
-            block_p = probs[i:j].sum()
-            if block_p > 0.0:
-                v = float(values[i:j] @ probs[i:j] / block_p)
-            else:
-                v = float(values[i:j].mean())
-            merged_v.append(v)
-            merged_p.append(float(block_p))
-            changed = changed or (j - i > 1)
-            i = j
-        values = np.array(merged_v)
-        probs = np.array(merged_p)
-        if not changed:
-            return values, probs
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) >= tol)))
+    ends = np.append(starts[1:], values.size)
+    weight = np.add.reduceat(probs, starts)
+    plain = np.add.reduceat(values, starts) / (ends - starts)
+    weighted = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
+    merged = np.where(weight > 0.0, weighted, plain)
+    return np.clip(merged, values[starts], values[ends - 1]), weight
 
 
 def default_merge_tol(values: np.ndarray) -> float:
@@ -149,14 +139,6 @@ def conditional_probabilities(
     return p / p.sum(axis=0, keepdims=True)
 
 
-def _transition_probabilities_unitary(
-    final_vectors: np.ndarray, u: np.ndarray, initial_vectors: np.ndarray
-) -> np.ndarray:
-    amp = final_vectors.conj().T @ u @ initial_vectors
-    p = np.abs(amp) ** 2
-    return np.clip(p, 0.0, 1.0)
-
-
 def tpm_distribution(
     initial_energies: np.ndarray,
     initial_probs: np.ndarray,
@@ -170,6 +152,29 @@ def tpm_distribution(
     return WorkDistribution(flat_w, joint.ravel(), default_merge_tol(flat_w))
 
 
+def _work_atoms(
+    spec0: Spectrum, beta: float, final_energies: np.ndarray, transitions=None
+) -> WorkDistribution:
+    """TPM work atoms for a Gibbs start in ``spec0``.
+
+    ``transitions=None`` stands for the identity matrix: every trajectory
+    keeps its level index, so there are d atoms E_final[m] - E_initial[m]
+    instead of d^2 mostly empty ones.
+    """
+    probs = thermal_state(spec0, beta).probs
+    if transitions is None:
+        values = final_energies - spec0.eigenvalues
+        return WorkDistribution(values, probs, default_merge_tol(values))
+    return tpm_distribution(spec0.eigenvalues, probs, final_energies, transitions)
+
+
+def _flat_inputs(h0: HermitianOperator, h_final: HermitianOperator, channel: QuantumChannel):
+    """The flat reduction: both spectra and the channel's transition matrix."""
+    spec0 = spectral_decompose(h0)
+    spec_f = spectral_decompose(h_final)
+    return spec0, spec_f, conditional_probabilities(spec0, spec_f, channel)
+
+
 def work_distribution_flat(
     h0: HermitianOperator,
     h_final: HermitianOperator,
@@ -177,11 +182,8 @@ def work_distribution_flat(
     beta: float,
 ) -> WorkDistribution:
     """Work statistics for the flat pipeline: thermal start, channel, final basis."""
-    spec0 = spectral_decompose(h0)
-    spec_f = spectral_decompose(h_final)
-    ens = thermal_state(spec0, beta)
-    trans = conditional_probabilities(spec0, spec_f, channel)
-    return tpm_distribution(spec0.eigenvalues, ens.probs, spec_f.eigenvalues, trans)
+    spec0, spec_f, trans = _flat_inputs(h0, h_final, channel)
+    return _work_atoms(spec0, beta, spec_f.eigenvalues, trans)
 
 
 def work_distribution_dilated(
@@ -190,23 +192,32 @@ def work_distribution_dilated(
     """Work statistics when the spectrum is rescaled by the final clock rate.
 
     Eigenstates ride along the evolution, so each trajectory keeps its level
-    index and the work atoms are exactly (alpha - 1) * E_m with the thermal
-    weights.
+    index and the work atoms are alpha * E_m - E_m with the thermal weights.
     """
     if alpha_final <= 0:
         raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
-    ens = thermal_state(spec0, beta)
-    values = (alpha_final - 1.0) * spec0.eigenvalues
-    return WorkDistribution(values, ens.probs, default_merge_tol(values))
+    return _work_atoms(spec0, beta, alpha_final * spec0.eigenvalues)
 
 
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
-    """The exponential work average sum_i p_i e^(-beta w_i), max-shifted."""
+    """The exponential work average sum_i p_i e^(-beta w_i), summed in log space."""
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
-    x = -beta * wd.values
-    shift = float(x.max())
-    return float(np.exp(shift) * np.sum(wd.probs * np.exp(x - shift)))
+    return float(np.exp(log_sum_exp(np.log(wd.probs) - beta * wd.values)))
+
+
+def _nonunital_correction(
+    h_final: HermitianOperator | Spectrum, channel: QuantumChannel, beta: float
+) -> float:
+    """Tr[(Theta(1) - 1) w_final]; exactly 0 for unital channels.
+
+    The unitality deviation is stored relative to the maximally mixed state
+    1/d, so its trace against the final Gibbs state is scaled back up by d.
+    """
+    if channel.is_unital:
+        return 0.0
+    rho_f = thermal_state(h_final, beta).density_operator().matrix
+    return channel.dim * float(np.trace(unitality_deviation(channel) @ rho_f).real)
 
 
 def generalized_jarzynski_rhs(
@@ -214,19 +225,10 @@ def generalized_jarzynski_rhs(
 ) -> float:
     """Equilibrium side of the work equality, with the non-unital correction.
 
-    For unital channels this is exactly e^(-beta delta_f). Otherwise the
-    correction is Tr[(Theta(1) - 1) w_final], i.e. the unitality deviation
-    traced against the final Gibbs state and scaled back up by the dimension
-    (the deviation is stored relative to the maximally mixed state 1/d).
+    For unital channels this is exactly e^(-beta delta_f); otherwise it is
+    multiplied by 1 + Tr[(Theta(1) - 1) w_final].
     """
-    if channel.is_unital:
-        return float(np.exp(-beta * delta_f))
-    ens = thermal_state(h_final, beta)
-    g = unitality_deviation(channel)
-    correction = channel.dim * float(
-        np.trace(g @ ens.density_operator().matrix).real
-    )
-    return float(np.exp(-beta * delta_f) * (1.0 + correction))
+    return float(np.exp(-beta * delta_f) * (1.0 + _nonunital_correction(h_final, channel, beta)))
 
 
 def entropy_production(mean_work: float, delta_f: float, beta: float) -> float:
@@ -315,7 +317,7 @@ class ProtocolReport:
             lhs=lhs,
             rhs=rhs,
             residual=lhs - rhs,
-            entropy_production=beta * (mean_work - delta_F),
+            entropy_production=entropy_production(mean_work, delta_F, beta),
             final_basis=str(final_basis),
             steps=int(steps),
         )
@@ -377,104 +379,60 @@ class AppendixRun:
             )
 
 
-def run_protocol(run) -> ProtocolReport:
-    """Dispatch a prepared run to its pipeline and assemble the report."""
-    if isinstance(run, FlatRun):
-        return _run_flat(run)
-    if isinstance(run, DilatedRun):
-        return _run_dilated(run)
-    if isinstance(run, AppendixRun):
-        return _run_appendix(run)
-    raise TypeError(f"unsupported run type: {type(run).__name__}")
-
-
-def _run_flat(run: FlatRun) -> ProtocolReport:
-    spec0 = spectral_decompose(run.h0)
-    spec_f = spectral_decompose(run.h_final)
-    ens0 = thermal_state(spec0, run.beta)
-    trans = conditional_probabilities(spec0, spec_f, run.channel)
-    wd = tpm_distribution(spec0.eigenvalues, ens0.probs, spec_f.eigenvalues, trans)
-    delta_f = free_energy_difference_from_values(
-        spec_f.eigenvalues, spec0.eigenvalues, run.beta
-    )
-    lhs = jarzynski_lhs(wd, run.beta)
-    rhs = generalized_jarzynski_rhs(run.h_final, run.channel, run.beta, delta_f)
-    return ProtocolReport.build(
-        scenario_id=run.scenario_id,
-        pipeline="flat",
-        dim=run.h0.dim,
-        beta=run.beta,
-        alpha_final=1.0,
-        tau_total=0.0,
-        mean_work=wd.mean(),
-        delta_F=delta_f,
-        lhs=lhs,
-        rhs=rhs,
-        final_basis="instantaneous",
-        steps=0,
-    )
-
-
-def _run_dilated(run: DilatedRun) -> ProtocolReport:
-    spec0 = spectral_decompose(run.h0)
-    alpha = run.profile.alpha_final
-    wd = work_distribution_dilated(spec0, alpha, run.beta)
-    delta_f = free_energy_difference(spec0, alpha, run.beta)
-    lhs = jarzynski_lhs(wd, run.beta)
-    rhs = float(np.exp(-run.beta * delta_f))
-    return ProtocolReport.build(
-        scenario_id=run.scenario_id,
-        pipeline="dilated",
-        dim=run.h0.dim,
-        beta=run.beta,
-        alpha_final=alpha,
-        tau_total=run.profile.tau_total,
-        mean_work=wd.mean(),
-        delta_F=delta_f,
-        lhs=lhs,
-        rhs=rhs,
-        final_basis="evolved",
-        steps=0,
-    )
-
-
-def _run_appendix(run: AppendixRun) -> ProtocolReport:
+def _appendix_inputs(run: AppendixRun):
+    """The driven reduction: initial spectrum, final energies, transitions."""
     sched = run.schedule
-    prof = sched.dilation
-    alpha = prof.alpha_final
-    u = time_ordered_propagator(sched)
     spec0 = spectral_decompose(sched.initial_hamiltonian())
-    ens0 = thermal_state(spec0, run.beta)
-    h_lab_final = alpha * sched.final_hamiltonian().matrix
-
+    h_lab_final = sched.dilation.alpha_final * sched.final_hamiltonian().matrix
+    spec_f = spectral_decompose(HermitianOperator(h_lab_final))
+    channel = QuantumChannel([time_ordered_propagator(sched)])
+    trans = conditional_probabilities(spec0, spec_f, channel)
     if run.final_basis == "evolved":
-        vectors_f = u @ spec0.eigenvectors
-        energies_f = np.real(
-            np.einsum("in,ij,jn->n", vectors_f.conj(), h_lab_final, vectors_f)
-        )
-    else:
-        spec_f = spectral_decompose(HermitianOperator(h_lab_final))
-        vectors_f = spec_f.eigenvectors
-        energies_f = spec_f.eigenvalues
+        # the transported eigenstate U|m> is found with certainty; its energy
+        # <m|U^dag H_f U|m> is the final-basis energy averaged over column m
+        return spec0, spec_f.eigenvalues @ trans, None
+    return spec0, spec_f.eigenvalues, trans
 
-    trans = _transition_probabilities_unitary(vectors_f, u, spec0.eigenvectors)
-    wd = tpm_distribution(spec0.eigenvalues, ens0.probs, energies_f, trans)
-    delta_f = free_energy_difference_from_values(
-        energies_f, spec0.eigenvalues, run.beta
-    )
-    lhs = jarzynski_lhs(wd, run.beta)
-    rhs = float(np.exp(-run.beta * delta_f))
+
+def run_protocol(run) -> ProtocolReport:
+    """Reduce a prepared run to its TPM inputs and assemble the report.
+
+    Every pipeline reduces to the initial spectrum (with Gibbs weights), the
+    final measured energies and a transition matrix; one shared tail turns
+    those into the work atoms, dF, both sides of the work equality and the
+    report row.
+    """
+    correction = 0.0
+    if isinstance(run, FlatRun):
+        spec0, spec_f, trans = _flat_inputs(run.h0, run.h_final, run.channel)
+        e_final = spec_f.eigenvalues
+        correction = _nonunital_correction(spec_f, run.channel, run.beta)
+        pipeline, alpha, tau_total, final_basis, steps = "flat", 1.0, 0.0, "instantaneous", 0
+    elif isinstance(run, DilatedRun):
+        spec0, trans = spectral_decompose(run.h0), None
+        alpha, tau_total = run.profile.alpha_final, run.profile.tau_total
+        e_final = alpha * spec0.eigenvalues
+        pipeline, final_basis, steps = "dilated", "evolved", 0
+    elif isinstance(run, AppendixRun):
+        spec0, e_final, trans = _appendix_inputs(run)
+        prof = run.schedule.dilation
+        pipeline, alpha, tau_total = "appendix", prof.alpha_final, prof.tau_total
+        final_basis, steps = run.final_basis, run.schedule.steps
+    else:
+        raise TypeError(f"unsupported run type: {type(run).__name__}")
+    wd = _work_atoms(spec0, run.beta, e_final, trans)
+    delta_f = free_energy_difference_from_values(e_final, spec0.eigenvalues, run.beta)
     return ProtocolReport.build(
         scenario_id=run.scenario_id,
-        pipeline="appendix",
-        dim=sched.dim,
+        pipeline=pipeline,
+        dim=spec0.dim,
         beta=run.beta,
         alpha_final=alpha,
-        tau_total=prof.tau_total,
+        tau_total=tau_total,
         mean_work=wd.mean(),
         delta_F=delta_f,
-        lhs=lhs,
-        rhs=rhs,
-        final_basis=run.final_basis,
-        steps=sched.steps,
+        lhs=jarzynski_lhs(wd, run.beta),
+        rhs=np.exp(-run.beta * delta_f) * (1.0 + correction),
+        final_basis=final_basis,
+        steps=steps,
     )

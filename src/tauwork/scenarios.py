@@ -128,8 +128,6 @@ class ScenarioConfig:
     schedule: list | None = None
     steps: int = DEFAULT_STEPS
     final_basis: str = "evolved"
-    mc_samples: int = 0
-    seed: int = 0
 
     KNOWN_FIELDS = (
         "scenario_id",
@@ -143,8 +141,6 @@ class ScenarioConfig:
         "schedule",
         "steps",
         "final_basis",
-        "mc_samples",
-        "seed",
     )
 
     @classmethod
@@ -168,8 +164,6 @@ class ScenarioConfig:
         beta = _check_number(raw, "beta", errors, required=True, positive=True)
         mass = _check_number(raw, "mass", errors, default=1.0, positive=True)
         c = _check_number(raw, "c", errors, default=1.0, positive=True)
-        mc_samples = _check_int(raw, "mc_samples", errors, default=0, minimum=0)
-        seed = _check_int(raw, "seed", errors, default=0, minimum=0)
         steps = _check_int(raw, "steps", errors, default=DEFAULT_STEPS, minimum=1)
         final_basis = raw.get("final_basis", "evolved")
         if final_basis not in ("evolved", "instantaneous"):
@@ -221,8 +215,6 @@ class ScenarioConfig:
             schedule=schedule,
             steps=steps,
             final_basis=final_basis,
-            mc_samples=mc_samples,
-            seed=seed,
         )
 
     @classmethod

@@ -72,28 +72,6 @@ def dilation_factor(phi: float, p: float, mass: float, c: float = 1.0) -> float:
     return alpha
 
 
-def static_hamiltonian(g_tt: float, p_sq: float, h_rest: float) -> float:
-    """Energy measured by the static observers, sqrt(-g_tt (H_rest^2 + p^2)).
-
-    Exact for any static metric; reduces to ``h_rest`` for g_tt = -1 and a
-    particle at rest.
-    """
-    if g_tt >= 0:
-        raise ValueError(f"g_tt must be negative for a static observer, got {g_tt!r}")
-    if h_rest <= 0:
-        raise ValueError(f"rest energy must be positive, got {h_rest!r}")
-    if p_sq < 0:
-        raise ValueError(f"p_sq must be nonnegative, got {p_sq!r}")
-    return float(np.sqrt(-g_tt * (h_rest * h_rest + p_sq)))
-
-
-def rest_energy(mass: float, internal_energy: float) -> float:
-    """Total rest-frame energy: mass plus internal (binding/excitation) energy."""
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass!r}")
-    return mass + internal_energy
-
-
 @dataclass(frozen=True)
 class Worldline:
     """Sampled trajectory data: strictly increasing t, potential and |p| per sample."""
@@ -232,11 +210,6 @@ class DilationProfile:
     def alpha_final(self) -> float:
         return float(self.alpha[-1])
 
-    def alpha_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        return np.interp(t, self.t, self.alpha)
-
-    def tau_at(self, t: float | np.ndarray) -> float | np.ndarray:
-        return np.interp(t, self.t, self.tau)
 
 
 def dilation_profile(

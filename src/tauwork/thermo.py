@@ -85,21 +85,17 @@ def free_energy_difference_from_values(
         raise ValueError(f"beta must be positive, got {beta!r}")
     lz_f = log_sum_exp(-beta * np.asarray(final_evals, float))
     lz_i = log_sum_exp(-beta * np.asarray(initial_evals, float))
-    return -(lz_f - lz_i) / beta
+    return (lz_i - lz_f) / beta
 
 
 def free_energy_difference(spec0: Spectrum, alpha_final: float, beta: float) -> float:
     """Free-energy change when every eigenvalue is rescaled by ``alpha_final``.
 
     This is the equilibrium reference for a clock rate ``alpha_final`` at the
-    end point of the worldline. Returns exactly 0 for ``alpha_final == 1``.
+    end point of the worldline. Returns exactly +0.0 for ``alpha_final == 1``.
     """
     if alpha_final <= 0:
         raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    if alpha_final == 1.0:
-        return 0.0
     return free_energy_difference_from_values(
         alpha_final * spec0.eigenvalues, spec0.eigenvalues, beta
     )

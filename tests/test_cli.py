@@ -1,10 +1,42 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tauwork.cli import main
 from tauwork.protocol import CSV_COLUMNS
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+# The report row of each demo scenario, frozen from the engine before the
+# pipelines shared one TPM core. Reports may move only at rounding level.
+FROZEN_DEMO_ROWS = {
+    "comoving": "comoving,dilated,40,2.0,1.0,5.0,0.0,0.0,1.0,1.0,0.0,0.0,evolved,0",
+    "cruise_redshift": (
+        "cruise-redshift,dilated,2,2.0,0.955,4.7749999999999995,-0.005364131490995294,"
+        "-0.005581653784836882,1.0112258497970008,1.0112258497970008,0.0,"
+        "0.00043504458768317544,evolved,0"
+    ),
+    "driven_two_segment": (
+        "driven-two-segment,appendix,2,1.0,1.2,10.999999999999995,0.2151531370959965,"
+        "0.160284076992149,0.8519017489023978,0.8519017489023977,1.1102230246251565e-16,"
+        "0.05486906010384751,evolved,2000"
+    ),
+    "flat_damping": (
+        "flat-damping,flat,2,1.0,1.0,0.0,-0.13447071068499755,-0.0,1.2310585786300048,"
+        "1.231058578630005,-2.220446049250313e-16,-0.13447071068499755,instantaneous,0"
+    ),
+    "oscillator_blueshift": (
+        "oscillator-blueshift,dilated,40,2.0,1.2,11.0,0.1313035285499331,0.1251567536732282,"
+        "0.7785566615734272,0.778556661573427,2.220446049250313e-16,0.012293549753409794,"
+        "evolved,0"
+    ),
+}
+FLOAT_COLUMNS = {
+    "beta", "alpha_final", "tau_total", "mean_work", "delta_F", "lhs", "rhs",
+    "residual", "entropy_production",
+}
 
 
 def write_scenario(tmp_path, name="scenario.json", **overrides):
@@ -93,6 +125,13 @@ class TestRun:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["mc_samples", "seed"])
+    def test_retired_field_exit_2(self, tmp_path, capsys, field):
+        path = write_scenario(tmp_path, **{field: 0})
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{field}: unknown field" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, tmp_path, capsys):
         code = main(
             ["run", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]
@@ -153,6 +192,28 @@ class TestRun:
         ) == 0
         _, rows = read_rows(out / "drv.csv")
         assert rows[0]["steps"] == "25"
+
+
+class TestDemoReports:
+    @pytest.mark.parametrize("name", sorted(FROZEN_DEMO_ROWS))
+    def test_report_matches_frozen_row(self, name, tmp_path):
+        out = tmp_path / "o"
+        scenario = DEMO_SCENARIOS / f"{name}.json"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out), "--quiet"]) == 0
+        (path,) = out.glob("*.csv")
+        _, (row,) = read_rows(path)
+        frozen = dict(zip(CSV_COLUMNS, FROZEN_DEMO_ROWS[name].split(",")))
+        assert list(row) == list(frozen)
+        for column, cell in row.items():
+            assert cell != "-0.0", column
+            if column in FLOAT_COLUMNS:
+                x, ref = float(cell), float(frozen[column])
+                assert abs(x - ref) <= 1e-12 * max(1.0, abs(ref)), column
+            else:
+                assert cell == frozen[column], column
+
+    def test_every_demo_scenario_is_pinned(self):
+        assert {p.stem for p in DEMO_SCENARIOS.glob("*.json")} == set(FROZEN_DEMO_ROWS)
 
 
 class TestSweep:

@@ -6,17 +6,20 @@ from tauwork.operators import (
     HermitianOperator,
     Spectrum,
     as_complex_matrix,
-    hermitian_expm,
     matrix_from_pairs,
     matrix_to_pairs,
     maximally_mixed,
-    projector,
     random_hermitian,
     random_unitary,
     spectral_decompose,
+    spectrum_expm,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def expm(h, scale):
+    return spectrum_expm(spectral_decompose(h), scale)
 
 
 class TestConstruction:
@@ -83,7 +86,7 @@ class TestSpectralDecompose:
             spec = spectral_decompose(h)
             v = spec.eigenvectors
             assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-10
-            total = sum(projector(spec, k) for k in range(dim))
+            total = sum(np.outer(v[:, k], v[:, k].conj()) for k in range(dim))
             assert np.max(np.abs(total - np.eye(dim))) < 1e-12
             assert np.max(np.abs(spec.reconstruct() - h.matrix)) < 1e-10
 
@@ -111,70 +114,45 @@ class TestSpectralDecompose:
 class TestHermitianExpm:
     def test_zero_matrix_gives_identity(self):
         h = HermitianOperator(np.zeros((3, 3)))
-        np.testing.assert_allclose(hermitian_expm(h, 1.7 - 0.3j), np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(expm(h, 1.7 - 0.3j), np.eye(3), atol=1e-15)
 
     def test_diagonal_real_scale(self):
         h = HermitianOperator(np.diag([1.0, 2.0]))
         beta = 0.8
         np.testing.assert_allclose(
-            hermitian_expm(h, -beta), np.diag([np.exp(-0.8), np.exp(-1.6)]), atol=1e-15
+            expm(h, -beta), np.diag([np.exp(-0.8), np.exp(-1.6)]), atol=1e-15
         )
 
     def test_sigma_x_closed_form(self):
         # e^(-i pi sigma_x) = cos(pi) 1 - i sin(pi) sigma_x = -1
-        u = hermitian_expm(HermitianOperator(SIGMA_X), -1j * np.pi)
+        u = expm(HermitianOperator(SIGMA_X), -1j * np.pi)
         assert np.max(np.abs(u + np.eye(2))) < 1e-12
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-12
 
     def test_imaginary_scale_is_unitary(self):
         h = random_hermitian(5, 3)
-        u = hermitian_expm(h, -0.37j)
+        u = expm(h, -0.37j)
         assert np.max(np.abs(u.conj().T @ u - np.eye(5))) < 1e-10
 
     def test_negative_real_scale_is_positive_definite(self):
         h = random_hermitian(4, 11)
-        m = hermitian_expm(h, -1.3)
+        m = expm(h, -1.3)
         assert np.linalg.eigvalsh(m)[0] > 0
 
     def test_semigroup_property(self):
         h = random_hermitian(3, 5)
         a, b = 0.33, 1.21
-        lhs = hermitian_expm(h, -1j * a) @ hermitian_expm(h, -1j * b)
-        rhs = hermitian_expm(h, -1j * (a + b))
+        lhs = expm(h, -1j * a) @ expm(h, -1j * b)
+        rhs = expm(h, -1j * (a + b))
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_real_scale_preserves_hermiticity(self):
-        m = hermitian_expm(random_hermitian(4, 9), -0.5)
+        m = expm(random_hermitian(4, 9), -0.5)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_rejects_non_finite_scale(self):
         with pytest.raises(ValueError, match="finite"):
-            hermitian_expm(HermitianOperator(SIGMA_X), np.nan)
-
-
-class TestProjector:
-    def test_diagonal_case(self):
-        spec = spectral_decompose(HermitianOperator(np.diag([0.0, 1.0])))
-        np.testing.assert_allclose(projector(spec, 0), np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_sigma_x_plus_eigenvector(self):
-        # eigenvector (1, 1)/sqrt(2) for eigenvalue +1
-        spec = spectral_decompose(HermitianOperator(SIGMA_X))
-        np.testing.assert_allclose(projector(spec, 1), 0.5 * np.ones((2, 2)), atol=1e-14)
-
-    def test_idempotent_hermitian_rank_one(self):
-        spec = spectral_decompose(random_hermitian(5, 21))
-        p = projector(spec, 2)
-        assert np.max(np.abs(p @ p - p)) < 1e-12
-        assert np.max(np.abs(p - p.conj().T)) < 1e-14
-        assert np.linalg.matrix_rank(p, tol=1e-10) == 1
-
-    def test_index_out_of_range(self):
-        spec = spectral_decompose(HermitianOperator(SIGMA_X))
-        with pytest.raises(IndexError):
-            projector(spec, 2)
-        with pytest.raises(IndexError):
-            projector(spec, -1)
+            expm(HermitianOperator(SIGMA_X), np.nan)
 
 
 def test_random_unitary_is_unitary_and_deterministic():

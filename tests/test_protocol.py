@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tauwork import protocol
 from tauwork.channels import (
     PropagatorSchedule,
     amplitude_damping_channel,
     identity_channel,
-    proper_time_propagator,
     unitary_channel,
 )
 from tauwork.operators import (
@@ -16,6 +18,7 @@ from tauwork.operators import (
     random_hermitian,
     random_unitary,
     spectral_decompose,
+    spectrum_expm,
 )
 from tauwork.protocol import (
     CSV_COLUMNS,
@@ -61,7 +64,7 @@ class TestConditionalProbabilities:
         # eigenstates transported by the evolution are found with certainty
         h = random_hermitian(3, 44)
         spec0 = spectral_decompose(h)
-        u = proper_time_propagator(h, 2.3)
+        u = spectrum_expm(spec0, -1j * 2.3)
         from tauwork.operators import Spectrum
 
         spec_evolved = Spectrum(spec0.eigenvalues, u @ spec0.eigenvectors)
@@ -138,6 +141,51 @@ class TestWorkDistribution:
             ch = unitary_channel(random_unitary(4, rng))
             wd = work_distribution_flat(h0, h1, ch, beta=1.3)
             assert abs(wd.probs.sum() - 1.0) < 1e-10
+
+
+# Atoms on a coarse grid with small jitter, so that runs of near-equal values
+# (and chains of them longer than the tolerance) occur often.
+ATOMS = st.lists(
+    st.tuples(
+        st.integers(-40, 40), st.floats(0.0, 0.05), st.floats(1e-6, 1.0)
+    ),
+    min_size=1,
+    max_size=30,
+)
+MERGE_TOLS = st.sampled_from([1e-9, 1e-3, 0.02, 0.1, 0.5])
+
+
+def _atoms(raw):
+    values = np.array([0.1 * k + jitter for k, jitter, _ in raw])
+    weights = np.array([w for _, _, w in raw])
+    return values, weights / weights.sum()
+
+
+class TestMergeRule:
+    @settings(max_examples=300, deadline=None)
+    @given(ATOMS, MERGE_TOLS)
+    def test_merge_properties(self, raw, tol):
+        values, probs = _atoms(raw)
+        wd = WorkDistribution(values, probs, merge_tol=tol)
+        # one atom per run: a new run starts at every gap >= tol
+        assert wd.size == 1 + np.count_nonzero(np.diff(np.sort(values)) >= tol)
+        assert np.all(np.diff(wd.values) >= tol)
+        assert abs(wd.probs.sum() - probs.sum()) <= 1e-15 * values.size
+        assert abs(wd.mean() - values @ probs) <= 1e-14 * (1.0 + np.abs(values).max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(ATOMS, MERGE_TOLS)
+    def test_merging_is_idempotent(self, raw, tol):
+        wd = WorkDistribution(*_atoms(raw), merge_tol=tol)
+        again = WorkDistribution(wd.values, wd.probs, merge_tol=tol)
+        assert np.array_equal(again.values, wd.values)
+        assert np.array_equal(again.probs, wd.probs)
+
+    def test_chain_longer_than_tol_is_one_run(self):
+        # consecutive gaps below tol link atoms even when the run spans more
+        wd = WorkDistribution([0.0, 0.6, 1.2, 1.8, 3.0], [0.2] * 5, merge_tol=1.0)
+        np.testing.assert_allclose(wd.values, [0.9, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(wd.probs, [0.8, 0.2], rtol=1e-15)
 
 
 class TestDilatedDistribution:
@@ -384,6 +432,28 @@ class TestRunProtocol:
         sched = PropagatorSchedule.constant(two_level(), prof, steps=1)
         with pytest.raises(ValueError, match="final_basis"):
             AppendixRun(scenario_id="x", beta=1.0, schedule=sched, final_basis="heisenberg")
+
+    @pytest.mark.parametrize("pipeline", ["flat", "dilated", "appendix"])
+    def test_unit_rate_gives_zero_work_in_every_pipeline(self, pipeline, monkeypatch):
+        h = harmonic_hamiltonian(1.0, 6)
+        prof = dilation_profile(comoving_worldline(5.0, samples=11))
+        run = {
+            "flat": FlatRun("f", 2.0, h, h, identity_channel(h.dim)),
+            "dilated": DilatedRun("d", 2.0, h, prof),
+            "appendix": AppendixRun("a", 2.0, PropagatorSchedule.constant(h, prof, steps=7)),
+        }[pipeline]
+        seen = []
+
+        def spy(wd, beta):
+            seen.append(wd)
+            return jarzynski_lhs(wd, beta)
+
+        monkeypatch.setattr(protocol, "jarzynski_lhs", spy)
+        rep = run_protocol(run)
+        (wd,) = seen
+        assert np.all(wd.values == 0.0)
+        assert rep.mean_work == 0.0
+        assert dict(zip(CSV_COLUMNS, rep.to_csv_row().split(",")))["delta_F"] == "0.0"
 
     def test_unsupported_run_type(self):
         with pytest.raises(TypeError, match="unsupported"):

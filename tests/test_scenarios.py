@@ -114,6 +114,9 @@ class TestValidation:
     def test_unknown_top_level_field(self):
         with pytest.raises(ScenarioValidationError, match="frobnicate: unknown"):
             ScenarioConfig.from_dict(dilated_config(frobnicate=1))
+        for retired in ("mc_samples", "seed"):
+            with pytest.raises(ScenarioValidationError, match=f"{retired}: unknown field"):
+                ScenarioConfig.from_dict(dilated_config(**{retired: 0}))
 
     def test_missing_pipeline_fields_aggregated(self):
         raw = {"scenario_id": "bad", "pipeline": "flat", "beta": -1.0}
@@ -167,7 +170,6 @@ class TestValidation:
         config = ScenarioConfig.from_dict(dilated_config())
         assert config.pipeline == "dilated"
         assert config.c == 1.0
-        assert config.mc_samples == 0
 
 
 class TestBuildScenario:
