@@ -349,7 +349,8 @@ def criterion_appendix_convergence() -> CriterionResult:
         f"constant-schedule max deviation = {worst_const:.3e} (tol 1e-10); "
         f"|lhs - rhs| at 1e4 steps = {residual_10k:.3e} (tol 1e-6); "
         f"step-halving errors {['%.3e' % e for e in errors]} vs 3.2e5-step reference "
-        f"(nonincreasing={nonincreasing}, total decrease x{errors[0] / max(errors[-1], 1e-300):.1f})",
+        f"(nonincreasing={nonincreasing}, "
+        f"total decrease x{errors[0] / max(errors[-1], 1e-300):.1f})",
         t0,
     )
 

@@ -7,14 +7,13 @@ Exit codes: 0 success, 1 verification failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from . import __version__, acceptance
 from .protocol import ProtocolReport
-from .scenarios import ScenarioConfig, ScenarioValidationError, run_scenario
+from .scenarios import ScenarioConfig, ScenarioValidationError, parse_document, run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -22,32 +21,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 SWEEP_PARAMS = ("alpha", "beta", "omega", "c", "gamma")
-
-
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """What one invocation is about to do; assembled from the parsed flags."""
-
-    scenario_paths: tuple
-    out_dir: Path
-    fmt: str
-    sweep: tuple | None  # (param, start, stop, count)
-    steps: int | None
-    quiet: bool
-
-    @classmethod
-    def from_args(cls, args) -> "RunManifest":
-        sweep = None
-        if getattr(args, "sweep", None):
-            sweep = _parse_sweep(args.sweep)
-        return cls(
-            scenario_paths=tuple(args.scenario or ()),
-            out_dir=Path(args.out),
-            fmt=args.format,
-            sweep=sweep,
-            steps=getattr(args, "steps", None),
-            quiet=args.quiet,
-        )
 
 
 class CliError(Exception):
@@ -76,24 +49,32 @@ def _parse_sweep(spec: str) -> tuple:
     return (param, start, stop, count)
 
 
-def _load_config(path: str, manifest: RunManifest) -> ScenarioConfig:
+def _validate(document, label: str) -> ScenarioConfig:
+    try:
+        return ScenarioConfig.from_dict(document)
+    except ScenarioValidationError as exc:
+        raise CliError(f"{label}: {exc}", EXIT_VALIDATION) from None
+
+
+def _load_document(path: str, steps: int | None) -> tuple[dict, ScenarioConfig]:
+    """Read a scenario file, apply the ``--steps`` override and validate it."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read scenario file {path}: {exc}", EXIT_IO) from None
     try:
-        config = ScenarioConfig.from_json(text)
+        document = parse_document(text)
     except ScenarioValidationError as exc:
         raise CliError(f"{path}: {exc}", EXIT_VALIDATION) from None
-    if manifest.steps is not None and config.pipeline == "appendix":
-        config = dataclasses.replace(config, steps=manifest.steps)
-    return config
+    if steps is not None and isinstance(document, dict) and document.get("pipeline") == "appendix":
+        document = dict(document, steps=steps)
+    return document, _validate(document, path)
 
 
-def _prepare_out_dir(manifest: RunManifest) -> None:
+def _prepare_out_dir(out_dir: Path) -> None:
     try:
-        manifest.out_dir.mkdir(parents=True, exist_ok=True)
-        probe = manifest.out_dir / ".write-probe"
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write-probe"
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
@@ -124,110 +105,85 @@ def _summary_line(report: ProtocolReport) -> str:
 def _execute(config: ScenarioConfig, label: str):
     try:
         return run_scenario(config)
-    except ScenarioValidationError as exc:
-        raise CliError(f"{label}: {exc}", EXIT_VALIDATION) from None
     except OSError as exc:
         raise CliError(f"{label}: {exc}", EXIT_IO) from None
     except ValueError as exc:
         raise CliError(f"{label}: {exc}", EXIT_VALIDATION) from None
 
 
-def cmd_run(manifest: RunManifest) -> int:
-    if not manifest.scenario_paths:
+def cmd_run(args) -> int:
+    if not args.scenario:
         raise CliError("run needs at least one --scenario file", EXIT_VALIDATION)
-    _prepare_out_dir(manifest)
-    for path in manifest.scenario_paths:
-        config = _load_config(path, manifest)
+    # every file is validated before anything runs: each report is named
+    # after its scenario_id, so two files with one id would overwrite
+    configs, paths_by_id = [], {}
+    for path in args.scenario:
+        _, config = _load_document(path, args.steps)
+        if config.scenario_id in paths_by_id:
+            raise CliError(
+                f"{paths_by_id[config.scenario_id]} and {path} both have scenario_id "
+                f"{config.scenario_id!r}",
+                EXIT_VALIDATION,
+            )
+        paths_by_id[config.scenario_id] = path
+        configs.append((path, config))
+    out_dir = Path(args.out)
+    _prepare_out_dir(out_dir)
+    for path, config in configs:
         report = _execute(config, path)
-        ext = "csv" if manifest.fmt == "csv" else "json"
-        _write_report_file(
-            manifest.out_dir / f"{config.scenario_id}.{ext}", [report], manifest.fmt
-        )
-        if not manifest.quiet:
+        _write_report_file(out_dir / f"{config.scenario_id}.{args.format}", [report], args.format)
+        if not args.quiet:
             print(_summary_line(report))
     return EXIT_OK
 
 
-def _sweep_configs(config: ScenarioConfig, sweep: tuple) -> list[tuple[float, ScenarioConfig]]:
-    param, start, stop, count = sweep
-    values = [start + (stop - start) * k / (count - 1) for k in range(count)]
-    values.sort()
-    return [(v, _apply_sweep_value(config, param, v)) for v in values]
-
-
-def _apply_sweep_value(config: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
-    if param == "beta":
-        if value <= 0:
-            raise CliError(f"swept beta must stay positive, got {value}", EXIT_VALIDATION)
-        return dataclasses.replace(config, beta=value)
-    if param == "c":
-        if config.pipeline == "flat":
-            raise CliError("sweeping c needs a worldline pipeline", EXIT_VALIDATION)
-        if value <= 0:
-            raise CliError(f"swept c must stay positive, got {value}", EXIT_VALIDATION)
-        return dataclasses.replace(config, c=value)
-    if param == "omega":
-        if not (config.system and config.system.get("kind") == "harmonic"):
-            raise CliError("sweeping omega needs a harmonic system", EXIT_VALIDATION)
-        system = dict(config.system, omega=value)
-        return dataclasses.replace(config, system=system)
-    if param == "gamma":
-        if not config.channel or config.channel.get("preset") not in (
-            "amplitude_damping",
-            "depolarizing",
-        ):
-            raise CliError(
-                "sweeping gamma needs an amplitude_damping or depolarizing channel",
-                EXIT_VALIDATION,
-            )
-        key = "gamma" if config.channel["preset"] == "amplitude_damping" else "lambda"
-        channel = dict(config.channel)
-        channel[key] = value
-        return dataclasses.replace(config, channel=channel)
-    if param == "alpha":
-        if config.pipeline == "flat":
-            raise CliError("sweeping alpha needs a worldline pipeline", EXIT_VALIDATION)
-        if value <= 0:
-            raise CliError(f"swept alpha must stay positive, got {value}", EXIT_VALIDATION)
-        # realize the requested final clock rate with a potential ramp read by
-        # a heavy particle: phi_end = (alpha - 1) c^2, so alpha_final = alpha
-        t_end = 1.0
-        samples = 101
-        if config.worldline and "t_end" in config.worldline:
-            t_end = config.worldline["t_end"]
-            samples = config.worldline.get("samples", samples)
-        worldline = {
+def _sweep_point(document: dict, base: ScenarioConfig, param: str, value: float) -> dict:
+    """The scenario document with the swept parameter set to ``value``."""
+    point = dict(document, scenario_id=f"{base.scenario_id}@{param}={value:.9g}")
+    if param in ("beta", "c"):
+        point[param] = value
+    elif param == "omega":
+        point["system"] = dict(document.get("system") or {}, omega=value)
+    elif param == "gamma":
+        channel = document.get("channel") or {}
+        key = "lambda" if channel.get("preset") == "depolarizing" else "gamma"
+        point["channel"] = dict(channel, **{key: value})
+    else:
+        # realize the requested final clock rate alpha with a potential ramp
+        # read by a heavy particle: phi_end = (alpha - 1) c^2
+        t_end, samples = 1.0, 101
+        if base.worldline and "t_end" in base.worldline:
+            t_end = base.worldline["t_end"]
+            samples = base.worldline.get("samples", samples)
+        point["worldline"] = {
             "preset": "uniform_gravity",
-            "g": (value - 1.0) * config.c**2 / t_end,
+            "g": (value - 1.0) * base.c**2 / t_end,
             "t_end": t_end,
             "samples": samples,
             "gravitational_only": True,
         }
-        return dataclasses.replace(config, worldline=worldline)
-    raise CliError(f"unknown sweep parameter {param!r}", EXIT_VALIDATION)
+    return point
 
 
-def cmd_sweep(manifest: RunManifest) -> int:
-    if len(manifest.scenario_paths) != 1:
+def cmd_sweep(args) -> int:
+    param, start, stop, count = _parse_sweep(args.sweep)
+    if len(args.scenario or ()) != 1:
         raise CliError("sweep needs exactly one --scenario file", EXIT_VALIDATION)
-    if manifest.sweep is None:
-        raise CliError("sweep needs a --sweep param=start:stop:count spec", EXIT_VALIDATION)
-    _prepare_out_dir(manifest)
-    base = _load_config(manifest.scenario_paths[0], manifest)
-    param = manifest.sweep[0]
+    document, base = _load_document(args.scenario[0], args.steps)
+    values = sorted(start + (stop - start) * k / (count - 1) for k in range(count))
+    points = []
+    for value in values:
+        label = f"{param}={value}"
+        points.append((label, _validate(_sweep_point(document, base, param, value), label)))
+    out_dir = Path(args.out)
+    _prepare_out_dir(out_dir)
     reports = []
-    for value, config in _sweep_configs(base, manifest.sweep):
-        config = dataclasses.replace(
-            config, scenario_id=f"{base.scenario_id}@{param}={value:.9g}"
-        )
-        report = _execute(config, f"{param}={value}")
+    for label, config in points:
+        report = _execute(config, label)
         reports.append(report)
-        if not manifest.quiet:
+        if not args.quiet:
             print(_summary_line(report))
-    ext = "csv" if manifest.fmt == "csv" else "json"
-    _write_report_file(
-        manifest.out_dir / f"sweep_{param}.{ext}", reports, manifest.fmt
-    )
+    _write_report_file(out_dir / f"sweep_{param}.{args.format}", reports, args.format)
     return EXIT_OK
 
 
@@ -273,9 +229,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(RunManifest.from_args(args))
+            return cmd_run(args)
         if args.command == "sweep":
-            return cmd_sweep(RunManifest.from_args(args))
+            return cmd_sweep(args)
         return cmd_verify(quiet=args.quiet)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,7 +29,8 @@ import json
 
 import numpy as np
 
-from .channels import PropagatorSchedule, QuantumChannel, time_ordered_propagator, unitality_deviation
+from .channels import PropagatorSchedule, QuantumChannel
+from .channels import time_ordered_propagator, unitality_deviation
 from .operators import HermitianOperator, Spectrum, spectral_decompose
 from .spacetime import DilationProfile
 from .thermo import free_energy_difference_from_values, log_sum_exp, thermal_state
@@ -303,9 +304,10 @@ class ProtocolReport:
         final_basis: str,
         steps: int,
     ) -> "ProtocolReport":
+        """Assemble a report; raises ``ValueError`` naming each non-finite column."""
         beta, mean_work, delta_F = float(beta), float(mean_work), float(delta_F)
         lhs, rhs = float(lhs), float(rhs)
-        return cls(
+        report = cls(
             scenario_id=str(scenario_id),
             pipeline=str(pipeline),
             dim=int(dim),
@@ -321,6 +323,14 @@ class ProtocolReport:
             final_basis=str(final_basis),
             steps=int(steps),
         )
+        bad = [
+            f"{name}={value!r}"
+            for name, value in report.to_dict().items()
+            if isinstance(value, float) and not np.isfinite(value)
+        ]
+        if bad:
+            raise ValueError(f"report has non-finite values: {', '.join(bad)}")
+        return report
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}

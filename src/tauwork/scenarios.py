@@ -2,7 +2,9 @@
 
 A scenario file is one JSON document. Validation is aggregated: every
 violated constraint is collected with its field path before anything is
-built, so a malformed file reports all its problems at once.
+built, so a malformed file reports all its problems at once. The schema is
+data: ``PIPELINES``, ``FIELD_RULES`` and one table per family (``SYSTEMS``,
+``WORLDLINES``, ``CHANNELS``) that also holds each entry's builder.
 
 The harmonic oscillator doubles as the analytic benchmark. With level
 spacing ``omega`` and final clock rate ``alpha`` the free-energy change and
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -33,7 +36,8 @@ from .channels import (
     unitary_channel,
 )
 from .operators import HermitianOperator, matrix_from_pairs, random_hermitian
-from .protocol import AppendixRun, DilatedRun, FlatRun, ProtocolReport, run_protocol
+from .protocol import FINAL_BASES, AppendixRun, DilatedRun, FlatRun, ProtocolReport
+from .protocol import run_protocol
 from .spacetime import (
     StaticSpacetime,
     Worldline,
@@ -44,7 +48,6 @@ from .spacetime import (
     uniform_gravity_worldline,
 )
 
-PIPELINES = ("flat", "dilated", "appendix")
 DEFAULT_STEPS = 1000
 DEFAULT_SAMPLES = 1001
 TAIL_WEIGHT = 1e-12
@@ -113,6 +116,195 @@ def two_level_hamiltonian(gap: float) -> HermitianOperator:
     return HermitianOperator.diagonal([0.0, gap])
 
 
+def _finite(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _pairs_matrix(value) -> bool:
+    try:
+        matrix_from_pairs(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _at_least(low: int) -> tuple:
+    return (
+        (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer, got {!r}"),
+        (lambda v: v >= low, f"must be >= {low}, got {{!r}}"),
+    )
+
+
+# pipeline -> (sections it requires, optional fields it reads), on top of the
+# fields every scenario requires
+PIPELINES = {
+    "flat": (("system", "channel"), ()),
+    "dilated": (("system", "worldline"), ("mass", "c")),
+    "appendix": (("schedule", "worldline"), ("mass", "c", "steps", "final_basis")),
+}
+
+_NUMBER = (_finite, "must be a finite number, got {!r}")
+_STRING = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string, got {!r}")
+
+# field name -> stages (accepts, message), the same wherever the field appears;
+# a value breaks the rule at the first stage it fails, whose message is reported
+FIELD_RULES = {
+    **dict.fromkeys(("g", "p", "M", "r_start", "r_end"), (_NUMBER,)),
+    **dict.fromkeys(
+        ("beta", "mass", "c", "omega", "gap", "t_end", "tau_end"),
+        (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}")),
+    ),
+    **dict.fromkeys(
+        ("gamma", "lambda"),
+        ((lambda v: _finite(v) and 0.0 <= v <= 1.0, "must be a number in [0, 1], got {!r}"),),
+    ),
+    **dict.fromkeys(("levels", "dim", "samples"), _at_least(2)),
+    "steps": _at_least(1),
+    "seed": _at_least(0),
+    "gravitational_only": ((lambda v: isinstance(v, bool), "must be true or false"),),
+    "csv": (_STRING,),
+    "scenario_id": (
+        _STRING,
+        (
+            lambda v: v not in (".", "..") and not any(ch in v for ch in "/\\\0"),
+            "must be a file name: no '/', '\\' or NUL, not '.' or '..'; got {!r}",
+        ),
+    ),
+    "pipeline": (
+        (
+            lambda v: isinstance(v, str) and v in PIPELINES,
+            f"must be one of {tuple(PIPELINES)}, got {{!r}}",
+        ),
+    ),
+    "final_basis": ((lambda v: v in FINAL_BASES, f"must be one of {FINAL_BASES}, got {{!r}}"),),
+    "matrix": ((_pairs_matrix, "must be a square, finite matrix of [re, im] pairs"),),
+    "matrices": (
+        (
+            lambda v: isinstance(v, list) and v and all(map(_pairs_matrix, v)),
+            "must be a non-empty list of square, finite matrices of [re, im] pairs",
+        ),
+    ),
+}
+
+
+@dataclass(frozen=True)
+class _Entry:
+    """One system kind or worldline/channel preset: its fields and builder."""
+
+    required: tuple
+    optional: tuple
+    build: Callable
+
+
+_TIMED = ("samples", "gravitational_only")
+
+SYSTEMS = {
+    "explicit": _Entry(
+        ("matrix",), (), lambda s: HermitianOperator(matrix_from_pairs(s["matrix"]))
+    ),
+    "harmonic": _Entry(
+        ("omega", "levels"), (), lambda s: harmonic_hamiltonian(s["omega"], s["levels"])
+    ),
+    "two_level": _Entry(("gap",), (), lambda s: two_level_hamiltonian(s["gap"])),
+    "random": _Entry(("dim", "seed"), (), lambda s: random_hermitian(s["dim"], s["seed"])),
+}
+
+# a worldline without a preset is read from its ``csv`` table; each builder
+# takes the object, the sample count and the particle mass
+WORLDLINES = {
+    "comoving": _Entry(("t_end",), _TIMED, lambda w, n, m: comoving_worldline(w["t_end"], n, m)),
+    "uniform_gravity": _Entry(
+        ("g", "t_end"),
+        ("p", *_TIMED),
+        lambda w, n, m: uniform_gravity_worldline(w["g"], w["t_end"], n, w.get("p", 0.0), m),
+    ),
+    "point_mass": _Entry(
+        ("M", "r_start", "r_end", "t_end"),
+        _TIMED,
+        lambda w, n, m: point_mass_worldline(w["M"], w["r_start"], w["r_end"], w["t_end"], n, m),
+    ),
+    "cruise": _Entry(
+        ("p", "t_end"), _TIMED, lambda w, n, m: cruise_worldline(w["p"], w["t_end"], n, m)
+    ),
+    "csv": _Entry(
+        ("csv",), ("gravitational_only",), lambda w, n, m: Worldline.from_csv(w["csv"], m)
+    ),
+}
+
+CHANNELS = {
+    "identity": _Entry((), (), lambda ch, dim: identity_channel(dim)),
+    "amplitude_damping": _Entry(
+        ("gamma",), (), lambda ch, dim: amplitude_damping_channel(ch["gamma"], dim)
+    ),
+    "depolarizing": _Entry(
+        ("lambda",), (), lambda ch, dim: depolarizing_channel(ch["lambda"], dim)
+    ),
+    "unitary": _Entry(
+        ("matrix",),
+        (),
+        lambda ch, dim: unitary_channel(matrix_from_pairs(ch["matrix"], name="channel.matrix")),
+    ),
+    "kraus": _Entry(
+        ("matrices",),
+        (),
+        lambda ch, dim: QuantumChannel(
+            [matrix_from_pairs(m, name="channel.matrices") for m in ch["matrices"]]
+        ),
+    ),
+}
+
+# object field -> (the field that names its entry, the entries, the entry used
+# when that field is absent and the object carries a field of the entry's name)
+_FAMILIES = {
+    "system": ("kind", SYSTEMS, None),
+    "worldline": ("preset", WORLDLINES, "csv"),
+    "channel": ("preset", CHANNELS, None),
+}
+
+
+def _check(value, name: str, path: str, errors: list) -> None:
+    """Append to ``errors`` what is wrong with field ``name``'s value at ``path``."""
+    if name in _FAMILIES:
+        tag, table, fallback = _FAMILIES[name]
+        if not isinstance(value, dict):
+            errors.append(f"{path}: must be an object with a {tag!r} key")
+            return
+        kind = value.get(tag, fallback if fallback in value else None)
+        if not isinstance(kind, str) or kind not in table:
+            errors.append(f"{path}.{tag}: must be one of {sorted(table)}, got {kind!r}")
+            return
+        entry, owner = table[kind], f" for {tag} {kind!r}"
+        _check_fields(value, path, entry.required, entry.optional, owner, tag, errors)
+    elif name == "schedule":
+        if not isinstance(value, list) or not value:
+            errors.append(f"{path}: must be a non-empty list of segments")
+            return
+        for i, segment in enumerate(value):
+            _check_fields(segment, f"{path}[{i}]", ("tau_end", "system"), (), "", None, errors)
+    else:
+        for accepts, message in FIELD_RULES[name]:
+            if not accepts(value):
+                errors.append(f"{path}: {message.format(value)}")
+                return
+
+
+def _check_fields(obj, path, required, optional, owner, tag, errors) -> None:
+    """Check an object's fields: none unknown (``tag`` names the entry), none
+    of ``required`` missing, and each present one against its rule."""
+    if not isinstance(obj, dict):
+        errors.append(f"{path}: must be an object")
+        return
+    for key in obj:
+        if key not in required and key not in optional and key != tag:
+            errors.append(f"{path}.{key}: unknown field{owner}")
+    for key in required:
+        if key not in obj:
+            errors.append(f"{path}.{key}: required{owner}")
+    for key in required + optional:
+        if key in obj:
+            _check(obj[key], key, f"{path}.{key}", errors)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Validated scenario parameters; see ``from_dict`` for the file schema."""
@@ -129,101 +321,40 @@ class ScenarioConfig:
     steps: int = DEFAULT_STEPS
     final_basis: str = "evolved"
 
-    KNOWN_FIELDS = (
-        "scenario_id",
-        "pipeline",
-        "beta",
-        "system",
-        "worldline",
-        "mass",
-        "c",
-        "channel",
-        "schedule",
-        "steps",
-        "final_basis",
-    )
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        errors: list[str] = []
+        """Validate a scenario document against ``PIPELINES`` and the tables."""
         if not isinstance(raw, dict):
             raise ScenarioValidationError(["document: must be a JSON object"])
-        for key in raw:
-            if key not in cls.KNOWN_FIELDS:
-                errors.append(f"{key}: unknown field")
-
-        scenario_id = raw.get("scenario_id")
-        if not isinstance(scenario_id, str) or not scenario_id:
-            errors.append("scenario_id: required non-empty string")
-            scenario_id = "?"
+        errors: list[str] = []
         pipeline = raw.get("pipeline")
-        if pipeline not in PIPELINES:
-            errors.append(f"pipeline: must be one of {PIPELINES}, got {pipeline!r}")
-            raise ScenarioValidationError(errors)
-
-        beta = _check_number(raw, "beta", errors, required=True, positive=True)
-        mass = _check_number(raw, "mass", errors, default=1.0, positive=True)
-        c = _check_number(raw, "c", errors, default=1.0, positive=True)
-        steps = _check_int(raw, "steps", errors, default=DEFAULT_STEPS, minimum=1)
-        final_basis = raw.get("final_basis", "evolved")
-        if final_basis not in ("evolved", "instantaneous"):
-            errors.append(
-                f"final_basis: must be 'evolved' or 'instantaneous', got {final_basis!r}"
-            )
-
-        required = {
-            "flat": ("system", "channel"),
-            "dilated": ("system", "worldline"),
-            "appendix": ("schedule", "worldline"),
-        }[pipeline]
-        forbidden = {
-            "flat": ("worldline", "schedule", "steps", "final_basis", "mass", "c"),
-            "dilated": ("channel", "schedule", "steps", "final_basis"),
-            "appendix": ("system", "channel"),
-        }[pipeline]
-        for name in required:
-            if name not in raw:
-                errors.append(f"{name}: required for the {pipeline} pipeline")
-        for name in forbidden:
-            if name in raw:
-                errors.append(f"{name}: not used by the {pipeline} pipeline")
-
-        system = raw.get("system")
-        if system is not None:
-            _validate_system(system, errors)
-        worldline = raw.get("worldline")
-        if worldline is not None:
-            _validate_worldline(worldline, errors)
-        channel = raw.get("channel")
-        if channel is not None:
-            _validate_channel(channel, errors)
-        schedule = raw.get("schedule")
-        if schedule is not None:
-            _validate_schedule(schedule, errors)
-
+        _check(pipeline, "pipeline", "pipeline", errors)
         if errors:
             raise ScenarioValidationError(errors)
-        return cls(
-            scenario_id=scenario_id,
-            pipeline=pipeline,
-            beta=beta,
-            system=system,
-            worldline=worldline,
-            mass=mass,
-            c=c,
-            channel=channel,
-            schedule=schedule,
-            steps=steps,
-            final_basis=final_basis,
-        )
+        sections, optional = PIPELINES[pipeline]
+        required = _ALWAYS_REQUIRED + sections
+        for key in raw:
+            if key not in _FIELDS:
+                errors.append(f"{key}: unknown field")
+            elif key not in required and key not in optional:
+                errors.append(f"{key}: not used by the {pipeline} pipeline")
+        for key in required:
+            if key not in raw:
+                errors.append(f"{key}: required for the {pipeline} pipeline")
+        for key in required + optional:
+            if key in raw:
+                _check(raw[key], key, key, errors)
+        if errors:
+            raise ScenarioValidationError(errors)
+        values = {}
+        for name, f in _FIELDS.items():
+            value = raw.get(name, f.default)
+            values[name] = float(value) if f.type == "float" else value
+        return cls(**values)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioValidationError([f"document: malformed JSON ({exc})"]) from None
-        return cls.from_dict(raw)
+        return cls.from_dict(parse_document(text))
 
     @classmethod
     def from_file(cls, path) -> "ScenarioConfig":
@@ -231,245 +362,31 @@ class ScenarioConfig:
             return cls.from_json(fh.read())
 
 
-def _check_number(raw, name, errors, *, required=False, default=None, positive=False):
-    if name not in raw:
-        if required:
-            errors.append(f"{name}: required")
-            return 1.0
-        return default
-    value = raw[name]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        errors.append(f"{name}: must be a finite number, got {value!r}")
-        return default if default is not None else 1.0
-    if positive and value <= 0:
-        errors.append(f"{name}: must be positive, got {value!r}")
-    return float(value)
+_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
+_ALWAYS_REQUIRED = tuple(name for name, f in _FIELDS.items() if f.default is MISSING)
 
 
-def _check_int(raw, name, errors, *, default, minimum=None):
-    if name not in raw:
-        return default
-    value = raw[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{name}: must be an integer, got {value!r}")
-        return default
-    if minimum is not None and value < minimum:
-        errors.append(f"{name}: must be >= {minimum}, got {value}")
-        return default
-    return value
-
-
-def _is_number(value) -> bool:
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and math.isfinite(value)
-    )
-
-
-def _require_number(obj, key, errors, prefix, *, positive=False):
-    if key not in obj:
-        return
-    value = obj[key]
-    if not _is_number(value):
-        errors.append(f"{prefix}.{key}: must be a finite number, got {value!r}")
-    elif positive and value <= 0:
-        errors.append(f"{prefix}.{key}: must be positive, got {value!r}")
-
-
-def _require_int(obj, key, errors, prefix, *, minimum=None):
-    if key not in obj:
-        return
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{prefix}.{key}: must be an integer, got {value!r}")
-    elif minimum is not None and value < minimum:
-        errors.append(f"{prefix}.{key}: must be >= {minimum}, got {value}")
-
-
-def _validate_system(system, errors, prefix="system"):
-    if not isinstance(system, dict) or "kind" not in system:
-        errors.append(f"{prefix}: must be an object with a 'kind' key")
-        return
-    kind = system["kind"]
-    known = {
-        "explicit": {"matrix"},
-        "harmonic": {"omega", "levels"},
-        "two_level": {"gap"},
-        "random": {"dim", "seed"},
-    }
-    if kind not in known:
-        errors.append(f"{prefix}.kind: unknown system kind {kind!r}")
-        return
-    extra = set(system) - known[kind] - {"kind"}
-    for key in sorted(extra):
-        errors.append(f"{prefix}.{key}: unknown field for kind {kind!r}")
-    missing = known[kind] - set(system)
-    for key in sorted(missing):
-        errors.append(f"{prefix}.{key}: required for kind {kind!r}")
-    _require_number(system, "omega", errors, prefix, positive=True)
-    _require_number(system, "gap", errors, prefix, positive=True)
-    _require_int(system, "levels", errors, prefix, minimum=2)
-    _require_int(system, "dim", errors, prefix, minimum=2)
-    _require_int(system, "seed", errors, prefix, minimum=0)
-    if kind == "explicit" and "matrix" in system:
-        try:
-            matrix_from_pairs(system["matrix"], name=f"{prefix}.matrix")
-        except ValueError as exc:
-            errors.append(f"{prefix}.matrix: {exc}")
-
-
-def _validate_worldline(worldline, errors, prefix="worldline"):
-    if not isinstance(worldline, dict):
-        errors.append(f"{prefix}: must be an object")
-        return
-    if "csv" in worldline:
-        extra = set(worldline) - {"csv", "gravitational_only"}
-        for key in sorted(extra):
-            errors.append(f"{prefix}.{key}: unknown field alongside 'csv'")
-        return
-    preset = worldline.get("preset")
-    known = {
-        "comoving": {"t_end", "samples"},
-        "uniform_gravity": {"g", "t_end", "samples", "p"},
-        "point_mass": {"M", "r_start", "r_end", "t_end", "samples"},
-        "cruise": {"p", "t_end", "samples"},
-    }
-    if preset not in known:
-        errors.append(
-            f"{prefix}.preset: must be one of {sorted(known)} (or give 'csv'), got {preset!r}"
-        )
-        return
-    extra = set(worldline) - known[preset] - {"preset", "gravitational_only"}
-    for key in sorted(extra):
-        errors.append(f"{prefix}.{key}: unknown field for preset {preset!r}")
-    if "t_end" not in worldline:
-        errors.append(f"{prefix}.t_end: required")
-    required = {"uniform_gravity": ["g"], "point_mass": ["M", "r_start", "r_end"], "cruise": ["p"]}
-    for key in required.get(preset, []):
-        if key not in worldline:
-            errors.append(f"{prefix}.{key}: required for preset {preset!r}")
-    _require_number(worldline, "t_end", errors, prefix, positive=True)
-    _require_int(worldline, "samples", errors, prefix, minimum=2)
-    for key in ("g", "M", "r_start", "r_end", "p"):
-        _require_number(worldline, key, errors, prefix)
-    if "gravitational_only" in worldline and not isinstance(
-        worldline["gravitational_only"], bool
-    ):
-        errors.append(f"{prefix}.gravitational_only: must be true or false")
-
-
-def _validate_channel(channel, errors, prefix="channel"):
-    if not isinstance(channel, dict) or "preset" not in channel:
-        errors.append(f"{prefix}: must be an object with a 'preset' key")
-        return
-    preset = channel["preset"]
-    known = {
-        "identity": set(),
-        "amplitude_damping": {"gamma"},
-        "depolarizing": {"lambda"},
-        "unitary": {"matrix"},
-        "kraus": {"matrices"},
-    }
-    if preset not in known:
-        errors.append(f"{prefix}.preset: unknown channel preset {preset!r}")
-        return
-    extra = set(channel) - known[preset] - {"preset"}
-    for key in sorted(extra):
-        errors.append(f"{prefix}.{key}: unknown field for preset {preset!r}")
-    missing = known[preset] - set(channel)
-    for key in sorted(missing):
-        errors.append(f"{prefix}.{key}: required for preset {preset!r}")
-    for key in ("gamma", "lambda"):
-        if key in channel:
-            value = channel[key]
-            if not _is_number(value) or not 0.0 <= value <= 1.0:
-                errors.append(f"{prefix}.{key}: must be a number in [0, 1], got {value!r}")
-
-
-def _validate_schedule(schedule, errors, prefix="schedule"):
-    if not isinstance(schedule, list) or not schedule:
-        errors.append(f"{prefix}: must be a non-empty list of segments")
-        return
-    for i, seg in enumerate(schedule):
-        if not isinstance(seg, dict):
-            errors.append(f"{prefix}[{i}]: must be an object")
-            continue
-        extra = set(seg) - {"tau_end", "system"}
-        for key in sorted(extra):
-            errors.append(f"{prefix}[{i}].{key}: unknown field")
-        if "tau_end" not in seg:
-            errors.append(f"{prefix}[{i}].tau_end: required")
-        else:
-            _require_number(seg, "tau_end", errors, f"{prefix}[{i}]", positive=True)
-        if "system" not in seg:
-            errors.append(f"{prefix}[{i}].system: required")
-        else:
-            _validate_system(seg["system"], errors, prefix=f"{prefix}[{i}].system")
+def parse_document(text: str):
+    """Parse the text of a scenario file; ``from_dict`` validates the result."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ScenarioValidationError([f"document: malformed JSON ({exc})"]) from None
 
 
 def build_system(system: dict) -> HermitianOperator:
-    kind = system["kind"]
-    if kind == "explicit":
-        return HermitianOperator(matrix_from_pairs(system["matrix"]))
-    if kind == "harmonic":
-        return harmonic_hamiltonian(system["omega"], system["levels"])
-    if kind == "two_level":
-        return two_level_hamiltonian(system["gap"])
-    if kind == "random":
-        return random_hermitian(system["dim"], int(system["seed"]))
-    raise ValueError(f"unknown system kind {kind!r}")
+    return SYSTEMS[system["kind"]].build(system)
 
 
 def build_worldline(worldline: dict, mass: float) -> tuple[Worldline, bool]:
     """Build the sampled trajectory; returns it with the heavy-particle flag."""
-    grav_only = bool(worldline.get("gravitational_only", False))
-    if "csv" in worldline:
-        return Worldline.from_csv(worldline["csv"], mass), grav_only
-    preset = worldline["preset"]
-    t_end = worldline["t_end"]
+    entry = WORLDLINES[worldline.get("preset", "csv")]
     samples = worldline.get("samples", DEFAULT_SAMPLES)
-    if preset == "comoving":
-        return comoving_worldline(t_end, samples=samples, mass=mass), grav_only
-    if preset == "uniform_gravity":
-        return (
-            uniform_gravity_worldline(
-                worldline["g"], t_end, samples=samples, p=worldline.get("p", 0.0), mass=mass
-            ),
-            grav_only,
-        )
-    if preset == "point_mass":
-        return (
-            point_mass_worldline(
-                worldline["M"],
-                worldline["r_start"],
-                worldline["r_end"],
-                t_end,
-                samples=samples,
-                mass=mass,
-            ),
-            grav_only,
-        )
-    if preset == "cruise":
-        return cruise_worldline(worldline["p"], t_end, samples=samples, mass=mass), grav_only
-    raise ValueError(f"unknown worldline preset {preset!r}")
+    return entry.build(worldline, samples, mass), worldline.get("gravitational_only", False)
 
 
 def build_channel(channel: dict, dim: int) -> QuantumChannel:
-    preset = channel["preset"]
-    if preset == "identity":
-        return identity_channel(dim)
-    if preset == "amplitude_damping":
-        return amplitude_damping_channel(channel["gamma"], dim=dim)
-    if preset == "depolarizing":
-        return depolarizing_channel(channel["lambda"], dim=dim)
-    if preset == "unitary":
-        return unitary_channel(matrix_from_pairs(channel["matrix"], name="channel.matrix"))
-    if preset == "kraus":
-        return QuantumChannel(
-            [matrix_from_pairs(m, name="channel.matrices") for m in channel["matrices"]]
-        )
-    raise ValueError(f"unknown channel preset {preset!r}")
+    return CHANNELS[channel["preset"]].build(channel, dim)
 
 
 def build_scenario(config: ScenarioConfig):

@@ -381,3 +381,135 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", (broken,))
     assert main(["verify"]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+def all_files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+DRIVEN = {
+    "scenario_id": "drv",
+    "pipeline": "appendix",
+    "beta": 1.0,
+    "worldline": {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 11},
+    "schedule": [{"tau_end": 12.0, "system": {"kind": "two_level", "gap": 1.0}}],
+    "steps": 10,
+}
+
+
+class TestOutputConfinement:
+    def test_escaping_scenario_id_exit_2_writes_nothing(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, scenario_id="../escaped")
+        before = all_files(tmp_path)
+        out = tmp_path / "nested" / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert "scenario_id: must be a file name" in capsys.readouterr().err
+        assert all_files(tmp_path) == before
+
+    def test_duplicate_ids_exit_2_name_both_files(self, tmp_path, capsys):
+        first = write_scenario(tmp_path, name="first.json", scenario_id="same")
+        second = write_scenario(tmp_path, name="second.json", scenario_id="same", beta=1.0)
+        out = tmp_path / "o"
+        argv = ["run", "--scenario", str(first), "--scenario", str(second), "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(first) in err and str(second) in err and "'same'" in err
+        assert not out.exists()
+
+    def test_every_file_validated_before_any_runs(self, tmp_path):
+        good = write_scenario(tmp_path, name="good.json")
+        bad = write_scenario(tmp_path, name="bad.json", scenario_id="bad", beta=-1.0)
+        out = tmp_path / "o"
+        argv = ["run", "--scenario", str(good), "--scenario", str(bad), "--out", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_non_finite_report_exit_2_writes_nothing(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path,
+            beta=4000.0,
+            system={"kind": "harmonic", "omega": 1.0, "levels": 4},
+            worldline={
+                "preset": "uniform_gravity",
+                "g": -0.04,
+                "t_end": 10.0,
+                "samples": 11,
+                "gravitational_only": True,
+            },
+        )
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            code = main(["run", "--scenario", str(path), "--out", str(out), "--format", "json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err
+        for column in ("lhs", "rhs", "residual"):
+            assert f"{column}=" in err
+        assert all_files(out) == []
+
+
+FLAT = {
+    "scenario_id": "flat",
+    "pipeline": "flat",
+    "beta": 1.0,
+    "system": {"kind": "two_level", "gap": 1.0},
+    "channel": {"preset": "amplitude_damping", "gamma": 0.1},
+}
+TWO_LEVEL = {"system": {"kind": "two_level", "gap": 1.0}}
+
+
+class TestSweepValidation:
+    @pytest.mark.parametrize(
+        "flat,overrides,spec,message",
+        [
+            (False, {}, "beta=-1:1:3", "beta: must be positive"),
+            (False, {}, "c=-1:1:3", "c: must be positive"),
+            (False, TWO_LEVEL, "omega=1:2:3", "system.omega: unknown field for kind 'two_level'"),
+            (True, {}, "gamma=0.5:1.5:3", "channel.gamma: must be a number in [0, 1]"),
+            (True, {}, "c=1:2:3", "c: not used by the flat pipeline"),
+            (True, {}, "alpha=0.9:1.1:3", "worldline: not used by the flat pipeline"),
+            (False, {}, "alpha=0.1:1:3", "weak-field"),
+        ],
+    )
+    def test_bad_sweep_fails_like_a_file(self, tmp_path, capsys, flat, overrides, spec, message):
+        if flat:
+            path = tmp_path / "flat.json"
+            path.write_text(json.dumps(dict(FLAT, **overrides)))
+        else:
+            path = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() or all_files(out) == []
+
+    def test_depolarizing_gamma_sweeps_lambda(self, tmp_path):
+        raw = dict(FLAT, channel={"preset": "depolarizing", "lambda": 0.1})
+        raw["system"] = {"kind": "harmonic", "omega": 1.0, "levels": 3}
+        path = tmp_path / "depol.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(path), "--sweep", "gamma=0:1:3", "--out", str(out)]
+        assert main(argv + ["--quiet"]) == 0
+        _, rows = read_rows(out / "sweep_gamma.csv")
+        ids = [r["scenario_id"] for r in rows]
+        assert ids == ["flat@gamma=0", "flat@gamma=0.5", "flat@gamma=1"]
+        assert all(abs(float(r["residual"])) < 1e-12 for r in rows)
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_steps_zero_on_appendix_fails_validation(self, tmp_path, capsys, command):
+        path = tmp_path / "drv.json"
+        path.write_text(json.dumps(DRIVEN))
+        argv = [command, "--scenario", str(path), "--out", str(tmp_path / "o"), "--steps", "0"]
+        if command == "sweep":
+            argv += ["--sweep", "beta=1:2:2"]
+        assert main(argv) == 2
+        assert "steps: must be >= 1" in capsys.readouterr().err
+
+    def test_steps_override_reaches_every_sweep_point(self, tmp_path):
+        path = tmp_path / "drv.json"
+        path.write_text(json.dumps(DRIVEN))
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(path), "--out", str(out), "--sweep", "beta=1:2:3"]
+        assert main(argv + ["--steps", "7", "--quiet"]) == 0
+        _, rows = read_rows(out / "sweep_beta.csv")
+        assert [r["steps"] for r in rows] == ["7", "7", "7"]

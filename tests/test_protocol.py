@@ -515,3 +515,23 @@ class TestProtocolReport:
         )
         payload = json.loads(rep.to_json())
         assert list(payload) == list(CSV_COLUMNS)
+
+
+@pytest.mark.parametrize(
+    "overrides,named",
+    [
+        ({"lhs": np.inf, "rhs": np.inf}, ["lhs=inf", "rhs=inf", "residual=nan"]),
+        ({"mean_work": np.nan}, ["mean_work=nan", "entropy_production=nan"]),
+        ({"delta_F": -np.inf}, ["delta_F=-inf", "entropy_production=inf"]),
+        ({"alpha_final": np.inf, "tau_total": np.nan}, ["alpha_final=inf", "tau_total=nan"]),
+    ],
+)
+def test_report_rejects_non_finite_columns(overrides, named):
+    fields = dict(
+        scenario_id="s", pipeline="dilated", dim=2, beta=1.0, alpha_final=1.1, tau_total=3.0,
+        mean_work=0.1, delta_F=0.05, lhs=0.9, rhs=0.9, final_basis="evolved", steps=0,
+    )
+    with pytest.raises(ValueError, match="non-finite") as err:
+        ProtocolReport.build(**dict(fields, **overrides))
+    # every non-finite column is named, in report order, and nothing else
+    assert str(err.value).split(": ", 1)[1].split(", ") == named

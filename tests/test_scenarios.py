@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,18 @@ import numpy as np
 import pytest
 
 from tauwork.operators import spectral_decompose
-from tauwork.protocol import AppendixRun, DilatedRun, FlatRun, work_distribution_dilated
+from tauwork.protocol import (
+    FINAL_BASES,
+    AppendixRun,
+    DilatedRun,
+    FlatRun,
+    work_distribution_dilated,
+)
 from tauwork.scenarios import (
+    CHANNELS,
+    FIELD_RULES,
+    SYSTEMS,
+    WORLDLINES,
     ScenarioConfig,
     ScenarioValidationError,
     build_scenario,
@@ -286,3 +297,162 @@ def test_thermal_mean_energy_used_by_potential_reading():
     mean = thermal_state(spec, 2.0).mean_energy()
     rep = run_scenario(dilated_config())
     assert rep.mean_work / mean == pytest.approx(0.2, abs=1e-12)
+
+
+# One minimal object per table entry, each naming its entry explicitly.
+SIGMA_X = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+IDENTITY_2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+MINIMAL_SYSTEMS = {
+    "explicit": {"kind": "explicit", "matrix": IDENTITY_2},
+    "harmonic": {"kind": "harmonic", "omega": 1.0, "levels": 3},
+    "two_level": {"kind": "two_level", "gap": 1.0},
+    "random": {"kind": "random", "dim": 3, "seed": 1},
+}
+MINIMAL_WORLDLINES = {
+    "comoving": {"preset": "comoving", "t_end": 1.0},
+    "uniform_gravity": {"preset": "uniform_gravity", "g": 0.01, "t_end": 1.0},
+    "point_mass": {
+        "preset": "point_mass", "M": 0.01, "r_start": 10.0, "r_end": 12.0, "t_end": 10.0,
+    },
+    "cruise": {"preset": "cruise", "p": 0.1, "t_end": 1.0},
+    "csv": {"preset": "csv", "csv": "{tmp}/worldline.csv"},
+}
+MINIMAL_CHANNELS = {
+    "identity": {"preset": "identity"},
+    "amplitude_damping": {"preset": "amplitude_damping", "gamma": 0.3},
+    "depolarizing": {"preset": "depolarizing", "lambda": 0.3},
+    "unitary": {"preset": "unitary", "matrix": SIGMA_X},
+    "kraus": {"preset": "kraus", "matrices": [IDENTITY_2]},
+}
+TABLES = {
+    "system": (SYSTEMS, MINIMAL_SYSTEMS),
+    "worldline": (WORLDLINES, MINIMAL_WORLDLINES),
+    "channel": (CHANNELS, MINIMAL_CHANNELS),
+}
+
+
+def minimal_document(section, obj, tmp_path):
+    """A valid scenario that carries ``obj`` as its ``section``."""
+    if section == "channel":
+        doc = {"pipeline": "flat", "system": {"kind": "two_level", "gap": 1.0}}
+    else:
+        doc = {
+            "pipeline": "dilated",
+            "system": {"kind": "two_level", "gap": 1.0},
+            "worldline": {"preset": "comoving", "t_end": 1.0},
+        }
+    (tmp_path / "worldline.csv").write_text("t,phi,p\n0,0,0\n1,0.01,0.1\n")
+    obj = {k: v.format(tmp=tmp_path) if k == "csv" else v for k, v in obj.items()}
+    return {"scenario_id": "minimal", "beta": 1.0, **doc, section: obj}
+
+
+TABLE_ENTRIES = [(s, name) for s, (table, _) in TABLES.items() for name in table]
+REQUIRED_FIELDS = [
+    (s, name, key) for s, (table, _) in TABLES.items() for name in table
+    for key in table[name].required
+]
+
+
+class TestSchemaTables:
+    def test_every_entry_has_a_minimal_object(self):
+        for table, minimal in TABLES.values():
+            assert set(minimal) == set(table)
+
+    @pytest.mark.parametrize("section,name", TABLE_ENTRIES)
+    def test_minimal_document_validates_builds_and_runs(self, section, name, tmp_path):
+        obj = TABLES[section][1][name]
+        config = ScenarioConfig.from_dict(minimal_document(section, obj, tmp_path))
+        assert isinstance(build_scenario(config), (FlatRun, DilatedRun))
+        report = run_scenario(config)
+        assert abs(report.residual) < 1e-10
+
+    @pytest.mark.parametrize("section,name,key", REQUIRED_FIELDS)
+    def test_dropping_a_required_field_names_its_path(self, section, name, key, tmp_path):
+        obj = dict(TABLES[section][1][name])
+        del obj[key]
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig.from_dict(minimal_document(section, obj, tmp_path))
+        assert any(e.startswith(f"{section}.{key}: required") for e in err.value.errors)
+
+    def test_csv_worldline_needs_no_preset(self, tmp_path):
+        raw = minimal_document("worldline", {"csv": "{tmp}/worldline.csv"}, tmp_path)
+        assert run_scenario(raw).alpha_final == pytest.approx(1.0 + 0.01 - 0.005, abs=1e-12)
+
+    @pytest.mark.parametrize("section", sorted(TABLES))
+    def test_unknown_entry_lists_the_table(self, section, tmp_path):
+        obj = {"kind" if section == "system" else "preset": "warp"}
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig.from_dict(minimal_document(section, obj, tmp_path))
+        (message,) = [e for e in err.value.errors if e.startswith(section)]
+        assert all(repr(name) in message for name in TABLES[section][0])
+
+    def test_segment_fields_required(self):
+        raw = {
+            "scenario_id": "drv",
+            "pipeline": "appendix",
+            "beta": 1.0,
+            "worldline": {"preset": "comoving", "t_end": 1.0},
+            "schedule": [{}, {"tau_end": 1.0, "system": {"kind": "two_level"}}],
+        }
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig.from_dict(raw)
+        messages = "\n".join(err.value.errors)
+        assert "schedule[0].tau_end: required" in messages
+        assert "schedule[0].system: required" in messages
+        assert "schedule[1].system.gap: required for kind 'two_level'" in messages
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            ("x", "beta: must be a finite number"),
+            (True, "beta: must be a finite number"),
+            (float("nan"), "beta: must be a finite number"),
+            (0.0, "beta: must be positive"),
+        ],
+    )
+    def test_number_rule(self, value, message):
+        with pytest.raises(ScenarioValidationError, match=message):
+            ScenarioConfig.from_dict(dilated_config(beta=value))
+
+    @pytest.mark.parametrize(
+        "system,message",
+        [
+            ({"kind": "harmonic", "omega": 1, "levels": 2.0}, "system.levels: must be an integer"),
+            ({"kind": "harmonic", "omega": 1.0, "levels": 1}, "system.levels: must be >= 2"),
+            ({"kind": "random", "dim": 2, "seed": -1}, "system.seed: must be >= 0"),
+            ({"kind": "explicit", "matrix": {}}, "system.matrix: must be a square"),
+            ([], "system: must be an object with a 'kind' key"),
+        ],
+    )
+    def test_system_field_rules(self, system, message):
+        with pytest.raises(ScenarioValidationError, match=message):
+            ScenarioConfig.from_dict(dilated_config(system=system))
+
+    def test_final_basis_checked_against_protocol(self):
+        raw = {
+            "scenario_id": "drv",
+            "pipeline": "appendix",
+            "beta": 1.0,
+            "worldline": {"preset": "comoving", "t_end": 1.0},
+            "schedule": [{"tau_end": 1.0, "system": {"kind": "two_level", "gap": 1.0}}],
+        }
+        for basis in FINAL_BASES:
+            assert ScenarioConfig.from_dict(dict(raw, final_basis=basis)).final_basis == basis
+        with pytest.raises(ScenarioValidationError, match="final_basis: must be one of"):
+            ScenarioConfig.from_dict(dict(raw, final_basis="lab"))
+
+    def test_every_scalar_field_has_a_rule(self):
+        names = {f.name for f in dataclasses.fields(ScenarioConfig)}
+        assert set(FIELD_RULES) >= names - {"system", "worldline", "channel", "schedule"}
+
+
+class TestScenarioId:
+    @pytest.mark.parametrize("bad", ["../escaped", "a/b", "a\\b", "a\0b", ".", "..", "", 7])
+    def test_rejects_ids_that_are_not_file_names(self, bad):
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig.from_dict(dilated_config(scenario_id=bad))
+        assert any(e.startswith("scenario_id: must be") for e in err.value.errors)
+
+    @pytest.mark.parametrize("good", ["osc@c=1e+06", "osc@alpha=0.9", "..a", "a.b", "a b"])
+    def test_accepts_sweep_style_ids(self, good):
+        assert ScenarioConfig.from_dict(dilated_config(scenario_id=good)).scenario_id == good
