@@ -31,14 +31,14 @@ UNITARITY_ATOL = 1e-10
 class QuantumChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    Construction enforces sum_j K_j^dag K_j = 1 within ``atol`` and records
-    whether the map is also unital (sum_j K_j K_j^dag = 1).
+    Construction enforces sum_j K_j^dag K_j = 1 within ``TRACE_PRESERVATION_ATOL``
+    and records whether the map is also unital (sum_j K_j K_j^dag = 1).
     """
 
     kraus_ops: tuple
     is_unital: bool
 
-    def __init__(self, kraus_ops, atol: float = TRACE_PRESERVATION_ATOL):
+    def __init__(self, kraus_ops):
         ops = tuple(as_complex_matrix(k, name="Kraus operator") for k in kraus_ops)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
@@ -48,12 +48,12 @@ class QuantumChannel:
         ident = np.eye(dim)
         tp = sum(k.conj().T @ k for k in ops)
         dev = np.max(np.abs(tp - ident))
-        if dev > atol:
+        if dev > TRACE_PRESERVATION_ATOL:
             raise ValueError(
                 f"Kraus family is not trace preserving: |sum K^dag K - 1| = {dev:.3e}"
             )
         un = sum(k @ k.conj().T for k in ops)
-        unital = bool(np.max(np.abs(un - ident)) <= atol)
+        unital = bool(np.max(np.abs(un - ident)) <= TRACE_PRESERVATION_ATOL)
         object.__setattr__(self, "kraus_ops", ops)
         object.__setattr__(self, "is_unital", unital)
 
@@ -66,11 +66,11 @@ class QuantumChannel:
         return sum(k @ mat @ k.conj().T for k in self.kraus_ops)
 
 
-def unitary_channel(u, atol: float = UNITARITY_ATOL) -> QuantumChannel:
-    """Wrap a unitary matrix as a single-Kraus (necessarily unital) channel."""
+def unitary_channel(u) -> QuantumChannel:
+    """Wrap a unitary matrix (within ``UNITARITY_ATOL``) as a single-Kraus channel."""
     mat = as_complex_matrix(u, name="unitary")
     dev = np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])))
-    if dev > atol:
+    if dev > UNITARITY_ATOL:
         raise ValueError(f"matrix is not unitary: |U^dag U - 1| = {dev:.3e}")
     return QuantumChannel([mat])
 

@@ -95,11 +95,12 @@ def _write_report_file(path: Path, reports: list[ProtocolReport], fmt: str) -> N
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from None
 
 
-def _summary_line(report: ProtocolReport) -> str:
-    return (
-        f"{report.scenario_id}: residual={report.residual:.3e} "
-        f"entropy_production={report.entropy_production:.6g}"
-    )
+def _print_summaries(reports: list[ProtocolReport], quiet: bool) -> None:
+    for report in [] if quiet else reports:
+        print(
+            f"{report.scenario_id}: residual={report.residual:.3e} "
+            f"entropy_production={report.entropy_production:.6g}"
+        )
 
 
 def _execute(config: ScenarioConfig, label: str):
@@ -114,8 +115,9 @@ def _execute(config: ScenarioConfig, label: str):
 def cmd_run(args) -> int:
     if not args.scenario:
         raise CliError("run needs at least one --scenario file", EXIT_VALIDATION)
-    # every file is validated before anything runs: each report is named
-    # after its scenario_id, so two files with one id would overwrite
+    # every file is validated before anything runs and every scenario runs
+    # before any report is written, so a failure leaves no report; reports are
+    # named after scenario_id, so two files with one id would overwrite
     configs, paths_by_id = [], {}
     for path in args.scenario:
         _, config = _load_document(path, args.steps)
@@ -129,11 +131,10 @@ def cmd_run(args) -> int:
         configs.append((path, config))
     out_dir = Path(args.out)
     _prepare_out_dir(out_dir)
-    for path, config in configs:
-        report = _execute(config, path)
-        _write_report_file(out_dir / f"{config.scenario_id}.{args.format}", [report], args.format)
-        if not args.quiet:
-            print(_summary_line(report))
+    reports = [_execute(config, path) for path, config in configs]
+    for report in reports:
+        _write_report_file(out_dir / f"{report.scenario_id}.{args.format}", [report], args.format)
+    _print_summaries(reports, args.quiet)
     return EXIT_OK
 
 
@@ -177,13 +178,9 @@ def cmd_sweep(args) -> int:
         points.append((label, _validate(_sweep_point(document, base, param, value), label)))
     out_dir = Path(args.out)
     _prepare_out_dir(out_dir)
-    reports = []
-    for label, config in points:
-        report = _execute(config, label)
-        reports.append(report)
-        if not args.quiet:
-            print(_summary_line(report))
+    reports = [_execute(config, label) for label, config in points]
     _write_report_file(out_dir / f"sweep_{param}.{args.format}", reports, args.format)
+    _print_summaries(reports, args.quiet)
     return EXIT_OK
 
 

@@ -61,18 +61,18 @@ class HermitianOperator:
     """A finite-dimensional Hermitian operator.
 
     Construction symmetrizes the input when the anti-Hermitian part is below
-    ``atol`` and rejects it otherwise, so ``matrix`` is exactly equal to its
-    conjugate transpose.
+    ``HERMITICITY_ATOL`` and rejects it otherwise, so ``matrix`` is exactly
+    equal to its conjugate transpose.
     """
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, atol: float = HERMITICITY_ATOL):
+    def __init__(self, matrix):
         mat = as_complex_matrix(matrix, name="HermitianOperator.matrix")
         dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > atol:
+        if dev > HERMITICITY_ATOL:
             raise ValueError(
-                f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e} > {atol:.1e}"
+                f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e} > {HERMITICITY_ATOL:.1e}"
             )
         sym = 0.5 * (mat + mat.conj().T)
         sym.flags.writeable = False
@@ -99,7 +99,7 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __init__(self, eigenvalues, eigenvectors, atol: float = ORTHONORMALITY_ATOL):
+    def __init__(self, eigenvalues, eigenvectors):
         evals = np.array(eigenvalues, dtype=float)
         vecs = np.array(eigenvectors, dtype=complex)
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
@@ -110,7 +110,7 @@ class Spectrum:
             raise ValueError("eigenvalues must be sorted ascending")
         gram = vecs.conj().T @ vecs
         dev = np.max(np.abs(gram - np.eye(evals.size)))
-        if dev > atol:
+        if dev > ORTHONORMALITY_ATOL:
             raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
         evals.flags.writeable = False
         vecs.flags.writeable = False
@@ -133,21 +133,21 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A positive semidefinite, unit-trace Hermitian matrix."""
+    """A positive semidefinite, unit-trace Hermitian matrix, within ``DENSITY_ATOL``."""
 
     matrix: np.ndarray
 
-    def __init__(self, matrix, atol: float = DENSITY_ATOL):
+    def __init__(self, matrix):
         mat = as_complex_matrix(matrix, name="DensityOperator.matrix")
         dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > atol:
+        if dev > DENSITY_ATOL:
             raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
         sym = 0.5 * (mat + mat.conj().T)
         tr = np.trace(sym).real
-        if abs(tr - 1.0) > atol:
+        if abs(tr - 1.0) > DENSITY_ATOL:
             raise ValueError(f"density matrix trace {tr!r} differs from 1")
         lo = np.linalg.eigvalsh(sym)[0]
-        if lo < -atol:
+        if lo < -DENSITY_ATOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
         sym.flags.writeable = False
         object.__setattr__(self, "matrix", sym)

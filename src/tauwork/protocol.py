@@ -24,7 +24,7 @@ distribution, not as the primary estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import json
 
 import numpy as np
@@ -250,27 +250,9 @@ def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:
     return wd.values[idx]
 
 
-CSV_COLUMNS = (
-    "scenario_id",
-    "pipeline",
-    "dim",
-    "beta",
-    "alpha_final",
-    "tau_total",
-    "mean_work",
-    "delta_F",
-    "lhs",
-    "rhs",
-    "residual",
-    "entropy_production",
-    "final_basis",
-    "steps",
-)
-
-
 @dataclass(frozen=True)
 class ProtocolReport:
-    """One protocol run, flattened to the canonical report columns."""
+    """One protocol run; the fields, in order and with their types, are the report schema."""
 
     scenario_id: str
     pipeline: str
@@ -288,40 +270,22 @@ class ProtocolReport:
     steps: int
 
     @classmethod
-    def build(
-        cls,
-        *,
-        scenario_id: str,
-        pipeline: str,
-        dim: int,
-        beta: float,
-        alpha_final: float,
-        tau_total: float,
-        mean_work: float,
-        delta_F: float,
-        lhs: float,
-        rhs: float,
-        final_basis: str,
-        steps: int,
-    ) -> "ProtocolReport":
-        """Assemble a report; raises ``ValueError`` naming each non-finite column."""
-        beta, mean_work, delta_F = float(beta), float(mean_work), float(delta_F)
-        lhs, rhs = float(lhs), float(rhs)
+    def build(cls, **columns) -> "ProtocolReport":
+        """Cast each input column to its field type and compute the derived columns.
+
+        Raises ``TypeError`` for a missing or unknown column and
+        ``ValueError`` naming each non-finite column.
+        """
+        inputs = [f for f in fields(cls) if f.name not in _DERIVED_COLUMNS]
+        if columns.keys() != {f.name for f in inputs}:
+            raise TypeError(
+                f"build takes the columns {[f.name for f in inputs]}, got {list(columns)}"
+            )
+        row = {f.name: _CASTS[f.type](columns[f.name]) for f in inputs}
         report = cls(
-            scenario_id=str(scenario_id),
-            pipeline=str(pipeline),
-            dim=int(dim),
-            beta=beta,
-            alpha_final=float(alpha_final),
-            tau_total=float(tau_total),
-            mean_work=mean_work,
-            delta_F=delta_F,
-            lhs=lhs,
-            rhs=rhs,
-            residual=lhs - rhs,
-            entropy_production=entropy_production(mean_work, delta_F, beta),
-            final_basis=str(final_basis),
-            steps=int(steps),
+            **row,
+            residual=row["lhs"] - row["rhs"],
+            entropy_production=entropy_production(row["mean_work"], row["delta_F"], row["beta"]),
         )
         bad = [
             f"{name}={value!r}"
@@ -344,6 +308,11 @@ class ProtocolReport:
     @staticmethod
     def csv_header() -> str:
         return ",".join(CSV_COLUMNS)
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ProtocolReport))
+_DERIVED_COLUMNS = ("residual", "entropy_production")
+_CASTS = {"str": str, "int": int, "float": float}
 
 
 def _csv_cell(value) -> str:
@@ -432,6 +401,10 @@ def run_protocol(run) -> ProtocolReport:
         raise TypeError(f"unsupported run type: {type(run).__name__}")
     wd = _work_atoms(spec0, run.beta, e_final, trans)
     delta_f = free_energy_difference_from_values(e_final, spec0.eigenvalues, run.beta)
+    # an overflow here is reported by ``build`` as a non-finite column
+    with np.errstate(over="ignore"):
+        lhs = jarzynski_lhs(wd, run.beta)
+        rhs = np.exp(-run.beta * delta_f) * (1.0 + correction)
     return ProtocolReport.build(
         scenario_id=run.scenario_id,
         pipeline=pipeline,
@@ -441,8 +414,8 @@ def run_protocol(run) -> ProtocolReport:
         tau_total=tau_total,
         mean_work=wd.mean(),
         delta_F=delta_f,
-        lhs=jarzynski_lhs(wd, run.beta),
-        rhs=np.exp(-run.beta * delta_f) * (1.0 + correction),
+        lhs=lhs,
+        rhs=rhs,
         final_basis=final_basis,
         steps=steps,
     )

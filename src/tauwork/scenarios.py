@@ -83,8 +83,8 @@ def oscillator_mean_work_analytic(beta_omega: float, alpha: float) -> float:
     return float((alpha - 1.0) * (beta_omega / 2.0) / np.tanh(beta_omega / 2.0))
 
 
-def levels_for_tail(beta_omega: float, alpha_min: float = 1.0, tail: float = TAIL_WEIGHT) -> int:
-    """Smallest ladder size whose discarded Boltzmann tail stays below ``tail``.
+def levels_for_tail(beta_omega: float, alpha_min: float = 1.0) -> int:
+    """Smallest ladder size whose discarded Boltzmann tail stays below ``TAIL_WEIGHT``.
 
     The rescaled ladder at clock rate ``alpha_min`` has effective spacing
     ``alpha_min * beta_omega``; the tail bound must hold there too when
@@ -93,7 +93,7 @@ def levels_for_tail(beta_omega: float, alpha_min: float = 1.0, tail: float = TAI
     eff = beta_omega * min(1.0, alpha_min)
     if eff <= 0:
         raise ValueError("effective beta*omega must be positive")
-    return max(2, math.ceil(-math.log(tail) / eff) + 1)
+    return max(2, math.ceil(-math.log(TAIL_WEIGHT) / eff) + 1)
 
 
 def truncation_tail_weight(beta_omega: float, levels: int, alpha: float = 1.0) -> float:

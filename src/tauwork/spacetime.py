@@ -50,26 +50,30 @@ class StaticSpacetime:
             )
 
 
-def dilation_factor(phi: float, p: float, mass: float, c: float = 1.0) -> float:
+def dilation_factor(phi, p, mass: float, c: float = 1.0):
     """Clock rate dtau/dt of the particle relative to the static observers.
 
     First order in the potential and in (p/mc)^2:
     ``1 + phi/c^2 - p^2 / (2 m^2 c^2)``. Exactly 1 for a particle at rest
-    where the potential vanishes. Raises :class:`WeakFieldViolationError`
-    when the result is not positive, which signals inputs outside the
+    where the potential vanishes. Scalars give a float; arrays give the
+    per-element array. Raises :class:`WeakFieldViolationError` naming the
+    first sample whose rate is not positive, which signals inputs outside the
     regime where the expansion makes sense.
     """
     if mass <= 0:
         raise ValueError(f"mass must be positive, got {mass!r}")
     if c <= 0:
         raise ValueError(f"speed of light must be positive, got {c!r}")
+    phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
     alpha = 1.0 + phi / c**2 - p * p / (2.0 * mass * mass * c * c)
-    if alpha <= 0.0:
+    bad = np.flatnonzero(alpha <= 0.0)
+    if bad.size:
+        i = bad[0]
         raise WeakFieldViolationError(
-            f"dtau/dt = {alpha:.3g} <= 0 for phi={phi!r}, p={p!r}: outside the "
-            "weak-field / slow-motion regime"
+            f"dtau/dt = {alpha.flat[i]:.3g} <= 0 for phi={float(phi.flat[i])!r}, "
+            f"p={float(p.flat[i])!r}: outside the weak-field / slow-motion regime"
         )
-    return alpha
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,6 @@ class DilationProfile:
         return float(self.alpha[-1])
 
 
-
 def dilation_profile(
     worldline: Worldline,
     spacetime: StaticSpacetime | None = None,
@@ -224,15 +227,9 @@ def dilation_profile(
     equivalence-principle effect.
     """
     st = spacetime if spacetime is not None else StaticSpacetime()
-    for phi in (worldline.phi[0], worldline.phi.min(), worldline.phi.max()):
-        st.check_weak_field(phi)
-    p_eff = np.zeros_like(worldline.p) if gravitational_only else worldline.p
-    alpha = np.array(
-        [
-            dilation_factor(phi, p, worldline.mass, st.c)
-            for phi, p in zip(worldline.phi, p_eff)
-        ]
-    )
+    st.check_weak_field(np.max(np.abs(worldline.phi)))
+    p = 0.0 if gravitational_only else worldline.p
+    alpha = dilation_factor(worldline.phi, p, worldline.mass, st.c)
     dt = np.diff(worldline.t)
     tau = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * dt)))
     return DilationProfile(worldline.t, alpha, tau)

@@ -513,3 +513,57 @@ class TestSweepValidation:
         assert main(argv + ["--steps", "7", "--quiet"]) == 0
         _, rows = read_rows(out / "sweep_beta.csv")
         assert [r["steps"] for r in rows] == ["7", "7", "7"]
+
+
+class TestNoPartialResults:
+    HOT = dict(
+        beta=4000.0,
+        system={"kind": "harmonic", "omega": 1.0, "levels": 4},
+        worldline={
+            "preset": "uniform_gravity",
+            "g": -0.04,
+            "t_end": 10.0,
+            "samples": 11,
+            "gravitational_only": True,
+        },
+    )
+
+    def test_build_failure_after_a_good_scenario_writes_nothing(self, tmp_path, capsys):
+        good = write_scenario(tmp_path, name="ok.json", scenario_id="ok")
+        weak = write_scenario(
+            tmp_path,
+            name="weak.json",
+            scenario_id="weak",
+            worldline={"preset": "uniform_gravity", "g": 0.2, "t_end": 10.0},
+        )
+        out = tmp_path / "o"
+        argv = ["run", "--scenario", str(good), "--scenario", str(weak), "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "weak-field bound" in captured.err
+        assert captured.out == ""
+        assert all_files(out) == []
+
+    def test_overflow_exits_2_without_runtime_warnings(self, tmp_path, capsys):
+        import warnings
+
+        path = write_scenario(tmp_path, **self.HOT)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert all_files(out) == []
+
+    def test_sweep_failing_at_a_later_point_prints_and_writes_nothing(self, tmp_path, capsys):
+        import warnings
+
+        path = write_scenario(tmp_path, **self.HOT)
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(path), "--out", str(out), "--sweep", "beta=1:4000:2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "beta=4000.0" in captured.err and captured.out == ""
+        assert all_files(out) == []

@@ -535,3 +535,33 @@ def test_report_rejects_non_finite_columns(overrides, named):
         ProtocolReport.build(**dict(fields, **overrides))
     # every non-finite column is named, in report order, and nothing else
     assert str(err.value).split(": ", 1)[1].split(", ") == named
+
+
+class TestReportSchema:
+    COLUMNS = dict(
+        scenario_id="s", pipeline="dilated", dim=2, beta=1.0, alpha_final=1.1, tau_total=3.0,
+        mean_work=0.1, delta_F=0.05, lhs=0.9, rhs=0.9, final_basis="evolved", steps=0,
+    )
+
+    def test_columns_are_the_dataclass_fields(self):
+        import dataclasses
+
+        assert CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(ProtocolReport))
+
+    def test_build_casts_each_column_to_its_field_type(self):
+        rep = ProtocolReport.build(
+            **dict(self.COLUMNS, dim=np.int64(2), beta=np.float64(1.0), steps=np.int32(0))
+        )
+        assert type(rep.dim) is int and type(rep.steps) is int
+        assert type(rep.beta) is float and type(rep.residual) is float
+
+    @pytest.mark.parametrize("dropped", ["scenario_id", "lhs", "steps"])
+    def test_build_missing_column_raises_type_error(self, dropped):
+        columns = {k: v for k, v in self.COLUMNS.items() if k != dropped}
+        with pytest.raises(TypeError, match=dropped):
+            ProtocolReport.build(**columns)
+
+    @pytest.mark.parametrize("extra", ["residual", "entropy_production", "seed"])
+    def test_build_extra_column_raises_type_error(self, extra):
+        with pytest.raises(TypeError, match=extra):
+            ProtocolReport.build(**dict(self.COLUMNS, **{extra: 0.0}))

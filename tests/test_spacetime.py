@@ -137,3 +137,55 @@ class TestDilationProfile:
         assert np.interp(1.0, prof.t, prof.alpha) == pytest.approx(1.1, abs=1e-12)
         # tau(1) = 1 + 0.1/2 = 1.05 for the linear ramp
         assert np.interp(1.0, prof.t, prof.tau) == pytest.approx(1.05, abs=1e-9)
+
+
+class TestClockRateOnArrays:
+    @pytest.mark.parametrize("mass,c", [(1.0, 1.0), (2.5, 1.0), (0.7, 3.0), (1.0, 1e6)])
+    def test_array_equals_scalar_calls_bit_for_bit(self, mass, c):
+        rng = np.random.default_rng(7)
+        phi = rng.uniform(-0.4, 0.4, 257) * c**2
+        p = rng.uniform(0.0, 0.6, 257) * mass * c
+        alpha = dilation_factor(phi, p, mass, c)
+        reference = [dilation_factor(float(a), float(b), mass, c) for a, b in zip(phi, p)]
+        assert isinstance(alpha, np.ndarray) and alpha.shape == phi.shape
+        assert np.array_equal(alpha, reference)
+        assert type(dilation_factor(float(phi[3]), float(p[3]), mass, c)) is float
+
+    @pytest.mark.parametrize("gravitational_only", [False, True])
+    @pytest.mark.parametrize(
+        "worldline",
+        [
+            comoving_worldline(5.0, samples=7),
+            uniform_gravity_worldline(-0.03, 10.0, samples=101, p=0.2, mass=1.5),
+            point_mass_worldline(0.2, 1.0, 3.0, 4.0, samples=257, mass=0.8),
+            cruise_worldline(0.4, 3.0, samples=5),
+            Worldline(
+                np.linspace(0.0, 2.0, 9),
+                0.3 * np.sin(np.arange(9.0)),
+                np.abs(np.cos(np.arange(9.0))),
+                1.3,
+            ),
+        ],
+        ids=["comoving", "uniform_gravity", "point_mass", "cruise", "table"],
+    )
+    def test_profile_matches_per_sample_reference(self, worldline, gravitational_only):
+        st = StaticSpacetime(c=1.7)
+        prof = dilation_profile(worldline, st, gravitational_only=gravitational_only)
+        reference = [
+            dilation_factor(float(phi), 0.0 if gravitational_only else float(p), worldline.mass, 1.7)
+            for phi, p in zip(worldline.phi, worldline.p)
+        ]
+        assert np.array_equal(prof.alpha, reference)
+
+    def test_nonpositive_sample_inside_weak_field_bound_is_named(self):
+        # |phi| stays below the bound, but samples 1 and 3 move too fast
+        w = Worldline([0.0, 1.0, 2.0, 3.0], [0.0, -0.4, 0.1, 0.0], [0.0, 1.2, 0.0, 2.0], 1.0)
+        with pytest.raises(WeakFieldViolationError, match=r"phi=-0\.4, p=1\.2:"):
+            dilation_profile(w)
+        assert dilation_profile(w, gravitational_only=True).alpha[1] == pytest.approx(0.6)
+
+    def test_weak_field_bound_checks_largest_potential(self):
+        t = np.linspace(0.0, 1.0, 5)
+        w = Worldline(t, [0.0, 0.1, -0.55, 0.2, 0.0], np.zeros_like(t), 1.0)
+        with pytest.raises(WeakFieldViolationError, match="0.55 exceeds"):
+            dilation_profile(w)
