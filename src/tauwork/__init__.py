@@ -12,7 +12,6 @@ from .channels import (
     PropagatorSchedule,
     QuantumChannel,
     amplitude_damping_channel,
-    apply,
     depolarizing_channel,
     identity_channel,
     time_ordered_propagator,
@@ -24,8 +23,6 @@ from .operators import (
     HermitianOperator,
     Spectrum,
     matrix_from_pairs,
-    matrix_to_pairs,
-    maximally_mixed,
     random_hermitian,
     random_unitary,
     spectral_decompose,
@@ -71,7 +68,6 @@ from .spacetime import (
 from .thermo import (
     ThermalEnsemble,
     free_energy_difference,
-    partition_function,
     thermal_state,
 )
 

@@ -2,10 +2,11 @@
 
 Channels are stored concretely as Kraus families (a unitary is a one-element
 family) because the generalized fluctuation relation needs the deviation
-from unitality for arbitrary processes. Proper-time evolution is a
-left-ordered product of step exponentials for piecewise-constant schedules,
-with each step's duration in proper time read off a dilation profile; a
-one-segment schedule reproduces the closed-form exponential.
+from unitality for arbitrary processes. Proper-time evolution under a
+piecewise-constant schedule is a left-ordered product of one exponential per
+segment, each segment's proper duration read off a dilation profile at the
+slice edges that it owns; a one-segment schedule is the closed-form
+exponential.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operators import (
-    DensityOperator,
     HermitianOperator,
     as_complex_matrix,
     spectral_decompose,
@@ -111,15 +111,6 @@ def depolarizing_channel(lam: float, dim: int = 2) -> QuantumChannel:
     return QuantumChannel(ops)
 
 
-def apply(channel: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """Send a state through the channel."""
-    if rho.dim != channel.dim:
-        raise ValueError(
-            f"dimension mismatch: state is {rho.dim}, channel is {channel.dim}"
-        )
-    return DensityOperator(channel.apply_matrix(rho.matrix))
-
-
 def unitality_deviation(channel: QuantumChannel) -> np.ndarray:
     """How far the channel moves the maximally mixed state: Theta(1/d) - 1/d.
 
@@ -136,8 +127,10 @@ class PropagatorSchedule:
 
     ``segments`` maps proper time to generators: segment k applies on
     ``[tau_bounds[k-1], tau_bounds[k])`` with ``tau_bounds[-1]`` covering the
-    profile's total proper time. ``steps`` controls the discretization of the
-    ordered product.
+    profile's total proper time. ``steps`` cuts the laboratory time span into
+    equal slices and only decides which segment the slice that straddles each
+    bound joins (the first-order error across bounds); within a segment the
+    propagator is exact at any ``steps``.
     """
 
     segments: tuple
@@ -159,15 +152,20 @@ class PropagatorSchedule:
         if any(h.dim != dim for h in segs):
             raise ValueError("all schedule segments must share one dimension")
         bounds_arr = np.array(bounds, dtype=float)
-        if np.any(np.diff(bounds_arr) <= 0) or bounds_arr[0] <= 0:
-            raise ValueError("segment bounds must be positive and strictly increasing")
+        finite = np.all(np.isfinite(bounds_arr))
+        if not (finite and bounds_arr[0] > 0 and np.all(np.diff(bounds_arr) > 0)):
+            raise ValueError(
+                "segment bounds must be finite, positive and strictly increasing"
+            )
         total = dilation.tau_total
         if bounds_arr[-1] < total * (1.0 - 1e-12):
             raise ValueError(
                 f"schedule covers proper time up to {bounds_arr[-1]!r} but the "
                 f"worldline accumulates {total!r}"
             )
-        if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        if isinstance(steps, bool) or not (
+            isinstance(steps, (int, np.integer)) and steps >= 1
+        ):
             raise ValueError(f"steps must be a positive integer, got {steps!r}")
         bounds_arr.flags.writeable = False
         object.__setattr__(self, "segments", tuple(segs))
@@ -185,35 +183,34 @@ class PropagatorSchedule:
     def dim(self) -> int:
         return self.segments[0].dim
 
-    def segment_index(self, tau: float) -> int:
-        idx = int(np.searchsorted(self.tau_bounds, tau, side="right"))
-        return min(idx, len(self.segments) - 1)
-
-    def initial_hamiltonian(self) -> HermitianOperator:
-        return self.segments[0]
-
-    def final_hamiltonian(self) -> HermitianOperator:
-        return self.segments[-1]
-
 
 def time_ordered_propagator(schedule: PropagatorSchedule) -> np.ndarray:
-    """Ordered product of step exponentials approximating T exp(-i integral H dtau).
+    """T exp(-i integral H dtau) as one exponential per schedule segment.
 
-    The laboratory time span is cut into ``steps`` equal slices; each slice
-    contributes exp(-i H(tau_mid) dtau) with dtau read from the cumulative
-    proper time at the slice edges (so the slices tile the total proper time
-    exactly) and H evaluated at the slice's proper-time midpoint. Later
-    slices act on the left. First-order accurate across segment boundaries,
-    exact within a segment.
+    The laboratory time span is cut into ``steps`` equal slices whose proper
+    durations are read from the cumulative proper time at the slice edges, so
+    the slices tile the total proper time exactly. A slice belongs to the
+    segment that holds its proper-time midpoint (a midpoint on a bound goes
+    to the later segment; slices past the last bound go to the last one).
+    Each segment's slices share a generator, so their product is the single
+    exponential exp(-i H dtau) of their summed duration; later segments act
+    on the left. ``steps`` only decides where the slice that straddles each
+    bound lands, which is the first-order error across bounds; within a
+    segment the product is exact.
     """
     prof = schedule.dilation
-    edges = np.linspace(prof.t[0], prof.t[-1], schedule.steps + 1)
+    steps = schedule.steps
+    edges = np.linspace(prof.t[0], prof.t[-1], steps + 1)
     tau_edges = np.interp(edges, prof.t, prof.tau)
-    spectra = [spectral_decompose(h) for h in schedule.segments]
+    # slice k is the one whose right edge is the first edge at or past a bound;
+    # it starts the later segment iff its midpoint is not below that bound
+    interior = schedule.tau_bounds[:-1]
+    k = np.clip(np.searchsorted(tau_edges, interior) - 1, 0, steps - 1)
+    tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
+    starts = np.concatenate(([0], k + (tau_mid < interior), [steps]))
     u = np.eye(schedule.dim, dtype=complex)
-    for k in range(schedule.steps):
-        d_tau = tau_edges[k + 1] - tau_edges[k]
-        tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
-        spec = spectra[schedule.segment_index(tau_mid)]
-        u = spectrum_expm(spec, -1j * d_tau) @ u
+    for h, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
+        if end > start:
+            d_tau = tau_edges[end] - tau_edges[start]
+            u = spectrum_expm(spectral_decompose(h), -1j * d_tau) @ u
     return u

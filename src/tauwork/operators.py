@@ -50,12 +50,6 @@ def matrix_from_pairs(data, name: str = "matrix") -> np.ndarray:
     return as_complex_matrix(arr[..., 0] + 1j * arr[..., 1], name=name)
 
 
-def matrix_to_pairs(mat: np.ndarray) -> list:
-    """Inverse of :func:`matrix_from_pairs`."""
-    m = np.asarray(mat, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
-
-
 @dataclass(frozen=True)
 class HermitianOperator:
     """A finite-dimensional Hermitian operator.
@@ -155,11 +149,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def maximally_mixed(dim: int) -> DensityOperator:
-    """The state with uniform population and no coherences, 1/d."""
-    return DensityOperator(np.eye(dim, dtype=complex) / dim)
 
 
 def _fix_degenerate_clusters(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:

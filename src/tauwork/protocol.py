@@ -361,8 +361,8 @@ class AppendixRun:
 def _appendix_inputs(run: AppendixRun):
     """The driven reduction: initial spectrum, final energies, transitions."""
     sched = run.schedule
-    spec0 = spectral_decompose(sched.initial_hamiltonian())
-    h_lab_final = sched.dilation.alpha_final * sched.final_hamiltonian().matrix
+    spec0 = spectral_decompose(sched.segments[0])
+    h_lab_final = sched.dilation.alpha_final * sched.segments[-1].matrix
     spec_f = spectral_decompose(HermitianOperator(h_lab_final))
     channel = QuantumChannel([time_ordered_propagator(sched)])
     trans = conditional_probabilities(spec0, spec_f, channel)

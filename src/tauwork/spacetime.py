@@ -16,7 +16,6 @@ c = 1 convention and are rescaled internally.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,14 +127,6 @@ class Worldline:
         if data.ndim != 2 or data.shape[1] != 3:
             raise ValueError("worldline CSV rows must have exactly 3 columns")
         return cls(data[:, 0], data[:, 1], data[:, 2], mass)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["t", "phi", "p"])
-        for ti, fi, pi in zip(self.t, self.phi, self.p):
-            w.writerow([repr(float(ti)), repr(float(fi)), repr(float(pi))])
-        return buf.getvalue()
 
 
 def comoving_worldline(t_end: float, samples: int = 2, mass: float = 1.0) -> Worldline:

@@ -28,11 +28,6 @@ def log_partition_function(spec: Spectrum | np.ndarray, beta: float) -> float:
     return log_sum_exp(-beta * evals)
 
 
-def partition_function(spec: Spectrum, beta: float) -> float:
-    """Tr e^(-beta H), max-shifted so intermediate terms stay finite."""
-    return float(np.exp(log_partition_function(spec, beta)))
-
-
 @dataclass(frozen=True)
 class ThermalEnsemble:
     """Gibbs weights over an eigenspectrum at inverse temperature beta."""
@@ -53,14 +48,6 @@ class ThermalEnsemble:
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "log_z", log_partition_function(spectrum, beta))
-
-    @property
-    def partition(self) -> float:
-        return float(np.exp(self.log_z))
-
-    @property
-    def free_energy(self) -> float:
-        return -self.log_z / self.beta
 
     def mean_energy(self) -> float:
         return float(self.probs @ self.spectrum.eigenvalues)

@@ -4,27 +4,34 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the measured numbers,
 or use ``tauwork verify`` for the same battery outside pytest.
 """
 
+import time
+
 import pytest
 
 from tauwork import acceptance, spacetime
 
 
+@pytest.fixture(scope="module")
+def battery():
+    """One timed run of the whole battery: (results by criterion, seconds)."""
+    start = time.perf_counter()
+    results = acceptance.run_all()
+    elapsed = time.perf_counter() - start
+    return dict(zip(acceptance.ALL_CRITERIA, results)), elapsed
+
+
 @pytest.mark.parametrize(
     "criterion", acceptance.ALL_CRITERIA, ids=lambda fn: fn.__name__
 )
-def test_criterion(criterion):
-    result = criterion()
+def test_criterion(criterion, battery):
+    result = battery[0][criterion]
     print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
     assert result.passed, f"{result.name}: {result.detail}"
 
 
-def test_battery_runs_in_budget():
-    import time
-
-    start = time.perf_counter()
-    results = acceptance.run_all()
-    elapsed = time.perf_counter() - start
-    assert all(r.passed for r in results)
+def test_battery_runs_in_budget(battery):
+    results, elapsed = battery
+    assert all(r.passed for r in results.values())
     assert elapsed < 60.0, f"battery took {elapsed:.1f}s"
 
 

