@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (
-    HermitianOperator,
-    as_complex_matrix,
-    spectral_decompose,
-    spectrum_expm,
-)
+from .operators import HermitianOperator, _as_spectrum, as_complex_matrix, spectrum_expm
 from .spacetime import DilationProfile
 
 TRACE_PRESERVATION_ATOL = 1e-10
@@ -184,7 +179,9 @@ class PropagatorSchedule:
         return self.segments[0].dim
 
 
-def time_ordered_propagator(schedule: PropagatorSchedule) -> np.ndarray:
+def time_ordered_propagator(
+    schedule: PropagatorSchedule, generators: tuple | None = None
+) -> np.ndarray:
     """T exp(-i integral H dtau) as one exponential per schedule segment.
 
     The laboratory time span is cut into ``steps`` equal slices whose proper
@@ -197,6 +194,11 @@ def time_ordered_propagator(schedule: PropagatorSchedule) -> np.ndarray:
     on the left. ``steps`` only decides where the slice that straddles each
     bound lands, which is the first-order error across bounds; within a
     segment the product is exact.
+
+    ``generators``, one per segment, stand in for ``schedule.segments``; each
+    is a ``HermitianOperator`` or its ``Spectrum``, so a caller that already
+    decomposed a segment passes the spectrum. Only segments that own a slice
+    are decomposed.
     """
     prof = schedule.dilation
     steps = schedule.steps
@@ -209,8 +211,14 @@ def time_ordered_propagator(schedule: PropagatorSchedule) -> np.ndarray:
     tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
     starts = np.concatenate(([0], k + (tau_mid < interior), [steps]))
     u = np.eye(schedule.dim, dtype=complex)
-    for h, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
+    if generators is None:
+        generators = schedule.segments
+    if len(generators) != len(schedule.segments):
+        raise ValueError(
+            f"{len(generators)} generators for {len(schedule.segments)} schedule segments"
+        )
+    for h, start, end in zip(generators, starts[:-1], starts[1:]):
         if end > start:
             d_tau = tau_edges[end] - tau_edges[start]
-            u = spectrum_expm(spectral_decompose(h), -1j * d_tau) @ u
+            u = spectrum_expm(_as_spectrum(h), -1j * d_tau) @ u
     return u

@@ -103,9 +103,9 @@ def _print_summaries(reports: list[ProtocolReport], quiet: bool) -> None:
         )
 
 
-def _execute(config: ScenarioConfig, label: str):
+def _execute(config: ScenarioConfig, label: str, memo: dict):
     try:
-        return run_scenario(config)
+        return run_scenario(config, memo)
     except OSError as exc:
         raise CliError(f"{label}: {exc}", EXIT_IO) from None
     except ValueError as exc:
@@ -131,7 +131,8 @@ def cmd_run(args) -> int:
         configs.append((path, config))
     out_dir = Path(args.out)
     _prepare_out_dir(out_dir)
-    reports = [_execute(config, path) for path, config in configs]
+    memo: dict = {}
+    reports = [_execute(config, path, memo) for path, config in configs]
     for report in reports:
         _write_report_file(out_dir / f"{report.scenario_id}.{args.format}", [report], args.format)
     _print_summaries(reports, args.quiet)
@@ -178,7 +179,9 @@ def cmd_sweep(args) -> int:
         points.append((label, _validate(_sweep_point(document, base, param, value), label)))
     out_dir = Path(args.out)
     _prepare_out_dir(out_dir)
-    reports = [_execute(config, label) for label, config in points]
+    # points that share the system section share one decomposition
+    memo: dict = {}
+    reports = [_execute(config, label, memo) for label, config in points]
     _write_report_file(out_dir / f"sweep_{param}.{args.format}", reports, args.format)
     _print_summaries(reports, args.quiet)
     return EXIT_OK

@@ -19,8 +19,8 @@ import numpy as np
 HERMITICITY_ATOL = 1e-12
 ORTHONORMALITY_ATOL = 1e-10
 DENSITY_ATOL = 1e-12
-# Eigenvalues closer than this fraction of the spectral range are treated as
-# one degenerate cluster when fixing the eigenbasis.
+# Eigenvalues closer than this fraction of the spectral scale (see
+# ``cluster_bounds``) are treated as one degenerate cluster.
 DEGENERACY_REL_GAP = 1e-10
 
 
@@ -151,6 +151,21 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def cluster_bounds(evals: np.ndarray) -> list[int]:
+    """Where each cluster of ascending eigenvalues starts, followed by ``evals.size``.
+
+    Consecutive eigenvalues at most ``DEGENERACY_REL_GAP`` times the spectral
+    scale apart share a cluster, so cluster k is ``evals[b[k]:b[k + 1]]``. The
+    scale is the larger of the spectral range and the largest |eigenvalue|:
+    rounding splits a degenerate level by a multiple of the latter, so a
+    multiple of the identity stays one cluster after a change of basis.
+    """
+    lo, hi = float(evals[0]), float(evals[-1])
+    thresh = DEGENERACY_REL_GAP * max(hi - lo, abs(lo), abs(hi))
+    gaps = np.diff(evals).tolist()
+    return [0] + [k + 1 for k, gap in enumerate(gaps) if gap > thresh] + [evals.size]
+
+
 def _fix_degenerate_clusters(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Replace the eigenbasis of each degenerate cluster by a deterministic one.
 
@@ -159,18 +174,11 @@ def _fix_degenerate_clusters(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     vectors projected onto the cluster subspace, taken in index order. This
     makes repeated runs (and different LAPACK builds) reproducible.
     """
-    n = evals.size
-    spread = float(evals[-1] - evals[0])
-    thresh = DEGENERACY_REL_GAP * spread
     out = np.array(vecs)
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and evals[j] - evals[j - 1] <= thresh:
-            j += 1
+    bounds = cluster_bounds(evals)
+    for i, j in zip(bounds[:-1], bounds[1:]):
         if j - i > 1:
             out[:, i:j] = _standard_basis_frame(vecs[:, i:j])
-        i = j
     return out
 
 def _standard_basis_frame(block: np.ndarray) -> np.ndarray:
@@ -205,6 +213,11 @@ def spectral_decompose(h: HermitianOperator) -> Spectrum:
     evals, vecs = np.linalg.eigh(h.matrix)
     vecs = _fix_degenerate_clusters(evals, vecs)
     return Spectrum(evals, vecs)
+
+
+def _as_spectrum(h: HermitianOperator | Spectrum) -> Spectrum:
+    """``h`` itself when it is already decomposed, else its spectrum."""
+    return h if isinstance(h, Spectrum) else spectral_decompose(h)
 
 
 def spectrum_expm(spec: Spectrum, scale: complex) -> np.ndarray:

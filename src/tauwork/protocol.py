@@ -31,7 +31,8 @@ import numpy as np
 
 from .channels import PropagatorSchedule, QuantumChannel
 from .channels import time_ordered_propagator, unitality_deviation
-from .operators import HermitianOperator, Spectrum, spectral_decompose
+from .operators import HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
+from .operators import spectral_decompose
 from .spacetime import DilationProfile
 from .thermo import free_energy_difference_from_values, log_sum_exp, thermal_state
 
@@ -169,16 +170,20 @@ def _work_atoms(
     return tpm_distribution(spec0.eigenvalues, probs, final_energies, transitions)
 
 
-def _flat_inputs(h0: HermitianOperator, h_final: HermitianOperator, channel: QuantumChannel):
+def _flat_inputs(
+    h0: HermitianOperator | Spectrum,
+    h_final: HermitianOperator | Spectrum,
+    channel: QuantumChannel,
+):
     """The flat reduction: both spectra and the channel's transition matrix."""
-    spec0 = spectral_decompose(h0)
-    spec_f = spectral_decompose(h_final)
+    spec0 = _as_spectrum(h0)
+    spec_f = _as_spectrum(h_final)
     return spec0, spec_f, conditional_probabilities(spec0, spec_f, channel)
 
 
 def work_distribution_flat(
-    h0: HermitianOperator,
-    h_final: HermitianOperator,
+    h0: HermitianOperator | Spectrum,
+    h_final: HermitianOperator | Spectrum,
     channel: QuantumChannel,
     beta: float,
 ) -> WorkDistribution:
@@ -323,22 +328,22 @@ def _csv_cell(value) -> str:
 
 @dataclass(frozen=True)
 class FlatRun:
-    """Prepared inputs for the flat pipeline."""
+    """Prepared inputs for the flat pipeline; either Hamiltonian may be a Spectrum."""
 
     scenario_id: str
     beta: float
-    h0: HermitianOperator
-    h_final: HermitianOperator
+    h0: HermitianOperator | Spectrum
+    h_final: HermitianOperator | Spectrum
     channel: QuantumChannel
 
 
 @dataclass(frozen=True)
 class DilatedRun:
-    """Prepared inputs for the time-independent dilated pipeline."""
+    """Prepared inputs for the time-independent dilated pipeline; ``h0`` may be a Spectrum."""
 
     scenario_id: str
     beta: float
-    h0: HermitianOperator
+    h0: HermitianOperator | Spectrum
     profile: DilationProfile
 
 
@@ -364,12 +369,20 @@ def _appendix_inputs(run: AppendixRun):
     spec0 = spectral_decompose(sched.segments[0])
     h_lab_final = sched.dilation.alpha_final * sched.segments[-1].matrix
     spec_f = spectral_decompose(HermitianOperator(h_lab_final))
-    channel = QuantumChannel([time_ordered_propagator(sched)])
+    generators = (spec0, *sched.segments[1:])
+    channel = QuantumChannel([time_ordered_propagator(sched, generators)])
     trans = conditional_probabilities(spec0, spec_f, channel)
     if run.final_basis == "evolved":
         # the transported eigenstate U|m> is found with certainty; its energy
-        # <m|U^dag H_f U|m> is the final-basis energy averaged over column m
-        return spec0, spec_f.eigenvalues @ trans, None
+        # <m|U^dag H_f U|m> is the final-basis energy averaged over column m.
+        # Inside a degenerate cluster Pi the frame {|m>} is arbitrary, so each
+        # state of Pi gets the frame-free mean Tr(Pi U^dag H_f U) / dim Pi
+        e_final = spec_f.eigenvalues @ trans
+        bounds = cluster_bounds(spec0.eigenvalues)
+        for i, j in zip(bounds[:-1], bounds[1:]):
+            if j - i > 1:
+                e_final[i:j] = e_final[i:j].mean()
+        return spec0, e_final, None
     return spec0, spec_f.eigenvalues, trans
 
 
@@ -379,7 +392,7 @@ def run_protocol(run) -> ProtocolReport:
     Every pipeline reduces to the initial spectrum (with Gibbs weights), the
     final measured energies and a transition matrix; one shared tail turns
     those into the work atoms, dF, both sides of the work equality and the
-    report row.
+    report row. Only a Hamiltonian that arrives undecomposed is decomposed.
     """
     correction = 0.0
     if isinstance(run, FlatRun):
@@ -388,7 +401,7 @@ def run_protocol(run) -> ProtocolReport:
         correction = _nonunital_correction(spec_f, run.channel, run.beta)
         pipeline, alpha, tau_total, final_basis, steps = "flat", 1.0, 0.0, "instantaneous", 0
     elif isinstance(run, DilatedRun):
-        spec0, trans = spectral_decompose(run.h0), None
+        spec0, trans = _as_spectrum(run.h0), None
         alpha, tau_total = run.profile.alpha_final, run.profile.tau_total
         e_final = alpha * spec0.eigenvalues
         pipeline, final_basis, steps = "dilated", "evolved", 0

@@ -35,7 +35,8 @@ from .channels import (
     identity_channel,
     unitary_channel,
 )
-from .operators import HermitianOperator, matrix_from_pairs, random_hermitian
+from .operators import HermitianOperator, Spectrum, matrix_from_pairs, random_hermitian
+from .operators import spectral_decompose
 from .protocol import FINAL_BASES, AppendixRun, DilatedRun, FlatRun, ProtocolReport
 from .protocol import run_protocol
 from .spacetime import (
@@ -378,6 +379,22 @@ def build_system(system: dict) -> HermitianOperator:
     return SYSTEMS[system["kind"]].build(system)
 
 
+def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
+    """The decomposed system, taken from ``memo`` when it holds the same section.
+
+    ``memo`` maps one section's canonical JSON to its spectrum. It keeps at
+    most one entry and drops the old one before a new system is decomposed,
+    so a sweep holds one spectrum at a time.
+    """
+    if memo is None:
+        return spectral_decompose(build_system(system))
+    key = json.dumps(system, sort_keys=True)
+    if key not in memo:
+        memo.clear()
+        memo[key] = spectral_decompose(build_system(system))
+    return memo[key]
+
+
 def build_worldline(worldline: dict, mass: float) -> tuple[Worldline, bool]:
     """Build the sampled trajectory; returns it with the heavy-particle flag."""
     entry = WORLDLINES[worldline.get("preset", "csv")]
@@ -389,20 +406,26 @@ def build_channel(channel: dict, dim: int) -> QuantumChannel:
     return CHANNELS[channel["preset"]].build(channel, dim)
 
 
-def build_scenario(config: ScenarioConfig):
-    """Turn a validated config into a prepared run for :func:`run_protocol`."""
+def build_scenario(config: ScenarioConfig, memo: dict | None = None):
+    """Turn a validated config into a prepared run for :func:`run_protocol`.
+
+    The ``system`` section arrives decomposed. Callers that build several
+    scenarios pass one ``memo`` (an empty dict to start) so that scenarios
+    sharing that section share one decomposition; time dilation only rescales
+    the spectrum, so sweeps over ``alpha``, ``beta`` and ``c`` decompose once.
+    """
     if config.pipeline == "flat":
-        h0 = build_system(config.system)
-        channel = build_channel(config.channel, h0.dim)
-        if channel.dim != h0.dim:
+        spec = _system_spectrum(config.system, memo)
+        channel = build_channel(config.channel, spec.dim)
+        if channel.dim != spec.dim:
             raise ScenarioValidationError(
-                [f"channel: dimension {channel.dim} does not match system dimension {h0.dim}"]
+                [f"channel: dimension {channel.dim} does not match system dimension {spec.dim}"]
             )
         return FlatRun(
             scenario_id=config.scenario_id,
             beta=config.beta,
-            h0=h0,
-            h_final=h0,
+            h0=spec,
+            h_final=spec,
             channel=channel,
         )
 
@@ -414,7 +437,7 @@ def build_scenario(config: ScenarioConfig):
         return DilatedRun(
             scenario_id=config.scenario_id,
             beta=config.beta,
-            h0=build_system(config.system),
+            h0=_system_spectrum(config.system, memo),
             profile=profile,
         )
 
@@ -430,10 +453,11 @@ def build_scenario(config: ScenarioConfig):
     )
 
 
-def run_scenario(config: ScenarioConfig | dict | str) -> ProtocolReport:
-    """Validate (if needed), build and execute one scenario."""
+def run_scenario(config: ScenarioConfig | dict | str, memo: dict | None = None) -> ProtocolReport:
+    """Validate (if needed), build and execute one scenario; ``memo`` as in
+    :func:`build_scenario`."""
     if isinstance(config, str):
         config = ScenarioConfig.from_file(config)
     elif isinstance(config, dict):
         config = ScenarioConfig.from_dict(config)
-    return run_protocol(build_scenario(config))
+    return run_protocol(build_scenario(config, memo))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityOperator, HermitianOperator, Spectrum, spectral_decompose
+from .operators import DensityOperator, HermitianOperator, Spectrum, _as_spectrum
 
 
 def log_sum_exp(x: np.ndarray) -> float:
@@ -60,8 +60,7 @@ class ThermalEnsemble:
 
 def thermal_state(h: HermitianOperator | Spectrum, beta: float) -> ThermalEnsemble:
     """Gibbs ensemble of ``h`` at inverse temperature ``beta``."""
-    spec = h if isinstance(h, Spectrum) else spectral_decompose(h)
-    return ThermalEnsemble(beta, spec)
+    return ThermalEnsemble(beta, _as_spectrum(h))
 
 
 def free_energy_difference_from_values(

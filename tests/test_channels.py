@@ -210,6 +210,22 @@ class TestTimeOrderedPropagator:
                 worst = max(worst, np.max(np.abs(diff)))
         assert worst < 1e-11
 
+    def test_generators_stand_in_for_segments(self, decompositions):
+        prof = ramp_profile()
+        total = prof.tau_total
+        hams = [random_hermitian(3, seed) for seed in (1, 2, 3)]
+        # the third segment starts past tau_total and owns no slice
+        bounds = [0.5 * total, 1.1 * total, 1.2 * total]
+        sched = PropagatorSchedule(list(zip(bounds, hams)), prof, 64)
+        expected = time_ordered_propagator(sched)
+        spec0 = spectral_decompose(hams[0])
+        decompositions.clear()
+        u = time_ordered_propagator(sched, (spec0, *hams[1:]))
+        assert np.array_equal(u, expected)
+        assert len(decompositions) == 1 and decompositions[0] is hams[1]
+        with pytest.raises(ValueError, match="2 generators for 3 schedule segments"):
+            time_ordered_propagator(sched, hams[:2])
+
     @pytest.mark.parametrize("steps", [1, 2])
     def test_midpoint_on_bound_goes_to_later_segment(self, steps):
         # tau = t on [0, 10]: with one slice the midpoint is 5.0, with two the

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauwork.cli import main
-from tauwork.protocol import CSV_COLUMNS
+from tauwork.cli import _sweep_point, main
+from tauwork.protocol import CSV_COLUMNS, ProtocolReport
+from tauwork.scenarios import ScenarioConfig, run_scenario
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -363,6 +364,62 @@ class TestSweep:
                 ]
             ) == 0
         assert (out1 / "sweep_alpha.csv").read_bytes() == (out2 / "sweep_alpha.csv").read_bytes()
+
+
+class TestDecompositionReuse:
+    """One decomposition per distinct ``system`` section in each invocation."""
+
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [
+            ("beta=0.5:4:50", 1),
+            ("alpha=0.8:1.2:50", 1),
+            ("c=1:100:50", 1),
+            # omega is part of the system section, so every point is a new system
+            ("omega=0.5:2:50", 50),
+        ],
+    )
+    def test_dilated_sweep(self, spec, calls, tmp_path, decompositions):
+        path = write_scenario(tmp_path)
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path / "o")]
+        assert main([*argv, "--quiet"]) == 0
+        assert len(decompositions) == calls
+
+    def test_flat_run_decomposes_once(self, tmp_path, decompositions):
+        scenario = DEMO_SCENARIOS / "flat_damping.json"
+        assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(decompositions) == 1
+
+    def test_flat_gamma_sweep_decomposes_once(self, tmp_path, decompositions):
+        scenario = DEMO_SCENARIOS / "flat_damping.json"
+        argv = ["sweep", "--scenario", str(scenario), "--sweep", "gamma=0:0.9:50"]
+        assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(decompositions) == 1
+
+    @pytest.mark.parametrize(
+        "demo, spec",
+        [
+            ("oscillator_blueshift", "alpha=0.7:1.3:7"),
+            ("oscillator_blueshift", "beta=0.5:4:6"),
+            ("oscillator_blueshift", "omega=0.5:2:5"),
+            ("cruise_redshift", "c=1:1000000:6"),
+            ("flat_damping", "gamma=0:0.9:4"),
+        ],
+    )
+    def test_sweep_table_equals_points_run_alone(self, demo, spec, tmp_path):
+        path = DEMO_SCENARIOS / f"{demo}.json"
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
+        assert main([*argv, "--quiet"]) == 0
+        param, grid = spec.split("=")
+        start, stop, count = (float(x) for x in grid.split(":"))
+        document = json.loads(path.read_text())
+        base = ScenarioConfig.from_dict(document)
+        lines = [ProtocolReport.csv_header()]
+        for k in range(int(count)):
+            value = start + (stop - start) * k / (count - 1)
+            lines.append(run_scenario(_sweep_point(document, base, param, value)).to_csv_row())
+        expected = "\n".join(lines) + "\n"
+        assert (tmp_path / f"sweep_{param}.csv").read_text() == expected
 
 
 def test_verify_command_passes(capsys):

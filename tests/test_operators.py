@@ -6,6 +6,7 @@ from tauwork.operators import (
     HermitianOperator,
     Spectrum,
     as_complex_matrix,
+    cluster_bounds,
     matrix_from_pairs,
     random_hermitian,
     random_unitary,
@@ -102,6 +103,19 @@ class TestSpectralDecompose:
         b = spectral_decompose(HermitianOperator(h.matrix.copy()))
         assert np.array_equal(a.eigenvectors, b.eigenvectors)
         assert np.max(np.abs(a.reconstruct() - h.matrix)) < 1e-10
+
+    def test_cluster_bounds(self):
+        # gaps up to 1e-10 of the larger of range and max |eigenvalue| join a cluster
+        assert cluster_bounds(np.array([0.0, 0.0, 1e-11, 0.5, 1.0, 1.0])) == [0, 3, 4, 6]
+        assert cluster_bounds(np.array([2.0])) == [0, 1]
+        assert cluster_bounds(np.zeros(3)) == [0, 3]
+        assert cluster_bounds(np.array([1.0, 1.0 + 1e-15, 1.0 + 3e-15])) == [0, 3]
+        assert cluster_bounds(np.array([-1.0, 1.0 - 3e-10, 1.0])) == [0, 1, 2, 3]
+
+    def test_rotated_multiple_of_identity_gets_standard_basis(self):
+        u = random_unitary(3, 11)
+        spec = spectral_decompose(HermitianOperator(u @ (2.5 * np.eye(3)) @ u.conj().T))
+        np.testing.assert_allclose(spec.eigenvectors, np.eye(3), atol=1e-12)
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauwork import protocol
@@ -22,6 +22,7 @@ from tauwork.operators import (
 )
 from tauwork.protocol import (
     CSV_COLUMNS,
+    FINAL_BASES,
     AppendixRun,
     DilatedRun,
     FlatRun,
@@ -458,6 +459,67 @@ class TestRunProtocol:
     def test_unsupported_run_type(self):
         with pytest.raises(TypeError, match="unsupported"):
             run_protocol(object())
+
+    def test_spectrum_inputs_give_identical_reports(self, decompositions):
+        rng = np.random.default_rng(8)
+        h0, hf = random_hermitian(4, rng), random_hermitian(4, rng)
+        s0, sf = spectral_decompose(h0), spectral_decompose(hf)
+        channel = amplitude_damping_channel(0.3, 4)
+        prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+        flat = run_protocol(FlatRun("f", 1.3, h0, hf, channel)).to_csv_row()
+        dilated = run_protocol(DilatedRun("d", 1.3, h0, prof)).to_csv_row()
+        for a, b in ((s0, hf), (h0, sf), (s0, sf)):
+            assert run_protocol(FlatRun("f", 1.3, a, b, channel)).to_csv_row() == flat
+        assert run_protocol(DilatedRun("d", 1.3, s0, prof)).to_csv_row() == dilated
+        # 2 + 1 for the references, then one per undecomposed flat input
+        assert len(decompositions) == 3 + 2
+
+    def test_appendix_decomposes_each_matrix_once(self, decompositions):
+        prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+        h1, h2 = random_hermitian(3, 1), random_hermitian(3, 2)
+        sched = PropagatorSchedule([(6.0, h1), (prof.tau_total, h2)], prof, steps=100)
+        run_protocol(AppendixRun("a", 1.0, sched))
+        # H1 (initial basis and first segment), H2 and alpha_final * H2
+        assert len(decompositions) == 3
+        assert sum(h is h1 for h in decompositions) == 1
+
+
+class TestFrameInvariance:
+    """A change of basis applied to every segment leaves the report unchanged."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(levels=[0.0, 0.0, 1.0], seeds=[3], beta=1.0, turn=11, final_basis="evolved")
+    @example(levels=[1.0, 1.0, 1.0], seeds=[3], beta=1.0, turn=11, final_basis="evolved")
+    @given(
+        levels=st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=2, max_size=4),
+        seeds=st.lists(st.integers(0, 2**16), max_size=2),
+        beta=st.sampled_from([0.5, 1.0, 2.0]),
+        turn=st.integers(0, 2**16),
+        final_basis=st.sampled_from(FINAL_BASES),
+    )
+    def test_appendix_report_is_frame_invariant(self, levels, seeds, beta, turn, final_basis):
+        # H0 is diagonal with repeated levels, so the initial basis is degenerate
+        # whenever a level repeats; the segments after tau = 6 and 9 are random
+        dim = len(levels)
+        prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+        hams = [HermitianOperator.diagonal(levels)] + [random_hermitian(dim, s) for s in seeds]
+        bounds = [6.0, 9.0][: len(seeds)] + [prof.tau_total]
+        v = random_unitary(dim, turn)
+
+        def report(hs):
+            sched = PropagatorSchedule(list(zip(bounds, hs)), prof, steps=100)
+            return run_protocol(AppendixRun("x", beta, sched, final_basis)).to_dict()
+
+        plain = report(hams)
+        turned = report([HermitianOperator(v @ h.matrix @ v.conj().T) for h in hams])
+        # the residual lhs - rhs carries the rounding of both sides
+        scale = {"residual": max(1.0, abs(plain["lhs"]), abs(plain["rhs"]))}
+        for column, value in plain.items():
+            if isinstance(value, float):
+                tol = 1e-12 * scale.get(column, 1.0)
+                assert turned[column] == pytest.approx(value, rel=1e-9, abs=tol), column
+            else:
+                assert turned[column] == value, column
 
 
 class TestProtocolReport:

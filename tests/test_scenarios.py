@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tauwork import scenarios
 from tauwork.operators import spectral_decompose
 from tauwork.protocol import (
     FINAL_BASES,
@@ -225,6 +226,27 @@ class TestBuildScenario:
         assert isinstance(run, AppendixRun)
         assert run.schedule.steps == 64
         assert run.final_basis == "instantaneous"
+
+    def test_memo_holds_one_spectrum_and_frees_it_before_decomposing(self, monkeypatch):
+        memo, held = {}, []
+        decompose = scenarios.spectral_decompose
+
+        def spy(h):
+            held.append(len(memo))
+            return decompose(h)
+
+        monkeypatch.setattr(scenarios, "spectral_decompose", spy)
+        a = ScenarioConfig.from_dict(dilated_config())
+        # the same section with its keys in another order
+        a2 = ScenarioConfig.from_dict(
+            dilated_config(system={"levels": 40, "omega": 1.0, "kind": "harmonic"})
+        )
+        b = ScenarioConfig.from_dict(dilated_config(system={"kind": "two_level", "gap": 1.0}))
+        runs = [build_scenario(config, memo) for config in (a, a2, b, b, a)]
+        assert held == [0, 0, 0]
+        assert len(memo) == 1
+        assert runs[0].h0 is runs[1].h0 and runs[2].h0 is runs[3].h0
+        assert runs[4].h0 is not runs[0].h0
 
     def test_channel_dimension_mismatch_reported(self):
         raw = {
