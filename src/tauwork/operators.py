@@ -33,7 +33,7 @@ def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     mat = np.array(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.view(float))):
+    if not np.all(np.isfinite(mat)):
         raise ValueError(f"{name} contains non-finite entries")
     mat.flags.writeable = False
     return mat
@@ -98,15 +98,13 @@ class Spectrum:
         vecs = np.array(eigenvectors, dtype=complex)
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
             raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        if not np.all(np.isfinite(evals)) or not np.all(np.isfinite(vecs.view(float))):
+        if not np.all(np.isfinite(vecs)):
             raise ValueError("spectrum contains non-finite entries")
-        if np.any(np.diff(evals) < 0):
-            raise ValueError("eigenvalues must be sorted ascending")
+        _check_eigenvalues(evals)
         gram = vecs.conj().T @ vecs
         dev = np.max(np.abs(gram - np.eye(evals.size)))
         if dev > ORTHONORMALITY_ATOL:
             raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
-        evals.flags.writeable = False
         vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", vecs)
@@ -120,9 +118,49 @@ class Spectrum:
         v = self.eigenvectors
         return (v * self.eigenvalues) @ v.conj().T
 
+    def scaled(self, factor: float) -> "Spectrum":
+        """Same eigenbasis with every eigenvalue multiplied by ``factor`` > 0.
+
+        A spectrum rescaled by a clock rate or a level spacing; ``scaled(1.0)``
+        is ``self``.
+        """
+        factor = float(factor)
+        if not (np.isfinite(factor) and factor > 0):
+            raise ValueError(f"scale factor must be finite and positive, got {factor!r}")
+        if factor == 1.0:
+            return self
+        # an overflow to inf is rejected by the eigenvalue check
+        with np.errstate(over="ignore"):
+            return self._with_eigenvalues(factor * self.eigenvalues)
+
     def shifted(self, offset: float) -> "Spectrum":
         """Same eigenbasis with all eigenvalues shifted by ``offset``."""
-        return Spectrum(self.eigenvalues + offset, self.eigenvectors)
+        return self._with_eigenvalues(self.eigenvalues + offset)
+
+    def _with_eigenvalues(self, eigenvalues) -> "Spectrum":
+        """This eigenbasis with new eigenvalues.
+
+        The eigenvectors are shared, not copied: they are read-only and were
+        checked for orthonormality when this spectrum was built, so only the
+        new eigenvalues are checked.
+        """
+        evals = np.array(eigenvalues, dtype=float)
+        if evals.shape != self.eigenvalues.shape:
+            raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
+        _check_eigenvalues(evals)
+        spec = object.__new__(Spectrum)
+        object.__setattr__(spec, "eigenvalues", evals)
+        object.__setattr__(spec, "eigenvectors", self.eigenvectors)
+        return spec
+
+
+def _check_eigenvalues(evals: np.ndarray) -> None:
+    """Raise unless ``evals`` are finite and ascending; then make them read-only."""
+    if not np.all(np.isfinite(evals)):
+        raise ValueError("spectrum contains non-finite entries")
+    if np.any(np.diff(evals) < 0):
+        raise ValueError("eigenvalues must be sorted ascending")
+    evals.flags.writeable = False
 
 
 @dataclass(frozen=True)

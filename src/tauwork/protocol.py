@@ -366,11 +366,15 @@ class AppendixRun:
 def _appendix_inputs(run: AppendixRun):
     """The driven reduction: initial spectrum, final energies, transitions."""
     sched = run.schedule
-    spec0 = spectral_decompose(sched.segments[0])
-    h_lab_final = sched.dilation.alpha_final * sched.segments[-1].matrix
-    spec_f = spectral_decompose(HermitianOperator(h_lab_final))
-    generators = (spec0, *sched.segments[1:])
-    channel = QuantumChannel([time_ordered_propagator(sched, generators)])
+    segments = sched.segments
+    # the first and last segments are decomposed once each; the final
+    # laboratory Hamiltonian alpha_final * H_last shares the last eigenbasis
+    generators = [spectral_decompose(segments[0]), *segments[1:]]
+    if len(segments) > 1:
+        generators[-1] = spectral_decompose(segments[-1])
+    spec0 = generators[0]
+    spec_f = generators[-1].scaled(sched.dilation.alpha_final)
+    channel = QuantumChannel([time_ordered_propagator(sched, tuple(generators))])
     trans = conditional_probabilities(spec0, spec_f, channel)
     if run.final_basis == "evolved":
         # the transported eigenstate U|m> is found with certainty; its energy

@@ -190,11 +190,16 @@ FIELD_RULES = {
 
 @dataclass(frozen=True)
 class _Entry:
-    """One system kind or worldline/channel preset: its fields and builder."""
+    """One system kind or worldline/channel preset: its fields and builder.
+
+    ``scale`` names the field a system's Hamiltonian is linear in, if any:
+    H(x) = x * H(1), so every value of that field shares one eigenbasis.
+    """
 
     required: tuple
     optional: tuple
     build: Callable
+    scale: str | None = None
 
 
 _TIMED = ("samples", "gravitational_only")
@@ -204,7 +209,10 @@ SYSTEMS = {
         ("matrix",), (), lambda s: HermitianOperator(matrix_from_pairs(s["matrix"]))
     ),
     "harmonic": _Entry(
-        ("omega", "levels"), (), lambda s: harmonic_hamiltonian(s["omega"], s["levels"])
+        ("omega", "levels"),
+        (),
+        lambda s: harmonic_hamiltonian(s["omega"], s["levels"]),
+        scale="omega",
     ),
     "two_level": _Entry(("gap",), (), lambda s: two_level_hamiltonian(s["gap"])),
     "random": _Entry(("dim", "seed"), (), lambda s: random_hermitian(s["dim"], s["seed"])),
@@ -384,15 +392,19 @@ def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
 
     ``memo`` maps one section's canonical JSON to its spectrum. It keeps at
     most one entry and drops the old one before a new system is decomposed,
-    so a sweep holds one spectrum at a time.
+    so a sweep holds one spectrum at a time. A system linear in its
+    ``scale`` field is stored at scale 1 and rescaled on the way out, so
+    sections that differ only in that field share one decomposition.
     """
     if memo is None:
         return spectral_decompose(build_system(system))
-    key = json.dumps(system, sort_keys=True)
+    scale = SYSTEMS[system["kind"]].scale
+    unit = dict(system, **{scale: 1.0}) if scale else system
+    key = json.dumps(unit, sort_keys=True)
     if key not in memo:
         memo.clear()
-        memo[key] = spectral_decompose(build_system(system))
-    return memo[key]
+        memo[key] = spectral_decompose(build_system(unit))
+    return memo[key].scaled(system[scale]) if scale else memo[key]
 
 
 def build_worldline(worldline: dict, mass: float) -> tuple[Worldline, bool]:
@@ -412,7 +424,8 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     The ``system`` section arrives decomposed. Callers that build several
     scenarios pass one ``memo`` (an empty dict to start) so that scenarios
     sharing that section share one decomposition; time dilation only rescales
-    the spectrum, so sweeps over ``alpha``, ``beta`` and ``c`` decompose once.
+    the spectrum, and so does the oscillator's ``omega``, so sweeps over
+    ``alpha``, ``beta``, ``c`` and ``omega`` decompose once.
     """
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)

@@ -375,8 +375,8 @@ class TestDecompositionReuse:
             ("beta=0.5:4:50", 1),
             ("alpha=0.8:1.2:50", 1),
             ("c=1:100:50", 1),
-            # omega is part of the system section, so every point is a new system
-            ("omega=0.5:2:50", 50),
+            # omega only rescales the harmonic ladder, so the points share one
+            ("omega=0.5:2:50", 1),
         ],
     )
     def test_dilated_sweep(self, spec, calls, tmp_path, decompositions):

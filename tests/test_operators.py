@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tauwork.channels import unitary_channel
 from tauwork.operators import (
     DensityOperator,
     HermitianOperator,
@@ -13,6 +16,7 @@ from tauwork.operators import (
     spectral_decompose,
     spectrum_expm,
 )
+from tauwork.scenarios import harmonic_hamiltonian
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -49,6 +53,18 @@ class TestConstruction:
         mat = np.array([[1 + 2j, 0.5], [0.5, -1j]])
         pairs = [[[1.0, 2.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, -1.0]]]
         assert np.array_equal(matrix_from_pairs(pairs), mat)
+
+    def test_accepts_non_c_contiguous_matrices(self):
+        m = random_hermitian(4, 1).matrix
+        assert np.array_equal(HermitianOperator(m.T).matrix, m.T)
+        swap = np.eye(3)[:, [2, 1, 0]]
+        assert not swap.flags.c_contiguous
+        assert np.array_equal(HermitianOperator(swap).matrix, swap)
+        cycle = np.eye(3)[:, [2, 0, 1]]
+        assert np.array_equal(unitary_channel(cycle).kraus_ops[0], cycle)
+        spec = spectral_decompose(random_hermitian(4, 2))
+        fortran = Spectrum(spec.eigenvalues, np.asfortranarray(spec.eigenvectors))
+        assert np.array_equal(fortran.eigenvectors, spec.eigenvectors)
 
     def test_density_operator_invariants(self):
         with pytest.raises(ValueError, match="trace"):
@@ -122,6 +138,41 @@ class TestSpectralDecompose:
             Spectrum([1.0, 0.0], np.eye(2))
         with pytest.raises(ValueError, match="orthonormal"):
             Spectrum([0.0, 1.0], [[1, 1], [0, 0]])
+
+
+class TestScaled:
+    def test_shares_the_checked_eigenvectors(self):
+        spec = spectral_decompose(random_hermitian(4, 3))
+        scaled = spec.scaled(2.5)
+        assert scaled.eigenvectors is spec.eigenvectors
+        assert np.array_equal(scaled.eigenvalues, 2.5 * spec.eigenvalues)
+        assert not scaled.eigenvalues.flags.writeable
+        assert spec.shifted(1.0).eigenvectors is spec.eigenvectors
+
+    def test_unit_factor_returns_self(self):
+        spec = spectral_decompose(random_hermitian(3, 4))
+        assert spec.scaled(1.0) is spec
+
+    @pytest.mark.parametrize("factor", [0.0, -2.0, np.nan, np.inf])
+    def test_rejects_factors_that_are_not_finite_and_positive(self, factor):
+        spec = spectral_decompose(random_hermitian(3, 5))
+        with pytest.raises(ValueError, match="finite and positive"):
+            spec.scaled(factor)
+
+    def test_rejects_eigenvalues_that_overflow(self):
+        spec = spectral_decompose(HermitianOperator.diagonal([1.0, 2.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            spec.scaled(1e308)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+        levels=st.integers(2, 64),
+    )
+    def test_harmonic_ladder_is_the_unit_ladder_rescaled(self, omega, levels):
+        direct = spectral_decompose(harmonic_hamiltonian(omega, levels)).eigenvalues
+        unit = spectral_decompose(harmonic_hamiltonian(1.0, levels))
+        assert np.array_equal(direct, unit.scaled(omega).eigenvalues)
 
 
 class TestHermitianExpm:

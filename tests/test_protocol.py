@@ -479,8 +479,9 @@ class TestRunProtocol:
         h1, h2 = random_hermitian(3, 1), random_hermitian(3, 2)
         sched = PropagatorSchedule([(6.0, h1), (prof.tau_total, h2)], prof, steps=100)
         run_protocol(AppendixRun("a", 1.0, sched))
-        # H1 (initial basis and first segment), H2 and alpha_final * H2
-        assert len(decompositions) == 3
+        # H1 (initial basis and first segment) and H2 (last segment and, rescaled
+        # by alpha_final, the final basis)
+        assert len(decompositions) == 2
         assert sum(h is h1 for h in decompositions) == 1
 
 
