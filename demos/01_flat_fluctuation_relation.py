@@ -12,17 +12,19 @@ correction term Tr[(Theta(1) - 1) w_final] restores the equality.
 import numpy as np
 
 from tauwork import (
+    FlatRun,
     amplitude_damping_channel,
-    entropy_production,
-    generalized_jarzynski_rhs,
-    jarzynski_lhs,
+    conditional_probabilities,
+    estimate,
+    run_protocol,
+    spectral_decompose,
     two_level_hamiltonian,
     unitary_channel,
-    work_distribution_flat,
 )
 
 beta = 1.0
 h = two_level_hamiltonian(1.0)
+spec = spectral_decompose(h)
 
 print("two-level system, gap 1.0, beta = 1.0")
 print()
@@ -30,29 +32,30 @@ print()
 # --- a unitary drive: the classic equality -------------------------------
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 flip = unitary_channel(sigma_x)
-wd = work_distribution_flat(h, h, flip, beta)
-lhs = jarzynski_lhs(wd, beta)
-rhs = generalized_jarzynski_rhs(h, flip, beta, delta_f=0.0)
+# the estimator tail, fed the flat pipeline's inputs: the initial spectrum,
+# the final energies and the channel's transition matrix between the bases
+est = estimate(spec, beta, spec.eigenvalues, conditional_probabilities(spec, spec, flip))
+wd = est.atoms
 atoms = [(round(float(w), 6), round(float(p), 6)) for w, p in zip(wd.values, wd.probs)]
 print("deterministic spin flip (unitary, hence unital):")
 print(f"  work atoms        : {atoms}")
-print(f"  <e^-bW>           : {lhs:.12f}")
-print(f"  e^-b dF           : {rhs:.12f}")
-print(f"  residual          : {lhs - rhs:.3e}")
-print(f"  <W>               : {wd.mean():.6f}  (positive: the drive pumps energy in)")
-print(f"  <Sigma>           : {entropy_production(wd.mean(), 0.0, beta):.6f}")
+print(f"  <e^-bW>           : {est.lhs:.12f}")
+print(f"  e^-b dF           : {est.rhs:.12f}")
+print(f"  residual          : {est.lhs - est.rhs:.3e}")
+print(f"  <W>               : {est.mean_work:.6f}  (positive: the drive pumps energy in)")
+print(f"  <Sigma>           : {est.entropy_production:.6f}")
 print()
 
 # --- amplitude damping: a non-unital channel ------------------------------
 print("amplitude damping, gamma sweep (non-unital):")
 print(f"  {'gamma':>6} {'<e^-bW>':>14} {'rhs w/ correction':>18} {'residual':>10} {'<Sigma>':>10}")
 for gamma in (0.1, 0.3, 0.5, 0.7, 0.9):
-    damp = amplitude_damping_channel(gamma)
-    wd = work_distribution_flat(h, h, damp, beta)
-    lhs = jarzynski_lhs(wd, beta)
-    rhs = generalized_jarzynski_rhs(h, damp, beta, delta_f=0.0)
-    sigma = entropy_production(wd.mean(), 0.0, beta)
-    print(f"  {gamma:6.1f} {lhs:14.10f} {rhs:18.10f} {lhs - rhs:10.1e} {sigma:10.6f}")
+    # the whole flat pipeline, as `tauwork run` executes it
+    rep = run_protocol(FlatRun("damping", beta, h, h, amplitude_damping_channel(gamma)))
+    print(
+        f"  {gamma:6.1f} {rep.lhs:14.10f} {rep.rhs:18.10f} {rep.residual:10.1e} "
+        f"{rep.entropy_production:10.6f}"
+    )
 print()
 print("the correction term grows with gamma; without it the damping channel")
 print("would appear to violate the equality.")

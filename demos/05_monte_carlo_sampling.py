@@ -11,17 +11,16 @@ expected 1/sqrt(n) rate.
 import numpy as np
 
 from tauwork import (
+    estimate,
     harmonic_hamiltonian,
-    jarzynski_lhs,
     sample_outcomes,
     spectral_decompose,
-    work_distribution_dilated,
 )
 
 beta, alpha = 2.0, 1.2
 spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
-wd = work_distribution_dilated(spec, alpha, beta)
-exact = jarzynski_lhs(wd, beta)
+est = estimate(spec, beta, alpha * spec.eigenvalues)
+wd, exact = est.atoms, est.lhs
 
 print(f"oscillator, beta*omega = 2, alpha = {alpha}: {wd.size} work atoms")
 print(f"exact <e^-bW> = {exact:.12f}")

@@ -19,7 +19,6 @@ from .channels import (
     unitary_channel,
 )
 from .operators import (
-    DensityOperator,
     HermitianOperator,
     Spectrum,
     matrix_from_pairs,
@@ -30,17 +29,17 @@ from .operators import (
 from .protocol import (
     AppendixRun,
     DilatedRun,
+    Estimates,
     FlatRun,
     ProtocolReport,
     WorkDistribution,
     conditional_probabilities,
     entropy_production,
+    estimate,
     generalized_jarzynski_rhs,
     jarzynski_lhs,
     run_protocol,
     sample_outcomes,
-    work_distribution_dilated,
-    work_distribution_flat,
 )
 from .scenarios import (
     ScenarioConfig,
@@ -65,10 +64,6 @@ from .spacetime import (
     point_mass_worldline,
     uniform_gravity_worldline,
 )
-from .thermo import (
-    ThermalEnsemble,
-    free_energy_difference,
-    thermal_state,
-)
+from .thermo import ThermalEnsemble, thermal_state
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,16 +1,20 @@
 """Release-gate checks: every analytic identity the engine must reproduce.
 
-Each criterion is a function returning a :class:`CriterionResult` with the
-measured residuals, so the same battery backs both ``tauwork verify`` and
-the test suite. Tolerances are fixed here, not configurable: they encode
+Each criterion is a function returning a :class:`CriterionResult` built
+from its :class:`Check` rows, so the same battery backs both ``tauwork
+verify`` and the test suite. The numbers come from the code the CLI runs:
+``protocol.run_protocol`` or its estimator tail ``protocol.estimate``.
+Tolerances are fixed here, each in its check, not configurable: they encode
 what "machine precision" means for each identity.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -39,78 +43,119 @@ class CriterionResult:
     seconds: float
 
 
-def _result(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name, bool(passed), detail, time.perf_counter() - t0)
+@dataclass(frozen=True)
+class Check:
+    """One measured value of a criterion and the bound it must meet.
 
-
-def _ground_shifted_spectrum(h: HermitianOperator):
-    """Spectrum with the ground energy moved to zero (choice of energy origin)."""
-    spec = spectral_decompose(h)
-    return spec.shifted(-spec.eigenvalues[0])
-
-
-def criterion_dilated_identity() -> CriterionResult:
-    """Exponential work average equals the rescaled-spectrum free-energy factor.
-
-    200 random systems (dim 2-8, energies measured from the ground state) x
-    5 clock rates x 3 temperatures; the identity is algebraic, so the
-    residual budget is pure rounding.
+    The check passes when ``value < bound``, or ``value >= bound`` for a
+    ``lower`` bound. A check without a bound is a property that holds when
+    ``value`` is true.
     """
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
+
+    label: str
+    value: float | bool
+    bound: float | None = None
+    lower: bool = False
+
+    @property
+    def passed(self) -> bool:
+        if self.bound is None:
+            return bool(self.value)
+        return self.value >= self.bound if self.lower else self.value < self.bound
+
+    def __str__(self) -> str:
+        if self.bound is None:
+            text = f"{self.label}: {self.value}"
+        else:
+            text = f"{self.label} = {self.value:.3e} ({'>=' if self.lower else '<'} {self.bound:g})"
+        return text if self.passed else f"{text} FAILED"
+
+
+def _criterion(name: str):
+    """Make a function that returns ``Check`` rows a timed criterion: it passes
+    when every check does, and its detail lists every check."""
+
+    def decorate(checks_fn):
+        @functools.wraps(checks_fn)
+        def criterion() -> CriterionResult:
+            t0 = time.perf_counter()
+            checks = checks_fn()
+            passed = all(check.passed for check in checks)
+            detail = "; ".join(str(check) for check in checks)
+            return CriterionResult(name, passed, detail, time.perf_counter() - t0)
+
+        return criterion
+
+    return decorate
+
+
+def _dilated(spec, alpha: float, beta: float) -> protocol.Estimates:
+    """The dilated pipeline's estimators: every eigenvalue rescaled by ``alpha``."""
+    return protocol.estimate(spec, beta, alpha * spec.eigenvalues)
+
+
+def _random_grid(seed: int):
+    """Estimators of 200 random systems (dim 2-8, energies measured from the
+    ground state) x 5 clock rates x 3 temperatures."""
+    rng = np.random.default_rng(seed)
     for _ in range(200):
         dim = int(rng.integers(2, 9))
-        spec = _ground_shifted_spectrum(random_hermitian(dim, rng))
+        spec = spectral_decompose(random_hermitian(dim, rng))
+        spec = spec.shifted(-spec.eigenvalues[0])
         for alpha in (0.5, 0.8, 1.0, 1.2, 1.5):
             for beta in (0.5, 1.0, 2.0):
-                wd = protocol.work_distribution_dilated(spec, alpha, beta)
-                lhs = protocol.jarzynski_lhs(wd, beta)
-                rhs = float(np.exp(-beta * thermo.free_energy_difference(spec, alpha, beta)))
-                worst = max(worst, abs(lhs - rhs))
-    return _result(
-        "dilated work identity (200 systems x 5 rates x 3 temperatures)",
-        worst < 1e-12,
-        f"max |lhs - rhs| = {worst:.3e} (tol 1e-12)",
-        t0,
-    )
+                yield _dilated(spec, alpha, beta)
 
 
-def criterion_oscillator_closed_form() -> CriterionResult:
-    """Truncated-ladder free energies match the sinh closed form to 1e-7."""
-    t0 = time.perf_counter()
-    worst = 0.0
-    spot = None
-    alphas = [round(0.5 + 0.1 * k, 1) for k in range(11)]
+def _oscillator_grid():
+    """``(beta * omega, alpha, estimators)`` on the 44-point oscillator grid."""
     for beta_omega in (0.5, 1.0, 2.0, 5.0):
-        for alpha in alphas:
+        for alpha in [round(0.5 + 0.1 * k, 1) for k in range(11)]:
             levels = scenarios.levels_for_tail(beta_omega, alpha_min=alpha)
             spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, levels))
-            numeric = beta_omega * thermo.free_energy_difference(spec, alpha, beta_omega)
-            analytic = scenarios.oscillator_delta_F_analytic(beta_omega, alpha)
-            worst = max(worst, abs(numeric - analytic))
-            if beta_omega == 2.0 and alpha == 1.2:
-                spot = numeric
-    # frozen spot value computed from the sinh formula: ln(sinh(1.2)/sinh(1))
-    spot_ok = spot is not None and abs(spot - 0.2503135073) < 1e-7
-    return _result(
-        "oscillator free energy vs closed form (44-point grid)",
-        worst < 1e-7 and spot_ok,
-        f"max |numeric - analytic| = {worst:.3e} (tol 1e-7); "
-        f"spot beta*dF(bo=2, a=1.2) = {spot:.10f} vs 0.2503135073",
-        t0,
-    )
+            yield beta_omega, alpha, _dilated(spec, alpha, beta_omega)
 
 
-def criterion_nonunital_correction() -> CriterionResult:
+@_criterion("dilated work identity (200 systems x 5 rates x 3 temperatures)")
+def criterion_dilated_identity() -> list[Check]:
+    """Exponential work average equals the rescaled-spectrum free-energy factor.
+
+    The identity is algebraic, so the residual budget is pure rounding.
+    """
+    worst = max(abs(est.lhs - est.rhs) for est in _random_grid(SEED))
+    return [Check("max |lhs - rhs|", worst, 1e-12)]
+
+
+@_criterion("oscillator free energy vs closed form (44-point grid)")
+def criterion_oscillator_closed_form() -> list[Check]:
+    """Truncated-ladder free energies match the sinh closed form."""
+    tol = 1e-7
+    # ln(sinh(1.2) / sinh(1)), frozen so that the sinh formula is checked too
+    frozen = 0.2503135073
+    worst = 0.0
+    spot = np.nan
+    for beta_omega, alpha, est in _oscillator_grid():
+        numeric = beta_omega * est.delta_f
+        worst = max(worst, abs(numeric - scenarios.oscillator_delta_F_analytic(beta_omega, alpha)))
+        if beta_omega == 2.0 and alpha == 1.2:
+            spot = numeric
+    return [
+        Check("max |numeric - analytic|", worst, tol),
+        Check(
+            f"spot beta*dF(bo=2, a=1.2) {spot:.10f} vs {frozen}, |difference|",
+            abs(spot - frozen),
+            tol,
+        ),
+    ]
+
+
+@_criterion("generalized work equality with non-unital correction")
+def criterion_nonunital_correction() -> list[Check]:
     """Generalized equality with the unitality correction holds for damping
     and random channels; unitary channels have zero correction."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(SEED + 1)
     worst = 0.0
-    cases = []
-    for gamma in (0.1, 0.5, 0.9):
-        cases.append((2, amplitude_damping_channel(gamma)))
+    cases = [(2, amplitude_damping_channel(gamma)) for gamma in (0.1, 0.5, 0.9)]
     for _ in range(50):
         dim = int(rng.integers(2, 5))
         cases.append((dim, _random_channel(dim, rng)))
@@ -118,28 +163,18 @@ def criterion_nonunital_correction() -> CriterionResult:
         h0 = random_hermitian(dim, rng)
         h_final = random_hermitian(dim, rng)
         beta = float(rng.uniform(0.2, 2.0))
-        wd = protocol.work_distribution_flat(h0, h_final, channel, beta)
-        lhs = protocol.jarzynski_lhs(wd, beta)
-        delta_f = thermo.free_energy_difference_from_values(
-            spectral_decompose(h_final).eigenvalues,
-            spectral_decompose(h0).eigenvalues,
-            beta,
-        )
-        rhs = protocol.generalized_jarzynski_rhs(h_final, channel, beta, delta_f)
-        worst = max(worst, abs(lhs - rhs))
+        run = protocol.FlatRun("nonunital", beta, h0, h_final, channel)
+        worst = max(worst, abs(protocol.run_protocol(run).residual))
     worst_unitary = 0.0
     for _ in range(20):
         dim = int(rng.integers(2, 9))
         channel = unitary_channel(random_unitary(dim, rng))
         g = np.max(np.abs(protocol.unitality_deviation(channel)))
         worst_unitary = max(worst_unitary, g)
-    return _result(
-        "generalized work equality with non-unital correction",
-        worst < 1e-10 and worst_unitary < 1e-12,
-        f"max |lhs - rhs| = {worst:.3e} (tol 1e-10); "
-        f"max |unitality deviation| over unitaries = {worst_unitary:.3e} (tol 1e-12)",
-        t0,
-    )
+    return [
+        Check("max |lhs - rhs|", worst, 1e-10),
+        Check("max |unitality deviation| over unitaries", worst_unitary, 1e-12),
+    ]
 
 
 def _random_channel(dim: int, rng: np.random.Generator) -> QuantumChannel:
@@ -152,50 +187,33 @@ def _random_channel(dim: int, rng: np.random.Generator) -> QuantumChannel:
     return QuantumChannel([q[j * dim : (j + 1) * dim, :] for j in range(n_kraus)])
 
 
-def criterion_second_law() -> CriterionResult:
+@_criterion("second law with time dilation (red- and blue-shift grids)")
+def criterion_second_law() -> list[Check]:
     """Mean entropy production stays nonnegative across both sweep grids,
     including clock rates below 1."""
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(SEED + 2)
-    worst = np.inf
-    for _ in range(200):
-        dim = int(rng.integers(2, 9))
-        spec = _ground_shifted_spectrum(random_hermitian(dim, rng))
-        for alpha in (0.5, 0.8, 1.0, 1.2, 1.5):
-            for beta in (0.5, 1.0, 2.0):
-                wd = protocol.work_distribution_dilated(spec, alpha, beta)
-                delta_f = thermo.free_energy_difference(spec, alpha, beta)
-                sigma = protocol.entropy_production(wd.mean(), delta_f, beta)
-                worst = min(worst, sigma)
-    for beta_omega in (0.5, 1.0, 2.0, 5.0):
-        for alpha in [round(0.5 + 0.1 * k, 1) for k in range(11)]:
-            levels = scenarios.levels_for_tail(beta_omega, alpha_min=alpha)
-            spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, levels))
-            wd = protocol.work_distribution_dilated(spec, alpha, beta_omega)
-            delta_f = thermo.free_energy_difference(spec, alpha, beta_omega)
-            sigma = protocol.entropy_production(wd.mean(), delta_f, beta_omega)
-            worst = min(worst, sigma)
-    return _result(
-        "second law with time dilation (red- and blue-shift grids)",
-        worst >= -1e-12,
-        f"min <Sigma> = {worst:.3e} (tol -1e-12)",
-        t0,
-    )
+    oscillators = (est for _, _, est in _oscillator_grid())
+    worst = min(est.entropy_production for est in chain(_random_grid(SEED + 2), oscillators))
+    return [Check("min <Sigma>", worst, -1e-12, lower=True)]
 
 
-def criterion_comoving_null() -> CriterionResult:
+def _oscillator_scenario(scenario_id: str, worldline: dict, **fields) -> dict:
+    """A dilated run of the 40-level oscillator at beta = 2 along ``worldline``."""
+    return {
+        "scenario_id": scenario_id,
+        "pipeline": "dilated",
+        "beta": 2.0,
+        "system": {"kind": "harmonic", "omega": 1.0, "levels": 40},
+        "worldline": worldline,
+        "mass": 1.0,
+        **fields,
+    }
+
+
+@_criterion("comoving null result")
+def criterion_comoving_null() -> list[Check]:
     """A clock comoving with the static observers produces nothing."""
-    t0 = time.perf_counter()
-    report = scenarios.run_scenario(
-        {
-            "scenario_id": "comoving-null",
-            "pipeline": "dilated",
-            "beta": 2.0,
-            "system": {"kind": "harmonic", "omega": 1.0, "levels": 40},
-            "worldline": {"preset": "comoving", "t_end": 5.0, "samples": 11},
-            "mass": 1.0,
-        }
-    )
+    comoving = {"preset": "comoving", "t_end": 5.0, "samples": 11}
+    report = scenarios.run_scenario(_oscillator_scenario("comoving-null", comoving))
     worst = max(
         abs(report.delta_F),
         abs(report.mean_work),
@@ -203,76 +221,43 @@ def criterion_comoving_null() -> CriterionResult:
         abs(report.lhs - 1.0),
         abs(report.rhs - 1.0),
     )
-    return _result(
-        "comoving null result",
-        worst < 1e-12,
-        f"max |dF|, |<W>|, |<Sigma>|, |lhs-1|, |rhs-1| = {worst:.3e} (tol 1e-12)",
-        t0,
-    )
+    return [Check("max |dF|, |<W>|, |<Sigma>|, |lhs-1|, |rhs-1|", worst, 1e-12)]
 
 
-def _newtonian_limit_scenario(c: float) -> dict:
-    return {
-        "scenario_id": f"newtonian-c-{c}",
-        "pipeline": "dilated",
-        "beta": 2.0,
-        "system": {"kind": "harmonic", "omega": 1.0, "levels": 40},
-        "worldline": {
-            "preset": "uniform_gravity",
-            "g": 0.02,
-            "t_end": 10.0,
-            "samples": 101,
-            "p": 0.2,
-        },
-        "mass": 1.0,
-        "c": c,
-    }
+@_criterion("Newtonian limit c -> infinity")
+def criterion_newtonian_limit() -> list[Check]:
+    """Both dilation effects vanish as c grows: |<W>| decreases to rounding level."""
+    ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 101, "p": 0.2}
+    works = [
+        abs(scenarios.run_scenario(_oscillator_scenario(f"newtonian-c-{c}", ramp, c=c)).mean_work)
+        for c in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
+    ]
+    return [
+        Check(
+            f"|<W>| decreasing from {works[0]:.3e} at c=1",
+            all(a > b for a, b in zip(works, works[1:])),
+        ),
+        Check("|<W>| at c=1e6", works[-1], 1e-10),
+    ]
 
 
-def criterion_newtonian_limit() -> CriterionResult:
-    """Both dilation effects vanish as c grows: |<W>| decreases to < 1e-10."""
-    t0 = time.perf_counter()
-    cs = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
-    works = [abs(scenarios.run_scenario(_newtonian_limit_scenario(c)).mean_work) for c in cs]
-    monotone = all(a > b for a, b in zip(works, works[1:]))
-    return _result(
-        "Newtonian limit c -> infinity",
-        monotone and works[-1] < 1e-10,
-        f"|<W>| from {works[0]:.3e} down to {works[-1]:.3e}, "
-        f"monotone={monotone} (tol 1e-10 at c=1e6)",
-        t0,
-    )
-
-
-def criterion_potential_difference() -> CriterionResult:
+@_criterion("potential difference read from mean work")
+def criterion_potential_difference() -> list[Check]:
     """For a heavy particle at rest the relative mean work reads off the
     potential difference between the measurement points."""
-    t0 = time.perf_counter()
-    report = scenarios.run_scenario(
-        {
-            "scenario_id": "potential-read",
-            "pipeline": "dilated",
-            "beta": 2.0,
-            "system": {"kind": "harmonic", "omega": 1.0, "levels": 40},
-            "worldline": {
-                "preset": "uniform_gravity",
-                "g": 0.03,
-                "t_end": 10.0,
-                "samples": 101,
-                "gravitational_only": True,
-            },
-            "mass": 1.0,
-        }
-    )
+    ramp = {"preset": "uniform_gravity", "g": 0.03, "t_end": 10.0, "samples": 101}
+    ramp["gravitational_only"] = True
+    report = scenarios.run_scenario(_oscillator_scenario("potential-read", ramp))
     spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, 40))
-    mean_energy = thermo.thermal_state(spec, 2.0).mean_energy()
-    ratio = report.mean_work / mean_energy
-    return _result(
-        "potential difference read from mean work",
-        abs(ratio - 0.3) < 1e-10,
-        f"<W>/<E> = {ratio!r} vs phi(q) - phi(p) = 0.3 (tol 1e-10)",
-        t0,
-    )
+    ratio = report.mean_work / thermo.thermal_state(spec, 2.0).mean_energy()
+    phi_difference = 0.3
+    return [
+        Check(
+            f"<W>/<E> {ratio!r} vs phi(q) - phi(p) {phi_difference}, |difference|",
+            abs(ratio - phi_difference),
+            1e-10,
+        )
+    ]
 
 
 def _two_level_schedule_segments():
@@ -294,10 +279,10 @@ def _ramp_profile():
     return spacetime.dilation_profile(w)
 
 
-def criterion_appendix_convergence() -> CriterionResult:
+@_criterion("driven-pipeline convergence (constant + non-commuting schedules)")
+def criterion_appendix_convergence() -> list[Check]:
     """Driven pipeline: constant drive reproduces the time-independent one at
     any step count; a non-commuting drive converges first order in steps."""
-    t0 = time.perf_counter()
     prof = _ramp_profile()
     beta = 1.0
     h = HermitianOperator.diagonal([0.5, 1.5, 2.5])
@@ -333,55 +318,41 @@ def criterion_appendix_convergence() -> CriterionResult:
     step_grid = (1250, 2500, 5000, 10000)
     reports = [run_steps(n) for n in step_grid]
     errors = [abs(rep.lhs - reference) for rep in reports]
-    residual_10k = abs(reports[-1].residual)
-    nonincreasing = all(a >= b * (1.0 - 1e-9) for a, b in zip(errors, errors[1:]))
-    first_order = errors[0] / max(errors[-1], 1e-300) >= 4.0
-    ok = (
-        worst_const < 1e-10
-        and residual_10k < 1e-6
-        and errors[-1] < 1e-6
-        and nonincreasing
-        and first_order
-    )
-    return _result(
-        "driven-pipeline convergence (constant + non-commuting schedules)",
-        ok,
-        f"constant-schedule max deviation = {worst_const:.3e} (tol 1e-10); "
-        f"|lhs - rhs| at 1e4 steps = {residual_10k:.3e} (tol 1e-6); "
-        f"step-halving errors {['%.3e' % e for e in errors]} vs 3.2e5-step reference "
-        f"(nonincreasing={nonincreasing}, "
-        f"total decrease x{errors[0] / max(errors[-1], 1e-300):.1f})",
-        t0,
-    )
+    tol_10k = 1e-6
+    return [
+        Check("constant-schedule max deviation", worst_const, 1e-10),
+        Check("|lhs - rhs| at 1e4 steps", abs(reports[-1].residual), tol_10k),
+        Check("error at 1e4 steps vs 3.2e5-step reference", errors[-1], tol_10k),
+        Check(
+            f"step-halving errors {['%.3e' % e for e in errors]} nonincreasing",
+            all(a >= b * (1.0 - 1e-9) for a, b in zip(errors, errors[1:])),
+        ),
+        Check("total decrease", errors[0] / max(errors[-1], 1e-300), 4.0, lower=True),
+    ]
 
 
-def criterion_monte_carlo() -> CriterionResult:
+@_criterion("Monte Carlo estimator consistency")
+def criterion_monte_carlo() -> list[Check]:
     """Sampled work values reproduce the exact exponential average within
     4 standard errors, deterministically for a fixed seed."""
-    t0 = time.perf_counter()
     beta = 2.0
     spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, 40))
-    wd = protocol.work_distribution_dilated(spec, 1.2, beta)
-    exact = protocol.jarzynski_lhs(wd, beta)
+    est = _dilated(spec, 1.2, beta)
+    wd = est.atoms
     n = 100_000
     draws = protocol.sample_outcomes(wd, n, seed=SEED)
     weights = np.exp(-beta * draws)
     estimate = float(weights.mean())
     stderr = float(weights.std(ddof=1) / np.sqrt(n))
     again = protocol.sample_outcomes(wd, n, seed=SEED)
-    reproducible = bool(np.array_equal(draws, again))
     buf1, buf2 = io.StringIO(), io.StringIO()
     for buf in (buf1, buf2):
         np.savetxt(buf, protocol.sample_outcomes(wd, 1000, seed=SEED))
-    byte_identical = buf1.getvalue() == buf2.getvalue()
-    dev = abs(estimate - exact)
-    return _result(
-        "Monte Carlo estimator consistency",
-        dev < 4 * stderr and reproducible and byte_identical,
-        f"|estimate - exact| = {dev:.3e} vs 4*stderr = {4 * stderr:.3e}; "
-        f"fixed-seed reproducible={reproducible and byte_identical}",
-        t0,
-    )
+    reproducible = bool(np.array_equal(draws, again)) and buf1.getvalue() == buf2.getvalue()
+    return [
+        Check("|estimate - exact| vs 4*stderr", abs(estimate - est.lhs), 4 * stderr),
+        Check("fixed-seed reproducible", reproducible),
+    ]
 
 
 ALL_CRITERIA = (

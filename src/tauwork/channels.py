@@ -11,6 +11,7 @@ exponential.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,14 +203,21 @@ def time_ordered_propagator(
     """
     prof = schedule.dilation
     steps = schedule.steps
-    edges = np.linspace(prof.t[0], prof.t[-1], steps + 1)
-    tau_edges = np.interp(edges, prof.t, prof.tau)
+    t0, t1 = prof.t[0], prof.t[-1]
+    dt = (t1 - t0) / steps
+
+    def tau_edge(j: int) -> float:
+        # proper time at edge j of np.linspace(t0, t1, steps + 1), bit for bit;
+        # O(log steps) edges per bound are evaluated, never all steps + 1
+        return np.interp(t1 if j == steps else j * dt + t0, prof.t, prof.tau)
+
     # slice k is the one whose right edge is the first edge at or past a bound;
     # it starts the later segment iff its midpoint is not below that bound
-    interior = schedule.tau_bounds[:-1]
-    k = np.clip(np.searchsorted(tau_edges, interior) - 1, 0, steps - 1)
-    tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
-    starts = np.concatenate(([0], k + (tau_mid < interior), [steps]))
+    starts = [0]
+    for bound in schedule.tau_bounds[:-1]:
+        k = min(max(bisect_left(range(steps + 1), bound, key=tau_edge) - 1, 0), steps - 1)
+        starts.append(k + (0.5 * (tau_edge(k) + tau_edge(k + 1)) < bound))
+    starts.append(steps)
     u = np.eye(schedule.dim, dtype=complex)
     if generators is None:
         generators = schedule.segments
@@ -219,6 +227,6 @@ def time_ordered_propagator(
         )
     for h, start, end in zip(generators, starts[:-1], starts[1:]):
         if end > start:
-            d_tau = tau_edges[end] - tau_edges[start]
+            d_tau = tau_edge(end) - tau_edge(start)
             u = spectrum_expm(_as_spectrum(h), -1j * d_tau) @ u
     return u

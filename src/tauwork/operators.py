@@ -13,12 +13,12 @@ Dimensions are assumed small (a few hundred at most); all arrays are dense
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 HERMITICITY_ATOL = 1e-12
 ORTHONORMALITY_ATOL = 1e-10
-DENSITY_ATOL = 1e-12
 # Eigenvalues closer than this fraction of the spectral scale (see
 # ``cluster_bounds``) are treated as one degenerate cluster.
 DEGENERACY_REL_GAP = 1e-10
@@ -113,11 +113,6 @@ class Spectrum:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(lambda) V^dag, the operator this spectrum came from."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
     def scaled(self, factor: float) -> "Spectrum":
         """Same eigenbasis with every eigenvalue multiplied by ``factor`` > 0.
 
@@ -163,32 +158,6 @@ def _check_eigenvalues(evals: np.ndarray) -> None:
     evals.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class DensityOperator:
-    """A positive semidefinite, unit-trace Hermitian matrix, within ``DENSITY_ATOL``."""
-
-    matrix: np.ndarray
-
-    def __init__(self, matrix):
-        mat = as_complex_matrix(matrix, name="DensityOperator.matrix")
-        dev = np.max(np.abs(mat - mat.conj().T))
-        if dev > DENSITY_ATOL:
-            raise ValueError(f"density matrix not Hermitian: deviation {dev:.3e}")
-        sym = 0.5 * (mat + mat.conj().T)
-        tr = np.trace(sym).real
-        if abs(tr - 1.0) > DENSITY_ATOL:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1")
-        lo = np.linalg.eigvalsh(sym)[0]
-        if lo < -DENSITY_ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-        sym.flags.writeable = False
-        object.__setattr__(self, "matrix", sym)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def cluster_bounds(evals: np.ndarray) -> list[int]:
     """Where each cluster of ascending eigenvalues starts, followed by ``evals.size``.
 
@@ -220,29 +189,21 @@ def _fix_degenerate_clusters(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return out
 
 def _standard_basis_frame(block: np.ndarray) -> np.ndarray:
-    n, k = block.shape
+    k = block.shape[1]
     proj = block @ block.conj().T
     frame: list[np.ndarray] = []
-    for e in range(n):
-        v = proj[:, e].copy()
+    # the block's own columns come after the projected standard basis vectors:
+    # a fallback for pathological subspaces barely visible from the standard
+    # basis, which keeps the frame complete
+    for candidate in chain(proj.T, block.T):
+        v = candidate.copy()
         for u in frame:
             v -= u * (u.conj() @ v)
         norm = np.linalg.norm(v)
         if norm > 1e-8:
             frame.append(v / norm)
-        if len(frame) == k:
-            break
-    for col in range(k):
-        # fallback for pathological subspaces barely visible from the
-        # standard basis; keeps the frame complete
-        if len(frame) == k:
-            break
-        v = block[:, col].copy()
-        for u in frame:
-            v -= u * (u.conj() @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-8:
-            frame.append(v / norm)
+            if len(frame) == k:
+                break
     return np.column_stack(frame)
 
 

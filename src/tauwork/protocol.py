@@ -25,7 +25,6 @@ distribution, not as the primary estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-import json
 
 import numpy as np
 
@@ -154,44 +153,6 @@ def tpm_distribution(
     return WorkDistribution(flat_w, joint.ravel(), default_merge_tol(flat_w))
 
 
-def _work_atoms(
-    spec0: Spectrum, beta: float, final_energies: np.ndarray, transitions=None
-) -> WorkDistribution:
-    """TPM work atoms for a Gibbs start in ``spec0``.
-
-    ``transitions=None`` stands for the identity matrix: every trajectory
-    keeps its level index, so there are d atoms E_final[m] - E_initial[m]
-    instead of d^2 mostly empty ones.
-    """
-    probs = thermal_state(spec0, beta).probs
-    if transitions is None:
-        values = final_energies - spec0.eigenvalues
-        return WorkDistribution(values, probs, default_merge_tol(values))
-    return tpm_distribution(spec0.eigenvalues, probs, final_energies, transitions)
-
-
-def _flat_inputs(
-    h0: HermitianOperator | Spectrum,
-    h_final: HermitianOperator | Spectrum,
-    channel: QuantumChannel,
-):
-    """The flat reduction: both spectra and the channel's transition matrix."""
-    spec0 = _as_spectrum(h0)
-    spec_f = _as_spectrum(h_final)
-    return spec0, spec_f, conditional_probabilities(spec0, spec_f, channel)
-
-
-def work_distribution_flat(
-    h0: HermitianOperator | Spectrum,
-    h_final: HermitianOperator | Spectrum,
-    channel: QuantumChannel,
-    beta: float,
-) -> WorkDistribution:
-    """Work statistics for the flat pipeline: thermal start, channel, final basis."""
-    spec0, spec_f, trans = _flat_inputs(h0, h_final, channel)
-    return _work_atoms(spec0, beta, spec_f.eigenvalues, trans)
-
-
 def work_distribution_dilated(
     spec0: Spectrum, alpha_final: float, beta: float
 ) -> WorkDistribution:
@@ -202,7 +163,7 @@ def work_distribution_dilated(
     """
     if alpha_final <= 0:
         raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
-    return _work_atoms(spec0, beta, alpha_final * spec0.eigenvalues)
+    return estimate(spec0, beta, alpha_final * spec0.eigenvalues).atoms
 
 
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
@@ -212,29 +173,25 @@ def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
     return float(np.exp(log_sum_exp(np.log(wd.probs) - beta * wd.values)))
 
 
-def _nonunital_correction(
-    h_final: HermitianOperator | Spectrum, channel: QuantumChannel, beta: float
-) -> float:
+def _nonunital_correction(spec_f: Spectrum, channel: QuantumChannel, beta: float) -> float:
     """Tr[(Theta(1) - 1) w_final]; exactly 0 for unital channels.
 
-    The unitality deviation is stored relative to the maximally mixed state
-    1/d, so its trace against the final Gibbs state is scaled back up by d.
+    The final Gibbs state is diagonal in the final eigenbasis, so the trace is
+    the thermal average of the deviation's diagonal there. The unitality
+    deviation is stored relative to the maximally mixed state 1/d, so that
+    average is scaled back up by d.
     """
     if channel.is_unital:
         return 0.0
-    rho_f = thermal_state(h_final, beta).density_operator().matrix
-    return channel.dim * float(np.trace(unitality_deviation(channel) @ rho_f).real)
+    v = spec_f.eigenvectors
+    diag = np.real(np.sum(v.conj() * (unitality_deviation(channel) @ v), axis=0))
+    return channel.dim * float(thermal_state(spec_f, beta).probs @ diag)
 
 
-def generalized_jarzynski_rhs(
-    h_final: HermitianOperator, channel: QuantumChannel, beta: float, delta_f: float
-) -> float:
-    """Equilibrium side of the work equality, with the non-unital correction.
-
-    For unital channels this is exactly e^(-beta delta_f); otherwise it is
-    multiplied by 1 + Tr[(Theta(1) - 1) w_final].
-    """
-    return float(np.exp(-beta * delta_f) * (1.0 + _nonunital_correction(h_final, channel, beta)))
+def generalized_jarzynski_rhs(delta_f: float, beta: float, correction: float) -> float:
+    """Equilibrium side of the work equality, with the non-unital correction
+    Tr[(Theta(1) - 1) w_final]; exactly e^(-beta delta_f) when it is 0."""
+    return float(np.exp(-beta * delta_f) * (1.0 + correction))
 
 
 def entropy_production(mean_work: float, delta_f: float, beta: float) -> float:
@@ -243,6 +200,55 @@ def entropy_production(mean_work: float, delta_f: float, beta: float) -> float:
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta!r}")
     return beta * (mean_work - delta_f)
+
+
+@dataclass(frozen=True)
+class Estimates:
+    """What one run's TPM inputs give: work atoms, dF and both sides of the work equality."""
+
+    beta: float
+    atoms: WorkDistribution
+    delta_f: float
+    lhs: float
+    rhs: float
+
+    @property
+    def mean_work(self) -> float:
+        return self.atoms.mean()
+
+    @property
+    def entropy_production(self) -> float:
+        return entropy_production(self.mean_work, self.delta_f, self.beta)
+
+
+def estimate(
+    spec0: Spectrum,
+    beta: float,
+    final_energies: np.ndarray,
+    transitions=None,
+    correction: float = 0.0,
+) -> Estimates:
+    """The estimator tail every pipeline shares.
+
+    From the initial spectrum (with Gibbs weights at ``beta``), the final
+    measured energies and the transition matrix it builds the work atoms, dF
+    from the two energy lists, the exponential work average and the rhs with
+    the non-unital ``correction``. An overflow of either side gives inf, not
+    a warning. ``transitions=None`` stands for the identity matrix: every
+    trajectory keeps its level index, so there are d atoms
+    E_final[m] - E_initial[m] instead of d^2 mostly empty ones.
+    """
+    probs = thermal_state(spec0, beta).probs
+    if transitions is None:
+        values = final_energies - spec0.eigenvalues
+        atoms = WorkDistribution(values, probs, default_merge_tol(values))
+    else:
+        atoms = tpm_distribution(spec0.eigenvalues, probs, final_energies, transitions)
+    delta_f = free_energy_difference_from_values(final_energies, spec0.eigenvalues, beta)
+    with np.errstate(over="ignore"):
+        lhs = jarzynski_lhs(atoms, beta)
+        rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
+    return Estimates(beta, atoms, delta_f, lhs, rhs)
 
 
 def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:
@@ -306,9 +312,6 @@ class ProtocolReport:
 
     def to_csv_row(self) -> str:
         return ",".join(_csv_cell(getattr(self, name)) for name in CSV_COLUMNS)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     @staticmethod
     def csv_header() -> str:
@@ -394,14 +397,15 @@ def run_protocol(run) -> ProtocolReport:
     """Reduce a prepared run to its TPM inputs and assemble the report.
 
     Every pipeline reduces to the initial spectrum (with Gibbs weights), the
-    final measured energies and a transition matrix; one shared tail turns
-    those into the work atoms, dF, both sides of the work equality and the
-    report row. Only a Hamiltonian that arrives undecomposed is decomposed.
+    final measured energies and a transition matrix; ``estimate`` turns
+    those into the estimators of the report row. Only a Hamiltonian that
+    arrives undecomposed is decomposed.
     """
     correction = 0.0
     if isinstance(run, FlatRun):
-        spec0, spec_f, trans = _flat_inputs(run.h0, run.h_final, run.channel)
+        spec0, spec_f = _as_spectrum(run.h0), _as_spectrum(run.h_final)
         e_final = spec_f.eigenvalues
+        trans = conditional_probabilities(spec0, spec_f, run.channel)
         correction = _nonunital_correction(spec_f, run.channel, run.beta)
         pipeline, alpha, tau_total, final_basis, steps = "flat", 1.0, 0.0, "instantaneous", 0
     elif isinstance(run, DilatedRun):
@@ -416,12 +420,8 @@ def run_protocol(run) -> ProtocolReport:
         final_basis, steps = run.final_basis, run.schedule.steps
     else:
         raise TypeError(f"unsupported run type: {type(run).__name__}")
-    wd = _work_atoms(spec0, run.beta, e_final, trans)
-    delta_f = free_energy_difference_from_values(e_final, spec0.eigenvalues, run.beta)
-    # an overflow here is reported by ``build`` as a non-finite column
-    with np.errstate(over="ignore"):
-        lhs = jarzynski_lhs(wd, run.beta)
-        rhs = np.exp(-run.beta * delta_f) * (1.0 + correction)
+    est = estimate(spec0, run.beta, e_final, trans, correction)
+    # an overflow is reported by ``build`` as a non-finite column
     return ProtocolReport.build(
         scenario_id=run.scenario_id,
         pipeline=pipeline,
@@ -429,10 +429,10 @@ def run_protocol(run) -> ProtocolReport:
         beta=run.beta,
         alpha_final=alpha,
         tau_total=tau_total,
-        mean_work=wd.mean(),
-        delta_F=delta_f,
-        lhs=lhs,
-        rhs=rhs,
+        mean_work=est.mean_work,
+        delta_F=est.delta_f,
+        lhs=est.lhs,
+        rhs=est.rhs,
         final_basis=final_basis,
         steps=steps,
     )

@@ -11,21 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DensityOperator, HermitianOperator, Spectrum, _as_spectrum
+from .operators import HermitianOperator, Spectrum, _as_spectrum
 
 
 def log_sum_exp(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     m = float(x.max())
     return m + float(np.log(np.exp(x - m).sum()))
-
-
-def log_partition_function(spec: Spectrum | np.ndarray, beta: float) -> float:
-    """ln Tr e^(-beta H) from the eigenvalues."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
-    evals = spec.eigenvalues if isinstance(spec, Spectrum) else np.asarray(spec, float)
-    return log_sum_exp(-beta * evals)
 
 
 @dataclass(frozen=True)
@@ -35,7 +27,6 @@ class ThermalEnsemble:
     beta: float
     spectrum: Spectrum
     probs: np.ndarray
-    log_z: float
 
     def __init__(self, beta: float, spectrum: Spectrum):
         if beta <= 0:
@@ -47,15 +38,9 @@ class ThermalEnsemble:
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "log_z", log_partition_function(spectrum, beta))
 
     def mean_energy(self) -> float:
         return float(self.probs @ self.spectrum.eigenvalues)
-
-    def density_operator(self) -> DensityOperator:
-        """e^(-beta H)/Z as a validated state."""
-        v = self.spectrum.eigenvectors
-        return DensityOperator((v * self.probs) @ v.conj().T)
 
 
 def thermal_state(h: HermitianOperator | Spectrum, beta: float) -> ThermalEnsemble:

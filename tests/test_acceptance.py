@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from tauwork import acceptance, spacetime
+from tauwork import acceptance, protocol, spacetime
+from tauwork.acceptance import Check
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +45,38 @@ def test_injected_fault_is_caught(monkeypatch):
     monkeypatch.setattr(spacetime, "dilation_factor", broken)
     result = acceptance.criterion_potential_difference()
     assert not result.passed
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    [
+        acceptance.criterion_dilated_identity,
+        acceptance.criterion_nonunital_correction,
+        acceptance.criterion_second_law,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_gate_checks_the_production_tail(criterion, monkeypatch):
+    # a dF off by 1e-6 inside the estimator tail that run_protocol uses must
+    # fail the criteria built on lhs - rhs and on the entropy production
+    original = protocol.free_energy_difference_from_values
+
+    def shifted(final_evals, initial_evals, beta):
+        return original(final_evals, initial_evals, beta) + 1e-6
+
+    monkeypatch.setattr(protocol, "free_energy_difference_from_values", shifted)
+    assert not criterion().passed
+
+
+def test_one_failing_check_fails_its_criterion():
+    checks = [
+        Check("max |lhs - rhs|", 1e-14, 1e-12),
+        Check("min <Sigma>", -1e-9, -1e-12, lower=True),
+        Check("reproducible", True),
+    ]
+    result = acceptance._criterion("demo")(lambda: checks)()
+    assert result.name == "demo" and not result.passed
+    assert "min <Sigma> = -1.000e-09 (>= -1e-12) FAILED" in result.detail
+    assert result.detail.count("FAILED") == 1
+    assert acceptance._criterion("demo")(lambda: checks[::2])().passed
+    assert not acceptance._criterion("demo")(lambda: [Check("monotone", False)])().passed

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,6 @@ from tauwork.channels import (
     unitary_channel,
 )
 from tauwork.operators import (
-    DensityOperator,
     HermitianOperator,
     random_hermitian,
     random_unitary,
@@ -21,6 +22,7 @@ from tauwork.operators import (
 )
 from tauwork.spacetime import (
     comoving_worldline,
+    cruise_worldline,
     dilation_profile,
     uniform_gravity_worldline,
 )
@@ -51,6 +53,25 @@ def stepwise_propagator(schedule):
         idx = int(np.searchsorted(schedule.tau_bounds, tau_mid, side="right"))
         spec = spectra[min(idx, len(schedule.segments) - 1)]
         u = spectrum_expm(spec, -1j * d_tau) @ u
+    return u
+
+
+def array_grouped_propagator(schedule):
+    """Reference: the grouped product with all steps + 1 slice edges held in
+    arrays; ``time_ordered_propagator`` must match it bit for bit."""
+    prof = schedule.dilation
+    steps = schedule.steps
+    edges = np.linspace(prof.t[0], prof.t[-1], steps + 1)
+    tau_edges = np.interp(edges, prof.t, prof.tau)
+    interior = schedule.tau_bounds[:-1]
+    k = np.clip(np.searchsorted(tau_edges, interior) - 1, 0, steps - 1)
+    tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
+    starts = np.concatenate(([0], k + (tau_mid < interior), [steps]))
+    u = np.eye(schedule.dim, dtype=complex)
+    for h, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
+        if end > start:
+            d_tau = tau_edges[end] - tau_edges[start]
+            u = spectrum_expm(spectral_decompose(h), -1j * d_tau) @ u
     return u
 
 
@@ -90,9 +111,9 @@ class TestChannelConstruction:
 
 class TestApply:
     def test_identity_channel_fixes_states(self):
-        rho = DensityOperator(np.eye(3) / 3)
-        out = identity_channel(3).apply_matrix(rho.matrix)
-        assert np.max(np.abs(out - rho.matrix)) < 1e-15
+        rho = np.eye(3) / 3
+        out = identity_channel(3).apply_matrix(rho)
+        assert np.max(np.abs(out - rho)) < 1e-15
 
     def test_amplitude_damping_on_maximally_mixed(self):
         out = amplitude_damping_channel(0.5).apply_matrix(np.eye(2) / 2)
@@ -109,8 +130,7 @@ class TestApply:
         for _ in range(10):
             a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             m = a @ a.conj().T
-            rho = DensityOperator(m / np.trace(m).real)
-            out = ch.apply_matrix(rho.matrix)
+            out = ch.apply_matrix(m / np.trace(m).real)
             assert abs(np.trace(out).real - 1.0) < 1e-10
             assert np.linalg.eigvalsh(out)[0] > -1e-10
 
@@ -294,3 +314,38 @@ class TestTimeOrderedPropagator:
         assert errors[0] > errors[1] > errors[2]
         # straddling-step bound: ||H2 - H1|| * dtau_step ~ 5.4e-3 at 1024 steps
         assert errors[2] < 6e-3
+
+    def test_matches_the_array_grouped_product_exactly(self):
+        rng = np.random.default_rng(276)
+        profiles = [ramp_profile(), dilation_profile(cruise_worldline(0.4, 7.0, 301))]
+        for case in range(40):
+            prof = profiles[case % 2]
+            total = prof.tau_total
+            dim = int(rng.integers(2, 6))
+            n_seg = 1 + case % 5
+            bounds = list(np.sort(rng.uniform(0.0, total, n_seg - 1))) + [total]
+            if case % 4 == 3 and n_seg >= 2:
+                # interior bounds past tau_total leave segments empty
+                bounds[-2:] = [1.1 * total, 1.2 * total]
+            hams = [random_hermitian(dim, int(rng.integers(1 << 30))) for _ in bounds]
+            for steps in (1, 2, 7, 1000, int(rng.integers(1, 320_001))):
+                sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps)
+                assert np.array_equal(
+                    time_ordered_propagator(sched), array_grouped_propagator(sched)
+                ), (case, steps)
+
+    def test_peak_allocation_does_not_grow_with_steps(self):
+        # the slice edges are evaluated one at a time: an array of 320,001
+        # edges alone would take 2.56 MB
+        prof = ramp_profile()
+        total = prof.tau_total
+        hams = [random_hermitian(3, seed) for seed in (1, 2, 3)]
+        bounds = [0.3 * total, 0.7 * total, total]
+        sched = PropagatorSchedule(list(zip(bounds, hams)), prof, 320_000)
+        tracemalloc.start()
+        try:
+            time_ordered_propagator(sched)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000

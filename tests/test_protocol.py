@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -30,22 +29,33 @@ from tauwork.protocol import (
     WorkDistribution,
     conditional_probabilities,
     entropy_production,
-    generalized_jarzynski_rhs,
+    estimate,
     jarzynski_lhs,
     run_protocol,
     sample_outcomes,
     work_distribution_dilated,
-    work_distribution_flat,
 )
 from tauwork.scenarios import harmonic_hamiltonian
 from tauwork.spacetime import comoving_worldline, dilation_profile, uniform_gravity_worldline
-from tauwork.thermo import free_energy_difference, thermal_state
+from tauwork.thermo import thermal_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def two_level(eps=1.0):
     return HermitianOperator.diagonal([0.0, eps])
+
+
+def flat_atoms(h0, h_final, channel, beta):
+    """The work atoms of the flat reduction that ``run_protocol`` makes."""
+    spec0, spec_f = spectral_decompose(h0), spectral_decompose(h_final)
+    trans = conditional_probabilities(spec0, spec_f, channel)
+    return estimate(spec0, beta, spec_f.eigenvalues, trans).atoms
+
+
+def dilated(spec, alpha, beta):
+    """The dilated pipeline's estimators: every eigenvalue rescaled by ``alpha``."""
+    return estimate(spec, beta, alpha * spec.eigenvalues)
 
 
 class TestConditionalProbabilities:
@@ -117,7 +127,7 @@ class TestWorkDistribution:
 
     def test_identity_protocol_single_atom(self):
         h = two_level()
-        wd = work_distribution_flat(h, h, identity_channel(2), beta=1.0)
+        wd = flat_atoms(h, h, identity_channel(2), beta=1.0)
         assert wd.size == 1
         assert wd.values[0] == 0.0
         assert wd.probs[0] == pytest.approx(1.0)
@@ -127,9 +137,7 @@ class TestWorkDistribution:
         # (1->0) carry weight; the zero-work outcomes have probability 0 and
         # leave no atom behind
         eps, beta = 1.0, math.log(2.0)
-        wd = work_distribution_flat(
-            two_level(eps), two_level(eps), unitary_channel(SIGMA_X), beta=beta
-        )
+        wd = flat_atoms(two_level(eps), two_level(eps), unitary_channel(SIGMA_X), beta=beta)
         p0, p1 = 2.0 / 3.0, 1.0 / 3.0
         np.testing.assert_allclose(wd.values, [-eps, eps], atol=1e-12)
         np.testing.assert_allclose(wd.probs, [p1, p0], atol=1e-12)
@@ -140,7 +148,7 @@ class TestWorkDistribution:
             h0 = random_hermitian(4, rng)
             h1 = random_hermitian(4, rng)
             ch = unitary_channel(random_unitary(4, rng))
-            wd = work_distribution_flat(h0, h1, ch, beta=1.3)
+            wd = flat_atoms(h0, h1, ch, beta=1.3)
             assert abs(wd.probs.sum() - 1.0) < 1e-10
 
 
@@ -221,9 +229,8 @@ class TestDilatedIdentityProperty:
             spec = spectral_decompose(random_hermitian(dim, rng))
             for alpha in (0.5, 0.8, 1.0, 1.2, 1.5):
                 for beta in (0.5, 1.0, 2.0):
-                    wd = work_distribution_dilated(spec, alpha, beta)
-                    lhs = jarzynski_lhs(wd, beta)
-                    rhs = float(np.exp(-beta * free_energy_difference(spec, alpha, beta)))
+                    est = dilated(spec, alpha, beta)
+                    lhs, rhs = est.lhs, est.rhs
                     # both sides can reach ~e^(b|a-1| |E_min|); scale the
                     # rounding budget with the magnitude
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
@@ -236,10 +243,8 @@ class TestDilatedIdentityProperty:
             spec = spec.shifted(-spec.eigenvalues[0])
             for alpha in (0.5, 1.5):
                 for beta in (0.5, 2.0):
-                    wd = work_distribution_dilated(spec, alpha, beta)
-                    lhs = jarzynski_lhs(wd, beta)
-                    rhs = float(np.exp(-beta * free_energy_difference(spec, alpha, beta)))
-                    assert abs(lhs - rhs) < 1e-12
+                    est = dilated(spec, alpha, beta)
+                    assert abs(est.lhs - est.rhs) < 1e-12
 
 
 class TestJarzynskiSides:
@@ -250,40 +255,40 @@ class TestJarzynskiSides:
     def test_dilated_lhs_is_partition_ratio(self):
         spec = spectral_decompose(random_hermitian(5, 2))
         beta, alpha = 1.0, 1.3
-        wd = work_distribution_dilated(spec, alpha, beta)
-        lhs = jarzynski_lhs(wd, beta)
+        lhs = dilated(spec, alpha, beta).lhs
         z0 = np.sum(np.exp(-beta * spec.eigenvalues))
         zt = np.sum(np.exp(-beta * alpha * spec.eigenvalues))
         assert lhs == pytest.approx(zt / z0, rel=1e-13)
 
     def test_spin_flip_brute_force(self):
         eps, beta = 1.0, 0.7
-        wd = work_distribution_flat(
-            two_level(eps), two_level(eps), unitary_channel(SIGMA_X), beta=beta
+        report = run_protocol(
+            FlatRun("flip", beta, two_level(eps), two_level(eps), unitary_channel(SIGMA_X))
         )
         z0 = 1 + math.exp(-beta * eps)
         brute = (1 / z0) * math.exp(-beta * eps) + (math.exp(-beta * eps) / z0) * math.exp(
             beta * eps
         )
-        assert jarzynski_lhs(wd, beta) == pytest.approx(brute, rel=1e-14)
+        assert report.lhs == pytest.approx(brute, rel=1e-14)
 
     def test_unital_rhs_reduces_to_free_energy_factor(self):
-        h = two_level(0.8)
-        assert generalized_jarzynski_rhs(h, identity_channel(2), 2.0, 0.3) == pytest.approx(
-            math.exp(-0.6), rel=1e-14
+        ch = unitary_channel(random_unitary(2, 5))
+        report = run_protocol(FlatRun("unital", 2.0, two_level(0.8), two_level(1.3), ch))
+        assert report.rhs == np.exp(-2.0 * report.delta_F)
+        assert 2.0 * report.delta_F == pytest.approx(
+            math.log((1 + math.exp(-1.6)) / (1 + math.exp(-2.6))), rel=1e-14
         )
 
     def test_identity_protocol_rhs_is_one(self):
         h = two_level()
-        assert generalized_jarzynski_rhs(h, identity_channel(2), 1.5, 0.0) == 1.0
+        assert run_protocol(FlatRun("id", 1.5, h, h, identity_channel(2))).rhs == 1.0
 
     def test_amplitude_damping_correction_hand_trace(self):
         # deviation diag(g/2, -g/2) against the final Gibbs state, scaled by
         # the dimension: correction = g (1 - e^(-beta eps)) / (1 + e^(-beta eps))
         eps, beta, gamma = 1.0, 1.0, 0.5
-        rhs = generalized_jarzynski_rhs(
-            two_level(eps), amplitude_damping_channel(gamma), beta, 0.0
-        )
+        damp = amplitude_damping_channel(gamma)
+        rhs = run_protocol(FlatRun("damp", beta, two_level(eps), two_level(eps), damp)).rhs
         x = math.exp(-beta * eps)
         assert rhs == pytest.approx(1.0 + gamma * (1 - x) / (1 + x), rel=1e-13)
 
@@ -293,15 +298,8 @@ class TestJarzynskiSides:
             h0 = random_hermitian(2, rng)
             h1 = random_hermitian(2, rng)
             ch = amplitude_damping_channel(gamma)
-            beta = 1.1
-            wd = work_distribution_flat(h0, h1, ch, beta)
-            s0 = spectral_decompose(h0)
-            s1 = spectral_decompose(h1)
-            from tauwork.thermo import free_energy_difference_from_values
-
-            df = free_energy_difference_from_values(s1.eigenvalues, s0.eigenvalues, beta)
-            rhs = generalized_jarzynski_rhs(h1, ch, beta, df)
-            assert jarzynski_lhs(wd, beta) == pytest.approx(rhs, abs=1e-11)
+            report = run_protocol(FlatRun("damp", 1.1, h0, h1, ch))
+            assert report.lhs == pytest.approx(report.rhs, abs=1e-11)
 
 
 class TestEntropyProduction:
@@ -314,10 +312,11 @@ class TestEntropyProduction:
         # = 0.2503135073, so <Sigma> = 0.0122935498
         beta = 2.0
         spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
-        wd = work_distribution_dilated(spec, 1.2, beta)
-        df = free_energy_difference(spec, 1.2, beta)
-        sigma = entropy_production(wd.mean(), df, beta)
-        assert beta * wd.mean() == pytest.approx(0.2626070570998662, abs=1e-7)
+        est = dilated(spec, 1.2, beta)
+        sigma = est.entropy_production
+        assert sigma == entropy_production(est.mean_work, est.delta_f, beta)
+        df = est.delta_f
+        assert beta * est.mean_work == pytest.approx(0.2626070570998662, abs=1e-7)
         assert beta * df == pytest.approx(0.2503135073464562, abs=1e-7)
         assert sigma == pytest.approx(0.0122935497534100, abs=1e-7)
         assert sigma > 0
@@ -325,10 +324,9 @@ class TestEntropyProduction:
     def test_redshift_still_produces_entropy(self):
         beta = 2.0
         spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
-        wd = work_distribution_dilated(spec, 0.9, beta)
-        df = free_energy_difference(spec, 0.9, beta)
-        assert wd.mean() < 0 and df < 0
-        assert entropy_production(wd.mean(), df, beta) >= 0
+        est = dilated(spec, 0.9, beta)
+        assert est.mean_work < 0 and est.delta_f < 0
+        assert est.entropy_production >= 0
 
 
 class TestSampling:
@@ -576,8 +574,7 @@ class TestProtocolReport:
             final_basis="instantaneous",
             steps=0,
         )
-        payload = json.loads(rep.to_json())
-        assert list(payload) == list(CSV_COLUMNS)
+        assert list(rep.to_dict()) == list(CSV_COLUMNS)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from tauwork.protocol import (
     AppendixRun,
     DilatedRun,
     FlatRun,
-    work_distribution_dilated,
+    estimate,
 )
 from tauwork.scenarios import (
     CHANNELS,
@@ -30,7 +30,7 @@ from tauwork.scenarios import (
     truncation_tail_weight,
     two_level_hamiltonian,
 )
-from tauwork.thermo import free_energy_difference, thermal_state
+from tauwork.thermo import thermal_state
 
 
 def dilated_config(**overrides):
@@ -81,12 +81,11 @@ class TestAnalyticOracles:
     def test_truncated_ladder_agrees_with_closed_forms(self, beta_omega, alpha):
         levels = levels_for_tail(beta_omega, alpha_min=alpha)
         spec = spectral_decompose(harmonic_hamiltonian(1.0, levels))
-        beta_df = beta_omega * free_energy_difference(spec, alpha, beta_omega)
-        assert beta_df == pytest.approx(
+        est = estimate(spec, beta_omega, alpha * spec.eigenvalues)
+        assert beta_omega * est.delta_f == pytest.approx(
             oscillator_delta_F_analytic(beta_omega, alpha), abs=1e-7
         )
-        wd = work_distribution_dilated(spec, alpha, beta_omega)
-        assert beta_omega * wd.mean() == pytest.approx(
+        assert beta_omega * est.mean_work == pytest.approx(
             oscillator_mean_work_analytic(beta_omega, alpha), abs=1e-7
         )
 

@@ -9,7 +9,7 @@ from tauwork.thermo import (
     ThermalEnsemble,
     free_energy_difference,
     free_energy_difference_from_values,
-    log_partition_function,
+    log_sum_exp,
     thermal_state,
 )
 
@@ -19,7 +19,7 @@ def spectrum_of(values):
 
 
 def partition_function(spec, beta):
-    return math.exp(log_partition_function(spec, beta))
+    return math.exp(log_sum_exp(-beta * spec.eigenvalues))
 
 
 class TestPartitionFunction:
@@ -49,13 +49,15 @@ class TestPartitionFunction:
     def test_shift_protects_large_energies(self):
         # naive sum would overflow: all Boltzmann factors huge but finite ratio
         spec = spectrum_of([-800.0, -799.0])
-        lz = log_partition_function(spec, beta=1.0)
+        lz = log_sum_exp(-1.0 * spec.eigenvalues)
         assert np.isfinite(lz)
         assert lz == pytest.approx(800.0 + math.log(1 + math.exp(-1.0)), abs=1e-10)
 
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError, match="beta"):
-            log_partition_function(spectrum_of([0.0, 1.0]), beta=0.0)
+            thermal_state(spectrum_of([0.0, 1.0]), beta=0.0)
+        with pytest.raises(ValueError, match="beta"):
+            free_energy_difference_from_values([0.0, 1.0], [0.0, 1.0], beta=0.0)
 
 
 class TestThermalState:
@@ -79,24 +81,19 @@ class TestThermalState:
             assert abs(ens.probs.sum() - 1.0) < 1e-12
             assert np.all(np.diff(ens.probs) <= 1e-15)
 
-    def test_density_operator_trace_one(self):
-        rho = thermal_state(harmonic_hamiltonian(1.0, 12), beta=1.5).density_operator()
-        assert abs(np.trace(rho.matrix).real - 1.0) < 1e-12
 
+class TestFreeEnergyDifference:
     def test_free_energy_identity(self):
-        # F = -ln(Z)/beta with Z the plain Boltzmann sum
-        ens = thermal_state(spectrum_of([0.0, 0.4, 1.1]), beta=2.0)
+        # F = -ln(Z)/beta with Z the plain Boltzmann sum; a single level at 0
+        # has F = 0, so the difference from it is F itself
         z = math.exp(0.0) + math.exp(-0.8) + math.exp(-2.2)
-        assert -ens.log_z / ens.beta == pytest.approx(-math.log(z) / 2.0, abs=1e-14)
+        f = free_energy_difference_from_values([0.0, 0.4, 1.1], [0.0], beta=2.0)
+        assert f == pytest.approx(-math.log(z) / 2.0, abs=1e-14)
 
     def test_free_energy_monotone_in_partition(self):
         # ln Z grows as the gap closes at fixed beta, so F = -ln(Z)/beta falls
-        z_small = thermal_state(spectrum_of([0.0, 2.0]), beta=1.0)
-        z_large = thermal_state(spectrum_of([0.0, 0.1]), beta=1.0)
-        assert z_large.log_z > z_small.log_z
+        assert free_energy_difference_from_values([0.0, 0.1], [0.0, 2.0], beta=1.0) < 0
 
-
-class TestFreeEnergyDifference:
     def test_unit_rate_is_exactly_zero(self):
         spec = spectrum_of([0.0, 0.3, 0.9])
         assert free_energy_difference(spec, 1.0, beta=2.0) == 0.0
