@@ -33,7 +33,8 @@ from .channels import time_ordered_propagator, unitality_deviation
 from .operators import HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
 from .operators import spectral_decompose
 from .spacetime import DilationProfile
-from .thermo import free_energy_difference_from_values, log_sum_exp, thermal_state
+from .thermo import _check_beta, free_energy_difference_from_values, log_sum_exp
+from .thermo import thermal_state
 
 PROB_SUM_ATOL = 1e-10
 PROB_NEGATIVE_ATOL = 1e-12
@@ -56,20 +57,27 @@ class WorkDistribution:
     merge_tol: float
 
     def __init__(self, values, probs, merge_tol: float):
-        values = np.array(values, dtype=float)
-        probs = np.array(probs, dtype=float)
+        values = np.asarray(values, dtype=float)
+        probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be equal-length 1-D arrays")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(probs))):
+        if not (np.isfinite(values).all() and np.isfinite(probs).all()):
             raise ValueError("work atoms must be finite")
-        if np.any(probs < -PROB_NEGATIVE_ATOL):
-            raise ValueError(f"negative atom probability: {probs.min():.3e}")
+        low = probs.min()
+        if low < -PROB_NEGATIVE_ATOL:
+            raise ValueError(f"negative atom probability: {low:.3e}")
         total = probs.sum()
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
-        values, probs = _merge_atoms(values, np.clip(probs, 0.0, None), merge_tol)
-        keep = probs > 0.0
-        values, probs = values[keep], probs[keep]
+        # with every weight > 0 the clamp is the identity and no merged atom
+        # is empty, so both steps run only when some weight is <= 0
+        empty = low <= 0.0
+        if empty:
+            probs = np.clip(probs, 0.0, None)
+        values, probs = _merge_atoms(values, probs, merge_tol)
+        if empty:
+            keep = probs > 0.0
+            values, probs = values[keep], probs[keep]
         values.flags.writeable = False
         probs.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -91,11 +99,16 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray, tol: float):
     values is >= ``tol``. Each run of atoms becomes one atom carrying the
     run's total weight, at the run's probability-weighted mean value (the
     plain mean if the weight is 0), clipped into the run's value range so
-    that rounding cannot close a gap.
+    that rounding cannot close a gap. The sorted atoms come back as they
+    are when no gap is below ``tol``: a one-atom run keeps its weight, and
+    its mean clipped into ``[v, v]`` is ``v``. Returns new arrays.
     """
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) >= tol)))
+    split = values[1:] - values[:-1] >= tol
+    if split.all():
+        return values, probs
+    starts = np.flatnonzero(np.concatenate(([True], split)))
     ends = np.append(starts[1:], values.size)
     weight = np.add.reduceat(probs, starts)
     plain = np.add.reduceat(values, starts) / (ends - starts)
@@ -168,8 +181,7 @@ def work_distribution_dilated(
 
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
     """The exponential work average sum_i p_i e^(-beta w_i), summed in log space."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    _check_beta(beta)
     return float(np.exp(log_sum_exp(np.log(wd.probs) - beta * wd.values)))
 
 
@@ -197,8 +209,7 @@ def generalized_jarzynski_rhs(delta_f: float, beta: float, correction: float) ->
 def entropy_production(mean_work: float, delta_f: float, beta: float) -> float:
     """Mean irreversible entropy: beta * (<W> - delta F), nonnegative for
     unital processes by Jensen's inequality."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    _check_beta(beta)
     return beta * (mean_work - delta_f)
 
 

@@ -7,11 +7,18 @@ space throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import HermitianOperator, Spectrum, _as_spectrum
+
+
+def _check_beta(beta: float) -> None:
+    """Reject an inverse temperature outside (0, inf), nan included."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"beta must be finite and positive, got {beta!r}")
 
 
 def log_sum_exp(x: np.ndarray) -> float:
@@ -29,8 +36,7 @@ class ThermalEnsemble:
     probs: np.ndarray
 
     def __init__(self, beta: float, spectrum: Spectrum):
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta!r}")
+        _check_beta(beta)
         x = -beta * (spectrum.eigenvalues - spectrum.eigenvalues[0])
         w = np.exp(x)
         probs = w / w.sum()
@@ -52,8 +58,7 @@ def free_energy_difference_from_values(
     final_evals: np.ndarray, initial_evals: np.ndarray, beta: float
 ) -> float:
     """-(1/beta) ln(Z_final / Z_initial) for two explicit energy lists."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta!r}")
+    _check_beta(beta)
     lz_f = log_sum_exp(-beta * np.asarray(final_evals, float))
     lz_i = log_sum_exp(-beta * np.asarray(initial_evals, float))
     return (lz_i - lz_f) / beta

@@ -106,6 +106,41 @@ class TestWorkDistribution:
         with pytest.raises(ValueError, match="sum"):
             WorkDistribution([0.0, 1.0], [0.5, 0.4], merge_tol=1e-9)
 
+    @pytest.mark.parametrize(
+        "values,probs",
+        [
+            ([0.0, math.nan], [0.5, 0.5]),
+            ([-math.inf, 1.0], [0.5, 0.5]),
+            ([0.0, 1.0], [math.nan, 0.5]),
+            ([0.0, 1.0], [0.5, math.inf]),
+        ],
+    )
+    def test_rejects_non_finite_atoms(self, values, probs):
+        with pytest.raises(ValueError, match="work atoms must be finite"):
+            WorkDistribution(values, probs, merge_tol=1e-9)
+
+    def test_rejects_negative_probability(self):
+        with pytest.raises(ValueError, match=r"negative atom probability: -1\.000e-11"):
+            WorkDistribution([0.0, 1.0, 2.0], [-1e-11, 0.5, 0.5 + 1e-11], merge_tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "values,probs",
+        [
+            ([0.0, 1.0], [1.0]),
+            ([], []),
+            ([[0.0, 1.0]], [[0.5, 0.5]]),
+        ],
+        ids=["mismatched", "empty", "2-D"],
+    )
+    def test_rejects_malformed_arrays(self, values, probs):
+        with pytest.raises(ValueError, match="equal-length 1-D arrays"):
+            WorkDistribution(values, probs, merge_tol=1e-9)
+
+    def test_rounding_level_negative_probability_is_clamped_and_dropped(self):
+        wd = WorkDistribution([0.0, 1.0, 2.0], [-1e-13, 0.5, 0.5 + 1e-13], merge_tol=1e-9)
+        assert np.array_equal(wd.values, [1.0, 2.0])
+        assert np.array_equal(wd.probs, [0.5, 0.5 + 1e-13])
+
     def test_merging_combines_close_atoms(self):
         wd = WorkDistribution([0.0, 1e-12, 1.0], [0.25, 0.25, 0.5], merge_tol=1e-9)
         assert wd.size == 2
@@ -170,7 +205,44 @@ def _atoms(raw):
     return values, weights / weights.sum()
 
 
+def reference_atoms(values, probs, tol):
+    """The atoms ``WorkDistribution`` keeps, computed the long way: clamp every
+    weight, run every atom through the ``reduceat`` chain, drop empty atoms."""
+    values = np.array(values, dtype=float)
+    probs = np.clip(np.array(probs, dtype=float), 0.0, None)
+    order = np.argsort(values, kind="stable")
+    values, probs = values[order], probs[order]
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(values) >= tol)))
+    ends = np.append(starts[1:], values.size)
+    weight = np.add.reduceat(probs, starts)
+    plain = np.add.reduceat(values, starts) / (ends - starts)
+    weighted = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
+    merged = np.where(weight > 0.0, weighted, plain)
+    merged = np.clip(merged, values[starts], values[ends - 1])
+    keep = weight > 0.0
+    return merged[keep], weight[keep]
+
+
 class TestMergeRule:
+    @settings(max_examples=300, deadline=None)
+    @given(ATOMS, MERGE_TOLS)
+    @example([(0, 0.0, 0.5), (1, 0.0, 0.0), (2, 0.0, 0.5)], 1e-9)  # zero weight alone
+    @example([(0, 0.0, 0.5), (0, 0.01, 0.0), (3, 0.0, 0.5)], 0.1)  # zero weight in a run
+    @example([(0, 0.0, 0.5), (1, 0.0, -1e-13), (2, 0.0, 0.5)], 1e-9)
+    @example([(0, 0.0, 0.5), (0, 0.01, -1e-13), (2, 0.0, 0.5)], 0.1)
+    @example([(0, 0.0, 0.5), (1, 0.0, -0.0), (2, 0.0, 0.5)], 1e-9)
+    @example([(-1, 0.0, 0.5), (0, 0.0, -0.0), (1, 0.0, 0.5)], 0.5)
+    @example([(3, 0.0, 0.2)] * 5, 1e-9)  # all values equal: one run
+    @example([(3, 0.0, 0.0), (3, 0.0, 1.0)], 1e-9)
+    def test_matches_reference(self, raw, tol):
+        values, probs = _atoms(raw)
+        wd = WorkDistribution(values, probs, merge_tol=tol)
+        ref_values, ref_probs = reference_atoms(values, probs, tol)
+        # equal down to the sign of a zero
+        for got, ref in ((wd.values, ref_values), (wd.probs, ref_probs)):
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+
     @settings(max_examples=300, deadline=None)
     @given(ATOMS, MERGE_TOLS)
     def test_merge_properties(self, raw, tol):
@@ -327,6 +399,19 @@ class TestEntropyProduction:
         est = dilated(spec, 0.9, beta)
         assert est.mean_work < 0 and est.delta_f < 0
         assert est.entropy_production >= 0
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_rejects_non_finite_beta(beta):
+    spec = spectral_decompose(two_level())
+    wd = WorkDistribution([0.0, 1.0], [0.5, 0.5], merge_tol=1e-9)
+    message = "beta must be finite and positive"
+    with pytest.raises(ValueError, match=message):
+        jarzynski_lhs(wd, beta)
+    with pytest.raises(ValueError, match=message):
+        entropy_production(0.1, 0.05, beta)
+    with pytest.raises(ValueError, match=message):
+        estimate(spec, beta, 1.2 * spec.eigenvalues)
 
 
 class TestSampling:

@@ -59,6 +59,14 @@ class TestPartitionFunction:
         with pytest.raises(ValueError, match="beta"):
             free_energy_difference_from_values([0.0, 1.0], [0.0, 1.0], beta=0.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_rejects_non_finite_beta(self, beta):
+        message = "beta must be finite and positive"
+        with pytest.raises(ValueError, match=message):
+            thermal_state(spectrum_of([0.0, 1.0, 2.0]), beta=beta)
+        with pytest.raises(ValueError, match=message):
+            free_energy_difference_from_values([0.0, 1.0], [0.0, 1.0], beta=beta)
+
 
 class TestThermalState:
     def test_two_level_gibbs_weights(self):
