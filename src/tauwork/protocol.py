@@ -33,7 +33,7 @@ from .channels import time_ordered_propagator, unitality_deviation
 from .operators import HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
 from .operators import spectral_decompose
 from .spacetime import DilationProfile
-from .thermo import _check_beta, free_energy_difference_from_values, log_sum_exp
+from .thermo import _check_beta, free_energy_difference_from_log_z, log_sum_exp
 from .thermo import thermal_state
 
 PROB_SUM_ATOL = 1e-10
@@ -243,19 +243,20 @@ def estimate(
 
     From the initial spectrum (with Gibbs weights at ``beta``), the final
     measured energies and the transition matrix it builds the work atoms, dF
-    from the two energy lists, the exponential work average and the rhs with
+    from the final energies and the partition sum that gave the Gibbs
+    weights, the exponential work average and the rhs with
     the non-unital ``correction``. An overflow of either side gives inf, not
     a warning. ``transitions=None`` stands for the identity matrix: every
     trajectory keeps its level index, so there are d atoms
     E_final[m] - E_initial[m] instead of d^2 mostly empty ones.
     """
-    probs = thermal_state(spec0, beta).probs
+    gibbs = thermal_state(spec0, beta)
     if transitions is None:
         values = final_energies - spec0.eigenvalues
-        atoms = WorkDistribution(values, probs, default_merge_tol(values))
+        atoms = WorkDistribution(values, gibbs.probs, default_merge_tol(values))
     else:
-        atoms = tpm_distribution(spec0.eigenvalues, probs, final_energies, transitions)
-    delta_f = free_energy_difference_from_values(final_energies, spec0.eigenvalues, beta)
+        atoms = tpm_distribution(spec0.eigenvalues, gibbs.probs, final_energies, transitions)
+    delta_f = free_energy_difference_from_log_z(final_energies, gibbs.log_z, beta)
     with np.errstate(over="ignore"):
         lhs = jarzynski_lhs(atoms, beta)
         rhs = generalized_jarzynski_rhs(delta_f, beta, correction)

@@ -40,6 +40,7 @@ from .operators import spectral_decompose
 from .protocol import FINAL_BASES, AppendixRun, DilatedRun, FlatRun, ProtocolReport
 from .protocol import run_protocol
 from .spacetime import (
+    DilationProfile,
     StaticSpacetime,
     Worldline,
     comoving_worldline,
@@ -64,9 +65,9 @@ class ScenarioValidationError(ValueError):
 
 def oscillator_delta_F_analytic(beta_omega: float, alpha: float) -> float:
     """Closed-form beta * dF for the oscillator ladder under clock rate alpha."""
-    if beta_omega <= 0:
+    if not 0.0 < beta_omega < math.inf:
         raise ValueError(f"beta_omega must be positive, got {beta_omega!r}")
-    if alpha <= 0:
+    if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if alpha == 1.0:
         return 0.0
@@ -75,9 +76,9 @@ def oscillator_delta_F_analytic(beta_omega: float, alpha: float) -> float:
 
 def oscillator_mean_work_analytic(beta_omega: float, alpha: float) -> float:
     """Closed-form beta * <W> for the oscillator ladder under clock rate alpha."""
-    if beta_omega <= 0:
+    if not 0.0 < beta_omega < math.inf:
         raise ValueError(f"beta_omega must be positive, got {beta_omega!r}")
-    if alpha <= 0:
+    if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if alpha == 1.0:
         return 0.0
@@ -387,31 +388,39 @@ def build_system(system: dict) -> HermitianOperator:
     return SYSTEMS[system["kind"]].build(system)
 
 
-def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
-    """The decomposed system, taken from ``memo`` when it holds the same section.
+def _stage(memo: dict | None, stage: str, compute: Callable, **inputs):
+    """``compute(**inputs)``, taken from ``memo`` when ``stage`` holds the same inputs.
 
-    ``memo`` maps one section's canonical JSON to its spectrum. It keeps at
-    most one entry and drops the old one before a new system is decomposed,
-    so a sweep holds one spectrum at a time. A system linear in its
-    ``scale`` field is stored at scale 1 and rescaled on the way out, so
-    sections that differ only in that field share one decomposition.
+    ``memo`` maps each stage to the canonical JSON of its inputs and the value
+    computed from them. A stage keeps one entry and drops it before computing
+    a new one, so a sweep holds one value per stage at a time.
     """
     if memo is None:
-        return spectral_decompose(build_system(system))
+        return compute(**inputs)
+    key = json.dumps(inputs, sort_keys=True)
+    if memo.get(stage, (None,))[0] != key:
+        memo.pop(stage, None)
+        memo[stage] = (key, compute(**inputs))
+    return memo[stage][1]
+
+
+def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
+    """The decomposed system from ``memo``'s spectrum stage. A system linear in
+    its ``scale`` field is held at scale 1 and rescaled on the way out."""
     scale = SYSTEMS[system["kind"]].scale
     unit = dict(system, **{scale: 1.0}) if scale else system
-    key = json.dumps(unit, sort_keys=True)
-    if key not in memo:
-        memo.clear()
-        memo[key] = spectral_decompose(build_system(unit))
-    return memo[key].scaled(system[scale]) if scale else memo[key]
+    spec = _stage(
+        memo, "spectrum", lambda system: spectral_decompose(build_system(system)), system=unit
+    )
+    return spec.scaled(system[scale]) if scale else spec
 
 
-def build_worldline(worldline: dict, mass: float) -> tuple[Worldline, bool]:
-    """Build the sampled trajectory; returns it with the heavy-particle flag."""
+def build_profile(worldline: dict, mass: float, c: float) -> DilationProfile:
+    """Build the sampled trajectory and its clock-rate profile at speed of light ``c``."""
     entry = WORLDLINES[worldline.get("preset", "csv")]
-    samples = worldline.get("samples", DEFAULT_SAMPLES)
-    return entry.build(worldline, samples, mass), worldline.get("gravitational_only", False)
+    trajectory = entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
+    grav_only = worldline.get("gravitational_only", False)
+    return dilation_profile(trajectory, StaticSpacetime(c=c), gravitational_only=grav_only)
 
 
 def build_channel(channel: dict, dim: int) -> QuantumChannel:
@@ -421,11 +430,12 @@ def build_channel(channel: dict, dim: int) -> QuantumChannel:
 def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     """Turn a validated config into a prepared run for :func:`run_protocol`.
 
-    The ``system`` section arrives decomposed. Callers that build several
-    scenarios pass one ``memo`` (an empty dict to start) so that scenarios
-    sharing that section share one decomposition; time dilation only rescales
-    the spectrum, and so does the oscillator's ``omega``, so sweeps over
-    ``alpha``, ``beta``, ``c`` and ``omega`` decompose once.
+    Callers that build several scenarios pass one ``memo`` (an empty dict to
+    start), which holds one value per build stage, keyed on the fields that
+    stage reads: the decomposed ``system`` section (an oscillator's ``omega``
+    only rescales it) and the dilation profile of ``worldline``, ``mass`` and
+    ``c``. So a sweep over ``beta`` or ``omega`` reuses both, one over
+    ``alpha`` or ``c`` recomputes the profile, and all of them decompose once.
     """
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)
@@ -442,9 +452,8 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
             channel=channel,
         )
 
-    worldline, grav_only = build_worldline(config.worldline, config.mass)
-    profile = dilation_profile(
-        worldline, StaticSpacetime(c=config.c), gravitational_only=grav_only
+    profile = _stage(
+        memo, "profile", build_profile, worldline=config.worldline, mass=config.mass, c=config.c
     )
     if config.pipeline == "dilated":
         return DilatedRun(

@@ -59,9 +59,9 @@ def dilation_factor(phi, p, mass: float, c: float = 1.0):
     first sample whose rate is not positive, which signals inputs outside the
     regime where the expansion makes sense.
     """
-    if mass <= 0:
+    if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be positive, got {mass!r}")
-    if c <= 0:
+    if not 0.0 < c < np.inf:
         raise ValueError(f"speed of light must be positive, got {c!r}")
     phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
     alpha = 1.0 + phi / c**2 - p * p / (2.0 * mass * mass * c * c)

@@ -29,21 +29,28 @@ def log_sum_exp(x: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Gibbs weights over an eigenspectrum at inverse temperature beta."""
+    """Gibbs weights over an eigenspectrum at inverse temperature beta.
+
+    ``log_z`` is ln Z from the sum that normalizes the weights, with the bits
+    of ``log_sum_exp(-beta * E)``, so dF between equal spectra is exactly 0.
+    """
 
     beta: float
     spectrum: Spectrum
     probs: np.ndarray
+    log_z: float
 
     def __init__(self, beta: float, spectrum: Spectrum):
         _check_beta(beta)
-        x = -beta * (spectrum.eigenvalues - spectrum.eigenvalues[0])
-        w = np.exp(x)
-        probs = w / w.sum()
+        x = -beta * spectrum.eigenvalues
+        w = np.exp(x - x[0])
+        total = w.sum()
+        probs = w / total
         probs.flags.writeable = False
         object.__setattr__(self, "beta", float(beta))
         object.__setattr__(self, "spectrum", spectrum)
         object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "log_z", float(x[0]) + float(np.log(total)))
 
     def mean_energy(self) -> float:
         return float(self.probs @ self.spectrum.eigenvalues)
@@ -59,9 +66,15 @@ def free_energy_difference_from_values(
 ) -> float:
     """-(1/beta) ln(Z_final / Z_initial) for two explicit energy lists."""
     _check_beta(beta)
-    lz_f = log_sum_exp(-beta * np.asarray(final_evals, float))
     lz_i = log_sum_exp(-beta * np.asarray(initial_evals, float))
-    return (lz_i - lz_f) / beta
+    return free_energy_difference_from_log_z(final_evals, lz_i, beta)
+
+
+def free_energy_difference_from_log_z(
+    final_evals: np.ndarray, log_z: float, beta: float
+) -> float:
+    """-(1/beta) ln(Z_final / Z_initial) given ``log_z = ln Z_initial``."""
+    return (log_z - log_sum_exp(-beta * np.asarray(final_evals, float))) / beta
 
 
 def free_energy_difference(spec0: Spectrum, alpha_final: float, beta: float) -> float:
@@ -70,7 +83,7 @@ def free_energy_difference(spec0: Spectrum, alpha_final: float, beta: float) -> 
     This is the equilibrium reference for a clock rate ``alpha_final`` at the
     end point of the worldline. Returns exactly +0.0 for ``alpha_final == 1``.
     """
-    if alpha_final <= 0:
+    if not 0.0 < alpha_final < math.inf:
         raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
     return free_energy_difference_from_values(
         alpha_final * spec0.eigenvalues, spec0.eigenvalues, beta

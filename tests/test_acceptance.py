@@ -59,12 +59,12 @@ def test_injected_fault_is_caught(monkeypatch):
 def test_gate_checks_the_production_tail(criterion, monkeypatch):
     # a dF off by 1e-6 inside the estimator tail that run_protocol uses must
     # fail the criteria built on lhs - rhs and on the entropy production
-    original = protocol.free_energy_difference_from_values
+    original = protocol.free_energy_difference_from_log_z
 
-    def shifted(final_evals, initial_evals, beta):
-        return original(final_evals, initial_evals, beta) + 1e-6
+    def shifted(final_evals, log_z, beta):
+        return original(final_evals, log_z, beta) + 1e-6
 
-    monkeypatch.setattr(protocol, "free_energy_difference_from_values", shifted)
+    monkeypatch.setattr(protocol, "free_energy_difference_from_log_z", shifted)
     assert not criterion().passed
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tauwork import scenarios
 from tauwork.cli import _sweep_point, main
 from tauwork.protocol import CSV_COLUMNS, ProtocolReport
 from tauwork.scenarios import ScenarioConfig, run_scenario
@@ -397,22 +398,28 @@ class TestDecompositionReuse:
         assert len(decompositions) == 1
 
     @pytest.mark.parametrize(
-        "demo, spec",
+        "demo, spec, system",
         [
-            ("oscillator_blueshift", "alpha=0.7:1.3:7"),
-            ("oscillator_blueshift", "beta=0.5:4:6"),
-            ("oscillator_blueshift", "omega=0.5:2:5"),
-            ("cruise_redshift", "c=1:1000000:6"),
-            ("flat_damping", "gamma=0:0.9:4"),
+            ("oscillator_blueshift", "alpha=0.7:1.3:7", None),
+            ("oscillator_blueshift", "beta=0.5:4:6", None),
+            ("oscillator_blueshift", "omega=0.5:2:5", None),
+            ("cruise_redshift", "c=1:1000000:6", None),
+            ("cruise_redshift", "beta=0.5:4:6", None),
+            # the demo's two-level system has no omega: swap in a ladder
+            ("cruise_redshift", "omega=0.5:2:5", {"kind": "harmonic", "omega": 1.0, "levels": 40}),
+            ("flat_damping", "gamma=0:0.9:4", None),
         ],
     )
-    def test_sweep_table_equals_points_run_alone(self, demo, spec, tmp_path):
-        path = DEMO_SCENARIOS / f"{demo}.json"
+    def test_sweep_table_equals_points_run_alone(self, demo, spec, system, tmp_path):
+        document = json.loads((DEMO_SCENARIOS / f"{demo}.json").read_text())
+        if system is not None:
+            document["system"] = system
+        path = tmp_path / f"{demo}.json"
+        path.write_text(json.dumps(document))
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
         assert main([*argv, "--quiet"]) == 0
         param, grid = spec.split("=")
         start, stop, count = (float(x) for x in grid.split(":"))
-        document = json.loads(path.read_text())
         base = ScenarioConfig.from_dict(document)
         lines = [ProtocolReport.csv_header()]
         for k in range(int(count)):
@@ -420,6 +427,34 @@ class TestDecompositionReuse:
             lines.append(run_scenario(_sweep_point(document, base, param, value)).to_csv_row())
         expected = "\n".join(lines) + "\n"
         assert (tmp_path / f"sweep_{param}.csv").read_text() == expected
+
+
+class TestProfileReuse:
+    """One dilation profile per distinct (worldline, mass, c) in each invocation."""
+
+    @pytest.mark.parametrize(
+        "spec, calls",
+        [
+            ("beta=0.5:4:50", 1),
+            ("omega=0.5:2:50", 1),
+            ("c=1:100:50", 50),
+            # each alpha point realizes its clock rate with its own worldline
+            ("alpha=0.8:1.2:50", 50),
+        ],
+    )
+    def test_dilated_sweep(self, spec, calls, tmp_path, monkeypatch):
+        profiled = []
+        original = scenarios.dilation_profile
+
+        def counting(*args, **kwargs):
+            profiled.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "dilation_profile", counting)
+        path = write_scenario(tmp_path)
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path / "o")]
+        assert main([*argv, "--quiet"]) == 0
+        assert len(profiled) == calls
 
 
 def test_verify_command_passes(capsys):

@@ -97,6 +97,17 @@ class TestAnalyticOracles:
                 ) - oscillator_delta_F_analytic(beta_omega, alpha)
                 assert sigma >= -1e-12
 
+    @pytest.mark.parametrize(
+        "oracle, beta_omega, alpha, message",
+        [
+            (oscillator_delta_F_analytic, math.nan, 1.2, "beta_omega"),
+            (oscillator_mean_work_analytic, 1.0, math.inf, "alpha"),
+        ],
+    )
+    def test_oracles_reject_non_finite_arguments(self, oracle, beta_omega, alpha, message):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            oracle(beta_omega, alpha)
+
     def test_levels_for_tail_bounds(self):
         for bo, alpha in ((0.5, 0.5), (2.0, 1.0), (5.0, 1.5)):
             n = levels_for_tail(bo, alpha_min=alpha)
@@ -226,26 +237,70 @@ class TestBuildScenario:
         assert run.schedule.steps == 64
         assert run.final_basis == "instantaneous"
 
-    def test_memo_holds_one_spectrum_and_frees_it_before_decomposing(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "stage, computes, section, other, field, untouched",
+        [
+            (
+                "spectrum",
+                "spectral_decompose",
+                "system",
+                {"kind": "two_level", "gap": 1.0},
+                "h0",
+                "profile",
+            ),
+            (
+                "profile",
+                "dilation_profile",
+                "worldline",
+                {"preset": "cruise", "p": 0.3, "t_end": 5.0, "samples": 11},
+                "profile",
+                "h0",
+            ),
+        ],
+    )
+    def test_memo_holds_one_entry_per_stage_and_frees_it_before_computing(
+        self, stage, computes, section, other, field, untouched, monkeypatch
+    ):
         memo, held = {}, []
-        decompose = scenarios.spectral_decompose
+        compute = getattr(scenarios, computes)
 
-        def spy(h):
-            held.append(len(memo))
-            return decompose(h)
+        def spy(*args, **kwargs):
+            held.append(stage in memo)
+            return compute(*args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "spectral_decompose", spy)
+        monkeypatch.setattr(scenarios, computes, spy)
         a = ScenarioConfig.from_dict(dilated_config())
         # the same section with its keys in another order
-        a2 = ScenarioConfig.from_dict(
-            dilated_config(system={"levels": 40, "omega": 1.0, "kind": "harmonic"})
-        )
-        b = ScenarioConfig.from_dict(dilated_config(system={"kind": "two_level", "gap": 1.0}))
+        reordered = dict(reversed(dilated_config()[section].items()))
+        a2 = ScenarioConfig.from_dict(dilated_config(**{section: reordered}))
+        b = ScenarioConfig.from_dict(dilated_config(**{section: other}))
         runs = [build_scenario(config, memo) for config in (a, a2, b, b, a)]
-        assert held == [0, 0, 0]
-        assert len(memo) == 1
-        assert runs[0].h0 is runs[1].h0 and runs[2].h0 is runs[3].h0
-        assert runs[4].h0 is not runs[0].h0
+        assert held == [False, False, False]
+        assert sorted(memo) == ["profile", "spectrum"]
+        values = [getattr(run, field) for run in runs]
+        assert values[0] is values[1] and values[2] is values[3]
+        assert values[4] is not values[0]
+        # the other stage reads none of the changed fields, so it is computed once
+        assert all(getattr(run, untouched) is getattr(runs[0], untouched) for run in runs)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"mass": 2.0},
+            {"c": 3.0},
+            {"worldline": {"preset": "cruise", "p": 0.3, "t_end": 5.0, "gravitational_only": True}},
+        ],
+        ids=["mass", "c", "gravitational_only"],
+    )
+    def test_profile_key_holds_every_field_the_profile_reads(self, change):
+        # a moving particle (p != 0), so the kinetic term reads mass and c
+        first = dilated_config(worldline={"preset": "cruise", "p": 0.3, "t_end": 5.0})
+        configs = [ScenarioConfig.from_dict(d) for d in (first, dict(first, **change))]
+        memo = {}
+        shared = [run_scenario(config, memo) for config in configs]
+        alone = [run_scenario(config) for config in configs]
+        assert shared[0].alpha_final != shared[1].alpha_final
+        assert [r.to_csv_row() for r in shared] == [r.to_csv_row() for r in alone]
 
     def test_channel_dimension_mismatch_reported(self):
         raw = {

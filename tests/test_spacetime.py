@@ -50,6 +50,19 @@ class TestDilationFactor:
         with pytest.raises(ValueError, match="speed of light"):
             dilation_factor(0.0, 0.0, 1.0, c=0.0)
 
+    @pytest.mark.parametrize(
+        "mass, c, message",
+        [
+            (float("nan"), 1.0, "mass"),
+            (1.0, float("nan"), "speed of light"),
+            # StaticSpacetime rejects this c too
+            (1.0, float("inf"), "speed of light"),
+        ],
+    )
+    def test_rejects_non_finite_mass_and_c(self, mass, c, message):
+        with pytest.raises(ValueError, match=f"{message} must be positive"):
+            dilation_factor(0.1, 0.0, mass, c)
+
 
 class TestWorldline:
     def test_requires_two_samples(self):

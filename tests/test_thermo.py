@@ -8,6 +8,7 @@ from tauwork.scenarios import harmonic_hamiltonian
 from tauwork.thermo import (
     ThermalEnsemble,
     free_energy_difference,
+    free_energy_difference_from_log_z,
     free_energy_difference_from_values,
     log_sum_exp,
     thermal_state,
@@ -67,8 +68,23 @@ class TestPartitionFunction:
         with pytest.raises(ValueError, match=message):
             free_energy_difference_from_values([0.0, 1.0], [0.0, 1.0], beta=beta)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_rejects_non_finite_clock_rate(self, alpha):
+        with pytest.raises(ValueError, match="alpha_final must be positive"):
+            free_energy_difference(spectrum_of([0.0, 1.0]), alpha, beta=1.0)
+
 
 class TestThermalState:
+    @pytest.mark.parametrize("values", [[0.0, 1.0, 2.5], [-800.0, -799.0], [3.0, 3.0, 40.0]])
+    def test_log_z_is_the_log_partition_sum(self, values):
+        spec, beta = spectrum_of(values), 1.3
+        log_z = thermal_state(spec, beta).log_z
+        assert log_z == log_sum_exp(-beta * spec.eigenvalues)
+        assert free_energy_difference_from_log_z(spec.eigenvalues, log_z, beta) == 0.0
+        assert free_energy_difference_from_log_z(
+            2.0 * spec.eigenvalues, log_z, beta
+        ) == free_energy_difference(spec, 2.0, beta)
+
     def test_two_level_gibbs_weights(self):
         ens = thermal_state(HermitianOperator.diagonal([0.0, 1.0]), beta=math.log(2.0))
         np.testing.assert_allclose(ens.probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
