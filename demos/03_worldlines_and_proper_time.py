@@ -11,7 +11,6 @@ light grows.
 import numpy as np
 
 from tauwork import (
-    StaticSpacetime,
     comoving_worldline,
     cruise_worldline,
     dilation_factor,
@@ -30,7 +29,7 @@ presets = {
     "cruise |p|=0.3": cruise_worldline(0.3, 10.0, samples=101),
 }
 for name, w in presets.items():
-    prof = dilation_profile(w, StaticSpacetime())
+    prof = dilation_profile(w, c=1.0)
     print(f"  {name:28s} alpha_final = {prof.alpha_final:+.6f}  tau_total = {prof.tau_total:.6f}")
 print()
 

@@ -54,7 +54,6 @@ from .scenarios import (
 )
 from .spacetime import (
     DilationProfile,
-    StaticSpacetime,
     WeakFieldViolationError,
     Worldline,
     comoving_worldline,

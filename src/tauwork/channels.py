@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, _as_spectrum, as_complex_matrix, spectrum_expm
+from .operators import HermitianOperator, Spectrum, _as_spectrum, as_complex_matrix, spectrum_expm
 from .spacetime import DilationProfile
 
 TRACE_PRESERVATION_ATOL = 1e-10
@@ -121,7 +121,9 @@ def unitality_deviation(channel: QuantumChannel) -> np.ndarray:
 class PropagatorSchedule:
     """A piecewise-constant internal Hamiltonian over proper time, plus the clock.
 
-    ``segments`` maps proper time to generators: segment k applies on
+    ``segments`` holds one generator per segment as a ``Spectrum``: each is
+    decomposed once, when the schedule is built, from a ``HermitianOperator``
+    or a raw matrix (a ``Spectrum`` is kept as it is). Segment k applies on
     ``[tau_bounds[k-1], tau_bounds[k])`` with ``tau_bounds[-1]`` covering the
     profile's total proper time. ``steps`` cuts the laboratory time span into
     equal slices and only decides which segment the slice that straddles each
@@ -138,7 +140,7 @@ class PropagatorSchedule:
         segs = []
         bounds = []
         for tau_end, h in segments:
-            if not isinstance(h, HermitianOperator):
+            if not isinstance(h, (HermitianOperator, Spectrum)):
                 h = HermitianOperator(h)
             segs.append(h)
             bounds.append(float(tau_end))
@@ -164,14 +166,15 @@ class PropagatorSchedule:
         ):
             raise ValueError(f"steps must be a positive integer, got {steps!r}")
         bounds_arr.flags.writeable = False
-        object.__setattr__(self, "segments", tuple(segs))
+        # decomposed only once the schedule is known to be valid
+        object.__setattr__(self, "segments", tuple(_as_spectrum(h) for h in segs))
         object.__setattr__(self, "tau_bounds", bounds_arr)
         object.__setattr__(self, "dilation", dilation)
         object.__setattr__(self, "steps", int(steps))
 
     @classmethod
     def constant(
-        cls, h: HermitianOperator, dilation: DilationProfile, steps: int = 1
+        cls, h: HermitianOperator | Spectrum, dilation: DilationProfile, steps: int = 1
     ) -> "PropagatorSchedule":
         return cls([(dilation.tau_total, h)], dilation, steps)
 
@@ -180,9 +183,7 @@ class PropagatorSchedule:
         return self.segments[0].dim
 
 
-def time_ordered_propagator(
-    schedule: PropagatorSchedule, generators: tuple | None = None
-) -> np.ndarray:
+def time_ordered_propagator(schedule: PropagatorSchedule) -> np.ndarray:
     """T exp(-i integral H dtau) as one exponential per schedule segment.
 
     The laboratory time span is cut into ``steps`` equal slices whose proper
@@ -195,11 +196,6 @@ def time_ordered_propagator(
     on the left. ``steps`` only decides where the slice that straddles each
     bound lands, which is the first-order error across bounds; within a
     segment the product is exact.
-
-    ``generators``, one per segment, stand in for ``schedule.segments``; each
-    is a ``HermitianOperator`` or its ``Spectrum``, so a caller that already
-    decomposed a segment passes the spectrum. Only segments that own a slice
-    are decomposed.
     """
     prof = schedule.dilation
     steps = schedule.steps
@@ -219,14 +215,8 @@ def time_ordered_propagator(
         starts.append(k + (0.5 * (tau_edge(k) + tau_edge(k + 1)) < bound))
     starts.append(steps)
     u = np.eye(schedule.dim, dtype=complex)
-    if generators is None:
-        generators = schedule.segments
-    if len(generators) != len(schedule.segments):
-        raise ValueError(
-            f"{len(generators)} generators for {len(schedule.segments)} schedule segments"
-        )
-    for h, start, end in zip(generators, starts[:-1], starts[1:]):
+    for spec, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
         if end > start:
             d_tau = tau_edge(end) - tau_edge(start)
-            u = spectrum_expm(_as_spectrum(h), -1j * d_tau) @ u
+            u = spectrum_expm(spec, -1j * d_tau) @ u
     return u

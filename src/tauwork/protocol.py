@@ -31,7 +31,8 @@ import numpy as np
 from .channels import PropagatorSchedule, QuantumChannel
 from .channels import time_ordered_propagator, unitality_deviation
 from .operators import HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
-from .operators import spectral_decompose
+# unused here; bench/test_bench.py reads protocol.spectral_decompose
+from .operators import spectral_decompose  # noqa: F401
 from .spacetime import DilationProfile
 from .thermo import _check_beta, free_energy_difference_from_log_z, log_sum_exp
 from .thermo import thermal_state
@@ -47,7 +48,8 @@ FINAL_BASES = ("evolved", "instantaneous")
 class WorkDistribution:
     """Discrete work atoms (value, probability), sorted and deduplicated.
 
-    Atoms closer than ``merge_tol`` are combined into one at their
+    Atoms closer than ``merge_tol``, ``MERGE_REL_TOL`` times the larger of 1
+    and the spread of the input values, are combined into one at their
     probability-weighted mean value; forbidden transitions (zero weight)
     are dropped, so the remaining atoms are exactly the support.
     """
@@ -56,7 +58,7 @@ class WorkDistribution:
     probs: np.ndarray
     merge_tol: float
 
-    def __init__(self, values, probs, merge_tol: float):
+    def __init__(self, values, probs):
         values = np.asarray(values, dtype=float)
         probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
@@ -74,6 +76,7 @@ class WorkDistribution:
         empty = low <= 0.0
         if empty:
             probs = np.clip(probs, 0.0, None)
+        merge_tol = MERGE_REL_TOL * max(1.0, float(values.max() - values.min()))
         values, probs = _merge_atoms(values, probs, merge_tol)
         if empty:
             keep = probs > 0.0
@@ -82,7 +85,7 @@ class WorkDistribution:
         probs.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "merge_tol", float(merge_tol))
+        object.__setattr__(self, "merge_tol", merge_tol)
 
     @property
     def size(self) -> int:
@@ -115,11 +118,6 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray, tol: float):
     weighted = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
     merged = np.where(weight > 0.0, weighted, plain)
     return np.clip(merged, values[starts], values[ends - 1]), weight
-
-
-def default_merge_tol(values: np.ndarray) -> float:
-    spread = float(values.max() - values.min()) if values.size else 0.0
-    return MERGE_REL_TOL * max(1.0, spread)
 
 
 def conditional_probabilities(
@@ -162,8 +160,7 @@ def tpm_distribution(
     """Assemble work atoms W[n, m] = E_final[n] - E_initial[m] with joint weights."""
     w = final_energies[:, None] - initial_energies[None, :]
     joint = transitions * initial_probs[None, :]
-    flat_w = w.ravel()
-    return WorkDistribution(flat_w, joint.ravel(), default_merge_tol(flat_w))
+    return WorkDistribution(w.ravel(), joint.ravel())
 
 
 def work_distribution_dilated(
@@ -252,8 +249,7 @@ def estimate(
     """
     gibbs = thermal_state(spec0, beta)
     if transitions is None:
-        values = final_energies - spec0.eigenvalues
-        atoms = WorkDistribution(values, gibbs.probs, default_merge_tol(values))
+        atoms = WorkDistribution(final_energies - spec0.eigenvalues, gibbs.probs)
     else:
         atoms = tpm_distribution(spec0.eigenvalues, gibbs.probs, final_energies, transitions)
     delta_f = free_energy_difference_from_log_z(final_energies, gibbs.log_z, beta)
@@ -381,15 +377,10 @@ class AppendixRun:
 def _appendix_inputs(run: AppendixRun):
     """The driven reduction: initial spectrum, final energies, transitions."""
     sched = run.schedule
-    segments = sched.segments
-    # the first and last segments are decomposed once each; the final
-    # laboratory Hamiltonian alpha_final * H_last shares the last eigenbasis
-    generators = [spectral_decompose(segments[0]), *segments[1:]]
-    if len(segments) > 1:
-        generators[-1] = spectral_decompose(segments[-1])
-    spec0 = generators[0]
-    spec_f = generators[-1].scaled(sched.dilation.alpha_final)
-    channel = QuantumChannel([time_ordered_propagator(sched, tuple(generators))])
+    # the final laboratory Hamiltonian alpha_final * H_last shares the last eigenbasis
+    spec0 = sched.segments[0]
+    spec_f = sched.segments[-1].scaled(sched.dilation.alpha_final)
+    channel = QuantumChannel([time_ordered_propagator(sched)])
     trans = conditional_probabilities(spec0, spec_f, channel)
     if run.final_basis == "evolved":
         # the transported eigenstate U|m> is found with certainty; its energy

@@ -41,7 +41,6 @@ from .protocol import FINAL_BASES, AppendixRun, DilatedRun, FlatRun, ProtocolRep
 from .protocol import run_protocol
 from .spacetime import (
     DilationProfile,
-    StaticSpacetime,
     Worldline,
     comoving_worldline,
     cruise_worldline,
@@ -63,12 +62,16 @@ class ScenarioValidationError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
+def _check_positive(**values) -> None:
+    """Raise ``ValueError`` naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive, got {value!r}")
+
+
 def oscillator_delta_F_analytic(beta_omega: float, alpha: float) -> float:
     """Closed-form beta * dF for the oscillator ladder under clock rate alpha."""
-    if not 0.0 < beta_omega < math.inf:
-        raise ValueError(f"beta_omega must be positive, got {beta_omega!r}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    _check_positive(beta_omega=beta_omega, alpha=alpha)
     if alpha == 1.0:
         return 0.0
     return float(np.log(np.sinh(alpha * beta_omega / 2.0) / np.sinh(beta_omega / 2.0)))
@@ -76,10 +79,7 @@ def oscillator_delta_F_analytic(beta_omega: float, alpha: float) -> float:
 
 def oscillator_mean_work_analytic(beta_omega: float, alpha: float) -> float:
     """Closed-form beta * <W> for the oscillator ladder under clock rate alpha."""
-    if not 0.0 < beta_omega < math.inf:
-        raise ValueError(f"beta_omega must be positive, got {beta_omega!r}")
-    if not 0.0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    _check_positive(beta_omega=beta_omega, alpha=alpha)
     if alpha == 1.0:
         return 0.0
     return float((alpha - 1.0) * (beta_omega / 2.0) / np.tanh(beta_omega / 2.0))
@@ -92,14 +92,16 @@ def levels_for_tail(beta_omega: float, alpha_min: float = 1.0) -> int:
     ``alpha_min * beta_omega``; the tail bound must hold there too when
     alpha_min < 1.
     """
+    _check_positive(beta_omega=beta_omega, alpha_min=alpha_min)
     eff = beta_omega * min(1.0, alpha_min)
-    if eff <= 0:
-        raise ValueError("effective beta*omega must be positive")
     return max(2, math.ceil(-math.log(TAIL_WEIGHT) / eff) + 1)
 
 
 def truncation_tail_weight(beta_omega: float, levels: int, alpha: float = 1.0) -> float:
     """Boltzmann weight of the first discarded level, relative to the ground level."""
+    _check_positive(beta_omega=beta_omega, alpha=alpha)
+    if not levels >= 1:
+        raise ValueError(f"levels must be >= 1, got {levels!r}")
     return float(np.exp(-min(1.0, alpha) * beta_omega * levels))
 
 
@@ -362,15 +364,6 @@ class ScenarioConfig:
             values[name] = float(value) if f.type == "float" else value
         return cls(**values)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        return cls.from_dict(parse_document(text))
-
-    @classmethod
-    def from_file(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 _ALWAYS_REQUIRED = tuple(name for name, f in _FIELDS.items() if f.default is MISSING)
@@ -420,7 +413,7 @@ def build_profile(worldline: dict, mass: float, c: float) -> DilationProfile:
     entry = WORLDLINES[worldline.get("preset", "csv")]
     trajectory = entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
     grav_only = worldline.get("gravitational_only", False)
-    return dilation_profile(trajectory, StaticSpacetime(c=c), gravitational_only=grav_only)
+    return dilation_profile(trajectory, c, gravitational_only=grav_only)
 
 
 def build_channel(channel: dict, dim: int) -> QuantumChannel:
@@ -475,11 +468,9 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     )
 
 
-def run_scenario(config: ScenarioConfig | dict | str, memo: dict | None = None) -> ProtocolReport:
-    """Validate (if needed), build and execute one scenario; ``memo`` as in
+def run_scenario(config: ScenarioConfig | dict, memo: dict | None = None) -> ProtocolReport:
+    """Validate (if a dict), build and execute one scenario; ``memo`` as in
     :func:`build_scenario`."""
-    if isinstance(config, str):
-        config = ScenarioConfig.from_file(config)
-    elif isinstance(config, dict):
+    if isinstance(config, dict):
         config = ScenarioConfig.from_dict(config)
     return run_protocol(build_scenario(config, memo))

@@ -2,11 +2,11 @@
 
 A worldline is a sampled table ``(t, phi, p)``: laboratory coordinate time,
 Newtonian potential at the position of the particle, and the magnitude of
-its center-of-mass momentum. From this and a static metric in the weak-field
-limit we compute the clock-rate factor ``dtau/dt`` per sample and accumulate
-proper time by trapezoidal quadrature. Tables keep the thermodynamic
-protocol decoupled from any trajectory integrator and make runs exactly
-reproducible.
+its center-of-mass momentum. From this and a static metric in the Newtonian
+limit, g_tt = -(1 + 2 phi) with a flat space part, we compute the clock-rate
+factor ``dtau/dt`` per sample and accumulate proper time by trapezoidal
+quadrature. Tables keep the thermodynamic protocol decoupled from any
+trajectory integrator and make runs exactly reproducible.
 
 Units: c enters explicitly (default 1) so the non-relativistic limit
 ``c -> infinity`` is directly testable; ``phi`` and ``p`` are given in the
@@ -25,28 +25,6 @@ WEAK_FIELD_MAX_PHI = 0.5  # |phi|/c^2 beyond this is outside the expansion
 
 class WeakFieldViolationError(ValueError):
     """The requested point is outside the weak-field regime of validity."""
-
-
-@dataclass(frozen=True)
-class StaticSpacetime:
-    """A static metric in the Newtonian limit: g_tt = -(1 + 2 phi), flat space part.
-
-    Only the speed of light is stored; the potential itself is sampled along
-    each worldline.
-    """
-
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError(f"speed of light must be positive, got {self.c!r}")
-
-    def check_weak_field(self, phi: float) -> None:
-        if abs(phi) / self.c**2 >= WEAK_FIELD_MAX_PHI:
-            raise WeakFieldViolationError(
-                f"|phi|/c^2 = {abs(phi) / self.c**2:.3g} exceeds the weak-field bound "
-                f"{WEAK_FIELD_MAX_PHI}"
-            )
 
 
 def dilation_factor(phi, p, mass: float, c: float = 1.0):
@@ -207,20 +185,25 @@ class DilationProfile:
 
 
 def dilation_profile(
-    worldline: Worldline,
-    spacetime: StaticSpacetime | None = None,
-    gravitational_only: bool = False,
+    worldline: Worldline, c: float = 1.0, gravitational_only: bool = False
 ) -> DilationProfile:
-    """Evaluate dtau/dt per sample and integrate proper time.
+    """Evaluate dtau/dt per sample at speed of light ``c`` and integrate proper time.
 
+    Raises :class:`WeakFieldViolationError` when the largest ``|phi|/c^2``
+    reaches ``WEAK_FIELD_MAX_PHI``, before any rate is computed.
     ``gravitational_only`` drops the kinetic term (the heavy-particle limit),
     leaving ``alpha = 1 + phi/c^2`` exactly; useful to isolate the
     equivalence-principle effect.
     """
-    st = spacetime if spacetime is not None else StaticSpacetime()
-    st.check_weak_field(np.max(np.abs(worldline.phi)))
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"speed of light must be positive, got {c!r}")
+    ratio = np.max(np.abs(worldline.phi)) / c**2
+    if ratio >= WEAK_FIELD_MAX_PHI:
+        raise WeakFieldViolationError(
+            f"|phi|/c^2 = {ratio:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
+        )
     p = 0.0 if gravitational_only else worldline.p
-    alpha = dilation_factor(worldline.phi, p, worldline.mass, st.c)
+    alpha = dilation_factor(worldline.phi, p, worldline.mass, c)
     dt = np.diff(worldline.t)
     tau = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * dt)))
     return DilationProfile(worldline.t, alpha, tau)

@@ -45,7 +45,7 @@ def stepwise_propagator(schedule):
     prof = schedule.dilation
     edges = np.linspace(prof.t[0], prof.t[-1], schedule.steps + 1)
     tau_edges = np.interp(edges, prof.t, prof.tau)
-    spectra = [spectral_decompose(h) for h in schedule.segments]
+    spectra = schedule.segments
     u = np.eye(schedule.dim, dtype=complex)
     for k in range(schedule.steps):
         d_tau = tau_edges[k + 1] - tau_edges[k]
@@ -68,10 +68,10 @@ def array_grouped_propagator(schedule):
     tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
     starts = np.concatenate(([0], k + (tau_mid < interior), [steps]))
     u = np.eye(schedule.dim, dtype=complex)
-    for h, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
+    for spec, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
         if end > start:
             d_tau = tau_edges[end] - tau_edges[start]
-            u = spectrum_expm(spectral_decompose(h), -1j * d_tau) @ u
+            u = spectrum_expm(spec, -1j * d_tau) @ u
     return u
 
 
@@ -229,22 +229,6 @@ class TestTimeOrderedPropagator:
                 diff = time_ordered_propagator(sched) - stepwise_propagator(sched)
                 worst = max(worst, np.max(np.abs(diff)))
         assert worst < 1e-11
-
-    def test_generators_stand_in_for_segments(self, decompositions):
-        prof = ramp_profile()
-        total = prof.tau_total
-        hams = [random_hermitian(3, seed) for seed in (1, 2, 3)]
-        # the third segment starts past tau_total and owns no slice
-        bounds = [0.5 * total, 1.1 * total, 1.2 * total]
-        sched = PropagatorSchedule(list(zip(bounds, hams)), prof, 64)
-        expected = time_ordered_propagator(sched)
-        spec0 = spectral_decompose(hams[0])
-        decompositions.clear()
-        u = time_ordered_propagator(sched, (spec0, *hams[1:]))
-        assert np.array_equal(u, expected)
-        assert len(decompositions) == 1 and decompositions[0] is hams[1]
-        with pytest.raises(ValueError, match="2 generators for 3 schedule segments"):
-            time_ordered_propagator(sched, hams[:2])
 
     @pytest.mark.parametrize("steps", [1, 2])
     def test_midpoint_on_bound_goes_to_later_segment(self, steps):

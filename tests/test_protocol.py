@@ -27,6 +27,7 @@ from tauwork.protocol import (
     FlatRun,
     ProtocolReport,
     WorkDistribution,
+    _merge_atoms,
     conditional_probabilities,
     entropy_production,
     estimate,
@@ -104,7 +105,7 @@ class TestConditionalProbabilities:
 class TestWorkDistribution:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
-            WorkDistribution([0.0, 1.0], [0.5, 0.4], merge_tol=1e-9)
+            WorkDistribution([0.0, 1.0], [0.5, 0.4])
 
     @pytest.mark.parametrize(
         "values,probs",
@@ -117,11 +118,11 @@ class TestWorkDistribution:
     )
     def test_rejects_non_finite_atoms(self, values, probs):
         with pytest.raises(ValueError, match="work atoms must be finite"):
-            WorkDistribution(values, probs, merge_tol=1e-9)
+            WorkDistribution(values, probs)
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError, match=r"negative atom probability: -1\.000e-11"):
-            WorkDistribution([0.0, 1.0, 2.0], [-1e-11, 0.5, 0.5 + 1e-11], merge_tol=1e-9)
+            WorkDistribution([0.0, 1.0, 2.0], [-1e-11, 0.5, 0.5 + 1e-11])
 
     @pytest.mark.parametrize(
         "values,probs",
@@ -134,31 +135,31 @@ class TestWorkDistribution:
     )
     def test_rejects_malformed_arrays(self, values, probs):
         with pytest.raises(ValueError, match="equal-length 1-D arrays"):
-            WorkDistribution(values, probs, merge_tol=1e-9)
+            WorkDistribution(values, probs)
 
     def test_rounding_level_negative_probability_is_clamped_and_dropped(self):
-        wd = WorkDistribution([0.0, 1.0, 2.0], [-1e-13, 0.5, 0.5 + 1e-13], merge_tol=1e-9)
+        wd = WorkDistribution([0.0, 1.0, 2.0], [-1e-13, 0.5, 0.5 + 1e-13])
         assert np.array_equal(wd.values, [1.0, 2.0])
         assert np.array_equal(wd.probs, [0.5, 0.5 + 1e-13])
 
     def test_merging_combines_close_atoms(self):
-        wd = WorkDistribution([0.0, 1e-12, 1.0], [0.25, 0.25, 0.5], merge_tol=1e-9)
+        wd = WorkDistribution([0.0, 1e-12, 1.0], [0.25, 0.25, 0.5])
         assert wd.size == 2
         np.testing.assert_allclose(wd.probs, [0.5, 0.5])
 
     def test_merging_preserves_mean(self):
         values = [0.0, 1e-11, 2e-11, 1.0]
         probs = [0.2, 0.3, 0.1, 0.4]
-        wd = WorkDistribution(values, probs, merge_tol=1e-9)
+        wd = WorkDistribution(values, probs)
         assert wd.mean() == pytest.approx(float(np.dot(values, probs)), abs=1e-15)
 
     def test_atoms_sorted_and_separated(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=40)
         probs = np.full(40, 1.0 / 40)
-        wd = WorkDistribution(values, probs, merge_tol=1e-2)
-        assert np.all(np.diff(wd.values) >= 1e-2 * (1 - 1e-12))
-        assert abs(wd.probs.sum() - 1.0) < 1e-12
+        merged_values, merged_probs = _merge_atoms(values, probs, 1e-2)
+        assert np.all(np.diff(merged_values) >= 1e-2 * (1 - 1e-12))
+        assert abs(merged_probs.sum() - 1.0) < 1e-12
 
     def test_identity_protocol_single_atom(self):
         h = two_level()
@@ -205,11 +206,11 @@ def _atoms(raw):
     return values, weights / weights.sum()
 
 
-def reference_atoms(values, probs, tol):
-    """The atoms ``WorkDistribution`` keeps, computed the long way: clamp every
-    weight, run every atom through the ``reduceat`` chain, drop empty atoms."""
+def reference_merge(values, probs, tol):
+    """What ``_merge_atoms`` returns, computed the long way: every atom runs
+    through the ``reduceat`` chain."""
     values = np.array(values, dtype=float)
-    probs = np.clip(np.array(probs, dtype=float), 0.0, None)
+    probs = np.array(probs, dtype=float)
     order = np.argsort(values, kind="stable")
     values, probs = values[order], probs[order]
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) >= tol)))
@@ -218,9 +219,22 @@ def reference_atoms(values, probs, tol):
     plain = np.add.reduceat(values, starts) / (ends - starts)
     weighted = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
     merged = np.where(weight > 0.0, weighted, plain)
-    merged = np.clip(merged, values[starts], values[ends - 1])
+    return np.clip(merged, values[starts], values[ends - 1]), weight
+
+
+def reference_atoms(values, probs, tol):
+    """The atoms ``WorkDistribution`` keeps: clamp every weight, merge, drop
+    empty atoms."""
+    merged, weight = reference_merge(values, np.clip(probs, 0.0, None), tol)
     keep = weight > 0.0
     return merged[keep], weight[keep]
+
+
+def assert_same_atoms(got, ref):
+    """Equal arrays down to the sign of a zero."""
+    for g, r in zip(got, ref):
+        assert np.array_equal(g, r)
+        assert np.array_equal(np.signbit(g), np.signbit(r))
 
 
 class TestMergeRule:
@@ -236,37 +250,51 @@ class TestMergeRule:
     @example([(3, 0.0, 0.0), (3, 0.0, 1.0)], 1e-9)
     def test_matches_reference(self, raw, tol):
         values, probs = _atoms(raw)
-        wd = WorkDistribution(values, probs, merge_tol=tol)
-        ref_values, ref_probs = reference_atoms(values, probs, tol)
-        # equal down to the sign of a zero
-        for got, ref in ((wd.values, ref_values), (wd.probs, ref_probs)):
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert_same_atoms(_merge_atoms(values, probs, tol), reference_merge(values, probs, tol))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ATOMS)
+    @example([(0, 0.0, 0.5), (1, 0.0, 0.0), (2, 0.0, 0.5)])  # zero weight alone
+    @example([(0, 0.0, 0.5), (0, 0.0, 0.0), (3, 0.0, 0.5)])  # zero weight in a run
+    @example([(0, 0.0, 0.5), (1, 0.0, -1e-13), (2, 0.0, 0.5)])
+    @example([(0, 0.0, 0.5), (0, 0.0, -1e-13), (2, 0.0, 0.5)])
+    @example([(0, 0.0, 0.5), (1, 0.0, -0.0), (2, 0.0, 0.5)])
+    @example([(-1, 0.0, 0.5), (0, 0.0, -0.0), (1, 0.0, 0.5)])
+    @example([(3, 0.0, 0.2)] * 5)  # all values equal: one run
+    @example([(3, 0.0, 0.0), (3, 0.0, 1.0)])
+    def test_distribution_matches_reference(self, raw):
+        # the derived tolerance, with the clamp and the drop of empty atoms
+        values, probs = _atoms(raw)
+        wd = WorkDistribution(values, probs)
+        tol = protocol.MERGE_REL_TOL * max(1.0, values.max() - values.min())
+        assert wd.merge_tol == tol
+        assert_same_atoms((wd.values, wd.probs), reference_atoms(values, probs, tol))
 
     @settings(max_examples=300, deadline=None)
     @given(ATOMS, MERGE_TOLS)
     def test_merge_properties(self, raw, tol):
         values, probs = _atoms(raw)
-        wd = WorkDistribution(values, probs, merge_tol=tol)
+        merged_values, merged_probs = _merge_atoms(values, probs, tol)
         # one atom per run: a new run starts at every gap >= tol
-        assert wd.size == 1 + np.count_nonzero(np.diff(np.sort(values)) >= tol)
-        assert np.all(np.diff(wd.values) >= tol)
-        assert abs(wd.probs.sum() - probs.sum()) <= 1e-15 * values.size
-        assert abs(wd.mean() - values @ probs) <= 1e-14 * (1.0 + np.abs(values).max())
+        assert merged_values.size == 1 + np.count_nonzero(np.diff(np.sort(values)) >= tol)
+        assert np.all(np.diff(merged_values) >= tol)
+        assert abs(merged_probs.sum() - probs.sum()) <= 1e-15 * values.size
+        mean = merged_values @ merged_probs
+        assert abs(mean - values @ probs) <= 1e-14 * (1.0 + np.abs(values).max())
 
     @settings(max_examples=300, deadline=None)
     @given(ATOMS, MERGE_TOLS)
     def test_merging_is_idempotent(self, raw, tol):
-        wd = WorkDistribution(*_atoms(raw), merge_tol=tol)
-        again = WorkDistribution(wd.values, wd.probs, merge_tol=tol)
-        assert np.array_equal(again.values, wd.values)
-        assert np.array_equal(again.probs, wd.probs)
+        merged = _merge_atoms(*_atoms(raw), tol)
+        again = _merge_atoms(*merged, tol)
+        assert np.array_equal(again[0], merged[0])
+        assert np.array_equal(again[1], merged[1])
 
     def test_chain_longer_than_tol_is_one_run(self):
         # consecutive gaps below tol link atoms even when the run spans more
-        wd = WorkDistribution([0.0, 0.6, 1.2, 1.8, 3.0], [0.2] * 5, merge_tol=1.0)
-        np.testing.assert_allclose(wd.values, [0.9, 3.0], rtol=1e-15)
-        np.testing.assert_allclose(wd.probs, [0.8, 0.2], rtol=1e-15)
+        values, probs = _merge_atoms(np.array([0.0, 0.6, 1.2, 1.8, 3.0]), np.full(5, 0.2), 1.0)
+        np.testing.assert_allclose(values, [0.9, 3.0], rtol=1e-15)
+        np.testing.assert_allclose(probs, [0.8, 0.2], rtol=1e-15)
 
 
 class TestDilatedDistribution:
@@ -321,7 +349,7 @@ class TestDilatedIdentityProperty:
 
 class TestJarzynskiSides:
     def test_single_zero_atom(self):
-        wd = WorkDistribution([0.0], [1.0], merge_tol=1e-9)
+        wd = WorkDistribution([0.0], [1.0])
         assert jarzynski_lhs(wd, beta=3.0) == 1.0
 
     def test_dilated_lhs_is_partition_ratio(self):
@@ -404,7 +432,7 @@ class TestEntropyProduction:
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_rejects_non_finite_beta(beta):
     spec = spectral_decompose(two_level())
-    wd = WorkDistribution([0.0, 1.0], [0.5, 0.5], merge_tol=1e-9)
+    wd = WorkDistribution([0.0, 1.0], [0.5, 0.5])
     message = "beta must be finite and positive"
     with pytest.raises(ValueError, match=message):
         jarzynski_lhs(wd, beta)
@@ -416,23 +444,23 @@ def test_rejects_non_finite_beta(beta):
 
 class TestSampling:
     def test_single_atom_distribution(self):
-        wd = WorkDistribution([0.4], [1.0], merge_tol=1e-9)
+        wd = WorkDistribution([0.4], [1.0])
         assert np.all(sample_outcomes(wd, 100, seed=1) == 0.4)
 
     def test_binomial_standard_error(self):
-        wd = WorkDistribution([0.0, 1.0], [0.5, 0.5], merge_tol=1e-9)
+        wd = WorkDistribution([0.0, 1.0], [0.5, 0.5])
         n = 100_000
         draws = sample_outcomes(wd, n, seed=99)
         assert abs(draws.mean() - 0.5) < 4 * 0.5 / math.sqrt(n)
 
     def test_fixed_seed_reproducibility(self):
-        wd = WorkDistribution([-1.0, 0.0, 2.0], [0.3, 0.5, 0.2], merge_tol=1e-9)
+        wd = WorkDistribution([-1.0, 0.0, 2.0], [0.3, 0.5, 0.2])
         a = sample_outcomes(wd, 1000, seed=5)
         b = sample_outcomes(wd, 1000, seed=5)
         assert np.array_equal(a, b)
 
     def test_rejects_empty_request(self):
-        wd = WorkDistribution([0.0], [1.0], merge_tol=1e-9)
+        wd = WorkDistribution([0.0], [1.0])
         with pytest.raises(ValueError, match="sample count"):
             sample_outcomes(wd, 0, seed=0)
 
@@ -545,7 +573,7 @@ class TestRunProtocol:
 
     def test_spectrum_inputs_give_identical_reports(self, decompositions):
         rng = np.random.default_rng(8)
-        h0, hf = random_hermitian(4, rng), random_hermitian(4, rng)
+        h0, hf, h2 = (random_hermitian(4, rng) for _ in range(3))
         s0, sf = spectral_decompose(h0), spectral_decompose(hf)
         channel = amplitude_damping_channel(0.3, 4)
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
@@ -556,6 +584,15 @@ class TestRunProtocol:
         assert run_protocol(DilatedRun("d", 1.3, s0, prof)).to_csv_row() == dilated
         # 2 + 1 for the references, then one per undecomposed flat input
         assert len(decompositions) == 3 + 2
+        # a schedule decomposes each segment once, when it is built
+        bounds = [4.0, 8.0, prof.tau_total]
+        decompositions.clear()
+        by_operator = PropagatorSchedule(list(zip(bounds, (h0, hf, h2))), prof, 100)
+        assert len(decompositions) == 3
+        appendix = run_protocol(AppendixRun("a", 1.3, by_operator)).to_csv_row()
+        by_spectrum = PropagatorSchedule(list(zip(bounds, by_operator.segments)), prof, 100)
+        assert run_protocol(AppendixRun("a", 1.3, by_spectrum)).to_csv_row() == appendix
+        assert len(decompositions) == 3
 
     def test_appendix_decomposes_each_matrix_once(self, decompositions):
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))

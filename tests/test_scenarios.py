@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -26,6 +25,7 @@ from tauwork.scenarios import (
     levels_for_tail,
     oscillator_delta_F_analytic,
     oscillator_mean_work_analytic,
+    parse_document,
     run_scenario,
     truncation_tail_weight,
     two_level_hamiltonian,
@@ -113,6 +113,25 @@ class TestAnalyticOracles:
             n = levels_for_tail(bo, alpha_min=alpha)
             assert truncation_tail_weight(bo, n, alpha) < 1e-12
 
+    @pytest.mark.parametrize(
+        "helper, args, message",
+        [
+            (levels_for_tail, (math.inf,), "beta_omega must be positive"),
+            (levels_for_tail, (math.nan,), "beta_omega must be positive"),
+            (levels_for_tail, (0.0,), "beta_omega must be positive"),
+            (levels_for_tail, (1.0, math.nan), "alpha_min must be positive"),
+            (levels_for_tail, (1.0, -0.5), "alpha_min must be positive"),
+            (truncation_tail_weight, (math.nan, 3), "beta_omega must be positive"),
+            (truncation_tail_weight, (-1.0, 3), "beta_omega must be positive"),
+            (truncation_tail_weight, (1.0, 3, math.nan), "alpha must be positive"),
+            (truncation_tail_weight, (1.0, 3, math.inf), "alpha must be positive"),
+            (truncation_tail_weight, (1.0, 0), "levels must be >= 1"),
+        ],
+    )
+    def test_tail_helpers_reject_bad_arguments(self, helper, args, message):
+        with pytest.raises(ValueError, match=message):
+            helper(*args)
+
 
 class TestSystems:
     def test_harmonic_spectrum(self):
@@ -167,7 +186,7 @@ class TestValidation:
 
     def test_malformed_json(self):
         with pytest.raises(ScenarioValidationError, match="malformed JSON"):
-            ScenarioConfig.from_json("{not json")
+            parse_document("{not json")
 
     def test_unknown_system_subfield(self):
         raw = dilated_config(system={"kind": "two_level", "gap": 1.0, "omega": 2.0})
@@ -344,12 +363,6 @@ class TestRunScenario:
         rep = run_scenario(raw)
         assert rep.alpha_final == pytest.approx(1.0 - 0.045, abs=1e-15)
         assert rep.delta_F < 0
-
-    def test_accepts_json_file(self, tmp_path):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(dilated_config()))
-        rep = run_scenario(str(path))
-        assert rep.scenario_id == "osc"
 
     def test_mean_energy_outside_thermal_window_is_finite(self):
         # very cold two-level run stays numerically healthy

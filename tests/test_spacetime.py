@@ -5,7 +5,6 @@ import pytest
 
 from tauwork.spacetime import (
     DilationProfile,
-    StaticSpacetime,
     WeakFieldViolationError,
     Worldline,
     comoving_worldline,
@@ -55,7 +54,6 @@ class TestDilationFactor:
         [
             (float("nan"), 1.0, "mass"),
             (1.0, float("nan"), "speed of light"),
-            # StaticSpacetime rejects this c too
             (1.0, float("inf"), "speed of light"),
         ],
     )
@@ -133,7 +131,7 @@ class TestDilationProfile:
         t = np.linspace(0.0, 1.0, 5)
         w = Worldline(t, np.full_like(t, 0.6), np.zeros_like(t), 1.0)
         with pytest.raises(WeakFieldViolationError):
-            dilation_profile(w, StaticSpacetime(c=1.0))
+            dilation_profile(w, c=1.0)
 
     def test_gravitational_only_drops_kinetic_term(self):
         w = uniform_gravity_worldline(0.02, 10.0, samples=11, p=0.5)
@@ -184,8 +182,7 @@ class TestClockRateOnArrays:
         ids=["comoving", "uniform_gravity", "point_mass", "cruise", "table"],
     )
     def test_profile_matches_per_sample_reference(self, worldline, gravitational_only):
-        st = StaticSpacetime(c=1.7)
-        prof = dilation_profile(worldline, st, gravitational_only=gravitational_only)
+        prof = dilation_profile(worldline, c=1.7, gravitational_only=gravitational_only)
         reference = [
             dilation_factor(float(phi), 0.0 if gravitational_only else float(p), worldline.mass, 1.7)
             for phi, p in zip(worldline.phi, worldline.p)
@@ -199,8 +196,16 @@ class TestClockRateOnArrays:
             dilation_profile(w)
         assert dilation_profile(w, gravitational_only=True).alpha[1] == pytest.approx(0.6)
 
-    def test_weak_field_bound_checks_largest_potential(self):
+    # at -1.2 the rate is negative too, but the bound is checked first
+    @pytest.mark.parametrize("low", [-0.55, -1.2])
+    def test_weak_field_bound_checks_largest_potential(self, low):
         t = np.linspace(0.0, 1.0, 5)
-        w = Worldline(t, [0.0, 0.1, -0.55, 0.2, 0.0], np.zeros_like(t), 1.0)
-        with pytest.raises(WeakFieldViolationError, match="0.55 exceeds"):
+        w = Worldline(t, [0.0, 0.1, low, 0.2, 0.0], np.zeros_like(t), 1.0)
+        with pytest.raises(WeakFieldViolationError, match=f"{-low:g} exceeds"):
             dilation_profile(w)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+    def test_profile_checks_c_before_the_bound(self, c):
+        w = Worldline([0.0, 1.0], [0.0, -1.2], [0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="speed of light must be positive"):
+            dilation_profile(w, c=c)
