@@ -18,6 +18,7 @@ from tauwork import (
     estimate,
     run_protocol,
     spectral_decompose,
+    thermal_state,
     two_level_hamiltonian,
     unitary_channel,
 )
@@ -32,9 +33,10 @@ print()
 # --- a unitary drive: the classic equality -------------------------------
 sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 flip = unitary_channel(sigma_x)
-# the estimator tail, fed the flat pipeline's inputs: the initial spectrum,
-# the final energies and the channel's transition matrix between the bases
-est = estimate(spec, beta, spec.eigenvalues, conditional_probabilities(spec, spec, flip))
+# the estimator tail, fed the flat pipeline's inputs: the initial Gibbs
+# ensemble, the final energies and the channel's transition matrix between the bases
+gibbs = thermal_state(spec, beta)
+est = estimate(gibbs, spec.eigenvalues, conditional_probabilities(spec, spec, flip))
 wd = est.atoms
 atoms = [(round(float(w), 6), round(float(p), 6)) for w, p in zip(wd.values, wd.probs)]
 print("deterministic spin flip (unitary, hence unital):")

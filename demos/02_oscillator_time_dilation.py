@@ -25,6 +25,7 @@ from tauwork import (
     oscillator_delta_F_analytic,
     oscillator_mean_work_analytic,
     spectral_decompose,
+    thermal_state,
 )
 from tauwork.scenarios import truncation_tail_weight
 
@@ -32,6 +33,8 @@ beta_omega = 2.0
 alphas = np.round(np.arange(0.5, 1.51, 0.1), 2)
 levels = levels_for_tail(beta_omega, alpha_min=float(alphas.min()))
 spec = spectral_decompose(harmonic_hamiltonian(1.0, levels))
+# one Gibbs ensemble serves every clock rate
+gibbs = thermal_state(spec, beta_omega)
 
 print(f"oscillator ladder: beta*omega = {beta_omega}, {levels} levels")
 print(f"truncation tail weight: {truncation_tail_weight(beta_omega, levels, float(alphas.min())):.2e}")
@@ -41,7 +44,7 @@ print(f"{'alpha':>6} {'b*dF num':>12} {'b*dF exact':>12} {'b*<W> num':>12} "
 for alpha in alphas:
     alpha = float(alpha)
     # time dilation rescales every eigenvalue by alpha at the second measurement
-    est = estimate(spec, beta_omega, alpha * spec.eigenvalues)
+    est = estimate(gibbs, alpha * spec.eigenvalues)
     df_num = beta_omega * est.delta_f
     df_exact = oscillator_delta_F_analytic(beta_omega, alpha)
     mw_num = beta_omega * est.mean_work

@@ -15,11 +15,12 @@ from tauwork import (
     harmonic_hamiltonian,
     sample_outcomes,
     spectral_decompose,
+    thermal_state,
 )
 
 beta, alpha = 2.0, 1.2
 spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
-est = estimate(spec, beta, alpha * spec.eigenvalues)
+est = estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
 wd, exact = est.atoms, est.lhs
 
 print(f"oscillator, beta*omega = 2, alpha = {alpha}: {wd.size} work atoms")

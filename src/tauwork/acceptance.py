@@ -89,22 +89,23 @@ def _criterion(name: str):
     return decorate
 
 
-def _dilated(spec, alpha: float, beta: float) -> protocol.Estimates:
+def _dilated(gibbs: thermo.ThermalEnsemble, alpha: float) -> protocol.Estimates:
     """The dilated pipeline's estimators: every eigenvalue rescaled by ``alpha``."""
-    return protocol.estimate(spec, beta, alpha * spec.eigenvalues)
+    return protocol.estimate(gibbs, alpha * gibbs.spectrum.eigenvalues)
 
 
 def _random_grid(seed: int):
     """Estimators of 200 random systems (dim 2-8, energies measured from the
-    ground state) x 5 clock rates x 3 temperatures."""
+    ground state) x 3 temperatures x 5 clock rates, one ensemble per temperature."""
     rng = np.random.default_rng(seed)
     for _ in range(200):
         dim = int(rng.integers(2, 9))
         spec = spectral_decompose(random_hermitian(dim, rng))
         spec = spec.shifted(-spec.eigenvalues[0])
-        for alpha in (0.5, 0.8, 1.0, 1.2, 1.5):
-            for beta in (0.5, 1.0, 2.0):
-                yield _dilated(spec, alpha, beta)
+        for beta in (0.5, 1.0, 2.0):
+            gibbs = thermo.thermal_state(spec, beta)
+            for alpha in (0.5, 0.8, 1.0, 1.2, 1.5):
+                yield _dilated(gibbs, alpha)
 
 
 def _oscillator_grid():
@@ -113,7 +114,7 @@ def _oscillator_grid():
         for alpha in [round(0.5 + 0.1 * k, 1) for k in range(11)]:
             levels = scenarios.levels_for_tail(beta_omega, alpha_min=alpha)
             spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, levels))
-            yield beta_omega, alpha, _dilated(spec, alpha, beta_omega)
+            yield beta_omega, alpha, _dilated(thermo.thermal_state(spec, beta_omega), alpha)
 
 
 @_criterion("dilated work identity (200 systems x 5 rates x 3 temperatures)")
@@ -337,7 +338,7 @@ def criterion_monte_carlo() -> list[Check]:
     4 standard errors, deterministically for a fixed seed."""
     beta = 2.0
     spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, 40))
-    est = _dilated(spec, 1.2, beta)
+    est = _dilated(thermo.thermal_state(spec, beta), 1.2)
     wd = est.atoms
     n = 100_000
     draws = protocol.sample_outcomes(wd, n, seed=SEED)

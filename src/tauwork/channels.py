@@ -150,8 +150,8 @@ class PropagatorSchedule:
         if any(h.dim != dim for h in segs):
             raise ValueError("all schedule segments must share one dimension")
         bounds_arr = np.array(bounds, dtype=float)
-        finite = np.all(np.isfinite(bounds_arr))
-        if not (finite and bounds_arr[0] > 0 and np.all(np.diff(bounds_arr) > 0)):
+        finite = np.isfinite(bounds_arr).all()
+        if not (finite and bounds_arr[0] > 0 and ((bounds_arr[1:] - bounds_arr[:-1]) > 0).all()):
             raise ValueError(
                 "segment bounds must be finite, positive and strictly increasing"
             )

@@ -33,7 +33,7 @@ def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
     mat = np.array(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
         raise ValueError(f"{name} must be a square matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError(f"{name} contains non-finite entries")
     mat.flags.writeable = False
     return mat
@@ -98,7 +98,7 @@ class Spectrum:
         vecs = np.array(eigenvectors, dtype=complex)
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
             raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        if not np.all(np.isfinite(vecs)):
+        if not np.isfinite(vecs).all():
             raise ValueError("spectrum contains non-finite entries")
         _check_eigenvalues(evals)
         gram = vecs.conj().T @ vecs
@@ -151,9 +151,9 @@ class Spectrum:
 
 def _check_eigenvalues(evals: np.ndarray) -> None:
     """Raise unless ``evals`` are finite and ascending; then make them read-only."""
-    if not np.all(np.isfinite(evals)):
+    if not np.isfinite(evals).all():
         raise ValueError("spectrum contains non-finite entries")
-    if np.any(np.diff(evals) < 0):
+    if ((evals[1:] - evals[:-1]) < 0).any():
         raise ValueError("eigenvalues must be sorted ascending")
     evals.flags.writeable = False
 
@@ -169,7 +169,7 @@ def cluster_bounds(evals: np.ndarray) -> list[int]:
     """
     lo, hi = float(evals[0]), float(evals[-1])
     thresh = DEGENERACY_REL_GAP * max(hi - lo, abs(lo), abs(hi))
-    gaps = np.diff(evals).tolist()
+    gaps = (evals[1:] - evals[:-1]).tolist()
     return [0] + [k + 1 for k, gap in enumerate(gaps) if gap > thresh] + [evals.size]
 
 

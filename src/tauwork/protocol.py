@@ -24,6 +24,7 @@ distribution, not as the primary estimator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -34,8 +35,8 @@ from .operators import HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
 # unused here; bench/test_bench.py reads protocol.spectral_decompose
 from .operators import spectral_decompose  # noqa: F401
 from .spacetime import DilationProfile
-from .thermo import _check_beta, free_energy_difference_from_log_z, log_sum_exp
-from .thermo import thermal_state
+from .thermo import ThermalEnsemble, _check_beta, free_energy_difference_from_log_z
+from .thermo import log_sum_exp, thermal_state
 
 PROB_SUM_ATOL = 1e-10
 PROB_NEGATIVE_ATOL = 1e-12
@@ -63,12 +64,16 @@ class WorkDistribution:
         probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be equal-length 1-D arrays")
-        if not (np.isfinite(values).all() and np.isfinite(probs).all()):
+        lo, hi, low = values.min(), values.max(), probs.min()
+        # a nan or inf entry shows in lo, hi, low or the sum (taken with low
+        # finite, so no inf - inf); only then is every entry tested
+        finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(low)
+        if not (finite and math.isfinite(total := probs.sum())) and not (
+            np.isfinite(values).all() and np.isfinite(probs).all()
+        ):
             raise ValueError("work atoms must be finite")
-        low = probs.min()
         if low < -PROB_NEGATIVE_ATOL:
             raise ValueError(f"negative atom probability: {low:.3e}")
-        total = probs.sum()
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
         # with every weight > 0 the clamp is the identity and no merged atom
@@ -76,7 +81,7 @@ class WorkDistribution:
         empty = low <= 0.0
         if empty:
             probs = np.clip(probs, 0.0, None)
-        merge_tol = MERGE_REL_TOL * max(1.0, float(values.max() - values.min()))
+        merge_tol = MERGE_REL_TOL * max(1.0, float(hi - lo))
         values, probs = _merge_atoms(values, probs, merge_tol)
         if empty:
             keep = probs > 0.0
@@ -106,7 +111,7 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray, tol: float):
     are when no gap is below ``tol``: a one-atom run keeps its weight, and
     its mean clipped into ``[v, v]`` is ``v``. Returns new arrays.
     """
-    order = np.argsort(values, kind="stable")
+    order = values.argsort(kind="stable")
     values, probs = values[order], probs[order]
     split = values[1:] - values[:-1] >= tol
     if split.all():
@@ -173,7 +178,7 @@ def work_distribution_dilated(
     """
     if alpha_final <= 0:
         raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
-    return estimate(spec0, beta, alpha_final * spec0.eigenvalues).atoms
+    return estimate(thermal_state(spec0, beta), alpha_final * spec0.eigenvalues).atoms
 
 
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
@@ -230,28 +235,27 @@ class Estimates:
 
 
 def estimate(
-    spec0: Spectrum,
-    beta: float,
+    gibbs: ThermalEnsemble,
     final_energies: np.ndarray,
     transitions=None,
     correction: float = 0.0,
 ) -> Estimates:
     """The estimator tail every pipeline shares.
 
-    From the initial spectrum (with Gibbs weights at ``beta``), the final
-    measured energies and the transition matrix it builds the work atoms, dF
-    from the final energies and the partition sum that gave the Gibbs
-    weights, the exponential work average and the rhs with
-    the non-unital ``correction``. An overflow of either side gives inf, not
-    a warning. ``transitions=None`` stands for the identity matrix: every
-    trajectory keeps its level index, so there are d atoms
-    E_final[m] - E_initial[m] instead of d^2 mostly empty ones.
+    From the initial Gibbs ensemble (spectrum, weights, ``beta``, partition
+    sum), which serves any number of final energies, the final measured
+    energies and the transition matrix it builds the work atoms, dF from the
+    final energies and the ensemble's partition sum, the exponential work
+    average and the rhs with the non-unital ``correction``. An overflow of
+    either side gives inf, not a warning. ``transitions=None`` stands for the
+    identity matrix: every trajectory keeps its level index, so there are d
+    atoms E_final[m] - E_initial[m] instead of d^2 mostly empty ones.
     """
-    gibbs = thermal_state(spec0, beta)
+    initial, beta = gibbs.spectrum.eigenvalues, gibbs.beta
     if transitions is None:
-        atoms = WorkDistribution(final_energies - spec0.eigenvalues, gibbs.probs)
+        atoms = WorkDistribution(final_energies - initial, gibbs.probs)
     else:
-        atoms = tpm_distribution(spec0.eigenvalues, gibbs.probs, final_energies, transitions)
+        atoms = tpm_distribution(initial, gibbs.probs, final_energies, transitions)
     delta_f = free_energy_difference_from_log_z(final_energies, gibbs.log_z, beta)
     with np.errstate(over="ignore"):
         lhs = jarzynski_lhs(atoms, beta)
@@ -309,7 +313,7 @@ class ProtocolReport:
         bad = [
             f"{name}={value!r}"
             for name, value in report.to_dict().items()
-            if isinstance(value, float) and not np.isfinite(value)
+            if isinstance(value, float) and not math.isfinite(value)
         ]
         if bad:
             raise ValueError(f"report has non-finite values: {', '.join(bad)}")
@@ -423,7 +427,7 @@ def run_protocol(run) -> ProtocolReport:
         final_basis, steps = run.final_basis, run.schedule.steps
     else:
         raise TypeError(f"unsupported run type: {type(run).__name__}")
-    est = estimate(spec0, run.beta, e_final, trans, correction)
+    est = estimate(thermal_state(spec0, run.beta), e_final, trans, correction)
     # an overflow is reported by ``build`` as a non-finite column
     return ProtocolReport.build(
         scenario_id=run.scenario_id,

@@ -94,6 +94,8 @@ def levels_for_tail(beta_omega: float, alpha_min: float = 1.0) -> int:
     """
     _check_positive(beta_omega=beta_omega, alpha_min=alpha_min)
     eff = beta_omega * min(1.0, alpha_min)
+    if eff == 0.0 or -math.log(TAIL_WEIGHT) / eff == math.inf:
+        raise ValueError(f"beta_omega * alpha_min = {eff!r} is too small for a finite ladder")
     return max(2, math.ceil(-math.log(TAIL_WEIGHT) / eff) + 1)
 
 
@@ -416,6 +418,10 @@ def build_profile(worldline: dict, mass: float, c: float) -> DilationProfile:
     return dilation_profile(trajectory, c, gravitational_only=grav_only)
 
 
+def _schedule_spectra(schedule: list) -> list:
+    return [(seg["tau_end"], spectral_decompose(build_system(seg["system"]))) for seg in schedule]
+
+
 def build_channel(channel: dict, dim: int) -> QuantumChannel:
     return CHANNELS[channel["preset"]].build(channel, dim)
 
@@ -426,9 +432,10 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     Callers that build several scenarios pass one ``memo`` (an empty dict to
     start), which holds one value per build stage, keyed on the fields that
     stage reads: the decomposed ``system`` section (an oscillator's ``omega``
-    only rescales it) and the dilation profile of ``worldline``, ``mass`` and
-    ``c``. So a sweep over ``beta`` or ``omega`` reuses both, one over
-    ``alpha`` or ``c`` recomputes the profile, and all of them decompose once.
+    only rescales it), the dilation profile of ``worldline``, ``mass`` and
+    ``c``, and the decomposed segments of ``schedule``. So a sweep over
+    ``beta`` or ``omega`` reuses all of them, one over ``alpha`` or ``c``
+    recomputes the profile, and all of them decompose once.
     """
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)
@@ -456,9 +463,7 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
             profile=profile,
         )
 
-    segments = [
-        (seg["tau_end"], build_system(seg["system"])) for seg in config.schedule
-    ]
+    segments = _stage(memo, "schedule", _schedule_spectra, schedule=config.schedule)
     schedule = PropagatorSchedule(segments, profile, config.steps)
     return AppendixRun(
         scenario_id=config.scenario_id,

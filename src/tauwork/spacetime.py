@@ -70,9 +70,9 @@ class Worldline:
             raise ValueError("worldline needs at least 2 samples")
         if phi.shape != t.shape or p.shape != t.shape:
             raise ValueError("t, phi, p must have identical lengths")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(phi)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(t).all() and np.isfinite(phi).all() and np.isfinite(p).all()):
             raise ValueError("worldline samples must be finite")
-        if np.any(np.diff(t) <= 0):
+        if ((t[1:] - t[:-1]) <= 0).any():
             raise ValueError("t must be strictly increasing")
         if not (np.isfinite(mass) and mass > 0):
             raise ValueError(f"mass must be positive, got {mass!r}")
@@ -165,9 +165,9 @@ class DilationProfile:
         tau = np.array(tau, dtype=float)
         if not (t.shape == alpha.shape == tau.shape) or t.ndim != 1 or t.size < 2:
             raise ValueError("profile arrays must be equal-length with >= 2 samples")
-        if np.any(alpha <= 0):
+        if (alpha <= 0).any():
             raise WeakFieldViolationError("dilation factor must stay positive")
-        if tau[0] != 0.0 or np.any(np.diff(tau) <= 0):
+        if tau[0] != 0.0 or ((tau[1:] - tau[:-1]) <= 0).any():
             raise ValueError("tau must start at 0 and increase strictly")
         for arr in (t, alpha, tau):
             arr.flags.writeable = False
@@ -204,6 +204,6 @@ def dilation_profile(
         )
     p = 0.0 if gravitational_only else worldline.p
     alpha = dilation_factor(worldline.phi, p, worldline.mass, c)
-    dt = np.diff(worldline.t)
+    dt = worldline.t[1:] - worldline.t[:-1]
     tau = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * dt)))
     return DilationProfile(worldline.t, alpha, tau)

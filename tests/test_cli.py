@@ -386,6 +386,15 @@ class TestDecompositionReuse:
         assert main([*argv, "--quiet"]) == 0
         assert len(decompositions) == calls
 
+    @pytest.mark.parametrize("spec, steps", [("beta=0.5:3:5", "300"), ("alpha=0.8:1.2:5", "200")])
+    def test_driven_sweep_decomposes_each_segment_once(
+        self, spec, steps, tmp_path, decompositions
+    ):
+        scenario = DEMO_SCENARIOS / "driven_two_segment.json"
+        argv = ["sweep", "--scenario", str(scenario), "--sweep", spec, "--steps", steps]
+        assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(decompositions) == 2
+
     def test_flat_run_decomposes_once(self, tmp_path, decompositions):
         scenario = DEMO_SCENARIOS / "flat_damping.json"
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path), "--quiet"]) == 0

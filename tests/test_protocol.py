@@ -38,7 +38,7 @@ from tauwork.protocol import (
 )
 from tauwork.scenarios import harmonic_hamiltonian
 from tauwork.spacetime import comoving_worldline, dilation_profile, uniform_gravity_worldline
-from tauwork.thermo import thermal_state
+from tauwork.thermo import log_sum_exp, thermal_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -51,12 +51,12 @@ def flat_atoms(h0, h_final, channel, beta):
     """The work atoms of the flat reduction that ``run_protocol`` makes."""
     spec0, spec_f = spectral_decompose(h0), spectral_decompose(h_final)
     trans = conditional_probabilities(spec0, spec_f, channel)
-    return estimate(spec0, beta, spec_f.eigenvalues, trans).atoms
+    return estimate(thermal_state(spec0, beta), spec_f.eigenvalues, trans).atoms
 
 
 def dilated(spec, alpha, beta):
     """The dilated pipeline's estimators: every eigenvalue rescaled by ``alpha``."""
-    return estimate(spec, beta, alpha * spec.eigenvalues)
+    return estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
 
 
 class TestConditionalProbabilities:
@@ -114,11 +114,22 @@ class TestWorkDistribution:
             ([-math.inf, 1.0], [0.5, 0.5]),
             ([0.0, 1.0], [math.nan, 0.5]),
             ([0.0, 1.0], [0.5, math.inf]),
+            # finiteness is checked before the sign and the sum of the weights
+            ([math.nan, 1.0], [-0.5, 0.4]),
+            ([-math.inf, 1.0], [2.0, 0.5]),
+            ([0.0, 1.0], [math.inf, -0.5]),
+            ([0.0, 1.0], [math.inf, -math.inf]),
         ],
     )
     def test_rejects_non_finite_atoms(self, values, probs):
         with pytest.raises(ValueError, match="work atoms must be finite"):
             WorkDistribution(values, probs)
+
+    def test_overflowing_sum_of_finite_weights_is_a_sum_error(self):
+        # the sum is a numpy scalar, whose repr is np.float64(inf) in numpy 2
+        message = r"atom probabilities sum to (np\.float64\()?inf\)?, not 1"
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+            WorkDistribution([0.0, 1.0], [1e308, 1e308])
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError, match=r"negative atom probability: -1\.000e-11"):
@@ -297,6 +308,56 @@ class TestMergeRule:
         np.testing.assert_allclose(probs, [0.8, 0.2], rtol=1e-15)
 
 
+def reference_tail(spec0, beta, final_energies, transitions=None, correction=0.0):
+    """The estimator tail the long way: the Gibbs ensemble rebuilt from the
+    spectrum, the atoms from ``reference_atoms`` and each estimator written out."""
+    gibbs = thermal_state(spec0, beta)
+    if transitions is None:
+        values, probs = final_energies - spec0.eigenvalues, gibbs.probs
+    else:
+        values = (final_energies[:, None] - spec0.eigenvalues[None, :]).ravel()
+        probs = (transitions * gibbs.probs[None, :]).ravel()
+    tol = protocol.MERGE_REL_TOL * max(1.0, float(values.max() - values.min()))
+    atoms = reference_atoms(values, probs, tol)
+    delta_f = (gibbs.log_z - log_sum_exp(-beta * final_energies)) / beta
+    with np.errstate(over="ignore"):
+        lhs = float(np.exp(log_sum_exp(np.log(atoms[1]) - beta * atoms[0])))
+        rhs = float(np.exp(-beta * delta_f) * (1.0 + correction))
+    return atoms, delta_f, lhs, rhs, float(atoms[0] @ atoms[1])
+
+
+class TestEstimateTail:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        beta=st.floats(0.05, 5.0),
+        alpha=st.floats(0.3, 3.0),
+        flat=st.booleans(),
+        correction=st.floats(-0.5, 0.5),
+    )
+    @example(dim=3, seed=0, beta=1.0, alpha=1.0, flat=False, correction=0.0)  # all work 0
+    @example(dim=2, seed=1, beta=2.0, alpha=1.0, flat=True, correction=0.0)
+    def test_matches_reference_bit_for_bit(self, dim, seed, beta, alpha, flat, correction):
+        rng = np.random.default_rng(seed)
+        spec0 = spectral_decompose(random_hermitian(dim, rng))
+        if flat:
+            spec_f = spectral_decompose(random_hermitian(dim, rng)).scaled(alpha)
+            channel = unitary_channel(random_unitary(dim, rng))
+            trans = conditional_probabilities(spec0, spec_f, channel)
+            final = spec_f.eigenvalues
+        else:
+            trans, final = None, alpha * spec0.eigenvalues
+        # one ensemble serves several final energies, as in the battery's grids
+        gibbs = thermal_state(spec0, beta)
+        for energies in (final, 0.5 * final):
+            est = estimate(gibbs, energies, trans, correction)
+            ref = reference_tail(spec0, beta, energies, trans, correction)
+            assert_same_atoms((est.atoms.values, est.atoms.probs), ref[0])
+            got = (est.delta_f, est.lhs, est.rhs, est.mean_work)
+            assert [repr(x) for x in got] == [repr(x) for x in ref[1:]]
+
+
 class TestDilatedDistribution:
     def test_unit_rate_collapses_to_zero_work(self):
         spec = spectral_decompose(harmonic_hamiltonian(1.0, 10))
@@ -439,7 +500,7 @@ def test_rejects_non_finite_beta(beta):
     with pytest.raises(ValueError, match=message):
         entropy_production(0.1, 0.05, beta)
     with pytest.raises(ValueError, match=message):
-        estimate(spec, beta, 1.2 * spec.eigenvalues)
+        estimate(thermal_state(spec, beta), 1.2 * spec.eigenvalues)
 
 
 class TestSampling:

@@ -52,6 +52,9 @@ def dilated_config(**overrides):
     return raw
 
 
+TOO_SMALL = r"beta_omega \* alpha_min = .* is too small for a finite ladder"
+
+
 class TestAnalyticOracles:
     def test_zero_at_unit_rate(self):
         assert oscillator_delta_F_analytic(2.0, 1.0) == 0.0
@@ -81,7 +84,7 @@ class TestAnalyticOracles:
     def test_truncated_ladder_agrees_with_closed_forms(self, beta_omega, alpha):
         levels = levels_for_tail(beta_omega, alpha_min=alpha)
         spec = spectral_decompose(harmonic_hamiltonian(1.0, levels))
-        est = estimate(spec, beta_omega, alpha * spec.eigenvalues)
+        est = estimate(thermal_state(spec, beta_omega), alpha * spec.eigenvalues)
         assert beta_omega * est.delta_f == pytest.approx(
             oscillator_delta_F_analytic(beta_omega, alpha), abs=1e-7
         )
@@ -126,6 +129,11 @@ class TestAnalyticOracles:
             (truncation_tail_weight, (1.0, 3, math.nan), "alpha must be positive"),
             (truncation_tail_weight, (1.0, 3, math.inf), "alpha must be positive"),
             (truncation_tail_weight, (1.0, 0), "levels must be >= 1"),
+            # the ladder size overflows, or the spacing underflows to 0
+            (levels_for_tail, (1e-310,), TOO_SMALL),
+            (levels_for_tail, (5e-324,), TOO_SMALL),
+            (levels_for_tail, (1.0, 1e-310), TOO_SMALL),
+            (levels_for_tail, (1e-200, 1e-200), TOO_SMALL),
         ],
     )
     def test_tail_helpers_reject_bad_arguments(self, helper, args, message):
