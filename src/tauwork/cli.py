@@ -1,7 +1,10 @@
 """Command-line frontend: run scenarios, sweep parameters, verify the build.
 
-Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 I/O error.
+Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O error.
+Inside ``run`` and ``sweep`` the helpers raise plain exceptions whose message
+starts with what failed (a path, a sweep point), and ``main`` alone maps them
+to a code: an ``OSError`` is 3 and a ``ValueError`` is 2, which includes a
+scenario file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 from . import __version__, acceptance
 from .protocol import ProtocolReport
-from .scenarios import ScenarioConfig, ScenarioValidationError, parse_document, run_scenario
+from .scenarios import ScenarioConfig, parse_document, run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -23,10 +26,14 @@ EXIT_IO = 3
 SWEEP_PARAMS = ("alpha", "beta", "omega", "c", "gamma")
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+def _labelled(label: str, call, *args, **kwargs):
+    """``call(*args, **kwargs)``; an OSError or ValueError it raises gets ``label`` in front."""
+    try:
+        return call(*args, **kwargs)
+    except OSError as exc:
+        raise OSError(f"{label}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
 
 
 def _parse_sweep(spec: str) -> tuple:
@@ -35,108 +42,76 @@ def _parse_sweep(spec: str) -> tuple:
         start_s, stop_s, count_s = rng.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
     except ValueError:
-        raise CliError(
-            f"sweep spec must look like param=start:stop:count, got {spec!r}",
-            EXIT_VALIDATION,
+        raise ValueError(
+            f"sweep spec must look like param=start:stop:count, got {spec!r}"
         ) from None
     if param not in SWEEP_PARAMS:
-        raise CliError(
-            f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}",
-            EXIT_VALIDATION,
-        )
+        raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
     if count < 2:
-        raise CliError(f"sweep count must be >= 2, got {count}", EXIT_VALIDATION)
+        raise ValueError(f"sweep count must be >= 2, got {count}")
     return (param, start, stop, count)
-
-
-def _validate(document, label: str) -> ScenarioConfig:
-    try:
-        return ScenarioConfig.from_dict(document)
-    except ScenarioValidationError as exc:
-        raise CliError(f"{label}: {exc}", EXIT_VALIDATION) from None
 
 
 def _load_document(path: str, steps: int | None) -> tuple[dict, ScenarioConfig]:
     """Read a scenario file, apply the ``--steps`` override and validate it."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot read scenario file {path}: {exc}", EXIT_IO) from None
-    try:
-        document = parse_document(text)
-    except ScenarioValidationError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_VALIDATION) from None
+    text = _labelled(f"cannot read scenario file {path}", Path(path).read_text, encoding="utf-8")
+    document = _labelled(path, parse_document, text)
     if steps is not None and isinstance(document, dict) and document.get("pipeline") == "appendix":
         document = dict(document, steps=steps)
-    return document, _validate(document, path)
+    return document, _labelled(path, ScenarioConfig.from_dict, document)
 
 
-def _prepare_out_dir(out_dir: Path) -> None:
+def _run_points(args, points: list, table: str | None = None) -> int:
+    """Run validated ``(label, config)`` points, then write and print their reports.
+
+    Every point runs before any report is written, so a failure leaves no
+    report. ``table`` names the one file that holds every report (a sweep);
+    without it each report gets a file named after its scenario_id.
+    """
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         probe = out_dir / ".write-probe"
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        raise CliError(f"output directory not writable: {exc}", EXIT_IO) from None
-
-
-def _write_report_file(path: Path, reports: list[ProtocolReport], fmt: str) -> None:
-    try:
-        if fmt == "csv":
-            lines = [ProtocolReport.csv_header()]
-            lines += [r.to_csv_row() for r in reports]
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raise OSError(f"output directory not writable: {exc}") from None
+    # points that share the system section share one decomposition
+    memo: dict = {}
+    reports = [_labelled(label, run_scenario, config, memo) for label, config in points]
+    files = [(table, reports)] if table else [(r.scenario_id, [r]) for r in reports]
+    for stem, group in files:
+        if args.format == "csv":
+            text = "\n".join([ProtocolReport.csv_header()] + [r.to_csv_row() for r in group])
         else:
-            payload = [r.to_dict() for r in reports]
-            body = payload[0] if len(payload) == 1 else payload
-            path.write_text(json.dumps(body, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from None
-
-
-def _print_summaries(reports: list[ProtocolReport], quiet: bool) -> None:
-    for report in [] if quiet else reports:
+            payload = [r.to_dict() for r in group]
+            text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
+        path = out_dir / f"{stem}.{args.format}"
+        _labelled(f"cannot write {path}", path.write_text, text + "\n", encoding="utf-8")
+    for report in [] if args.quiet else reports:
         print(
             f"{report.scenario_id}: residual={report.residual:.3e} "
             f"entropy_production={report.entropy_production:.6g}"
         )
-
-
-def _execute(config: ScenarioConfig, label: str, memo: dict):
-    try:
-        return run_scenario(config, memo)
-    except OSError as exc:
-        raise CliError(f"{label}: {exc}", EXIT_IO) from None
-    except ValueError as exc:
-        raise CliError(f"{label}: {exc}", EXIT_VALIDATION) from None
+    return EXIT_OK
 
 
 def cmd_run(args) -> int:
     if not args.scenario:
-        raise CliError("run needs at least one --scenario file", EXIT_VALIDATION)
-    # every file is validated before anything runs and every scenario runs
-    # before any report is written, so a failure leaves no report; reports are
-    # named after scenario_id, so two files with one id would overwrite
-    configs, paths_by_id = [], {}
+        raise ValueError("run needs at least one --scenario file")
+    # every file is validated before anything runs; reports are named after
+    # scenario_id, so two files with one id would overwrite
+    points, paths_by_id = [], {}
     for path in args.scenario:
         _, config = _load_document(path, args.steps)
         if config.scenario_id in paths_by_id:
-            raise CliError(
+            raise ValueError(
                 f"{paths_by_id[config.scenario_id]} and {path} both have scenario_id "
-                f"{config.scenario_id!r}",
-                EXIT_VALIDATION,
+                f"{config.scenario_id!r}"
             )
         paths_by_id[config.scenario_id] = path
-        configs.append((path, config))
-    out_dir = Path(args.out)
-    _prepare_out_dir(out_dir)
-    memo: dict = {}
-    reports = [_execute(config, path, memo) for path, config in configs]
-    for report in reports:
-        _write_report_file(out_dir / f"{report.scenario_id}.{args.format}", [report], args.format)
-    _print_summaries(reports, args.quiet)
-    return EXIT_OK
+        points.append((path, config))
+    return _run_points(args, points)
 
 
 def _sweep_point(document: dict, base: ScenarioConfig, param: str, value: float) -> dict:
@@ -170,21 +145,15 @@ def _sweep_point(document: dict, base: ScenarioConfig, param: str, value: float)
 def cmd_sweep(args) -> int:
     param, start, stop, count = _parse_sweep(args.sweep)
     if len(args.scenario or ()) != 1:
-        raise CliError("sweep needs exactly one --scenario file", EXIT_VALIDATION)
+        raise ValueError("sweep needs exactly one --scenario file")
     document, base = _load_document(args.scenario[0], args.steps)
     values = sorted(start + (stop - start) * k / (count - 1) for k in range(count))
     points = []
     for value in values:
         label = f"{param}={value}"
-        points.append((label, _validate(_sweep_point(document, base, param, value), label)))
-    out_dir = Path(args.out)
-    _prepare_out_dir(out_dir)
-    # points that share the system section share one decomposition
-    memo: dict = {}
-    reports = [_execute(config, label, memo) for label, config in points]
-    _write_report_file(out_dir / f"sweep_{param}.{args.format}", reports, args.format)
-    _print_summaries(reports, args.quiet)
-    return EXIT_OK
+        point = _sweep_point(document, base, param, value)
+        points.append((label, _labelled(label, ScenarioConfig.from_dict, point)))
+    return _run_points(args, points, f"sweep_{param}")
 
 
 def cmd_verify(quiet: bool = False) -> int:
@@ -227,15 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
+    if args.command == "verify":
         return cmd_verify(quiet=args.quiet)
-    except CliError as exc:
+    try:
+        return cmd_run(args) if args.command == "run" else cmd_sweep(args)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -75,7 +75,7 @@ class WorkDistribution:
         if low < -PROB_NEGATIVE_ATOL:
             raise ValueError(f"negative atom probability: {low:.3e}")
         if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"atom probabilities sum to {total!r}, not 1")
+            raise ValueError(f"atom probabilities sum to {float(total)!r}, not 1")
         # with every weight > 0 the clamp is the identity and no merged atom
         # is empty, so both steps run only when some weight is <= 0
         empty = low <= 0.0

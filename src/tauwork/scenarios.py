@@ -111,6 +111,8 @@ def harmonic_hamiltonian(omega: float, levels: int) -> HermitianOperator:
     """Truncated oscillator ladder: E_n = (n + 1/2) omega for n = 0..levels-1."""
     if omega <= 0:
         raise ValueError(f"omega must be positive, got {omega!r}")
+    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
+        raise ValueError(f"levels must be an integer, got {levels!r}")
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels!r}")
     return HermitianOperator.diagonal((np.arange(levels) + 0.5) * omega)
@@ -151,15 +153,15 @@ PIPELINES = {
 
 _NUMBER = (_finite, "must be a finite number, got {!r}")
 _STRING = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string, got {!r}")
+_POSITIVE = (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}"))
+_FINITE_SQUARE = (lambda v: float(v) * float(v) < math.inf, "must have a finite square, got {!r}")
 
 # field name -> stages (accepts, message), the same wherever the field appears;
 # a value breaks the rule at the first stage it fails, whose message is reported
 FIELD_RULES = {
     **dict.fromkeys(("g", "p", "M", "r_start", "r_end"), (_NUMBER,)),
-    **dict.fromkeys(
-        ("beta", "mass", "c", "omega", "gap", "t_end", "tau_end"),
-        (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}")),
-    ),
+    **dict.fromkeys(("beta", "mass", "omega", "gap", "t_end", "tau_end"), _POSITIVE),
+    "c": (*_POSITIVE, _FINITE_SQUARE),
     **dict.fromkeys(
         ("gamma", "lambda"),
         ((lambda v: _finite(v) and 0.0 <= v <= 1.0, "must be a number in [0, 1], got {!r}"),),

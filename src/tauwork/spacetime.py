@@ -39,8 +39,8 @@ def dilation_factor(phi, p, mass: float, c: float = 1.0):
     """
     if not 0.0 < mass < np.inf:
         raise ValueError(f"mass must be positive, got {mass!r}")
-    if not 0.0 < c < np.inf:
-        raise ValueError(f"speed of light must be positive, got {c!r}")
+    if not (0.0 < c and float(c) * float(c) < np.inf):
+        raise ValueError(f"speed of light must be positive with a finite square, got c={c!r}")
     phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
     alpha = 1.0 + phi / c**2 - p * p / (2.0 * mass * mass * c * c)
     bad = np.flatnonzero(alpha <= 0.0)
@@ -195,8 +195,8 @@ def dilation_profile(
     leaving ``alpha = 1 + phi/c^2`` exactly; useful to isolate the
     equivalence-principle effect.
     """
-    if not 0.0 < c < np.inf:
-        raise ValueError(f"speed of light must be positive, got {c!r}")
+    if not (0.0 < c and float(c) * float(c) < np.inf):
+        raise ValueError(f"speed of light must be positive with a finite square, got c={c!r}")
     ratio = np.max(np.abs(worldline.phi)) / c**2
     if ratio >= WEAK_FIELD_MAX_PHI:
         raise WeakFieldViolationError(

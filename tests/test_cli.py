@@ -668,3 +668,72 @@ class TestNoPartialResults:
         captured = capsys.readouterr()
         assert "beta=4000.0" in captured.err and captured.out == ""
         assert all_files(out) == []
+
+
+class TestErrorLines:
+    """``main`` maps every error of ``run`` and ``sweep`` to one exit code and one line."""
+
+    @pytest.mark.parametrize(
+        "argv, code, line",
+        [
+            (
+                "sweep --scenario {good} --sweep alpha",
+                2,
+                "sweep spec must look like param=start:stop:count, got 'alpha'",
+            ),
+            (
+                "sweep --scenario {good} --sweep zeta=0:1:3",
+                2,
+                "unknown sweep parameter 'zeta'; "
+                "choose from ('alpha', 'beta', 'omega', 'c', 'gamma')",
+            ),
+            (
+                "sweep --scenario {good} --sweep alpha=0.9:1.1:1",
+                2,
+                "sweep count must be >= 2, got 1",
+            ),
+            (
+                "sweep --scenario {good} --scenario {good} --sweep alpha=0.9:1.1:3",
+                2,
+                "sweep needs exactly one --scenario file",
+            ),
+            (
+                "run --scenario {good}",
+                3,
+                "cannot write {out}/osc.csv: [Errno 21] Is a directory: '{out}/osc.csv'",
+            ),
+            (
+                "run --scenario {latin}",
+                2,
+                "cannot read scenario file {latin}: 'utf-8' codec can't decode byte 0xff "
+                "in position 17: invalid start byte",
+            ),
+        ],
+    )
+    def test_exit_code_and_error_line(self, tmp_path, capsys, argv, code, line):
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"scenario_id": "\xff"}')
+        out = tmp_path / "o"
+        (out / "osc.csv").mkdir(parents=True)  # the report path of {good} is a directory
+        paths = dict(good=write_scenario(tmp_path), latin=latin, out=out)
+        assert main(argv.format(**paths).split() + ["--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line.format(**paths)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "c, argv",
+        [
+            (1e155, ["run"]),
+            (1e155, ["sweep", "--sweep", "alpha=0.9:1.1:3"]),
+            (1.0, ["sweep", "--sweep", "c=1e150:1e160:3"]),
+        ],
+    )
+    def test_c_whose_square_overflows_exit_2_writes_nothing(self, tmp_path, capsys, c, argv):
+        raw = json.loads((DEMO_SCENARIOS / "cruise_redshift.json").read_text())
+        path = tmp_path / "cruise.json"
+        path.write_text(json.dumps(dict(raw, c=c)))
+        out = tmp_path / "o"
+        assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
+        assert "c: must have a finite square" in capsys.readouterr().err
+        assert not out.exists()

@@ -134,6 +134,9 @@ class TestAnalyticOracles:
             (levels_for_tail, (5e-324,), TOO_SMALL),
             (levels_for_tail, (1.0, 1e-310), TOO_SMALL),
             (levels_for_tail, (1e-200, 1e-200), TOO_SMALL),
+            # the ladder size must be an integer, not a bool
+            (harmonic_hamiltonian, (1.0, 2.5), r"levels must be an integer, got 2\.5"),
+            (harmonic_hamiltonian, (1.0, True), "levels must be an integer, got True"),
         ],
     )
     def test_tail_helpers_reject_bad_arguments(self, helper, args, message):
@@ -145,6 +148,9 @@ class TestSystems:
     def test_harmonic_spectrum(self):
         spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
         np.testing.assert_allclose(spec.eigenvalues, np.arange(40) + 0.5)
+
+    def test_harmonic_accepts_numpy_integer_levels(self):
+        assert harmonic_hamiltonian(1.0, np.int64(3)).dim == 3
 
     def test_two_level_gap(self):
         spec = spectral_decompose(two_level_hamiltonian(0.7))

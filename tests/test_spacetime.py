@@ -55,6 +55,7 @@ class TestDilationFactor:
             (float("nan"), 1.0, "mass"),
             (1.0, float("nan"), "speed of light"),
             (1.0, float("inf"), "speed of light"),
+            (1.0, 1e155, "speed of light"),  # c**2 overflows
         ],
     )
     def test_rejects_non_finite_mass_and_c(self, mass, c, message):
@@ -204,7 +205,7 @@ class TestClockRateOnArrays:
         with pytest.raises(WeakFieldViolationError, match=f"{-low:g} exceeds"):
             dilation_profile(w)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf"), 1e155])
     def test_profile_checks_c_before_the_bound(self, c):
         w = Worldline([0.0, 1.0], [0.0, -1.2], [0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match="speed of light must be positive"):
