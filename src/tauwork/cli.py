@@ -52,13 +52,13 @@ def _parse_sweep(spec: str) -> tuple:
     return (param, start, stop, count)
 
 
-def _load_document(path: str, steps: int | None) -> tuple[dict, ScenarioConfig]:
+def _load_document(path: str, steps: int | None) -> ScenarioConfig:
     """Read a scenario file, apply the ``--steps`` override and validate it."""
     text = _labelled(f"cannot read scenario file {path}", Path(path).read_text, encoding="utf-8")
     document = _labelled(path, parse_document, text)
     if steps is not None and isinstance(document, dict) and document.get("pipeline") == "appendix":
         document = dict(document, steps=steps)
-    return document, _labelled(path, ScenarioConfig.from_dict, document)
+    return _labelled(path, ScenarioConfig.from_dict, document)
 
 
 def _run_points(args, points: list, table: str | None = None) -> int:
@@ -103,7 +103,7 @@ def cmd_run(args) -> int:
     # scenario_id, so two files with one id would overwrite
     points, paths_by_id = [], {}
     for path in args.scenario:
-        _, config = _load_document(path, args.steps)
+        config = _load_document(path, args.steps)
         if config.scenario_id in paths_by_id:
             raise ValueError(
                 f"{paths_by_id[config.scenario_id]} and {path} both have scenario_id "
@@ -114,17 +114,20 @@ def cmd_run(args) -> int:
     return _run_points(args, points)
 
 
-def _sweep_point(document: dict, base: ScenarioConfig, param: str, value: float) -> dict:
-    """The scenario document with the swept parameter set to ``value``."""
-    point = dict(document, scenario_id=f"{base.scenario_id}@{param}={value:.9g}")
+def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
+    """``base`` with the swept parameter set to ``value``, checked as the edited file would be.
+
+    Each parameter edits one config field: ``beta`` and ``c`` themselves,
+    ``omega`` the system, ``gamma`` the channel and ``alpha`` the worldline.
+    """
     if param in ("beta", "c"):
-        point[param] = value
+        name, edited = param, value
     elif param == "omega":
-        point["system"] = dict(document.get("system") or {}, omega=value)
+        name, edited = "system", dict(base.system or {}, omega=value)
     elif param == "gamma":
-        channel = document.get("channel") or {}
+        channel = base.channel or {}
         key = "lambda" if channel.get("preset") == "depolarizing" else "gamma"
-        point["channel"] = dict(channel, **{key: value})
+        name, edited = "channel", dict(channel, **{key: value})
     else:
         # realize the requested final clock rate alpha with a potential ramp
         # read by a heavy particle: phi_end = (alpha - 1) c^2
@@ -132,27 +135,27 @@ def _sweep_point(document: dict, base: ScenarioConfig, param: str, value: float)
         if base.worldline and "t_end" in base.worldline:
             t_end = base.worldline["t_end"]
             samples = base.worldline.get("samples", samples)
-        point["worldline"] = {
+        name, edited = "worldline", {
             "preset": "uniform_gravity",
             "g": (value - 1.0) * base.c**2 / t_end,
             "t_end": t_end,
             "samples": samples,
             "gravitational_only": True,
         }
-    return point
+    return base.edited(name, edited, f"{base.scenario_id}@{param}={value:.9g}")
 
 
 def cmd_sweep(args) -> int:
     param, start, stop, count = _parse_sweep(args.sweep)
     if len(args.scenario or ()) != 1:
         raise ValueError("sweep needs exactly one --scenario file")
-    document, base = _load_document(args.scenario[0], args.steps)
+    # the file is validated once; each point checks only the field it edits
+    base = _load_document(args.scenario[0], args.steps)
     values = sorted(start + (stop - start) * k / (count - 1) for k in range(count))
     points = []
     for value in values:
         label = f"{param}={value}"
-        point = _sweep_point(document, base, param, value)
-        points.append((label, _labelled(label, ScenarioConfig.from_dict, point)))
+        points.append((label, _labelled(label, _sweep_config, base, param, value)))
     return _run_points(args, points, f"sweep_{param}")
 
 

@@ -299,12 +299,9 @@ class ProtocolReport:
         Raises ``TypeError`` for a missing or unknown column and
         ``ValueError`` naming each non-finite column.
         """
-        inputs = [f for f in fields(cls) if f.name not in _DERIVED_COLUMNS]
-        if columns.keys() != {f.name for f in inputs}:
-            raise TypeError(
-                f"build takes the columns {[f.name for f in inputs]}, got {list(columns)}"
-            )
-        row = {f.name: _CASTS[f.type](columns[f.name]) for f in inputs}
+        if columns.keys() != _INPUT_CASTS.keys():
+            raise TypeError(f"build takes the columns {list(_INPUT_CASTS)}, got {list(columns)}")
+        row = {name: cast(columns[name]) for name, cast in _INPUT_CASTS.items()}
         report = cls(
             **row,
             residual=row["lhs"] - row["rhs"],
@@ -312,8 +309,8 @@ class ProtocolReport:
         )
         bad = [
             f"{name}={value!r}"
-            for name, value in report.to_dict().items()
-            if isinstance(value, float) and not math.isfinite(value)
+            for name in _FLOAT_COLUMNS
+            if not math.isfinite(value := getattr(report, name))
         ]
         if bad:
             raise ValueError(f"report has non-finite values: {', '.join(bad)}")
@@ -331,8 +328,13 @@ class ProtocolReport:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ProtocolReport))
-_DERIVED_COLUMNS = ("residual", "entropy_production")
-_CASTS = {"str": str, "int": int, "float": float}
+# the columns ``build`` takes, each with its cast; the other two are derived
+_INPUT_CASTS = {
+    f.name: {"str": str, "int": int, "float": float}[f.type]
+    for f in fields(ProtocolReport)
+    if f.name not in ("residual", "entropy_production")
+}
+_FLOAT_COLUMNS = tuple(f.name for f in fields(ProtocolReport) if f.type == "float")
 
 
 def _csv_cell(value) -> str:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -125,7 +125,12 @@ def two_level_hamiltonian(gap: float) -> HermitianOperator:
 
 
 def _finite(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _pairs_matrix(value) -> bool:
@@ -362,15 +367,34 @@ class ScenarioConfig:
                 _check(raw[key], key, key, errors)
         if errors:
             raise ScenarioValidationError(errors)
-        values = {}
-        for name, f in _FIELDS.items():
-            value = raw.get(name, f.default)
-            values[name] = float(value) if f.type == "float" else value
-        return cls(**values)
+        return cls(**{name: _cast(name, raw.get(name, f.default)) for name, f in _FIELDS.items()})
+
+    def edited(self, name: str, value, scenario_id: str) -> "ScenarioConfig":
+        """This config with field ``name`` set to ``value`` and a new ``scenario_id``.
+
+        Equals ``from_dict`` of the edited document, and fails with the same
+        errors, but checks only the two edited fields: the rest were checked
+        when this config was made.
+        """
+        sections, optional = PIPELINES[self.pipeline]
+        used = name in _ALWAYS_REQUIRED + sections + optional
+        errors = [] if used else [f"{name}: not used by the {self.pipeline} pipeline"]
+        _check(scenario_id, "scenario_id", "scenario_id", errors)
+        if used:
+            _check(value, name, name, errors)
+        if errors:
+            raise ScenarioValidationError(errors)
+        return replace(self, scenario_id=scenario_id, **{name: _cast(name, value)})
 
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 _ALWAYS_REQUIRED = tuple(name for name, f in _FIELDS.items() if f.default is MISSING)
+_FLOAT_FIELDS = frozenset(name for name, f in _FIELDS.items() if f.type == "float")
+
+
+def _cast(name: str, value):
+    """A validated field value as the config holds it: float fields as floats."""
+    return float(value) if name in _FLOAT_FIELDS else value
 
 
 def parse_document(text: str):
@@ -379,25 +403,37 @@ def parse_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"document: malformed JSON ({exc})"]) from None
+    except RecursionError:
+        raise ScenarioValidationError(["document: nested too deeply to parse"]) from None
 
 
 def build_system(system: dict) -> HermitianOperator:
     return SYSTEMS[system["kind"]].build(system)
 
 
-def _stage(memo: dict | None, stage: str, compute: Callable, **inputs):
-    """``compute(**inputs)``, taken from ``memo`` when ``stage`` holds the same inputs.
+def _copy(value):
+    """A copy of a JSON value: new dicts and lists, the same scalars."""
+    if isinstance(value, dict):
+        return {key: _copy(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy(item) for item in value]
+    return value
 
-    ``memo`` maps each stage to the canonical JSON of its inputs and the value
-    computed from them. A stage keeps one entry and drops it before computing
-    a new one, so a sweep holds one value per stage at a time.
+
+def _stage(memo: dict | None, stage: str, compute: Callable, **inputs):
+    """``compute(**inputs)``, taken from ``memo`` when ``stage`` holds equal inputs.
+
+    ``memo`` maps each stage to a copy of the inputs it computed from and the
+    value computed from them, so a hit costs one ``==`` and a section edited
+    in place after the run misses. A stage keeps one entry and drops it before
+    computing a new one, so a sweep holds one value per stage at a time.
     """
     if memo is None:
         return compute(**inputs)
-    key = json.dumps(inputs, sort_keys=True)
-    if memo.get(stage, (None,))[0] != key:
+    held = memo.get(stage)
+    if held is None or held[0] != inputs:
         memo.pop(stage, None)
-        memo[stage] = (key, compute(**inputs))
+        memo[stage] = (_copy(inputs), compute(**inputs))
     return memo[stage][1]
 
 
@@ -412,12 +448,22 @@ def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
     return spec.scaled(system[scale]) if scale else spec
 
 
-def build_profile(worldline: dict, mass: float, c: float) -> DilationProfile:
-    """Build the sampled trajectory and its clock-rate profile at speed of light ``c``."""
+def build_trajectory(worldline: dict, mass: float) -> Worldline:
+    """The sampled trajectory of a ``worldline`` section for a particle of ``mass``."""
     entry = WORLDLINES[worldline.get("preset", "csv")]
-    trajectory = entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
-    grav_only = worldline.get("gravitational_only", False)
-    return dilation_profile(trajectory, c, gravitational_only=grav_only)
+    return entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
+
+
+def _profile(worldline: dict, mass: float, c: float, memo: dict | None) -> DilationProfile:
+    """The clock-rate profile at speed of light ``c``, from ``memo``'s profile
+    stage; it reads the trajectory from its own stage, which ``c`` does not enter."""
+
+    def compute(worldline, mass, c):
+        trajectory = _stage(memo, "trajectory", build_trajectory, worldline=worldline, mass=mass)
+        grav_only = worldline.get("gravitational_only", False)
+        return dilation_profile(trajectory, c, gravitational_only=grav_only)
+
+    return _stage(memo, "profile", compute, worldline=worldline, mass=mass, c=c)
 
 
 def _schedule_spectra(schedule: list) -> list:
@@ -434,10 +480,11 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     Callers that build several scenarios pass one ``memo`` (an empty dict to
     start), which holds one value per build stage, keyed on the fields that
     stage reads: the decomposed ``system`` section (an oscillator's ``omega``
-    only rescales it), the dilation profile of ``worldline``, ``mass`` and
-    ``c``, and the decomposed segments of ``schedule``. So a sweep over
-    ``beta`` or ``omega`` reuses all of them, one over ``alpha`` or ``c``
-    recomputes the profile, and all of them decompose once.
+    only rescales it), the sampled trajectory of ``worldline`` and ``mass``,
+    its dilation profile at ``c``, and the decomposed segments of
+    ``schedule``. So a sweep over ``beta`` or ``omega`` reuses all of them,
+    one over ``c`` builds its trajectory once and profiles it at every point,
+    one over ``alpha`` rebuilds both, and all of them decompose once.
     """
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)
@@ -454,9 +501,7 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
             channel=channel,
         )
 
-    profile = _stage(
-        memo, "profile", build_profile, worldline=config.worldline, mass=config.mass, c=config.c
-    )
+    profile = _profile(config.worldline, config.mass, config.c, memo)
     if config.pipeline == "dilated":
         return DilatedRun(
             scenario_id=config.scenario_id,

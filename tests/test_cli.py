@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from tauwork import scenarios
-from tauwork.cli import _sweep_point, main
+from tauwork.cli import _sweep_config, main
 from tauwork.protocol import CSV_COLUMNS, ProtocolReport
 from tauwork.scenarios import ScenarioConfig, run_scenario
 
@@ -120,6 +121,22 @@ class TestRun:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "malformed JSON" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"error: {path}: invalid scenario:\n  - document: nested too deeply" in (
+            capsys.readouterr().err
+        )
+
+    def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, beta=10**400)
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert "  - beta: must be a finite number, got 1000" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_field_exit_2_names_field(self, tmp_path, capsys):
         path = write_scenario(tmp_path, beta=-2.0)
@@ -433,7 +450,7 @@ class TestDecompositionReuse:
         lines = [ProtocolReport.csv_header()]
         for k in range(int(count)):
             value = start + (stop - start) * k / (count - 1)
-            lines.append(run_scenario(_sweep_point(document, base, param, value)).to_csv_row())
+            lines.append(run_scenario(_sweep_config(base, param, value)).to_csv_row())
         expected = "\n".join(lines) + "\n"
         assert (tmp_path / f"sweep_{param}.csv").read_text() == expected
 
@@ -464,6 +481,25 @@ class TestProfileReuse:
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path / "o")]
         assert main([*argv, "--quiet"]) == 0
         assert len(profiled) == calls
+
+
+    @pytest.mark.parametrize("spec, builds", [("c=1:100:50", 1), ("alpha=0.8:1.2:50", 50)])
+    def test_worldline_built_once_per_distinct_section(self, spec, builds, tmp_path, monkeypatch):
+        # c does not enter the trajectory, so a c sweep profiles one worldline at every point
+        built = []
+        entry = scenarios.WORLDLINES["uniform_gravity"]
+
+        def counting(*args):
+            built.append(args)
+            return entry.build(*args)
+
+        monkeypatch.setitem(
+            scenarios.WORLDLINES, "uniform_gravity", dataclasses.replace(entry, build=counting)
+        )
+        path = write_scenario(tmp_path)
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path / "o")]
+        assert main([*argv, "--quiet"]) == 0
+        assert len(built) == builds
 
 
 def test_verify_command_passes(capsys):
@@ -614,6 +650,80 @@ class TestSweepValidation:
         assert main(argv + ["--steps", "7", "--quiet"]) == 0
         _, rows = read_rows(out / "sweep_beta.csv")
         assert [r["steps"] for r in rows] == ["7", "7", "7"]
+
+
+def _edited_document(document: dict, param: str, value: float) -> dict:
+    """The scenario file a sweep point stands for, written out by hand."""
+    point = dict(document, scenario_id=f"{document['scenario_id']}@{param}={value:.9g}")
+    if param in ("beta", "c"):
+        point[param] = value
+    elif param == "omega":
+        point["system"] = dict(document.get("system") or {}, omega=value)
+    elif param == "gamma":
+        key = "lambda" if document.get("channel", {}).get("preset") == "depolarizing" else "gamma"
+        point["channel"] = dict(document.get("channel") or {}, **{key: value})
+    else:
+        worldline = document.get("worldline") or {}
+        t_end = worldline.get("t_end", 1.0)
+        point["worldline"] = {
+            "preset": "uniform_gravity",
+            "g": (value - 1.0) * document.get("c", 1.0) ** 2 / t_end,
+            "t_end": t_end,
+            "samples": worldline.get("samples", 101) if "t_end" in worldline else 101,
+            "gravitational_only": True,
+        }
+    return point
+
+
+def _demo(name: str) -> dict:
+    return json.loads((DEMO_SCENARIOS / f"{name}.json").read_text())
+
+
+class TestSweepConfig:
+    """A sweep point checks only the field it edits, yet equals the edited file."""
+
+    @pytest.mark.parametrize(
+        "document, param, value",
+        [
+            (_demo("oscillator_blueshift"), "beta", 3.5),
+            (_demo("oscillator_blueshift"), "c", 7.0),
+            (_demo("oscillator_blueshift"), "omega", 0.75),
+            (_demo("oscillator_blueshift"), "alpha", 1.1),
+            (_demo("flat_damping"), "gamma", 0.25),
+            (_demo("cruise_redshift"), "alpha", 0.9),
+            (_demo("cruise_redshift"), "c", 30.0),
+            (_demo("driven_two_segment"), "alpha", 1.2),
+            (_demo("driven_two_segment"), "beta", 0.5),
+            (dict(FLAT, channel={"preset": "depolarizing", "lambda": 0.1}), "gamma", 0.5),
+            # failing points: each must fail with the errors of the edited file
+            (_demo("oscillator_blueshift"), "beta", -1.0),
+            (_demo("oscillator_blueshift"), "beta", float("nan")),
+            (_demo("oscillator_blueshift"), "c", 5e159),
+            (_demo("oscillator_blueshift"), "omega", float("inf")),
+            (_demo("oscillator_blueshift"), "alpha", float("inf")),
+            (_demo("oscillator_blueshift"), "gamma", 0.5),
+            (_demo("cruise_redshift"), "omega", 1.0),
+            (_demo("flat_damping"), "gamma", 1.5),
+            (_demo("flat_damping"), "c", 2.0),
+            (_demo("flat_damping"), "alpha", 0.9),
+            (_demo("driven_two_segment"), "omega", 1.0),
+        ],
+    )
+    def test_point_equals_from_dict_of_the_edited_file(self, document, param, value):
+        base = ScenarioConfig.from_dict(document)
+        edited = _edited_document(document, param, value)
+        try:
+            expected = ScenarioConfig.from_dict(edited)
+        except scenarios.ScenarioValidationError as exc:
+            with pytest.raises(scenarios.ScenarioValidationError) as err:
+                _sweep_config(base, param, value)
+            assert err.value.errors == exc.errors
+        else:
+            point = _sweep_config(base, param, value)
+            assert point == expected
+            assert [type(v) for v in vars(point).values()] == [
+                type(v) for v in vars(expected).values()
+            ]
 
 
 class TestNoPartialResults:

@@ -202,6 +202,11 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError, match="malformed JSON"):
             parse_document("{not json")
 
+    def test_edited_casts_float_fields_like_from_dict(self):
+        edited = ScenarioConfig.from_dict(dilated_config()).edited("c", 3, "osc@c=3")
+        assert edited == ScenarioConfig.from_dict(dilated_config(c=3, scenario_id="osc@c=3"))
+        assert type(edited.c) is float
+
     def test_unknown_system_subfield(self):
         raw = dilated_config(system={"kind": "two_level", "gap": 1.0, "omega": 2.0})
         with pytest.raises(ScenarioValidationError, match="system.omega: unknown"):
@@ -309,7 +314,7 @@ class TestBuildScenario:
         b = ScenarioConfig.from_dict(dilated_config(**{section: other}))
         runs = [build_scenario(config, memo) for config in (a, a2, b, b, a)]
         assert held == [False, False, False]
-        assert sorted(memo) == ["profile", "spectrum"]
+        assert sorted(memo) == ["profile", "spectrum", "trajectory"]
         values = [getattr(run, field) for run in runs]
         assert values[0] is values[1] and values[2] is values[3]
         assert values[4] is not values[0]
@@ -334,6 +339,29 @@ class TestBuildScenario:
         alone = [run_scenario(config) for config in configs]
         assert shared[0].alpha_final != shared[1].alpha_final
         assert [r.to_csv_row() for r in shared] == [r.to_csv_row() for r in alone]
+
+    @pytest.mark.parametrize(
+        "section, path, value",
+        [
+            # a matrix entry, two lists below the section
+            ("system", ("matrix", 1, 1), [2.0, 0.0]),
+            ("worldline", ("g",), -0.01),
+        ],
+    )
+    def test_section_edited_in_place_misses_the_memo(self, section, path, value):
+        matrix = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        config = ScenarioConfig.from_dict(
+            dilated_config(system={"kind": "explicit", "matrix": matrix})
+        )
+        memo = {}
+        first = run_scenario(config, memo).to_csv_row()
+        target = getattr(config, section)
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        again = run_scenario(config, memo).to_csv_row()
+        assert again != first
+        assert again == run_scenario(config).to_csv_row()
 
     def test_channel_dimension_mismatch_reported(self):
         raw = {
