@@ -17,15 +17,13 @@ from tauwork import (
     conditional_probabilities,
     estimate,
     run_protocol,
-    spectral_decompose,
     thermal_state,
     two_level_hamiltonian,
     unitary_channel,
 )
 
 beta = 1.0
-h = two_level_hamiltonian(1.0)
-spec = spectral_decompose(h)
+spec = two_level_hamiltonian(1.0)
 
 print("two-level system, gap 1.0, beta = 1.0")
 print()
@@ -53,7 +51,7 @@ print("amplitude damping, gamma sweep (non-unital):")
 print(f"  {'gamma':>6} {'<e^-bW>':>14} {'rhs w/ correction':>18} {'residual':>10} {'<Sigma>':>10}")
 for gamma in (0.1, 0.3, 0.5, 0.7, 0.9):
     # the whole flat pipeline, as `tauwork run` executes it
-    rep = run_protocol(FlatRun("damping", beta, h, h, amplitude_damping_channel(gamma)))
+    rep = run_protocol(FlatRun("damping", beta, spec, spec, amplitude_damping_channel(gamma)))
     print(
         f"  {gamma:6.1f} {rep.lhs:14.10f} {rep.rhs:18.10f} {rep.residual:10.1e} "
         f"{rep.entropy_production:10.6f}"

@@ -24,7 +24,6 @@ from tauwork import (
     levels_for_tail,
     oscillator_delta_F_analytic,
     oscillator_mean_work_analytic,
-    spectral_decompose,
     thermal_state,
 )
 from tauwork.scenarios import truncation_tail_weight
@@ -32,7 +31,7 @@ from tauwork.scenarios import truncation_tail_weight
 beta_omega = 2.0
 alphas = np.round(np.arange(0.5, 1.51, 0.1), 2)
 levels = levels_for_tail(beta_omega, alpha_min=float(alphas.min()))
-spec = spectral_decompose(harmonic_hamiltonian(1.0, levels))
+spec = harmonic_hamiltonian(1.0, levels)
 # one Gibbs ensemble serves every clock rate
 gibbs = thermal_state(spec, beta_omega)
 

@@ -11,11 +11,11 @@ light grows.
 import numpy as np
 
 from tauwork import (
+    ScenarioConfig,
     comoving_worldline,
     cruise_worldline,
     dilation_factor,
     dilation_profile,
-    harmonic_hamiltonian,
     point_mass_worldline,
     run_scenario,
     uniform_gravity_worldline,
@@ -50,7 +50,8 @@ scenario = {
 }
 print(f"  {'c':>10} {'alpha_final':>14} {'<W>':>12} {'<Sigma>':>12}")
 for c in (1.0, 10.0, 100.0, 1e4, 1e6):
-    rep = run_scenario(dict(scenario, c=c, scenario_id=f"newtonian-c{c:g}"))
+    config = ScenarioConfig.from_dict(dict(scenario, c=c, scenario_id=f"newtonian-c{c:g}"))
+    rep = run_scenario(config)
     print(f"  {c:10g} {rep.alpha_final:14.10f} {rep.mean_work:12.3e} "
           f"{rep.entropy_production:12.3e}")
 print()

@@ -14,12 +14,11 @@ from tauwork import (
     estimate,
     harmonic_hamiltonian,
     sample_outcomes,
-    spectral_decompose,
     thermal_state,
 )
 
 beta, alpha = 2.0, 1.2
-spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+spec = harmonic_hamiltonian(1.0, 40)
 est = estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
 wd, exact = est.atoms, est.lhs
 

@@ -113,7 +113,7 @@ def _oscillator_grid():
     for beta_omega in (0.5, 1.0, 2.0, 5.0):
         for alpha in [round(0.5 + 0.1 * k, 1) for k in range(11)]:
             levels = scenarios.levels_for_tail(beta_omega, alpha_min=alpha)
-            spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, levels))
+            spec = scenarios.harmonic_hamiltonian(1.0, levels)
             yield beta_omega, alpha, _dilated(thermo.thermal_state(spec, beta_omega), alpha)
 
 
@@ -197,17 +197,12 @@ def criterion_second_law() -> list[Check]:
     return [Check("min <Sigma>", worst, -1e-12, lower=True)]
 
 
-def _oscillator_scenario(scenario_id: str, worldline: dict, **fields) -> dict:
-    """A dilated run of the 40-level oscillator at beta = 2 along ``worldline``."""
-    return {
-        "scenario_id": scenario_id,
-        "pipeline": "dilated",
-        "beta": 2.0,
-        "system": {"kind": "harmonic", "omega": 1.0, "levels": 40},
-        "worldline": worldline,
-        "mass": 1.0,
-        **fields,
-    }
+def _oscillator_scenario(scenario_id: str, worldline: dict, **fields):
+    """The config of a dilated run of the 40-level oscillator at beta = 2 along ``worldline``."""
+    system = {"kind": "harmonic", "omega": 1.0, "levels": 40}
+    raw = {"scenario_id": scenario_id, "pipeline": "dilated", "beta": 2.0, "system": system}
+    raw.update(worldline=worldline, mass=1.0, **fields)
+    return scenarios.ScenarioConfig.from_dict(raw)
 
 
 @_criterion("comoving null result")
@@ -249,7 +244,7 @@ def criterion_potential_difference() -> list[Check]:
     ramp = {"preset": "uniform_gravity", "g": 0.03, "t_end": 10.0, "samples": 101}
     ramp["gravitational_only"] = True
     report = scenarios.run_scenario(_oscillator_scenario("potential-read", ramp))
-    spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, 40))
+    spec = scenarios.harmonic_hamiltonian(1.0, 40)
     ratio = report.mean_work / thermo.thermal_state(spec, 2.0).mean_energy()
     phi_difference = 0.3
     return [
@@ -286,7 +281,7 @@ def criterion_appendix_convergence() -> list[Check]:
     any step count; a non-commuting drive converges first order in steps."""
     prof = _ramp_profile()
     beta = 1.0
-    h = HermitianOperator.diagonal([0.5, 1.5, 2.5])
+    h = scenarios.harmonic_hamiltonian(1.0, 3)
 
     dilated = protocol.run_protocol(
         protocol.DilatedRun(scenario_id="ref", beta=beta, h0=h, profile=prof)
@@ -337,7 +332,7 @@ def criterion_monte_carlo() -> list[Check]:
     """Sampled work values reproduce the exact exponential average within
     4 standard errors, deterministically for a fixed seed."""
     beta = 2.0
-    spec = spectral_decompose(scenarios.harmonic_hamiltonian(1.0, 40))
+    spec = scenarios.harmonic_hamiltonian(1.0, 40)
     est = _dilated(thermo.thermal_state(spec, beta), 1.2)
     wd = est.atoms
     n = 100_000

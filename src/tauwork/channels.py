@@ -121,9 +121,9 @@ def unitality_deviation(channel: QuantumChannel) -> np.ndarray:
 class PropagatorSchedule:
     """A piecewise-constant internal Hamiltonian over proper time, plus the clock.
 
-    ``segments`` holds one generator per segment as a ``Spectrum``: each is
-    decomposed once, when the schedule is built, from a ``HermitianOperator``
-    or a raw matrix (a ``Spectrum`` is kept as it is). Segment k applies on
+    ``segments`` holds one generator per segment as a ``Spectrum``; a segment
+    given as a ``HermitianOperator`` (bench/ draws matrices) is decomposed
+    once, when the schedule is built. Segment k applies on
     ``[tau_bounds[k-1], tau_bounds[k])`` with ``tau_bounds[-1]`` covering the
     profile's total proper time. ``steps`` cuts the laboratory time span into
     equal slices and only decides which segment the slice that straddles each
@@ -137,19 +137,14 @@ class PropagatorSchedule:
     steps: int
 
     def __init__(self, segments, dilation: DilationProfile, steps: int):
-        segs = []
-        bounds = []
-        for tau_end, h in segments:
-            if not isinstance(h, (HermitianOperator, Spectrum)):
-                h = HermitianOperator(h)
-            segs.append(h)
-            bounds.append(float(tau_end))
-        if not segs:
+        pairs = list(segments)
+        if not pairs:
             raise ValueError("schedule needs at least one segment")
+        segs = [h for _, h in pairs]
         dim = segs[0].dim
         if any(h.dim != dim for h in segs):
             raise ValueError("all schedule segments must share one dimension")
-        bounds_arr = np.array(bounds, dtype=float)
+        bounds_arr = np.array([tau_end for tau_end, _ in pairs], dtype=float)
         finite = np.isfinite(bounds_arr).all()
         if not (finite and bounds_arr[0] > 0 and ((bounds_arr[1:] - bounds_arr[:-1]) > 0).all()):
             raise ValueError(

@@ -52,7 +52,7 @@ def matrix_from_pairs(data, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """A finite-dimensional Hermitian operator.
+    """A finite-dimensional Hermitian matrix, the input to ``spectral_decompose``.
 
     Construction symmetrizes the input when the anti-Hermitian part is below
     ``HERMITICITY_ATOL`` and rejects it otherwise, so ``matrix`` is exactly
@@ -75,11 +75,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def diagonal(cls, values) -> "HermitianOperator":
-        vals = np.asarray(values, dtype=float)
-        return cls(np.diag(vals.astype(complex)))
 
 
 @dataclass(frozen=True)

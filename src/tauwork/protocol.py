@@ -345,7 +345,8 @@ def _csv_cell(value) -> str:
 
 @dataclass(frozen=True)
 class FlatRun:
-    """Prepared inputs for the flat pipeline; either Hamiltonian may be a Spectrum."""
+    """Prepared inputs for the flat pipeline; either Hamiltonian may also be a
+    ``HermitianOperator``, which ``run_protocol`` decomposes (bench/ draws matrices)."""
 
     scenario_id: str
     beta: float
@@ -356,11 +357,11 @@ class FlatRun:
 
 @dataclass(frozen=True)
 class DilatedRun:
-    """Prepared inputs for the time-independent dilated pipeline; ``h0`` may be a Spectrum."""
+    """Prepared inputs for the time-independent dilated pipeline."""
 
     scenario_id: str
     beta: float
-    h0: HermitianOperator | Spectrum
+    h0: Spectrum
     profile: DilationProfile
 
 
@@ -407,18 +408,18 @@ def run_protocol(run) -> ProtocolReport:
 
     Every pipeline reduces to the initial spectrum (with Gibbs weights), the
     final measured energies and a transition matrix; ``estimate`` turns
-    those into the estimators of the report row. Only a Hamiltonian that
-    arrives undecomposed is decomposed.
+    those into the estimators of the report row. Only a flat run's
+    Hamiltonians may arrive undecomposed.
     """
     correction = 0.0
     if isinstance(run, FlatRun):
-        spec0, spec_f = _as_spectrum(run.h0), _as_spectrum(run.h_final)
+        spec0, spec_f = map(_as_spectrum, (run.h0, run.h_final))
         e_final = spec_f.eigenvalues
         trans = conditional_probabilities(spec0, spec_f, run.channel)
         correction = _nonunital_correction(spec_f, run.channel, run.beta)
         pipeline, alpha, tau_total, final_basis, steps = "flat", 1.0, 0.0, "instantaneous", 0
     elif isinstance(run, DilatedRun):
-        spec0, trans = _as_spectrum(run.h0), None
+        spec0, trans = run.h0, None
         alpha, tau_total = run.profile.alpha_final, run.profile.tau_total
         e_final = alpha * spec0.eigenvalues
         pipeline, final_basis, steps = "dilated", "evolved", 0

@@ -107,21 +107,20 @@ def truncation_tail_weight(beta_omega: float, levels: int, alpha: float = 1.0) -
     return float(np.exp(-min(1.0, alpha) * beta_omega * levels))
 
 
-def harmonic_hamiltonian(omega: float, levels: int) -> HermitianOperator:
-    """Truncated oscillator ladder: E_n = (n + 1/2) omega for n = 0..levels-1."""
-    if omega <= 0:
-        raise ValueError(f"omega must be positive, got {omega!r}")
+def harmonic_hamiltonian(omega: float, levels: int) -> Spectrum:
+    """Truncated oscillator ladder E_n = (n + 1/2) omega, n = 0..levels-1, in the standard basis."""
+    _check_positive(omega=omega)
     if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
         raise ValueError(f"levels must be an integer, got {levels!r}")
     if levels < 2:
         raise ValueError(f"need at least 2 levels, got {levels!r}")
-    return HermitianOperator.diagonal((np.arange(levels) + 0.5) * omega)
+    return Spectrum((np.arange(levels) + 0.5) * omega, np.eye(levels))
 
 
-def two_level_hamiltonian(gap: float) -> HermitianOperator:
-    if gap <= 0:
-        raise ValueError(f"gap must be positive, got {gap!r}")
-    return HermitianOperator.diagonal([0.0, gap])
+def two_level_hamiltonian(gap: float) -> Spectrum:
+    """Levels 0 and ``gap`` in the standard basis."""
+    _check_positive(gap=gap)
+    return Spectrum([0.0, gap], np.eye(2))
 
 
 def _finite(value) -> bool:
@@ -216,9 +215,12 @@ class _Entry:
 
 _TIMED = ("samples", "gravitational_only")
 
+# each builder returns the system's spectrum
 SYSTEMS = {
     "explicit": _Entry(
-        ("matrix",), (), lambda s: HermitianOperator(matrix_from_pairs(s["matrix"]))
+        ("matrix",),
+        (),
+        lambda s: spectral_decompose(HermitianOperator(matrix_from_pairs(s["matrix"]))),
     ),
     "harmonic": _Entry(
         ("omega", "levels"),
@@ -227,7 +229,9 @@ SYSTEMS = {
         scale="omega",
     ),
     "two_level": _Entry(("gap",), (), lambda s: two_level_hamiltonian(s["gap"])),
-    "random": _Entry(("dim", "seed"), (), lambda s: random_hermitian(s["dim"], s["seed"])),
+    "random": _Entry(
+        ("dim", "seed"), (), lambda s: spectral_decompose(random_hermitian(s["dim"], s["seed"]))
+    ),
 }
 
 # a worldline without a preset is read from its ``csv`` table; each builder
@@ -403,11 +407,13 @@ def parse_document(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioValidationError([f"document: malformed JSON ({exc})"]) from None
+    except ValueError:  # an integer past Python's int conversion limit (4300 digits)
+        raise ScenarioValidationError(["document: a number has too many digits"]) from None
     except RecursionError:
         raise ScenarioValidationError(["document: nested too deeply to parse"]) from None
 
 
-def build_system(system: dict) -> HermitianOperator:
+def build_system(system: dict) -> Spectrum:
     return SYSTEMS[system["kind"]].build(system)
 
 
@@ -438,13 +444,11 @@ def _stage(memo: dict | None, stage: str, compute: Callable, **inputs):
 
 
 def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
-    """The decomposed system from ``memo``'s spectrum stage. A system linear in
+    """The system's spectrum from ``memo``'s spectrum stage. A system linear in
     its ``scale`` field is held at scale 1 and rescaled on the way out."""
     scale = SYSTEMS[system["kind"]].scale
     unit = dict(system, **{scale: 1.0}) if scale else system
-    spec = _stage(
-        memo, "spectrum", lambda system: spectral_decompose(build_system(system)), system=unit
-    )
+    spec = _stage(memo, "spectrum", build_system, system=unit)
     return spec.scaled(system[scale]) if scale else spec
 
 
@@ -467,7 +471,7 @@ def _profile(worldline: dict, mass: float, c: float, memo: dict | None) -> Dilat
 
 
 def _schedule_spectra(schedule: list) -> list:
-    return [(seg["tau_end"], spectral_decompose(build_system(seg["system"]))) for seg in schedule]
+    return [(seg["tau_end"], build_system(seg["system"])) for seg in schedule]
 
 
 def build_channel(channel: dict, dim: int) -> QuantumChannel:
@@ -479,12 +483,14 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
 
     Callers that build several scenarios pass one ``memo`` (an empty dict to
     start), which holds one value per build stage, keyed on the fields that
-    stage reads: the decomposed ``system`` section (an oscillator's ``omega``
-    only rescales it), the sampled trajectory of ``worldline`` and ``mass``,
-    its dilation profile at ``c``, and the decomposed segments of
+    stage reads: the spectrum of the ``system`` section (an oscillator's
+    ``omega`` only rescales it), the sampled trajectory of ``worldline`` and
+    ``mass``, its dilation profile at ``c``, and the segment spectra of
     ``schedule``. So a sweep over ``beta`` or ``omega`` reuses all of them,
     one over ``c`` builds its trajectory once and profiles it at every point,
-    one over ``alpha`` rebuilds both, and all of them decompose once.
+    one over ``alpha`` rebuilds both, and all of them build each system once.
+    A system is a spectrum as soon as it is built: the ``SYSTEMS`` builders
+    return one, and only ``explicit`` and ``random`` systems decompose a matrix.
     """
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)
@@ -520,9 +526,6 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     )
 
 
-def run_scenario(config: ScenarioConfig | dict, memo: dict | None = None) -> ProtocolReport:
-    """Validate (if a dict), build and execute one scenario; ``memo`` as in
-    :func:`build_scenario`."""
-    if isinstance(config, dict):
-        config = ScenarioConfig.from_dict(config)
+def run_scenario(config: ScenarioConfig, memo: dict | None = None) -> ProtocolReport:
+    """Build and execute one validated scenario; ``memo`` as in :func:`build_scenario`."""
     return run_protocol(build_scenario(config, memo))

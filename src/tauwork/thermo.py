@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, Spectrum, _as_spectrum
+from .operators import Spectrum
 
 
 def _check_beta(beta: float) -> None:
@@ -56,9 +56,9 @@ class ThermalEnsemble:
         return float(self.probs @ self.spectrum.eigenvalues)
 
 
-def thermal_state(h: HermitianOperator | Spectrum, beta: float) -> ThermalEnsemble:
-    """Gibbs ensemble of ``h`` at inverse temperature ``beta``."""
-    return ThermalEnsemble(beta, _as_spectrum(h))
+def thermal_state(spec: Spectrum, beta: float) -> ThermalEnsemble:
+    """Gibbs ensemble of ``spec`` at inverse temperature ``beta``."""
+    return ThermalEnsemble(beta, spec)
 
 
 def free_energy_difference_from_values(

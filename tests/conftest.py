@@ -2,7 +2,7 @@ import sys
 
 import pytest
 
-from tauwork import operators
+from tauwork import operators, scenarios
 
 
 @pytest.fixture
@@ -24,4 +24,19 @@ def decompositions(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The ``system`` sections that ``scenarios.build_system`` turns into
+    spectra while the test runs."""
+    calls = []
+    original = scenarios.build_system
+
+    def counting(system):
+        calls.append(system)
+        return original(system)
+
+    monkeypatch.setattr(scenarios, "build_system", counting)
     return calls

@@ -165,7 +165,7 @@ class TestProperTimePropagator:
         np.testing.assert_allclose(propagator(h, 0.0), np.eye(3), atol=1e-15)
 
     def test_full_period_of_diagonal_system(self):
-        h = HermitianOperator.diagonal([0.0, 1.0])
+        h = HermitianOperator(np.diag([0.0, 1.0]))
         u = propagator(h, 2.0 * np.pi)
         np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
 
@@ -235,7 +235,7 @@ class TestTimeOrderedPropagator:
         # tau = t on [0, 10]: with one slice the midpoint is 5.0, with two the
         # edge is 5.0; either way the bound at 5.0 hands it to the second segment
         prof = dilation_profile(comoving_worldline(10.0, samples=11))
-        h1 = HermitianOperator.diagonal([0.0, 1.0])
+        h1 = HermitianOperator(np.diag([0.0, 1.0]))
         h2 = HermitianOperator(SIGMA_X)
         sched = PropagatorSchedule([(5.0, h1), (10.0, h2)], prof, steps)
         expected = {
@@ -272,7 +272,7 @@ class TestTimeOrderedPropagator:
 
     def test_unitary_at_every_step_count(self):
         prof = ramp_profile()
-        h1 = HermitianOperator.diagonal([0.0, 1.0])
+        h1 = HermitianOperator(np.diag([0.0, 1.0]))
         h2 = HermitianOperator(SIGMA_X)
         total = prof.tau_total
         for steps in (1, 7, 64, 513):

@@ -131,6 +131,18 @@ class TestRun:
             capsys.readouterr().err
         )
 
+    def test_number_beyond_the_int_conversion_limit_exit_2(self, tmp_path, capsys):
+        # json.loads refuses it with a plain ValueError and advice for Python code
+        beta = '"beta": ' + "1" * 4401
+        path = tmp_path / "big.json"
+        path.write_text(write_scenario(tmp_path).read_text().replace('"beta": 2.0', beta))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {path}: invalid scenario:\n  - document: a number has too many" in err
+        assert "set_int_max_str_digits" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_integer_beyond_float_range_exit_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, beta=10**400)
         out = tmp_path / "o"
@@ -385,7 +397,9 @@ class TestSweep:
 
 
 class TestDecompositionReuse:
-    """One decomposition per distinct ``system`` section in each invocation."""
+    """One build per distinct ``system`` section in each invocation. Harmonic
+    and two-level systems are built as spectra, with no decomposition; a
+    system given as a matrix is decomposed once, when it is built."""
 
     @pytest.mark.parametrize(
         "spec, calls",
@@ -397,31 +411,41 @@ class TestDecompositionReuse:
             ("omega=0.5:2:50", 1),
         ],
     )
-    def test_dilated_sweep(self, spec, calls, tmp_path, decompositions):
+    def test_dilated_sweep(self, spec, calls, tmp_path, builds, decompositions):
         path = write_scenario(tmp_path)
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path / "o")]
         assert main([*argv, "--quiet"]) == 0
-        assert len(decompositions) == calls
+        assert len(builds) == calls
+        assert decompositions == []
+
+    def test_matrix_system_sweep_decomposes_once(self, tmp_path, builds, decompositions):
+        path = write_scenario(tmp_path, system={"kind": "random", "dim": 4, "seed": 3})
+        argv = ["sweep", "--scenario", str(path), "--sweep", "c=1:100:50"]
+        assert main([*argv, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert len(builds) == len(decompositions) == 1
 
     @pytest.mark.parametrize("spec, steps", [("beta=0.5:3:5", "300"), ("alpha=0.8:1.2:5", "200")])
     def test_driven_sweep_decomposes_each_segment_once(
-        self, spec, steps, tmp_path, decompositions
+        self, spec, steps, tmp_path, builds, decompositions
     ):
         scenario = DEMO_SCENARIOS / "driven_two_segment.json"
         argv = ["sweep", "--scenario", str(scenario), "--sweep", spec, "--steps", steps]
         assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(decompositions) == 2
+        assert len(builds) == 2
+        assert decompositions == []
 
-    def test_flat_run_decomposes_once(self, tmp_path, decompositions):
+    def test_flat_run_decomposes_once(self, tmp_path, builds, decompositions):
         scenario = DEMO_SCENARIOS / "flat_damping.json"
         assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(decompositions) == 1
+        assert len(builds) == 1
+        assert decompositions == []
 
-    def test_flat_gamma_sweep_decomposes_once(self, tmp_path, decompositions):
+    def test_flat_gamma_sweep_decomposes_once(self, tmp_path, builds, decompositions):
         scenario = DEMO_SCENARIOS / "flat_damping.json"
         argv = ["sweep", "--scenario", str(scenario), "--sweep", "gamma=0:0.9:50"]
         assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(decompositions) == 1
+        assert len(builds) == 1
+        assert decompositions == []
 
     @pytest.mark.parametrize(
         "demo, spec, system",

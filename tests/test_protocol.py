@@ -36,7 +36,7 @@ from tauwork.protocol import (
     sample_outcomes,
     work_distribution_dilated,
 )
-from tauwork.scenarios import harmonic_hamiltonian
+from tauwork.scenarios import harmonic_hamiltonian, two_level_hamiltonian
 from tauwork.spacetime import comoving_worldline, dilation_profile, uniform_gravity_worldline
 from tauwork.thermo import log_sum_exp, thermal_state
 
@@ -44,12 +44,11 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def two_level(eps=1.0):
-    return HermitianOperator.diagonal([0.0, eps])
+    return two_level_hamiltonian(eps)
 
 
-def flat_atoms(h0, h_final, channel, beta):
+def flat_atoms(spec0, spec_f, channel, beta):
     """The work atoms of the flat reduction that ``run_protocol`` makes."""
-    spec0, spec_f = spectral_decompose(h0), spectral_decompose(h_final)
     trans = conditional_probabilities(spec0, spec_f, channel)
     return estimate(thermal_state(spec0, beta), spec_f.eigenvalues, trans).atoms
 
@@ -67,7 +66,7 @@ class TestConditionalProbabilities:
 
     def test_hadamard_type_rotation_spreads_uniformly(self):
         # |<n|(sx + sz)/sqrt(2)|m>|^2 = 1/2 for every pair in the sz basis
-        spec = spectral_decompose(two_level())
+        spec = two_level()
         had = (SIGMA_X + np.diag([1.0, -1.0])) / math.sqrt(2.0)
         p = conditional_probabilities(spec, spec, unitary_channel(had))
         np.testing.assert_allclose(p, 0.5 * np.ones((2, 2)), atol=1e-12)
@@ -96,7 +95,7 @@ class TestConditionalProbabilities:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions"):
             conditional_probabilities(
-                spectral_decompose(two_level()),
+                two_level(),
                 spectral_decompose(random_hermitian(3, 0)),
                 identity_channel(2),
             )
@@ -195,8 +194,8 @@ class TestWorkDistribution:
     def test_flat_distribution_normalized_for_random_inputs(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
-            h0 = random_hermitian(4, rng)
-            h1 = random_hermitian(4, rng)
+            h0 = spectral_decompose(random_hermitian(4, rng))
+            h1 = spectral_decompose(random_hermitian(4, rng))
             ch = unitary_channel(random_unitary(4, rng))
             wd = flat_atoms(h0, h1, ch, beta=1.3)
             assert abs(wd.probs.sum() - 1.0) < 1e-10
@@ -363,19 +362,19 @@ class TestEstimateTail:
 
 class TestDilatedDistribution:
     def test_unit_rate_collapses_to_zero_work(self):
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 10))
+        spec = harmonic_hamiltonian(1.0, 10)
         wd = work_distribution_dilated(spec, 1.0, beta=2.0)
         assert wd.size == 1
         assert wd.values[0] == 0.0
 
     def test_two_level_atoms_by_hand(self):
-        spec = spectral_decompose(two_level(1.0))
+        spec = two_level(1.0)
         wd = work_distribution_dilated(spec, 1.2, beta=math.log(2.0))
         np.testing.assert_allclose(wd.values, [0.0, 0.2], atol=1e-12)
         np.testing.assert_allclose(wd.probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_mean_is_rate_excess_times_thermal_energy(self):
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+        spec = harmonic_hamiltonian(1.0, 40)
         beta, alpha = 2.0, 1.2
         wd = work_distribution_dilated(spec, alpha, beta)
         mean_energy = thermal_state(spec, beta).mean_energy()
@@ -475,7 +474,7 @@ class TestEntropyProduction:
         # beta<W> = 0.2 coth(1) = 0.2626070571, beta dF = ln(sinh(1.2)/sinh(1))
         # = 0.2503135073, so <Sigma> = 0.0122935498
         beta = 2.0
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+        spec = harmonic_hamiltonian(1.0, 40)
         est = dilated(spec, 1.2, beta)
         sigma = est.entropy_production
         assert sigma == entropy_production(est.mean_work, est.delta_f, beta)
@@ -487,7 +486,7 @@ class TestEntropyProduction:
 
     def test_redshift_still_produces_entropy(self):
         beta = 2.0
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+        spec = harmonic_hamiltonian(1.0, 40)
         est = dilated(spec, 0.9, beta)
         assert est.mean_work < 0 and est.delta_f < 0
         assert est.entropy_production >= 0
@@ -495,7 +494,7 @@ class TestEntropyProduction:
 
 @pytest.mark.parametrize("beta", [math.nan, math.inf])
 def test_rejects_non_finite_beta(beta):
-    spec = spectral_decompose(two_level())
+    spec = two_level()
     wd = WorkDistribution([0.0, 1.0], [0.5, 0.5])
     message = "beta must be finite and positive"
     with pytest.raises(ValueError, match=message):
@@ -570,7 +569,7 @@ class TestRunProtocol:
 
     def test_appendix_constant_schedule_matches_dilated(self):
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=501))
-        h = HermitianOperator.diagonal([0.5, 1.5])
+        h = harmonic_hamiltonian(1.0, 2)
         dil = run_protocol(DilatedRun(scenario_id="d", beta=1.0, h0=h, profile=prof))
         for steps in (1, 17):
             app = run_protocol(
@@ -636,18 +635,17 @@ class TestRunProtocol:
             run_protocol(object())
 
     def test_spectrum_inputs_give_identical_reports(self, decompositions):
+        # the two entry points that also take a HermitianOperator
         rng = np.random.default_rng(8)
         h0, hf, h2 = (random_hermitian(4, rng) for _ in range(3))
         s0, sf = spectral_decompose(h0), spectral_decompose(hf)
         channel = amplitude_damping_channel(0.3, 4)
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
         flat = run_protocol(FlatRun("f", 1.3, h0, hf, channel)).to_csv_row()
-        dilated = run_protocol(DilatedRun("d", 1.3, h0, prof)).to_csv_row()
         for a, b in ((s0, hf), (h0, sf), (s0, sf)):
             assert run_protocol(FlatRun("f", 1.3, a, b, channel)).to_csv_row() == flat
-        assert run_protocol(DilatedRun("d", 1.3, s0, prof)).to_csv_row() == dilated
-        # 2 + 1 for the references, then one per undecomposed flat input
-        assert len(decompositions) == 3 + 2
+        # 2 for the reference, then one per undecomposed flat input
+        assert len(decompositions) == 2 + 2
         # a schedule decomposes each segment once, when it is built
         bounds = [4.0, 8.0, prof.tau_total]
         decompositions.clear()
@@ -687,7 +685,7 @@ class TestFrameInvariance:
         # whenever a level repeats; the segments after tau = 6 and 9 are random
         dim = len(levels)
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
-        hams = [HermitianOperator.diagonal(levels)] + [random_hermitian(dim, s) for s in seeds]
+        hams = [HermitianOperator(np.diag(levels))] + [random_hermitian(dim, s) for s in seeds]
         bounds = [6.0, 9.0][: len(seeds)] + [prof.tau_total]
         v = random_unitary(dim, turn)
 

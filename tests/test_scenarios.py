@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from tauwork import scenarios
-from tauwork.operators import spectral_decompose
+from tauwork.channels import PropagatorSchedule, amplitude_damping_channel, depolarizing_channel
+from tauwork.operators import HermitianOperator, random_hermitian, spectral_decompose
 from tauwork.protocol import (
     FINAL_BASES,
     AppendixRun,
     DilatedRun,
     FlatRun,
     estimate,
+    run_protocol,
 )
 from tauwork.scenarios import (
     CHANNELS,
@@ -30,6 +32,7 @@ from tauwork.scenarios import (
     truncation_tail_weight,
     two_level_hamiltonian,
 )
+from tauwork.spacetime import dilation_profile, uniform_gravity_worldline
 from tauwork.thermo import thermal_state
 
 
@@ -83,7 +86,7 @@ class TestAnalyticOracles:
     @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.2])
     def test_truncated_ladder_agrees_with_closed_forms(self, beta_omega, alpha):
         levels = levels_for_tail(beta_omega, alpha_min=alpha)
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, levels))
+        spec = harmonic_hamiltonian(1.0, levels)
         est = estimate(thermal_state(spec, beta_omega), alpha * spec.eigenvalues)
         assert beta_omega * est.delta_f == pytest.approx(
             oscillator_delta_F_analytic(beta_omega, alpha), abs=1e-7
@@ -137,6 +140,11 @@ class TestAnalyticOracles:
             # the ladder size must be an integer, not a bool
             (harmonic_hamiltonian, (1.0, 2.5), r"levels must be an integer, got 2\.5"),
             (harmonic_hamiltonian, (1.0, True), "levels must be an integer, got True"),
+            # a level spacing or gap that is not finite and > 0
+            (harmonic_hamiltonian, (math.nan, 3), "omega must be positive, got nan"),
+            (harmonic_hamiltonian, (math.inf, 3), "omega must be positive, got inf"),
+            (two_level_hamiltonian, (math.nan,), "gap must be positive, got nan"),
+            (two_level_hamiltonian, (-math.inf,), "gap must be positive, got -inf"),
         ],
     )
     def test_tail_helpers_reject_bad_arguments(self, helper, args, message):
@@ -146,15 +154,17 @@ class TestAnalyticOracles:
 
 class TestSystems:
     def test_harmonic_spectrum(self):
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+        spec = harmonic_hamiltonian(1.0, 40)
         np.testing.assert_allclose(spec.eigenvalues, np.arange(40) + 0.5)
+        assert np.array_equal(spec.eigenvectors, np.eye(40))
 
     def test_harmonic_accepts_numpy_integer_levels(self):
         assert harmonic_hamiltonian(1.0, np.int64(3)).dim == 3
 
     def test_two_level_gap(self):
-        spec = spectral_decompose(two_level_hamiltonian(0.7))
+        spec = two_level_hamiltonian(0.7)
         np.testing.assert_allclose(spec.eigenvalues, [0.0, 0.7])
+        assert np.array_equal(spec.eigenvectors, np.eye(2))
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -163,6 +173,40 @@ class TestSystems:
             harmonic_hamiltonian(1.0, 1)
         with pytest.raises(ValueError):
             two_level_hamiltonian(0.0)
+
+    @pytest.mark.parametrize(
+        "builder, args",
+        [
+            (harmonic_hamiltonian, (1.0, 2)),
+            (harmonic_hamiltonian, (0.7, 5)),
+            (harmonic_hamiltonian, (1.3, 9)),
+            (two_level_hamiltonian, (1.0,)),
+            (two_level_hamiltonian, (0.35,)),
+        ],
+    )
+    def test_built_spectrum_reports_equal_decomposed_diagonal(self, builder, args):
+        # report rows, not eigenvectors, are compared: they do not depend on
+        # the eigenvector signs an eigensolver picks
+        built = builder(*args)
+        decomposed = spectral_decompose(HermitianOperator(np.diag(built.eigenvalues)))
+        other = spectral_decompose(random_hermitian(built.dim, 3))
+        assert _report_rows(built, other) == _report_rows(decomposed, other)
+
+
+def _report_rows(spec, other):
+    """The report rows of flat, dilated and driven runs on ``spec``; ``other``
+    is the driven schedule's second generator, before and after ``spec``."""
+    prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+    dim, total = spec.dim, prof.tau_total
+    runs = [
+        FlatRun("damping", 1.0, spec, spec, amplitude_damping_channel(0.4, dim)),
+        FlatRun("depolarizing", 1.0, spec, spec, depolarizing_channel(0.3, dim)),
+        DilatedRun("dilated", 2.0, spec, prof),
+    ]
+    for segments in ((spec, other), (other, spec)):
+        schedule = PropagatorSchedule(list(zip((0.6 * total, total), segments)), prof, 50)
+        runs += [AppendixRun("driven", 1.0, schedule, basis) for basis in FINAL_BASES]
+    return [run_protocol(run).to_csv_row() for run in runs]
 
 
 class TestValidation:
@@ -201,6 +245,12 @@ class TestValidation:
     def test_malformed_json(self):
         with pytest.raises(ScenarioValidationError, match="malformed JSON"):
             parse_document("{not json")
+
+    def test_number_beyond_the_int_conversion_limit(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_document('{"beta": ' + "1" * 4401 + "}")
+        assert err.value.errors == ["document: a number has too many digits"]
 
     def test_edited_casts_float_fields_like_from_dict(self):
         edited = ScenarioConfig.from_dict(dilated_config()).edited("c", 3, "osc@c=3")
@@ -280,7 +330,7 @@ class TestBuildScenario:
         [
             (
                 "spectrum",
-                "spectral_decompose",
+                "build_system",
                 "system",
                 {"kind": "two_level", "gap": 1.0},
                 "h0",
@@ -380,7 +430,7 @@ class TestBuildScenario:
 
 class TestRunScenario:
     def test_blueshift_preset_raises_free_energy(self):
-        rep = run_scenario(dilated_config())
+        rep = run_scenario(ScenarioConfig.from_dict(dilated_config()))
         assert rep.delta_F > 0
 
     def test_redshift_preset_lowers_free_energy(self):
@@ -393,7 +443,7 @@ class TestRunScenario:
                 "gravitational_only": True,
             }
         )
-        rep = run_scenario(raw)
+        rep = run_scenario(ScenarioConfig.from_dict(raw))
         assert rep.delta_F < 0
         assert rep.mean_work < 0
         assert rep.entropy_production >= -1e-15
@@ -402,7 +452,7 @@ class TestRunScenario:
         raw = dilated_config(
             worldline={"preset": "cruise", "p": 0.3, "t_end": 5.0, "samples": 11}
         )
-        rep = run_scenario(raw)
+        rep = run_scenario(ScenarioConfig.from_dict(raw))
         assert rep.alpha_final == pytest.approx(1.0 - 0.045, abs=1e-15)
         assert rep.delta_F < 0
 
@@ -411,22 +461,22 @@ class TestRunScenario:
         raw = dilated_config(
             system={"kind": "two_level", "gap": 1.0}, beta=500.0
         )
-        rep = run_scenario(raw)
+        rep = run_scenario(ScenarioConfig.from_dict(raw))
         assert np.isfinite(rep.lhs) and np.isfinite(rep.rhs)
         assert abs(rep.residual) < 1e-12
 
 
 def test_random_system_is_seed_deterministic():
     raw = dilated_config(system={"kind": "random", "dim": 4, "seed": 11})
-    a = run_scenario(raw)
-    b = run_scenario(raw)
+    a = run_scenario(ScenarioConfig.from_dict(raw))
+    b = run_scenario(ScenarioConfig.from_dict(raw))
     assert a.to_csv_row() == b.to_csv_row()
 
 
 def test_thermal_mean_energy_used_by_potential_reading():
-    spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+    spec = harmonic_hamiltonian(1.0, 40)
     mean = thermal_state(spec, 2.0).mean_energy()
-    rep = run_scenario(dilated_config())
+    rep = run_scenario(ScenarioConfig.from_dict(dilated_config()))
     assert rep.mean_work / mean == pytest.approx(0.2, abs=1e-12)
 
 
@@ -507,7 +557,8 @@ class TestSchemaTables:
 
     def test_csv_worldline_needs_no_preset(self, tmp_path):
         raw = minimal_document("worldline", {"csv": "{tmp}/worldline.csv"}, tmp_path)
-        assert run_scenario(raw).alpha_final == pytest.approx(1.0 + 0.01 - 0.005, abs=1e-12)
+        report = run_scenario(ScenarioConfig.from_dict(raw))
+        assert report.alpha_final == pytest.approx(1.0 + 0.01 - 0.005, abs=1e-12)
 
     @pytest.mark.parametrize("section", sorted(TABLES))
     def test_unknown_entry_lists_the_table(self, section, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tauwork.operators import HermitianOperator, spectral_decompose
+from tauwork.operators import Spectrum
 from tauwork.scenarios import harmonic_hamiltonian
 from tauwork.thermo import (
     ThermalEnsemble,
@@ -16,7 +16,7 @@ from tauwork.thermo import (
 
 
 def spectrum_of(values):
-    return spectral_decompose(HermitianOperator.diagonal(values))
+    return Spectrum(values, np.eye(len(values)))
 
 
 def partition_function(spec, beta):
@@ -34,7 +34,7 @@ class TestPartitionFunction:
 
     def test_truncated_oscillator_geometric_series(self):
         # beta*omega = 2, 40 levels: Z -> 1 / (2 sinh 1) = 0.4254590641...
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+        spec = harmonic_hamiltonian(1.0, 40)
         z = partition_function(spec, beta=2.0)
         assert z == pytest.approx(1.0 / (2.0 * math.sinh(1.0)), abs=1e-7)
         assert z == pytest.approx(0.4254590641196608, abs=1e-7)
@@ -86,11 +86,11 @@ class TestThermalState:
         ) == free_energy_difference(spec, 2.0, beta)
 
     def test_two_level_gibbs_weights(self):
-        ens = thermal_state(HermitianOperator.diagonal([0.0, 1.0]), beta=math.log(2.0))
+        ens = thermal_state(spectrum_of([0.0, 1.0]), beta=math.log(2.0))
         np.testing.assert_allclose(ens.probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
     def test_zero_hamiltonian_is_maximally_mixed(self):
-        ens = thermal_state(HermitianOperator(np.zeros((5, 5))), beta=2.0)
+        ens = thermal_state(spectrum_of([0.0] * 5), beta=2.0)
         np.testing.assert_allclose(ens.probs, np.full(5, 0.2), atol=1e-15)
 
     def test_mean_energy_decreases_with_beta(self):
@@ -124,7 +124,7 @@ class TestFreeEnergyDifference:
 
     def test_oscillator_sinh_value(self):
         # ln(sinh(1.2)/sinh(1)) at beta*omega = 2, rate 1.2
-        spec = spectral_decompose(harmonic_hamiltonian(1.0, 40))
+        spec = harmonic_hamiltonian(1.0, 40)
         beta_df = 2.0 * free_energy_difference(spec, 1.2, beta=2.0)
         assert beta_df == pytest.approx(
             math.log(math.sinh(1.2) / math.sinh(1.0)), abs=1e-7
@@ -141,7 +141,7 @@ class TestFreeEnergyDifference:
 
     def test_sign_tracks_clock_rate_for_nonnegative_spectra(self):
         rng = np.random.default_rng(31)
-        spectra = [spectral_decompose(harmonic_hamiltonian(1.0, 25))]
+        spectra = [harmonic_hamiltonian(1.0, 25)]
         for _ in range(5):
             vals = np.sort(rng.uniform(0.0, 3.0, size=6))
             vals[0] = 0.0
