@@ -34,7 +34,6 @@ from .protocol import (
     ProtocolReport,
     WorkDistribution,
     conditional_probabilities,
-    entropy_production,
     estimate,
     generalized_jarzynski_rhs,
     jarzynski_lhs,

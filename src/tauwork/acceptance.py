@@ -123,7 +123,7 @@ def criterion_dilated_identity() -> list[Check]:
 
     The identity is algebraic, so the residual budget is pure rounding.
     """
-    worst = max(abs(est.lhs - est.rhs) for est in _random_grid(SEED))
+    worst = max(abs(est.residual) for est in _random_grid(SEED))
     return [Check("max |lhs - rhs|", worst, 1e-12)]
 
 

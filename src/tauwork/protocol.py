@@ -208,30 +208,29 @@ def generalized_jarzynski_rhs(delta_f: float, beta: float, correction: float) ->
     return float(np.exp(-beta * delta_f) * (1.0 + correction))
 
 
-def entropy_production(mean_work: float, delta_f: float, beta: float) -> float:
-    """Mean irreversible entropy: beta * (<W> - delta F), nonnegative for
-    unital processes by Jensen's inequality."""
-    _check_beta(beta)
-    return beta * (mean_work - delta_f)
-
-
 @dataclass(frozen=True)
 class Estimates:
-    """What one run's TPM inputs give: work atoms, dF and both sides of the work equality."""
+    """What one run's TPM inputs give: work atoms, <W>, dF and both sides of
+    the work equality. A report row copies ``beta`` and every estimator
+    column from here, so each formula below has one copy."""
 
     beta: float
     atoms: WorkDistribution
+    mean_work: float
     delta_f: float
     lhs: float
     rhs: float
 
     @property
-    def mean_work(self) -> float:
-        return self.atoms.mean()
+    def residual(self) -> float:
+        """lhs - rhs, zero when the work equality holds."""
+        return self.lhs - self.rhs
 
     @property
     def entropy_production(self) -> float:
-        return entropy_production(self.mean_work, self.delta_f, self.beta)
+        """Mean irreversible entropy beta * (<W> - dF), nonnegative for
+        unital processes by Jensen's inequality."""
+        return self.beta * (self.mean_work - self.delta_f)
 
 
 def estimate(
@@ -244,12 +243,13 @@ def estimate(
 
     From the initial Gibbs ensemble (spectrum, weights, ``beta``, partition
     sum), which serves any number of final energies, the final measured
-    energies and the transition matrix it builds the work atoms, dF from the
-    final energies and the ensemble's partition sum, the exponential work
-    average and the rhs with the non-unital ``correction``. An overflow of
-    either side gives inf, not a warning. ``transitions=None`` stands for the
-    identity matrix: every trajectory keeps its level index, so there are d
-    atoms E_final[m] - E_initial[m] instead of d^2 mostly empty ones.
+    energies and the transition matrix it builds the work atoms and their
+    mean, dF from the final energies and the ensemble's partition sum, the
+    exponential work average and the rhs with the non-unital ``correction``.
+    An overflow of either side gives inf, not a warning. ``transitions=None``
+    stands for the identity matrix: every trajectory keeps its level index,
+    so there are d atoms E_final[m] - E_initial[m] instead of d^2 mostly
+    empty ones.
     """
     initial, beta = gibbs.spectrum.eigenvalues, gibbs.beta
     if transitions is None:
@@ -260,7 +260,7 @@ def estimate(
     with np.errstate(over="ignore"):
         lhs = jarzynski_lhs(atoms, beta)
         rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
-    return Estimates(beta, atoms, delta_f, lhs, rhs)
+    return Estimates(beta, atoms, atoms.mean(), delta_f, lhs, rhs)
 
 
 def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:
@@ -293,19 +293,20 @@ class ProtocolReport:
     steps: int
 
     @classmethod
-    def build(cls, **columns) -> "ProtocolReport":
-        """Cast each input column to its field type and compute the derived columns.
+    def build(cls, est: Estimates, **labels) -> "ProtocolReport":
+        """The row of a run: its ``labels`` and the numbers of ``est``.
 
-        Raises ``TypeError`` for a missing or unknown column and
-        ``ValueError`` naming each non-finite column.
+        Raises ``ValueError`` naming each non-finite column.
         """
-        if columns.keys() != _INPUT_CASTS.keys():
-            raise TypeError(f"build takes the columns {list(_INPUT_CASTS)}, got {list(columns)}")
-        row = {name: cast(columns[name]) for name, cast in _INPUT_CASTS.items()}
         report = cls(
-            **row,
-            residual=row["lhs"] - row["rhs"],
-            entropy_production=entropy_production(row["mean_work"], row["delta_F"], row["beta"]),
+            **labels,
+            beta=est.beta,
+            mean_work=est.mean_work,
+            delta_F=est.delta_f,
+            lhs=est.lhs,
+            rhs=est.rhs,
+            residual=est.residual,
+            entropy_production=est.entropy_production,
         )
         bad = [
             f"{name}={value!r}"
@@ -320,7 +321,7 @@ class ProtocolReport:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
     def to_csv_row(self) -> str:
-        return ",".join(_csv_cell(getattr(self, name)) for name in CSV_COLUMNS)
+        return ",".join(str(getattr(self, name)) for name in CSV_COLUMNS)
 
     @staticmethod
     def csv_header() -> str:
@@ -328,19 +329,7 @@ class ProtocolReport:
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ProtocolReport))
-# the columns ``build`` takes, each with its cast; the other two are derived
-_INPUT_CASTS = {
-    f.name: {"str": str, "int": int, "float": float}[f.type]
-    for f in fields(ProtocolReport)
-    if f.name not in ("residual", "entropy_production")
-}
 _FLOAT_COLUMNS = tuple(f.name for f in fields(ProtocolReport) if f.type == "float")
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -433,16 +422,12 @@ def run_protocol(run) -> ProtocolReport:
     est = estimate(thermal_state(spec0, run.beta), e_final, trans, correction)
     # an overflow is reported by ``build`` as a non-finite column
     return ProtocolReport.build(
+        est,
         scenario_id=run.scenario_id,
         pipeline=pipeline,
         dim=spec0.dim,
-        beta=run.beta,
         alpha_final=alpha,
         tau_total=tau_total,
-        mean_work=est.mean_work,
-        delta_F=est.delta_f,
-        lhs=est.lhs,
-        rhs=est.rhs,
         final_basis=final_basis,
         steps=steps,
     )

@@ -124,12 +124,7 @@ def two_level_hamiltonian(gap: float) -> Spectrum:
 
 
 def _finite(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _pairs_matrix(value) -> bool:
@@ -205,12 +200,15 @@ class _Entry:
 
     ``scale`` names the field a system's Hamiltonian is linear in, if any:
     H(x) = x * H(1), so every value of that field shares one eigenbasis.
+    ``rule`` is an (accepts, message) stage across the entry's fields, checked
+    once each field has passed its own rule.
     """
 
     required: tuple
     optional: tuple
     build: Callable
     scale: str | None = None
+    rule: tuple | None = None
 
 
 _TIMED = ("samples", "gravitational_only")
@@ -227,6 +225,11 @@ SYSTEMS = {
         (),
         lambda s: harmonic_hamiltonian(s["omega"], s["levels"]),
         scale="omega",
+        rule=(
+            lambda s: (s["levels"] - 0.5) * s["omega"] < math.inf,
+            "the top level (levels - 1/2) * omega must be finite, "
+            "got omega={omega!r} and levels={levels!r}",
+        ),
     ),
     "two_level": _Entry(("gap",), (), lambda s: two_level_hamiltonian(s["gap"])),
     "random": _Entry(
@@ -287,6 +290,15 @@ _FAMILIES = {
 }
 
 
+def _passes(stage: tuple, value) -> bool:
+    """Whether ``value`` meets an (accepts, message) stage; an integer beyond
+    the float range, which overflows the stage's arithmetic, does not."""
+    try:
+        return stage[0](value)
+    except OverflowError:
+        return False
+
+
 def _check(value, name: str, path: str, errors: list) -> None:
     """Append to ``errors`` what is wrong with field ``name``'s value at ``path``."""
     if name in _FAMILIES:
@@ -299,7 +311,10 @@ def _check(value, name: str, path: str, errors: list) -> None:
             errors.append(f"{path}.{tag}: must be one of {sorted(table)}, got {kind!r}")
             return
         entry, owner = table[kind], f" for {tag} {kind!r}"
+        known = len(errors)
         _check_fields(value, path, entry.required, entry.optional, owner, tag, errors)
+        if entry.rule and len(errors) == known and not _passes(entry.rule, value):
+            errors.append(f"{path}: {entry.rule[1].format(**value)}")
     elif name == "schedule":
         if not isinstance(value, list) or not value:
             errors.append(f"{path}: must be a non-empty list of segments")
@@ -307,9 +322,9 @@ def _check(value, name: str, path: str, errors: list) -> None:
         for i, segment in enumerate(value):
             _check_fields(segment, f"{path}[{i}]", ("tau_end", "system"), (), "", None, errors)
     else:
-        for accepts, message in FIELD_RULES[name]:
-            if not accepts(value):
-                errors.append(f"{path}: {message.format(value)}")
+        for stage in FIELD_RULES[name]:
+            if not _passes(stage, value):
+                errors.append(f"{path}: {stage[1].format(value)}")
                 return
 
 

@@ -4,12 +4,17 @@ Run with ``pytest tests/test_acceptance.py -s`` to see the measured numbers,
 or use ``tauwork verify`` for the same battery outside pytest.
 """
 
+import dataclasses
+import json
 import time
+from pathlib import Path
 
 import pytest
 
-from tauwork import acceptance, protocol, spacetime
+from tauwork import acceptance, protocol, scenarios, spacetime
 from tauwork.acceptance import Check
+
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +71,36 @@ def test_gate_checks_the_production_tail(criterion, monkeypatch):
 
     monkeypatch.setattr(protocol, "free_energy_difference_from_log_z", shifted)
     assert not criterion().passed
+
+
+def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch):
+    # Estimates holds the only copy of lhs - rhs and of beta (<W> - dF): a
+    # shift of either moves that report column, and nothing else, in every
+    # pipeline and final basis, and fails the criteria that read it. The
+    # shift is downward so that the lower bound on <Sigma> sees it too.
+    shift = -1e-6
+    docs = [
+        json.loads((DEMO_SCENARIOS / f"{name}.json").read_text())
+        for name in ("flat_damping", "oscillator_blueshift", "driven_two_segment")
+    ]
+    docs.append(dict(docs[-1], final_basis="instantaneous"))
+    runs = [scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(d)) for d in docs]
+    plain = [protocol.run_protocol(run) for run in runs]
+    for name in ("residual", "entropy_production"):
+        exact = getattr(protocol.Estimates, name).fget
+        monkeypatch.setattr(
+            protocol.Estimates, name, property(lambda est, exact=exact: exact(est) + shift)
+        )
+    for before, run in zip(plain, runs):
+        after = protocol.run_protocol(run)
+        assert after.residual == before.residual + shift
+        assert after.entropy_production == before.entropy_production + shift
+        restored = dataclasses.replace(
+            after, residual=before.residual, entropy_production=before.entropy_production
+        )
+        assert restored == before
+    assert not acceptance.criterion_dilated_identity().passed
+    assert not acceptance.criterion_second_law().passed
 
 
 def test_one_failing_check_fails_its_criterion():

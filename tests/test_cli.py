@@ -703,6 +703,10 @@ def _demo(name: str) -> dict:
     return json.loads((DEMO_SCENARIOS / f"{name}.json").read_text())
 
 
+# an oscillator whose top level (40 - 1/2) * 1e307 overflows a float
+HUGE_LADDER = {"kind": "harmonic", "omega": 1e307, "levels": 40}
+
+
 class TestSweepConfig:
     """A sweep point checks only the field it edits, yet equals the edited file."""
 
@@ -724,6 +728,7 @@ class TestSweepConfig:
             (_demo("oscillator_blueshift"), "beta", float("nan")),
             (_demo("oscillator_blueshift"), "c", 5e159),
             (_demo("oscillator_blueshift"), "omega", float("inf")),
+            (_demo("oscillator_blueshift"), "omega", 1e307),
             (_demo("oscillator_blueshift"), "alpha", float("inf")),
             (_demo("oscillator_blueshift"), "gamma", 0.5),
             (_demo("cruise_redshift"), "omega", 1.0),
@@ -870,4 +875,38 @@ class TestErrorLines:
         out = tmp_path / "o"
         assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
         assert "c: must have a finite square" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "document, argv",
+        [
+            (dict(_demo("oscillator_blueshift"), system=HUGE_LADDER), ["run"]),
+            (_demo("oscillator_blueshift"), ["sweep", "--sweep", "omega=1:1e307:3"]),
+            (
+                dict(
+                    _demo("driven_two_segment"),
+                    schedule=[
+                        {"tau_end": 6.0, "system": HUGE_LADDER},
+                        _demo("driven_two_segment")["schedule"][1],
+                    ],
+                ),
+                ["run"],
+            ),
+        ],
+        ids=["run", "sweep", "schedule"],
+    )
+    def test_omega_whose_ladder_overflows_exit_2_naming_omega(
+        self, tmp_path, capsys, document, argv
+    ):
+        import warnings
+
+        path = tmp_path / "ladder.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Warning" not in err
+        assert "system: the top level (levels - 1/2) * omega must be finite" in err
         assert not out.exists()
