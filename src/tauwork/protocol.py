@@ -64,11 +64,13 @@ class WorkDistribution:
         probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be equal-length 1-D arrays")
-        lo, hi, low = values.min(), values.max(), probs.min()
-        # a nan or inf entry shows in lo, hi, low or the sum (taken with low
-        # finite, so no inf - inf); only then is every entry tested
+        order = values.argsort(kind="stable")
+        values = values[order]
+        lo, hi, low = values[0], values[-1], np.minimum.reduce(probs)
+        # nan and +inf sort last, -inf first: a nan or inf entry shows in lo, hi, low or
+        # the sum (taken with low finite, so no inf - inf); only then is every entry tested
         finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(low)
-        if not (finite and math.isfinite(total := probs.sum())) and not (
+        if not (finite and math.isfinite(total := np.add.reduce(probs))) and not (
             np.isfinite(values).all() and np.isfinite(probs).all()
         ):
             raise ValueError("work atoms must be finite")
@@ -76,6 +78,7 @@ class WorkDistribution:
             raise ValueError(f"negative atom probability: {low:.3e}")
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"atom probabilities sum to {float(total)!r}, not 1")
+        probs = probs[order]
         # with every weight > 0 the clamp is the identity and no merged atom
         # is empty, so both steps run only when some weight is <= 0
         empty = low <= 0.0
@@ -101,28 +104,30 @@ class WorkDistribution:
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray, tol: float):
-    """Merge near-equal work values in one pass.
+    """Merge near-equal work values of atoms sorted by value in one pass.
 
-    The rule: sort the atoms and split wherever the gap between consecutive
-    values is >= ``tol``. Each run of atoms becomes one atom carrying the
-    run's total weight, at the run's probability-weighted mean value (the
-    plain mean if the weight is 0), clipped into the run's value range so
-    that rounding cannot close a gap. The sorted atoms come back as they
-    are when no gap is below ``tol``: a one-atom run keeps its weight, and
-    its mean clipped into ``[v, v]`` is ``v``. Returns new arrays.
+    The rule: split wherever the gap between consecutive values is >= ``tol``.
+    Each run of atoms becomes one atom carrying the run's total weight, at the
+    run's probability-weighted mean value (the plain mean if the weight is 0),
+    clipped into the run's value range so that rounding cannot close a gap.
+    The atoms come back as they are when no gap is below ``tol``: a one-atom
+    run keeps its weight, and its mean clipped into ``[v, v]`` is ``v``.
     """
-    order = values.argsort(kind="stable")
-    values, probs = values[order], probs[order]
     split = values[1:] - values[:-1] >= tol
-    if split.all():
+    # count_nonzero of a bool array skips the reduction machinery of all()
+    if np.count_nonzero(split) == split.size:
         return values, probs
     starts = np.flatnonzero(np.concatenate(([True], split)))
-    ends = np.append(starts[1:], values.size)
     weight = np.add.reduceat(probs, starts)
-    plain = np.add.reduceat(values, starts) / (ends - starts)
-    weighted = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
-    merged = np.where(weight > 0.0, weighted, plain)
-    return np.clip(merged, values[starts], values[ends - 1]), weight
+    positive = weight > 0.0
+    ends = np.concatenate((starts[1:], [values.size]))
+    merged = np.add.reduceat(values * probs, starts)
+    if np.count_nonzero(positive) == positive.size:
+        merged /= weight
+    else:
+        plain = np.add.reduceat(values, starts) / (ends - starts)
+        merged = np.where(positive, merged / np.where(positive, weight, 1.0), plain)
+    return np.minimum(np.maximum(merged, values[starts]), values[ends - 1]), weight
 
 
 def conditional_probabilities(
@@ -256,8 +261,8 @@ def estimate(
         atoms = WorkDistribution(final_energies - initial, gibbs.probs)
     else:
         atoms = tpm_distribution(initial, gibbs.probs, final_energies, transitions)
-    delta_f = free_energy_difference_from_log_z(final_energies, gibbs.log_z, beta)
     with np.errstate(over="ignore"):
+        delta_f = free_energy_difference_from_log_z(final_energies, gibbs.log_z, beta)
         lhs = jarzynski_lhs(atoms, beta)
         rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
     return Estimates(beta, atoms, atoms.mean(), delta_f, lhs, rhs)
@@ -410,7 +415,7 @@ def run_protocol(run) -> ProtocolReport:
     elif isinstance(run, DilatedRun):
         spec0, trans = run.h0, None
         alpha, tau_total = run.profile.alpha_final, run.profile.tau_total
-        e_final = alpha * spec0.eigenvalues
+        e_final = spec0.scaled(alpha).eigenvalues
         pipeline, final_basis, steps = "dilated", "evolved", 0
     elif isinstance(run, AppendixRun):
         spec0, e_final, trans = _appendix_inputs(run)

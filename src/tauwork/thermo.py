@@ -23,8 +23,8 @@ def _check_beta(beta: float) -> None:
 
 def log_sum_exp(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
-    m = float(x.max())
-    return m + float(np.log(np.exp(x - m).sum()))
+    m = float(np.maximum.reduce(x))
+    return m + float(np.log(np.add.reduce(np.exp(x - m))))
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,11 @@ class ThermalEnsemble:
 
     def __init__(self, beta: float, spectrum: Spectrum):
         _check_beta(beta)
+        lo, hi = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
+        # -beta * E and its spread below overflow exactly when this does
+        if not math.isfinite(beta * lo - beta * hi):
+            bounds = f"beta={float(beta)!r}, energies {lo!r} to {hi!r}"
+            raise ValueError(f"beta * energy overflows a float: {bounds}")
         x = -beta * spectrum.eigenvalues
         w = np.exp(x - x[0])
         total = w.sum()

@@ -910,3 +910,32 @@ class TestErrorLines:
         assert err.count("error:") == 1 and "Warning" not in err
         assert "system: the top level (levels - 1/2) * omega must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                dict(_demo("oscillator_blueshift"), beta=1e307),
+                "beta * energy overflows a float: beta=1e+307, energies 0.5 to 39.5",
+            ),
+            # the ladder is finite, but its blueshifted final levels are not
+            (
+                dict(_demo("oscillator_blueshift"), system=dict(HUGE_LADDER, omega=4.4e306)),
+                "spectrum contains non-finite entries",
+            ),
+        ],
+        ids=["beta", "omega"],
+    )
+    def test_energy_product_that_overflows_exits_2_without_warnings(
+        self, tmp_path, capsys, document, message
+    ):
+        import warnings
+
+        path = tmp_path / "osc.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert all_files(out) == []

@@ -15,6 +15,7 @@ from tauwork.channels import (
 )
 from tauwork.operators import (
     HermitianOperator,
+    Spectrum,
     random_hermitian,
     random_unitary,
     spectral_decompose,
@@ -39,7 +40,7 @@ from tauwork.protocol import (
 )
 from tauwork.scenarios import harmonic_hamiltonian, two_level_hamiltonian
 from tauwork.spacetime import comoving_worldline, dilation_profile, uniform_gravity_worldline
-from tauwork.thermo import log_sum_exp, thermal_state
+from tauwork.thermo import thermal_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -171,7 +172,7 @@ class TestWorkDistribution:
         rng = np.random.default_rng(3)
         values = rng.normal(size=40)
         probs = np.full(40, 1.0 / 40)
-        merged_values, merged_probs = _merge_atoms(values, probs, 1e-2)
+        merged_values, merged_probs = _merge_atoms(*sorted_atoms(values, probs), 1e-2)
         assert np.all(np.diff(merged_values) >= 1e-2 * (1 - 1e-12))
         assert abs(merged_probs.sum() - 1.0) < 1e-12
 
@@ -220,6 +221,12 @@ def _atoms(raw):
     return values, weights / weights.sum()
 
 
+def sorted_atoms(values, probs):
+    """The atoms in the stable value order that ``_merge_atoms`` expects."""
+    order = np.argsort(values, kind="stable")
+    return values[order], probs[order]
+
+
 def reference_merge(values, probs, tol):
     """What ``_merge_atoms`` returns, computed the long way: every atom runs
     through the ``reduceat`` chain."""
@@ -264,7 +271,8 @@ class TestMergeRule:
     @example([(3, 0.0, 0.0), (3, 0.0, 1.0)], 1e-9)
     def test_matches_reference(self, raw, tol):
         values, probs = _atoms(raw)
-        assert_same_atoms(_merge_atoms(values, probs, tol), reference_merge(values, probs, tol))
+        merged = _merge_atoms(*sorted_atoms(values, probs), tol)
+        assert_same_atoms(merged, reference_merge(values, probs, tol))
 
     @settings(max_examples=300, deadline=None)
     @given(ATOMS)
@@ -288,7 +296,7 @@ class TestMergeRule:
     @given(ATOMS, MERGE_TOLS)
     def test_merge_properties(self, raw, tol):
         values, probs = _atoms(raw)
-        merged_values, merged_probs = _merge_atoms(values, probs, tol)
+        merged_values, merged_probs = _merge_atoms(*sorted_atoms(values, probs), tol)
         # one atom per run: a new run starts at every gap >= tol
         assert merged_values.size == 1 + np.count_nonzero(np.diff(np.sort(values)) >= tol)
         assert np.all(np.diff(merged_values) >= tol)
@@ -299,7 +307,7 @@ class TestMergeRule:
     @settings(max_examples=300, deadline=None)
     @given(ATOMS, MERGE_TOLS)
     def test_merging_is_idempotent(self, raw, tol):
-        merged = _merge_atoms(*_atoms(raw), tol)
+        merged = _merge_atoms(*sorted_atoms(*_atoms(raw)), tol)
         again = _merge_atoms(*merged, tol)
         assert np.array_equal(again[0], merged[0])
         assert np.array_equal(again[1], merged[1])
@@ -309,6 +317,12 @@ class TestMergeRule:
         values, probs = _merge_atoms(np.array([0.0, 0.6, 1.2, 1.8, 3.0]), np.full(5, 0.2), 1.0)
         np.testing.assert_allclose(values, [0.9, 3.0], rtol=1e-15)
         np.testing.assert_allclose(probs, [0.8, 0.2], rtol=1e-15)
+
+
+def reference_log_sum_exp(x):
+    """ln sum e^x with the largest term pulled out, through the array methods."""
+    m = float(x.max())
+    return m + float(np.log(np.exp(x - m).sum()))
 
 
 def reference_tail(spec0, beta, final_energies, transitions=None, correction=0.0):
@@ -322,9 +336,9 @@ def reference_tail(spec0, beta, final_energies, transitions=None, correction=0.0
         probs = (transitions * gibbs.probs[None, :]).ravel()
     tol = protocol.MERGE_REL_TOL * max(1.0, float(values.max() - values.min()))
     atoms = reference_atoms(values, probs, tol)
-    delta_f = (gibbs.log_z - log_sum_exp(-beta * final_energies)) / beta
+    delta_f = (gibbs.log_z - reference_log_sum_exp(-beta * final_energies)) / beta
     with np.errstate(over="ignore"):
-        lhs = float(np.exp(log_sum_exp(np.log(atoms[1]) - beta * atoms[0])))
+        lhs = float(np.exp(reference_log_sum_exp(np.log(atoms[1]) - beta * atoms[0])))
         rhs = float(np.exp(-beta * delta_f) * (1.0 + correction))
     return atoms, delta_f, lhs, rhs, float(atoms[0] @ atoms[1])
 
@@ -332,25 +346,49 @@ def reference_tail(spec0, beta, final_energies, transitions=None, correction=0.0
 class TestEstimateTail:
     @settings(max_examples=200, deadline=None)
     @given(
-        dim=st.integers(2, 6),
+        dim=st.integers(2, 16),
         seed=st.integers(0, 2**32 - 1),
         beta=st.floats(0.05, 5.0),
         alpha=st.floats(0.3, 3.0),
-        flat=st.booleans(),
+        channel=st.sampled_from([None, "unitary", "damping"]),
+        degenerate=st.booleans(),
         correction=st.floats(-0.5, 0.5),
     )
-    @example(dim=3, seed=0, beta=1.0, alpha=1.0, flat=False, correction=0.0)  # all work 0
-    @example(dim=2, seed=1, beta=2.0, alpha=1.0, flat=True, correction=0.0)
-    def test_matches_reference_bit_for_bit(self, dim, seed, beta, alpha, flat, correction):
+    @example(  # all work 0
+        dim=3, seed=0, beta=1.0, alpha=1.0, channel=None, degenerate=False, correction=0.0
+    )
+    @example(
+        dim=2, seed=1, beta=2.0, alpha=1.0, channel="unitary", degenerate=False, correction=0.0
+    )
+    @example(
+        dim=16, seed=2, beta=0.7, alpha=1.3, channel="damping", degenerate=True, correction=0.1
+    )
+    @example(
+        dim=16, seed=3, beta=1.5, alpha=0.8, channel=None, degenerate=True, correction=0.0
+    )
+    def test_matches_reference_bit_for_bit(
+        self, dim, seed, beta, alpha, channel, degenerate, correction
+    ):
         rng = np.random.default_rng(seed)
         spec0 = spectral_decompose(random_hermitian(dim, rng))
-        if flat:
-            spec_f = spectral_decompose(random_hermitian(dim, rng)).scaled(alpha)
-            channel = unitary_channel(random_unitary(dim, rng))
-            trans = conditional_probabilities(spec0, spec_f, channel)
-            final = spec_f.eigenvalues
-        else:
+        if degenerate:  # at most four distinct levels, so atoms merge
+            levels = np.sort(rng.integers(-2, 2, dim)).astype(float)
+            spec0 = Spectrum(levels, spec0.eigenvectors)
+        if channel is None:
             trans, final = None, alpha * spec0.eigenvalues
+        else:
+            spec_f = spectral_decompose(random_hermitian(dim, rng)).scaled(alpha)
+            if channel == "unitary":
+                theta = unitary_channel(random_unitary(dim, rng))
+            else:
+                # full decay to the first basis state: measured in that basis,
+                # every other final level has transition probability exactly 0
+                basis = np.eye(dim)
+                spec0 = Spectrum(spec0.eigenvalues, basis)
+                spec_f = Spectrum(spec_f.eigenvalues, basis)
+                theta = amplitude_damping_channel(1.0, dim)
+            trans = conditional_probabilities(spec0, spec_f, theta)
+            final = spec_f.eigenvalues
         # one ensemble serves several final energies, as in the battery's grids
         gibbs = thermal_state(spec0, beta)
         for energies in (final, 0.5 * final):

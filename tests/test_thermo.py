@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from tauwork.thermo import (
     log_sum_exp,
     thermal_state,
 )
+
+
+MAX = sys.float_info.max
 
 
 def spectrum_of(values):
@@ -92,6 +96,22 @@ class TestThermalState:
     def test_zero_hamiltonian_is_maximally_mixed(self):
         ens = thermal_state(spectrum_of([0.0] * 5), beta=2.0)
         np.testing.assert_allclose(ens.probs, np.full(5, 0.2), atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "values, beta",
+        [
+            ([0.0, MAX], 1.0),
+            ([-MAX, 0.0], 1.0),
+            ([-0.5 * MAX, 0.5 * MAX], 1.0),  # the spread of beta * E is at the maximum
+            ([0.0, 0.5 * MAX], 2.0),
+        ],
+    )
+    def test_beta_times_energy_at_the_float_maximum(self, values, beta):
+        # just below the maximum is accepted; one step of beta above overflows
+        spec = spectrum_of(values)
+        assert np.isfinite(thermal_state(spec, beta).log_z)
+        with pytest.raises(ValueError, match=r"beta \* energy overflows a float: beta="):
+            thermal_state(spec, math.nextafter(beta, math.inf))
 
     def test_mean_energy_decreases_with_beta(self):
         h = harmonic_hamiltonian(1.0, 30)
