@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HermitianOperator, Spectrum, _as_spectrum, as_complex_matrix, spectrum_expm
+from .operators import HermitianOperator, Spectrum, _as_spectrum, as_complex_matrix, require
+from .operators import spectrum_expm
 from .spacetime import DilationProfile
 
 TRACE_PRESERVATION_ATOL = 1e-10
@@ -77,8 +78,7 @@ def identity_channel(dim: int) -> QuantumChannel:
 
 def amplitude_damping_channel(gamma: float, dim: int = 2) -> QuantumChannel:
     """Decay of every excited level into the ground level with probability gamma."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+    require(gamma=gamma)
     k0 = np.diag(np.concatenate(([1.0], np.full(dim - 1, np.sqrt(1.0 - gamma))))).astype(
         complex
     )
@@ -92,8 +92,7 @@ def amplitude_damping_channel(gamma: float, dim: int = 2) -> QuantumChannel:
 
 def depolarizing_channel(lam: float, dim: int = 2) -> QuantumChannel:
     """Mix toward 1/d with probability lam, via the Weyl shift/clock unitaries."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam!r}")
+    require(**{"lambda": lam})
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
     ops = []
@@ -144,22 +143,18 @@ class PropagatorSchedule:
         dim = segs[0].dim
         if any(h.dim != dim for h in segs):
             raise ValueError("all schedule segments must share one dimension")
+        for tau_end, _ in pairs:
+            require(tau_end=tau_end)
         bounds_arr = np.array([tau_end for tau_end, _ in pairs], dtype=float)
-        finite = np.isfinite(bounds_arr).all()
-        if not (finite and bounds_arr[0] > 0 and ((bounds_arr[1:] - bounds_arr[:-1]) > 0).all()):
-            raise ValueError(
-                "segment bounds must be finite, positive and strictly increasing"
-            )
+        if ((bounds_arr[1:] - bounds_arr[:-1]) <= 0).any():
+            raise ValueError("segment bounds must be strictly increasing")
         total = dilation.tau_total
         if bounds_arr[-1] < total * (1.0 - 1e-12):
             raise ValueError(
                 f"schedule covers proper time up to {bounds_arr[-1]!r} but the "
                 f"worldline accumulates {total!r}"
             )
-        if isinstance(steps, bool) or not (
-            isinstance(steps, (int, np.integer)) and steps >= 1
-        ):
-            raise ValueError(f"steps must be a positive integer, got {steps!r}")
+        require(steps=steps)
         bounds_arr.flags.writeable = False
         # decomposed only once the schedule is known to be valid
         object.__setattr__(self, "segments", tuple(_as_spectrum(h) for h in segs))

@@ -1,4 +1,4 @@
-"""Dense complex operator algebra for small quantum systems.
+"""Dense complex operator algebra for small quantum systems, and number rules.
 
 Everything downstream (thermal states, channels, work statistics) is built
 on exact eigendecompositions of Hermitian matrices, so this module owns the
@@ -6,12 +6,15 @@ validated operator types and the spectral primitives: decomposition with a
 deterministic treatment of degenerate eigenspaces and matrix exponentials
 through the eigenbasis.
 
-Dimensions are assumed small (a few hundred at most); all arrays are dense
-``complex128`` and frozen after construction.
+Dimensions are small (scenario files cap them at ``MAX_DIM``); all arrays are
+dense ``complex128`` and frozen after construction. ``RULES`` holds each named
+number's rule as ``(accepts, message)`` stages, checked in order: scenario
+files are validated against it, and engine functions call ``require``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -22,6 +25,69 @@ ORTHONORMALITY_ATOL = 1e-10
 # Eigenvalues closer than this fraction of the spectral scale (see
 # ``cluster_bounds``) are treated as one degenerate cluster.
 DEGENERACY_REL_GAP = 1e-10
+MAX_DIM = 1024  # levels and dim: a 1024 x 1024 complex matrix is 16.8 MB
+FINAL_BASES = ("evolved", "instantaneous")  # of a driven run's final measurement
+_REAL = (float, int, np.floating, np.integer)
+
+
+def _finite(value) -> bool:
+    """A real number, numpy scalars included, that is neither a bool, nan nor inf."""
+    try:
+        return (
+            isinstance(value, _REAL)
+            and value is not True
+            and value is not False
+            and math.isfinite(value)
+        )
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _integer(low: int, high: float = math.inf) -> tuple:
+    return (
+        (
+            lambda v: isinstance(v, (int, np.integer)) and v is not True and v is not False,
+            "must be an integer, got {!r}",
+        ),
+        (lambda v: v >= low, f"must be >= {low}, got {{!r}}"),
+        (lambda v: v <= high, f"must be <= {high}, got {{!r}}"),
+    )
+
+
+_NUMBER = (_finite, "must be a finite number, got {!r}")
+_POSITIVE = (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}"))
+_FINITE_SQUARE = (lambda v: float(v) * float(v) < math.inf, "must have a finite square, got {!r}")
+
+# name -> stages: the scenario fields, and the engine's clock rates (alpha,
+# alpha_final, alpha_min), beta_omega, scale factor and number of draws (n)
+RULES = {
+    **dict.fromkeys(("g", "p", "M"), (_NUMBER,)),
+    **dict.fromkeys(
+        ("beta", "mass", "omega", "gap", "t_end", "tau_end", "r_start", "r_end")
+        + ("alpha", "alpha_final", "alpha_min", "beta_omega", "factor"),
+        _POSITIVE,
+    ),
+    "c": (*_POSITIVE, _FINITE_SQUARE),
+    **dict.fromkeys(
+        ("gamma", "lambda"),
+        ((lambda v: _finite(v) and 0.0 <= v <= 1.0, "must be a number in [0, 1], got {!r}"),),
+    ),
+    **dict.fromkeys(("levels", "dim"), _integer(2, MAX_DIM)),
+    "samples": _integer(2, 10**6),
+    # the propagator reads O(log steps) slice edges; the cap keeps steps a C integer
+    "steps": _integer(1, 10**9),
+    "seed": _integer(0),
+    "n": _integer(1),
+    "final_basis": ((lambda v: v in FINAL_BASES, f"must be one of {FINAL_BASES}, got {{!r}}"),),
+}
+
+
+def require(**values) -> None:
+    """Raise ``ValueError("<name> <message>")`` for the first value that breaks its rule."""
+    for name, value in values.items():
+        for accepts, message in RULES[name]:
+            if not accepts(value):
+                raise ValueError(f"{name} {message.format(value)}")
 
 
 def as_complex_matrix(entries, name: str = "matrix") -> np.ndarray:
@@ -114,9 +180,7 @@ class Spectrum:
         A spectrum rescaled by a clock rate or a level spacing; ``scaled(1.0)``
         is ``self``.
         """
-        factor = float(factor)
-        if not (np.isfinite(factor) and factor > 0):
-            raise ValueError(f"scale factor must be finite and positive, got {factor!r}")
+        require(factor=factor)
         if factor == 1.0:
             return self
         # an overflow to inf is rejected by the eigenvalue check

@@ -31,18 +31,16 @@ import numpy as np
 
 from .channels import PropagatorSchedule, QuantumChannel
 from .channels import time_ordered_propagator, unitality_deviation
-from .operators import HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
-# unused here; bench/test_bench.py reads protocol.spectral_decompose
-from .operators import spectral_decompose  # noqa: F401
+from .operators import FINAL_BASES, HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
+# spectral_decompose is unused here; bench/test_bench.py reads protocol.spectral_decompose
+from .operators import require, spectral_decompose  # noqa: F401
 from .spacetime import DilationProfile
-from .thermo import ThermalEnsemble, _check_beta, free_energy_difference_from_log_z
+from .thermo import ThermalEnsemble, free_energy_difference_from_log_z
 from .thermo import log_sum_exp, thermal_state
 
 PROB_SUM_ATOL = 1e-10
 PROB_NEGATIVE_ATOL = 1e-12
 MERGE_REL_TOL = 1e-9
-
-FINAL_BASES = ("evolved", "instantaneous")
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,10 @@ class WorkDistribution:
             raise ValueError("values and probs must be equal-length 1-D arrays")
         order = values.argsort(kind="stable")
         values = values[order]
-        lo, hi, low = values[0], values[-1], np.minimum.reduce(probs)
+        lo, hi, low = float(values[0]), float(values[-1]), np.minimum.reduce(probs)
         # nan and +inf sort last, -inf first: a nan or inf entry shows in lo, hi, low or
-        # the sum (taken with low finite, so no inf - inf); only then is every entry tested
+        # the sum (taken with low finite, so no inf - inf); only then is every entry tested.
+        # hi - lo is taken in Python floats, so a spread past the float range is inf
         finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(low)
         if not (finite and math.isfinite(total := np.add.reduce(probs))) and not (
             np.isfinite(values).all() and np.isfinite(probs).all()
@@ -78,13 +77,15 @@ class WorkDistribution:
             raise ValueError(f"negative atom probability: {low:.3e}")
         if abs(total - 1.0) > PROB_SUM_ATOL:
             raise ValueError(f"atom probabilities sum to {float(total)!r}, not 1")
+        if hi - lo == math.inf:
+            raise ValueError("work atoms span more than the float range")
         probs = probs[order]
         # with every weight > 0 the clamp is the identity and no merged atom
         # is empty, so both steps run only when some weight is <= 0
         empty = low <= 0.0
         if empty:
             probs = np.clip(probs, 0.0, None)
-        merge_tol = MERGE_REL_TOL * max(1.0, float(hi - lo))
+        merge_tol = MERGE_REL_TOL * max(1.0, hi - lo)
         values, probs = _merge_atoms(values, probs, merge_tol)
         if empty:
             keep = probs > 0.0
@@ -181,14 +182,13 @@ def work_distribution_dilated(
     Eigenstates ride along the evolution, so each trajectory keeps its level
     index and the work atoms are alpha * E_m - E_m with the thermal weights.
     """
-    if alpha_final <= 0:
-        raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
+    require(alpha_final=alpha_final)
     return estimate(thermal_state(spec0, beta), alpha_final * spec0.eigenvalues).atoms
 
 
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
     """The exponential work average sum_i p_i e^(-beta w_i), summed in log space."""
-    _check_beta(beta)
+    require(beta=beta)
     return float(np.exp(log_sum_exp(np.log(wd.probs) - beta * wd.values)))
 
 
@@ -270,8 +270,7 @@ def estimate(
 
 def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the work variable; deterministic for a fixed seed."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n!r}")
+    require(n=n)
     rng = np.random.default_rng(seed)
     probs = wd.probs / wd.probs.sum()
     idx = rng.choice(wd.size, size=n, p=probs)
@@ -369,10 +368,7 @@ class AppendixRun:
     final_basis: str = "evolved"
 
     def __post_init__(self):
-        if self.final_basis not in FINAL_BASES:
-            raise ValueError(
-                f"final_basis must be one of {FINAL_BASES}, got {self.final_basis!r}"
-            )
+        require(final_basis=self.final_basis)
 
 
 def _appendix_inputs(run: AppendixRun):

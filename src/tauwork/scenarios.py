@@ -35,9 +35,9 @@ from .channels import (
     identity_channel,
     unitary_channel,
 )
-from .operators import HermitianOperator, Spectrum, matrix_from_pairs, random_hermitian
-from .operators import spectral_decompose
-from .protocol import FINAL_BASES, AppendixRun, DilatedRun, FlatRun, ProtocolReport
+from .operators import MAX_DIM, RULES, HermitianOperator, Spectrum, matrix_from_pairs
+from .operators import random_hermitian, require, spectral_decompose
+from .protocol import AppendixRun, DilatedRun, FlatRun, ProtocolReport
 from .protocol import run_protocol
 from .spacetime import (
     DilationProfile,
@@ -62,16 +62,9 @@ class ScenarioValidationError(ValueError):
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {e}" for e in self.errors))
 
 
-def _check_positive(**values) -> None:
-    """Raise ``ValueError`` naming the first value that is not finite and > 0."""
-    for name, value in values.items():
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 def oscillator_delta_F_analytic(beta_omega: float, alpha: float) -> float:
     """Closed-form beta * dF for the oscillator ladder under clock rate alpha."""
-    _check_positive(beta_omega=beta_omega, alpha=alpha)
+    require(beta_omega=beta_omega, alpha=alpha)
     if alpha == 1.0:
         return 0.0
     return float(np.log(np.sinh(alpha * beta_omega / 2.0) / np.sinh(beta_omega / 2.0)))
@@ -79,7 +72,7 @@ def oscillator_delta_F_analytic(beta_omega: float, alpha: float) -> float:
 
 def oscillator_mean_work_analytic(beta_omega: float, alpha: float) -> float:
     """Closed-form beta * <W> for the oscillator ladder under clock rate alpha."""
-    _check_positive(beta_omega=beta_omega, alpha=alpha)
+    require(beta_omega=beta_omega, alpha=alpha)
     if alpha == 1.0:
         return 0.0
     return float((alpha - 1.0) * (beta_omega / 2.0) / np.tanh(beta_omega / 2.0))
@@ -90,56 +83,40 @@ def levels_for_tail(beta_omega: float, alpha_min: float = 1.0) -> int:
 
     The rescaled ladder at clock rate ``alpha_min`` has effective spacing
     ``alpha_min * beta_omega``; the tail bound must hold there too when
-    alpha_min < 1.
+    alpha_min < 1. A ladder past ``MAX_DIM`` levels raises ``ValueError``.
     """
-    _check_positive(beta_omega=beta_omega, alpha_min=alpha_min)
-    eff = beta_omega * min(1.0, alpha_min)
-    if eff == 0.0 or -math.log(TAIL_WEIGHT) / eff == math.inf:
-        raise ValueError(f"beta_omega * alpha_min = {eff!r} is too small for a finite ladder")
-    return max(2, math.ceil(-math.log(TAIL_WEIGHT) / eff) + 1)
+    require(beta_omega=beta_omega, alpha_min=alpha_min)
+    eff = beta_omega * min(1.0, alpha_min)  # 0 if the product underflows
+    need = -math.log(TAIL_WEIGHT) / eff if eff else math.inf
+    if need > MAX_DIM - 1:
+        raise ValueError(f"beta_omega * alpha_min = {eff!r} needs more than {MAX_DIM} levels")
+    return max(2, math.ceil(need) + 1)
 
 
 def truncation_tail_weight(beta_omega: float, levels: int, alpha: float = 1.0) -> float:
     """Boltzmann weight of the first discarded level, relative to the ground level."""
-    _check_positive(beta_omega=beta_omega, alpha=alpha)
-    if not levels >= 1:
-        raise ValueError(f"levels must be >= 1, got {levels!r}")
+    require(beta_omega=beta_omega, alpha=alpha, levels=levels)
     return float(np.exp(-min(1.0, alpha) * beta_omega * levels))
 
 
 def harmonic_hamiltonian(omega: float, levels: int) -> Spectrum:
     """Truncated oscillator ladder E_n = (n + 1/2) omega, n = 0..levels-1, in the standard basis."""
-    _check_positive(omega=omega)
-    if isinstance(levels, bool) or not isinstance(levels, (int, np.integer)):
-        raise ValueError(f"levels must be an integer, got {levels!r}")
-    if levels < 2:
-        raise ValueError(f"need at least 2 levels, got {levels!r}")
+    require(omega=omega, levels=levels)
     return Spectrum((np.arange(levels) + 0.5) * omega, np.eye(levels))
 
 
 def two_level_hamiltonian(gap: float) -> Spectrum:
     """Levels 0 and ``gap`` in the standard basis."""
-    _check_positive(gap=gap)
+    require(gap=gap)
     return Spectrum([0.0, gap], np.eye(2))
-
-
-def _finite(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _pairs_matrix(value) -> bool:
     try:
         matrix_from_pairs(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
     return True
-
-
-def _at_least(low: int) -> tuple:
-    return (
-        (lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer, got {!r}"),
-        (lambda v: v >= low, f"must be >= {low}, got {{!r}}"),
-    )
 
 
 # pipeline -> (sections it requires, optional fields it reads), on top of the
@@ -150,24 +127,12 @@ PIPELINES = {
     "appendix": (("schedule", "worldline"), ("mass", "c", "steps", "final_basis")),
 }
 
-_NUMBER = (_finite, "must be a finite number, got {!r}")
 _STRING = (lambda v: isinstance(v, str) and v != "", "must be a non-empty string, got {!r}")
-_POSITIVE = (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}"))
-_FINITE_SQUARE = (lambda v: float(v) * float(v) < math.inf, "must have a finite square, got {!r}")
 
 # field name -> stages (accepts, message), the same wherever the field appears;
-# a value breaks the rule at the first stage it fails, whose message is reported
+# the numeric entries are the engine's own ``RULES``
 FIELD_RULES = {
-    **dict.fromkeys(("g", "p", "M", "r_start", "r_end"), (_NUMBER,)),
-    **dict.fromkeys(("beta", "mass", "omega", "gap", "t_end", "tau_end"), _POSITIVE),
-    "c": (*_POSITIVE, _FINITE_SQUARE),
-    **dict.fromkeys(
-        ("gamma", "lambda"),
-        ((lambda v: _finite(v) and 0.0 <= v <= 1.0, "must be a number in [0, 1], got {!r}"),),
-    ),
-    **dict.fromkeys(("levels", "dim", "samples"), _at_least(2)),
-    "steps": _at_least(1),
-    "seed": _at_least(0),
+    **RULES,
     "gravitational_only": ((lambda v: isinstance(v, bool), "must be true or false"),),
     "csv": (_STRING,),
     "scenario_id": (
@@ -183,7 +148,6 @@ FIELD_RULES = {
             f"must be one of {tuple(PIPELINES)}, got {{!r}}",
         ),
     ),
-    "final_basis": ((lambda v: v in FINAL_BASES, f"must be one of {FINAL_BASES}, got {{!r}}"),),
     "matrix": ((_pairs_matrix, "must be a square, finite matrix of [re, im] pairs"),),
     "matrices": (
         (
@@ -290,15 +254,6 @@ _FAMILIES = {
 }
 
 
-def _passes(stage: tuple, value) -> bool:
-    """Whether ``value`` meets an (accepts, message) stage; an integer beyond
-    the float range, which overflows the stage's arithmetic, does not."""
-    try:
-        return stage[0](value)
-    except OverflowError:
-        return False
-
-
 def _check(value, name: str, path: str, errors: list) -> None:
     """Append to ``errors`` what is wrong with field ``name``'s value at ``path``."""
     if name in _FAMILIES:
@@ -313,7 +268,7 @@ def _check(value, name: str, path: str, errors: list) -> None:
         entry, owner = table[kind], f" for {tag} {kind!r}"
         known = len(errors)
         _check_fields(value, path, entry.required, entry.optional, owner, tag, errors)
-        if entry.rule and len(errors) == known and not _passes(entry.rule, value):
+        if entry.rule and len(errors) == known and not entry.rule[0](value):
             errors.append(f"{path}: {entry.rule[1].format(**value)}")
     elif name == "schedule":
         if not isinstance(value, list) or not value:
@@ -322,9 +277,9 @@ def _check(value, name: str, path: str, errors: list) -> None:
         for i, segment in enumerate(value):
             _check_fields(segment, f"{path}[{i}]", ("tau_end", "system"), (), "", None, errors)
     else:
-        for stage in FIELD_RULES[name]:
-            if not _passes(stage, value):
-                errors.append(f"{path}: {stage[1].format(value)}")
+        for accepts, message in FIELD_RULES[name]:
+            if not accepts(value):
+                errors.append(f"{path}: {message.format(value)}")
                 return
 
 

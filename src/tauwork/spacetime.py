@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import require
+
 WEAK_FIELD_MAX_PHI = 0.5  # |phi|/c^2 beyond this is outside the expansion
 
 
@@ -37,10 +39,7 @@ def dilation_factor(phi, p, mass: float, c: float = 1.0):
     first sample whose rate is not positive, which signals inputs outside the
     regime where the expansion makes sense.
     """
-    if not 0.0 < mass < np.inf:
-        raise ValueError(f"mass must be positive, got {mass!r}")
-    if not (0.0 < c and float(c) * float(c) < np.inf):
-        raise ValueError(f"speed of light must be positive with a finite square, got c={c!r}")
+    require(mass=mass, c=c)
     phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
     alpha = 1.0 + phi / c**2 - p * p / (2.0 * mass * mass * c * c)
     bad = np.flatnonzero(alpha <= 0.0)
@@ -74,8 +73,7 @@ class Worldline:
             raise ValueError("worldline samples must be finite")
         if ((t[1:] - t[:-1]) <= 0).any():
             raise ValueError("t must be strictly increasing")
-        if not (np.isfinite(mass) and mass > 0):
-            raise ValueError(f"mass must be positive, got {mass!r}")
+        require(mass=mass)
         for arr in (t, phi, p):
             arr.flags.writeable = False
         object.__setattr__(self, "t", t)
@@ -131,8 +129,7 @@ def point_mass_worldline(
     mass: float = 1.0,
 ) -> Worldline:
     """Radial move in the field of a point mass: phi = -M/r along linear r(t)."""
-    if r_start <= 0 or r_end <= 0:
-        raise ValueError("radii must be positive")
+    require(r_start=r_start, r_end=r_end)
     t = np.linspace(0.0, t_end, samples)
     r = r_start + (r_end - r_start) * (t / t_end)
     p = mass * abs(r_end - r_start) / t_end
@@ -195,8 +192,7 @@ def dilation_profile(
     leaving ``alpha = 1 + phi/c^2`` exactly; useful to isolate the
     equivalence-principle effect.
     """
-    if not (0.0 < c and float(c) * float(c) < np.inf):
-        raise ValueError(f"speed of light must be positive with a finite square, got c={c!r}")
+    require(c=c)
     ratio = np.max(np.abs(worldline.phi)) / c**2
     if ratio >= WEAK_FIELD_MAX_PHI:
         raise WeakFieldViolationError(

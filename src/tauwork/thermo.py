@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Spectrum
-
-
-def _check_beta(beta: float) -> None:
-    """Reject an inverse temperature outside (0, inf), nan included."""
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"beta must be finite and positive, got {beta!r}")
+from .operators import Spectrum, require
 
 
 def log_sum_exp(x: np.ndarray) -> float:
@@ -41,7 +35,7 @@ class ThermalEnsemble:
     log_z: float
 
     def __init__(self, beta: float, spectrum: Spectrum):
-        _check_beta(beta)
+        require(beta=beta)
         lo, hi = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
         # -beta * E and its spread below overflow exactly when this does
         if not math.isfinite(beta * lo - beta * hi):
@@ -70,7 +64,7 @@ def free_energy_difference_from_values(
     final_evals: np.ndarray, initial_evals: np.ndarray, beta: float
 ) -> float:
     """-(1/beta) ln(Z_final / Z_initial) for two explicit energy lists."""
-    _check_beta(beta)
+    require(beta=beta)
     lz_i = log_sum_exp(-beta * np.asarray(initial_evals, float))
     return free_energy_difference_from_log_z(final_evals, lz_i, beta)
 
@@ -88,8 +82,7 @@ def free_energy_difference(spec0: Spectrum, alpha_final: float, beta: float) -> 
     This is the equilibrium reference for a clock rate ``alpha_final`` at the
     end point of the worldline. Returns exactly +0.0 for ``alpha_final == 1``.
     """
-    if not 0.0 < alpha_final < math.inf:
-        raise ValueError(f"alpha_final must be positive, got {alpha_final!r}")
+    require(alpha_final=alpha_final)
     return free_energy_difference_from_values(
         alpha_final * spec0.eigenvalues, spec0.eigenvalues, beta
     )

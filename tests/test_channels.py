@@ -108,6 +108,14 @@ class TestChannelConstruction:
         for dim in (2, 3):
             assert depolarizing_channel(0.3, dim=dim).is_unital
 
+    @pytest.mark.parametrize("value", [True, np.nan, 1.5, -0.1])
+    def test_probabilities_follow_the_schema_rule(self, value):
+        message = f"must be a number in \\[0, 1\\], got {value!r}"
+        with pytest.raises(ValueError, match=f"gamma {message}"):
+            amplitude_damping_channel(value)
+        with pytest.raises(ValueError, match=f"lambda {message}"):
+            depolarizing_channel(value)
+
 
 class TestApply:
     def test_identity_channel_fixes_states(self):
@@ -196,8 +204,20 @@ class TestPropagatorSchedule:
         prof = ramp_profile()
         h = HermitianOperator(SIGMA_X)
         for bounds in ([np.nan, prof.tau_total], [5.0, np.inf]):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match="tau_end must be a finite number"):
                 PropagatorSchedule(list(zip(bounds, [h, h])), prof, steps=10)
+        with pytest.raises(ValueError, match=r"tau_end must be positive, got -1\.0"):
+            PropagatorSchedule([(-1.0, h), (prof.tau_total, h)], prof, steps=10)
+
+    def test_needs_a_segment(self):
+        with pytest.raises(ValueError, match="schedule needs at least one segment"):
+            PropagatorSchedule([], ramp_profile(), steps=10)
+
+    def test_segments_share_one_dimension(self):
+        prof = ramp_profile()
+        segments = [(1.0, HermitianOperator(SIGMA_X)), (prof.tau_total, random_hermitian(3, 0))]
+        with pytest.raises(ValueError, match="all schedule segments must share one dimension"):
+            PropagatorSchedule(segments, prof, steps=10)
 
     def test_steps_validation(self):
         prof = ramp_profile()
@@ -206,8 +226,13 @@ class TestPropagatorSchedule:
 
     def test_boolean_steps_rejected(self):
         prof = ramp_profile()
-        with pytest.raises(ValueError, match="steps"):
+        with pytest.raises(ValueError, match="steps must be an integer, got True"):
             PropagatorSchedule.constant(HermitianOperator(SIGMA_X), prof, steps=True)
+
+    def test_steps_cap(self):
+        prof = ramp_profile()
+        with pytest.raises(ValueError, match="steps must be <= 1000000000, got 1000000001"):
+            PropagatorSchedule.constant(HermitianOperator(SIGMA_X), prof, steps=10**9 + 1)
 
 
 class TestTimeOrderedPropagator:

@@ -705,6 +705,7 @@ def _demo(name: str) -> dict:
 
 # an oscillator whose top level (40 - 1/2) * 1e307 overflows a float
 HUGE_LADDER = {"kind": "harmonic", "omega": 1e307, "levels": 40}
+TWO_LEVEL = {"kind": "two_level", "gap": 1.0}
 
 
 class TestSweepConfig:
@@ -938,4 +939,39 @@ class TestErrorLines:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert all_files(out) == []
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                dict(_demo("driven_two_segment"), steps=10**20),
+                "  - steps: must be <= 1000000000, got 100000000000000000000",
+            ),
+            (
+                dict(_demo("oscillator_blueshift"), system=dict(HUGE_LADDER, levels=10**20)),
+                "  - system.levels: must be <= 1024, got 100000000000000000000",
+            ),
+            # the work atoms +-1e308 are 2e308 apart, past the float range
+            (
+                dict(_demo("flat_damping"), beta=1e-300, system=dict(TWO_LEVEL, gap=1e308)),
+                "work atoms span more than the float range",
+            ),
+        ],
+        ids=["steps", "levels", "spread"],
+    )
+    def test_sizes_past_a_cap_and_spreads_past_the_float_range_exit_2(
+        self, tmp_path, capsys, document, message
+    ):
+        import warnings
+
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(document))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("error:") == 1
+        assert message in err.splitlines()[-1] and "Warning" not in err
         assert all_files(out) == []

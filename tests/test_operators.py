@@ -12,6 +12,7 @@ from tauwork.operators import (
     matrix_from_pairs,
     random_hermitian,
     random_unitary,
+    require,
     spectral_decompose,
     spectrum_expm,
 )
@@ -54,6 +55,22 @@ class TestConstruction:
         with pytest.raises(ValueError):
             h.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("pairs", [[[1.0, 2.0]], [[[1.0, 2.0, 3.0]]], [[[[1.0, 2.0]]]]])
+    def test_pairs_must_be_rows_of_pairs(self, pairs):
+        with pytest.raises(ValueError, match=r"channel.matrix must be rows of \[re, im\] pairs"):
+            matrix_from_pairs(pairs, name="channel.matrix")
+
+    def test_spectrum_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="eigenvalue/eigenvector shapes are inconsistent"):
+            Spectrum([0.0, 1.0], np.eye(3))
+        spec = Spectrum([0.0, 1.0], np.eye(2))
+        with pytest.raises(ValueError, match="eigenvalue/eigenvector shapes are inconsistent"):
+            spec.shifted(np.zeros((3, 1)))
+
+    def test_spectrum_rejects_non_finite_eigenvectors(self):
+        with pytest.raises(ValueError, match="spectrum contains non-finite entries"):
+            Spectrum([0.0, 1.0], [[1.0, 0.0], [0.0, np.nan]])
+
     def test_pair_round_trip(self):
         mat = np.array([[1 + 2j, 0.5], [0.5, -1j]])
         pairs = [[[1.0, 2.0], [0.5, 0.0]], [[0.5, 0.0], [0.0, -1.0]]]
@@ -70,6 +87,40 @@ class TestConstruction:
         spec = spectral_decompose(random_hermitian(4, 2))
         fortran = Spectrum(spec.eigenvalues, np.asfortranarray(spec.eigenvectors))
         assert np.array_equal(fortran.eigenvectors, spec.eigenvectors)
+
+
+class TestRequire:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"beta": 2.0},
+            {"beta": np.float64(2.0), "alpha": np.float32(0.5)},
+            {"beta": 10**308},
+            {"steps": np.int64(5), "levels": np.int32(1024)},
+            {"gamma": 0, "lambda": np.float64(1.0)},
+            {"c": 1e154},
+        ],
+    )
+    def test_accepts_real_numbers_and_numpy_scalars(self, values):
+        require(**values)
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"beta": True}, "beta must be a finite number, got True"),
+            ({"beta": np.bool_(True)}, "beta must be a finite number, got "),
+            ({"beta": 10**400}, "beta must be a finite number, got 1000"),
+            ({"beta": "2"}, "beta must be a finite number, got '2'"),
+            ({"beta": -1.0}, r"beta must be positive, got -1\.0"),
+            ({"gamma": False}, "gamma must be a number in \\[0, 1\\], got False"),
+            ({"steps": np.float64(5.0)}, "steps must be an integer"),
+            ({"steps": True}, "steps must be an integer, got True"),
+            ({"beta": 1.0, "alpha": 0.0}, r"alpha must be positive, got 0\.0"),
+        ],
+    )
+    def test_names_the_first_value_that_breaks_its_rule(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            require(**values)
 
 
 class TestSpectralDecompose:
@@ -149,10 +200,19 @@ class TestScaled:
         spec = spectral_decompose(random_hermitian(3, 4))
         assert spec.scaled(1.0) is spec
 
-    @pytest.mark.parametrize("factor", [0.0, -2.0, np.nan, np.inf])
-    def test_rejects_factors_that_are_not_finite_and_positive(self, factor):
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (0.0, "must be positive, got 0.0"),
+            (-2.0, "must be positive, got -2.0"),
+            (np.nan, "must be a finite number, got nan"),
+            (np.inf, "must be a finite number, got inf"),
+            (True, "must be a finite number, got True"),
+        ],
+    )
+    def test_rejects_factors_that_are_not_finite_and_positive(self, factor, message):
         spec = spectral_decompose(random_hermitian(3, 5))
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match=f"factor {message}"):
             spec.scaled(factor)
 
     def test_rejects_eigenvalues_that_overflow(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,25 @@ class TestConditionalProbabilities:
                 identity_channel(2),
             )
 
+    @pytest.mark.parametrize(
+        "image, message",
+        [
+            # every column is (2, 2): outside [0, 1]
+            (2.0 * np.eye(2), r"transition probabilities outside \[0, 1\]: min 2\.000e\+00"),
+            # every column is (0.3, 0.3): inside [0, 1], but sums to 0.6
+            (0.3 * np.eye(2), "transition matrix columns do not sum to 1"),
+        ],
+    )
+    def test_rejects_a_map_that_is_not_a_channel(self, image, message):
+        class Stub:
+            dim = 2
+
+            def apply_matrix(self, mat):
+                return image
+
+        with pytest.raises(ValueError, match=message):
+            conditional_probabilities(two_level(), two_level(), Stub())
+
 
 class TestWorkDistribution:
     def test_probabilities_must_sum_to_one(self):
@@ -134,6 +154,15 @@ class TestWorkDistribution:
     def test_sum_error_prints_a_plain_float(self):
         with pytest.raises(ValueError, match=r"atom probabilities sum to 0\.9, not 1"):
             WorkDistribution([0.0, 1.0], [0.5, 0.4])
+
+    def test_rejects_a_spread_beyond_the_float_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="work atoms span more than the float range"):
+                WorkDistribution([-1e308, 1e308], [0.5, 0.5])
+            # the widest spread that fits keeps both atoms
+            wd = WorkDistribution([-1e308, 7e307], [0.5, 0.5])
+        assert wd.size == 2 and wd.merge_tol == pytest.approx(1.7e299)
 
     def test_rejects_negative_probability(self):
         with pytest.raises(ValueError, match=r"negative atom probability: -1\.000e-11"):
@@ -412,6 +441,15 @@ class TestDilatedDistribution:
         np.testing.assert_allclose(wd.values, [0.0, 0.2], atol=1e-12)
         np.testing.assert_allclose(wd.probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [(math.nan, "a finite number, got nan"), (True, "a finite number, got True"),
+         (0.0, r"positive, got 0\.0")],
+    )
+    def test_rejects_what_the_schema_rejects(self, alpha, message):
+        with pytest.raises(ValueError, match=f"alpha_final must be {message}"):
+            work_distribution_dilated(two_level(), alpha, beta=1.0)
+
     def test_mean_is_rate_excess_times_thermal_energy(self):
         spec = harmonic_hamiltonian(1.0, 40)
         beta, alpha = 2.0, 1.2
@@ -533,11 +571,11 @@ class TestEntropyProduction:
         assert est.entropy_production >= 0
 
 
-@pytest.mark.parametrize("beta", [math.nan, math.inf])
+@pytest.mark.parametrize("beta", [math.nan, math.inf, True])
 def test_rejects_non_finite_beta(beta):
     spec = two_level()
     wd = WorkDistribution([0.0, 1.0], [0.5, 0.5])
-    message = "beta must be finite and positive"
+    message = f"beta must be a finite number, got {beta!r}"
     with pytest.raises(ValueError, match=message):
         jarzynski_lhs(wd, beta)
     with pytest.raises(ValueError, match=message):
@@ -563,7 +601,7 @@ class TestSampling:
 
     def test_rejects_empty_request(self):
         wd = WorkDistribution([0.0], [1.0])
-        with pytest.raises(ValueError, match="sample count"):
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             sample_outcomes(wd, 0, seed=0)
 
 

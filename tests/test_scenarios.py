@@ -6,7 +6,7 @@ import pytest
 
 from tauwork import scenarios
 from tauwork.channels import PropagatorSchedule, amplitude_damping_channel, depolarizing_channel
-from tauwork.operators import HermitianOperator, random_hermitian, spectral_decompose
+from tauwork.operators import RULES, HermitianOperator, random_hermitian, spectral_decompose
 from tauwork.protocol import (
     FINAL_BASES,
     AppendixRun,
@@ -55,7 +55,16 @@ def dilated_config(**overrides):
     return raw
 
 
-TOO_SMALL = r"beta_omega \* alpha_min = .* is too small for a finite ladder"
+APPENDIX = {
+    "scenario_id": "drv",
+    "pipeline": "appendix",
+    "beta": 1.0,
+    "worldline": {"preset": "comoving", "t_end": 1.0},
+    "schedule": [{"tau_end": 1.0, "system": {"kind": "two_level", "gap": 1.0}}],
+}
+
+
+PAST_CAP = r"beta_omega \* alpha_min = .* needs more than 1024 levels"
 
 
 class TestAnalyticOracles:
@@ -111,7 +120,7 @@ class TestAnalyticOracles:
         ],
     )
     def test_oracles_reject_non_finite_arguments(self, oracle, beta_omega, alpha, message):
-        with pytest.raises(ValueError, match=f"{message} must be positive"):
+        with pytest.raises(ValueError, match=f"{message} must be a finite number"):
             oracle(beta_omega, alpha)
 
     def test_levels_for_tail_bounds(self):
@@ -122,29 +131,38 @@ class TestAnalyticOracles:
     @pytest.mark.parametrize(
         "helper, args, message",
         [
-            (levels_for_tail, (math.inf,), "beta_omega must be positive"),
-            (levels_for_tail, (math.nan,), "beta_omega must be positive"),
-            (levels_for_tail, (0.0,), "beta_omega must be positive"),
-            (levels_for_tail, (1.0, math.nan), "alpha_min must be positive"),
-            (levels_for_tail, (1.0, -0.5), "alpha_min must be positive"),
-            (truncation_tail_weight, (math.nan, 3), "beta_omega must be positive"),
+            (levels_for_tail, (math.inf,), "beta_omega must be a finite number, got inf"),
+            (levels_for_tail, (math.nan,), "beta_omega must be a finite number, got nan"),
+            (levels_for_tail, (0.0,), "beta_omega must be positive, got 0.0"),
+            (levels_for_tail, (1.0, math.nan), "alpha_min must be a finite number, got nan"),
+            (levels_for_tail, (1.0, -0.5), r"alpha_min must be positive, got -0\.5"),
+            (truncation_tail_weight, (math.nan, 3), "beta_omega must be a finite number"),
             (truncation_tail_weight, (-1.0, 3), "beta_omega must be positive"),
-            (truncation_tail_weight, (1.0, 3, math.nan), "alpha must be positive"),
-            (truncation_tail_weight, (1.0, 3, math.inf), "alpha must be positive"),
-            (truncation_tail_weight, (1.0, 0), "levels must be >= 1"),
-            # the ladder size overflows, or the spacing underflows to 0
-            (levels_for_tail, (1e-310,), TOO_SMALL),
-            (levels_for_tail, (5e-324,), TOO_SMALL),
-            (levels_for_tail, (1.0, 1e-310), TOO_SMALL),
-            (levels_for_tail, (1e-200, 1e-200), TOO_SMALL),
-            # the ladder size must be an integer, not a bool
+            (truncation_tail_weight, (1.0, 3, math.nan), "alpha must be a finite number"),
+            (truncation_tail_weight, (1.0, 3, math.inf), "alpha must be a finite number"),
+            # the ladder's own rule: an integer from 2 to 1024
+            (truncation_tail_weight, (1.0, 0), "levels must be >= 2, got 0"),
+            (truncation_tail_weight, (1.0, 1), "levels must be >= 2, got 1"),
+            (truncation_tail_weight, (1.0, 1025), "levels must be <= 1024, got 1025"),
+            (truncation_tail_weight, (1.0, 3.0), r"levels must be an integer, got 3\.0"),
+            # the ladder is longer than the levels cap, or the spacing underflows to 0
+            (levels_for_tail, (1e-9,), PAST_CAP),
+            (levels_for_tail, (1e-310,), PAST_CAP),
+            (levels_for_tail, (5e-324,), PAST_CAP),
+            (levels_for_tail, (1.0, 1e-310), PAST_CAP),
+            (levels_for_tail, (1e-200, 1e-200), PAST_CAP),
+            # the ladder size must be an integer (not a bool) from 2 to 1024
             (harmonic_hamiltonian, (1.0, 2.5), r"levels must be an integer, got 2\.5"),
             (harmonic_hamiltonian, (1.0, True), "levels must be an integer, got True"),
+            (harmonic_hamiltonian, (1.0, 1), "levels must be >= 2, got 1"),
+            (harmonic_hamiltonian, (1.0, 1025), "levels must be <= 1024, got 1025"),
             # a level spacing or gap that is not finite and > 0
-            (harmonic_hamiltonian, (math.nan, 3), "omega must be positive, got nan"),
-            (harmonic_hamiltonian, (math.inf, 3), "omega must be positive, got inf"),
-            (two_level_hamiltonian, (math.nan,), "gap must be positive, got nan"),
-            (two_level_hamiltonian, (-math.inf,), "gap must be positive, got -inf"),
+            (harmonic_hamiltonian, (math.nan, 3), "omega must be a finite number, got nan"),
+            (harmonic_hamiltonian, (math.inf, 3), "omega must be a finite number, got inf"),
+            (harmonic_hamiltonian, (-1.0, 3), r"omega must be positive, got -1\.0"),
+            (two_level_hamiltonian, (math.nan,), "gap must be a finite number, got nan"),
+            (two_level_hamiltonian, (-math.inf,), "gap must be a finite number, got -inf"),
+            (two_level_hamiltonian, (0.0,), r"gap must be positive, got 0\.0"),
         ],
     )
     def test_tail_helpers_reject_bad_arguments(self, helper, args, message):
@@ -611,21 +629,82 @@ class TestSchemaTables:
             ScenarioConfig.from_dict(dilated_config(system=system))
 
     def test_final_basis_checked_against_protocol(self):
-        raw = {
-            "scenario_id": "drv",
-            "pipeline": "appendix",
-            "beta": 1.0,
-            "worldline": {"preset": "comoving", "t_end": 1.0},
-            "schedule": [{"tau_end": 1.0, "system": {"kind": "two_level", "gap": 1.0}}],
-        }
         for basis in FINAL_BASES:
-            assert ScenarioConfig.from_dict(dict(raw, final_basis=basis)).final_basis == basis
+            assert ScenarioConfig.from_dict(dict(APPENDIX, final_basis=basis)).final_basis == basis
         with pytest.raises(ScenarioValidationError, match="final_basis: must be one of"):
-            ScenarioConfig.from_dict(dict(raw, final_basis="lab"))
+            ScenarioConfig.from_dict(dict(APPENDIX, final_basis="lab"))
 
     def test_every_scalar_field_has_a_rule(self):
         names = {f.name for f in dataclasses.fields(ScenarioConfig)}
         assert set(FIELD_RULES) >= names - {"system", "worldline", "channel", "schedule"}
+
+    def test_numeric_rules_are_the_engines(self):
+        assert all(FIELD_RULES[name] is rule for name, rule in RULES.items())
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ([], "document: must be a JSON object"),
+            (dilated_config(pipeline="warp"), "pipeline: must be one of"),
+            (dict(APPENDIX, schedule={"tau_end": 1.0}), "schedule: must be a non-empty list"),
+            (dict(APPENDIX, schedule=[]), "schedule: must be a non-empty list"),
+            (dict(APPENDIX, schedule=[1.0]), r"schedule\[0\]: must be an object"),
+        ],
+    )
+    def test_document_shape(self, raw, message):
+        with pytest.raises(ScenarioValidationError, match=message):
+            ScenarioConfig.from_dict(raw)
+
+
+class TestIntegerCaps:
+    """Each cap is accepted at its bound and rejected one above; nothing is built."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            lambda n: dilated_config(system={"kind": "harmonic", "omega": 1.0, "levels": n}),
+            lambda n: dilated_config(system={"kind": "random", "dim": n, "seed": 0}),
+        ],
+        ids=["levels", "dim"],
+    )
+    def test_system_size(self, raw):
+        assert ScenarioConfig.from_dict(raw(1024))
+        for n in (1025, 10**20, 10**400):
+            with pytest.raises(ScenarioValidationError, match=f"must be <= 1024, got {n}"):
+                ScenarioConfig.from_dict(raw(n))
+
+    def test_samples(self):
+        def raw(n):
+            worldline = dict(dilated_config()["worldline"], samples=n)
+            return dilated_config(worldline=worldline)
+
+        assert ScenarioConfig.from_dict(raw(10**6))
+        for n in (10**6 + 1, 10**400):
+            with pytest.raises(ScenarioValidationError) as err:
+                ScenarioConfig.from_dict(raw(n))
+            assert err.value.errors == [f"worldline.samples: must be <= 1000000, got {n}"]
+
+    def test_steps(self):
+        assert ScenarioConfig.from_dict(dict(APPENDIX, steps=10**9)).steps == 10**9
+        for n in (10**9 + 1, 10**20, 10**400):
+            with pytest.raises(ScenarioValidationError) as err:
+                ScenarioConfig.from_dict(dict(APPENDIX, steps=n))
+            assert err.value.errors == [f"steps: must be <= 1000000000, got {n}"]
+
+    def test_levels_for_tail_stops_at_the_levels_cap(self):
+        per_level = -math.log(scenarios.TAIL_WEIGHT) / 1023
+        assert levels_for_tail(per_level * (1 + 1e-12)) == 1024
+        with pytest.raises(ValueError, match=PAST_CAP):
+            levels_for_tail(per_level * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("radius", ["r_start", "r_end"])
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_radii_are_checked_at_validation(radius, value):
+    worldline = {"preset": "point_mass", "M": 0.1, "r_start": 2.0, "r_end": 3.0, "t_end": 1.0}
+    with pytest.raises(ScenarioValidationError) as err:
+        ScenarioConfig.from_dict(dilated_config(worldline={**worldline, radius: value}))
+    assert err.value.errors == [f"worldline.{radius}: must be positive, got {value!r}"]
 
 
 class TestScenarioId:

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -44,22 +45,23 @@ class TestDilationFactor:
             dilation_factor(-0.49, 1.2, 1.0)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError, match="mass"):
+        with pytest.raises(ValueError, match=r"mass must be positive, got -1\.0"):
             dilation_factor(0.0, 0.0, -1.0)
-        with pytest.raises(ValueError, match="speed of light"):
+        with pytest.raises(ValueError, match=r"c must be positive, got 0\.0"):
             dilation_factor(0.0, 0.0, 1.0, c=0.0)
 
     @pytest.mark.parametrize(
         "mass, c, message",
         [
-            (float("nan"), 1.0, "mass"),
-            (1.0, float("nan"), "speed of light"),
-            (1.0, float("inf"), "speed of light"),
-            (1.0, 1e155, "speed of light"),  # c**2 overflows
+            (float("nan"), 1.0, "mass must be a finite number, got nan"),
+            (1.0, float("nan"), "c must be a finite number, got nan"),
+            (1.0, float("inf"), "c must be a finite number, got inf"),
+            (1.0, 1e155, r"c must have a finite square, got 1e\+155"),  # c**2 overflows
+            (True, 1.0, "mass must be a finite number, got True"),
         ],
     )
     def test_rejects_non_finite_mass_and_c(self, mass, c, message):
-        with pytest.raises(ValueError, match=f"{message} must be positive"):
+        with pytest.raises(ValueError, match=message):
             dilation_factor(0.1, 0.0, mass, c)
 
 
@@ -67,6 +69,32 @@ class TestWorldline:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             Worldline([0.0], [0.0], [0.0], 1.0)
+
+    def test_samples_must_match_and_be_finite(self):
+        with pytest.raises(ValueError, match="t, phi, p must have identical lengths"):
+            Worldline([0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0], 1.0)
+        with pytest.raises(ValueError, match="worldline samples must be finite"):
+            Worldline([0.0, 1.0], [0.0, np.nan], [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize(
+        "mass, message",
+        [(True, "a finite number, got True"), (0.0, r"positive, got 0\.0")],
+    )
+    def test_mass_follows_the_schema_rule(self, mass, message):
+        with pytest.raises(ValueError, match=f"mass must be {message}"):
+            Worldline([0.0, 1.0], [0.0, 0.0], [0.0, 0.0], mass)
+
+    @pytest.mark.parametrize("radius", [0, 1])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.nan, "a finite number, got nan"), (0.0, r"positive, got 0\.0"), (-2.0, "positive")],
+    )
+    def test_point_mass_radii_follow_the_schema_rule(self, radius, value, message):
+        radii = [2.0, 3.0]
+        radii[radius] = value
+        name = ("r_start", "r_end")[radius]
+        with pytest.raises(ValueError, match=f"{name} must be {message}"):
+            point_mass_worldline(0.1, *radii, 1.0, samples=3)
 
     def test_requires_increasing_time(self):
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -85,6 +113,10 @@ class TestWorldline:
         with pytest.raises(ValueError, match="header"):
             Worldline.from_csv(io.StringIO("time,phi,p\n0,0,0\n1,0,0\n"), mass=1.0)
 
+    def test_csv_rejects_rows_that_are_not_triples(self):
+        with pytest.raises(ValueError, match="worldline CSV rows must have exactly 3 columns"):
+            Worldline.from_csv(io.StringIO("t,phi,p\n0,0\n1,0\n"), mass=1.0)
+
     def test_csv_rejects_non_numeric(self):
         with pytest.raises(ValueError, match="non-numeric"):
             Worldline.from_csv(io.StringIO("t,phi,p\n0,0,0\n1,x,0\n"), mass=1.0)
@@ -101,6 +133,10 @@ class TestWorldline:
 
 
 class TestDilationProfile:
+    def test_arrays_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="profile arrays must be equal-length"):
+            DilationProfile([0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0])
+
     def test_comoving_is_trivial(self):
         prof = dilation_profile(comoving_worldline(5.0, samples=7))
         assert np.all(prof.alpha == 1.0)
@@ -205,8 +241,17 @@ class TestClockRateOnArrays:
         with pytest.raises(WeakFieldViolationError, match=f"{-low:g} exceeds"):
             dilation_profile(w)
 
-    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf"), 1e155])
-    def test_profile_checks_c_before_the_bound(self, c):
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            (0.0, "must be positive"),
+            (-1.0, "must be positive"),
+            (float("nan"), "must be a finite number"),
+            (float("inf"), "must be a finite number"),
+            (1e155, "must have a finite square"),
+        ],
+    )
+    def test_profile_checks_c_before_the_bound(self, c, message):
         w = Worldline([0.0, 1.0], [0.0, -1.2], [0.0, 0.0], 1.0)
-        with pytest.raises(ValueError, match="speed of light must be positive"):
+        with pytest.raises(ValueError, match=re.escape(f"c {message}, got {c!r}")):
             dilation_profile(w, c=c)

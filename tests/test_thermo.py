@@ -64,17 +64,18 @@ class TestPartitionFunction:
         with pytest.raises(ValueError, match="beta"):
             free_energy_difference_from_values([0.0, 1.0], [0.0, 1.0], beta=0.0)
 
-    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, True])
     def test_rejects_non_finite_beta(self, beta):
-        message = "beta must be finite and positive"
+        message = f"beta must be a finite number, got {beta!r}"
         with pytest.raises(ValueError, match=message):
             thermal_state(spectrum_of([0.0, 1.0, 2.0]), beta=beta)
         with pytest.raises(ValueError, match=message):
             free_energy_difference_from_values([0.0, 1.0], [0.0, 1.0], beta=beta)
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, True])
     def test_rejects_non_finite_clock_rate(self, alpha):
-        with pytest.raises(ValueError, match="alpha_final must be positive"):
+        message = f"alpha_final must be a finite number, got {alpha!r}"
+        with pytest.raises(ValueError, match=message):
             free_energy_difference(spectrum_of([0.0, 1.0]), alpha, beta=1.0)
 
 
