@@ -73,12 +73,13 @@ def unitary_channel(u) -> QuantumChannel:
 
 
 def identity_channel(dim: int) -> QuantumChannel:
+    require(dim=dim)
     return QuantumChannel([np.eye(dim, dtype=complex)])
 
 
 def amplitude_damping_channel(gamma: float, dim: int = 2) -> QuantumChannel:
     """Decay of every excited level into the ground level with probability gamma."""
-    require(gamma=gamma)
+    require(gamma=gamma, dim=dim)
     k0 = np.diag(np.concatenate(([1.0], np.full(dim - 1, np.sqrt(1.0 - gamma))))).astype(
         complex
     )
@@ -92,7 +93,7 @@ def amplitude_damping_channel(gamma: float, dim: int = 2) -> QuantumChannel:
 
 def depolarizing_channel(lam: float, dim: int = 2) -> QuantumChannel:
     """Mix toward 1/d with probability lam, via the Weyl shift/clock unitaries."""
-    require(**{"lambda": lam})
+    require(dim=dim, **{"lambda": lam})
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
     ops = []

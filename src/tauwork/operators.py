@@ -292,6 +292,7 @@ def spectrum_expm(spec: Spectrum, scale: complex) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator | int) -> HermitianOperator:
     """A GUE-style random Hermitian matrix, reproducible from the rng/seed."""
+    require(dim=dim)
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return HermitianOperator(0.5 * (a + a.conj().T))
@@ -299,6 +300,7 @@ def random_hermitian(dim: int, rng: np.random.Generator | int) -> HermitianOpera
 
 def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:
     """A Haar-distributed random unitary, reproducible from the rng/seed."""
+    require(dim=dim)
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)

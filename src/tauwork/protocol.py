@@ -25,7 +25,9 @@ distribution, not as the primary estimator.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,15 +64,74 @@ class WorkDistribution:
         probs = np.asarray(probs, dtype=float)
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be equal-length 1-D arrays")
-        order = values.argsort(kind="stable")
-        values = values[order]
-        lo, hi, low = float(values[0]), float(values[-1]), np.minimum.reduce(probs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (atoms,) = _work_rows(values, probs).rows
+        vars(self).update(vars(atoms))
+
+    @property
+    def size(self) -> int:
+        return self.values.size
+
+    def mean(self) -> float:
+        # ndarray.dot is the BLAS product of ``values @ probs``, bit for bit, and cheaper to call
+        return float(self.values.dot(self.probs))
+
+
+class WorkRows(NamedTuple):
+    """The work atoms of one run, or of a stack of runs.
+
+    ``rows`` holds each run's ``WorkDistribution``. ``values`` and ``probs``
+    are the atoms sorted by value, one row per run (1-D for one run), before
+    any merge; ``merged`` lists the runs whose distribution is not that row,
+    because atoms closer than the tolerance merged or empty ones were dropped.
+    """
+
+    rows: list[WorkDistribution]
+    values: np.ndarray
+    probs: np.ndarray
+    merged: list[int]
+
+    @property
+    def size(self) -> int:
+        """Atoms kept, summed over the runs."""
+        return sum(wd.size for wd in self.rows)
+
+
+def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
+    """Work atoms of each row of ``values`` and ``probs``: shape (n,) for one
+    run, (r, n) for a stack of r.
+
+    Each row is checked, sorted and merged as ``WorkDistribution`` does it
+    alone, and the first bad row raises its own error. The sort, the checks'
+    reductions and the gap test run once for the whole stack; only rows with
+    a gap below their tolerance or a weight <= 0 are merged one by one. The
+    caller holds ``np.errstate(over="ignore", invalid="ignore")``: a bad
+    row's sum may overflow or be nan, and it raises before the sum is read.
+    """
+    order = values.argsort(axis=-1, kind="stable")
+    lows = np.minimum.reduce(probs, -1)
+    totals = np.add.reduce(probs, -1)
+    # one run keeps its 1-D arrays: no row index to build, no rows to tolist()
+    one = values.ndim == 1
+    if one:
+        values, probs = values[order], probs[order]
+        stats = [(float(values[0]), float(values[-1]), lows, totals)]
+    else:
+        rows = np.arange(len(values))[:, None]
+        values, probs = values[rows, order], probs[rows, order]
+        ends = values[:, 0].tolist(), values[:, -1].tolist()
+        stats = zip(*ends, lows.tolist(), totals.tolist())
+    values.setflags(write=False)
+    probs.setflags(write=False)
+    tols = []
+    for i, (lo, hi, low, total) in enumerate(stats):
         # nan and +inf sort last, -inf first: a nan or inf entry shows in lo, hi, low or
-        # the sum (taken with low finite, so no inf - inf); only then is every entry tested.
-        # hi - lo is taken in Python floats, so a spread past the float range is inf
+        # the sum; only then is every entry tested. hi - lo is taken in Python floats,
+        # so a spread past the float range is inf
         finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(low)
-        if not (finite and math.isfinite(total := np.add.reduce(probs))) and not (
-            np.isfinite(values).all() and np.isfinite(probs).all()
+        if not (finite and math.isfinite(total)) and not (
+            np.isfinite(values if one else values[i]).all()
+            and np.isfinite(probs if one else probs[i]).all()
         ):
             raise ValueError("work atoms must be finite")
         if low < -PROB_NEGATIVE_ATOL:
@@ -79,45 +140,47 @@ class WorkDistribution:
             raise ValueError(f"atom probabilities sum to {float(total)!r}, not 1")
         if hi - lo == math.inf:
             raise ValueError("work atoms span more than the float range")
-        probs = probs[order]
+        tols.append(MERGE_REL_TOL * max(1.0, hi - lo))
+    # a run of atoms ends at every gap >= the row's tolerance
+    split = values[..., 1:] - values[..., :-1] >= (tols[0] if one else np.array(tols)[:, None])
+    if one:  # count_nonzero of a bool array skips the reduction machinery of all()
+        by_row = [(values, probs, tols[0], lows, np.count_nonzero(split) == split.size, split)]
+    else:
+        whole = np.logical_and.reduce(split, -1).tolist()
+        by_row = zip(values, probs, tols, lows.tolist(), whole, split)
+    atoms, merged = [], []
+    for i, (v, p, tol, low, whole, cut) in enumerate(by_row):
         # with every weight > 0 the clamp is the identity and no merged atom
         # is empty, so both steps run only when some weight is <= 0
-        empty = low <= 0.0
-        if empty:
-            probs = np.clip(probs, 0.0, None)
-        merge_tol = MERGE_REL_TOL * max(1.0, hi - lo)
-        values, probs = _merge_atoms(values, probs, merge_tol)
-        if empty:
-            keep = probs > 0.0
-            values, probs = values[keep], probs[keep]
-        values.flags.writeable = False
-        probs.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "merge_tol", merge_tol)
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def mean(self) -> float:
-        return float(self.values @ self.probs)
+        if not whole or low <= 0.0:
+            if low <= 0.0:
+                p = np.clip(p, 0.0, None)
+            if not whole:
+                v, p = _merge_atoms(v, p, cut)
+            if low <= 0.0:
+                keep = p > 0.0
+                v, p = v[keep], p[keep]
+            v.setflags(write=False)
+            p.setflags(write=False)
+            merged.append(i)
+        wd = object.__new__(WorkDistribution)
+        vars(wd).update(values=v, probs=p, merge_tol=tol)
+        atoms.append(wd)
+    return WorkRows(atoms, values, probs, merged)
 
 
-def _merge_atoms(values: np.ndarray, probs: np.ndarray, tol: float):
+def _merge_atoms(values: np.ndarray, probs: np.ndarray, split: np.ndarray):
     """Merge near-equal work values of atoms sorted by value in one pass.
 
-    The rule: split wherever the gap between consecutive values is >= ``tol``.
-    Each run of atoms becomes one atom carrying the run's total weight, at the
-    run's probability-weighted mean value (the plain mean if the weight is 0),
+    The rule: a new run starts after every gap that ``split`` marks, the gaps
+    between consecutive values that are >= the merge tolerance. Each run of
+    atoms becomes one atom carrying the run's total weight, at the run's
+    probability-weighted mean value (the plain mean if the weight is 0),
     clipped into the run's value range so that rounding cannot close a gap.
-    The atoms come back as they are when no gap is below ``tol``: a one-atom
-    run keeps its weight, and its mean clipped into ``[v, v]`` is ``v``.
+    When every gap is marked the atoms come back with their own values and
+    weights: a one-atom run keeps its weight, and its mean clipped into
+    ``[v, v]`` is ``v``.
     """
-    split = values[1:] - values[:-1] >= tol
-    # count_nonzero of a bool array skips the reduction machinery of all()
-    if np.count_nonzero(split) == split.size:
-        return values, probs
     starts = np.flatnonzero(np.concatenate(([True], split)))
     weight = np.add.reduceat(probs, starts)
     positive = weight > 0.0
@@ -167,11 +230,16 @@ def tpm_distribution(
     initial_probs: np.ndarray,
     final_energies: np.ndarray,
     transitions: np.ndarray,
-) -> WorkDistribution:
-    """Assemble work atoms W[n, m] = E_final[n] - E_initial[m] with joint weights."""
-    w = final_energies[:, None] - initial_energies[None, :]
-    joint = transitions * initial_probs[None, :]
-    return WorkDistribution(w.ravel(), joint.ravel())
+) -> WorkRows:
+    """Assemble work atoms W[n, m] = E_final[n] - E_initial[m] with joint weights.
+
+    ``initial_probs`` and ``final_energies`` hold one row per run (1-D for one
+    run); every run shares the initial energies and the transition matrix.
+    """
+    w = final_energies[..., :, None] - initial_energies
+    joint = transitions * initial_probs[..., None, :]
+    flat = w.shape[:-2] + (-1,)
+    return _work_rows(w.reshape(flat), joint.reshape(flat))
 
 
 def work_distribution_dilated(
@@ -189,7 +257,13 @@ def work_distribution_dilated(
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
     """The exponential work average sum_i p_i e^(-beta w_i), summed in log space."""
     require(beta=beta)
-    return float(np.exp(log_sum_exp(np.log(wd.probs) - beta * wd.values)))
+    return float(np.exp(_log_work_average(wd.values, wd.probs, beta)))
+
+
+def _log_work_average(values: np.ndarray, probs: np.ndarray, beta):
+    """ln sum_i p_i e^(-beta w_i) along the last axis; ``beta`` a scalar, or
+    a column with one entry per row of a stack."""
+    return log_sum_exp(np.log(probs) - beta * values)
 
 
 def _nonunital_correction(spec_f: Spectrum, channel: QuantumChannel, beta: float) -> float:
@@ -239,11 +313,11 @@ class Estimates:
 
 
 def estimate(
-    gibbs: ThermalEnsemble,
+    gibbs: ThermalEnsemble | Sequence[ThermalEnsemble],
     final_energies: np.ndarray,
     transitions=None,
     correction: float = 0.0,
-) -> Estimates:
+) -> Estimates | list[Estimates]:
     """The estimator tail every pipeline shares.
 
     From the initial Gibbs ensemble (spectrum, weights, ``beta``, partition
@@ -255,17 +329,62 @@ def estimate(
     stands for the identity matrix: every trajectory keeps its level index,
     so there are d atoms E_final[m] - E_initial[m] instead of d^2 mostly
     empty ones.
+
+    Runs that share the initial spectrum stack into one call: ``gibbs`` a
+    sequence of r ensembles of that spectrum, each with its own ``beta``,
+    and ``final_energies`` of shape (r, d) give a list of r ``Estimates``,
+    each bit for bit what its run gives alone. Every numpy call then runs
+    once per stack instead of once per run. One ensemble is a stack of one
+    without the leading axis.
     """
-    initial, beta = gibbs.spectrum.eigenvalues, gibbs.beta
-    if transitions is None:
-        atoms = WorkDistribution(final_energies - initial, gibbs.probs)
+    one = isinstance(gibbs, ThermalEnsemble)
+    if one:
+        stack = [gibbs]
+        initial = gibbs.spectrum.eigenvalues
+        final, beta, log_z, probs = final_energies, gibbs.beta, gibbs.log_z, gibbs.probs
     else:
-        atoms = tpm_distribution(initial, gibbs.probs, final_energies, transitions)
-    with np.errstate(over="ignore"):
-        delta_f = free_energy_difference_from_log_z(final_energies, gibbs.log_z, beta)
-        lhs = jarzynski_lhs(atoms, beta)
-        rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
-    return Estimates(beta, atoms, atoms.mean(), delta_f, lhs, rhs)
+        stack = list(gibbs)
+        if not stack or any(g.spectrum is not stack[0].spectrum for g in stack):
+            raise ValueError("a stack needs one or more ensembles of one spectrum")
+        initial = stack[0].spectrum.eigenvalues
+        final = np.asarray(final_energies, dtype=float)
+        if final.shape != (len(stack), initial.size):
+            raise ValueError(
+                f"final energies have shape {final.shape}, not one row of "
+                f"{initial.size} per ensemble"
+            )
+        beta = np.array([g.beta for g in stack])
+        log_z = np.array([g.log_z for g in stack])
+        probs = np.array([g.probs for g in stack])
+    with np.errstate(all="ignore"):
+        if transitions is None:
+            work = _work_rows(final - initial, probs)
+        else:
+            work = tpm_distribution(initial, probs, final, transitions)
+        delta_f = free_energy_difference_from_log_z(final, log_z, beta)
+        if one:
+            (wd,) = work.rows
+            by_run = [(wd, float(delta_f), float(_log_work_average(wd.values, wd.probs, beta)))]
+        else:
+            # the sorted atoms of all runs reduce together; a merged run's row
+            # is not its atoms (a weight 0 gives log -inf), so it is redone alone
+            log_lhs = _log_work_average(work.values, work.probs, beta[:, None])
+            for i in work.merged:
+                wd = work.rows[i]
+                log_lhs[i] = _log_work_average(wd.values, wd.probs, beta[i])
+            by_run = zip(work.rows, delta_f.tolist(), log_lhs.tolist())
+        rows = []
+        for g, (wd, df, x) in zip(stack, by_run):
+            rhs = generalized_jarzynski_rhs(df, g.beta, correction)
+            # filled in place, as ``_work_rows`` fills each WorkDistribution: the
+            # frozen dataclass's __init__ would set each field through object.__setattr__
+            est = object.__new__(Estimates)
+            vars(est).update(
+                beta=g.beta, atoms=wd, mean_work=wd.mean(), delta_f=df,
+                lhs=float(np.exp(x)), rhs=rhs,
+            )
+            rows.append(est)
+    return rows[0] if one else rows
 
 
 def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:

@@ -107,6 +107,7 @@ class Worldline:
 
 def comoving_worldline(t_end: float, samples: int = 2, mass: float = 1.0) -> Worldline:
     """At rest next to the static observers: phi = 0, p = 0, so dtau/dt = 1."""
+    require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
     z = np.zeros_like(t)
     return Worldline(t, z, z, mass)
@@ -116,6 +117,7 @@ def uniform_gravity_worldline(
     g: float, t_end: float, samples: int = 1001, p: float = 0.0, mass: float = 1.0
 ) -> Worldline:
     """Steady climb in a uniform field: phi(t) = g * t (height grows linearly)."""
+    require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
     return Worldline(t, g * t, np.full_like(t, p), mass)
 
@@ -129,7 +131,7 @@ def point_mass_worldline(
     mass: float = 1.0,
 ) -> Worldline:
     """Radial move in the field of a point mass: phi = -M/r along linear r(t)."""
-    require(r_start=r_start, r_end=r_end)
+    require(r_start=r_start, r_end=r_end, samples=samples)
     t = np.linspace(0.0, t_end, samples)
     r = r_start + (r_end - r_start) * (t / t_end)
     p = mass * abs(r_end - r_start) / t_end
@@ -140,6 +142,7 @@ def cruise_worldline(
     p: float, t_end: float, samples: int = 2, mass: float = 1.0
 ) -> Worldline:
     """Constant-speed motion far from sources: phi = 0, |p| fixed."""
+    require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
     return Worldline(t, np.zeros_like(t), np.full_like(t, p), mass)
 

@@ -15,10 +15,13 @@ import numpy as np
 from .operators import Spectrum, require
 
 
-def log_sum_exp(x: np.ndarray) -> float:
+def log_sum_exp(x: np.ndarray) -> float | np.ndarray:
+    """ln sum(e^x) along the last axis, with the largest term pulled out: a
+    scalar for a 1-D ``x``, one value per row for a stack of rows."""
     x = np.asarray(x, dtype=float)
-    m = float(np.maximum.reduce(x))
-    return m + float(np.log(np.add.reduce(np.exp(x - m))))
+    m = np.maximum.reduce(x, -1)
+    # a stack's maxima subtract as a column; one row's maximum is a scalar
+    return m + np.log(np.add.reduce(np.exp(x - (m[..., None] if x.ndim > 1 else m)), -1))
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,15 @@ def free_energy_difference_from_values(
 
 
 def free_energy_difference_from_log_z(
-    final_evals: np.ndarray, log_z: float, beta: float
-) -> float:
-    """-(1/beta) ln(Z_final / Z_initial) given ``log_z = ln Z_initial``."""
-    return (log_z - log_sum_exp(-beta * np.asarray(final_evals, float))) / beta
+    final_evals: np.ndarray, log_z: float | np.ndarray, beta: float | np.ndarray
+) -> float | np.ndarray:
+    """-(1/beta) ln(Z_final / Z_initial) given ``log_z = ln Z_initial``.
+
+    Stacked: with ``beta`` and ``log_z`` arrays of shape (r,) and
+    ``final_evals`` of shape (r, d), entry i is the value for row i of each.
+    """
+    column = beta[..., None] if isinstance(beta, np.ndarray) else beta
+    return (log_z - log_sum_exp(-column * np.asarray(final_evals, float))) / beta
 
 
 def free_energy_difference(spec0: Spectrum, alpha_final: float, beta: float) -> float:

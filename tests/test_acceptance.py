@@ -9,6 +9,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tauwork import acceptance, protocol, scenarios, spacetime
@@ -65,12 +66,18 @@ def test_gate_checks_the_production_tail(criterion, monkeypatch):
     # a dF off by 1e-6 inside the estimator tail that run_protocol uses must
     # fail the criteria built on lhs - rhs and on the entropy production
     original = protocol.free_energy_difference_from_log_z
+    shapes = []
 
     def shifted(final_evals, log_z, beta):
+        shapes.append(np.shape(final_evals))
         return original(final_evals, log_z, beta) + 1e-6
 
     monkeypatch.setattr(protocol, "free_energy_difference_from_log_z", shifted)
     assert not criterion().passed
+    # the random grids reach the tail as one stack of 15 (beta, alpha) runs per
+    # system, the flat runs one run at a time
+    stacked = criterion is not acceptance.criterion_nonunital_correction
+    assert any(len(shape) == 2 and shape[0] == 15 for shape in shapes) == stacked
 
 
 def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch):

@@ -117,6 +117,24 @@ class TestChannelConstruction:
             depolarizing_channel(value)
 
 
+    @pytest.mark.parametrize(
+        "build",
+        [identity_channel, lambda dim: amplitude_damping_channel(0.5, dim),
+         lambda dim: depolarizing_channel(0.5, dim)],
+        ids=["identity", "amplitude_damping", "depolarizing"],
+    )
+    def test_builders_follow_the_dim_rule(self, build):
+        # checked before any Kraus operator is built: damping at dim 1024 would
+        # take 17 GB. 10**20 comes first, so that a builder without the check
+        # fails on numpy's size error before it can allocate at dim 1025
+        for dim in (10**20, 1025):
+            with pytest.raises(ValueError, match=f"dim must be <= 1024, got {dim}"):
+                build(dim)
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            build(1)
+        assert build(3).dim == 3
+
+
 class TestApply:
     def test_identity_channel_fixes_states(self):
         rho = np.eye(3) / 3

@@ -275,6 +275,18 @@ class TestHermitianExpm:
             expm(HermitianOperator(SIGMA_X), np.nan)
 
 
+@pytest.mark.parametrize("draw", [random_hermitian, random_unitary])
+def test_random_draws_follow_the_dim_rule(draw):
+    # the cap is checked before any array is allocated
+    for dim in (10**20, 1025):
+        with pytest.raises(ValueError, match=f"dim must be <= 1024, got {dim}"):
+            draw(dim, 0)
+    with pytest.raises(ValueError, match="dim must be an integer, got 3.0"):
+        draw(3.0, 0)
+    drawn = draw(3, 0)
+    assert getattr(drawn, "matrix", drawn).shape == (3, 3)
+
+
 def test_random_unitary_is_unitary_and_deterministic():
     u1 = random_unitary(6, 123)
     u2 = random_unitary(6, 123)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from tauwork import protocol
 from tauwork.channels import (
     PropagatorSchedule,
+    QuantumChannel,
     amplitude_damping_channel,
     identity_channel,
+    time_ordered_propagator,
     unitary_channel,
 )
 from tauwork.operators import (
@@ -201,7 +203,7 @@ class TestWorkDistribution:
         rng = np.random.default_rng(3)
         values = rng.normal(size=40)
         probs = np.full(40, 1.0 / 40)
-        merged_values, merged_probs = _merge_atoms(*sorted_atoms(values, probs), 1e-2)
+        merged_values, merged_probs = merge(*sorted_atoms(values, probs), 1e-2)
         assert np.all(np.diff(merged_values) >= 1e-2 * (1 - 1e-12))
         assert abs(merged_probs.sum() - 1.0) < 1e-12
 
@@ -256,6 +258,11 @@ def sorted_atoms(values, probs):
     return values[order], probs[order]
 
 
+def merge(values, probs, tol):
+    """``_merge_atoms`` of sorted atoms, splitting at every gap >= ``tol``."""
+    return _merge_atoms(values, probs, values[1:] - values[:-1] >= tol)
+
+
 def reference_merge(values, probs, tol):
     """What ``_merge_atoms`` returns, computed the long way: every atom runs
     through the ``reduceat`` chain."""
@@ -300,7 +307,7 @@ class TestMergeRule:
     @example([(3, 0.0, 0.0), (3, 0.0, 1.0)], 1e-9)
     def test_matches_reference(self, raw, tol):
         values, probs = _atoms(raw)
-        merged = _merge_atoms(*sorted_atoms(values, probs), tol)
+        merged = merge(*sorted_atoms(values, probs), tol)
         assert_same_atoms(merged, reference_merge(values, probs, tol))
 
     @settings(max_examples=300, deadline=None)
@@ -325,7 +332,7 @@ class TestMergeRule:
     @given(ATOMS, MERGE_TOLS)
     def test_merge_properties(self, raw, tol):
         values, probs = _atoms(raw)
-        merged_values, merged_probs = _merge_atoms(*sorted_atoms(values, probs), tol)
+        merged_values, merged_probs = merge(*sorted_atoms(values, probs), tol)
         # one atom per run: a new run starts at every gap >= tol
         assert merged_values.size == 1 + np.count_nonzero(np.diff(np.sort(values)) >= tol)
         assert np.all(np.diff(merged_values) >= tol)
@@ -336,14 +343,14 @@ class TestMergeRule:
     @settings(max_examples=300, deadline=None)
     @given(ATOMS, MERGE_TOLS)
     def test_merging_is_idempotent(self, raw, tol):
-        merged = _merge_atoms(*sorted_atoms(*_atoms(raw)), tol)
-        again = _merge_atoms(*merged, tol)
+        merged = merge(*sorted_atoms(*_atoms(raw)), tol)
+        again = merge(*merged, tol)
         assert np.array_equal(again[0], merged[0])
         assert np.array_equal(again[1], merged[1])
 
     def test_chain_longer_than_tol_is_one_run(self):
         # consecutive gaps below tol link atoms even when the run spans more
-        values, probs = _merge_atoms(np.array([0.0, 0.6, 1.2, 1.8, 3.0]), np.full(5, 0.2), 1.0)
+        values, probs = merge(np.array([0.0, 0.6, 1.2, 1.8, 3.0]), np.full(5, 0.2), 1.0)
         np.testing.assert_allclose(values, [0.9, 3.0], rtol=1e-15)
         np.testing.assert_allclose(probs, [0.8, 0.2], rtol=1e-15)
 
@@ -418,14 +425,243 @@ class TestEstimateTail:
                 theta = amplitude_damping_channel(1.0, dim)
             trans = conditional_probabilities(spec0, spec_f, theta)
             final = spec_f.eigenvalues
-        # one ensemble serves several final energies, as in the battery's grids
+        # one ensemble serves several final energies, as in the battery's grids;
+        # each is checked as a run of its own and as a row of one stacked call
         gibbs = thermal_state(spec0, beta)
-        for energies in (final, 0.5 * final):
-            est = estimate(gibbs, energies, trans, correction)
-            ref = reference_tail(spec0, beta, energies, trans, correction)
-            assert_same_atoms((est.atoms.values, est.atoms.probs), ref[0])
-            got = (est.delta_f, est.lhs, est.rhs, est.mean_work)
-            assert [repr(x) for x in got] == [repr(x) for x in ref[1:]]
+        energies = (final, 0.5 * final)
+        stacked = estimate([gibbs, gibbs], np.array(energies), trans, correction)
+        for e, row in zip(energies, stacked):
+            ref = reference_tail(spec0, beta, e, trans, correction)
+            for est in (estimate(gibbs, e, trans, correction), row):
+                assert_same_atoms((est.atoms.values, est.atoms.probs), ref[0])
+                got = (est.delta_f, est.lhs, est.rhs, est.mean_work)
+                assert [repr(x) for x in got] == [repr(x) for x in ref[1:]]
+
+
+def bits(est):
+    """Every number of an ``Estimates``, exactly: float reprs, atom bytes, types."""
+    atoms = est.atoms
+    floats = (est.beta, est.mean_work, est.delta_f, est.lhs, est.rhs, atoms.merge_tol)
+    return (
+        [repr(x) for x in floats],
+        [type(x) for x in floats],
+        atoms.values.tobytes(),
+        atoms.probs.tobytes(),
+        repr(est),
+    )
+
+
+class TestStackedEstimate:
+    """A stack of runs in one ``estimate`` call gives each run's own numbers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        betas=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
+        runs=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.5])),
+            min_size=1,
+            max_size=8,
+        ),
+        channel=st.sampled_from([None, "unitary", "damping"]),
+        degenerate=st.booleans(),
+        correction=st.floats(-0.5, 0.5),
+    )
+    @example(  # every rate 1: each row merges into one atom at 0
+        dim=4, seed=0, betas=[1.0, 2.0], runs=[(0, 1.0), (1, 1.0)], channel=None,
+        degenerate=False, correction=0.0,
+    )
+    @example(  # merged rows between plain ones
+        dim=8, seed=1, betas=[0.5, 1.0, 2.0], runs=[(0, 0.5), (1, 1.0), (2, 1.5), (0, 1.0)],
+        channel=None, degenerate=False, correction=0.0,
+    )
+    @example(  # degenerate levels merge at every rate
+        dim=8, seed=2, betas=[0.7], runs=[(0, 0.8), (0, 1.2)], channel=None,
+        degenerate=True, correction=0.0,
+    )
+    @example(  # full decay: zero weights are dropped in every row
+        dim=5, seed=3, betas=[0.5, 3.0], runs=[(0, 1.3), (1, 0.8), (0, 1.0)],
+        channel="damping", degenerate=False, correction=0.2,
+    )
+    def test_each_row_is_its_run_alone(
+        self, dim, seed, betas, runs, channel, degenerate, correction
+    ):
+        rng = np.random.default_rng(seed)
+        spec0 = spectral_decompose(random_hermitian(dim, rng))
+        if degenerate:  # at most four distinct levels, so atoms merge
+            spec0 = Spectrum(np.sort(rng.integers(-2, 2, dim)).astype(float), spec0.eigenvectors)
+        trans, base = None, spec0.eigenvalues
+        if channel is not None:
+            spec_f = spectral_decompose(random_hermitian(dim, rng))
+            if channel == "unitary":
+                theta = unitary_channel(random_unitary(dim, rng))
+            else:  # gamma = 1 in the standard basis: most transitions are exactly 0
+                spec0 = Spectrum(spec0.eigenvalues, np.eye(dim))
+                spec_f = Spectrum(spec_f.eigenvalues, np.eye(dim))
+                theta = amplitude_damping_channel(1.0, dim)
+            trans, base = conditional_probabilities(spec0, spec_f, theta), spec_f.eigenvalues
+        ensembles = [thermal_state(spec0, beta) for beta in betas]
+        stack = [ensembles[k % len(ensembles)] for k, _ in runs]
+        finals = np.array([alpha * base for _, alpha in runs])
+        rows = estimate(stack, finals, trans, correction)
+        assert len(rows) == len(runs)
+        for gibbs, final, row in zip(stack, finals, rows):
+            alone = estimate(gibbs, final, trans, correction)
+            assert bits(row) == bits(alone)
+
+    def test_a_list_of_one_is_a_list(self):
+        gibbs = thermal_state(harmonic_hamiltonian(1.0, 5), 1.0)
+        final = 1.2 * gibbs.spectrum.eigenvalues
+        (row,) = estimate([gibbs], final[None])
+        assert bits(row) == bits(estimate(gibbs, final))
+
+    def test_a_bad_row_raises_its_own_error(self):
+        gibbs = thermal_state(harmonic_hamiltonian(1.0, 3), 1.0)
+        finals = np.array([[0.5, 1.5, 2.5], [0.5, np.nan, 2.5]])
+        with pytest.raises(ValueError, match="work atoms must be finite"):
+            estimate([gibbs, gibbs], finals)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.5, 0.4], [-0.5, 1.5]], r"atom probabilities sum to 0\.9, not 1"),
+            ([[-0.5, 1.5], [0.5, 0.4]], r"negative atom probability: -5\.000e-01"),
+        ],
+    )
+    def test_the_first_bad_row_of_a_stack_raises(self, rows, message):
+        initial, final = np.array([0.0, 1.0]), np.array([[0.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            protocol.tpm_distribution(initial, np.array(rows), final, np.eye(2))
+
+    def test_rejects_a_malformed_stack(self):
+        spec = harmonic_hamiltonian(1.0, 3)
+        gibbs, other = thermal_state(spec, 1.0), thermal_state(harmonic_hamiltonian(1.0, 3), 2.0)
+        final = np.array([spec.eigenvalues, spec.eigenvalues])
+        with pytest.raises(ValueError, match="one spectrum"):
+            estimate([gibbs, other], final)
+        with pytest.raises(ValueError, match="one spectrum"):
+            estimate([], final[:0])
+        with pytest.raises(ValueError, match=r"shape \(3,\), not one row of 3 per ensemble"):
+            estimate([gibbs, gibbs], spec.eigenvalues)
+        with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
+            estimate([gibbs, gibbs], final[:1])
+
+
+def random_kraus_channel(dim, rng):
+    """A random CPTP map: a Haar isometry split into one to four Kraus blocks."""
+    n_kraus = int(rng.integers(1, 5))
+    a = rng.normal(size=(dim * n_kraus, dim)) + 1j * rng.normal(size=(dim * n_kraus, dim))
+    q, r = np.linalg.qr(a)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    return QuantumChannel([q[j * dim : (j + 1) * dim] for j in range(n_kraus)])
+
+
+class TestCharacteristicFunction:
+    """An oracle that builds no atoms and no transition matrix.
+
+    Because the Gibbs state commutes with H0, the characteristic function of
+    the TPM work of a channel Theta is G(u) = Tr[e^(iu H_f) Theta(e^(-iu H_0) rho)]:
+    two exponentials and one channel application. The atoms must give
+    sum_k p_k e^(iu w_k) = G(u) at real u, and G(i beta) = <e^(-beta W)> = lhs,
+    for flat, dilated and instantaneous driven runs (an evolved run is not
+    measured in an eigenbasis of H_f). A merge moves the atom sum by at most
+    |u| times the merge tolerance, so |u| stays of order 1.
+    """
+
+    U = (0.3, 1.0, 2.5, -1.7)
+
+    @staticmethod
+    def oracle(spec0, spec_f, channel, beta, u):
+        # e^(-iu H0) rho = e^(-(iu + beta) H0) / Z0: one exponential, exactly
+        # the identity over Z0 at u = i beta
+        z0 = np.sum(np.exp(-beta * spec0.eigenvalues))
+        inner = channel.apply_matrix(spectrum_expm(spec0, -(1j * u + beta)) / z0)
+        return complex(np.trace(spectrum_expm(spec_f, 1j * u) @ inner))
+
+    def mismatch(self, est, spec0, spec_f, channel):
+        """The largest miss of the atoms against G, with lhs against G(i beta)."""
+        atoms, beta = est.atoms, est.beta
+        misses = [
+            abs(np.sum(atoms.probs * np.exp(1j * u * atoms.values))
+                - self.oracle(spec0, spec_f, channel, beta, u))
+            for u in self.U
+        ]
+        at_i_beta = self.oracle(spec0, spec_f, channel, beta, 1j * beta)
+        misses.append(abs(at_i_beta - est.lhs) / max(1.0, est.lhs))
+        return max(misses)
+
+    def flat_case(self, dim, seed, kind):
+        rng = np.random.default_rng(seed)
+        spec0, spec_f = (spectral_decompose(random_hermitian(dim, rng)) for _ in range(2))
+        if kind == "damping":
+            channel = amplitude_damping_channel(float(rng.uniform(0.05, 1.0)), dim)
+        else:
+            channel = random_kraus_channel(dim, rng)
+        beta = float(rng.uniform(0.2, 2.0))
+        trans = conditional_probabilities(spec0, spec_f, channel)
+        est = estimate(thermal_state(spec0, beta), spec_f.eigenvalues, trans)
+        return est, spec0, spec_f, channel
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["damping", "kraus"]))
+    def test_flat_atoms_match(self, dim, seed, kind):
+        assert self.mismatch(*self.flat_case(dim, seed, kind)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        runs=st.lists(
+            st.tuples(st.floats(0.2, 2.0), st.floats(0.5, 1.5)), min_size=1, max_size=5
+        ),
+    )
+    def test_dilated_atoms_match_one_run_and_stacked(self, dim, seed, runs):
+        # the clock rate rescales H0 and the state rides along: Theta is the identity
+        spec0 = spectral_decompose(random_hermitian(dim, seed))
+        ensembles = [thermal_state(spec0, beta) for beta, _ in runs]
+        finals = np.array([alpha * spec0.eigenvalues for _, alpha in runs])
+        channel = identity_channel(dim)
+        stacked = estimate(ensembles, finals)
+        for (beta, alpha), gibbs, final, row in zip(runs, ensembles, finals, stacked):
+            spec_f = spec0.scaled(alpha)
+            for est in (estimate(gibbs, final), row):
+                assert self.mismatch(est, spec0, spec_f, channel) < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=3),
+        beta=st.floats(0.2, 2.0),
+    )
+    def test_instantaneous_appendix_atoms_match(self, dim, seeds, beta):
+        # measured in the eigenbasis of alpha_final H_last after the driven U
+        prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+        bounds = [3.0, 6.0, 9.0][: len(seeds) - 1] + [prof.tau_total]
+        hams = [random_hermitian(dim, s) for s in seeds]
+        sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps=50)
+        run = AppendixRun("a", beta, sched, final_basis="instantaneous")
+        spec0, e_final, trans = protocol._appendix_inputs(run)
+        est = estimate(thermal_state(spec0, beta), e_final, trans)
+        spec_f = sched.segments[-1].scaled(prof.alpha_final)
+        channel = QuantumChannel([time_ordered_propagator(sched)])
+        assert self.mismatch(est, sched.segments[0], spec_f, channel) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["damping", "kraus", "dilated"])
+    def test_catches_weights_paired_with_the_wrong_work(self, kind, monkeypatch):
+        # the injected fault: atom assembly shifts each weight onto the next value
+        original = protocol._work_rows
+        monkeypatch.setattr(
+            protocol, "_work_rows", lambda values, probs: original(values, np.roll(probs, 1, -1))
+        )
+        if kind == "dilated":
+            spec0 = spectral_decompose(random_hermitian(4, 5))
+            est = estimate(thermal_state(spec0, 1.0), 1.3 * spec0.eigenvalues)
+            case = est, spec0, spec0.scaled(1.3), identity_channel(4)
+        else:
+            case = self.flat_case(4, 5, kind)
+        assert self.mismatch(*case) > 1e-6
 
 
 class TestDilatedDistribution:
@@ -696,14 +932,16 @@ class TestRunProtocol:
         }[pipeline]
         seen = []
 
-        def spy(wd, beta):
-            seen.append(wd)
-            return jarzynski_lhs(wd, beta)
+        def spy(*args):
+            seen.append(estimate(*args))
+            return seen[-1]
 
-        monkeypatch.setattr(protocol, "jarzynski_lhs", spy)
+        monkeypatch.setattr(protocol, "estimate", spy)
         rep = run_protocol(run)
-        (wd,) = seen
-        assert np.all(wd.values == 0.0)
+        (est,) = seen
+        # the atoms the report's lhs was summed over are all zero work
+        assert np.all(est.atoms.values == 0.0)
+        assert rep.lhs == est.lhs == jarzynski_lhs(est.atoms, 2.0)
         assert rep.mean_work == 0.0
         assert dict(zip(CSV_COLUMNS, rep.to_csv_row().split(",")))["delta_F"] == "0.0"
 

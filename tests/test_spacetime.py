@@ -121,6 +121,25 @@ class TestWorldline:
         with pytest.raises(ValueError, match="non-numeric"):
             Worldline.from_csv(io.StringIO("t,phi,p\n0,0,0\n1,x,0\n"), mass=1.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: comoving_worldline(1.0, n),
+            lambda n: uniform_gravity_worldline(0.01, 1.0, samples=n),
+            lambda n: point_mass_worldline(0.05, 2.0, 4.0, 1.0, samples=n),
+            lambda n: cruise_worldline(0.1, 1.0, samples=n),
+        ],
+        ids=["comoving", "uniform_gravity", "point_mass", "cruise"],
+    )
+    def test_presets_follow_the_samples_rule(self, build):
+        # checked before the time grid is allocated
+        for samples in (10**20, 10**6 + 1):
+            with pytest.raises(ValueError, match=f"samples must be <= 1000000, got {samples}"):
+                build(samples)
+        with pytest.raises(ValueError, match="samples must be >= 2, got 1"):
+            build(1)
+        assert build(3).samples == 3
+
     def test_presets(self):
         w = comoving_worldline(5.0, samples=3)
         assert np.all(w.phi == 0) and np.all(w.p == 0)

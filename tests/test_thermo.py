@@ -90,6 +90,23 @@ class TestThermalState:
             2.0 * spec.eigenvalues, log_z, beta
         ) == free_energy_difference(spec, 2.0, beta)
 
+    def test_stacked_rows_are_the_one_run_values(self):
+        # row i of a stack reduces along the last axis with the bits of a run alone,
+        # for rows short (sequential sum) and long (numpy's pairwise sum)
+        rng = np.random.default_rng(3)
+        for d in (2, 8, 9, 40):
+            spec = Spectrum(np.sort(rng.normal(size=d)), np.eye(d))
+            betas = np.array([0.3, 1.0, 2.5])
+            ensembles = [thermal_state(spec, beta) for beta in betas]
+            finals = np.multiply.outer([0.5, 1.0, 1.7], spec.eigenvalues)
+            log_z = np.array([g.log_z for g in ensembles])
+            stacked = free_energy_difference_from_log_z(finals, log_z, betas)
+            x = -np.multiply.outer(betas, spec.eigenvalues)
+            for i, (gibbs, final) in enumerate(zip(ensembles, finals)):
+                alone = free_energy_difference_from_log_z(final, gibbs.log_z, gibbs.beta)
+                assert repr(float(stacked[i])) == repr(float(alone))
+                assert repr(float(log_sum_exp(x)[i])) == repr(float(log_sum_exp(x[i])))
+
     def test_two_level_gibbs_weights(self):
         ens = thermal_state(spectrum_of([0.0, 1.0]), beta=math.log(2.0))
         np.testing.assert_allclose(ens.probs, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
