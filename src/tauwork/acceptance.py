@@ -4,8 +4,8 @@ Each criterion is a function returning a :class:`CriterionResult` built
 from its :class:`Check` rows, so the same battery backs both ``tauwork
 verify`` and the test suite. The numbers come from the code the CLI runs:
 ``protocol.run_protocol`` or its estimator tail ``protocol.estimate``. The
-random grids call the tail once per system, for a stack of 15 runs, and each
-row of the stack is bit for bit the estimate of its run alone. Tolerances are
+random grids call the tail once per dimension, for a stack of 15 runs per
+system, and each row of the stack is bit for bit its run alone. Tolerances are
 fixed here, each in its check, not configurable: they encode what "machine
 precision" means for each identity.
 """
@@ -98,22 +98,25 @@ def _dilated(gibbs: thermo.ThermalEnsemble, alpha: float) -> protocol.Estimates:
 
 def _random_grid(seed: int):
     """Estimators of 200 random systems (dim 2-8, energies measured from the
-    ground state) x 3 temperatures x 5 clock rates, in that order.
+    ground state) x 3 temperatures x 5 clock rates.
 
-    Each system is one stacked ``estimate`` call: its 15 (beta, alpha) runs
-    share the spectrum, and one ensemble per temperature serves five of them.
-    The oscillator grid stays one call per point, because its ladder size
-    changes with alpha.
+    The systems are drawn first, then each dimension is one stacked
+    ``estimate`` call, 7 in all: its systems in draw order, each as 15 (beta,
+    alpha) rows, one ensemble per temperature serving five. The oscillator
+    grid stays one call per point: its ladder size changes with alpha.
     """
     rng = np.random.default_rng(seed)
     alphas = np.array([0.5, 0.8, 1.0, 1.2, 1.5] * 3)
+    by_dim: dict[int, list] = {}
     for _ in range(200):
         dim = int(rng.integers(2, 9))
         spec = spectral_decompose(random_hermitian(dim, rng))
-        spec = spec.shifted(-spec.eigenvalues[0])
-        ensembles = [thermo.thermal_state(spec, beta) for beta in (0.5, 1.0, 2.0)]
+        by_dim.setdefault(dim, []).append(spec.shifted(-spec.eigenvalues[0]))
+    for _, specs in sorted(by_dim.items()):
+        ensembles = [thermo.thermal_state(s, beta) for s in specs for beta in (0.5, 1.0, 2.0)]
         rows = [gibbs for gibbs in ensembles for _ in range(5)]
-        yield from protocol.estimate(rows, np.multiply.outer(alphas, spec.eigenvalues))
+        finals = np.concatenate([np.multiply.outer(alphas, spec.eigenvalues) for spec in specs])
+        yield from protocol.estimate(rows, finals)
 
 
 def _oscillator_grid():

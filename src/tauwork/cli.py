@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, acceptance
+from .operators import require
 from .protocol import ProtocolReport
 from .scenarios import ScenarioConfig, parse_document, run_scenario
 
@@ -47,8 +48,10 @@ def _parse_sweep(spec: str) -> tuple:
         ) from None
     if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}; choose from {SWEEP_PARAMS}")
-    if count < 2:
-        raise ValueError(f"sweep count must be >= 2, got {count}")
+    try:
+        require(count=count)
+    except ValueError as exc:
+        raise ValueError(f"sweep {exc}") from None
     return (param, start, stop, count)
 
 

@@ -59,7 +59,7 @@ _POSITIVE = (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}"))
 _FINITE_SQUARE = (lambda v: float(v) * float(v) < math.inf, "must have a finite square, got {!r}")
 
 # name -> stages: the scenario fields, and the engine's clock rates (alpha,
-# alpha_final, alpha_min), beta_omega, scale factor and number of draws (n)
+# alpha_final, alpha_min), beta_omega, scale factor, draws (n) and sweep points (count)
 RULES = {
     **dict.fromkeys(("g", "p", "M"), (_NUMBER,)),
     **dict.fromkeys(
@@ -78,6 +78,7 @@ RULES = {
     "steps": _integer(1, 10**9),
     "seed": _integer(0),
     "n": _integer(1),
+    "count": _integer(2, 10**4),  # a sweep builds every point before it runs one
     "final_basis": ((lambda v: v in FINAL_BASES, f"must be one of {FINAL_BASES}, got {{!r}}"),),
 }
 

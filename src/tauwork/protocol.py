@@ -103,8 +103,8 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
 
     Each row is checked, sorted and merged as ``WorkDistribution`` does it
     alone, and the first bad row raises its own error. The sort, the checks'
-    reductions and the gap test run once for the whole stack; only rows with
-    a gap below their tolerance or a weight <= 0 are merged one by one. The
+    reductions and the gap test run once for the whole stack, and the rows with
+    a gap below their tolerance or a weight <= 0 merge in one flat pass. The
     caller holds ``np.errstate(over="ignore", invalid="ignore")``: a bad
     row's sum may overflow or be nan, and it raises before the sum is read.
     """
@@ -144,25 +144,28 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
     # a run of atoms ends at every gap >= the row's tolerance
     split = values[..., 1:] - values[..., :-1] >= (tols[0] if one else np.array(tols)[:, None])
     if one:  # count_nonzero of a bool array skips the reduction machinery of all()
-        by_row = [(values, probs, tols[0], lows, np.count_nonzero(split) == split.size, split)]
+        merged = [] if np.count_nonzero(split) == split.size and lows > 0.0 else [0]
+        lows, pairs = [lows], [(values, probs)]
     else:
-        whole = np.logical_and.reduce(split, -1).tolist()
-        by_row = zip(values, probs, tols, lows.tolist(), whole, split)
-    atoms, merged = [], []
-    for i, (v, p, tol, low, whole, cut) in enumerate(by_row):
-        # with every weight > 0 the clamp is the identity and no merged atom
-        # is empty, so both steps run only when some weight is <= 0
-        if not whole or low <= 0.0:
-            if low <= 0.0:
-                p = np.clip(p, 0.0, None)
-            if not whole:
-                v, p = _merge_atoms(v, p, cut)
-            if low <= 0.0:
+        whole, lows = np.logical_and.reduce(split, -1).tolist(), lows.tolist()
+        merged = [i for i, w in enumerate(whole) if not w or lows[i] <= 0.0]
+        pairs = list(zip(values, probs))
+    # with every weight > 0 the clamp is the identity and no merged atom is empty:
+    # only rows with a gap below tolerance or a weight <= 0 merge, all in one pass
+    if merged:
+        v, p, cut = values, probs, split
+        if not one:
+            v, p, cut = values[merged], probs[merged], split[merged]
+        done = _merge_atoms(v, np.maximum(p, 0.0) if min(lows) <= 0.0 else p, cut)
+        for i, (v, p) in zip(merged, [done] if one else done):
+            if lows[i] <= 0.0:
                 keep = p > 0.0
                 v, p = v[keep], p[keep]
             v.setflags(write=False)
             p.setflags(write=False)
-            merged.append(i)
+            pairs[i] = v, p
+    atoms = []
+    for (v, p), tol in zip(pairs, tols):
         wd = object.__new__(WorkDistribution)
         vars(wd).update(values=v, probs=p, merge_tol=tol)
         atoms.append(wd)
@@ -180,18 +183,32 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray, split: np.ndarray):
     When every gap is marked the atoms come back with their own values and
     weights: a one-atom run keeps its weight, and its mean clipped into
     ``[v, v]`` is ``v``.
+
+    One run, shape (n,), gives its ``(values, weights)``. A stack of k runs,
+    shape (k, n), merges as one flat array in which every row starts a run,
+    and gives one pair per row, each what that row gives alone.
     """
-    starts = np.flatnonzero(np.concatenate(([True], split)))
+    one = values.ndim == 1
+    if one:  # each run ends where the next starts, the last at the end
+        edges = np.flatnonzero(np.concatenate(([True], split, [True])))
+    else:  # every row starts a run
+        start = np.concatenate((np.ones((len(values), 1), bool), split), 1)
+        values, probs = values.ravel(), probs.ravel()
+        edges = np.concatenate((np.flatnonzero(start), [values.size]))
+    starts, ends = edges[:-1], edges[1:]
     weight = np.add.reduceat(probs, starts)
     positive = weight > 0.0
-    ends = np.concatenate((starts[1:], [values.size]))
     merged = np.add.reduceat(values * probs, starts)
     if np.count_nonzero(positive) == positive.size:
         merged /= weight
     else:
         plain = np.add.reduceat(values, starts) / (ends - starts)
         merged = np.where(positive, merged / np.where(positive, weight, 1.0), plain)
-    return np.minimum(np.maximum(merged, values[starts]), values[ends - 1]), weight
+    merged = np.minimum(np.maximum(merged, values[starts]), values[ends - 1])
+    if one:
+        return merged, weight
+    cuts = [0, *np.cumsum(np.count_nonzero(start, 1)).tolist()]
+    return [(merged[a:b], weight[a:b]) for a, b in zip(cuts, cuts[1:])]
 
 
 def conditional_probabilities(
@@ -233,10 +250,10 @@ def tpm_distribution(
 ) -> WorkRows:
     """Assemble work atoms W[n, m] = E_final[n] - E_initial[m] with joint weights.
 
-    ``initial_probs`` and ``final_energies`` hold one row per run (1-D for one
-    run); every run shares the initial energies and the transition matrix.
+    ``initial_energies``, ``initial_probs`` and ``final_energies`` hold one
+    row per run (1-D for one run); every run shares the transition matrix.
     """
-    w = final_energies[..., :, None] - initial_energies
+    w = final_energies[..., :, None] - initial_energies[..., None, :]
     joint = transitions * initial_probs[..., None, :]
     flat = w.shape[:-2] + (-1,)
     return _work_rows(w.reshape(flat), joint.reshape(flat))
@@ -330,11 +347,11 @@ def estimate(
     so there are d atoms E_final[m] - E_initial[m] instead of d^2 mostly
     empty ones.
 
-    Runs that share the initial spectrum stack into one call: ``gibbs`` a
-    sequence of r ensembles of that spectrum, each with its own ``beta``,
-    and ``final_energies`` of shape (r, d) give a list of r ``Estimates``,
-    each bit for bit what its run gives alone. Every numpy call then runs
-    once per stack instead of once per run. One ensemble is a stack of one
+    Runs of one dimension stack into one call: ``gibbs`` a sequence of r
+    ensembles of dimension d, each with its own spectrum and ``beta``, and
+    ``final_energies`` of shape (r, d) give a list of r ``Estimates``, each
+    bit for bit what its run gives alone. Every numpy call then runs once
+    per stack instead of once per run. One ensemble is a stack of one
     without the leading axis.
     """
     one = isinstance(gibbs, ThermalEnsemble)
@@ -344,14 +361,14 @@ def estimate(
         final, beta, log_z, probs = final_energies, gibbs.beta, gibbs.log_z, gibbs.probs
     else:
         stack = list(gibbs)
-        if not stack or any(g.spectrum is not stack[0].spectrum for g in stack):
-            raise ValueError("a stack needs one or more ensembles of one spectrum")
-        initial = stack[0].spectrum.eigenvalues
+        if len(shapes := sorted({g.spectrum.eigenvalues.shape for g in stack})) != 1:
+            raise ValueError(f"a stack needs ensembles of one dimension, got shapes {shapes}")
+        initial = np.array([g.spectrum.eigenvalues for g in stack])
         final = np.asarray(final_energies, dtype=float)
-        if final.shape != (len(stack), initial.size):
+        if final.shape != initial.shape:
             raise ValueError(
                 f"final energies have shape {final.shape}, not one row of "
-                f"{initial.size} per ensemble"
+                f"{initial.shape[1]} per ensemble"
             )
         beta = np.array([g.beta for g in stack])
         log_z = np.array([g.log_z for g in stack])

@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauwork import acceptance, protocol, scenarios, spacetime
+from tauwork import acceptance, protocol, scenarios, spacetime, thermo
 from tauwork.acceptance import Check
+from tauwork.operators import random_hermitian, spectral_decompose
+from test_protocol import bits
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -74,10 +76,38 @@ def test_gate_checks_the_production_tail(criterion, monkeypatch):
 
     monkeypatch.setattr(protocol, "free_energy_difference_from_log_z", shifted)
     assert not criterion().passed
-    # the random grids reach the tail as one stack of 15 (beta, alpha) runs per
-    # system, the flat runs one run at a time
-    stacked = criterion is not acceptance.criterion_nonunital_correction
-    assert any(len(shape) == 2 and shape[0] == 15 for shape in shapes) == stacked
+    # the random grids reach the tail as one stack per dimension (2-8), 3,000
+    # (system, beta, alpha) rows in all; the flat runs one run at a time
+    stacks = [shape for shape in shapes if len(shape) == 2]
+    if criterion is acceptance.criterion_nonunital_correction:
+        assert not stacks and shapes
+    else:
+        assert sorted(dim for _, dim in stacks) == list(range(2, 9))
+        assert sum(rows for rows, _ in stacks) == 3000
+
+
+def test_grid_rows_are_each_system_alone():
+    # the grid groups its systems by dimension; a system rebuilt alone from the
+    # same rng stream gives, bit for bit, the 15 rows the grid yields for it. A
+    # row paired with another system's ensemble would pass the criteria's max()
+    rng = np.random.default_rng(acceptance.SEED)
+    systems = []
+    for _ in range(200):
+        dim = int(rng.integers(2, 9))
+        spec = spectral_decompose(random_hermitian(dim, rng))
+        systems.append(spec.shifted(-spec.eigenvalues[0]))
+    # the grid's order: dimensions ascending, systems in draw order within each
+    order = sorted(range(200), key=lambda k: systems[k].dim)
+    grid = list(acceptance._random_grid(acceptance.SEED))
+    assert len(grid) == 3000
+    for k in (0, 1, 57, 123, 199):
+        at, spec = 15 * order.index(k), systems[k]
+        alone = [
+            protocol.estimate(thermo.thermal_state(spec, beta), alpha * spec.eigenvalues)
+            for beta in (0.5, 1.0, 2.0)
+            for alpha in (0.5, 0.8, 1.0, 1.2, 1.5)
+        ]
+        assert [bits(est) for est in grid[at : at + 15]] == [bits(est) for est in alone]
 
 
 def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tauwork import scenarios
-from tauwork.cli import _sweep_config, main
+from tauwork.cli import _parse_sweep, _sweep_config, main
 from tauwork.protocol import CSV_COLUMNS, ProtocolReport
 from tauwork.scenarios import ScenarioConfig, run_scenario
 
@@ -860,6 +860,21 @@ class TestErrorLines:
         captured = capsys.readouterr()
         assert captured.err == f"error: {line.format(**paths)}\n"
         assert captured.out == ""
+
+    def test_sweep_count_at_the_cap_parses(self):
+        assert _parse_sweep("beta=0.5:1:10000") == ("beta", 0.5, 1.0, 10000)
+
+    @pytest.mark.parametrize("count", [10**4 + 1, 10**20])
+    def test_sweep_count_past_the_cap_exit_2_writes_nothing(self, tmp_path, capsys, count):
+        # rejected before any point is built: a sweep builds every point first
+        out = tmp_path / "o"
+        spec = f"beta=0.5:1:{count}"
+        argv = ["sweep", "--scenario", str(write_scenario(tmp_path)), "--sweep", spec]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sweep count must be <= 10000, got {count}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "c, argv",

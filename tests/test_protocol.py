@@ -458,52 +458,73 @@ class TestStackedEstimate:
     @given(
         dim=st.integers(2, 8),
         seed=st.integers(0, 2**32 - 1),
+        systems=st.lists(
+            st.sampled_from(["plain", "degenerate", "cold"]), min_size=1, max_size=4
+        ),
         betas=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=3),
         runs=st.lists(
-            st.tuples(st.integers(0, 2), st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.5])),
+            st.tuples(
+                st.integers(0, 3), st.integers(0, 2), st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.5])
+            ),
             min_size=1,
             max_size=8,
         ),
         channel=st.sampled_from([None, "unitary", "damping"]),
-        degenerate=st.booleans(),
         correction=st.floats(-0.5, 0.5),
     )
     @example(  # every rate 1: each row merges into one atom at 0
-        dim=4, seed=0, betas=[1.0, 2.0], runs=[(0, 1.0), (1, 1.0)], channel=None,
-        degenerate=False, correction=0.0,
+        dim=4, seed=0, systems=["plain", "plain"], betas=[1.0, 2.0],
+        runs=[(0, 0, 1.0), (1, 1, 1.0)], channel=None, correction=0.0,
     )
-    @example(  # merged rows between plain ones
-        dim=8, seed=1, betas=[0.5, 1.0, 2.0], runs=[(0, 0.5), (1, 1.0), (2, 1.5), (0, 1.0)],
-        channel=None, degenerate=False, correction=0.0,
+    @example(  # merged and zero-weight rows of three systems between plain ones
+        dim=8, seed=1, systems=["plain", "cold", "degenerate"], betas=[0.5, 1.0, 2.0],
+        runs=[(0, 0, 0.5), (1, 1, 1.0), (2, 2, 1.5), (0, 0, 1.0), (1, 2, 1.2), (2, 0, 0.8),
+              (0, 1, 1.5), (1, 0, 0.5)],
+        channel=None, correction=0.0,
     )
     @example(  # degenerate levels merge at every rate
-        dim=8, seed=2, betas=[0.7], runs=[(0, 0.8), (0, 1.2)], channel=None,
-        degenerate=True, correction=0.0,
+        dim=8, seed=2, systems=["degenerate"], betas=[0.7], runs=[(0, 0, 0.8), (0, 0, 1.2)],
+        channel=None, correction=0.0,
     )
     @example(  # full decay: zero weights are dropped in every row
-        dim=5, seed=3, betas=[0.5, 3.0], runs=[(0, 1.3), (1, 0.8), (0, 1.0)],
-        channel="damping", degenerate=False, correction=0.2,
+        dim=5, seed=3, systems=["plain", "degenerate"], betas=[0.5, 3.0],
+        runs=[(0, 0, 1.3), (1, 1, 0.8), (0, 0, 1.0)], channel="damping", correction=0.2,
     )
-    def test_each_row_is_its_run_alone(
-        self, dim, seed, betas, runs, channel, degenerate, correction
-    ):
+    @example(  # four systems under one unitary
+        dim=3, seed=4, systems=["plain", "cold", "plain", "degenerate"], betas=[0.3, 2.0],
+        runs=[(0, 0, 1.2), (1, 1, 1.0), (2, 0, 0.5), (3, 1, 1.5), (1, 0, 0.8), (3, 0, 1.0)],
+        channel="unitary", correction=-0.1,
+    )
+    def test_each_row_is_its_run_alone(self, dim, seed, systems, betas, runs, channel, correction):
+        # a stack draws up to four systems of one dimension; rows that merge (rate 1,
+        # degenerate levels) and rows with zero weights (a cold system's excited
+        # Gibbs weights underflow, full decay empties most transitions) sit between
+        # plain ones
         rng = np.random.default_rng(seed)
-        spec0 = spectral_decompose(random_hermitian(dim, rng))
-        if degenerate:  # at most four distinct levels, so atoms merge
-            spec0 = Spectrum(np.sort(rng.integers(-2, 2, dim)).astype(float), spec0.eigenvectors)
-        trans, base = None, spec0.eigenvalues
+        specs = []
+        for kind in systems:
+            spec = spectral_decompose(random_hermitian(dim, rng))
+            if kind == "degenerate":  # at most four distinct levels, so atoms merge
+                spec = Spectrum(np.sort(rng.integers(-2, 2, dim)).astype(float), spec.eigenvectors)
+            elif kind == "cold":
+                spec = spec.shifted(-spec.eigenvalues[0]).scaled(1e6)
+            specs.append(spec)
+        trans = None
         if channel is not None:
             spec_f = spectral_decompose(random_hermitian(dim, rng))
             if channel == "unitary":
                 theta = unitary_channel(random_unitary(dim, rng))
             else:  # gamma = 1 in the standard basis: most transitions are exactly 0
-                spec0 = Spectrum(spec0.eigenvalues, np.eye(dim))
+                specs = [Spectrum(spec.eigenvalues, np.eye(dim)) for spec in specs]
                 spec_f = Spectrum(spec_f.eigenvalues, np.eye(dim))
                 theta = amplitude_damping_channel(1.0, dim)
-            trans, base = conditional_probabilities(spec0, spec_f, theta), spec_f.eigenvalues
-        ensembles = [thermal_state(spec0, beta) for beta in betas]
-        stack = [ensembles[k % len(ensembles)] for k, _ in runs]
-        finals = np.array([alpha * base for _, alpha in runs])
+            trans = conditional_probabilities(specs[0], spec_f, theta)
+        ensembles = [[thermal_state(spec, beta) for beta in betas] for spec in specs]
+        stack = [ensembles[k % len(specs)][j % len(betas)] for k, j, _ in runs]
+        finals = np.array([
+            alpha * (gibbs.spectrum.eigenvalues if trans is None else spec_f.eigenvalues)
+            for gibbs, (_, _, alpha) in zip(stack, runs)
+        ])
         rows = estimate(stack, finals, trans, correction)
         assert len(rows) == len(runs)
         for gibbs, final, row in zip(stack, finals, rows):
@@ -536,11 +557,11 @@ class TestStackedEstimate:
 
     def test_rejects_a_malformed_stack(self):
         spec = harmonic_hamiltonian(1.0, 3)
-        gibbs, other = thermal_state(spec, 1.0), thermal_state(harmonic_hamiltonian(1.0, 3), 2.0)
+        gibbs, other = thermal_state(spec, 1.0), thermal_state(harmonic_hamiltonian(1.0, 4), 2.0)
         final = np.array([spec.eigenvalues, spec.eigenvalues])
-        with pytest.raises(ValueError, match="one spectrum"):
+        with pytest.raises(ValueError, match=r"one dimension, got shapes \[\(3,\), \(4,\)\]"):
             estimate([gibbs, other], final)
-        with pytest.raises(ValueError, match="one spectrum"):
+        with pytest.raises(ValueError, match=r"one dimension, got shapes \[\]"):
             estimate([], final[:0])
         with pytest.raises(ValueError, match=r"shape \(3,\), not one row of 3 per ensemble"):
             estimate([gibbs, gibbs], spec.eigenvalues)
