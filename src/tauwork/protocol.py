@@ -65,8 +65,7 @@ class WorkDistribution:
         if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
             raise ValueError("values and probs must be equal-length 1-D arrays")
         with np.errstate(over="ignore", invalid="ignore"):
-            (atoms,) = _work_rows(values, probs).rows
-        vars(self).update(vars(atoms))
+            vars(self).update(vars(_work_rows(values, probs).row()))
 
     @property
     def size(self) -> int:
@@ -80,21 +79,59 @@ class WorkDistribution:
 class WorkRows(NamedTuple):
     """The work atoms of one run, or of a stack of runs.
 
-    ``rows`` holds each run's ``WorkDistribution``. ``values`` and ``probs``
-    are the atoms sorted by value, one row per run (1-D for one run), before
-    any merge; ``merged`` lists the runs whose distribution is not that row,
-    because atoms closer than the tolerance merged or empty ones were dropped.
+    ``values`` and ``probs`` are the atoms sorted by value, read-only, one row
+    per run (1-D for one run), before any merge; ``merge_tol`` is each row's
+    tolerance. ``merged`` holds the runs whose atoms merged or lost empty ones
+    as blocks ``(runs, values, probs)`` of one atom count, a row per run (for
+    one run, ``(0, values, probs)`` with 1-D atoms).
     """
 
-    rows: list[WorkDistribution]
     values: np.ndarray
     probs: np.ndarray
-    merged: list[int]
+    merge_tol: float | np.ndarray
+    merged: list[tuple]
 
     @property
     def size(self) -> int:
         """Atoms kept, summed over the runs."""
-        return sum(wd.size for wd in self.rows)
+        n = self.values.shape[-1]
+        return self.values.size + sum(v.size - np.size(runs) * n for runs, v, _ in self.merged)
+
+    def row(self, i: int = 0) -> WorkDistribution:
+        """The atoms of run ``i`` (of the only run, for one run)."""
+        if self.values.ndim == 1:
+            ((_, v, p),) = self.merged or [(0, self.values, self.probs)]
+            tol = self.merge_tol
+        else:  # a negative i counts from the end, as in the columns
+            i = range(len(self.values))[i]
+            v, p, tol = self.values[i], self.probs[i], float(self.merge_tol[i])
+            for runs, values, probs in self.merged:
+                if (at := np.flatnonzero(runs == i)).size:
+                    v, p = values[at[0]], probs[at[0]]
+        wd = object.__new__(WorkDistribution)
+        vars(wd).update(values=v, probs=p, merge_tol=tol)
+        return wd
+
+
+def _spread(values: np.ndarray, probs: np.ndarray, low, total) -> float:
+    """The spread of one run's atoms sorted by value, given the least and the
+    sum of its weights; raises on the first rule the run breaks."""
+    lo, hi = float(values[0]), float(values[-1])
+    # nan and +inf sort last, -inf first: a nan or inf entry shows in lo, hi, low or
+    # the sum; only then is every entry tested. hi - lo is taken in Python floats,
+    # so a spread past the float range is inf
+    finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(low)
+    if not (finite and math.isfinite(total)) and not (
+        np.isfinite(values).all() and np.isfinite(probs).all()
+    ):
+        raise ValueError("work atoms must be finite")
+    if low < -PROB_NEGATIVE_ATOL:
+        raise ValueError(f"negative atom probability: {low:.3e}")
+    if abs(total - 1.0) > PROB_SUM_ATOL:
+        raise ValueError(f"atom probabilities sum to {float(total)!r}, not 1")
+    if hi - lo == math.inf:
+        raise ValueError("work atoms span more than the float range")
+    return hi - lo
 
 
 def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
@@ -102,74 +139,60 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
     run, (r, n) for a stack of r.
 
     Each row is checked, sorted and merged as ``WorkDistribution`` does it
-    alone, and the first bad row raises its own error. The sort, the checks'
-    reductions and the gap test run once for the whole stack, and the rows with
-    a gap below their tolerance or a weight <= 0 merge in one flat pass. The
-    caller holds ``np.errstate(over="ignore", invalid="ignore")``: a bad
-    row's sum may overflow or be nan, and it raises before the sum is read.
+    alone. A stack runs the sort, the checks and the gap test as arrays, and
+    only its first bad row goes through ``_spread``, which raises that row's
+    own error. The rows with a gap below their tolerance or a weight <= 0
+    merge in one flat pass. The caller holds ``np.errstate(over="ignore",
+    invalid="ignore")``: a bad row's sum may overflow or be nan.
     """
     order = values.argsort(axis=-1, kind="stable")
     lows = np.minimum.reduce(probs, -1)
     totals = np.add.reduce(probs, -1)
-    # one run keeps its 1-D arrays: no row index to build, no rows to tolist()
-    one = values.ndim == 1
-    if one:
+    if one := values.ndim == 1:  # one run keeps its 1-D arrays and its Python floats
         values, probs = values[order], probs[order]
-        stats = [(float(values[0]), float(values[-1]), lows, totals)]
+        tol = MERGE_REL_TOL * max(1.0, _spread(values, probs, lows, totals))
+        split = values[1:] - values[:-1] >= tol
+        # count_nonzero of a bool array skips the reduction machinery of all()
+        merged = [] if np.count_nonzero(split) == split.size and lows > 0.0 else [0]
     else:
         rows = np.arange(len(values))[:, None]
         values, probs = values[rows, order], probs[rows, order]
-        ends = values[:, 0].tolist(), values[:, -1].tolist()
-        stats = zip(*ends, lows.tolist(), totals.tolist())
+        spread = values[:, -1] - values[:, 0]
+        # a row fails here exactly when ``_spread`` raises for it
+        ok = np.isfinite(spread) & (lows >= -PROB_NEGATIVE_ATOL)
+        ok &= abs(totals - 1.0) <= PROB_SUM_ATOL
+        if not ok.all():
+            _spread(*(column[ok.argmin()] for column in (values, probs, lows, totals)))
+        tol = MERGE_REL_TOL * np.maximum(1.0, spread)
+        split = values[:, 1:] - values[:, :-1] >= tol[:, None]
+        merged = np.flatnonzero(~np.logical_and.reduce(split, -1) | (lows <= 0.0))
     values.setflags(write=False)
     probs.setflags(write=False)
-    tols = []
-    for i, (lo, hi, low, total) in enumerate(stats):
-        # nan and +inf sort last, -inf first: a nan or inf entry shows in lo, hi, low or
-        # the sum; only then is every entry tested. hi - lo is taken in Python floats,
-        # so a spread past the float range is inf
-        finite = math.isfinite(lo) and math.isfinite(hi) and math.isfinite(low)
-        if not (finite and math.isfinite(total)) and not (
-            np.isfinite(values if one else values[i]).all()
-            and np.isfinite(probs if one else probs[i]).all()
-        ):
-            raise ValueError("work atoms must be finite")
-        if low < -PROB_NEGATIVE_ATOL:
-            raise ValueError(f"negative atom probability: {low:.3e}")
-        if abs(total - 1.0) > PROB_SUM_ATOL:
-            raise ValueError(f"atom probabilities sum to {float(total)!r}, not 1")
-        if hi - lo == math.inf:
-            raise ValueError("work atoms span more than the float range")
-        tols.append(MERGE_REL_TOL * max(1.0, hi - lo))
-    # a run of atoms ends at every gap >= the row's tolerance
-    split = values[..., 1:] - values[..., :-1] >= (tols[0] if one else np.array(tols)[:, None])
-    if one:  # count_nonzero of a bool array skips the reduction machinery of all()
-        merged = [] if np.count_nonzero(split) == split.size and lows > 0.0 else [0]
-        lows, pairs = [lows], [(values, probs)]
+    if not len(merged):
+        return WorkRows(values, probs, tol, [])
+    # with every weight > 0 the clamp is the identity and no merged atom is empty;
+    # a clamped run keeps an atom, as its weights sum to about 1
+    if one:
+        v, p = _merge_atoms(values, np.maximum(probs, 0.0) if lows <= 0.0 else probs, split)
+        groups = [(0, v[p > 0.0], p[p > 0.0]) if lows <= 0.0 else (0, v, p)]
     else:
-        whole, lows = np.logical_and.reduce(split, -1).tolist(), lows.tolist()
-        merged = [i for i, w in enumerate(whole) if not w or lows[i] <= 0.0]
-        pairs = list(zip(values, probs))
-    # with every weight > 0 the clamp is the identity and no merged atom is empty:
-    # only rows with a gap below tolerance or a weight <= 0 merge, all in one pass
-    if merged:
-        v, p, cut = values, probs, split
-        if not one:
-            v, p, cut = values[merged], probs[merged], split[merged]
-        done = _merge_atoms(v, np.maximum(p, 0.0) if min(lows) <= 0.0 else p, cut)
-        for i, (v, p) in zip(merged, [done] if one else done):
-            if lows[i] <= 0.0:
-                keep = p > 0.0
-                v, p = v[keep], p[keep]
-            v.setflags(write=False)
-            p.setflags(write=False)
-            pairs[i] = v, p
-    atoms = []
-    for (v, p), tol in zip(pairs, tols):
-        wd = object.__new__(WorkDistribution)
-        vars(wd).update(values=v, probs=p, merge_tol=tol)
-        atoms.append(wd)
-    return WorkRows(atoms, values, probs, merged)
+        clamp, p = np.logical_or.reduce(lows[merged] <= 0.0), probs[merged]
+        p = np.maximum(p, 0.0) if clamp else p
+        v, p, counts = _merge_atoms(values[merged], p, split[merged])
+        if clamp:
+            keep = p > 0.0
+            v, p = v[keep], p[keep]
+            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
+        # one block of rows per atom count
+        starts, groups = np.cumsum(counts) - counts, []
+        for k in np.flatnonzero(np.bincount(counts)).tolist():
+            at = np.flatnonzero(counts == k)
+            take = starts[at, None] + np.arange(k)
+            groups.append((merged[at], v[take], p[take]))
+    for _, v, p in groups:
+        v.setflags(write=False)
+        p.setflags(write=False)
+    return WorkRows(values, probs, tol, groups)
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray, split: np.ndarray):
@@ -184,9 +207,10 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray, split: np.ndarray):
     weights: a one-atom run keeps its weight, and its mean clipped into
     ``[v, v]`` is ``v``.
 
-    One run, shape (n,), gives its ``(values, weights)``. A stack of k runs,
-    shape (k, n), merges as one flat array in which every row starts a run,
-    and gives one pair per row, each what that row gives alone.
+    One run, shape (n,), gives its ``(values, weights)``. A stack of k
+    runs, shape (k, n), merges as one flat array in which every row starts a
+    run, and gives the rows' atoms end to end with each row's atom count;
+    each row's atoms are what that row gives alone.
     """
     one = values.ndim == 1
     if one:  # each run ends where the next starts, the last at the end
@@ -205,10 +229,7 @@ def _merge_atoms(values: np.ndarray, probs: np.ndarray, split: np.ndarray):
         plain = np.add.reduceat(values, starts) / (ends - starts)
         merged = np.where(positive, merged / np.where(positive, weight, 1.0), plain)
     merged = np.minimum(np.maximum(merged, values[starts]), values[ends - 1])
-    if one:
-        return merged, weight
-    cuts = [0, *np.cumsum(np.count_nonzero(start, 1)).tolist()]
-    return [(merged[a:b], weight[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return (merged, weight) if one else (merged, weight, np.count_nonzero(start, 1))
 
 
 def conditional_probabilities(
@@ -298,32 +319,35 @@ def _nonunital_correction(spec_f: Spectrum, channel: QuantumChannel, beta: float
     return channel.dim * float(thermal_state(spec_f, beta).probs @ diag)
 
 
-def generalized_jarzynski_rhs(delta_f: float, beta: float, correction: float) -> float:
+def generalized_jarzynski_rhs(delta_f, beta, correction: float):
     """Equilibrium side of the work equality, with the non-unital correction
-    Tr[(Theta(1) - 1) w_final]; exactly e^(-beta delta_f) when it is 0."""
-    return float(np.exp(-beta * delta_f) * (1.0 + correction))
+    Tr[(Theta(1) - 1) w_final]; exactly e^(-beta delta_f) when it is 0. One
+    value per entry for arrays ``delta_f`` and ``beta``."""
+    return np.exp(-beta * delta_f) * (1.0 + correction)
 
 
 @dataclass(frozen=True)
 class Estimates:
-    """What one run's TPM inputs give: work atoms, <W>, dF and both sides of
-    the work equality. A report row copies ``beta`` and every estimator
-    column from here, so each formula below has one copy."""
+    """What a run's TPM inputs give: work atoms, <W>, dF and both sides of
+    the work equality, as a run's floats or a stack's columns. A report row
+    copies ``beta`` and every estimator column from here, so each formula
+    below has one copy, for floats and columns alike. A stack of r runs has
+    (r,) arrays and its ``WorkRows``; one run has its ``WorkDistribution``."""
 
-    beta: float
-    atoms: WorkDistribution
-    mean_work: float
-    delta_f: float
-    lhs: float
-    rhs: float
+    beta: float | np.ndarray
+    atoms: WorkDistribution | WorkRows
+    mean_work: float | np.ndarray
+    delta_f: float | np.ndarray
+    lhs: float | np.ndarray
+    rhs: float | np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> float | np.ndarray:
         """lhs - rhs, zero when the work equality holds."""
         return self.lhs - self.rhs
 
     @property
-    def entropy_production(self) -> float:
+    def entropy_production(self) -> float | np.ndarray:
         """Mean irreversible entropy beta * (<W> - dF), nonnegative for
         unital processes by Jensen's inequality."""
         return self.beta * (self.mean_work - self.delta_f)
@@ -334,7 +358,7 @@ def estimate(
     final_energies: np.ndarray,
     transitions=None,
     correction: float = 0.0,
-) -> Estimates | list[Estimates]:
+) -> Estimates:
     """The estimator tail every pipeline shares.
 
     From the initial Gibbs ensemble (spectrum, weights, ``beta``, partition
@@ -349,14 +373,13 @@ def estimate(
 
     Runs of one dimension stack into one call: ``gibbs`` a sequence of r
     ensembles of dimension d, each with its own spectrum and ``beta``, and
-    ``final_energies`` of shape (r, d) give a list of r ``Estimates``, each
-    bit for bit what its run gives alone. Every numpy call then runs once
-    per stack instead of once per run. One ensemble is a stack of one
-    without the leading axis.
+    ``final_energies`` of shape (r, d) give one ``Estimates`` of (r,)
+    columns, entry i bit for bit what run i gives alone and ``atoms.row(i)``
+    its atoms. Every numpy call runs once per stack instead of once per run.
+    One ensemble is a stack of one without the leading axis, giving floats.
     """
     one = isinstance(gibbs, ThermalEnsemble)
     if one:
-        stack = [gibbs]
         initial = gibbs.spectrum.eigenvalues
         final, beta, log_z, probs = final_energies, gibbs.beta, gibbs.log_z, gibbs.probs
     else:
@@ -379,29 +402,26 @@ def estimate(
         else:
             work = tpm_distribution(initial, probs, final, transitions)
         delta_f = free_energy_difference_from_log_z(final, log_z, beta)
+        rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
         if one:
-            (wd,) = work.rows
-            by_run = [(wd, float(delta_f), float(_log_work_average(wd.values, wd.probs, beta)))]
+            atoms = work.row()
+            mean_work, delta_f, rhs = atoms.mean(), float(delta_f), float(rhs)
+            lhs = float(np.exp(_log_work_average(atoms.values, atoms.probs, beta)))
         else:
-            # the sorted atoms of all runs reduce together; a merged run's row
-            # is not its atoms (a weight 0 gives log -inf), so it is redone alone
+            # the sorted rows reduce together; a merged run's atoms are not its
+            # row, so those reduce again, one block per atom count. vecdot of C-
+            # contiguous rows has the bits of each row's ndarray.dot
+            atoms, mean_work = work, np.vecdot(work.values, work.probs)
             log_lhs = _log_work_average(work.values, work.probs, beta[:, None])
-            for i in work.merged:
-                wd = work.rows[i]
-                log_lhs[i] = _log_work_average(wd.values, wd.probs, beta[i])
-            by_run = zip(work.rows, delta_f.tolist(), log_lhs.tolist())
-        rows = []
-        for g, (wd, df, x) in zip(stack, by_run):
-            rhs = generalized_jarzynski_rhs(df, g.beta, correction)
-            # filled in place, as ``_work_rows`` fills each WorkDistribution: the
-            # frozen dataclass's __init__ would set each field through object.__setattr__
-            est = object.__new__(Estimates)
-            vars(est).update(
-                beta=g.beta, atoms=wd, mean_work=wd.mean(), delta_f=df,
-                lhs=float(np.exp(x)), rhs=rhs,
-            )
-            rows.append(est)
-    return rows[0] if one else rows
+            for runs, values, weights in work.merged:
+                mean_work[runs] = np.vecdot(values, weights)
+                log_lhs[runs] = _log_work_average(values, weights, beta[runs, None])
+            lhs = np.exp(log_lhs)
+    # filled in place, as ``WorkRows.row`` fills a WorkDistribution: the frozen
+    # dataclass's __init__ would set each field through object.__setattr__
+    est = object.__new__(Estimates)
+    vars(est).update(beta=beta, atoms=atoms, mean_work=mean_work, delta_f=delta_f, lhs=lhs, rhs=rhs)
+    return est
 
 
 def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:

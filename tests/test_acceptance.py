@@ -75,15 +75,28 @@ def test_gate_checks_the_production_tail(criterion, monkeypatch):
         return original(final_evals, log_z, beta) + 1e-6
 
     monkeypatch.setattr(protocol, "free_energy_difference_from_log_z", shifted)
+    tail, calls = protocol.estimate, []
+
+    def spy(gibbs, *args):
+        calls.append((gibbs, *args, tail(gibbs, *args)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(protocol, "estimate", spy)
     assert not criterion().passed
     # the random grids reach the tail as one stack per dimension (2-8), 3,000
-    # (system, beta, alpha) rows in all; the flat runs one run at a time
+    # (system, beta, alpha) rows in all, and get back one Estimates of columns per
+    # stack, each entry its run alone; the flat runs one run at a time
     stacks = [shape for shape in shapes if len(shape) == 2]
+    stacked = [call for call in calls if isinstance(call[0], list)]
     if criterion is acceptance.criterion_nonunital_correction:
-        assert not stacks and shapes
+        assert not stacks and shapes and not stacked
     else:
         assert sorted(dim for _, dim in stacks) == list(range(2, 9))
         assert sum(rows for rows, _ in stacks) == 3000
+        assert len(stacked) == 7
+        for ensembles, finals, est in stacked:
+            for i in (0, len(ensembles) // 2, len(ensembles) - 1):
+                assert bits(est, i) == bits(tail(ensembles[i], finals[i]))
 
 
 def test_grid_rows_are_each_system_alone():
@@ -96,9 +109,12 @@ def test_grid_rows_are_each_system_alone():
         dim = int(rng.integers(2, 9))
         spec = spectral_decompose(random_hermitian(dim, rng))
         systems.append(spec.shifted(-spec.eigenvalues[0]))
-    # the grid's order: dimensions ascending, systems in draw order within each
+    # the grid's order: dimensions ascending, systems in draw order within each;
+    # the grid yields one stacked Estimates per dimension, one entry per row
     order = sorted(range(200), key=lambda k: systems[k].dim)
-    grid = list(acceptance._random_grid(acceptance.SEED))
+    stacks = list(acceptance._random_grid(acceptance.SEED))
+    assert [est.atoms.values.shape[1] for est in stacks] == list(range(2, 9))
+    grid = [(est, i) for est in stacks for i in range(len(est.beta))]
     assert len(grid) == 3000
     for k in (0, 1, 57, 123, 199):
         at, spec = 15 * order.index(k), systems[k]
@@ -107,7 +123,43 @@ def test_grid_rows_are_each_system_alone():
             for beta in (0.5, 1.0, 2.0)
             for alpha in (0.5, 0.8, 1.0, 1.2, 1.5)
         ]
-        assert [bits(est) for est in grid[at : at + 15]] == [bits(est) for est in alone]
+        assert [bits(est, i) for est, i in grid[at : at + 15]] == [bits(est) for est in alone]
+
+
+@pytest.mark.parametrize(
+    "criterion, owner, name, call, field, row",
+    [
+        (acceptance.criterion_dilated_identity, protocol, "estimate", 3, "lhs", 7),
+        (acceptance.criterion_second_law, protocol, "estimate", 3, "mean_work", 7),
+        (acceptance.criterion_oscillator_closed_form, protocol, "estimate", 5, "delta_f", None),
+        (acceptance.criterion_nonunital_correction, protocol, "run_protocol", 5, "residual", None),
+        (acceptance.criterion_comoving_null, scenarios, "run_scenario", 1, "mean_work", None),
+        (acceptance.criterion_appendix_convergence, protocol, "run_protocol", 3, "lhs", None),
+    ],
+    ids=["dilated_identity", "second_law", "oscillator_closed_form", "nonunital_correction",
+         "comoving_null", "appendix_convergence"],
+)
+def test_a_nan_fails_its_criterion(criterion, owner, name, call, field, row, monkeypatch):
+    # a nan that is not the first value a criterion folds: Python's max and min
+    # would drop it and pass. It is one field of one call's result, or one entry
+    # of a stack's column (row 7 of the third stack of a random grid)
+    original, seen = getattr(owner, name), []
+
+    def spy(*args):
+        result = original(*args)
+        seen.append(result)
+        if len(seen) != call:
+            return result
+        value = np.nan
+        if row is not None:
+            value = getattr(result, field).copy()
+            value[row] = np.nan
+        return dataclasses.replace(result, **{field: value})
+
+    monkeypatch.setattr(owner, name, spy)
+    result = criterion()
+    assert len(seen) >= call
+    assert not result.passed and "nan" in result.detail
 
 
 def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch):

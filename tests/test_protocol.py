@@ -430,16 +430,35 @@ class TestEstimateTail:
         gibbs = thermal_state(spec0, beta)
         energies = (final, 0.5 * final)
         stacked = estimate([gibbs, gibbs], np.array(energies), trans, correction)
-        for e, row in zip(energies, stacked):
+        for i, e in enumerate(energies):
             ref = reference_tail(spec0, beta, e, trans, correction)
-            for est in (estimate(gibbs, e, trans, correction), row):
+            alone = estimate(gibbs, e, trans, correction)
+            for est in (alone, run_of(stacked, i)):
                 assert_same_atoms((est.atoms.values, est.atoms.probs), ref[0])
                 got = (est.delta_f, est.lhs, est.rhs, est.mean_work)
                 assert [repr(x) for x in got] == [repr(x) for x in ref[1:]]
+            assert bits(stacked, i) == bits(alone)
 
 
-def bits(est):
-    """Every number of an ``Estimates``, exactly: float reprs, atom bytes, types."""
+COLUMNS = ("beta", "mean_work", "delta_f", "lhs", "rhs")
+
+
+def run_of(est, i):
+    """Entry i of a stacked ``Estimates``, as the one-run ``Estimates`` it must equal."""
+    return Estimates(atoms=est.atoms.row(i), **{c: float(getattr(est, c)[i]) for c in COLUMNS})
+
+
+def bits(est, i=None):
+    """Every number of an ``Estimates``, exactly: float reprs, atom bytes, types.
+
+    With ``i``, those of entry i of a stack, whose columns and tolerances must
+    be float64 arrays with one entry per run."""
+    if i is not None:
+        columns = [getattr(est, c) for c in COLUMNS] + [est.atoms.merge_tol]
+        for column in columns:
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (len(est.atoms.values),)
+        est = run_of(est, i)
     atoms = est.atoms
     floats = (est.beta, est.mean_work, est.delta_f, est.lhs, est.rhs, atoms.merge_tol)
     return (
@@ -525,17 +544,60 @@ class TestStackedEstimate:
             alpha * (gibbs.spectrum.eigenvalues if trans is None else spec_f.eigenvalues)
             for gibbs, (_, _, alpha) in zip(stack, runs)
         ])
-        rows = estimate(stack, finals, trans, correction)
-        assert len(rows) == len(runs)
-        for gibbs, final, row in zip(stack, finals, rows):
+        stacked = estimate(stack, finals, trans, correction)
+        for i, (gibbs, final) in enumerate(zip(stack, finals)):
             alone = estimate(gibbs, final, trans, correction)
-            assert bits(row) == bits(alone)
+            assert bits(stacked, i) == bits(alone)
 
     def test_a_list_of_one_is_a_list(self):
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 5), 1.0)
         final = 1.2 * gibbs.spectrum.eigenvalues
-        (row,) = estimate([gibbs], final[None])
-        assert bits(row) == bits(estimate(gibbs, final))
+        stacked = estimate([gibbs], final[None])
+        assert stacked.atoms.values.shape == (1, 5)
+        assert bits(stacked, 0) == bits(estimate(gibbs, final))
+
+    @pytest.mark.parametrize("channel", [None, "damping"])
+    def test_merged_rows_reduce_in_groups_of_one_atom_count(self, channel):
+        # merged rows of 1 to 4 atoms (rate 1, a cold system whose excited weights are
+        # 0, 2 to 4 distinct levels) between plain rows; under full damping every row
+        # drops its empty atoms. Neighbouring merged rows differ in atom count, and
+        # the rows are long (72 atoms, or 81 with a transition matrix): vecdot of a
+        # non-contiguous copy of them does not give each row's dot, bit for bit
+        dim = 72 if channel is None else 9
+        rng = np.random.default_rng(11)
+        plain = spectral_decompose(random_hermitian(dim, rng))
+        basis = plain.eigenvectors if channel is None else np.eye(dim)
+
+        def levels(k):  # k distinct levels, so k atoms at any rate but 1
+            return Spectrum(np.sort(np.arange(dim) % k).astype(float), basis)
+
+        plain = Spectrum(plain.eigenvalues, basis)
+        cold = plain.shifted(-plain.eigenvalues[0]).scaled(1e6)
+        specs = [plain, levels(3), plain, cold, levels(2), plain, levels(4), levels(3), plain,
+                 levels(2)]
+        alphas = [1.2, 0.8, 1.0, 1.5, 1.2, 0.5, 0.8, 1.0, 1.5, 1.3]
+        trans, final = None, None
+        if channel == "damping":
+            spec_f = Spectrum(spectral_decompose(random_hermitian(dim, rng)).eigenvalues, basis)
+            trans = conditional_probabilities(plain, spec_f, amplitude_damping_channel(1.0, dim))
+            final = spec_f.eigenvalues
+        stack = [thermal_state(spec, 1.0) for spec in specs]
+        finals = np.array([a * (s.eigenvalues if final is None else final)
+                           for s, a in zip(specs, alphas)])
+        stacked = estimate(stack, finals, trans)
+        counts = [values.shape[1] for _, values, _ in stacked.atoms.merged]
+        assert len(counts) >= 3 and len(set(counts)) == len(counts)
+        for i, (gibbs, e) in enumerate(zip(stack, finals)):
+            assert bits(stacked, i) == bits(estimate(gibbs, e, trans))
+
+    def test_a_row_index_counts_from_the_end_as_the_columns_do(self):
+        # the last run merges (rate 1): row(-1) is its merged atom, not its sorted row
+        gibbs = thermal_state(harmonic_hamiltonian(1.0, 4), 1.0)
+        stacked = estimate([gibbs, gibbs], np.outer([1.2, 1.0], gibbs.spectrum.eigenvalues))
+        alone = estimate(gibbs, gibbs.spectrum.eigenvalues)
+        assert bits(stacked, -1) == bits(stacked, 1) == bits(alone)
+        with pytest.raises(IndexError):
+            stacked.atoms.row(2)
 
     def test_a_bad_row_raises_its_own_error(self):
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 3), 1.0)
@@ -645,9 +707,11 @@ class TestCharacteristicFunction:
         finals = np.array([alpha * spec0.eigenvalues for _, alpha in runs])
         channel = identity_channel(dim)
         stacked = estimate(ensembles, finals)
-        for (beta, alpha), gibbs, final, row in zip(runs, ensembles, finals, stacked):
+        for i, ((beta, alpha), gibbs, final) in enumerate(zip(runs, ensembles, finals)):
             spec_f = spec0.scaled(alpha)
-            for est in (estimate(gibbs, final), row):
+            alone = estimate(gibbs, final)
+            assert bits(stacked, i) == bits(alone)
+            for est in (alone, run_of(stacked, i)):
                 assert self.mismatch(est, spec0, spec_f, channel) < 1e-12
 
     @settings(max_examples=30, deadline=None)
