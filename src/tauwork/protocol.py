@@ -82,8 +82,8 @@ class WorkRows(NamedTuple):
     ``values`` and ``probs`` are the atoms sorted by value, read-only, one row
     per run (1-D for one run), before any merge; ``merge_tol`` is each row's
     tolerance. ``merged`` holds the runs whose atoms merged or lost empty ones
-    as blocks ``(runs, values, probs)`` of one atom count, a row per run (for
-    one run, ``(0, values, probs)`` with 1-D atoms).
+    as blocks ``(runs, values, probs)`` of one atom count, a list of run
+    indices and a row per run (one run that merged is the block of run 0).
     """
 
     values: np.ndarray
@@ -95,19 +95,17 @@ class WorkRows(NamedTuple):
     def size(self) -> int:
         """Atoms kept, summed over the runs."""
         n = self.values.shape[-1]
-        return self.values.size + sum(v.size - np.size(runs) * n for runs, v, _ in self.merged)
+        return self.values.size + sum(v.size - len(runs) * n for runs, v, _ in self.merged)
 
     def row(self, i: int = 0) -> WorkDistribution:
-        """The atoms of run ``i`` (of the only run, for one run)."""
-        if self.values.ndim == 1:
-            ((_, v, p),) = self.merged or [(0, self.values, self.probs)]
-            tol = self.merge_tol
-        else:  # a negative i counts from the end, as in the columns
-            i = range(len(self.values))[i]
-            v, p, tol = self.values[i], self.probs[i], float(self.merge_tol[i])
-            for runs, values, probs in self.merged:
-                if (at := np.flatnonzero(runs == i)).size:
-                    v, p = values[at[0]], probs[at[0]]
+        """The atoms of run ``i``; a negative i counts from the end, as in the columns."""
+        v, p, tol = self.values, self.probs, self.merge_tol
+        if v.ndim == 2:
+            i = range(len(v))[i]
+            v, p, tol = v[i], p[i], float(tol[i])
+        for runs, values, probs in self.merged:
+            if i in runs:
+                v, p = values[runs.index(i)], probs[runs.index(i)]
         wd = object.__new__(WorkDistribution)
         vars(wd).update(values=v, probs=p, merge_tol=tol)
         return wd
@@ -164,6 +162,7 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
         if not ok.all():
             _spread(*(column[ok.argmin()] for column in (values, probs, lows, totals)))
         tol = MERGE_REL_TOL * np.maximum(1.0, spread)
+        tol.setflags(write=False)
         split = values[:, 1:] - values[:, :-1] >= tol[:, None]
         merged = np.flatnonzero(~np.logical_and.reduce(split, -1) | (lows <= 0.0))
     values.setflags(write=False)
@@ -174,7 +173,8 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
     # a clamped run keeps an atom, as its weights sum to about 1
     if one:
         v, p = _merge_atoms(values, np.maximum(probs, 0.0) if lows <= 0.0 else probs, split)
-        groups = [(0, v[p > 0.0], p[p > 0.0]) if lows <= 0.0 else (0, v, p)]
+        v, p = (v[p > 0.0], p[p > 0.0]) if lows <= 0.0 else (v, p)
+        groups = [([0], v[None], p[None])]
     else:
         clamp, p = np.logical_or.reduce(lows[merged] <= 0.0), probs[merged]
         p = np.maximum(p, 0.0) if clamp else p
@@ -188,7 +188,7 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
         for k in np.flatnonzero(np.bincount(counts)).tolist():
             at = np.flatnonzero(counts == k)
             take = starts[at, None] + np.arange(k)
-            groups.append((merged[at], v[take], p[take]))
+            groups.append((merged[at].tolist(), v[take], p[take]))
     for _, v, p in groups:
         v.setflags(write=False)
         p.setflags(write=False)
@@ -319,11 +319,12 @@ def _nonunital_correction(spec_f: Spectrum, channel: QuantumChannel, beta: float
     return channel.dim * float(thermal_state(spec_f, beta).probs @ diag)
 
 
-def generalized_jarzynski_rhs(delta_f, beta, correction: float):
+def generalized_jarzynski_rhs(delta_f, beta, correction: float) -> float | np.ndarray:
     """Equilibrium side of the work equality, with the non-unital correction
-    Tr[(Theta(1) - 1) w_final]; exactly e^(-beta delta_f) when it is 0. One
-    value per entry for arrays ``delta_f`` and ``beta``."""
-    return np.exp(-beta * delta_f) * (1.0 + correction)
+    Tr[(Theta(1) - 1) w_final]; exactly e^(-beta delta_f) when it is 0. A
+    float for scalar ``delta_f`` and ``beta``, one value per entry for arrays."""
+    rhs = np.exp(-beta * delta_f) * (1.0 + correction)
+    return rhs if isinstance(rhs, np.ndarray) else float(rhs)
 
 
 @dataclass(frozen=True)
@@ -405,7 +406,7 @@ def estimate(
         rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
         if one:
             atoms = work.row()
-            mean_work, delta_f, rhs = atoms.mean(), float(delta_f), float(rhs)
+            mean_work, delta_f = atoms.mean(), float(delta_f)
             lhs = float(np.exp(_log_work_average(atoms.values, atoms.probs, beta)))
         else:
             # the sorted rows reduce together; a merged run's atoms are not its
@@ -417,6 +418,8 @@ def estimate(
                 mean_work[runs] = np.vecdot(values, weights)
                 log_lhs[runs] = _log_work_average(values, weights, beta[runs, None])
             lhs = np.exp(log_lhs)
+            for column in (beta, mean_work, delta_f, lhs, rhs):
+                column.setflags(write=False)
     # filled in place, as ``WorkRows.row`` fills a WorkDistribution: the frozen
     # dataclass's __init__ would set each field through object.__setattr__
     est = object.__new__(Estimates)

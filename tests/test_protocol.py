@@ -36,6 +36,7 @@ from tauwork.protocol import (
     _merge_atoms,
     conditional_probabilities,
     estimate,
+    generalized_jarzynski_rhs,
     jarzynski_lhs,
     run_protocol,
     sample_outcomes,
@@ -452,12 +453,13 @@ def bits(est, i=None):
     """Every number of an ``Estimates``, exactly: float reprs, atom bytes, types.
 
     With ``i``, those of entry i of a stack, whose columns and tolerances must
-    be float64 arrays with one entry per run."""
+    be read-only float64 arrays with one entry per run."""
     if i is not None:
         columns = [getattr(est, c) for c in COLUMNS] + [est.atoms.merge_tol]
         for column in columns:
             assert type(column) is np.ndarray and column.dtype == np.float64
             assert column.shape == (len(est.atoms.values),)
+            assert not column.flags.writeable
         est = run_of(est, i)
     atoms = est.atoms
     floats = (est.beta, est.mean_work, est.delta_f, est.lhs, est.rhs, atoms.merge_tol)
@@ -839,6 +841,13 @@ class TestJarzynskiSides:
         assert 2.0 * report.delta_F == pytest.approx(
             math.log((1 + math.exp(-1.6)) / (1 + math.exp(-2.6))), rel=1e-14
         )
+
+    def test_rhs_is_a_float_for_scalars_and_an_array_for_columns(self):
+        rhs = generalized_jarzynski_rhs(0.3, 2.0, 0.5)
+        assert type(rhs) is float and rhs == pytest.approx(1.5 * math.exp(-0.6), rel=1e-15)
+        column = generalized_jarzynski_rhs(np.array([0.3, 0.1]), np.array([2.0, 1.0]), 0.5)
+        assert type(column) is np.ndarray and column.dtype == np.float64
+        assert column.tolist() == pytest.approx([rhs, 1.5 * math.exp(-0.1)], rel=1e-15)
 
     def test_identity_protocol_rhs_is_one(self):
         h = two_level()
