@@ -93,31 +93,29 @@ def _criterion(name: str):
 
 def _dilated(gibbs: thermo.ThermalEnsemble, alpha: float) -> protocol.Estimates:
     """The dilated pipeline's estimators: every eigenvalue rescaled by ``alpha``."""
-    return protocol.estimate(gibbs, alpha * gibbs.spectrum.eigenvalues)
+    return protocol.estimate(gibbs, alpha * gibbs.energies)
 
 
 def _random_grid(seed: int):
     """Estimators of 200 random systems (dim 2-8, energies measured from the
     ground state) x 3 temperatures x 5 clock rates.
 
-    The systems are drawn first, then each dimension is one stacked
-    ``estimate`` call, 7 in all: its systems in draw order, each as 15 (beta,
-    alpha) rows, one ensemble per temperature serving five, and yields its
-    ``Estimates`` of columns. The oscillator grid stays one call per point:
-    its ladder size changes with alpha.
+    The systems are drawn first, then each dimension is one stacked ensemble
+    and one ``estimate`` call, 7 in all: its systems in draw order, each
+    repeated as 15 (beta, alpha) rows, and yields its ``Estimates`` of
+    columns. The oscillator grid stays one call per point: its ladder size
+    changes with alpha.
     """
     rng = np.random.default_rng(seed)
-    alphas = np.array([0.5, 0.8, 1.0, 1.2, 1.5] * 3)
+    betas, alphas = np.repeat([0.5, 1.0, 2.0], 5), np.tile([0.5, 0.8, 1.0, 1.2, 1.5], 3)
     by_dim: dict[int, list] = {}
     for _ in range(200):
         dim = int(rng.integers(2, 9))
-        spec = spectral_decompose(random_hermitian(dim, rng))
-        by_dim.setdefault(dim, []).append(spec.shifted(-spec.eigenvalues[0]))
-    for _, specs in sorted(by_dim.items()):
-        ensembles = [thermo.thermal_state(s, beta) for s in specs for beta in (0.5, 1.0, 2.0)]
-        rows = [gibbs for gibbs in ensembles for _ in range(5)]
-        finals = np.concatenate([np.multiply.outer(alphas, spec.eigenvalues) for spec in specs])
-        yield protocol.estimate(rows, finals)
+        levels = spectral_decompose(random_hermitian(dim, rng)).eigenvalues
+        by_dim.setdefault(dim, []).append(levels - levels[0])
+    for _, systems in sorted(by_dim.items()):
+        gibbs = thermo.ThermalEnsemble(np.tile(betas, len(systems)), np.repeat(systems, 15, 0))
+        yield protocol.estimate(gibbs, np.tile(alphas, len(systems))[:, None] * gibbs.energies)
 
 
 def _oscillator_grid():

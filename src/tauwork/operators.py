@@ -179,33 +179,19 @@ class Spectrum:
         """Same eigenbasis with every eigenvalue multiplied by ``factor`` > 0.
 
         A spectrum rescaled by a clock rate or a level spacing; ``scaled(1.0)``
-        is ``self``.
+        is ``self``. The eigenvectors are shared, not copied: they are
+        read-only and were checked for orthonormality when this spectrum was
+        built, so only the new eigenvalues are checked.
         """
         require(factor=factor)
         if factor == 1.0:
             return self
         # an overflow to inf is rejected by the eigenvalue check
         with np.errstate(over="ignore"):
-            return self._with_eigenvalues(factor * self.eigenvalues)
-
-    def shifted(self, offset: float) -> "Spectrum":
-        """Same eigenbasis with all eigenvalues shifted by ``offset``."""
-        return self._with_eigenvalues(self.eigenvalues + offset)
-
-    def _with_eigenvalues(self, eigenvalues) -> "Spectrum":
-        """This eigenbasis with new eigenvalues.
-
-        The eigenvectors are shared, not copied: they are read-only and were
-        checked for orthonormality when this spectrum was built, so only the
-        new eigenvalues are checked.
-        """
-        evals = np.array(eigenvalues, dtype=float)
-        if evals.shape != self.eigenvalues.shape:
-            raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
+            evals = factor * self.eigenvalues
         _check_eigenvalues(evals)
         spec = object.__new__(Spectrum)
-        object.__setattr__(spec, "eigenvalues", evals)
-        object.__setattr__(spec, "eigenvectors", self.eigenvectors)
+        vars(spec).update(eigenvalues=evals, eigenvectors=self.eigenvectors)
         return spec
 
 

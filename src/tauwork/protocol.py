@@ -25,7 +25,6 @@ distribution, not as the primary estimator.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -332,8 +331,9 @@ class Estimates:
     """What a run's TPM inputs give: work atoms, <W>, dF and both sides of
     the work equality, as a run's floats or a stack's columns. A report row
     copies ``beta`` and every estimator column from here, so each formula
-    below has one copy, for floats and columns alike. A stack of r runs has
-    (r,) arrays and its ``WorkRows``; one run has its ``WorkDistribution``."""
+    below has one copy, for floats and columns alike. A stacked ensemble of r
+    runs gives read-only (r,) arrays, ``beta`` the ensemble's own, and its
+    ``WorkRows``; one run has its ``WorkDistribution``."""
 
     beta: float | np.ndarray
     atoms: WorkDistribution | WorkRows
@@ -355,14 +355,14 @@ class Estimates:
 
 
 def estimate(
-    gibbs: ThermalEnsemble | Sequence[ThermalEnsemble],
+    gibbs: ThermalEnsemble,
     final_energies: np.ndarray,
     transitions=None,
     correction: float = 0.0,
 ) -> Estimates:
     """The estimator tail every pipeline shares.
 
-    From the initial Gibbs ensemble (spectrum, weights, ``beta``, partition
+    From the initial Gibbs ensemble (energies, weights, ``beta``, partition
     sum), which serves any number of final energies, the final measured
     energies and the transition matrix it builds the work atoms and their
     mean, dF from the final energies and the ensemble's partition sum, the
@@ -370,33 +370,17 @@ def estimate(
     An overflow of either side gives inf, not a warning. ``transitions=None``
     stands for the identity matrix: every trajectory keeps its level index,
     so there are d atoms E_final[m] - E_initial[m] instead of d^2 mostly
-    empty ones.
+    empty ones. ``final_energies`` has the shape of the ensemble's energies.
 
-    Runs of one dimension stack into one call: ``gibbs`` a sequence of r
-    ensembles of dimension d, each with its own spectrum and ``beta``, and
-    ``final_energies`` of shape (r, d) give one ``Estimates`` of (r,)
-    columns, entry i bit for bit what run i gives alone and ``atoms.row(i)``
-    its atoms. Every numpy call runs once per stack instead of once per run.
-    One ensemble is a stack of one without the leading axis, giving floats.
+    A stacked ensemble of r runs of dimension d, with final energies of shape
+    (r, d), gives one ``Estimates`` of (r,) columns, entry i bit for bit what
+    run i gives alone and ``atoms.row(i)`` its atoms. Every numpy call runs
+    once per stack instead of once per run. One run gives floats.
     """
-    one = isinstance(gibbs, ThermalEnsemble)
-    if one:
-        initial = gibbs.spectrum.eigenvalues
-        final, beta, log_z, probs = final_energies, gibbs.beta, gibbs.log_z, gibbs.probs
-    else:
-        stack = list(gibbs)
-        if len(shapes := sorted({g.spectrum.eigenvalues.shape for g in stack})) != 1:
-            raise ValueError(f"a stack needs ensembles of one dimension, got shapes {shapes}")
-        initial = np.array([g.spectrum.eigenvalues for g in stack])
-        final = np.asarray(final_energies, dtype=float)
-        if final.shape != initial.shape:
-            raise ValueError(
-                f"final energies have shape {final.shape}, not one row of "
-                f"{initial.shape[1]} per ensemble"
-            )
-        beta = np.array([g.beta for g in stack])
-        log_z = np.array([g.log_z for g in stack])
-        probs = np.array([g.probs for g in stack])
+    initial, beta, log_z, probs = gibbs.energies, gibbs.beta, gibbs.log_z, gibbs.probs
+    final = np.asarray(final_energies, dtype=float)
+    if final.shape != initial.shape:
+        raise ValueError(f"final energies have shape {final.shape}, not {initial.shape}")
     with np.errstate(all="ignore"):
         if transitions is None:
             work = _work_rows(final - initial, probs)
@@ -404,7 +388,7 @@ def estimate(
             work = tpm_distribution(initial, probs, final, transitions)
         delta_f = free_energy_difference_from_log_z(final, log_z, beta)
         rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
-        if one:
+        if initial.ndim == 1:
             atoms = work.row()
             mean_work, delta_f = atoms.mean(), float(delta_f)
             lhs = float(np.exp(_log_work_average(atoms.values, atoms.probs, beta)))
@@ -418,7 +402,7 @@ def estimate(
                 mean_work[runs] = np.vecdot(values, weights)
                 log_lhs[runs] = _log_work_average(values, weights, beta[runs, None])
             lhs = np.exp(log_lhs)
-            for column in (beta, mean_work, delta_f, lhs, rhs):
+            for column in (mean_work, delta_f, lhs, rhs):
                 column.setflags(write=False)
     # filled in place, as ``WorkRows.row`` fills a WorkDistribution: the frozen
     # dataclass's __init__ would set each field through object.__setattr__

@@ -86,13 +86,10 @@ class Worldline:
         return self.t.size
 
     @classmethod
-    def from_csv(cls, path_or_file, mass: float) -> "Worldline":
-        """Load a ``t,phi,p`` table (header required, strictly increasing t)."""
-        if hasattr(path_or_file, "read"):
-            rows = list(csv.reader(path_or_file))
-        else:
-            with open(path_or_file, newline="") as fh:
-                rows = list(csv.reader(fh))
+    def from_csv(cls, path, mass: float) -> "Worldline":
+        """Load a ``t,phi,p`` table file (header required, strictly increasing t)."""
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
         if not rows or [c.strip() for c in rows[0]] != ["t", "phi", "p"]:
             raise ValueError("worldline CSV must start with header 't,phi,p'")
         body = [r for r in rows[1:] if r]

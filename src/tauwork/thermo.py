@@ -26,41 +26,68 @@ def log_sum_exp(x: np.ndarray) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
-    """Gibbs weights over an eigenspectrum at inverse temperature beta.
+    """Gibbs weights over energy levels at inverse temperature beta.
+
+    One run has a number ``beta`` and energies of shape (d,). A stack has r
+    betas and energies of shape (r, d); its fields are read-only arrays, row
+    i bit for bit ``thermal_state`` of run i alone. Each row's energies are
+    finite with the least first, as an ascending spectrum's are.
 
     ``log_z`` is ln Z from the sum that normalizes the weights, with the bits
     of ``log_sum_exp(-beta * E)``, so dF between equal spectra is exactly 0.
     """
 
-    beta: float
-    spectrum: Spectrum
+    beta: float | np.ndarray
+    energies: np.ndarray
     probs: np.ndarray
-    log_z: float
+    log_z: float | np.ndarray
 
-    def __init__(self, beta: float, spectrum: Spectrum):
-        require(beta=beta)
-        lo, hi = float(spectrum.eigenvalues[0]), float(spectrum.eigenvalues[-1])
-        # -beta * E and its spread below overflow exactly when this does
-        if not math.isfinite(beta * lo - beta * hi):
-            bounds = f"beta={float(beta)!r}, energies {lo!r} to {hi!r}"
-            raise ValueError(f"beta * energy overflows a float: {bounds}")
-        x = -beta * spectrum.eigenvalues
-        w = np.exp(x - x[0])
-        total = w.sum()
-        probs = w / total
-        probs.flags.writeable = False
-        object.__setattr__(self, "beta", float(beta))
-        object.__setattr__(self, "spectrum", spectrum)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "log_z", float(x[0]) + float(np.log(total)))
+    def __init__(self, beta, energies):
+        energies = np.array(energies, dtype=float)
+        if energies.ndim not in (1, 2) or not energies.size:
+            raise ValueError(f"energies must have shape (d,) or (r, d), got {energies.shape}")
+        if one := energies.ndim == 1:  # a run keeps its checks in Python floats
+            require(beta=beta)
+            beta, low, high = float(beta), float(energies[0]), float(energies[energies.argmax()])
+            # argmin finds the first least entry, or the first nan
+            if not (energies.argmin() == 0 and math.isfinite(low) and math.isfinite(high)):
+                raise ValueError("energies must be finite with the least first")
+            # -beta * E and its spread below overflow exactly when this does
+            if not math.isfinite(beta * low - beta * high):
+                bounds = f"beta={beta!r}, energies {low!r} to {high!r}"
+                raise ValueError(f"beta * energy overflows a float: {bounds}")
+        else:  # a stack checks as arrays; a bad row raises the error of its run alone
+            # numpy would read a True among floats as 1.0: a list's entries are checked alone
+            beta = beta if isinstance(beta, np.ndarray) else np.array(beta, dtype=object)
+            low, high = energies[:, 0], np.maximum.reduce(energies, -1)
+            if beta.shape != low.shape:
+                raise ValueError(f"{len(low)} rows of energies need one beta each: {beta.shape}")
+            ok = np.zeros(beta.shape, bool)  # so is an array that is not of real numbers
+            if beta.dtype.kind in "fiu":
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ok = (beta > 0) & np.isfinite(beta * low - beta * high)
+                ok &= energies.argmin(-1) == 0
+            for i in np.flatnonzero(~ok).tolist():
+                ThermalEnsemble(beta.item(i), energies[i])
+            beta = beta.astype(float)
+        x = -(beta if one else beta[:, None]) * energies
+        w = np.exp(x - x[..., :1])
+        total = np.add.reduce(w, -1)
+        probs = w / (total if one else total[:, None])
+        log_z = x.T[0] + np.log(total)  # x.T[0]: a run's first entry, a stack's first column
+        for array in (energies, probs) if one else (beta, energies, probs, log_z):
+            array.flags.writeable = False
+        log_z = float(log_z) if one else log_z
+        vars(self).update(beta=beta, energies=energies, probs=probs, log_z=log_z)
 
     def mean_energy(self) -> float:
-        return float(self.probs @ self.spectrum.eigenvalues)
+        """<E> of a run."""
+        return float(self.probs @ self.energies)
 
 
 def thermal_state(spec: Spectrum, beta: float) -> ThermalEnsemble:
     """Gibbs ensemble of ``spec`` at inverse temperature ``beta``."""
-    return ThermalEnsemble(beta, spec)
+    return ThermalEnsemble(beta, spec.eigenvalues)
 
 
 def free_energy_difference_from_values(

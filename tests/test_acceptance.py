@@ -15,7 +15,7 @@ import pytest
 from tauwork import acceptance, protocol, scenarios, spacetime, thermo
 from tauwork.acceptance import Check
 from tauwork.operators import random_hermitian, spectral_decompose
-from test_protocol import bits
+from test_protocol import bits, ground_at_zero
 
 DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -87,16 +87,17 @@ def test_gate_checks_the_production_tail(criterion, monkeypatch):
     # (system, beta, alpha) rows in all, and get back one Estimates of columns per
     # stack, each entry its run alone; the flat runs one run at a time
     stacks = [shape for shape in shapes if len(shape) == 2]
-    stacked = [call for call in calls if isinstance(call[0], list)]
+    stacked = [call for call in calls if call[0].energies.ndim == 2]
     if criterion is acceptance.criterion_nonunital_correction:
         assert not stacks and shapes and not stacked
     else:
         assert sorted(dim for _, dim in stacks) == list(range(2, 9))
         assert sum(rows for rows, _ in stacks) == 3000
         assert len(stacked) == 7
-        for ensembles, finals, est in stacked:
-            for i in (0, len(ensembles) // 2, len(ensembles) - 1):
-                assert bits(est, i) == bits(tail(ensembles[i], finals[i]))
+        for gibbs, finals, est in stacked:
+            for i in (0, len(finals) // 2, len(finals) - 1):
+                alone = thermo.ThermalEnsemble(float(gibbs.beta[i]), gibbs.energies[i])
+                assert bits(est, i) == bits(tail(alone, finals[i]))
 
 
 def test_grid_rows_are_each_system_alone():
@@ -108,7 +109,7 @@ def test_grid_rows_are_each_system_alone():
     for _ in range(200):
         dim = int(rng.integers(2, 9))
         spec = spectral_decompose(random_hermitian(dim, rng))
-        systems.append(spec.shifted(-spec.eigenvalues[0]))
+        systems.append(ground_at_zero(spec))
     # the grid's order: dimensions ascending, systems in draw order within each;
     # the grid yields one stacked Estimates per dimension, one entry per row
     order = sorted(range(200), key=lambda k: systems[k].dim)

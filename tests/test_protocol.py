@@ -44,13 +44,18 @@ from tauwork.protocol import (
 )
 from tauwork.scenarios import harmonic_hamiltonian, two_level_hamiltonian
 from tauwork.spacetime import comoving_worldline, dilation_profile, uniform_gravity_worldline
-from tauwork.thermo import thermal_state
+from tauwork.thermo import ThermalEnsemble, thermal_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def two_level(eps=1.0):
     return two_level_hamiltonian(eps)
+
+
+def ground_at_zero(spec):
+    """``spec`` with every energy measured from the ground level."""
+    return Spectrum(spec.eigenvalues - spec.eigenvalues[0], spec.eigenvectors)
 
 
 def flat_atoms(spec0, spec_f, channel, beta):
@@ -430,7 +435,7 @@ class TestEstimateTail:
         # each is checked as a run of its own and as a row of one stacked call
         gibbs = thermal_state(spec0, beta)
         energies = (final, 0.5 * final)
-        stacked = estimate([gibbs, gibbs], np.array(energies), trans, correction)
+        stacked = estimate(stack_of([gibbs, gibbs]), np.array(energies), trans, correction)
         for i, e in enumerate(energies):
             ref = reference_tail(spec0, beta, e, trans, correction)
             alone = estimate(gibbs, e, trans, correction)
@@ -442,6 +447,11 @@ class TestEstimateTail:
 
 
 COLUMNS = ("beta", "mean_work", "delta_f", "lhs", "rhs")
+
+
+def stack_of(ensembles):
+    """One stacked ensemble whose row i has the beta and energies of ``ensembles[i]``."""
+    return ThermalEnsemble(np.array([g.beta for g in ensembles]), [g.energies for g in ensembles])
 
 
 def run_of(est, i):
@@ -528,7 +538,7 @@ class TestStackedEstimate:
             if kind == "degenerate":  # at most four distinct levels, so atoms merge
                 spec = Spectrum(np.sort(rng.integers(-2, 2, dim)).astype(float), spec.eigenvectors)
             elif kind == "cold":
-                spec = spec.shifted(-spec.eigenvalues[0]).scaled(1e6)
+                spec = ground_at_zero(spec).scaled(1e6)
             specs.append(spec)
         trans = None
         if channel is not None:
@@ -543,18 +553,18 @@ class TestStackedEstimate:
         ensembles = [[thermal_state(spec, beta) for beta in betas] for spec in specs]
         stack = [ensembles[k % len(specs)][j % len(betas)] for k, j, _ in runs]
         finals = np.array([
-            alpha * (gibbs.spectrum.eigenvalues if trans is None else spec_f.eigenvalues)
+            alpha * (gibbs.energies if trans is None else spec_f.eigenvalues)
             for gibbs, (_, _, alpha) in zip(stack, runs)
         ])
-        stacked = estimate(stack, finals, trans, correction)
+        stacked = estimate(stack_of(stack), finals, trans, correction)
         for i, (gibbs, final) in enumerate(zip(stack, finals)):
             alone = estimate(gibbs, final, trans, correction)
             assert bits(stacked, i) == bits(alone)
 
-    def test_a_list_of_one_is_a_list(self):
+    def test_a_stack_of_one_is_a_stack(self):
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 5), 1.0)
-        final = 1.2 * gibbs.spectrum.eigenvalues
-        stacked = estimate([gibbs], final[None])
+        final = 1.2 * gibbs.energies
+        stacked = estimate(ThermalEnsemble([1.0], gibbs.energies[None]), final[None])
         assert stacked.atoms.values.shape == (1, 5)
         assert bits(stacked, 0) == bits(estimate(gibbs, final))
 
@@ -574,7 +584,7 @@ class TestStackedEstimate:
             return Spectrum(np.sort(np.arange(dim) % k).astype(float), basis)
 
         plain = Spectrum(plain.eigenvalues, basis)
-        cold = plain.shifted(-plain.eigenvalues[0]).scaled(1e6)
+        cold = ground_at_zero(plain).scaled(1e6)
         specs = [plain, levels(3), plain, cold, levels(2), plain, levels(4), levels(3), plain,
                  levels(2)]
         alphas = [1.2, 0.8, 1.0, 1.5, 1.2, 0.5, 0.8, 1.0, 1.5, 1.3]
@@ -586,7 +596,7 @@ class TestStackedEstimate:
         stack = [thermal_state(spec, 1.0) for spec in specs]
         finals = np.array([a * (s.eigenvalues if final is None else final)
                            for s, a in zip(specs, alphas)])
-        stacked = estimate(stack, finals, trans)
+        stacked = estimate(stack_of(stack), finals, trans)
         counts = [values.shape[1] for _, values, _ in stacked.atoms.merged]
         assert len(counts) >= 3 and len(set(counts)) == len(counts)
         for i, (gibbs, e) in enumerate(zip(stack, finals)):
@@ -595,8 +605,8 @@ class TestStackedEstimate:
     def test_a_row_index_counts_from_the_end_as_the_columns_do(self):
         # the last run merges (rate 1): row(-1) is its merged atom, not its sorted row
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 4), 1.0)
-        stacked = estimate([gibbs, gibbs], np.outer([1.2, 1.0], gibbs.spectrum.eigenvalues))
-        alone = estimate(gibbs, gibbs.spectrum.eigenvalues)
+        stacked = estimate(stack_of([gibbs, gibbs]), np.outer([1.2, 1.0], gibbs.energies))
+        alone = estimate(gibbs, gibbs.energies)
         assert bits(stacked, -1) == bits(stacked, 1) == bits(alone)
         with pytest.raises(IndexError):
             stacked.atoms.row(2)
@@ -605,7 +615,7 @@ class TestStackedEstimate:
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 3), 1.0)
         finals = np.array([[0.5, 1.5, 2.5], [0.5, np.nan, 2.5]])
         with pytest.raises(ValueError, match="work atoms must be finite"):
-            estimate([gibbs, gibbs], finals)
+            estimate(stack_of([gibbs, gibbs]), finals)
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -619,18 +629,21 @@ class TestStackedEstimate:
         with pytest.raises(ValueError, match=message):
             protocol.tpm_distribution(initial, np.array(rows), final, np.eye(2))
 
-    def test_rejects_a_malformed_stack(self):
-        spec = harmonic_hamiltonian(1.0, 3)
-        gibbs, other = thermal_state(spec, 1.0), thermal_state(harmonic_hamiltonian(1.0, 4), 2.0)
-        final = np.array([spec.eigenvalues, spec.eigenvalues])
-        with pytest.raises(ValueError, match=r"one dimension, got shapes \[\(3,\), \(4,\)\]"):
-            estimate([gibbs, other], final)
-        with pytest.raises(ValueError, match=r"one dimension, got shapes \[\]"):
-            estimate([], final[:0])
-        with pytest.raises(ValueError, match=r"shape \(3,\), not one row of 3 per ensemble"):
-            estimate([gibbs, gibbs], spec.eigenvalues)
-        with pytest.raises(ValueError, match=r"shape \(1, 3\)"):
-            estimate([gibbs, gibbs], final[:1])
+    def test_final_energies_have_the_ensembles_shape(self):
+        # a run's final energies broadcast against its levels nowhere: one level for
+        # four, or two rows for one run, is an error, as is a stack's wrong row count
+        gibbs = thermal_state(harmonic_hamiltonian(1.0, 4), 1.0)
+        with pytest.raises(ValueError, match=r"final energies have shape \(1,\), not \(4,\)"):
+            estimate(gibbs, np.array([2.0]))
+        with pytest.raises(ValueError, match=r"shape \(2, 4\), not \(4,\)"):
+            estimate(gibbs, np.outer([1.0, 1.2], gibbs.energies))
+        with pytest.raises(ValueError, match=r"shape \(2, 4\), not \(4,\)"):
+            estimate(gibbs, np.outer([1.0, 1.2], gibbs.energies), np.eye(4))
+        stack = stack_of([gibbs, gibbs])
+        with pytest.raises(ValueError, match=r"shape \(4,\), not \(2, 4\)"):
+            estimate(stack, gibbs.energies)
+        with pytest.raises(ValueError, match=r"shape \(1, 4\), not \(2, 4\)"):
+            estimate(stack, gibbs.energies[None])
 
 
 def random_kraus_channel(dim, rng):
@@ -708,7 +721,7 @@ class TestCharacteristicFunction:
         ensembles = [thermal_state(spec0, beta) for beta, _ in runs]
         finals = np.array([alpha * spec0.eigenvalues for _, alpha in runs])
         channel = identity_channel(dim)
-        stacked = estimate(ensembles, finals)
+        stacked = estimate(stack_of(ensembles), finals)
         for i, ((beta, alpha), gibbs, final) in enumerate(zip(runs, ensembles, finals)):
             spec_f = spec0.scaled(alpha)
             alone = estimate(gibbs, final)
@@ -749,6 +762,47 @@ class TestCharacteristicFunction:
         else:
             case = self.flat_case(4, 5, kind)
         assert self.mismatch(*case) > 1e-6
+
+
+class TestDrivenFirstMoment:
+    """<W> of a driven run against its first-moment oracle.
+
+    Both final bases measure H_f = alpha_final H_last after the propagator U,
+    so the mean work is Tr[rho U^dag H_f U] - Tr[rho H_0]: one matrix
+    product each, from the segments' matrices, numpy's ``eigh`` of H_0 and
+    Gibbs weights summed here, without atoms, transition matrix or merge.
+    """
+
+    @staticmethod
+    def oracle(hams, beta, u, alpha_final):
+        energies, basis = np.linalg.eigh(hams[0])
+        weights = np.exp(-beta * (energies - energies[0]))
+        rho = (basis * (weights / weights.sum())) @ basis.conj().T
+        h_f = alpha_final * hams[-1]
+        return float(np.real(np.trace(rho @ u.conj().T @ h_f @ u) - np.trace(rho @ hams[0])))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 6),
+        segments=st.integers(1, 4),
+        steps=st.integers(1, 2000),
+        seed=st.integers(0, 2**32 - 1),
+        final_basis=st.sampled_from(FINAL_BASES),
+    )
+    def test_mean_work_is_the_first_moment(self, dim, segments, steps, seed, final_basis):
+        rng = np.random.default_rng(seed)
+        w = uniform_gravity_worldline(
+            float(rng.uniform(-0.03, 0.03)), 10.0, samples=101, p=float(rng.uniform(0.0, 0.3))
+        )
+        prof = dilation_profile(w)
+        hams = [random_hermitian(dim, rng).matrix for _ in range(segments)]
+        cuts = np.sort(rng.uniform(0.05, 0.95, segments - 1)) * prof.tau_total
+        bounds = [*cuts.tolist(), prof.tau_total]
+        sched = PropagatorSchedule(list(zip(bounds, map(HermitianOperator, hams))), prof, steps)
+        beta = float(rng.uniform(0.1, 3.0))
+        report = run_protocol(AppendixRun("moment", beta, sched, final_basis=final_basis))
+        expected = self.oracle(hams, beta, time_ordered_propagator(sched), prof.alpha_final)
+        assert abs(report.mean_work - expected) <= 1e-13 * max(1.0, abs(expected))
 
 
 class TestDilatedDistribution:
@@ -803,7 +857,7 @@ class TestDilatedIdentityProperty:
         for _ in range(50):
             dim = int(rng.integers(2, 9))
             spec = spectral_decompose(random_hermitian(dim, rng))
-            spec = spec.shifted(-spec.eigenvalues[0])
+            spec = ground_at_zero(spec)
             for alpha in (0.5, 1.5):
                 for beta in (0.5, 2.0):
                     est = dilated(spec, alpha, beta)

@@ -1,4 +1,3 @@
-import io
 import re
 
 import numpy as np
@@ -100,26 +99,33 @@ class TestWorldline:
         with pytest.raises(ValueError, match="strictly increasing"):
             Worldline([0.0, 0.0], [0.0, 0.0], [0.0, 0.0], 1.0)
 
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, tmp_path):
         w = uniform_gravity_worldline(0.01, 10.0, samples=5, p=0.3)
         rows = zip(w.t.tolist(), w.phi.tolist(), w.p.tolist())
-        text = "t,phi,p\n" + "".join(f"{t!r},{phi!r},{p!r}\n" for t, phi, p in rows)
-        again = Worldline.from_csv(io.StringIO(text), mass=1.0)
+        path = tmp_path / "w.csv"
+        path.write_text("t,phi,p\n" + "".join(f"{t!r},{phi!r},{p!r}\n" for t, phi, p in rows))
+        again = Worldline.from_csv(path, mass=1.0)
         assert np.array_equal(w.t, again.t)
         assert np.array_equal(w.phi, again.phi)
         assert np.array_equal(w.p, again.p)
 
-    def test_csv_rejects_bad_header(self):
+    @staticmethod
+    def csv_file(tmp_path, text):
+        path = tmp_path / "w.csv"
+        path.write_text(text)
+        return path
+
+    def test_csv_rejects_bad_header(self, tmp_path):
         with pytest.raises(ValueError, match="header"):
-            Worldline.from_csv(io.StringIO("time,phi,p\n0,0,0\n1,0,0\n"), mass=1.0)
+            Worldline.from_csv(self.csv_file(tmp_path, "time,phi,p\n0,0,0\n1,0,0\n"), mass=1.0)
 
-    def test_csv_rejects_rows_that_are_not_triples(self):
+    def test_csv_rejects_rows_that_are_not_triples(self, tmp_path):
         with pytest.raises(ValueError, match="worldline CSV rows must have exactly 3 columns"):
-            Worldline.from_csv(io.StringIO("t,phi,p\n0,0\n1,0\n"), mass=1.0)
+            Worldline.from_csv(self.csv_file(tmp_path, "t,phi,p\n0,0\n1,0\n"), mass=1.0)
 
-    def test_csv_rejects_non_numeric(self):
+    def test_csv_rejects_non_numeric(self, tmp_path):
         with pytest.raises(ValueError, match="non-numeric"):
-            Worldline.from_csv(io.StringIO("t,phi,p\n0,0,0\n1,x,0\n"), mass=1.0)
+            Worldline.from_csv(self.csv_file(tmp_path, "t,phi,p\n0,0,0\n1,x,0\n"), mass=1.0)
 
     @pytest.mark.parametrize(
         "build",

@@ -126,10 +126,15 @@ class TestThermalState:
     )
     def test_beta_times_energy_at_the_float_maximum(self, values, beta):
         # just below the maximum is accepted; one step of beta above overflows
-        spec = spectrum_of(values)
+        # a stack draws the line where its runs do
+        spec, above = spectrum_of(values), math.nextafter(beta, math.inf)
         assert np.isfinite(thermal_state(spec, beta).log_z)
+        stack = ThermalEnsemble(np.array([1.0, beta]), [[0.0, 1.0], values])
+        assert np.isfinite(stack.log_z).all()
         with pytest.raises(ValueError, match=r"beta \* energy overflows a float: beta="):
-            thermal_state(spec, math.nextafter(beta, math.inf))
+            thermal_state(spec, above)
+        with pytest.raises(ValueError, match=r"beta \* energy overflows a float: beta="):
+            ThermalEnsemble(np.array([1.0, above]), [[0.0, 1.0], values])
 
     def test_mean_energy_decreases_with_beta(self):
         h = harmonic_hamiltonian(1.0, 30)
@@ -203,8 +208,111 @@ class TestFreeEnergyDifference:
             free_energy_difference(spec, 1.2, beta=-1.0)
 
 
-def test_thermal_ensemble_accepts_spectrum_directly():
+def test_thermal_ensemble_takes_energies():
     spec = spectrum_of([0.0, 1.0])
-    a = ThermalEnsemble(2.0, spec)
+    a = ThermalEnsemble(2.0, spec.eigenvalues)
     b = thermal_state(spec, 2.0)
     assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a.energies, spec.eigenvalues)
+
+
+def one_run(gibbs):
+    """Every number of a run's ensemble, exactly."""
+    assert type(gibbs.beta) is float and type(gibbs.log_z) is float
+    return repr(gibbs.beta), repr(gibbs.log_z), gibbs.probs.tobytes(), gibbs.energies.tobytes()
+
+
+class TestStackedEnsemble:
+    """r betas and an (r, d) array of energies: row i is run i's ensemble alone."""
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 40, 129])
+    def test_each_row_is_its_run_alone(self, d):
+        # short rows sum in order and long ones pairwise, as a run alone does
+        rng = np.random.default_rng(d)
+        specs = [spectrum_of(np.sort(rng.normal(scale=s, size=d))) for s in (0.1, 1.0, 30.0)]
+        betas = rng.uniform(0.05, 5.0, size=7)
+        rows = [specs[i % 3] for i in range(7)]
+        stack = ThermalEnsemble(betas, [spec.eigenvalues for spec in rows])
+        for i, (spec, beta) in enumerate(zip(rows, betas)):
+            row = repr(float(stack.beta[i])), repr(float(stack.log_z[i]))
+            row += stack.probs[i].tobytes(), stack.energies[i].tobytes()
+            assert row == one_run(thermal_state(spec, float(beta)))
+
+    def test_fields_are_read_only_arrays_and_the_inputs_are_not(self):
+        betas, energies = np.array([1.0, 2.0]), np.array([[0.0, 1.0], [0.5, 3.0]])
+        stack = ThermalEnsemble(betas, energies)
+        for field in (stack.beta, stack.energies, stack.probs, stack.log_z):
+            assert type(field) is np.ndarray and field.dtype == np.float64
+            assert len(field) == 2 and not field.flags.writeable
+        assert betas.flags.writeable and energies.flags.writeable
+        energies[0, 1] = 5.0  # the ensemble holds a copy
+        assert stack.energies[0, 1] == 1.0
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    @pytest.mark.parametrize("row", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "value, message",
+        [(0.0, r"positive, got 0\.0"), (-2.0, r"positive, got -2\.0"),
+         (math.nan, "a finite number, got nan"), (math.inf, "a finite number, got inf")],
+    )
+    def test_a_bad_beta_in_any_row_fails_with_the_rules_words(
+        self, container, row, value, message
+    ):
+        betas = [1.0, 0.5, 2.0]
+        betas[row] = value
+        with pytest.raises(ValueError, match=f"^beta must be {message}$"):
+            ThermalEnsemble(container(betas), np.zeros((3, 2)))
+
+    def test_betas_that_are_not_real_numbers_fail_with_the_rules_words(self):
+        with pytest.raises(ValueError, match="^beta must be a finite number, got True$"):
+            ThermalEnsemble(np.array([True, True]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="^beta must be a finite number, got True$"):
+            ThermalEnsemble([1.0, True], np.zeros((2, 2)))  # numpy would make it 1.0
+        with pytest.raises(ValueError, match=r"^beta must be positive, got -1\.0$"):
+            ThermalEnsemble(np.array([1.0, -1.0], dtype=object), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("container", [list, np.array])
+    def test_the_first_overflowing_row_gets_its_runs_message(self, container):
+        # rows 1 and 2 overflow; row 1 is named, word for word as its run alone
+        values = [[0.0, 1.0], [-1.0, 1e10], [0.0, 0.5 * MAX]]
+        betas = [3.0, 1e300, 2.5]
+        with pytest.raises(ValueError) as alone:
+            thermal_state(spectrum_of(values[1]), betas[1])
+        with pytest.raises(ValueError) as stacked:
+            ThermalEnsemble(container(betas), values)
+        assert str(stacked.value) == str(alone.value) == (
+            "beta * energy overflows a float: beta=1e+300, energies -1.0 to 10000000000.0"
+        )
+
+    def test_an_empty_stack_raises(self):
+        with pytest.raises(ValueError, match=r"got \(0, 3\)"):
+            ThermalEnsemble([], np.zeros((0, 3)))
+        with pytest.raises(ValueError, match=r"got \(2, 0\)"):
+            ThermalEnsemble([1.0, 2.0], np.zeros((2, 0)))
+        with pytest.raises(ValueError, match=r"got \(0,\)"):
+            ThermalEnsemble(1.0, [])
+
+    def test_rows_of_two_dimensions_raise(self):
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            ThermalEnsemble([1.0, 2.0], [[0.0, 1.0, 2.0], [0.0, 1.0]])
+
+    def test_a_beta_for_each_row(self):
+        with pytest.raises(ValueError, match=r"2 rows of energies need one beta each: \(3,\)"):
+            ThermalEnsemble([1.0, 2.0, 3.0], np.zeros((2, 4)))
+        with pytest.raises(ValueError, match=r"2 rows of energies need one beta each: \(\)"):
+            ThermalEnsemble(1.0, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            ThermalEnsemble([1.0, 2.0], np.zeros(4))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize(
+        "levels",
+        [[0.0, math.nan, 1.0], [0.0, 1.0, math.inf], [-math.inf, 0.0, 1.0],
+         [0.0, -math.inf, 1.0], [0.5, 0.0, 1.0]],
+    )
+    def test_energies_are_finite_with_the_least_first(self, stacked, levels):
+        with pytest.raises(ValueError, match="^energies must be finite with the least first$"):
+            if stacked:
+                ThermalEnsemble(np.array([1.0, 2.0]), [[0.0, 1.0, 2.0], levels])
+            else:
+                ThermalEnsemble(1.0, levels)
