@@ -158,7 +158,13 @@ def cmd_sweep(args) -> int:
     points = []
     for value in values:
         label = f"{param}={value}"
-        points.append((label, _labelled(label, _sweep_config, base, param, value)))
+        config = _labelled(label, _sweep_config, base, param, value)
+        # a row's scenario_id shows its value to 9 digits, so points may share
+        # one; the values are sorted, so such points are neighbours
+        if points and points[-1][1].scenario_id == config.scenario_id:
+            first, sid = points[-1][0], config.scenario_id
+            raise ValueError(f"sweep points {first} and {label} both have scenario_id {sid!r}")
+        points.append((label, config))
     return _run_points(args, points, f"sweep_{param}")
 
 

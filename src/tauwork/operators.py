@@ -160,14 +160,7 @@ class Spectrum:
         vecs = np.array(eigenvectors, dtype=complex)
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
             raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        if not np.isfinite(vecs).all():
-            raise ValueError("spectrum contains non-finite entries")
-        _check_eigenvalues(evals)
-        gram = vecs.conj().T @ vecs
-        dev = np.max(np.abs(gram - np.eye(evals.size)))
-        if dev > ORTHONORMALITY_ATOL:
-            raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
-        vecs.flags.writeable = False
+        _check_spectrum(evals, vecs)
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", vecs)
 
@@ -189,18 +182,25 @@ class Spectrum:
         # an overflow to inf is rejected by the eigenvalue check
         with np.errstate(over="ignore"):
             evals = factor * self.eigenvalues
-        _check_eigenvalues(evals)
+        _check_spectrum(evals)
         spec = object.__new__(Spectrum)
         vars(spec).update(eigenvalues=evals, eigenvectors=self.eigenvectors)
         return spec
 
 
-def _check_eigenvalues(evals: np.ndarray) -> None:
-    """Raise unless ``evals`` are finite and ascending; then make them read-only."""
-    if not np.isfinite(evals).all():
+def _check_spectrum(evals: np.ndarray, vecs: np.ndarray | None = None) -> None:
+    """Raise unless ``evals`` are finite and ascending and the columns of ``vecs``,
+    when given, finite and orthonormal; then make both read-only. It works on the
+    last axes, so a stack of eigensystems is checked as one spectrum is."""
+    if not np.isfinite(evals).all() or (vecs is not None and not np.isfinite(vecs).all()):
         raise ValueError("spectrum contains non-finite entries")
-    if ((evals[1:] - evals[:-1]) < 0).any():
+    if ((evals[..., 1:] - evals[..., :-1]) < 0).any():
         raise ValueError("eigenvalues must be sorted ascending")
+    if vecs is not None:
+        dev = np.max(np.abs(vecs.mT.conj() @ vecs - np.eye(evals.shape[-1])))
+        if dev > ORTHONORMALITY_ATOL:
+            raise ValueError(f"eigenvectors not orthonormal: deviation {dev:.3e}")
+        vecs.flags.writeable = False
     evals.flags.writeable = False
 
 
@@ -258,6 +258,20 @@ def spectral_decompose(h: HermitianOperator) -> Spectrum:
     evals, vecs = np.linalg.eigh(h.matrix)
     vecs = _fix_degenerate_clusters(evals, vecs)
     return Spectrum(evals, vecs)
+
+
+def stacked_eigenvalues(hs: list[HermitianOperator]) -> np.ndarray:
+    """The (r, d) eigenvalues of r operators of one dimension d, from one ``eigh`` call.
+
+    Row i is bit for bit ``spectral_decompose(hs[i]).eigenvalues`` and passes a
+    ``Spectrum``'s check. The degenerate-cluster fix is skipped: it only picks
+    the eigenvectors inside a cluster, and only eigenvalues are returned."""
+    shapes = sorted({h.matrix.shape for h in hs})
+    if len(shapes) != 1:
+        raise ValueError(f"a stack needs operators of one shape, got shapes {shapes}")
+    evals, vecs = np.linalg.eigh(np.stack([h.matrix for h in hs]))
+    _check_spectrum(evals, vecs)
+    return evals
 
 
 def _as_spectrum(h: HermitianOperator | Spectrum) -> Spectrum:

@@ -2,7 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tauwork import acceptance
 from tauwork.channels import (
     PropagatorSchedule,
     QuantumChannel,
@@ -28,11 +31,22 @@ from tauwork.spacetime import (
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI = np.array([SIGMA_X, [[0.0, -1j], [1j, 0.0]], [[1.0, 0.0], [0.0, -1.0]]])
 
 
 def propagator(h, tau):
     """Closed-form e^(-i H tau) through the eigenbasis."""
     return spectrum_expm(spectral_decompose(h), -1j * tau)
+
+
+def closed_form_propagator(h, tau):
+    """e^(-i H tau) of a 2x2 Hermitian H = a0 + r n.sigma with |n| = 1, as
+    e^(-i a0 tau) (cos(r tau) - i sin(r tau) n.sigma)."""
+    a0 = np.trace(h).real / 2
+    a = np.einsum("ij,kji->k", h, PAULI).real / 2  # Tr(H sigma_k) / 2
+    r = np.linalg.norm(a)
+    n_sigma = np.tensordot(a / r, PAULI, 1)
+    return np.exp(-1j * a0 * tau) * (np.cos(r * tau) * np.eye(2) - 1j * np.sin(r * tau) * n_sigma)
 
 
 def ramp_profile():
@@ -360,6 +374,39 @@ class TestTimeOrderedPropagator:
                 assert np.array_equal(
                     time_ordered_propagator(sched), array_grouped_propagator(sched)
                 ), (case, steps)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), theta=st.floats(1e-3, np.pi), steps=st.integers(1, 1000))
+    def test_two_level_segment_is_the_closed_form(self, seed, theta, steps):
+        # exp(-i theta n.sigma) = cos(theta) - i sin(theta) n.sigma for a unit vector n;
+        # theta in (0, pi] and n on the sphere reach every 2x2 unitary of determinant 1
+        n = np.random.default_rng(seed).normal(size=3)
+        h = HermitianOperator(np.tensordot(n / np.linalg.norm(n), PAULI, 1))
+        exact = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * h.matrix
+        by_spectrum = spectrum_expm(spectral_decompose(h), -1j * theta)
+        # tau = t along a comoving clock, so the one segment lasts theta
+        prof = dilation_profile(comoving_worldline(theta))
+        by_schedule = time_ordered_propagator(PropagatorSchedule.constant(h, prof, steps))
+        assert np.max(np.abs(by_spectrum - exact)) < 1e-14
+        assert np.max(np.abs(by_schedule - exact)) < 1e-14
+
+    @pytest.mark.parametrize("steps", [1, 10, 1000, 100_000])
+    def test_slicing_error_obeys_the_straddle_bound(self, steps):
+        # criterion 8's drive: the slice that straddles an interior bound spends at
+        # most half its duration under the neighbouring generator, so
+        # ||U_steps - U_exact|| <= sum_k ||H_k - H_k+1|| max dtau / 2
+        hams = acceptance._two_level_schedule_segments()
+        prof = acceptance._ramp_profile()
+        total = prof.tau_total
+        fracs = sorted([1 / np.sqrt(7), 1 / np.sqrt(3), 1 / np.sqrt(2), 1 / np.sqrt(1.44)])
+        bounds = [f * total for f in fracs] + [total]
+        u = time_ordered_propagator(PropagatorSchedule(list(zip(bounds, hams)), prof, steps))
+        exact = np.eye(2)
+        for h, d_tau in zip(hams, np.diff(np.minimum(bounds, total), prepend=0.0)):
+            exact = closed_form_propagator(h.matrix, d_tau) @ exact
+        edges = np.interp(np.linspace(prof.t[0], prof.t[-1], steps + 1), prof.t, prof.tau)
+        jumps = sum(np.linalg.norm(a.matrix - b.matrix, 2) for a, b in zip(hams, hams[1:]))
+        assert np.linalg.norm(u - exact, 2) <= jumps * np.max(np.diff(edges)) / 2
 
     def test_peak_allocation_does_not_grow_with_steps(self):
         # the slice edges are evaluated one at a time: an array of 320,001

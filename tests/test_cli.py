@@ -577,6 +577,23 @@ class TestOutputConfinement:
         assert str(first) in err and str(second) in err and "'same'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, second", [("beta=1:1:3", "1.0"), ("beta=1:1.000000001:3", "1.0000000005")]
+    )
+    def test_sweep_points_with_one_label_exit_2_name_both_values(
+        self, tmp_path, capsys, spec, second
+    ):
+        # a row's scenario_id shows the value to 9 digits, so these points share one
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(write_scenario(tmp_path)), "--sweep", spec]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: sweep points beta=1.0 and beta={second} both have scenario_id 'osc@beta=1'\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_every_file_validated_before_any_runs(self, tmp_path):
         good = write_scenario(tmp_path, name="good.json")
         bad = write_scenario(tmp_path, name="bad.json", scenario_id="bad", beta=-1.0)

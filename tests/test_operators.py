@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauwork.acceptance import SEED
 from tauwork.channels import unitary_channel
 from tauwork.operators import (
     HermitianOperator,
@@ -15,6 +18,7 @@ from tauwork.operators import (
     require,
     spectral_decompose,
     spectrum_expm,
+    stacked_eigenvalues,
 )
 from tauwork.scenarios import harmonic_hamiltonian
 
@@ -182,6 +186,55 @@ class TestSpectralDecompose:
             Spectrum([1.0, 0.0], np.eye(2))
         with pytest.raises(ValueError, match="orthonormal"):
             Spectrum([0.0, 1.0], [[1, 1], [0, 0]])
+
+
+class TestStackedEigenvalues:
+    @pytest.mark.parametrize("seed", [SEED, SEED + 2])
+    def test_rows_are_each_decomposition_bit_for_bit(self, seed):
+        # the random grids' 200 draws, stacked by dimension as the grids stack them
+        rng = np.random.default_rng(seed)
+        by_dim = {}
+        for _ in range(200):
+            dim = int(rng.integers(2, 9))
+            by_dim.setdefault(dim, []).append(random_hermitian(dim, rng))
+        assert sum(map(len, by_dim.values())) == 200
+        for dim, systems in by_dim.items():
+            levels = stacked_eigenvalues(systems)
+            assert levels.shape == (len(systems), dim) and not levels.flags.writeable
+            for row, h in zip(levels, systems):
+                assert row.tobytes() == spectral_decompose(h).eigenvalues.tobytes()
+
+    @pytest.mark.parametrize(
+        "dims, shapes", [((2, 3, 2), "[(2, 2), (3, 3)]"), ((), "[]")], ids=["mixed", "empty"]
+    )
+    def test_a_stack_needs_one_dimension(self, dims, shapes):
+        systems = [random_hermitian(dim, dim) for dim in dims]
+        with pytest.raises(ValueError, match=re.escape(f"one shape, got shapes {shapes}")):
+            stacked_eigenvalues(systems)
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda evals, vecs: evals.__setitem__((1, 2), np.nan), "non-finite"),
+            (lambda evals, vecs: vecs.__setitem__((2, 0, 1), np.inf), "non-finite"),
+            (lambda evals, vecs: evals.__setitem__(2, evals[2, ::-1].copy()), "ascending"),
+            (lambda evals, vecs: vecs.__setitem__((1, slice(None), 0), 1.001 * vecs[1, :, 0]),
+             "orthonormal"),
+        ],
+        ids=["nan eigenvalue", "inf eigenvector", "descending", "not orthonormal"],
+    )
+    def test_the_spectrum_check_guards_every_row(self, corrupt, message, monkeypatch):
+        # a LAPACK result that a Spectrum would reject, in one row of the stack
+        eigh = np.linalg.eigh
+
+        def broken(stack):
+            evals, vecs = eigh(stack)
+            corrupt(evals, vecs)
+            return evals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        with pytest.raises(ValueError, match=message):
+            stacked_eigenvalues([random_hermitian(4, seed) for seed in range(3)])
 
 
 class TestScaled:

@@ -43,7 +43,12 @@ from tauwork.protocol import (
     work_distribution_dilated,
 )
 from tauwork.scenarios import harmonic_hamiltonian, two_level_hamiltonian
-from tauwork.spacetime import comoving_worldline, dilation_profile, uniform_gravity_worldline
+from tauwork.spacetime import (
+    DilationProfile,
+    comoving_worldline,
+    dilation_profile,
+    uniform_gravity_worldline,
+)
 from tauwork.thermo import ThermalEnsemble, thermal_state
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -1184,6 +1189,36 @@ class TestFrameInvariance:
                 assert turned[column] == pytest.approx(value, rel=1e-9, abs=tol), column
             else:
                 assert turned[column] == value, column
+
+
+class TestFlatIsDilated:
+    """A flat run with the identity channel and H_f = alpha H_0 is a dilated run."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        alpha=st.floats(0.5, 2.0),
+        beta=st.floats(0.3, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_estimator_column_agrees(self, dim, alpha, beta, seed):
+        h0 = random_hermitian(dim, seed)
+        spec = spectral_decompose(h0)
+        final = HermitianOperator(alpha * h0.matrix)
+        flat = run_protocol(FlatRun("f", beta, h0, final, identity_channel(dim)))
+        profile = DilationProfile([0.0, 1.0], [1.0, alpha], [0.0, 0.5 * (1.0 + alpha)])
+        dilated = run_protocol(DilatedRun("d", beta, spec, profile))
+        # H_f is decomposed on its own, so its levels differ from alpha E_n by a
+        # rounding of the energy scale: <W> and dF (as small as that near alpha = 1)
+        # agree to 1e-13 of it, and lhs and rhs, exponentials of beta times such
+        # energies, to 1e-13 relative times max(1, beta * energy)
+        energy = max(1.0, alpha) * float(np.max(np.abs(spec.eigenvalues)))
+        size = max(abs(flat.lhs), abs(flat.rhs)) * max(1.0, beta * energy)
+        scales = dict(mean_work=energy, delta_F=energy, entropy_production=beta * energy)
+        assert flat.beta == dilated.beta
+        for column, scale in dict(scales, lhs=size, rhs=size, residual=size).items():
+            a, b = getattr(flat, column), getattr(dilated, column)
+            assert abs(a - b) <= 1e-13 * max(abs(a), abs(b), scale), column
 
 
 LABELS = dict(
