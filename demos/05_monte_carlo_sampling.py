@@ -20,7 +20,7 @@ from tauwork import (
 beta, alpha = 2.0, 1.2
 spec = harmonic_hamiltonian(1.0, 40)
 est = estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
-wd, exact = est.atoms, est.lhs
+wd, exact = est.atoms.row(), est.lhs  # sampling draws from the merged atoms
 
 print(f"oscillator, beta*omega = 2, alpha = {alpha}: {wd.size} work atoms")
 print(f"exact <e^-bW> = {exact:.12f}")

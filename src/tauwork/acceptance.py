@@ -6,10 +6,12 @@ verify`` and the test suite. The numbers come from the code the CLI runs:
 ``protocol.run_protocol`` or its estimator tail ``protocol.estimate``. Per
 dimension, the random grids decompose their systems in one ``eigh`` call and
 call the tail once, for a stack of 15 runs per system, and get one column per
-estimator, entry i bit for bit run i alone. Criterion 9 compares its draws as
-bytes. Each criterion folds its values with numpy, which keeps a nan that
-Python's ``max`` and ``min`` drop. Tolerances are fixed here, each in its check, not
-configurable: they encode what "machine precision" means for each identity.
+estimator, entry i bit for bit run i alone. The estimators are sums over each
+run's sorted, unmerged atoms; criterion 9 draws from the merged atoms of
+``atoms.row()`` and compares its draws as bytes. Each criterion folds its
+values with numpy, which keeps a nan that Python's ``max`` and ``min`` drop.
+Tolerances are fixed here, each in its check, not configurable: they encode
+what "machine precision" means for each identity.
 """
 
 from __future__ import annotations
@@ -336,7 +338,7 @@ def criterion_monte_carlo() -> list[Check]:
     beta = 2.0
     spec = scenarios.harmonic_hamiltonian(1.0, 40)
     est = _dilated(thermo.thermal_state(spec, beta), 1.2)
-    wd = est.atoms
+    wd = est.atoms.row()
     n = 100_000
     draws = protocol.sample_outcomes(wd, n, seed=SEED)
     weights = np.exp(-beta * draws)

@@ -211,6 +211,12 @@ def main(argv=None) -> int:
     if args.command == "verify":
         return cmd_verify(quiet=args.quiet)
     try:
+        # checked once, before any file is read: a pipeline without steps ignores a valid one
+        if args.steps is not None:
+            try:
+                require(steps=args.steps)
+            except ValueError as exc:
+                raise ValueError(f"--steps: {str(exc).removeprefix('steps ')}") from None
         return cmd_run(args) if args.command == "run" else cmd_sweep(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

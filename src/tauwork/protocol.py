@@ -18,8 +18,10 @@ tail that turns those into work atoms and estimators:
   laboratory-frame Hamiltonian.
 
 Work distributions are exact discrete atom lists, so every estimator is a
-finite sum; Monte Carlo sampling is provided as a front-end for the exact
-distribution, not as the primary estimator.
+finite sum over the joint weights p_m T_nm, sorted by work value. Atoms
+within the merge tolerance of each other are merged only when asked, for
+showing or sampling the distribution; Monte Carlo sampling is provided as a
+front-end for the exact distribution, not as the primary estimator.
 """
 
 from __future__ import annotations
@@ -70,41 +72,36 @@ class WorkDistribution:
     def size(self) -> int:
         return self.values.size
 
-    def mean(self) -> float:
-        # ndarray.dot is the BLAS product of ``values @ probs``, bit for bit, and cheaper to call
-        return float(self.values.dot(self.probs))
-
 
 class WorkRows(NamedTuple):
-    """The work atoms of one run, or of a stack of runs.
+    """The work atoms of one run, or of a stack of runs, before any merge.
 
     ``values`` and ``probs`` are the atoms sorted by value, read-only, one row
-    per run (1-D for one run), before any merge; ``merge_tol`` is each row's
-    tolerance. ``merged`` holds the runs whose atoms merged or lost empty ones
-    as blocks ``(runs, values, probs)`` of one atom count, a list of run
-    indices and a row per run (one run that merged is the block of run 0).
+    per run (1-D for one run), with rounding-level negative weights set to 0;
+    ``merge_tol`` is each row's tolerance. The estimators sum these rows, in
+    which a zero weight adds nothing. ``row(i)`` merges run i's atoms.
     """
 
     values: np.ndarray
     probs: np.ndarray
     merge_tol: float | np.ndarray
-    merged: list[tuple]
 
     @property
     def size(self) -> int:
-        """Atoms kept, summed over the runs."""
-        n = self.values.shape[-1]
-        return self.values.size + sum(v.size - len(runs) * n for runs, v, _ in self.merged)
+        """Atoms kept by the merge, summed over the runs."""
+        runs = len(self.values) if self.values.ndim == 2 else 1
+        return sum(self.row(i).size for i in range(runs))
 
     def row(self, i: int = 0) -> WorkDistribution:
-        """The atoms of run ``i``; a negative i counts from the end, as in the columns."""
+        """The merged atoms of run ``i``; a negative i counts from the end, as in the columns."""
         v, p, tol = self.values, self.probs, self.merge_tol
         if v.ndim == 2:
             i = range(len(v))[i]
             v, p, tol = v[i], p[i], float(tol[i])
-        for runs, values, probs in self.merged:
-            if i in runs:
-                v, p = values[runs.index(i)], probs[runs.index(i)]
+        # atoms that need no merge come back with their own bits
+        v, p = _merge_atoms(v, p, v[1:] - v[:-1] >= tol)
+        v, p = v[p > 0.0], p[p > 0.0]
+        v.flags.writeable = p.flags.writeable = False
         wd = object.__new__(WorkDistribution)
         vars(wd).update(values=v, probs=p, merge_tol=tol)
         return wd
@@ -135,22 +132,18 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
     """Work atoms of each row of ``values`` and ``probs``: shape (n,) for one
     run, (r, n) for a stack of r.
 
-    Each row is checked, sorted and merged as ``WorkDistribution`` does it
-    alone. A stack runs the sort, the checks and the gap test as arrays, and
-    only its first bad row goes through ``_spread``, which raises that row's
-    own error. The rows with a gap below their tolerance or a weight <= 0
-    merge in one flat pass. The caller holds ``np.errstate(over="ignore",
-    invalid="ignore")``: a bad row's sum may overflow or be nan.
+    Each row is sorted and checked as ``WorkDistribution`` checks it alone. A
+    stack runs the sort and the checks as arrays, and only its first bad row
+    goes through ``_spread``, which raises that row's own error. The caller
+    holds ``np.errstate(over="ignore", invalid="ignore")``: a bad row's sum
+    may overflow or be nan.
     """
     order = values.argsort(axis=-1, kind="stable")
     lows = np.minimum.reduce(probs, -1)
     totals = np.add.reduce(probs, -1)
-    if one := values.ndim == 1:  # one run keeps its 1-D arrays and its Python floats
+    if values.ndim == 1:  # one run keeps its 1-D arrays and its Python floats
         values, probs = values[order], probs[order]
         tol = MERGE_REL_TOL * max(1.0, _spread(values, probs, lows, totals))
-        split = values[1:] - values[:-1] >= tol
-        # count_nonzero of a bool array skips the reduction machinery of all()
-        merged = [] if np.count_nonzero(split) == split.size and lows > 0.0 else [0]
     else:
         rows = np.arange(len(values))[:, None]
         values, probs = values[rows, order], probs[rows, order]
@@ -162,73 +155,32 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
             _spread(*(column[ok.argmin()] for column in (values, probs, lows, totals)))
         tol = MERGE_REL_TOL * np.maximum(1.0, spread)
         tol.setflags(write=False)
-        split = values[:, 1:] - values[:, :-1] >= tol[:, None]
-        merged = np.flatnonzero(~np.logical_and.reduce(split, -1) | (lows <= 0.0))
-    values.setflags(write=False)
-    probs.setflags(write=False)
-    if not len(merged):
-        return WorkRows(values, probs, tol, [])
-    # with every weight > 0 the clamp is the identity and no merged atom is empty;
-    # a clamped run keeps an atom, as its weights sum to about 1
-    if one:
-        v, p = _merge_atoms(values, np.maximum(probs, 0.0) if lows <= 0.0 else probs, split)
-        v, p = (v[p > 0.0], p[p > 0.0]) if lows <= 0.0 else (v, p)
-        groups = [([0], v[None], p[None])]
-    else:
-        clamp, p = np.logical_or.reduce(lows[merged] <= 0.0), probs[merged]
-        p = np.maximum(p, 0.0) if clamp else p
-        v, p, counts = _merge_atoms(values[merged], p, split[merged])
-        if clamp:
-            keep = p > 0.0
-            v, p = v[keep], p[keep]
-            counts = np.add.reduceat(keep, np.cumsum(counts) - counts, dtype=np.intp)
-        # one block of rows per atom count
-        starts, groups = np.cumsum(counts) - counts, []
-        for k in np.flatnonzero(np.bincount(counts)).tolist():
-            at = np.flatnonzero(counts == k)
-            take = starts[at, None] + np.arange(k)
-            groups.append((merged[at].tolist(), v[take], p[take]))
-    for _, v, p in groups:
-        v.setflags(write=False)
-        p.setflags(write=False)
-    return WorkRows(values, probs, tol, groups)
+    # with every weight > 0 the clamp is the identity
+    if not (lows > 0.0).all():
+        probs = np.maximum(probs, 0.0)
+    values.flags.writeable = probs.flags.writeable = False
+    return WorkRows(values, probs, tol)
 
 
 def _merge_atoms(values: np.ndarray, probs: np.ndarray, split: np.ndarray):
-    """Merge near-equal work values of atoms sorted by value in one pass.
+    """Merge near-equal work values of one run's atoms, sorted by value, in one pass.
 
     The rule: a new run starts after every gap that ``split`` marks, the gaps
     between consecutive values that are >= the merge tolerance. Each run of
     atoms becomes one atom carrying the run's total weight, at the run's
-    probability-weighted mean value (the plain mean if the weight is 0),
-    clipped into the run's value range so that rounding cannot close a gap.
-    When every gap is marked the atoms come back with their own values and
-    weights: a one-atom run keeps its weight, and its mean clipped into
-    ``[v, v]`` is ``v``.
-
-    One run, shape (n,), gives its ``(values, weights)``. A stack of k
-    runs, shape (k, n), merges as one flat array in which every row starts a
-    run, and gives the rows' atoms end to end with each row's atom count;
-    each row's atoms are what that row gives alone.
+    probability-weighted mean value, clipped into the run's value range so
+    that rounding cannot close a gap. An empty run, which the caller drops,
+    gets its weighted sum 0 clipped into that range. When every gap is marked
+    the atoms come back with their own values and weights: a one-atom run
+    keeps its weight, and its value clipped into ``[v, v]`` is ``v``. Gives
+    the merged ``(values, weights)``.
     """
-    one = values.ndim == 1
-    if one:  # each run ends where the next starts, the last at the end
-        edges = np.flatnonzero(np.concatenate(([True], split, [True])))
-    else:  # every row starts a run
-        start = np.concatenate((np.ones((len(values), 1), bool), split), 1)
-        values, probs = values.ravel(), probs.ravel()
-        edges = np.concatenate((np.flatnonzero(start), [values.size]))
+    # each run ends where the next starts, the last at the end
+    edges = np.flatnonzero(np.concatenate(([True], split, [True])))
     starts, ends = edges[:-1], edges[1:]
     weight = np.add.reduceat(probs, starts)
-    positive = weight > 0.0
-    merged = np.add.reduceat(values * probs, starts)
-    if np.count_nonzero(positive) == positive.size:
-        merged /= weight
-    else:
-        plain = np.add.reduceat(values, starts) / (ends - starts)
-        merged = np.where(positive, merged / np.where(positive, weight, 1.0), plain)
-    merged = np.minimum(np.maximum(merged, values[starts]), values[ends - 1])
-    return (merged, weight) if one else (merged, weight, np.count_nonzero(start, 1))
+    merged = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
+    return np.minimum(np.maximum(merged, values[starts]), values[ends - 1]), weight
 
 
 def conditional_probabilities(
@@ -288,7 +240,7 @@ def work_distribution_dilated(
     index and the work atoms are alpha * E_m - E_m with the thermal weights.
     """
     require(alpha_final=alpha_final)
-    return estimate(thermal_state(spec0, beta), alpha_final * spec0.eigenvalues).atoms
+    return estimate(thermal_state(spec0, beta), alpha_final * spec0.eigenvalues).atoms.row()
 
 
 def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
@@ -332,11 +284,12 @@ class Estimates:
     the work equality, as a run's floats or a stack's columns. A report row
     copies ``beta`` and every estimator column from here, so each formula
     below has one copy, for floats and columns alike. A stacked ensemble of r
-    runs gives read-only (r,) arrays, ``beta`` the ensemble's own, and its
-    ``WorkRows``; one run has its ``WorkDistribution``."""
+    runs gives read-only (r,) arrays, ``beta`` the ensemble's own. ``atoms``
+    is the ``WorkRows`` the estimators were summed over, 1-D for one run;
+    ``atoms.row(i)`` is run i's merged ``WorkDistribution``."""
 
     beta: float | np.ndarray
-    atoms: WorkDistribution | WorkRows
+    atoms: WorkRows
     mean_work: float | np.ndarray
     delta_f: float | np.ndarray
     lhs: float | np.ndarray
@@ -364,18 +317,21 @@ def estimate(
 
     From the initial Gibbs ensemble (energies, weights, ``beta``, partition
     sum), which serves any number of final energies, the final measured
-    energies and the transition matrix it builds the work atoms and their
-    mean, dF from the final energies and the ensemble's partition sum, the
-    exponential work average and the rhs with the non-unital ``correction``.
-    An overflow of either side gives inf, not a warning. ``transitions=None``
-    stands for the identity matrix: every trajectory keeps its level index,
-    so there are d atoms E_final[m] - E_initial[m] instead of d^2 mostly
-    empty ones. ``final_energies`` has the shape of the ensemble's energies.
+    energies and the transition matrix it builds the sorted work atoms, sums
+    their mean and the exponential work average over them unmerged (a zero
+    weight enters as log 0 = -inf and adds nothing), and takes dF from the
+    final energies and the ensemble's partition sum and the rhs with the
+    non-unital ``correction``. No atom is merged here. An overflow of either
+    side gives inf, not a warning. ``transitions=None`` stands for the
+    identity matrix: every trajectory keeps its level index, so there are d
+    atoms E_final[m] - E_initial[m] instead of d^2 mostly empty ones.
+    ``final_energies`` has the shape of the ensemble's energies.
 
     A stacked ensemble of r runs of dimension d, with final energies of shape
     (r, d), gives one ``Estimates`` of (r,) columns, entry i bit for bit what
-    run i gives alone and ``atoms.row(i)`` its atoms. Every numpy call runs
-    once per stack instead of once per run. One run gives floats.
+    run i gives alone and ``atoms.row(i)`` its merged atoms. Every numpy call
+    runs once per stack instead of once per run, with one formula for both
+    forms. One run gives floats.
     """
     initial, beta, log_z, probs = gibbs.energies, gibbs.beta, gibbs.log_z, gibbs.probs
     final = np.asarray(final_energies, dtype=float)
@@ -383,27 +339,21 @@ def estimate(
         raise ValueError(f"final energies have shape {final.shape}, not {initial.shape}")
     with np.errstate(all="ignore"):
         if transitions is None:
-            work = _work_rows(final - initial, probs)
+            atoms = _work_rows(final - initial, probs)
         else:
-            work = tpm_distribution(initial, probs, final, transitions)
+            atoms = tpm_distribution(initial, probs, final, transitions)
         delta_f = free_energy_difference_from_log_z(final, log_z, beta)
         rhs = generalized_jarzynski_rhs(delta_f, beta, correction)
-        if initial.ndim == 1:
-            atoms = work.row()
-            mean_work, delta_f = atoms.mean(), float(delta_f)
-            lhs = float(np.exp(_log_work_average(atoms.values, atoms.probs, beta)))
-        else:
-            # the sorted rows reduce together; a merged run's atoms are not its
-            # row, so those reduce again, one block per atom count. vecdot of C-
-            # contiguous rows has the bits of each row's ndarray.dot
-            atoms, mean_work = work, np.vecdot(work.values, work.probs)
-            log_lhs = _log_work_average(work.values, work.probs, beta[:, None])
-            for runs, values, weights in work.merged:
-                mean_work[runs] = np.vecdot(values, weights)
-                log_lhs[runs] = _log_work_average(values, weights, beta[runs, None])
-            lhs = np.exp(log_lhs)
-            for column in (mean_work, delta_f, lhs, rhs):
-                column.setflags(write=False)
+        # both sums run over the sorted rows; vecdot of C-contiguous rows has the
+        # bits of each row's ndarray.dot, which is cheaper to call for one run
+        one = initial.ndim == 1
+        mean_work = atoms.values.dot(atoms.probs) if one else np.vecdot(atoms.values, atoms.probs)
+        lhs = np.exp(_log_work_average(atoms.values, atoms.probs, beta if one else beta[:, None]))
+    if one:
+        mean_work, delta_f, lhs = float(mean_work), float(delta_f), float(lhs)
+    else:  # a stack's columns are read-only, as its atoms are
+        mean_work.flags.writeable = delta_f.flags.writeable = False
+        lhs.flags.writeable = rhs.flags.writeable = False
     # filled in place, as ``WorkRows.row`` fills a WorkDistribution: the frozen
     # dataclass's __init__ would set each field through object.__setattr__
     est = object.__new__(Estimates)
@@ -413,7 +363,7 @@ def estimate(
 
 def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:
     """n i.i.d. draws of the work variable; deterministic for a fixed seed."""
-    require(n=n)
+    require(n=n, seed=seed)
     rng = np.random.default_rng(seed)
     probs = wd.probs / wd.probs.sum()
     idx = rng.choice(wd.size, size=n, p=probs)

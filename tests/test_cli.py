@@ -683,6 +683,27 @@ class TestSweepValidation:
         assert main(argv) == 2
         assert "steps: must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "steps, message",
+        [("-5", "--steps: must be >= 1, got -5"),
+         (str(10**10), "--steps: must be <= 1000000000, got 10000000000")],
+    )
+    def test_invalid_steps_fail_for_every_pipeline(self, tmp_path, capsys, command, steps, message):
+        # a flat file has no steps to override, yet a bad --steps is still invalid input
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(FLAT))
+        out = tmp_path / "o"
+        argv = [command, "--scenario", str(path), "--out", str(out), "--steps", steps]
+        if command == "sweep":
+            argv += ["--sweep", "beta=1:2:2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        # a valid --steps on it is ignored
+        argv[argv.index(steps)] = "5"
+        assert main(argv + ["--quiet"]) == 0
+
     def test_steps_override_reaches_every_sweep_point(self, tmp_path):
         path = tmp_path / "drv.json"
         path.write_text(json.dumps(DRIVEN))

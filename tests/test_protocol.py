@@ -33,6 +33,7 @@ from tauwork.protocol import (
     FlatRun,
     ProtocolReport,
     WorkDistribution,
+    WorkRows,
     _merge_atoms,
     conditional_probabilities,
     estimate,
@@ -63,10 +64,20 @@ def ground_at_zero(spec):
     return Spectrum(spec.eigenvalues - spec.eigenvalues[0], spec.eigenvectors)
 
 
+def levels_of(kind, dim, rng):
+    """A random spectrum of ``dim`` levels: ``plain``; ``degenerate``, at most
+    four distinct integer levels, so atoms merge; or ``cold``, measured from the
+    ground level and scaled by 1e6, so most excited Gibbs weights are 0."""
+    spec = spectral_decompose(random_hermitian(dim, rng))
+    if kind == "degenerate":
+        return Spectrum(np.sort(rng.integers(-2, 2, dim)).astype(float), spec.eigenvectors)
+    return ground_at_zero(spec).scaled(1e6) if kind == "cold" else spec
+
+
 def flat_atoms(spec0, spec_f, channel, beta):
-    """The work atoms of the flat reduction that ``run_protocol`` makes."""
+    """The merged work atoms of the flat reduction that ``run_protocol`` makes."""
     trans = conditional_probabilities(spec0, spec_f, channel)
-    return estimate(thermal_state(spec0, beta), spec_f.eigenvalues, trans).atoms
+    return estimate(thermal_state(spec0, beta), spec_f.eigenvalues, trans).atoms.row()
 
 
 def dilated(spec, alpha, beta):
@@ -208,7 +219,7 @@ class TestWorkDistribution:
         values = [0.0, 1e-11, 2e-11, 1.0]
         probs = [0.2, 0.3, 0.1, 0.4]
         wd = WorkDistribution(values, probs)
-        assert wd.mean() == pytest.approx(float(np.dot(values, probs)), abs=1e-15)
+        assert wd.values @ wd.probs == pytest.approx(float(np.dot(values, probs)), abs=1e-15)
 
     def test_atoms_sorted_and_separated(self):
         rng = np.random.default_rng(3)
@@ -284,10 +295,8 @@ def reference_merge(values, probs, tol):
     starts = np.flatnonzero(np.concatenate(([True], np.diff(values) >= tol)))
     ends = np.append(starts[1:], values.size)
     weight = np.add.reduceat(probs, starts)
-    plain = np.add.reduceat(values, starts) / (ends - starts)
     weighted = np.add.reduceat(values * probs, starts) / np.where(weight > 0.0, weight, 1.0)
-    merged = np.where(weight > 0.0, weighted, plain)
-    return np.clip(merged, values[starts], values[ends - 1]), weight
+    return np.clip(weighted, values[starts], values[ends - 1]), weight
 
 
 def reference_atoms(values, probs, tol):
@@ -374,7 +383,9 @@ def reference_log_sum_exp(x):
 
 def reference_tail(spec0, beta, final_energies, transitions=None, correction=0.0):
     """The estimator tail the long way: the Gibbs ensemble rebuilt from the
-    spectrum, the atoms from ``reference_atoms`` and each estimator written out."""
+    spectrum, the merged atoms from ``reference_atoms`` and each estimator
+    written out as a sum over the sorted, unmerged atoms, every weight clamped
+    at 0 (a zero weight enters the lhs as log 0 = -inf)."""
     gibbs = thermal_state(spec0, beta)
     if transitions is None:
         values, probs = final_energies - spec0.eigenvalues, gibbs.probs
@@ -383,11 +394,12 @@ def reference_tail(spec0, beta, final_energies, transitions=None, correction=0.0
         probs = (transitions * gibbs.probs[None, :]).ravel()
     tol = protocol.MERGE_REL_TOL * max(1.0, float(values.max() - values.min()))
     atoms = reference_atoms(values, probs, tol)
+    values, probs = sorted_atoms(values, np.clip(probs, 0.0, None))
     delta_f = (gibbs.log_z - reference_log_sum_exp(-beta * final_energies)) / beta
-    with np.errstate(over="ignore"):
-        lhs = float(np.exp(reference_log_sum_exp(np.log(atoms[1]) - beta * atoms[0])))
+    with np.errstate(over="ignore", divide="ignore"):
+        lhs = float(np.exp(reference_log_sum_exp(np.log(probs) - beta * values)))
         rhs = float(np.exp(-beta * delta_f) * (1.0 + correction))
-    return atoms, delta_f, lhs, rhs, float(atoms[0] @ atoms[1])
+    return atoms, delta_f, lhs, rhs, float(values @ probs)
 
 
 class TestEstimateTail:
@@ -445,7 +457,8 @@ class TestEstimateTail:
             ref = reference_tail(spec0, beta, e, trans, correction)
             alone = estimate(gibbs, e, trans, correction)
             for est in (alone, run_of(stacked, i)):
-                assert_same_atoms((est.atoms.values, est.atoms.probs), ref[0])
+                merged = est.atoms.row()
+                assert_same_atoms((merged.values, merged.probs), ref[0])
                 got = (est.delta_f, est.lhs, est.rhs, est.mean_work)
                 assert [repr(x) for x in got] == [repr(x) for x in ref[1:]]
             assert bits(stacked, i) == bits(alone)
@@ -460,12 +473,15 @@ def stack_of(ensembles):
 
 
 def run_of(est, i):
-    """Entry i of a stacked ``Estimates``, as the one-run ``Estimates`` it must equal."""
-    return Estimates(atoms=est.atoms.row(i), **{c: float(getattr(est, c)[i]) for c in COLUMNS})
+    """Entry i of a stacked ``Estimates``, as the one-run ``Estimates`` it must equal:
+    its columns' entries and the 1-D ``WorkRows`` of its sorted row."""
+    atoms = WorkRows(est.atoms.values[i], est.atoms.probs[i], float(est.atoms.merge_tol[i]))
+    return Estimates(atoms=atoms, **{c: float(getattr(est, c)[i]) for c in COLUMNS})
 
 
 def bits(est, i=None):
-    """Every number of an ``Estimates``, exactly: float reprs, atom bytes, types.
+    """Every number of an ``Estimates``, exactly: float reprs, types, and the
+    bytes of the sorted atoms and of the merged ones.
 
     With ``i``, those of entry i of a stack, whose columns and tolerances must
     be read-only float64 arrays with one entry per run."""
@@ -476,13 +492,12 @@ def bits(est, i=None):
             assert column.shape == (len(est.atoms.values),)
             assert not column.flags.writeable
         est = run_of(est, i)
-    atoms = est.atoms
+    atoms, merged = est.atoms, est.atoms.row()
     floats = (est.beta, est.mean_work, est.delta_f, est.lhs, est.rhs, atoms.merge_tol)
     return (
         [repr(x) for x in floats],
         [type(x) for x in floats],
-        atoms.values.tobytes(),
-        atoms.probs.tobytes(),
+        [a.tobytes() for a in (atoms.values, atoms.probs, merged.values, merged.probs)],
         repr(est),
     )
 
@@ -526,6 +541,17 @@ class TestStackedEstimate:
         dim=5, seed=3, systems=["plain", "degenerate"], betas=[0.5, 3.0],
         runs=[(0, 0, 1.3), (1, 1, 0.8), (0, 0, 1.0)], channel="damping", correction=0.2,
     )
+    @example(  # long rows (72 atoms, and 81 with a transition matrix): the stack's
+        # vecdot must give each row's own dot, bit for bit, merged rows between plain ones
+        dim=72, seed=5, systems=["plain", "degenerate", "cold"], betas=[1.0],
+        runs=[(0, 0, 1.2), (1, 0, 0.8), (0, 0, 1.0), (2, 0, 1.5), (0, 0, 0.5)],
+        channel=None, correction=0.0,
+    )
+    @example(
+        dim=9, seed=6, systems=["plain", "degenerate", "cold"], betas=[1.0],
+        runs=[(0, 0, 1.2), (1, 0, 0.8), (2, 0, 1.0), (0, 0, 1.5)],
+        channel="damping", correction=0.0,
+    )
     @example(  # four systems under one unitary
         dim=3, seed=4, systems=["plain", "cold", "plain", "degenerate"], betas=[0.3, 2.0],
         runs=[(0, 0, 1.2), (1, 1, 1.0), (2, 0, 0.5), (3, 1, 1.5), (1, 0, 0.8), (3, 0, 1.0)],
@@ -537,14 +563,7 @@ class TestStackedEstimate:
         # Gibbs weights underflow, full decay empties most transitions) sit between
         # plain ones
         rng = np.random.default_rng(seed)
-        specs = []
-        for kind in systems:
-            spec = spectral_decompose(random_hermitian(dim, rng))
-            if kind == "degenerate":  # at most four distinct levels, so atoms merge
-                spec = Spectrum(np.sort(rng.integers(-2, 2, dim)).astype(float), spec.eigenvectors)
-            elif kind == "cold":
-                spec = ground_at_zero(spec).scaled(1e6)
-            specs.append(spec)
+        specs = [levels_of(kind, dim, rng) for kind in systems]
         trans = None
         if channel is not None:
             spec_f = spectral_decompose(random_hermitian(dim, rng))
@@ -572,40 +591,6 @@ class TestStackedEstimate:
         stacked = estimate(ThermalEnsemble([1.0], gibbs.energies[None]), final[None])
         assert stacked.atoms.values.shape == (1, 5)
         assert bits(stacked, 0) == bits(estimate(gibbs, final))
-
-    @pytest.mark.parametrize("channel", [None, "damping"])
-    def test_merged_rows_reduce_in_groups_of_one_atom_count(self, channel):
-        # merged rows of 1 to 4 atoms (rate 1, a cold system whose excited weights are
-        # 0, 2 to 4 distinct levels) between plain rows; under full damping every row
-        # drops its empty atoms. Neighbouring merged rows differ in atom count, and
-        # the rows are long (72 atoms, or 81 with a transition matrix): vecdot of a
-        # non-contiguous copy of them does not give each row's dot, bit for bit
-        dim = 72 if channel is None else 9
-        rng = np.random.default_rng(11)
-        plain = spectral_decompose(random_hermitian(dim, rng))
-        basis = plain.eigenvectors if channel is None else np.eye(dim)
-
-        def levels(k):  # k distinct levels, so k atoms at any rate but 1
-            return Spectrum(np.sort(np.arange(dim) % k).astype(float), basis)
-
-        plain = Spectrum(plain.eigenvalues, basis)
-        cold = ground_at_zero(plain).scaled(1e6)
-        specs = [plain, levels(3), plain, cold, levels(2), plain, levels(4), levels(3), plain,
-                 levels(2)]
-        alphas = [1.2, 0.8, 1.0, 1.5, 1.2, 0.5, 0.8, 1.0, 1.5, 1.3]
-        trans, final = None, None
-        if channel == "damping":
-            spec_f = Spectrum(spectral_decompose(random_hermitian(dim, rng)).eigenvalues, basis)
-            trans = conditional_probabilities(plain, spec_f, amplitude_damping_channel(1.0, dim))
-            final = spec_f.eigenvalues
-        stack = [thermal_state(spec, 1.0) for spec in specs]
-        finals = np.array([a * (s.eigenvalues if final is None else final)
-                           for s, a in zip(specs, alphas)])
-        stacked = estimate(stack_of(stack), finals, trans)
-        counts = [values.shape[1] for _, values, _ in stacked.atoms.merged]
-        assert len(counts) >= 3 and len(set(counts)) == len(counts)
-        for i, (gibbs, e) in enumerate(zip(stack, finals)):
-            assert bits(stacked, i) == bits(estimate(gibbs, e, trans))
 
     def test_a_row_index_counts_from_the_end_as_the_columns_do(self):
         # the last run merges (rate 1): row(-1) is its merged atom, not its sorted row
@@ -683,8 +668,8 @@ class TestCharacteristicFunction:
         return complex(np.trace(spectrum_expm(spec_f, 1j * u) @ inner))
 
     def mismatch(self, est, spec0, spec_f, channel):
-        """The largest miss of the atoms against G, with lhs against G(i beta)."""
-        atoms, beta = est.atoms, est.beta
+        """The largest miss of the merged atoms against G, with lhs against G(i beta)."""
+        atoms, beta = est.atoms.row(), est.beta
         misses = [
             abs(np.sum(atoms.probs * np.exp(1j * u * atoms.values))
                 - self.oracle(spec0, spec_f, channel, beta, u))
@@ -769,6 +754,134 @@ class TestCharacteristicFunction:
         assert self.mismatch(*case) > 1e-6
 
 
+class TestJointWeightSums:
+    """lhs and <W> against the two-point measurement's sums, without atoms.
+
+    The outcome (m, n) has joint weight p_m T_nm and work W_nm = E_f[n] -
+    E_0[m], so lhs = sum p_m T_nm e^(-beta W_nm) and <W> = sum p_m T_nm W_nm.
+    Here both are ``math.fsum`` over the unsorted pairs, from the Gibbs
+    weights and the transition matrix alone: no sort, clamp or merge. A
+    zero weight adds an exact 0. The lhs's terms are >= 0, so it agrees to
+    1e-13 relative; <W>'s may cancel, so its bound is 1e-14 of sum p |W|.
+    """
+
+    @staticmethod
+    def excess(est, probs, energies, beta, final, trans):
+        """How far lhs and <W> miss their sums beyond the bounds; <= 0 when both hold."""
+        d = len(probs)
+        trans = np.eye(d) if trans is None else trans
+        pairs = [
+            (float(probs[m] * trans[n, m]), float(final[n] - energies[m]))
+            for n in range(d) for m in range(d)
+        ]
+        lhs = math.fsum(w * math.exp(-beta * x) for w, x in pairs if w)
+        mean = math.fsum(w * x for w, x in pairs)
+        scale = math.fsum(w * abs(x) for w, x in pairs)
+        return max(abs(est.lhs - lhs) - 1e-13 * lhs, abs(est.mean_work - mean) - 1e-14 * scale)
+
+    def check_run(self, gibbs, final, trans):
+        est = estimate(gibbs, final, trans)
+        return self.excess(est, gibbs.probs, gibbs.energies, gibbs.beta, final, trans)
+
+    def flat_case(self, dim, seed, channel, levels, beta):
+        rng = np.random.default_rng(seed)
+        spec0, spec_f = levels_of(levels, dim, rng), levels_of("plain", dim, rng)
+        if channel == "identity":  # H_f = H_0: every weight sits at zero work
+            spec_f, theta = spec0, identity_channel(dim)
+        elif channel == "unitary":
+            theta = unitary_channel(random_unitary(dim, rng))
+        elif channel == "kraus":
+            theta = random_kraus_channel(dim, rng)
+        else:
+            gamma = 1.0 if channel == "full decay" else float(rng.uniform(0.05, 1.0))
+            if channel == "full decay":  # in the standard basis most weights are exactly 0
+                spec0 = Spectrum(spec0.eigenvalues, np.eye(dim))
+                spec_f = Spectrum(spec_f.eigenvalues, np.eye(dim))
+            theta = amplitude_damping_channel(gamma, dim)
+        trans = conditional_probabilities(spec0, spec_f, theta)
+        return thermal_state(spec0, beta), spec_f.eigenvalues, trans
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        channel=st.sampled_from(["identity", "unitary", "kraus", "damping", "full decay"]),
+        levels=st.sampled_from(["plain", "degenerate", "cold"]),
+        beta=st.floats(0.1, 5.0),
+    )
+    @example(dim=8, seed=0, channel="identity", levels="degenerate", beta=1.0)
+    @example(dim=6, seed=1, channel="full decay", levels="cold", beta=0.5)
+    def test_flat_runs(self, dim, seed, channel, levels, beta):
+        assert self.check_run(*self.flat_case(dim, seed, channel, levels, beta)) <= 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dim=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        levels=st.sampled_from(["plain", "degenerate", "cold"]),
+        runs=st.lists(
+            st.tuples(st.floats(0.1, 5.0), st.sampled_from([0.5, 0.8, 1.0, 1.2, 1.5])),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @example(dim=5, seed=2, levels="cold", runs=[(1.0, 1.0), (2.0, 0.5), (0.5, 1.5)])
+    def test_dilated_runs_alone_and_stacked(self, dim, seed, levels, runs):
+        # rate 1 merges every atom into one at zero work
+        spec = levels_of(levels, dim, np.random.default_rng(seed))
+        ensembles = [thermal_state(spec, beta) for beta, _ in runs]
+        finals = np.array([alpha * spec.eigenvalues for _, alpha in runs])
+        stacked = estimate(stack_of(ensembles), finals)
+        for i, (gibbs, final) in enumerate(zip(ensembles, finals)):
+            assert self.check_run(gibbs, final, None) <= 0.0
+            row = run_of(stacked, i)
+            assert self.excess(row, gibbs.probs, spec.eigenvalues, gibbs.beta, final, None) <= 0.0
+
+    @staticmethod
+    def appendix_case(levels, seeds, beta):
+        # H_0 is diagonal, with repeated levels if ``levels`` repeats one; measured
+        # in the eigenbasis of alpha_final H_last after the driven U
+        prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+        hams = [HermitianOperator(np.diag(levels))]
+        hams += [random_hermitian(len(levels), s) for s in seeds]
+        bounds = [3.0, 6.0][: len(seeds)] + [prof.tau_total]
+        sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps=50)
+        run = AppendixRun("a", beta, sched, final_basis="instantaneous")
+        spec0, e_final, trans = protocol._appendix_inputs(run)
+        return thermal_state(spec0, beta), e_final, trans
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        levels=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=5),
+        seeds=st.lists(st.integers(0, 2**16), max_size=2),
+        beta=st.floats(0.1, 5.0),
+    )
+    @example(levels=[0.0, 0.0, 1.0, 1.0], seeds=[], beta=1.0)
+    def test_instantaneous_appendix_runs(self, levels, seeds, beta):
+        assert self.check_run(*self.appendix_case(levels, seeds, beta)) <= 0.0
+
+    @pytest.mark.parametrize("kind", ["unitary", "kraus", "dilated", "appendix"])
+    def test_catches_a_dropped_weight(self, kind, monkeypatch):
+        # the injected fault: the estimators lose each row's least weight
+        original = protocol._work_rows
+
+        def drop_least(values, probs):
+            rows = original(values, probs)
+            probs = rows.probs.copy()
+            np.put_along_axis(probs, probs.argmin(-1)[..., None], 0.0, -1)
+            return rows._replace(probs=probs)
+
+        monkeypatch.setattr(protocol, "_work_rows", drop_least)
+        if kind == "dilated":
+            gibbs = thermal_state(spectral_decompose(random_hermitian(4, 5)), 1.0)
+            case = gibbs, 1.3 * gibbs.energies, None
+        elif kind == "appendix":
+            case = self.appendix_case([0.0, 0.5, 1.0], [7], 1.0)
+        else:
+            case = self.flat_case(4, 5, kind, "plain", 1.0)
+        assert self.check_run(*case) > 0.0
+
+
 class TestDrivenFirstMoment:
     """<W> of a driven run against its first-moment oracle.
 
@@ -837,7 +950,7 @@ class TestDilatedDistribution:
         beta, alpha = 2.0, 1.2
         wd = work_distribution_dilated(spec, alpha, beta)
         mean_energy = thermal_state(spec, beta).mean_energy()
-        assert wd.mean() == pytest.approx((alpha - 1.0) * mean_energy, rel=1e-12)
+        assert wd.values @ wd.probs == pytest.approx((alpha - 1.0) * mean_energy, rel=1e-12)
 
 
 class TestDilatedIdentityProperty:
@@ -993,6 +1106,20 @@ class TestSampling:
         with pytest.raises(ValueError, match="n must be >= 1, got 0"):
             sample_outcomes(wd, 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            # a bool would draw as seed 1, and numpy words the others its own way
+            (True, "seed must be an integer, got True"),
+            (-1, "seed must be >= 0, got -1"),
+            (1.5, r"seed must be an integer, got 1\.5"),
+        ],
+    )
+    def test_rejects_a_seed_the_rules_reject(self, seed, message):
+        wd = WorkDistribution([0.0], [1.0])
+        with pytest.raises(ValueError, match=message):
+            sample_outcomes(wd, 10, seed=seed)
+
 
 class TestRunProtocol:
     def test_comoving_run(self):
@@ -1092,9 +1219,12 @@ class TestRunProtocol:
         monkeypatch.setattr(protocol, "estimate", spy)
         rep = run_protocol(run)
         (est,) = seen
-        # the atoms the report's lhs was summed over are all zero work
-        assert np.all(est.atoms.values == 0.0)
-        assert rep.lhs == est.lhs == jarzynski_lhs(est.atoms, 2.0)
+        # the report's lhs was summed over these atoms, of which only zero work
+        # carries weight; merged, they are one atom at 0
+        atoms = est.atoms
+        assert np.all(atoms.values[atoms.probs > 0.0] == 0.0)
+        assert atoms.row().values.tolist() == [0.0]
+        assert rep.lhs == est.lhs == jarzynski_lhs(atoms.row(), 2.0)
         assert rep.mean_work == 0.0
         assert dict(zip(CSV_COLUMNS, rep.to_csv_row().split(",")))["delta_F"] == "0.0"
 
@@ -1229,7 +1359,8 @@ LABELS = dict(
 
 def estimates(beta=1.0, mean_work=0.1, delta_f=0.05, lhs=0.9, rhs=0.9) -> Estimates:
     """An ``Estimates`` with the given numbers; ``build`` reads no atom."""
-    return Estimates(beta, WorkDistribution([0.0], [1.0]), mean_work, delta_f, lhs, rhs)
+    atoms = WorkRows(np.zeros(1), np.ones(1), protocol.MERGE_REL_TOL)
+    return Estimates(beta, atoms, mean_work, delta_f, lhs, rhs)
 
 
 class TestProtocolReport:
