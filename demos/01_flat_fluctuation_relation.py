@@ -35,7 +35,9 @@ flip = unitary_channel(sigma_x)
 # ensemble, the final energies and the channel's transition matrix between the bases
 gibbs = thermal_state(spec, beta)
 est = estimate(gibbs, spec.eigenvalues, conditional_probabilities(spec, spec, flip))
-wd = est.atoms.row()  # the merged atoms; the estimators sum the sorted rows
+# est.atoms holds the sorted atoms the estimators sum; row() merges them into a
+# one-run WorkRows, the same record, without the zero-weight atoms
+wd = est.atoms.row()
 atoms = [(round(float(w), 6), round(float(p), 6)) for w, p in zip(wd.values, wd.probs)]
 print("deterministic spin flip (unitary, hence unital):")
 print(f"  work atoms        : {atoms}")

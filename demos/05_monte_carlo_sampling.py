@@ -20,7 +20,8 @@ from tauwork import (
 beta, alpha = 2.0, 1.2
 spec = harmonic_hamiltonian(1.0, 40)
 est = estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
-wd, exact = est.atoms.row(), est.lhs  # sampling draws from the merged atoms
+# sampling draws from the atoms it is given: here the merged ones, a one-run WorkRows
+wd, exact = est.atoms.row(), est.lhs
 
 print(f"oscillator, beta*omega = 2, alpha = {alpha}: {wd.size} work atoms")
 print(f"exact <e^-bW> = {exact:.12f}")

@@ -32,7 +32,6 @@ from .protocol import (
     Estimates,
     FlatRun,
     ProtocolReport,
-    WorkDistribution,
     conditional_probabilities,
     estimate,
     generalized_jarzynski_rhs,

@@ -7,11 +7,11 @@ verify`` and the test suite. The numbers come from the code the CLI runs:
 dimension, the random grids decompose their systems in one ``eigh`` call and
 call the tail once, for a stack of 15 runs per system, and get one column per
 estimator, entry i bit for bit run i alone. The estimators are sums over each
-run's sorted, unmerged atoms; criterion 9 draws from the merged atoms of
-``atoms.row()`` and compares its draws as bytes. Each criterion folds its
-values with numpy, which keeps a nan that Python's ``max`` and ``min`` drop.
-Tolerances are fixed here, each in its check, not configurable: they encode
-what "machine precision" means for each identity.
+run's sorted, unmerged atoms; criterion 9 draws from ``atoms.row()``, the
+merged atoms as a one-run ``WorkRows``, and compares its draws as bytes.
+Each criterion folds its values with numpy, which keeps a nan that Python's
+``max`` and ``min`` drop. Tolerances are fixed here, each in its check, not
+configurable: they encode what "machine precision" means for each identity.
 """
 
 from __future__ import annotations

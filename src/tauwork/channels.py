@@ -79,7 +79,7 @@ def identity_channel(dim: int) -> QuantumChannel:
 
 def amplitude_damping_channel(gamma: float, dim: int = 2) -> QuantumChannel:
     """Decay of every excited level into the ground level with probability gamma."""
-    require(gamma=gamma, dim=dim)
+    require(gamma=gamma, dim=dim, amplitude_damping_dim=dim)
     k0 = np.diag(np.concatenate(([1.0], np.full(dim - 1, np.sqrt(1.0 - gamma))))).astype(
         complex
     )
@@ -93,7 +93,7 @@ def amplitude_damping_channel(gamma: float, dim: int = 2) -> QuantumChannel:
 
 def depolarizing_channel(lam: float, dim: int = 2) -> QuantumChannel:
     """Mix toward 1/d with probability lam, via the Weyl shift/clock unitaries."""
-    require(dim=dim, **{"lambda": lam})
+    require(dim=dim, depolarizing_dim=dim, **{"lambda": lam})
     shift = np.roll(np.eye(dim, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
     ops = []

@@ -73,6 +73,11 @@ RULES = {
         ((lambda v: _finite(v) and 0.0 <= v <= 1.0, "must be a number in [0, 1], got {!r}"),),
     ),
     **dict.fromkeys(("levels", "dim"), _integer(2, MAX_DIM)),
+    # the presets whose Kraus lists grow with d, capped so that a flat run fits 10 s
+    # and 1 GB on one Xeon core, 1 OpenBLAS thread. Time binds, about as d^5: damping took
+    # 7.4 s and 68 MB at dim 112 (14 s at 128), depolarizing 7.2 s and 193 MB at 48
+    "amplitude_damping_dim": _integer(2, 112),
+    "depolarizing_dim": _integer(2, 48),
     "samples": _integer(2, 10**6),
     # the propagator reads O(log steps) slice edges; the cap keeps steps a C integer
     "steps": _integer(1, 10**9),

@@ -17,11 +17,11 @@ tail that turns those into work atoms and estimators:
   either the transported initial eigenbasis or the eigenbasis of the final
   laboratory-frame Hamiltonian.
 
-Work distributions are exact discrete atom lists, so every estimator is a
-finite sum over the joint weights p_m T_nm, sorted by work value. Atoms
-within the merge tolerance of each other are merged only when asked, for
-showing or sampling the distribution; Monte Carlo sampling is provided as a
-front-end for the exact distribution, not as the primary estimator.
+Work distributions are exact discrete atom lists, each one ``WorkRows``, so
+every estimator is a finite sum over the joint weights p_m T_nm, sorted by
+work value. Atoms within the merge tolerance of each other are merged only
+when asked, for showing or sampling the distribution; Monte Carlo sampling
+is a front-end for the exact distribution, not the primary estimator.
 """
 
 from __future__ import annotations
@@ -46,40 +46,14 @@ PROB_NEGATIVE_ATOL = 1e-12
 MERGE_REL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WorkDistribution:
-    """Discrete work atoms (value, probability), sorted and deduplicated.
-
-    Atoms closer than ``merge_tol``, ``MERGE_REL_TOL`` times the larger of 1
-    and the spread of the input values, are combined into one at their
-    probability-weighted mean value; forbidden transitions (zero weight)
-    are dropped, so the remaining atoms are exactly the support.
-    """
-
-    values: np.ndarray
-    probs: np.ndarray
-    merge_tol: float
-
-    def __init__(self, values, probs):
-        values = np.asarray(values, dtype=float)
-        probs = np.asarray(probs, dtype=float)
-        if values.shape != probs.shape or values.ndim != 1 or values.size == 0:
-            raise ValueError("values and probs must be equal-length 1-D arrays")
-        with np.errstate(over="ignore", invalid="ignore"):
-            vars(self).update(vars(_work_rows(values, probs).row()))
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-
 class WorkRows(NamedTuple):
-    """The work atoms of one run, or of a stack of runs, before any merge.
+    """The work atoms of one run, or of a stack of runs.
 
     ``values`` and ``probs`` are the atoms sorted by value, read-only, one row
     per run (1-D for one run), with rounding-level negative weights set to 0;
     ``merge_tol`` is each row's tolerance. The estimators sum these rows, in
-    which a zero weight adds nothing. ``row(i)`` merges run i's atoms.
+    which a zero weight adds nothing. ``row(i)`` merges run i's atoms into a
+    1-D ``WorkRows`` and drops the empty ones; a merged row merges to itself.
     """
 
     values: np.ndarray
@@ -90,9 +64,9 @@ class WorkRows(NamedTuple):
     def size(self) -> int:
         """Atoms kept by the merge, summed over the runs."""
         runs = len(self.values) if self.values.ndim == 2 else 1
-        return sum(self.row(i).size for i in range(runs))
+        return sum(self.row(i).values.size for i in range(runs))
 
-    def row(self, i: int = 0) -> WorkDistribution:
+    def row(self, i: int = 0) -> WorkRows:
         """The merged atoms of run ``i``; a negative i counts from the end, as in the columns."""
         v, p, tol = self.values, self.probs, self.merge_tol
         if v.ndim == 2:
@@ -102,9 +76,7 @@ class WorkRows(NamedTuple):
         v, p = _merge_atoms(v, p, v[1:] - v[:-1] >= tol)
         v, p = v[p > 0.0], p[p > 0.0]
         v.flags.writeable = p.flags.writeable = False
-        wd = object.__new__(WorkDistribution)
-        vars(wd).update(values=v, probs=p, merge_tol=tol)
-        return wd
+        return WorkRows(v, p, tol)
 
 
 def _spread(values: np.ndarray, probs: np.ndarray, low, total) -> float:
@@ -132,9 +104,9 @@ def _work_rows(values: np.ndarray, probs: np.ndarray) -> WorkRows:
     """Work atoms of each row of ``values`` and ``probs``: shape (n,) for one
     run, (r, n) for a stack of r.
 
-    Each row is sorted and checked as ``WorkDistribution`` checks it alone. A
-    stack runs the sort and the checks as arrays, and only its first bad row
-    goes through ``_spread``, which raises that row's own error. The caller
+    One run is sorted and checked by ``_spread``. A stack runs the sort and
+    the checks as arrays, and only its first bad row goes through
+    ``_spread``, which raises the error that row raises alone. The caller
     holds ``np.errstate(over="ignore", invalid="ignore")``: a bad row's sum
     may overflow or be nan.
     """
@@ -233,7 +205,7 @@ def tpm_distribution(
 
 def work_distribution_dilated(
     spec0: Spectrum, alpha_final: float, beta: float
-) -> WorkDistribution:
+) -> WorkRows:
     """Work statistics when the spectrum is rescaled by the final clock rate.
 
     Eigenstates ride along the evolution, so each trajectory keeps its level
@@ -243,8 +215,8 @@ def work_distribution_dilated(
     return estimate(thermal_state(spec0, beta), alpha_final * spec0.eigenvalues).atoms.row()
 
 
-def jarzynski_lhs(wd: WorkDistribution, beta: float) -> float:
-    """The exponential work average sum_i p_i e^(-beta w_i), summed in log space."""
+def jarzynski_lhs(wd: WorkRows, beta: float) -> float:
+    """The exponential work average sum_i p_i e^(-beta w_i) of one run, in log space."""
     require(beta=beta)
     return float(np.exp(_log_work_average(wd.values, wd.probs, beta)))
 
@@ -286,7 +258,7 @@ class Estimates:
     below has one copy, for floats and columns alike. A stacked ensemble of r
     runs gives read-only (r,) arrays, ``beta`` the ensemble's own. ``atoms``
     is the ``WorkRows`` the estimators were summed over, 1-D for one run;
-    ``atoms.row(i)`` is run i's merged ``WorkDistribution``."""
+    ``atoms.row(i)`` is run i's merged atoms, a 1-D ``WorkRows``."""
 
     beta: float | np.ndarray
     atoms: WorkRows
@@ -354,19 +326,19 @@ def estimate(
     else:  # a stack's columns are read-only, as its atoms are
         mean_work.flags.writeable = delta_f.flags.writeable = False
         lhs.flags.writeable = rhs.flags.writeable = False
-    # filled in place, as ``WorkRows.row`` fills a WorkDistribution: the frozen
-    # dataclass's __init__ would set each field through object.__setattr__
+    # filled in place: the frozen dataclass's __init__ would set each field
+    # through object.__setattr__
     est = object.__new__(Estimates)
     vars(est).update(beta=beta, atoms=atoms, mean_work=mean_work, delta_f=delta_f, lhs=lhs, rhs=rhs)
     return est
 
 
-def sample_outcomes(wd: WorkDistribution, n: int, seed: int) -> np.ndarray:
-    """n i.i.d. draws of the work variable; deterministic for a fixed seed."""
+def sample_outcomes(wd: WorkRows, n: int, seed: int) -> np.ndarray:
+    """n i.i.d. draws from one run's atoms, as given; deterministic for a fixed seed."""
     require(n=n, seed=seed)
     rng = np.random.default_rng(seed)
     probs = wd.probs / wd.probs.sum()
-    idx = rng.choice(wd.size, size=n, p=probs)
+    idx = rng.choice(len(wd.values), size=n, p=probs)
     return wd.values[idx]
 
 

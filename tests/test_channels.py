@@ -20,6 +20,7 @@ from tauwork.operators import (
     HermitianOperator,
     random_hermitian,
     random_unitary,
+    require,
     spectral_decompose,
     spectrum_expm,
 )
@@ -147,6 +148,27 @@ class TestChannelConstruction:
         with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
             build(1)
         assert build(3).dim == 3
+
+    @pytest.mark.parametrize(
+        "build, preset, cap",
+        [(lambda dim: amplitude_damping_channel(0.5, dim), "amplitude_damping", 112),
+         (lambda dim: depolarizing_channel(0.5, dim), "depolarizing", 48)],
+        ids=["amplitude_damping", "depolarizing"],
+    )
+    def test_presets_whose_kraus_lists_grow_with_dim_are_capped(self, build, preset, cap):
+        # the cap itself passes the rule; building there takes seconds, so only the
+        # rule is checked. One past it is rejected before any Kraus operator is built
+        require(**{f"{preset}_dim": cap})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{preset}_dim must be <= {cap}, got {cap + 1}"):
+                build(cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5  # one Kraus operator at dim 113 would be 204 kB
+        # the sizes that bench/ builds stay below the caps
+        assert build({"amplitude_damping": 64, "depolarizing": 16}[preset]).dim <= cap
 
 
 class TestApply:

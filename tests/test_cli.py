@@ -1010,8 +1010,21 @@ class TestErrorLines:
                 dict(_demo("flat_damping"), beta=1e-300, system=dict(TWO_LEVEL, gap=1e308)),
                 "work atoms span more than the float range",
             ),
+            # one level past a preset's dimension cap, rejected before its Kraus list
+            (
+                dict(_demo("flat_damping"), system=dict(HUGE_LADDER, omega=1.0, levels=113)),
+                "amplitude_damping_dim must be <= 112, got 113",
+            ),
+            (
+                dict(
+                    _demo("flat_damping"),
+                    system=dict(HUGE_LADDER, omega=1.0, levels=49),
+                    channel={"preset": "depolarizing", "lambda": 0.3},
+                ),
+                "depolarizing_dim must be <= 48, got 49",
+            ),
         ],
-        ids=["steps", "levels", "spread"],
+        ids=["steps", "levels", "spread", "damping-dim", "depolarizing-dim"],
     )
     def test_sizes_past_a_cap_and_spreads_past_the_float_range_exit_2(
         self, tmp_path, capsys, document, message
