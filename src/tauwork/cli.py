@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import __version__, acceptance
 from .operators import require
-from .protocol import ProtocolReport
-from .scenarios import ScenarioConfig, parse_document, run_scenario
+from .protocol import ProtocolReport, reduce_run, report_rows
+from .scenarios import ScenarioConfig, build_scenario, parse_document
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -25,6 +25,9 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 SWEEP_PARAMS = ("alpha", "beta", "omega", "c", "gamma")
+# the atoms of one stacked ``estimate`` call, 256 KB per float64 array of the
+# stack; a pending point's own objects, about 1 KB, count as POINT_ATOMS more
+STACK_ATOMS, POINT_ATOMS = 2**15, 128
 
 
 def _labelled(label: str, call, *args, **kwargs):
@@ -70,6 +73,10 @@ def _run_points(args, points: list, table: str | None = None) -> int:
     Every point runs before any report is written, so a failure leaves no
     report. ``table`` names the one file that holds every report (a sweep);
     without it each report gets a file named after its scenario_id.
+    Each point is reduced once built, so no profile or run is kept, and joins
+    a stack that runs as one ``estimate`` call before a point of another
+    dimension or transition form or past ``STACK_ATOMS``, before a later
+    point's error, and at the end. A stack that raises runs its points alone.
     """
     out_dir = Path(args.out)
     try:
@@ -81,7 +88,28 @@ def _run_points(args, points: list, table: str | None = None) -> int:
         raise OSError(f"output directory not writable: {exc}") from None
     # points that share the system section share one decomposition
     memo: dict = {}
-    reports = [_labelled(label, run_scenario, config, memo) for label, config in points]
+    reports, stack = [], []
+
+    def flush():
+        try:
+            reports.extend(report_rows([run for _, run, _ in stack]) if stack else ())
+        except ValueError:  # alone, in order, the first failing point names itself
+            for label, run, _ in stack:
+                reports.extend(_labelled(label, report_rows, [run]))
+        stack.clear()
+
+    for label, config in points:
+        try:
+            run = _labelled(label, lambda: reduce_run(build_scenario(config, memo)))
+        except (OSError, ValueError):
+            flush()  # an earlier point's error comes first
+            raise
+        form = run.final.size, run.transitions is None
+        atoms = POINT_ATOMS + (run.final.size if run.transitions is None else run.transitions.size)
+        if stack and (form != stack[-1][2] or (len(stack) + 1) * atoms > STACK_ATOMS):
+            flush()
+        stack.append((label, run, form))
+    flush()
     files = [(table, reports)] if table else [(r.scenario_id, [r]) for r in reports]
     for stem, group in files:
         if args.format == "csv":

@@ -83,7 +83,7 @@ RULES = {
     "steps": _integer(1, 10**9),
     "seed": _integer(0),
     "n": _integer(1),
-    "count": _integer(2, 10**4),  # a sweep builds every point before it runs one
+    "count": _integer(2, 10**4),  # a sweep checks every point before it runs one
     "final_basis": ((lambda v: v in FINAL_BASES, f"must be one of {FINAL_BASES}, got {{!r}}"),),
 }
 
@@ -154,18 +154,21 @@ class Spectrum:
     """Full eigensystem of a Hermitian operator.
 
     ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
+    matching orthonormal eigenvectors as columns, by default the exact
+    standard basis of a diagonal Hamiltonian, which needs no O(d^3) check.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __init__(self, eigenvalues, eigenvectors):
+    def __init__(self, eigenvalues, eigenvectors=None):
         evals = np.array(eigenvalues, dtype=float)
-        vecs = np.array(eigenvectors, dtype=complex)
+        diagonal = eigenvectors is None
+        vecs = np.eye(evals.size, dtype=complex) if diagonal else np.array(eigenvectors, complex)
         if evals.ndim != 1 or vecs.shape != (evals.size, evals.size):
             raise ValueError("eigenvalue/eigenvector shapes are inconsistent")
-        _check_spectrum(evals, vecs)
+        _check_spectrum(evals, None if diagonal else vecs)
+        vecs.flags.writeable = False
         object.__setattr__(self, "eigenvalues", evals)
         object.__setattr__(self, "eigenvectors", vecs)
 

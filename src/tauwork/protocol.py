@@ -195,7 +195,8 @@ def tpm_distribution(
     """Assemble work atoms W[n, m] = E_final[n] - E_initial[m] with joint weights.
 
     ``initial_energies``, ``initial_probs`` and ``final_energies`` hold one
-    row per run (1-D for one run); every run shares the transition matrix.
+    row per run (1-D for one run); the runs share one (d, d) transition matrix
+    or have one each, (r, d, d).
     """
     w = final_energies[..., :, None] - initial_energies[..., None, :]
     joint = transitions * initial_probs[..., None, :]
@@ -283,7 +284,7 @@ def estimate(
     gibbs: ThermalEnsemble,
     final_energies: np.ndarray,
     transitions=None,
-    correction: float = 0.0,
+    correction: float | np.ndarray = 0.0,
 ) -> Estimates:
     """The estimator tail every pipeline shares.
 
@@ -301,9 +302,9 @@ def estimate(
 
     A stacked ensemble of r runs of dimension d, with final energies of shape
     (r, d), gives one ``Estimates`` of (r,) columns, entry i bit for bit what
-    run i gives alone and ``atoms.row(i)`` its merged atoms. Every numpy call
-    runs once per stack instead of once per run, with one formula for both
-    forms. One run gives floats.
+    run i gives alone and ``atoms.row(i)`` its merged atoms; its runs share a
+    (d, d) ``transitions`` and a ``correction`` or have one each, (r, d, d)
+    and (r,). Every numpy call runs once per stack. One run gives floats.
     """
     initial, beta, log_z, probs = gibbs.energies, gibbs.beta, gibbs.log_z, gibbs.probs
     final = np.asarray(final_energies, dtype=float)
@@ -362,29 +363,18 @@ class ProtocolReport:
     steps: int
 
     @classmethod
-    def build(cls, est: Estimates, **labels) -> "ProtocolReport":
-        """The row of a run: its ``labels`` and the numbers of ``est``.
-
-        Raises ``ValueError`` naming each non-finite column.
-        """
-        report = cls(
-            **labels,
-            beta=est.beta,
-            mean_work=est.mean_work,
-            delta_F=est.delta_f,
-            lhs=est.lhs,
-            rhs=est.rhs,
-            residual=est.residual,
-            entropy_production=est.entropy_production,
-        )
-        bad = [
-            f"{name}={value!r}"
-            for name in _FLOAT_COLUMNS
-            if not math.isfinite(value := getattr(report, name))
-        ]
-        if bad:
-            raise ValueError(f"report has non-finite values: {', '.join(bad)}")
-        return report
+    def rows(cls, est: Estimates, labels: list) -> list:
+        """One row per run of ``est``, a run's floats or a stack's columns, with its
+        ``labels``; raises ``ValueError`` naming each non-finite column of the first bad row."""
+        with np.errstate(all="ignore"):  # a stack's inf - inf is nan, as a run's is
+            columns = [np.ravel(getattr(est, name)).tolist() for name in _ESTIMATED.values()]
+        pairs = zip(labels, zip(*columns), strict=True)
+        reports = [cls(**row, **dict(zip(_ESTIMATED, numbers))) for row, numbers in pairs]
+        for rep in reports:
+            bad = [f"{n}={v!r}" for n in _FLOAT_COLUMNS if not math.isfinite(v := getattr(rep, n))]
+            if bad:
+                raise ValueError(f"report has non-finite values: {', '.join(bad)}")
+        return reports
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
@@ -399,6 +389,9 @@ class ProtocolReport:
 
 CSV_COLUMNS = tuple(f.name for f in fields(ProtocolReport))
 _FLOAT_COLUMNS = tuple(f.name for f in fields(ProtocolReport) if f.type == "float")
+# report column -> the ``Estimates`` field it copies
+_ESTIMATED = dict(beta="beta", mean_work="mean_work", delta_F="delta_f", lhs="lhs", rhs="rhs",
+                  residual="residual", entropy_production="entropy_production")
 
 
 @dataclass(frozen=True)
@@ -458,14 +451,20 @@ def _appendix_inputs(run: AppendixRun):
     return spec0, spec_f.eigenvalues, trans
 
 
-def run_protocol(run) -> ProtocolReport:
-    """Reduce a prepared run to its TPM inputs and assemble the report.
+class ReducedRun(NamedTuple):
+    """A run's TPM inputs, as ``estimate`` takes them, and its report labels."""
 
-    Every pipeline reduces to the initial spectrum (with Gibbs weights), the
-    final measured energies and a transition matrix; ``estimate`` turns
-    those into the estimators of the report row. Only a flat run's
-    Hamiltonians may arrive undecomposed.
-    """
+    initial: np.ndarray
+    beta: float
+    final: np.ndarray
+    transitions: np.ndarray | None
+    correction: float
+    labels: dict
+
+
+def reduce_run(run) -> ReducedRun:
+    """Reduce a prepared run to its TPM inputs, with every check made before
+    ``estimate``. Only a flat run's Hamiltonians may arrive undecomposed."""
     correction = 0.0
     if isinstance(run, FlatRun):
         spec0, spec_f = map(_as_spectrum, (run.h0, run.h_final))
@@ -485,15 +484,25 @@ def run_protocol(run) -> ProtocolReport:
         final_basis, steps = run.final_basis, run.schedule.steps
     else:
         raise TypeError(f"unsupported run type: {type(run).__name__}")
-    est = estimate(thermal_state(spec0, run.beta), e_final, trans, correction)
-    # an overflow is reported by ``build`` as a non-finite column
-    return ProtocolReport.build(
-        est,
-        scenario_id=run.scenario_id,
-        pipeline=pipeline,
-        dim=spec0.dim,
-        alpha_final=alpha,
-        tau_total=tau_total,
-        final_basis=final_basis,
-        steps=steps,
-    )
+    require(beta=run.beta)  # a stack reads its betas as one float array, where a bool passes
+    labels = dict(scenario_id=run.scenario_id, pipeline=pipeline, dim=spec0.dim, alpha_final=alpha)
+    labels.update(tau_total=tau_total, final_basis=final_basis, steps=steps)
+    return ReducedRun(spec0.eigenvalues, run.beta, e_final, trans, correction, labels)
+
+
+def report_rows(runs: list) -> list:
+    """The report rows of reduced runs of one dimension and transition form from
+    one ``estimate`` call, a stack's row i bit for bit run i alone. A stack
+    raises the first error of its runs; which run raised shows alone."""
+    if len(runs) == 1:
+        gibbs, inputs = ThermalEnsemble(runs[0].beta, runs[0].initial), runs[0][2:5]
+    else:
+        initial, betas, *inputs, _ = zip(*runs)  # final, transitions, correction
+        gibbs = ThermalEnsemble(np.array(betas, dtype=float), initial)
+        inputs = [None if column[0] is None else np.array(column) for column in inputs]
+    return ProtocolReport.rows(estimate(gibbs, *inputs), [run.labels for run in runs])
+
+
+def run_protocol(run) -> ProtocolReport:
+    """The report row of a prepared run: ``reduce_run``, then ``report_rows``."""
+    return report_rows([reduce_run(run)])[0]

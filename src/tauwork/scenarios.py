@@ -102,13 +102,13 @@ def truncation_tail_weight(beta_omega: float, levels: int, alpha: float = 1.0) -
 def harmonic_hamiltonian(omega: float, levels: int) -> Spectrum:
     """Truncated oscillator ladder E_n = (n + 1/2) omega, n = 0..levels-1, in the standard basis."""
     require(omega=omega, levels=levels)
-    return Spectrum((np.arange(levels) + 0.5) * omega, np.eye(levels))
+    return Spectrum((np.arange(levels) + 0.5) * omega)
 
 
 def two_level_hamiltonian(gap: float) -> Spectrum:
     """Levels 0 and ``gap`` in the standard basis."""
     require(gap=gap)
-    return Spectrum([0.0, gap], np.eye(2))
+    return Spectrum([0.0, gap])
 
 
 def _pairs_matrix(value) -> bool:
@@ -449,7 +449,7 @@ def build_channel(channel: dict, dim: int) -> QuantumChannel:
 
 
 def build_scenario(config: ScenarioConfig, memo: dict | None = None):
-    """Turn a validated config into a prepared run for :func:`run_protocol`.
+    """A validated config as a prepared run for ``run_protocol`` or ``reduce_run``.
 
     Callers that build several scenarios pass one ``memo`` (an empty dict to
     start), which holds one value per build stage, keyed on the fields that
@@ -459,8 +459,8 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
     ``schedule``. So a sweep over ``beta`` or ``omega`` reuses all of them,
     one over ``c`` builds its trajectory once and profiles it at every point,
     one over ``alpha`` rebuilds both, and all of them build each system once.
-    A system is a spectrum as soon as it is built: the ``SYSTEMS`` builders
-    return one, and only ``explicit`` and ``random`` systems decompose a matrix.
+    The CLI reduces each run once built and keeps none. Only ``explicit`` and
+    ``random`` systems decompose a matrix; a ladder or two levels is diagonal.
     """
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)

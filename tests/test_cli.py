@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tauwork import scenarios
+from tauwork import cli, protocol, scenarios
 from tauwork.cli import _parse_sweep, _sweep_config, main
 from tauwork.protocol import CSV_COLUMNS, ProtocolReport
 from tauwork.scenarios import ScenarioConfig, run_scenario
@@ -68,6 +68,19 @@ def read_rows(path):
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
+
+
+LADDER = {"kind": "harmonic", "omega": 1.0, "levels": 40}
+
+
+def report_bytes(reports, fmt):
+    """The bytes of a report file that holds ``reports``, each run alone."""
+    if fmt == "csv":
+        text = "\n".join([ProtocolReport.csv_header()] + [r.to_csv_row() for r in reports])
+    else:
+        payload = [r.to_dict() for r in reports]
+        text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
+    return (text + "\n").encode()
 
 
 class TestRun:
@@ -447,36 +460,44 @@ class TestDecompositionReuse:
         assert len(builds) == 1
         assert decompositions == []
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "demo, spec, system",
+        "demo, spec, edits",
         [
-            ("oscillator_blueshift", "alpha=0.7:1.3:7", None),
-            ("oscillator_blueshift", "beta=0.5:4:6", None),
-            ("oscillator_blueshift", "omega=0.5:2:5", None),
-            ("cruise_redshift", "c=1:1000000:6", None),
-            ("cruise_redshift", "beta=0.5:4:6", None),
+            ("oscillator_blueshift", "alpha=0.7:1.3:7", {}),
+            ("oscillator_blueshift", "beta=0.5:4:6", {}),
+            ("oscillator_blueshift", "omega=0.5:2:5", {}),
+            ("cruise_redshift", "c=1:1000000:6", {}),
+            ("cruise_redshift", "beta=0.5:4:6", {}),
             # the demo's two-level system has no omega: swap in a ladder
-            ("cruise_redshift", "omega=0.5:2:5", {"kind": "harmonic", "omega": 1.0, "levels": 40}),
-            ("flat_damping", "gamma=0:0.9:4", None),
+            ("cruise_redshift", "omega=0.5:2:5", {"system": LADDER}),
+            ("flat_damping", "gamma=0:0.9:4", {}),
+            # a flat stack whose every point has its own transitions and correction
+            ("flat_damping", "gamma=0:1:5", {"system": dict(LADDER, levels=6),
+                                             "channel": {"preset": "depolarizing", "lambda": 0.3}}),
+            # driven stacks: final energies without transitions, and transitions each
+            ("driven_two_segment", "beta=0.5:3:5", {"steps": 300}),
+            ("driven_two_segment", "alpha=0.8:1.2:5", {"steps": 200}),
+            ("driven_two_segment", "beta=0.5:3:5", {"steps": 300, "final_basis": "instantaneous"}),
+            ("driven_two_segment", "alpha=0.8:1.2:5",
+             {"steps": 200, "final_basis": "instantaneous"}),
         ],
     )
-    def test_sweep_table_equals_points_run_alone(self, demo, spec, system, tmp_path):
-        document = json.loads((DEMO_SCENARIOS / f"{demo}.json").read_text())
-        if system is not None:
-            document["system"] = system
+    def test_sweep_table_equals_points_run_alone(self, demo, spec, edits, fmt, tmp_path):
+        document = dict(json.loads((DEMO_SCENARIOS / f"{demo}.json").read_text()), **edits)
         path = tmp_path / f"{demo}.json"
         path.write_text(json.dumps(document))
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
-        assert main([*argv, "--quiet"]) == 0
+        assert main([*argv, "--format", fmt, "--quiet"]) == 0
         param, grid = spec.split("=")
         start, stop, count = (float(x) for x in grid.split(":"))
         base = ScenarioConfig.from_dict(document)
-        lines = [ProtocolReport.csv_header()]
-        for k in range(int(count)):
-            value = start + (stop - start) * k / (count - 1)
-            lines.append(run_scenario(_sweep_config(base, param, value)).to_csv_row())
-        expected = "\n".join(lines) + "\n"
-        assert (tmp_path / f"sweep_{param}.csv").read_text() == expected
+        alone = [
+            run_scenario(_sweep_config(base, param, start + (stop - start) * k / (count - 1)))
+            for k in range(int(count))
+        ]
+        got = (tmp_path / f"sweep_{param}.{fmt}").read_bytes()
+        assert got == report_bytes(alone, fmt)
 
 
 class TestProfileReuse:
@@ -904,7 +925,7 @@ class TestErrorLines:
 
     @pytest.mark.parametrize("count", [10**4 + 1, 10**20])
     def test_sweep_count_past_the_cap_exit_2_writes_nothing(self, tmp_path, capsys, count):
-        # rejected before any point is built: a sweep builds every point first
+        # rejected before any point is checked: a sweep checks every point first
         out = tmp_path / "o"
         spec = f"beta=0.5:1:{count}"
         argv = ["sweep", "--scenario", str(write_scenario(tmp_path)), "--sweep", spec]
@@ -1041,3 +1062,115 @@ class TestErrorLines:
         assert err.startswith(f"error: {path}: ") and err.count("error:") == 1
         assert message in err.splitlines()[-1] and "Warning" not in err
         assert all_files(out) == []
+
+
+class TestStreamedStacks:
+    """Points run in stacks of one dimension and transition form, each stack one
+    ``estimate`` call; a table is byte for byte its points run alone, and a
+    failure is the first failing point's, as when each runs alone."""
+
+    def test_run_with_files_of_mixed_dimensions_and_forms(self, tmp_path):
+        # 40 levels twice, then two levels: without transitions, with (flat and
+        # instantaneous driven), and without (evolved driven)
+        documents = [_demo("oscillator_blueshift"), _demo("comoving"), _demo("cruise_redshift"),
+                     _demo("flat_damping")]
+        documents.append(dict(_demo("driven_two_segment"), scenario_id="inst", steps=100,
+                              final_basis="instantaneous"))
+        documents.append(dict(_demo("driven_two_segment"), steps=100))
+        paths = []
+        for document in documents:
+            paths.append(tmp_path / f"{document['scenario_id']}.json")
+            paths[-1].write_text(json.dumps(document))
+        for fmt in ("csv", "json"):
+            out = tmp_path / fmt
+            argv = ["run", *(f"--scenario={path}" for path in paths), "--out", str(out)]
+            assert main([*argv, "--format", fmt, "--quiet"]) == 0
+            assert len(all_files(out)) == len(documents)
+            for document in documents:
+                alone = run_scenario(ScenarioConfig.from_dict(document))
+                got = (out / f"{document['scenario_id']}.{fmt}").read_bytes()
+                assert got == report_bytes([alone], fmt)
+
+    def test_a_sweep_past_the_atom_budget_makes_several_calls(self, tmp_path, monkeypatch):
+        calls = []
+        original = protocol.estimate
+
+        def spy(gibbs, final, *args):
+            calls.append(np.shape(final))
+            return original(gibbs, final, *args)
+
+        monkeypatch.setattr(protocol, "estimate", spy)
+        path = write_scenario(tmp_path, system=dict(LADDER, levels=1024))
+        spec = "beta=0.5:4:40"
+        assert 40 * (1024 + cli.POINT_ATOMS) > cli.STACK_ATOMS
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
+        assert main([*argv, "--quiet"]) == 0
+        assert len(calls) >= 2 and sum(shape[0] for shape in calls) == 40
+        for rows, atoms in calls:
+            assert rows * (atoms + cli.POINT_ATOMS) <= cli.STACK_ATOMS
+        monkeypatch.setattr(protocol, "estimate", original)
+        base = ScenarioConfig.from_dict(json.loads(path.read_text()))
+        alone = [run_scenario(_sweep_config(base, "beta", 0.5 + 3.5 * k / 39)) for k in range(40)]
+        assert (tmp_path / "sweep_beta.csv").read_bytes() == report_bytes(alone, "csv")
+
+    @pytest.mark.parametrize(
+        "overrides, spec, line",
+        [
+            # the last point's beta * E overflows; the first two run
+            ({}, "beta=1:1e307:3",
+             "beta=5e+306: beta * energy overflows a float: beta=5e+306, energies 0.5 to 39.5"),
+            (TestNoPartialResults.HOT, "beta=1:4000:2",
+             "beta=4000.0: report has non-finite values: lhs=inf, rhs=inf, residual=nan"),
+            # the second point's worldline breaks the weak-field bound when it is built
+            ({}, "alpha=1.2:1.8:3", "alpha=1.5: |phi|/c^2 = 0.5 exceeds the weak-field bound 0.5"),
+            # the first point fails in the estimators, the second when it is built
+            (dict(TestNoPartialResults.HOT, beta=40000.0), "alpha=0.9:1.6:2",
+             "alpha=0.9: report has non-finite values: lhs=inf, rhs=inf, residual=nan"),
+        ],
+        ids=["overflow", "non-finite", "weak-field", "estimators-then-build"],
+    )
+    def test_the_first_failing_point_names_itself(self, tmp_path, capsys, overrides, spec, line):
+        import warnings
+
+        path = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "o"
+        for fmt in ("csv", "json"):
+            argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(out)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert main([*argv, "--format", fmt]) == 2
+            assert capsys.readouterr() == ("", f"error: {line}\n")
+            assert all_files(out) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--sweep", "beta=0.5:4:7", "--scenario", "{osc}"],
+            ["sweep", "--sweep", "gamma=0:1:4", "--scenario", "{flat}"],
+            ["sweep", "--sweep", "alpha=0.8:1.2:3", "--scenario", "{driven}", "--steps", "50"],
+            ["run", "--scenario", "{osc}", "--scenario", "{flat}", "--scenario", "{driven}"],
+        ],
+        ids=["dilated", "flat", "driven", "run"],
+    )
+    def test_every_report_field_has_its_schema_type(self, tmp_path, monkeypatch, command):
+        cast = {"str": str, "int": int, "float": float}
+        seen, original = [], cli.report_rows
+
+        def spy(runs):
+            seen.extend(original(runs))
+            return seen[-len(runs):]
+
+        monkeypatch.setattr(cli, "report_rows", spy)
+        paths = dict(osc=write_scenario(tmp_path), flat=DEMO_SCENARIOS / "flat_damping.json",
+                     driven=DEMO_SCENARIOS / "driven_two_segment.json")
+        argv = [arg.format(**paths) for arg in command] + ["--format", "json", "--quiet"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert seen
+        for report in seen:
+            for field in dataclasses.fields(ProtocolReport):
+                assert type(getattr(report, field.name)) is cast[field.type], field.name
+        for path in (tmp_path / "o").iterdir():
+            loaded = json.loads(path.read_text())
+            for row in loaded if isinstance(loaded, list) else [loaded]:
+                for field in dataclasses.fields(ProtocolReport):
+                    assert type(row[field.name]) is cast[field.type], field.name

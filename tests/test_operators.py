@@ -280,6 +280,53 @@ class TestScaled:
         assert np.array_equal(direct, unit.scaled(omega).eigenvalues)
 
 
+class TestDiagonal:
+    """``Spectrum(energies)`` is ``Spectrum(energies, np.eye(n))`` without the
+    orthonormality check, which the exact identity passes."""
+
+    @pytest.mark.parametrize(
+        "energies", [[0.0, 1.0], [-3.0, -3.0, 2.5], list(np.arange(200) + 0.5), [7.0]]
+    )
+    def test_arrays_are_those_of_the_standard_basis_spectrum(self, energies):
+        spec = Spectrum(energies)
+        full = Spectrum(energies, np.eye(len(energies)))
+        pairs = (spec.eigenvalues, full.eigenvalues), (spec.eigenvectors, full.eigenvectors)
+        for got, want in pairs:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize(
+        "energies",
+        [[0.0, np.nan], [np.inf, 1.0], [0.0, -np.inf], [1.0, 0.0], [0.0, 2.0, 1.0], [[0.0, 1.0]]],
+        ids=["nan", "inf", "-inf", "descending", "unsorted", "2-D"],
+    )
+    def test_raises_what_the_standard_basis_spectrum_raises(self, energies):
+        n = np.size(energies)
+        with pytest.raises(ValueError) as full:
+            Spectrum(energies, np.eye(n))
+        with pytest.raises(ValueError, match=re.escape(str(full.value))):
+            Spectrum(energies)
+
+    def test_the_input_is_copied(self):
+        energies = np.array([0.0, 1.0, 2.0])
+        spec = Spectrum(energies)
+        energies[0] = 5.0
+        assert spec.eigenvalues.tolist() == [0.0, 1.0, 2.0]
+        assert energies.flags.writeable
+
+    def test_ladders_and_two_levels_are_diagonal_spectra(self, monkeypatch):
+        # no orthonormality check: it would form I^dag I, O(d^3) at d levels
+        from tauwork import operators
+        from tauwork.scenarios import two_level_hamiltonian
+
+        monkeypatch.setattr(operators, "ORTHONORMALITY_ATOL", -1.0)
+        assert harmonic_hamiltonian(2.0, 5).eigenvalues.tolist() == [1.0, 3.0, 5.0, 7.0, 9.0]
+        assert two_level_hamiltonian(0.5).eigenvectors.tolist() == np.eye(2).tolist()
+        with pytest.raises(ValueError, match="orthonormal"):
+            Spectrum([0.0, 1.0], np.eye(2))
+
+
 class TestHermitianExpm:
     def test_zero_matrix_gives_identity(self):
         h = HermitianOperator(np.zeros((3, 3)))

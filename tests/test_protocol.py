@@ -595,6 +595,80 @@ class TestStackedEstimate:
             alone = estimate(gibbs, final, trans, correction)
             assert bits(stacked, i) == bits(alone)
 
+    @staticmethod
+    def assert_rows_are_runs_alone(runs):
+        """One ``estimate`` call on the stack of reduced ``runs``, each with its
+        own transitions and correction, against each run alone; and the report
+        rows of the stack against each run's own row."""
+        initial, betas, finals, trans, corrections, _ = zip(*runs)
+        stacked = estimate(
+            ThermalEnsemble(np.array(betas), initial), np.array(finals), np.array(trans),
+            np.array(corrections),
+        )
+        for i, run in enumerate(runs):
+            gibbs = ThermalEnsemble(run.beta, run.initial)
+            alone = estimate(gibbs, run.final, run.transitions, run.correction)
+            assert bits(stacked, i) == bits(alone)
+        # numpy scalars print as np.float64(...): the reprs hold every field's type
+        rows = protocol.report_rows(runs)
+        assert list(map(repr, rows)) == [repr(protocol.report_rows([run])[0]) for run in runs]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(2, 7),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["unitary", "damping", "kraus"]),
+                st.sampled_from(["plain", "degenerate", "cold"]),
+                st.floats(0.1, 5.0),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+    )
+    @example(  # one of each channel, full decay among them: zero weights in a row
+        dim=4, seed=0, rows=[("unitary", "plain", 1.0), ("damping", "cold", 0.5),
+                             ("kraus", "degenerate", 2.0), ("damping", "plain", 3.0)],
+    )
+    def test_flat_rows_with_their_own_transitions_and_corrections(self, dim, seed, rows):
+        rng = np.random.default_rng(seed)
+        runs = []
+        for channel, levels, beta in rows:
+            spec0, spec_f = levels_of(levels, dim, rng), levels_of("plain", dim, rng)
+            if channel == "unitary":
+                theta = unitary_channel(random_unitary(dim, rng))
+            elif channel == "kraus":
+                theta = random_kraus_channel(dim, rng)
+            else:  # in the standard basis, where full decay leaves most weights at 0
+                spec0 = Spectrum(spec0.eigenvalues)
+                spec_f = Spectrum(spec_f.eigenvalues)
+                theta = amplitude_damping_channel(float(rng.choice([0.3, 1.0])), dim)
+            runs.append(protocol.reduce_run(FlatRun("f", beta, spec0, spec_f, theta)))
+        self.assert_rows_are_runs_alone(runs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        levels=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=2, max_size=5),
+        rows=st.lists(
+            st.tuples(st.lists(st.integers(0, 2**16), max_size=2), st.floats(0.1, 5.0)),
+            min_size=2,
+            max_size=4,
+        ),
+    )
+    @example(levels=[0.0, 0.0, 1.0, 1.0], rows=[([], 1.0), ([3], 0.5), ([4, 5], 2.0)])
+    def test_instantaneous_appendix_rows(self, levels, rows):
+        runs = []
+        for seeds, beta in rows:
+            prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
+            hams = [HermitianOperator(np.diag(levels))]
+            hams += [random_hermitian(len(levels), s) for s in seeds]
+            bounds = [3.0, 6.0][: len(seeds)] + [prof.tau_total]
+            sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps=50)
+            run = AppendixRun("a", beta, sched, final_basis="instantaneous")
+            runs.append(protocol.reduce_run(run))
+        self.assert_rows_are_runs_alone(runs)
+
     def test_a_stack_of_one_is_a_stack(self):
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 5), 1.0)
         final = 1.2 * gibbs.energies
@@ -1479,27 +1553,27 @@ LABELS = dict(
 
 
 def estimates(beta=1.0, mean_work=0.1, delta_f=0.05, lhs=0.9, rhs=0.9) -> Estimates:
-    """An ``Estimates`` with the given numbers; ``build`` reads no atom."""
+    """An ``Estimates`` with the given numbers; ``rows`` reads no atom."""
     atoms = WorkRows(np.zeros(1), np.ones(1), protocol.MERGE_REL_TOL)
     return Estimates(beta, atoms, mean_work, delta_f, lhs, rhs)
 
 
 class TestProtocolReport:
     def test_csv_row_has_fourteen_columns(self):
-        rep = ProtocolReport.build(estimates(), **LABELS)
+        rep = ProtocolReport.rows(estimates(), [LABELS])[0]
         assert len(CSV_COLUMNS) == 14
         assert len(rep.to_csv_row().split(",")) == 14
         assert ProtocolReport.csv_header().split(",") == list(CSV_COLUMNS)
 
     def test_numbers_come_from_estimates(self):
         est = estimates(beta=2.0, mean_work=0.4, delta_f=0.1, lhs=1.2, rhs=1.1)
-        rep = ProtocolReport.build(est, **LABELS)
+        rep = ProtocolReport.rows(est, [LABELS])[0]
         assert (rep.beta, rep.mean_work, rep.delta_F, rep.lhs, rep.rhs) == (2.0, 0.4, 0.1, 1.2, 1.1)
         assert rep.residual == est.residual == pytest.approx(0.1)
         assert rep.entropy_production == est.entropy_production == pytest.approx(0.6)
 
     def test_json_mirrors_csv_fields(self):
-        rep = ProtocolReport.build(estimates(), **LABELS)
+        rep = ProtocolReport.rows(estimates(), [LABELS])[0]
         assert list(rep.to_dict()) == list(CSV_COLUMNS)
 
 
@@ -1514,7 +1588,7 @@ class TestProtocolReport:
 )
 def test_report_rejects_non_finite_columns(numbers, labels, named):
     with pytest.raises(ValueError, match="non-finite") as err:
-        ProtocolReport.build(estimates(**numbers), **dict(LABELS, **labels))
+        ProtocolReport.rows(estimates(**numbers), [dict(LABELS, **labels)])
     # every non-finite column is named, in report order, and nothing else
     assert str(err.value).split(": ", 1)[1].split(", ") == named
 
@@ -1527,10 +1601,10 @@ class TestReportSchema:
     def test_build_missing_label_raises_type_error(self, dropped):
         labels = {k: v for k, v in LABELS.items() if k != dropped}
         with pytest.raises(TypeError, match=dropped):
-            ProtocolReport.build(estimates(), **labels)
+            ProtocolReport.rows(estimates(), [labels])
 
     @pytest.mark.parametrize("extra", ["residual", "entropy_production", "seed"])
     def test_build_extra_label_raises_type_error(self, extra):
         # a column of ``Estimates`` given as a label is repeated, any other unknown
         with pytest.raises(TypeError, match=extra):
-            ProtocolReport.build(estimates(), **dict(LABELS, **{extra: 0.0}))
+            ProtocolReport.rows(estimates(), [dict(LABELS, **{extra: 0.0})])
