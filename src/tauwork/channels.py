@@ -3,15 +3,14 @@
 Channels are stored concretely as Kraus families (a unitary is a one-element
 family) because the generalized fluctuation relation needs the deviation
 from unitality for arbitrary processes. Proper-time evolution under a
-piecewise-constant schedule is a left-ordered product of one exponential per
-segment, each segment's proper duration read off a dilation profile at the
-slice edges that it owns; a one-segment schedule is the closed-form
-exponential.
+piecewise-constant schedule is the exact left-ordered product of one
+exponential per segment, each segment's proper duration read off its bounds
+and the total proper time of a dilation profile; a one-segment schedule is
+the closed-form exponential.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +124,8 @@ class PropagatorSchedule:
     given as a ``HermitianOperator`` (bench/ draws matrices) is decomposed
     once, when the schedule is built. Segment k applies on
     ``[tau_bounds[k-1], tau_bounds[k])`` with ``tau_bounds[-1]`` covering the
-    profile's total proper time. ``steps`` cuts the laboratory time span into
-    equal slices and only decides which segment the slice that straddles each
-    bound joins (the first-order error across bounds); within a segment the
-    propagator is exact at any ``steps``.
+    profile's total proper time. ``steps`` is validated and reported but
+    changes no number: the propagator is the exact segment product.
     """
 
     segments: tuple
@@ -175,39 +172,19 @@ class PropagatorSchedule:
 
 
 def time_ordered_propagator(schedule: PropagatorSchedule) -> np.ndarray:
-    """T exp(-i integral H dtau) as one exponential per schedule segment.
+    """T exp(-i integral H dtau) as the exact product of one exponential per segment.
 
-    The laboratory time span is cut into ``steps`` equal slices whose proper
-    durations are read from the cumulative proper time at the slice edges, so
-    the slices tile the total proper time exactly. A slice belongs to the
-    segment that holds its proper-time midpoint (a midpoint on a bound goes
-    to the later segment; slices past the last bound go to the last one).
-    Each segment's slices share a generator, so their product is the single
-    exponential exp(-i H dtau) of their summed duration; later segments act
-    on the left. ``steps`` only decides where the slice that straddles each
-    bound lands, which is the first-order error across bounds; within a
-    segment the product is exact.
+    Segment k lasts from the end of segment k - 1 (0 for the first) to
+    ``tau_bounds[k]`` clipped at the profile's total proper time, and the
+    last one ends at that total, so the durations tile it exactly. A segment
+    that would start at or past the total is empty and skipped. Later
+    segments act on the left. ``steps`` enters nothing.
     """
-    prof = schedule.dilation
-    steps = schedule.steps
-    t0, t1 = prof.t[0], prof.t[-1]
-    dt = (t1 - t0) / steps
-
-    def tau_edge(j: int) -> float:
-        # proper time at edge j of np.linspace(t0, t1, steps + 1), bit for bit;
-        # O(log steps) edges per bound are evaluated, never all steps + 1
-        return np.interp(t1 if j == steps else j * dt + t0, prof.t, prof.tau)
-
-    # slice k is the one whose right edge is the first edge at or past a bound;
-    # it starts the later segment iff its midpoint is not below that bound
-    starts = [0]
-    for bound in schedule.tau_bounds[:-1]:
-        k = min(max(bisect_left(range(steps + 1), bound, key=tau_edge) - 1, 0), steps - 1)
-        starts.append(k + (0.5 * (tau_edge(k) + tau_edge(k + 1)) < bound))
-    starts.append(steps)
+    total = schedule.dilation.tau_total
+    ends = np.minimum(schedule.tau_bounds, total)
+    ends[-1] = total
     u = np.eye(schedule.dim, dtype=complex)
-    for spec, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
-        if end > start:
-            d_tau = tau_edge(end) - tau_edge(start)
+    for spec, d_tau in zip(schedule.segments, np.diff(ends, prepend=0.0).tolist()):
+        if d_tau > 0:
             u = spectrum_expm(spec, -1j * d_tau) @ u
     return u

@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", action="append", help="scenario JSON file (repeatable)")
         p.add_argument("--out", default="reports", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--steps", type=int, default=None, help="override driven-pipeline steps")
+        p.add_argument("--steps", type=int, default=None, help="driven-run steps, reported only")
         p.add_argument("--quiet", action="store_true")
 
     run_p = sub.add_parser("run", help="execute scenario files and write reports")

@@ -45,15 +45,14 @@ def _finite(value) -> bool:
 
 def _integer(low: int, high: float = math.inf) -> tuple:
     return (
-        (
-            lambda v: isinstance(v, (int, np.integer)) and v is not True and v is not False,
-            "must be an integer, got {!r}",
-        ),
+        _INTEGER,
         (lambda v: v >= low, f"must be >= {low}, got {{!r}}"),
         (lambda v: v <= high, f"must be <= {high}, got {{!r}}"),
     )
 
 
+_INTEGER = (lambda v: isinstance(v, (int, np.integer)) and type(v) is not bool,
+            "must be an integer, got {!r}")
 _NUMBER = (_finite, "must be a finite number, got {!r}")
 _POSITIVE = (_NUMBER, (lambda v: v > 0, "must be positive, got {!r}"))
 _FINITE_SQUARE = (lambda v: float(v) * float(v) < math.inf, "must have a finite square, got {!r}")
@@ -79,7 +78,7 @@ RULES = {
     "amplitude_damping_dim": _integer(2, 112),
     "depolarizing_dim": _integer(2, 48),
     "samples": _integer(2, 10**6),
-    # the propagator reads O(log steps) slice edges; the cap keeps steps a C integer
+    # reported only: the exact segment product reads no step count
     "steps": _integer(1, 10**9),
     "seed": _integer(0),
     "n": _integer(1),
@@ -292,11 +291,13 @@ def spectrum_expm(spec: Spectrum, scale: complex) -> np.ndarray:
 
     Computed as V diag(exp(scale * lambda)) V^dag, which keeps imaginary
     scales exactly unitary and real negative scales positive definite.
+    Raises ``ValueError`` unless the largest phase, |scale| max|lambda|, is finite.
     """
-    if not np.isfinite(complex(scale)):
-        raise ValueError("scale must be finite")
-    v = spec.eigenvectors
-    return (v * np.exp(scale * spec.eigenvalues)) @ v.conj().T
+    evals, v = spec.eigenvalues, spec.eigenvectors
+    size, top = abs(complex(scale)), max(-float(evals[0]), float(evals[-1]))
+    if not size * top < math.inf:  # a nan or inf scale fails too
+        raise ValueError(f"phase |scale| * max|eigenvalue| = {size!r} * {top!r} is not finite")
+    return (v * np.exp(scale * evals)) @ v.conj().T
 
 
 def random_hermitian(dim: int, rng: np.random.Generator | int) -> HermitianOperator:

@@ -35,8 +35,8 @@ from .channels import (
     identity_channel,
     unitary_channel,
 )
-from .operators import MAX_DIM, RULES, HermitianOperator, Spectrum, matrix_from_pairs
-from .operators import random_hermitian, require, spectral_decompose
+from .operators import _INTEGER, MAX_DIM, RULES, HermitianOperator, Spectrum
+from .operators import matrix_from_pairs, random_hermitian, require, spectral_decompose
 from .protocol import AppendixRun, DilatedRun, FlatRun, ProtocolReport
 from .protocol import run_protocol
 from .spacetime import (
@@ -363,12 +363,17 @@ class ScenarioConfig:
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
 _ALWAYS_REQUIRED = tuple(name for name, f in _FIELDS.items() if f.default is MISSING)
-_FLOAT_FIELDS = frozenset(name for name, f in _FIELDS.items() if f.type == "float")
+_INTEGER_FIELDS = frozenset(name for name, stages in RULES.items() if stages[0] is _INTEGER)
 
 
 def _cast(name: str, value):
-    """A validated field value as the config holds it: float fields as floats."""
-    return float(value) if name in _FLOAT_FIELDS else value
+    """A validated value as the config holds it: each int of a field without an integer
+    rule, in sections and segments too, as a float (numpy holds ints past 2**64 as objects)."""
+    if isinstance(value, dict):
+        return {key: _cast(key, item) for key, item in value.items()}
+    if name == "schedule" and value is not None:
+        return [_cast(name, segment) for segment in value]
+    return float(value) if type(value) is int and name not in _INTEGER_FIELDS else value
 
 
 def parse_document(text: str):

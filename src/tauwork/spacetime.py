@@ -16,6 +16,7 @@ c = 1 convention and are rescaled internally.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .operators import require
 
 WEAK_FIELD_MAX_PHI = 0.5  # |phi|/c^2 beyond this is outside the expansion
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float
 
 
 class WeakFieldViolationError(ValueError):
@@ -33,21 +35,33 @@ def dilation_factor(phi, p, mass: float, c: float = 1.0):
     """Clock rate dtau/dt of the particle relative to the static observers.
 
     First order in the potential and in (p/mc)^2:
-    ``1 + phi/c^2 - p^2 / (2 m^2 c^2)``. Exactly 1 for a particle at rest
-    where the potential vanishes. Scalars give a float; arrays give the
-    per-element array. Raises :class:`WeakFieldViolationError` naming the
-    first sample whose rate is not positive, which signals inputs outside the
-    regime where the expansion makes sense.
+    ``1 + phi/c^2 - p^2 / (2 m^2 c^2)``, where a term whose numerator is 0 is 0
+    even if its denominator underflows. Scalars give a float; arrays give the
+    per-element array. Raises :class:`WeakFieldViolationError` naming the first
+    sample whose rate is not positive and finite, which signals inputs outside
+    the regime where the expansion makes sense.
     """
     require(mass=mass, c=c)
     phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
-    alpha = 1.0 + phi / c**2 - p * p / (2.0 * mass * mass * c * c)
-    bad = np.flatnonzero(alpha <= 0.0)
+    # the direct expression is exact to rounding while c^2 and each partial product of
+    # 2 m^2 c^2 are normal floats: a p^2 that underflows then stands for a term below an ulp of 1
+    c2, m2 = c**2, 2.0 * mass * mass
+    den = m2 * c * c
+    normal = _TINY <= min(c2, m2, m2 * c, den) and max(c2, m2, m2 * c, den) < math.inf
+    with np.errstate(all="ignore"):  # a rate that is not finite is computed again, then checked
+        if normal:
+            alpha = 1.0 + phi / c2 - p * p / den
+        finite = normal and np.isfinite(alpha).all()
+        if not finite:  # a term under- or overflowed
+            kinetic = np.where(p == 0.0, 0.0, 0.5 * (p / mass / c) ** 2)
+            alpha = 1.0 + np.where(phi == 0.0, 0.0, phi / c / c) - kinetic
+    bad = np.flatnonzero(alpha <= 0.0 if finite else ~((alpha > 0.0) & (alpha < math.inf)))
     if bad.size:
-        i = bad[0]
+        i, rate = bad[0], alpha.flat[bad[0]]
         raise WeakFieldViolationError(
-            f"dtau/dt = {alpha.flat[i]:.3g} <= 0 for phi={float(phi.flat[i])!r}, "
-            f"p={float(p.flat[i])!r}: outside the weak-field / slow-motion regime"
+            f"dtau/dt = {rate:.3g} {'<= 0' if rate <= 0.0 else 'is not finite'} for "
+            f"phi={float(phi.flat[i])!r}, p={float(p.flat[i])!r}: outside the weak-field / "
+            "slow-motion regime"
         )
     return float(alpha) if alpha.ndim == 0 else alpha
 
@@ -71,7 +85,7 @@ class Worldline:
             raise ValueError("t, phi, p must have identical lengths")
         if not (np.isfinite(t).all() and np.isfinite(phi).all() and np.isfinite(p).all()):
             raise ValueError("worldline samples must be finite")
-        if ((t[1:] - t[:-1]) <= 0).any():
+        if (t[1:] <= t[:-1]).any():
             raise ValueError("t must be strictly increasing")
         require(mass=mass)
         for arr in (t, phi, p):
@@ -110,6 +124,7 @@ def comoving_worldline(t_end: float, samples: int = 2, mass: float = 1.0) -> Wor
     return Worldline(t, z, z, mass)
 
 
+@np.errstate(over="ignore")  # a potential past the float range fails the Worldline check
 def uniform_gravity_worldline(
     g: float, t_end: float, samples: int = 1001, p: float = 0.0, mass: float = 1.0
 ) -> Worldline:
@@ -119,6 +134,7 @@ def uniform_gravity_worldline(
     return Worldline(t, g * t, np.full_like(t, p), mass)
 
 
+@np.errstate(over="ignore")  # a potential past the float range fails the Worldline check
 def point_mass_worldline(
     big_m: float,
     r_start: float,
@@ -148,27 +164,25 @@ def cruise_worldline(
 class DilationProfile:
     """Per-sample clock rate and the accumulated proper time along a worldline.
 
-    ``tau`` is the running trapezoidal integral of ``alpha`` over ``t`` with
-    tau[0] = 0.
+    ``tau`` is the running trapezoidal integral of ``alpha`` over the
+    worldline's ``t`` with tau[0] = 0.
     """
 
-    t: np.ndarray
     alpha: np.ndarray
     tau: np.ndarray
 
-    def __init__(self, t, alpha, tau):
-        t = np.array(t, dtype=float)
+    def __init__(self, alpha, tau):
         alpha = np.array(alpha, dtype=float)
         tau = np.array(tau, dtype=float)
-        if not (t.shape == alpha.shape == tau.shape) or t.ndim != 1 or t.size < 2:
+        if alpha.shape != tau.shape or alpha.ndim != 1 or alpha.size < 2:
             raise ValueError("profile arrays must be equal-length with >= 2 samples")
-        if (alpha <= 0).any():
-            raise WeakFieldViolationError("dilation factor must stay positive")
-        if tau[0] != 0.0 or ((tau[1:] - tau[:-1]) <= 0).any():
-            raise ValueError("tau must start at 0 and increase strictly")
-        for arr in (t, alpha, tau):
+        # written so that a nan fails each test
+        if not ((alpha > 0.0) & (alpha < math.inf)).all():
+            raise WeakFieldViolationError("dilation factor must stay positive and finite")
+        if not (tau[0] == 0.0 and (tau[1:] > tau[:-1]).all() and tau[-1] < math.inf):
+            raise ValueError("tau must start at 0 and increase strictly to a finite total")
+        for arr in (alpha, tau):
             arr.flags.writeable = False
-        object.__setattr__(self, "t", t)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau", tau)
 
@@ -193,13 +207,15 @@ def dilation_profile(
     equivalence-principle effect.
     """
     require(c=c)
-    ratio = np.max(np.abs(worldline.phi)) / c**2
+    # in Python floats, an underflowed c^2 gives a huge ratio (or 0), not a numpy warning
+    ratio = float(np.max(np.abs(worldline.phi))) / max(float(c) ** 2, math.ulp(0.0))
     if ratio >= WEAK_FIELD_MAX_PHI:
         raise WeakFieldViolationError(
             f"|phi|/c^2 = {ratio:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
         )
     p = 0.0 if gravitational_only else worldline.p
     alpha = dilation_factor(worldline.phi, p, worldline.mass, c)
-    dt = worldline.t[1:] - worldline.t[:-1]
-    tau = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * dt)))
-    return DilationProfile(worldline.t, alpha, tau)
+    t = worldline.t
+    with np.errstate(over="ignore"):  # a tau past the float range fails the DilationProfile check
+        tau = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * (t[1:] - t[:-1]))))
+    return DilationProfile(alpha, tau)

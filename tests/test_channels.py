@@ -54,39 +54,19 @@ def ramp_profile():
     return dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=2001))
 
 
-def stepwise_propagator(schedule):
-    """Reference: one exponential per slice, each slice assigned to the
-    segment holding its proper-time midpoint (side="right", clamped)."""
-    prof = schedule.dilation
-    edges = np.linspace(prof.t[0], prof.t[-1], schedule.steps + 1)
-    tau_edges = np.interp(edges, prof.t, prof.tau)
-    spectra = schedule.segments
-    u = np.eye(schedule.dim, dtype=complex)
-    for k in range(schedule.steps):
-        d_tau = tau_edges[k + 1] - tau_edges[k]
-        tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
-        idx = int(np.searchsorted(schedule.tau_bounds, tau_mid, side="right"))
-        spec = spectra[min(idx, len(schedule.segments) - 1)]
-        u = spectrum_expm(spec, -1j * d_tau) @ u
-    return u
-
-
-def array_grouped_propagator(schedule):
-    """Reference: the grouped product with all steps + 1 slice edges held in
-    arrays; ``time_ordered_propagator`` must match it bit for bit."""
-    prof = schedule.dilation
-    steps = schedule.steps
-    edges = np.linspace(prof.t[0], prof.t[-1], steps + 1)
-    tau_edges = np.interp(edges, prof.t, prof.tau)
-    interior = schedule.tau_bounds[:-1]
-    k = np.clip(np.searchsorted(tau_edges, interior) - 1, 0, steps - 1)
-    tau_mid = 0.5 * (tau_edges[k] + tau_edges[k + 1])
-    starts = np.concatenate(([0], k + (tau_mid < interior), [steps]))
-    u = np.eye(schedule.dim, dtype=complex)
-    for spec, start, end in zip(schedule.segments, starts[:-1], starts[1:]):
+def segment_product(schedule):
+    """Reference: prod_k exp(-i H_k dtau_k), later segments on the left, through
+    numpy's own eigh. Segment k ends at its bound clipped at tau_total and the
+    last one at tau_total; a segment that would start there is empty."""
+    total = schedule.dilation.tau_total
+    u, start = np.eye(schedule.dim, dtype=complex), 0.0
+    for k, spec in enumerate(schedule.segments):
+        end = total if k == len(schedule.segments) - 1 else min(schedule.tau_bounds[k], total)
         if end > start:
-            d_tau = tau_edges[end] - tau_edges[start]
-            u = spectrum_expm(spec, -1j * d_tau) @ u
+            h = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+            evals, vecs = np.linalg.eigh(h)
+            u = (vecs * np.exp(-1j * (end - start) * evals)) @ vecs.conj().T @ u
+            start = end
     return u
 
 
@@ -290,7 +270,7 @@ class TestPropagatorSchedule:
 
 
 class TestTimeOrderedPropagator:
-    def test_grouped_product_matches_stepwise_loop(self):
+    def test_is_the_segment_product_at_every_step_count(self):
         rng = np.random.default_rng(2024)
         prof = ramp_profile()
         total = prof.tau_total
@@ -303,27 +283,25 @@ class TestTimeOrderedPropagator:
                 # the last interior bound past tau_total leaves a segment empty
                 bounds[-2:] = [1.1 * total, 1.2 * total]
             hams = [random_hermitian(dim, int(rng.integers(1 << 30))) for _ in bounds]
-            for steps in (1, 2, 7, 64, 1000):
-                sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps)
-                diff = time_ordered_propagator(sched) - stepwise_propagator(sched)
-                worst = max(worst, np.max(np.abs(diff)))
-        assert worst < 1e-11
+            products = [
+                time_ordered_propagator(PropagatorSchedule(list(zip(bounds, hams)), prof, steps))
+                for steps in (1, 2, 7, 64, 1000)
+            ]
+            assert all(np.array_equal(u, products[0]) for u in products), case
+            sched = PropagatorSchedule(list(zip(bounds, hams)), prof, 1)
+            worst = max(worst, np.max(np.abs(products[0] - segment_product(sched))))
+        assert worst < 1e-12
 
     @pytest.mark.parametrize("steps", [1, 2])
-    def test_midpoint_on_bound_goes_to_later_segment(self, steps):
-        # tau = t on [0, 10]: with one slice the midpoint is 5.0, with two the
-        # edge is 5.0; either way the bound at 5.0 hands it to the second segment
+    def test_a_bound_splits_the_segments_at_every_step_count(self, steps):
+        # tau = t on [0, 10]: one slice or two, the bound at 5.0 gives each
+        # segment half of the proper time
         prof = dilation_profile(comoving_worldline(10.0, samples=11))
         h1 = HermitianOperator(np.diag([0.0, 1.0]))
         h2 = HermitianOperator(SIGMA_X)
         sched = PropagatorSchedule([(5.0, h1), (10.0, h2)], prof, steps)
-        expected = {
-            1: propagator(h2, 10.0),
-            2: propagator(h2, 5.0) @ propagator(h1, 5.0),
-        }[steps]
-        u = time_ordered_propagator(sched)
-        assert np.max(np.abs(u - expected)) < 1e-14
-        assert np.max(np.abs(u - stepwise_propagator(sched))) < 1e-14
+        expected = closed_form_propagator(SIGMA_X, 5.0) @ np.diag([1.0, np.exp(-5j)])
+        assert np.max(np.abs(time_ordered_propagator(sched) - expected)) < 1e-14
 
     def test_constant_schedule_matches_closed_form(self):
         prof = ramp_profile()
@@ -346,8 +324,8 @@ class TestTimeOrderedPropagator:
             steps=4096,
         )
         effective = cut + 2.0 * (total - cut)
-        exact = propagator(h0, effective)
-        assert np.max(np.abs(time_ordered_propagator(sched) - exact)) < 1e-3
+        exact = closed_form_propagator(h0.matrix, effective)
+        assert np.max(np.abs(time_ordered_propagator(sched) - exact)) < 1e-13
 
     def test_unitary_at_every_step_count(self):
         prof = ramp_profile()
@@ -359,26 +337,26 @@ class TestTimeOrderedPropagator:
             u = time_ordered_propagator(sched)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-9
 
-    def test_step_halving_error_shrinks(self):
-        # non-commuting two-segment drive, irrationally placed break
+    def test_non_commuting_drive_is_exact_at_every_step_count(self):
+        # two segments, irrationally placed break: no step count moves U
         prof = ramp_profile()
         total = prof.tau_total
         h1 = HermitianOperator(0.9 * np.diag([1.0, -1.0]).astype(complex) + 0.4 * SIGMA_X)
         h2 = HermitianOperator(h1.matrix + 0.5 * np.array([[0, -1j], [1j, 0]]))
         bounds = [total / np.sqrt(2.0), total]
+        products = [
+            time_ordered_propagator(PropagatorSchedule(list(zip(bounds, [h1, h2])), prof, n))
+            for n in (64, 256, 1024, 65536)
+        ]
+        assert all(np.array_equal(u, products[0]) for u in products)
+        exact = closed_form_propagator(h2.matrix, total - bounds[0]) @ closed_form_propagator(
+            h1.matrix, bounds[0]
+        )
+        assert np.max(np.abs(products[0] - exact)) < 1e-14
 
-        def u_at(steps):
-            return time_ordered_propagator(
-                PropagatorSchedule(list(zip(bounds, [h1, h2])), prof, steps)
-            )
-
-        u_ref = u_at(65536)
-        errors = [np.max(np.abs(u_at(n) - u_ref)) for n in (64, 256, 1024)]
-        assert errors[0] > errors[1] > errors[2]
-        # straddling-step bound: ||H2 - H1|| * dtau_step ~ 5.4e-3 at 1024 steps
-        assert errors[2] < 6e-3
-
-    def test_matches_the_array_grouped_product_exactly(self):
+    def test_empty_segments_past_the_total_change_nothing(self):
+        # a schedule whose last interior bounds pass tau_total is, bit for bit, the
+        # schedule that ends its last non-empty segment at tau_total
         rng = np.random.default_rng(276)
         profiles = [ramp_profile(), dilation_profile(cruise_worldline(0.4, 7.0, 301))]
         for case in range(40):
@@ -387,15 +365,19 @@ class TestTimeOrderedPropagator:
             dim = int(rng.integers(2, 6))
             n_seg = 1 + case % 5
             bounds = list(np.sort(rng.uniform(0.0, total, n_seg - 1))) + [total]
+            kept = len(bounds)
             if case % 4 == 3 and n_seg >= 2:
                 # interior bounds past tau_total leave segments empty
                 bounds[-2:] = [1.1 * total, 1.2 * total]
+                kept -= 1
             hams = [random_hermitian(dim, int(rng.integers(1 << 30))) for _ in bounds]
+            trimmed = list(zip(bounds[: kept - 1] + [total], hams[:kept]))
+            expected = time_ordered_propagator(PropagatorSchedule(trimmed, prof, 1))
             for steps in (1, 2, 7, 1000, int(rng.integers(1, 320_001))):
                 sched = PropagatorSchedule(list(zip(bounds, hams)), prof, steps)
-                assert np.array_equal(
-                    time_ordered_propagator(sched), array_grouped_propagator(sched)
-                ), (case, steps)
+                u = time_ordered_propagator(sched)
+                assert np.array_equal(u, expected), (case, steps)
+                assert np.max(np.abs(u - segment_product(sched))) < 1e-12, (case, steps)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), theta=st.floats(1e-3, np.pi), steps=st.integers(1, 1000))
@@ -413,10 +395,9 @@ class TestTimeOrderedPropagator:
         assert np.max(np.abs(by_schedule - exact)) < 1e-14
 
     @pytest.mark.parametrize("steps", [1, 10, 1000, 100_000])
-    def test_slicing_error_obeys_the_straddle_bound(self, steps):
-        # criterion 8's drive: the slice that straddles an interior bound spends at
-        # most half its duration under the neighbouring generator, so
-        # ||U_steps - U_exact|| <= sum_k ||H_k - H_k+1|| max dtau / 2
+    def test_criterion_drive_is_the_closed_form_product(self, steps):
+        # criterion 8's drive against the ordered product of 2x2 closed forms,
+        # with no eigensolver, at rounding level for every step count
         hams = acceptance._two_level_schedule_segments()
         prof = acceptance._ramp_profile()
         total = prof.tau_total
@@ -424,15 +405,13 @@ class TestTimeOrderedPropagator:
         bounds = [f * total for f in fracs] + [total]
         u = time_ordered_propagator(PropagatorSchedule(list(zip(bounds, hams)), prof, steps))
         exact = np.eye(2)
-        for h, d_tau in zip(hams, np.diff(np.minimum(bounds, total), prepend=0.0)):
+        for h, d_tau in zip(hams, np.diff(bounds, prepend=0.0)):
             exact = closed_form_propagator(h.matrix, d_tau) @ exact
-        edges = np.interp(np.linspace(prof.t[0], prof.t[-1], steps + 1), prof.t, prof.tau)
-        jumps = sum(np.linalg.norm(a.matrix - b.matrix, 2) for a, b in zip(hams, hams[1:]))
-        assert np.linalg.norm(u - exact, 2) <= jumps * np.max(np.diff(edges)) / 2
+        assert np.max(np.abs(u - exact)) < 1e-14
 
     def test_peak_allocation_does_not_grow_with_steps(self):
-        # the slice edges are evaluated one at a time: an array of 320,001
-        # edges alone would take 2.56 MB
+        # no slice grid is built: an array of 320,001 slice edges alone would
+        # take 2.56 MB
         prof = ramp_profile()
         total = prof.tau_total
         hams = [random_hermitian(3, seed) for seed in (1, 2, 3)]

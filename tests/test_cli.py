@@ -1174,3 +1174,64 @@ class TestStreamedStacks:
             for row in loaded if isinstance(loaded, list) else [loaded]:
                 for field in dataclasses.fields(ProtocolReport):
                     assert type(row[field.name]) is cast[field.type], field.name
+
+
+def _run_document(tmp_path, name, document):
+    """``run`` on ``document`` saved as ``name``: the exit code and the bytes written."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(document))
+    out = tmp_path / f"{name}-out"
+    code = main(["run", "--scenario", str(path), "--out", str(out), "--quiet"])
+    return code, {str(p): (out / p).read_bytes() for p in all_files(out)} if out.exists() else {}
+
+
+class TestExtremeNumbers:
+    """Numbers that pass their rules reach the engine as floats, and a term whose
+    numerator is 0 stays 0 when its denominator underflows. A rate, a proper time
+    or a phase that is not finite is invalid input. pyproject turns any numpy
+    warning into a failure."""
+
+    def test_a_tiny_mass_on_a_gravitational_only_run_changes_no_byte(self, tmp_path):
+        document = _demo("oscillator_blueshift")
+        assert _run_document(tmp_path, "tiny", dict(document, mass=1e-200)) == _run_document(
+            tmp_path, "unit", document
+        )
+
+    def test_a_comoving_clock_runs_at_rate_1_whatever_c(self, tmp_path):
+        code, files = _run_document(tmp_path, "c", dict(_demo("comoving"), c=1e-300))
+        assert code == 0
+        header, rows = read_rows(tmp_path / "c-out" / "comoving.csv")
+        assert rows[0]["alpha_final"] == "1.0" and rows[0]["tau_total"] == "5.0"
+
+    def test_an_integer_past_2_to_the_64_is_its_float_twin(self, tmp_path):
+        document = _demo("cruise_redshift")
+        big = dict(document, worldline=dict(document["worldline"], t_end=10**20))
+        twin = dict(document, worldline=dict(document["worldline"], t_end=1e20))
+        code, files = _run_document(tmp_path, "int", big)
+        assert (code, files) == _run_document(tmp_path, "float", twin) and code == 0
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("cruise_redshift", {"mass": 5e-324}, "dtau/dt = -inf <= 0"),
+            (
+                "driven_two_segment",
+                {"schedule": [{"tau_end": 6.0, "system": {"kind": "two_level", "gap": 1.7976931348623157e308}},
+                              {"tau_end": 12.0, "system": {"kind": "two_level", "gap": 1.5}}]},
+                "phase |scale| * max|eigenvalue|",
+            ),
+            (
+                "oscillator_blueshift",
+                {"worldline": {"preset": "uniform_gravity", "g": 1e-309, "t_end": 1.7e308,
+                               "samples": 101, "gravitational_only": True}},
+                "tau must start at 0 and increase strictly to a finite total",
+            ),
+        ],
+        ids=["kinetic-term", "segment-phase", "proper-time"],
+    )
+    def test_a_rate_phase_or_proper_time_past_the_float_range_exit_2(
+        self, tmp_path, capsys, name, edit, message
+    ):
+        assert _run_document(tmp_path, name, dict(_demo(name), **edit)) == (2, {})
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and message in err and "Traceback" not in err

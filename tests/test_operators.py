@@ -328,6 +328,19 @@ class TestDiagonal:
 
 
 class TestHermitianExpm:
+    @pytest.mark.parametrize(
+        "scale, message",
+        [
+            (-1j * 6.0, "phase |scale| * max|eigenvalue| = 6.0 * 1.7976931348623157e+308"),
+            (complex(np.nan, 0.0), "phase |scale| * max|eigenvalue| = nan"),
+            (-1j * np.inf, "phase |scale| * max|eigenvalue| = inf"),
+        ],
+    )
+    def test_a_phase_that_is_not_finite_raises(self, scale, message):
+        spec = Spectrum([0.0, np.finfo(float).max])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            spectrum_expm(spec, scale)
+
     def test_zero_matrix_gives_identity(self):
         h = HermitianOperator(np.zeros((3, 3)))
         np.testing.assert_allclose(expm(h, 1.7 - 0.3j), np.eye(3), atol=1e-15)

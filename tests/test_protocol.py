@@ -1420,7 +1420,7 @@ class TestFlatIsDilated:
         spec = spectral_decompose(h0)
         final = HermitianOperator(alpha * h0.matrix)
         flat = run_protocol(FlatRun("f", beta, h0, final, identity_channel(dim)))
-        profile = DilationProfile([0.0, 1.0], [1.0, alpha], [0.0, 0.5 * (1.0 + alpha)])
+        profile = DilationProfile([1.0, alpha], [0.0, 0.5 * (1.0 + alpha)])
         dilated = run_protocol(DilatedRun("d", beta, spec, profile))
         # H_f is decomposed on its own, so its levels differ from alpha E_n by a
         # rounding of the energy scale: <W> and dF (as small as that near alpha = 1)

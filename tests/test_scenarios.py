@@ -275,6 +275,27 @@ class TestValidation:
         assert edited == ScenarioConfig.from_dict(dilated_config(c=3, scenario_id="osc@c=3"))
         assert type(edited.c) is float
 
+    def test_every_int_without_an_integer_rule_is_held_as_a_float(self):
+        # an int past 2**64 would reach numpy as an object array
+        raw = {
+            "scenario_id": "drv",
+            "pipeline": "appendix",
+            "beta": 1,
+            "worldline": {"preset": "uniform_gravity", "g": 0, "t_end": 10**20, "samples": 11},
+            "schedule": [{"tau_end": 10**21, "system": {"kind": "harmonic", "omega": 1,
+                                                         "levels": 3}}],
+            "steps": 7,
+        }
+        config = ScenarioConfig.from_dict(raw)
+        assert [type(v) for v in (config.beta, config.mass, config.steps)] == [float, float, int]
+        assert config.worldline == {"preset": "uniform_gravity", "g": 0.0, "t_end": 1e20,
+                                    "samples": 11}
+        assert [type(v) for v in config.worldline.values()] == [str, float, float, int]
+        segment = config.schedule[0]
+        assert type(segment["tau_end"]) is float and segment["tau_end"] == 1e21
+        assert [type(v) for v in segment["system"].values()] == [str, float, int]
+        assert raw["worldline"]["t_end"] == 10**20  # the document is not edited
+
     def test_unknown_system_subfield(self):
         raw = dilated_config(system={"kind": "two_level", "gap": 1.0, "omega": 2.0})
         with pytest.raises(ScenarioValidationError, match="system.omega: unknown"):

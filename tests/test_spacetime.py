@@ -49,6 +49,52 @@ class TestDilationFactor:
         with pytest.raises(ValueError, match=r"c must be positive, got 0\.0"):
             dilation_factor(0.0, 0.0, 1.0, c=0.0)
 
+    @pytest.mark.parametrize("mass, c", [(1e-200, 1.0), (1.0, 1e-300), (5e-324, 1e-300)])
+    def test_a_term_with_a_zero_numerator_is_zero_when_its_denominator_underflows(
+        self, mass, c
+    ):
+        # 2 m^2 c^2 or c^2 underflows to 0; at rest where phi = 0 the rate is still 1
+        assert dilation_factor(0.0, 0.0, mass, c) == 1.0
+        np.testing.assert_array_equal(dilation_factor(np.zeros(3), np.zeros(3), mass, c), 1.0)
+
+    def test_underflowed_denominators_keep_the_scale_of_the_kinetic_term(self):
+        # p^2 and 2 m^2 c^2 both underflow, but (p / m c)^2 / 2 = 0.02 does not
+        assert dilation_factor(0.0, 2e-171, 1e-170) == pytest.approx(0.98, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "p, mass, c, rate",
+        [
+            (1e-162, 1e-161, 1.0, 0.995),  # p^2 underflows to 0, 2 m^2 c^2 is subnormal
+            (1e-150, 1e-160, 1e10, 0.5),  # 2 m^2 is subnormal, 2 m^2 c^2 is normal
+            (1e154, 1e154, 1.0, 0.5),  # p^2 is finite, 2 m^2 c^2 overflows
+        ],
+    )
+    def test_a_denominator_out_of_the_normal_range_keeps_the_kinetic_term(
+        self, p, mass, c, rate
+    ):
+        assert dilation_factor(0.0, p, mass, c) == pytest.approx(rate, abs=1e-15)
+        assert dilation_factor(np.zeros(2), np.full(2, p), mass, c).tolist() == [
+            dilation_factor(0.0, p, mass, c)
+        ] * 2
+
+    def test_an_overflowed_denominator_does_not_hide_a_huge_kinetic_term(self):
+        # 2 m^2 c^2 overflows on the way to 2e200, and (p / m c)^2 / 2 = 5e99
+        with pytest.raises(WeakFieldViolationError, match="<= 0"):
+            dilation_factor(0.0, 1e150, 1e200, 1e-100)
+
+    @pytest.mark.parametrize(
+        "phi, p, mass, c, message",
+        [
+            (0.0, 0.3, 5e-324, 1.0, "dtau/dt = -inf <= 0"),
+            (0.0, 1e200, 1.0, 1.0, "dtau/dt = -inf <= 0"),
+            (0.1, 0.0, 1.0, 1e-300, "dtau/dt = inf is not finite"),
+            (0.1, 0.3, 5e-324, 1e-300, "dtau/dt = nan is not finite"),
+        ],
+    )
+    def test_a_rate_that_is_not_finite_raises(self, phi, p, mass, c, message):
+        with pytest.raises(WeakFieldViolationError, match=re.escape(message)):
+            dilation_factor(phi, p, mass, c)
+
     @pytest.mark.parametrize(
         "mass, c, message",
         [
@@ -160,7 +206,7 @@ class TestWorldline:
 class TestDilationProfile:
     def test_arrays_must_have_equal_lengths(self):
         with pytest.raises(ValueError, match="profile arrays must be equal-length"):
-            DilationProfile([0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 1.0])
+            DilationProfile([1.0, 1.0, 1.0], [0.0, 1.0])
 
     def test_comoving_is_trivial(self):
         prof = dilation_profile(comoving_worldline(5.0, samples=7))
@@ -202,16 +248,38 @@ class TestDilationProfile:
 
     def test_profile_validation(self):
         with pytest.raises(WeakFieldViolationError):
-            DilationProfile([0.0, 1.0], [1.0, -0.1], [0.0, 0.5])
+            DilationProfile([1.0, -0.1], [0.0, 0.5])
         with pytest.raises(ValueError, match="tau"):
-            DilationProfile([0.0, 1.0], [1.0, 1.0], [0.5, 1.0])
+            DilationProfile([1.0, 1.0], [0.5, 1.0])
+
+    @pytest.mark.parametrize(
+        "alpha, tau, error",
+        [
+            ([1.0, np.nan], [0.0, np.nan], WeakFieldViolationError),
+            ([1.0, np.inf], [0.0, 1.0], WeakFieldViolationError),
+            ([1.0, 1.0], [0.0, np.nan], ValueError),
+            ([1.0, 1.0], [0.0, np.inf], ValueError),
+        ],
+    )
+    def test_profile_rejects_nan_and_inf(self, alpha, tau, error):
+        with pytest.raises(error):
+            DilationProfile(alpha, tau)
+
+    def test_a_proper_time_past_the_float_range_raises(self):
+        # each rate is below 1.5, and the span is within the float range, but
+        # the total proper time is not
+        w = uniform_gravity_worldline(1e-309, 1.7e308, samples=101)
+        with pytest.raises(ValueError, match="finite total"):
+            dilation_profile(w, gravitational_only=True)
+        # the same span at a rate of 1 stays finite
+        assert dilation_profile(comoving_worldline(1.7e308, samples=101)).tau_total < np.inf
 
     def test_interpolators(self):
         w = uniform_gravity_worldline(0.1, 2.0, samples=2001)
         prof = dilation_profile(w)
-        assert np.interp(1.0, prof.t, prof.alpha) == pytest.approx(1.1, abs=1e-12)
+        assert np.interp(1.0, w.t, prof.alpha) == pytest.approx(1.1, abs=1e-12)
         # tau(1) = 1 + 0.1/2 = 1.05 for the linear ramp
-        assert np.interp(1.0, prof.t, prof.tau) == pytest.approx(1.05, abs=1e-9)
+        assert np.interp(1.0, w.t, prof.tau) == pytest.approx(1.05, abs=1e-9)
 
 
 class TestClockRateOnArrays:
