@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, acceptance
 from .operators import require
 from .protocol import ProtocolReport, reduce_run, report_rows
-from .scenarios import ScenarioConfig, build_scenario, parse_document
+from .scenarios import STACK_ATOMS, ScenarioConfig, build_scenario, parse_document, stacks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -25,9 +25,9 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 SWEEP_PARAMS = ("alpha", "beta", "omega", "c", "gamma")
-# the atoms of one stacked ``estimate`` call, 256 KB per float64 array of the
-# stack; a pending point's own objects, about 1 KB, count as POINT_ATOMS more
-STACK_ATOMS, POINT_ATOMS = 2**15, 128
+# a pending point's own objects, about 1 KB, count as POINT_ATOMS more atoms of
+# its ``estimate`` stack
+POINT_ATOMS = 128
 
 
 def _labelled(label: str, call, *args, **kwargs):
@@ -73,10 +73,12 @@ def _run_points(args, points: list, table: str | None = None) -> int:
     Every point runs before any report is written, so a failure leaves no
     report. ``table`` names the one file that holds every report (a sweep);
     without it each report gets a file named after its scenario_id.
-    Each point is reduced once built, so no profile or run is kept, and joins
-    a stack that runs as one ``estimate`` call before a point of another
-    dimension or transition form or past ``STACK_ATOMS``, before a later
-    point's error, and at the end. A stack that raises runs its points alone.
+    Points are built in the groups of ``stacks``, which share one profile
+    call; a group that raises builds its points alone, in order. Each point is
+    reduced once built, so no profile or run is kept, and joins a stack that
+    runs as one ``estimate`` call before a point of another dimension or
+    transition form or past ``STACK_ATOMS``, before a later point's error, and
+    at the end. A stack that raises runs its points alone.
     """
     out_dir = Path(args.out)
     try:
@@ -98,18 +100,31 @@ def _run_points(args, points: list, table: str | None = None) -> int:
                 reports.extend(_labelled(label, report_rows, [run]))
         stack.clear()
 
-    for label, config in points:
+    built = 0
+    for group in stacks([config for _, config in points]):
         try:
-            run = _labelled(label, lambda: reduce_run(build_scenario(config, memo)))
-        except (OSError, ValueError):
-            flush()  # an earlier point's error comes first
-            raise
-        form = run.final.size, run.transitions is None
-        atoms = POINT_ATOMS + (run.final.size if run.transitions is None else run.transitions.size)
-        if stack and (form != stack[-1][2] or (len(stack) + 1) * atoms > STACK_ATOMS):
-            flush()
-        stack.append((label, run, form))
+            runs = build_scenario(group, memo)
+        except (OSError, ValueError):  # alone, in order, the first failing point names itself
+            runs = [None] * len(group)
+        for (label, config), run in zip(points[built : built + len(group)], runs):
+            try:
+                run = _labelled(
+                    label, lambda: reduce_run(run or build_scenario([config], memo)[0])
+                )
+            except (OSError, ValueError):
+                flush()  # an earlier point's error comes first
+                raise
+            form = run.final.size, run.transitions is None
+            atoms = POINT_ATOMS + (
+                run.final.size if run.transitions is None else run.transitions.size
+            )
+            if stack and (form != stack[-1][2] or (len(stack) + 1) * atoms > STACK_ATOMS):
+                flush()
+            stack.append((label, run, form))
+        built += len(group)
+        del runs  # a run's profile row keeps its whole stack alive
     flush()
+    memo.clear()  # the last stack's worldline and profile are not needed to write the reports
     files = [(table, reports)] if table else [(r.scenario_id, [r]) for r in reports]
     for stem, group in files:
         if args.format == "csv":

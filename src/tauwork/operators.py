@@ -181,15 +181,17 @@ class Spectrum:
         A spectrum rescaled by a clock rate or a level spacing; ``scaled(1.0)``
         is ``self``. The eigenvectors are shared, not copied: they are
         read-only and were checked for orthonormality when this spectrum was
-        built, so only the new eigenvalues are checked.
+        built, so only the new eigenvalues are checked: a positive factor keeps
+        them ascending, and one that overflows makes an end overflow.
         """
         require(factor=factor)
         if factor == 1.0:
             return self
-        # an overflow to inf is rejected by the eigenvalue check
-        with np.errstate(over="ignore"):
-            evals = factor * self.eigenvalues
-        _check_spectrum(evals)
+        low, high = (float(factor) * float(e) for e in self.eigenvalues[[0, -1]])
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("spectrum contains non-finite entries")
+        evals = factor * self.eigenvalues
+        evals.flags.writeable = False
         spec = object.__new__(Spectrum)
         vars(spec).update(eigenvalues=evals, eigenvectors=self.eigenvectors)
         return spec

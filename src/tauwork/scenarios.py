@@ -52,6 +52,9 @@ from .spacetime import (
 DEFAULT_STEPS = 1000
 DEFAULT_SAMPLES = 1001
 TAIL_WEIGHT = 1e-12
+# the elements of one stacked array, 256 KB in float64: the samples of a stack of
+# profiles, and the atoms of a stack of runs in one ``estimate`` call
+STACK_ATOMS = 2**15
 
 
 class ScenarioValidationError(ValueError):
@@ -419,30 +422,70 @@ def _stage(memo: dict | None, stage: str, compute: Callable, **inputs):
 
 
 def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
-    """The system's spectrum from ``memo``'s spectrum stage. A system linear in
-    its ``scale`` field is held at scale 1 and rescaled on the way out."""
+    """The system's spectrum from ``memo``'s system stage. A system linear in its
+    ``scale`` field is decomposed at scale 1, in the spectrum stage, and rescaled
+    once per value of that field."""
     scale = SYSTEMS[system["kind"]].scale
-    unit = dict(system, **{scale: 1.0}) if scale else system
-    spec = _stage(memo, "spectrum", build_system, system=unit)
-    return spec.scaled(system[scale]) if scale else spec
+    if scale is None:
+        return _stage(memo, "system", build_system, system=system)
+    unit = _stage(memo, "spectrum", build_system, system=dict(system, **{scale: 1.0}))
+    return _stage(memo, "system", lambda system: unit.scaled(system[scale]), system=system)
 
 
 def build_trajectory(worldline: dict, mass: float) -> Worldline:
-    """The sampled trajectory of a ``worldline`` section for a particle of ``mass``."""
+    """The sampled trajectory of a ``worldline`` section for a particle of ``mass``;
+    a column of ``g`` values gives a stack of ``uniform_gravity`` ramps."""
     entry = WORLDLINES[worldline.get("preset", "csv")]
     return entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
 
 
-def _profile(worldline: dict, mass: float, c: float, memo: dict | None) -> DilationProfile:
-    """The clock-rate profile at speed of light ``c``, from ``memo``'s profile
-    stage; it reads the trajectory from its own stage, which ``c`` does not enter."""
+def stacks(configs: list):
+    """``configs`` in consecutive groups that share one trajectory and one profile call.
+
+    A config joins the group before it when its profile inputs differ from the
+    last config's in ``c`` or a ``uniform_gravity`` ramp's ``g`` alone, and the
+    group's samples stay within ``STACK_ATOMS``. Equal profile inputs are the
+    memo's; a ``csv`` worldline, whose length is known only once read, stacks
+    with none.
+    """
+    group = []
+    for config in configs:
+        last, w = group[-1] if group else None, config.worldline
+        if group and not (
+            w and last.worldline and "csv" not in w
+            and (last.c != config.c or last.worldline.get("g") != w.get("g"))
+            and last.mass == config.mass and dict(last.worldline, g=None) == dict(w, g=None)
+            and (len(group) + 1) * w.get("samples", DEFAULT_SAMPLES) <= STACK_ATOMS
+        ):
+            yield group
+            group = []
+        group.append(config)
+    if group:
+        yield group
+
+
+def _profiles(group: list, memo: dict | None) -> list:
+    """The clock-rate profile of each config of a group of ``stacks``, from one call in
+    ``memo``'s profile stage, or a None for a flat config. The trajectory comes from
+    its own stage, which ``c`` does not enter; a stack of one ramp repeats it."""
+    first, rows = group[0], len(group)
+    worldline, c = first.worldline, first.c
+    if worldline is None:
+        return [None]
+    if rows > 1:
+        ramps = tuple(config.worldline.get("g") for config in group)
+        worldline = dict(worldline, g=ramps) if len(set(ramps)) > 1 else worldline
+        c = tuple(config.c for config in group)
 
     def compute(worldline, mass, c):
         trajectory = _stage(memo, "trajectory", build_trajectory, worldline=worldline, mass=mass)
+        if rows > 1 and trajectory.phi.ndim == 1:
+            trajectory = trajectory.repeated(rows)
         grav_only = worldline.get("gravitational_only", False)
         return dilation_profile(trajectory, c, gravitational_only=grav_only)
 
-    return _stage(memo, "profile", compute, worldline=worldline, mass=mass, c=c)
+    profile = _stage(memo, "profile", compute, worldline=worldline, mass=first.mass, c=c)
+    return [profile] if rows == 1 else [profile.row(i) for i in range(rows)]
 
 
 def _schedule_spectra(schedule: list) -> list:
@@ -453,20 +496,32 @@ def build_channel(channel: dict, dim: int) -> QuantumChannel:
     return CHANNELS[channel["preset"]].build(channel, dim)
 
 
-def build_scenario(config: ScenarioConfig, memo: dict | None = None):
-    """A validated config as a prepared run for ``run_protocol`` or ``reduce_run``.
+def build_scenario(configs: list, memo: dict | None = None) -> list:
+    """Validated configs as prepared runs for ``run_protocol`` or ``reduce_run``, in order.
 
-    Callers that build several scenarios pass one ``memo`` (an empty dict to
-    start), which holds one value per build stage, keyed on the fields that
-    stage reads: the spectrum of the ``system`` section (an oscillator's
-    ``omega`` only rescales it), the sampled trajectory of ``worldline`` and
-    ``mass``, its dilation profile at ``c``, and the segment spectra of
-    ``schedule``. So a sweep over ``beta`` or ``omega`` reuses all of them,
-    one over ``c`` builds its trajectory once and profiles it at every point,
-    one over ``alpha`` rebuilds both, and all of them build each system once.
+    One config is a list of one. Callers that build several lists pass one
+    ``memo`` (an empty dict to start), which holds one value per build stage,
+    keyed on the fields that stage reads: the spectrum of the ``system``
+    section, the decomposition it is rescaled from (an oscillator's ``omega``
+    only rescales it), the sampled trajectory of ``worldline`` and ``mass``,
+    its dilation profile at ``c``, and the segment spectra of ``schedule``.
+    Consecutive configs in one group of ``stacks`` share one trajectory and one
+    profile call, each run holding a row of the stack. So a sweep over
+    ``beta`` or ``omega`` reuses all of them, one over ``c`` builds its
+    trajectory once and profiles it once per stack, one over ``alpha`` builds
+    and profiles once per stack, and all of them decompose each system once.
     The CLI reduces each run once built and keeps none. Only ``explicit`` and
     ``random`` systems decompose a matrix; a ladder or two levels is diagonal.
     """
+    runs = []
+    for group in stacks(configs):
+        profiles = _profiles(group, memo)
+        runs += [_build(config, profile, memo) for config, profile in zip(group, profiles)]
+    return runs
+
+
+def _build(config: ScenarioConfig, profile: DilationProfile | None, memo: dict | None):
+    """One config's prepared run, given its profile."""
     if config.pipeline == "flat":
         spec = _system_spectrum(config.system, memo)
         channel = build_channel(config.channel, spec.dim)
@@ -481,8 +536,6 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
             h_final=spec,
             channel=channel,
         )
-
-    profile = _profile(config.worldline, config.mass, config.c, memo)
     if config.pipeline == "dilated":
         return DilatedRun(
             scenario_id=config.scenario_id,
@@ -503,4 +556,4 @@ def build_scenario(config: ScenarioConfig, memo: dict | None = None):
 
 def run_scenario(config: ScenarioConfig, memo: dict | None = None) -> ProtocolReport:
     """Build and execute one validated scenario; ``memo`` as in :func:`build_scenario`."""
-    return run_protocol(build_scenario(config, memo))
+    return run_protocol(build_scenario([config], memo)[0])

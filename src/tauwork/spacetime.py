@@ -31,33 +31,51 @@ class WeakFieldViolationError(ValueError):
     """The requested point is outside the weak-field regime of validity."""
 
 
-def dilation_factor(phi, p, mass: float, c: float = 1.0):
+def _speeds(c) -> list | None:
+    """A column of ``c`` as a list of Python numbers, None for one number; each is checked."""
+    column = not isinstance(c, float) and np.ndim(c) == 1
+    speeds = np.asarray(c, dtype=object).tolist() if column else [c]
+    for value in speeds:
+        require(c=value)
+    return speeds if column else None
+
+
+def dilation_factor(phi, p, mass: float, c=1.0):
     """Clock rate dtau/dt of the particle relative to the static observers.
 
     First order in the potential and in (p/mc)^2:
     ``1 + phi/c^2 - p^2 / (2 m^2 c^2)``, where a term whose numerator is 0 is 0
     even if its denominator underflows. Scalars give a float; arrays give the
-    per-element array. Raises :class:`WeakFieldViolationError` naming the first
-    sample whose rate is not positive and finite, which signals inputs outside
-    the regime where the expansion makes sense.
+    per-element array. ``c`` is a number, or a column of r numbers, one per
+    row of (r, n) samples, each row bit for bit what it gives at its own ``c``.
+    Raises :class:`WeakFieldViolationError` naming the first sample whose rate
+    is not positive and finite, which signals inputs outside the regime where
+    the expansion makes sense.
     """
-    require(mass=mass, c=c)
+    require(mass=mass)
+    column = _speeds(c)
     phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
     # the direct expression is exact to rounding while c^2 and each partial product of
     # 2 m^2 c^2 are normal floats: a p^2 that underflows then stands for a term below an ulp of 1
-    c2, m2 = c**2, 2.0 * mass * mass
-    den = m2 * c * c
-    normal = _TINY <= min(c2, m2, m2 * c, den) and max(c2, m2, m2 * c, den) < math.inf
+    m2 = 2.0 * mass * mass
+    rows = [(v, v**2, m2 * v * v) for v in map(float, column or [c])]
+    normal = [_TINY <= min(c2, m2, m2 * v, den) and max(c2, m2, m2 * v, den) < math.inf
+              for v, c2, den in rows]
+    c, c2, den, normal = (np.array(x)[:, None] if column else x[0] for x in (*zip(*rows), normal))
     with np.errstate(all="ignore"):  # a rate that is not finite is computed again, then checked
-        if normal:
-            alpha = 1.0 + phi / c2 - p * p / den
-        finite = normal and np.isfinite(alpha).all()
-        if not finite:  # a term under- or overflowed
+        alpha = phi / c2  # 1 + phi/c^2 - p^2/den, in place
+        alpha += 1.0
+        alpha -= p * p / den
+        finite = np.isfinite(alpha)
+        ok = normal & finite.all(axis=-1, keepdims=True) if column else normal and finite.all()
+        slow = not (ok.all() if column else ok)
+        if slow:  # a term under- or overflowed in some rows: those rows are redone
             kinetic = np.where(p == 0.0, 0.0, 0.5 * (p / mass / c) ** 2)
-            alpha = 1.0 + np.where(phi == 0.0, 0.0, phi / c / c) - kinetic
-    bad = np.flatnonzero(alpha <= 0.0 if finite else ~((alpha > 0.0) & (alpha < math.inf)))
+            alpha = np.where(ok, alpha, 1.0 + np.where(phi == 0.0, 0.0, phi / c / c) - kinetic)
+    bad = np.flatnonzero(~((alpha > 0.0) & (alpha < math.inf)) if slow else alpha <= 0.0)
     if bad.size:
         i, rate = bad[0], alpha.flat[bad[0]]
+        phi, p = (np.broadcast_to(x, np.shape(alpha)) for x in (phi, p))
         raise WeakFieldViolationError(
             f"dtau/dt = {rate:.3g} {'<= 0' if rate <= 0.0 else 'is not finite'} for "
             f"phi={float(phi.flat[i])!r}, p={float(p.flat[i])!r}: outside the weak-field / "
@@ -68,7 +86,8 @@ def dilation_factor(phi, p, mass: float, c: float = 1.0):
 
 @dataclass(frozen=True)
 class Worldline:
-    """Sampled trajectory data: strictly increasing t, potential and |p| per sample."""
+    """Sampled trajectory data: strictly increasing t, potential and |p| per sample;
+    a stack of r worldlines shares its grid ``t`` and has ``phi`` and ``p`` of shape (r, n)."""
 
     t: np.ndarray
     phi: np.ndarray
@@ -76,28 +95,19 @@ class Worldline:
     mass: float
 
     def __init__(self, t, phi, p, mass: float):
-        t = np.array(t, dtype=float)
-        phi = np.array(phi, dtype=float)
-        p = np.array(p, dtype=float)
-        if t.ndim != 1 or t.size < 2:
-            raise ValueError("worldline needs at least 2 samples")
-        if phi.shape != t.shape or p.shape != t.shape:
-            raise ValueError("t, phi, p must have identical lengths")
-        if not (np.isfinite(t).all() and np.isfinite(phi).all() and np.isfinite(p).all()):
-            raise ValueError("worldline samples must be finite")
-        if (t[1:] <= t[:-1]).any():
-            raise ValueError("t must be strictly increasing")
-        require(mass=mass)
-        for arr in (t, phi, p):
-            arr.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "mass", float(mass))
+        vars(self).update(vars(_worldline(*(np.array(x, dtype=float) for x in (t, phi, p)), mass)))
 
     @property
     def samples(self) -> int:
-        return self.t.size
+        """The samples a profile evaluates: n, times r for a stack."""
+        return self.phi.size
+
+    def repeated(self, rows: int) -> "Worldline":
+        """A stack of ``rows`` copies of this worldline, read-only views of its arrays."""
+        stack, shape = object.__new__(Worldline), (rows, self.t.size)
+        phi, p = (np.broadcast_to(x, shape) for x in (self.phi, self.p))
+        vars(stack).update(t=self.t, phi=phi, p=p, mass=self.mass)
+        return stack
 
     @classmethod
     def from_csv(cls, path, mass: float) -> "Worldline":
@@ -116,22 +126,42 @@ class Worldline:
         return cls(data[:, 0], data[:, 1], data[:, 2], mass)
 
 
+def _worldline(t: np.ndarray, phi: np.ndarray, p: np.ndarray, mass: float) -> Worldline:
+    """A worldline of float arrays, checked and made read-only, not copied."""
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("worldline needs at least 2 samples")
+    if phi.shape != p.shape or phi.shape[-1:] != t.shape or phi.ndim > 2:
+        raise ValueError("t, phi, p must have identical lengths")
+    if not (np.isfinite(t).all() and np.isfinite(phi).all() and np.isfinite(p).all()):
+        raise ValueError("worldline samples must be finite")
+    if (t[1:] <= t[:-1]).any():
+        raise ValueError("t must be strictly increasing")
+    require(mass=mass)
+    for arr in (t, phi, p):
+        arr.flags.writeable = False
+    line = object.__new__(Worldline)
+    vars(line).update(t=t, phi=phi, p=p, mass=float(mass))
+    return line
+
+
 def comoving_worldline(t_end: float, samples: int = 2, mass: float = 1.0) -> Worldline:
     """At rest next to the static observers: phi = 0, p = 0, so dtau/dt = 1."""
     require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
     z = np.zeros_like(t)
-    return Worldline(t, z, z, mass)
+    return _worldline(t, z, z, mass)
 
 
 @np.errstate(over="ignore")  # a potential past the float range fails the Worldline check
 def uniform_gravity_worldline(
     g: float, t_end: float, samples: int = 1001, p: float = 0.0, mass: float = 1.0
 ) -> Worldline:
-    """Steady climb in a uniform field: phi(t) = g * t (height grows linearly)."""
+    """Steady climb in a uniform field: phi(t) = g * t (height grows linearly); a
+    column of r values of ``g`` gives a stack of r worldlines."""
     require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
-    return Worldline(t, g * t, np.full_like(t, p), mass)
+    phi = np.multiply.outer(g, t)
+    return _worldline(t, phi, np.broadcast_to(float(p), phi.shape), mass)
 
 
 @np.errstate(over="ignore")  # a potential past the float range fails the Worldline check
@@ -148,7 +178,7 @@ def point_mass_worldline(
     t = np.linspace(0.0, t_end, samples)
     r = r_start + (r_end - r_start) * (t / t_end)
     p = mass * abs(r_end - r_start) / t_end
-    return Worldline(t, -big_m / r, np.full_like(t, p), mass)
+    return _worldline(t, -big_m / r, np.full_like(t, p), mass)
 
 
 def cruise_worldline(
@@ -157,7 +187,7 @@ def cruise_worldline(
     """Constant-speed motion far from sources: phi = 0, |p| fixed."""
     require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
-    return Worldline(t, np.zeros_like(t), np.full_like(t, p), mass)
+    return _worldline(t, np.zeros_like(t), np.full_like(t, p), mass)
 
 
 @dataclass(frozen=True)
@@ -165,7 +195,8 @@ class DilationProfile:
     """Per-sample clock rate and the accumulated proper time along a worldline.
 
     ``tau`` is the running trapezoidal integral of ``alpha`` over the
-    worldline's ``t`` with tau[0] = 0.
+    worldline's ``t`` with tau[0] = 0. A stack of r worldlines has ``alpha``
+    and ``tau`` of shape (r, n), and ``row(i)`` is row i's profile.
     """
 
     alpha: np.ndarray
@@ -174,17 +205,12 @@ class DilationProfile:
     def __init__(self, alpha, tau):
         alpha = np.array(alpha, dtype=float)
         tau = np.array(tau, dtype=float)
-        if alpha.shape != tau.shape or alpha.ndim != 1 or alpha.size < 2:
+        if alpha.shape != tau.shape or alpha.ndim not in (1, 2) or alpha.shape[-1] < 2:
             raise ValueError("profile arrays must be equal-length with >= 2 samples")
         # written so that a nan fails each test
         if not ((alpha > 0.0) & (alpha < math.inf)).all():
             raise WeakFieldViolationError("dilation factor must stay positive and finite")
-        if not (tau[0] == 0.0 and (tau[1:] > tau[:-1]).all() and tau[-1] < math.inf):
-            raise ValueError("tau must start at 0 and increase strictly to a finite total")
-        for arr in (alpha, tau):
-            arr.flags.writeable = False
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "tau", tau)
+        vars(self).update(vars(_profile(alpha, tau)))
 
     @property
     def tau_total(self) -> float:
@@ -194,9 +220,26 @@ class DilationProfile:
     def alpha_final(self) -> float:
         return float(self.alpha[-1])
 
+    def row(self, i: int) -> "DilationProfile":
+        """Row ``i`` of a stack, as read-only views that keep the whole stack alive."""
+        return _profile(self.alpha[i], self.tau[i], checked=True)
+
+
+def _profile(alpha: np.ndarray, tau: np.ndarray, checked: bool = False) -> DilationProfile:
+    """A profile of checked rates ``alpha`` and of ``tau``, checked here unless ``checked``
+    (tau.T[k] is sample k of each row); both are made read-only, not copied."""
+    if not (checked or (
+        (tau.T[0] == 0.0).all() and (tau.T[1:] > tau.T[:-1]).all() and (tau.T[-1] < math.inf).all()
+    )):
+        raise ValueError("tau must start at 0 and increase strictly to a finite total")
+    alpha.flags.writeable = tau.flags.writeable = False
+    prof = object.__new__(DilationProfile)
+    vars(prof).update(alpha=alpha, tau=tau)
+    return prof
+
 
 def dilation_profile(
-    worldline: Worldline, c: float = 1.0, gravitational_only: bool = False
+    worldline: Worldline, c=1.0, gravitational_only: bool = False
 ) -> DilationProfile:
     """Evaluate dtau/dt per sample at speed of light ``c`` and integrate proper time.
 
@@ -205,17 +248,39 @@ def dilation_profile(
     ``gravitational_only`` drops the kinetic term (the heavy-particle limit),
     leaving ``alpha = 1 + phi/c^2`` exactly; useful to isolate the
     equivalence-principle effect.
+
+    A stack of r worldlines, a column of r values of ``c``, or both, give a
+    stack of r profiles in one pass, row i bit for bit what row i gives alone.
+    A stack that fails runs its rows alone, in order, so the first failing
+    row raises its own error.
     """
-    require(c=c)
-    # in Python floats, an underflowed c^2 gives a huge ratio (or 0), not a numpy warning
-    ratio = float(np.max(np.abs(worldline.phi))) / max(float(c) ** 2, math.ulp(0.0))
-    if ratio >= WEAK_FIELD_MAX_PHI:
-        raise WeakFieldViolationError(
-            f"|phi|/c^2 = {ratio:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
-        )
-    p = 0.0 if gravitational_only else worldline.p
-    alpha = dilation_factor(worldline.phi, p, worldline.mass, c)
-    t = worldline.t
-    with np.errstate(over="ignore"):  # a tau past the float range fails the DilationProfile check
-        tau = np.concatenate(([0.0], np.cumsum(0.5 * (alpha[1:] + alpha[:-1]) * (t[1:] - t[:-1]))))
-    return DilationProfile(alpha, tau)
+    phi, p = worldline.phi, 0.0 if gravitational_only else worldline.p
+    try:
+        column = _speeds(c)
+        if column:  # rows that view one row, as a repeated worldline's do, are read once
+            phi, p = (x[0] if np.ndim(x) == 2 and not x.strides[0] else x for x in (phi, p))
+        # an underflowed c^2 gives a huge ratio (or 0); one past the float range is inf
+        c2 = [max(float(value) ** 2, math.ulp(0.0)) for value in column or [c]]
+        with np.errstate(over="ignore"):
+            ratios = np.abs(phi).max(-1) / (c2 if column else c2[0])
+        over = ratios[ratios >= WEAK_FIELD_MAX_PHI]
+        if over.size:
+            raise WeakFieldViolationError(
+                f"|phi|/c^2 = {over[0]:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
+            )
+        alpha = dilation_factor(phi, p, worldline.mass, column or c)
+        # tau is 0, then the running sum of 0.5 (alpha_k + alpha_k+1) dt_k, in one buffer
+        t, tau = worldline.t, np.zeros(alpha.shape)
+        with np.errstate(over="ignore"):  # a tau past the float range fails the profile's check
+            steps = np.add(alpha[..., 1:], alpha[..., :-1], out=tau[..., 1:])
+            steps *= 0.5
+            steps *= t[1:] - t[:-1]
+            np.cumsum(steps, -1, out=steps)
+        return _profile(alpha, tau)
+    except ValueError:
+        rows = np.broadcast_shapes(worldline.phi.shape[:-1], np.shape(c))
+        for i in range(rows[0] if rows else 0):
+            phi, p = (x[i] if x.ndim == 2 else x for x in (worldline.phi, worldline.p))
+            ci = np.asarray(c, dtype=object)[i] if np.ndim(c) == 1 else c
+            dilation_profile(Worldline(worldline.t, phi, p, worldline.mass), ci, gravitational_only)
+        raise

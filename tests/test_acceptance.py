@@ -174,7 +174,7 @@ def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch
         for name in ("flat_damping", "oscillator_blueshift", "driven_two_segment")
     ]
     docs.append(dict(docs[-1], final_basis="instantaneous"))
-    runs = [scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(d)) for d in docs]
+    runs = scenarios.build_scenario([scenarios.ScenarioConfig.from_dict(d) for d in docs])
     plain = [protocol.run_protocol(run) for run in runs]
     for name in ("residual", "entropy_production"):
         exact = getattr(protocol.Estimates, name).fget

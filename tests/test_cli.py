@@ -501,16 +501,17 @@ class TestDecompositionReuse:
 
 
 class TestProfileReuse:
-    """One dilation profile per distinct (worldline, mass, c) in each invocation."""
+    """One dilation profile per distinct (worldline, mass, c) in each invocation,
+    and one call per stack of them: 50 points of 101 samples fit in one."""
 
     @pytest.mark.parametrize(
         "spec, calls",
         [
             ("beta=0.5:4:50", 1),
             ("omega=0.5:2:50", 1),
-            ("c=1:100:50", 50),
-            # each alpha point realizes its clock rate with its own worldline
-            ("alpha=0.8:1.2:50", 50),
+            ("c=1:100:50", 1),
+            # each alpha point realizes its clock rate with its own ramp, a row of the stack
+            ("alpha=0.8:1.2:50", 1),
         ],
     )
     def test_dilated_sweep(self, spec, calls, tmp_path, monkeypatch):
@@ -528,9 +529,10 @@ class TestProfileReuse:
         assert len(profiled) == calls
 
 
-    @pytest.mark.parametrize("spec, builds", [("c=1:100:50", 1), ("alpha=0.8:1.2:50", 50)])
+    @pytest.mark.parametrize("spec, builds", [("c=1:100:50", 1), ("alpha=0.8:1.2:50", 1)])
     def test_worldline_built_once_per_distinct_section(self, spec, builds, tmp_path, monkeypatch):
-        # c does not enter the trajectory, so a c sweep profiles one worldline at every point
+        # c does not enter the trajectory, so a c sweep profiles one worldline at every
+        # point; an alpha sweep builds its ramps as one stack
         built = []
         entry = scenarios.WORLDLINES["uniform_gravity"]
 
@@ -1112,6 +1114,34 @@ class TestStreamedStacks:
         base = ScenarioConfig.from_dict(json.loads(path.read_text()))
         alone = [run_scenario(_sweep_config(base, "beta", 0.5 + 3.5 * k / 39)) for k in range(40)]
         assert (tmp_path / "sweep_beta.csv").read_bytes() == report_bytes(alone, "csv")
+
+    @pytest.mark.parametrize("spec", ["c=1:100:7", "alpha=0.8:1.2:7"])
+    def test_a_sweep_past_the_sample_budget_makes_several_profile_calls(
+        self, spec, tmp_path, monkeypatch
+    ):
+        calls = []
+        original = scenarios.dilation_profile
+
+        def spy(worldline, c, **kwargs):
+            calls.append((worldline.samples // worldline.t.size, worldline.t.size))
+            return original(worldline, c, **kwargs)
+
+        monkeypatch.setattr(scenarios, "dilation_profile", spy)
+        ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 10**4}
+        path = write_scenario(tmp_path, worldline=dict(ramp, gravitational_only=True))
+        assert 7 * 10**4 > scenarios.STACK_ATOMS
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
+        assert main([*argv, "--quiet"]) == 0
+        assert len(calls) >= 2 and sum(shape[0] for shape in calls) == 7
+        for rows, samples in calls:
+            assert samples == 10**4 and rows * samples <= scenarios.STACK_ATOMS
+        monkeypatch.setattr(scenarios, "dilation_profile", original)
+        param, grid = spec.split("=")
+        base = ScenarioConfig.from_dict(json.loads(path.read_text()))
+        start, stop, _ = (float(x) for x in grid.split(":"))
+        alone = [run_scenario(_sweep_config(base, param, start + (stop - start) * k / 6))
+                 for k in range(7)]
+        assert (tmp_path / f"sweep_{param}.csv").read_bytes() == report_bytes(alone, "csv")
 
     @pytest.mark.parametrize(
         "overrides, spec, line",

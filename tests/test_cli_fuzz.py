@@ -3,10 +3,12 @@
 Each example starts from a demo document and replaces one to three of its
 float fields, top-level or in a section, with a drawn number: signed zeros,
 subnormals, 1e+-300, the float maximum, any finite float, or an integer up to
-1e30. The integer size fields keep their demo values. Whatever the numbers,
-``run`` exits 0 or 2, a 2 comes with one ``error:`` line, nothing lands
-outside ``--out`` and every float cell written is finite. pyproject turns a
-numpy warning into a failure.
+1e30. The integer size fields keep their demo values. A sweep draws its
+spec over ``c``, ``alpha`` or ``beta``: bounds from the same numbers or from a
+range that crosses the weak-field bound partway, and 2 to 60 points. Whatever
+the numbers, ``run`` and ``sweep`` exit 0 or 2, a 2 comes with one ``error:``
+line, nothing lands outside ``--out`` and every float cell written is finite.
+pyproject turns a numpy warning into a failure.
 """
 
 import contextlib
@@ -67,9 +69,10 @@ def mutated(name, edits):
     return document
 
 
-def run(name, edits):
-    """``run`` on the mutated document in a fresh working directory: the exit
-    code, stderr, the files written outside ``--out``, and the report cells."""
+def run(name, edits, sweep=None):
+    """``run`` on the mutated document, or ``sweep`` with the spec ``sweep``, in a
+    fresh working directory: the exit code, stderr, the files written outside
+    ``--out``, and the report cells."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         scenario = root / "scenario.json"
@@ -79,7 +82,8 @@ def run(name, edits):
         os.chdir(root)  # so that a relative path the CLI writes to lands under root
         try:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(["run", "--scenario", str(scenario), "--out", str(out)])
+                command = ["run"] if sweep is None else ["sweep", "--sweep", sweep]
+                code = main([*command, "--scenario", str(scenario), "--out", str(out)])
         finally:
             os.chdir(cwd)
         kept = {scenario, out}
@@ -105,8 +109,12 @@ def is_float(cell):
 @example(case=("driven_two_segment", [(("schedule", 0, "system", "gap"), MAX)]))
 @example(case=("cruise_redshift", [(("worldline", "t_end"), 10**20)]))
 def test_every_number_exits_0_or_2_and_writes_only_finite_cells(case):
-    name, edits = case
-    code, err, outside, reports, cells = run(name, edits)
+    assert_clean(*run(*case))
+
+
+def assert_clean(code, err, outside, reports, cells):
+    """Exit 0 or 2, one ``error:`` line and no report with a 2, one report of finite
+    cells with a 0, and nothing outside ``--out`` either way."""
     assert code in (0, 2), err
     assert outside == []
     if code == 2:
@@ -118,3 +126,25 @@ def test_every_number_exits_0_or_2_and_writes_only_finite_cells(case):
     else:
         assert err == "" and len(reports) == 1
         assert all(math.isfinite(float(cell)) for row in cells[1:] for cell in row if is_float(cell))
+
+
+# the weak-field bound |phi|/c^2 < 1/2 falls inside this range for alpha (at 1.5) and
+# for c on every demo whose potential is not 0
+CROSSING = st.floats(0.05, 3.0)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    name=st.sampled_from(sorted(DEMOS)),
+    param=st.sampled_from(["c", "alpha", "beta"]),
+    bounds=st.one_of(
+        *[st.lists(x, min_size=2, max_size=2, unique=True) for x in (CROSSING, CROSSING, NUMBERS)]
+    ),
+    count=st.integers(2, 60),
+)
+@example(name="oscillator_blueshift", param="alpha", bounds=[1.2, 1.8], count=3)
+@example(name="oscillator_blueshift", param="c", bounds=[0.3, 3.0], count=60)
+@example(name="cruise_redshift", param="c", bounds=[1e-300, MAX], count=60)
+def test_every_sweep_exits_0_or_2_and_writes_only_finite_cells(name, param, bounds, count):
+    spec = f"{param}={bounds[0]!r}:{bounds[1]!r}:{count}"
+    assert_clean(*run(name, [], sweep=spec))

@@ -6,7 +6,8 @@ import pytest
 
 from tauwork import scenarios
 from tauwork.channels import PropagatorSchedule, amplitude_damping_channel, depolarizing_channel
-from tauwork.operators import RULES, HermitianOperator, random_hermitian, spectral_decompose
+from tauwork.operators import RULES, HermitianOperator, Spectrum, random_hermitian
+from tauwork.operators import spectral_decompose
 from tauwork.protocol import (
     FINAL_BASES,
     AppendixRun,
@@ -323,7 +324,7 @@ class TestValidation:
 
 class TestBuildScenario:
     def test_dilated_build(self):
-        run = build_scenario(ScenarioConfig.from_dict(dilated_config()))
+        run = build_scenario([ScenarioConfig.from_dict(dilated_config())])[0]
         assert isinstance(run, DilatedRun)
         assert run.profile.alpha_final == pytest.approx(1.2, abs=1e-15)
 
@@ -331,7 +332,7 @@ class TestBuildScenario:
         raw = dilated_config(
             worldline={"preset": "comoving", "t_end": 5.0, "samples": 3}
         )
-        run = build_scenario(ScenarioConfig.from_dict(raw))
+        run = build_scenario([ScenarioConfig.from_dict(raw)])[0]
         assert np.all(run.profile.alpha == 1.0)
 
     def test_flat_build(self):
@@ -342,7 +343,7 @@ class TestBuildScenario:
             "system": {"kind": "two_level", "gap": 1.0},
             "channel": {"preset": "amplitude_damping", "gamma": 0.5},
         }
-        run = build_scenario(ScenarioConfig.from_dict(raw))
+        run = build_scenario([ScenarioConfig.from_dict(raw)])[0]
         assert isinstance(run, FlatRun)
         assert not run.channel.is_unital
 
@@ -359,7 +360,7 @@ class TestBuildScenario:
             "steps": 64,
             "final_basis": "instantaneous",
         }
-        run = build_scenario(ScenarioConfig.from_dict(raw))
+        run = build_scenario([ScenarioConfig.from_dict(raw)])[0]
         assert isinstance(run, AppendixRun)
         assert run.schedule.steps == 64
         assert run.final_basis == "instantaneous"
@@ -371,7 +372,7 @@ class TestBuildScenario:
                 "spectrum",
                 "build_system",
                 "system",
-                {"kind": "two_level", "gap": 1.0},
+                {"kind": "harmonic", "omega": 1.0, "levels": 20},
                 "h0",
                 "profile",
             ),
@@ -401,14 +402,50 @@ class TestBuildScenario:
         reordered = dict(reversed(dilated_config()[section].items()))
         a2 = ScenarioConfig.from_dict(dilated_config(**{section: reordered}))
         b = ScenarioConfig.from_dict(dilated_config(**{section: other}))
-        runs = [build_scenario(config, memo) for config in (a, a2, b, b, a)]
+        runs = [build_scenario([config], memo)[0] for config in (a, a2, b, b, a)]
         assert held == [False, False, False]
-        assert sorted(memo) == ["profile", "spectrum", "trajectory"]
+        assert sorted(memo) == ["profile", "spectrum", "system", "trajectory"]
         values = [getattr(run, field) for run in runs]
         assert values[0] is values[1] and values[2] is values[3]
         assert values[4] is not values[0]
         # the other stage reads none of the changed fields, so it is computed once
         assert all(getattr(run, untouched) is getattr(runs[0], untouched) for run in runs)
+
+    def test_a_list_builds_in_stacks_each_run_its_config_alone(self, tmp_path):
+        # c and ramp stacks past the sample budget (a row may differ in both), points
+        # that share one profile, a flat point, a csv worldline, which stacks with none,
+        # and moving particles of two masses, which do not stack
+        ramp = dict(dilated_config()["worldline"], samples=10**4)
+        documents = [dilated_config(worldline=ramp, c=c) for c in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        documents += [dilated_config(worldline=dict(ramp, g=g)) for g in (0.01, 0.02, 0.03)]
+        documents += [dilated_config(beta=beta) for beta in (1.0, 2.0)]
+        documents.append(minimal_document("channel", {"preset": "identity"}, tmp_path))
+        csv = minimal_document("worldline", {"csv": "{tmp}/worldline.csv"}, tmp_path)
+        documents += [dict(csv, c=c) for c in (1.0, 2.0)]
+        cruise = {"preset": "cruise", "p": 0.3, "t_end": 5.0}
+        documents += [dilated_config(worldline=cruise, c=c, mass=c) for c in (1.0, 2.0)]
+        configs = [ScenarioConfig.from_dict(d) for d in documents]
+        groups = [len(group) for group in scenarios.stacks(configs)]
+        assert groups == [3, 3, 2, 1, 1, 1, 1, 1, 1, 1]
+        runs = build_scenario(configs, {})
+        assert runs[0].profile.alpha.base is runs[2].profile.alpha.base
+        for config, run in zip(configs, runs):
+            assert run_protocol(run).to_csv_row() == run_scenario(config).to_csv_row()
+
+    def test_a_ladder_is_decomposed_once_and_rescaled_once_per_omega(self, monkeypatch):
+        built, scaled = [], []
+        build, scale = scenarios.build_system, Spectrum.scaled
+        spy = lambda system: built.append(system) or build(system)  # noqa: E731
+        monkeypatch.setattr(scenarios, "build_system", spy)
+        monkeypatch.setattr(Spectrum, "scaled", lambda sp, f: scaled.append(f) or scale(sp, f))
+        ladder = dilated_config()["system"]
+        documents = [dilated_config(beta=beta) for beta in (1.0, 2.0, 3.0)]
+        documents += [dilated_config(system=dict(ladder, omega=w)) for w in (1.5, 1.5, 2.0)]
+        memo = {}
+        runs = [build_scenario([ScenarioConfig.from_dict(d)], memo)[0] for d in documents]
+        assert built == [dict(ladder, omega=1.0)] and scaled == [1.0, 1.5, 2.0]
+        assert runs[0].h0 is runs[2].h0 and runs[3].h0 is runs[4].h0
+        assert runs[5].h0.eigenvectors is runs[0].h0.eigenvectors
 
     @pytest.mark.parametrize(
         "change",
@@ -464,7 +501,7 @@ class TestBuildScenario:
             },
         }
         with pytest.raises(ScenarioValidationError, match="dimension"):
-            build_scenario(ScenarioConfig.from_dict(raw))
+            build_scenario([ScenarioConfig.from_dict(raw)])
 
 
 class TestRunScenario:
@@ -582,7 +619,7 @@ class TestSchemaTables:
     def test_minimal_document_validates_builds_and_runs(self, section, name, tmp_path):
         obj = TABLES[section][1][name]
         config = ScenarioConfig.from_dict(minimal_document(section, obj, tmp_path))
-        assert isinstance(build_scenario(config), (FlatRun, DilatedRun))
+        assert isinstance(build_scenario([config])[0], (FlatRun, DilatedRun))
         report = run_scenario(config)
         assert abs(report.residual) < 1e-10
 

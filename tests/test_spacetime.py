@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tauwork.spacetime import (
     DilationProfile,
@@ -348,3 +350,122 @@ class TestClockRateOnArrays:
         w = Worldline([0.0, 1.0], [0.0, -1.2], [0.0, 0.0], 1.0)
         with pytest.raises(ValueError, match=re.escape(f"c {message}, got {c!r}")):
             dilation_profile(w, c=c)
+
+
+def _alone(build, c, gravitational_only):
+    """The profile of one worldline alone, or the error it raises."""
+    try:
+        return dilation_profile(build(), c, gravitational_only)
+    except ValueError as exc:
+        return exc
+
+
+# rates of 1 and nearly 1, c^2 and 2 m^2 c^2 below the normal range, c at the top of it
+SPEEDS = st.one_of(
+    st.sampled_from([1.0, 0.7, 3.0, 1e6, 1e150, 1e-160, 1e-300]), st.floats(0.1, 100.0)
+)
+
+
+class TestStackedProfile:
+    """A stack of worldlines, a column of c, or both, give in one pass the
+    profiles of the rows alone, bit for bit; a stack that fails raises the
+    first failing row's own error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        form=st.sampled_from(["g column", "c column", "both", "repeated"]),
+        ramps=st.lists(st.floats(-0.06, 0.06), min_size=1, max_size=5),
+        speeds=st.lists(SPEEDS, min_size=5, max_size=5),
+        samples=st.one_of(st.integers(2, 300), st.just(10**4)),
+        p=st.sampled_from([0.0, 0.3, 1e-162]),
+        mass=st.sampled_from([1.0, 2.5, 1e-161, 1e-200]),
+        gravitational_only=st.booleans(),
+    )
+    # non-normal rows: 2 m^2 c^2 is subnormal, and p^2 underflows where (p/m)^2 does not;
+    # in the first two, a normal row whose two formulas differ in the last bit stacks
+    # with a non-normal one
+    @example("both", [-0.059, 0.0], [1.1, 1e-160, 1, 1, 1], 101, 1e-162, 1.0, False)
+    @example("both", [0.05, 0.0, -0.01], [1.1, 1e-300, 1.0, 1, 1], 10**4, 0.3, 1.0, True)
+    @example("c column", [0.02, 0.0], [1.0, 1e-160, 1, 1, 1], 10**4, 1e-162, 1e-161, False)
+    def test_each_row_is_the_row_alone(
+        self, form, ramps, speeds, samples, p, mass, gravitational_only
+    ):
+        rows = len(ramps)
+        g = ramps if form in ("g column", "both") else ramps[0]
+        c = speeds[:rows] if form != "g column" else speeds[0]
+        stack = uniform_gravity_worldline(g, 10.0, samples, p, mass)
+        if form == "repeated":
+            stack = stack.repeated(rows)
+        alone = [
+            _alone(
+                lambda i=i: uniform_gravity_worldline(
+                    ramps[i] if np.ndim(g) else g, 10.0, samples, p, mass
+                ),
+                c[i] if np.ndim(c) else c,
+                gravitational_only,
+            )
+            for i in range(rows)
+        ]
+        failed = [a for a in alone if isinstance(a, Exception)]
+        if failed:
+            with pytest.raises(type(failed[0]), match=re.escape(str(failed[0]))):
+                dilation_profile(stack, c, gravitational_only)
+            return
+        prof = dilation_profile(stack, c, gravitational_only)
+        assert prof.alpha.shape == prof.tau.shape == (rows, samples)
+        assert stack.samples == rows * samples or form == "c column"
+        for i, one in enumerate(alone):
+            row = prof.row(i)
+            assert row.alpha.tobytes() == one.alpha.tobytes()
+            assert row.tau.tobytes() == one.tau.tobytes()
+            assert row.tau_total == one.tau_total and row.alpha_final == one.alpha_final
+            assert not (row.alpha.flags.writeable or row.tau.flags.writeable)
+
+    def test_the_first_failing_row_raises_alone(self):
+        # row 1 moves too fast and row 2 breaks the weak-field bound, which a
+        # stack checks first: the stack raises row 1's error
+        w = uniform_gravity_worldline(0.02, 10.0, 101, p=2.0)
+        c = [10.0, 0.7, 0.5]
+        first = _alone(lambda: w, 0.7, False)
+        assert "dtau/dt" in str(first)
+        with pytest.raises(WeakFieldViolationError, match=re.escape(str(first))):
+            dilation_profile(w.repeated(3), c)
+        with pytest.raises(WeakFieldViolationError, match="exceeds the weak-field bound"):
+            dilation_profile(w, c[::2] + [0.5])
+
+    @pytest.mark.parametrize(
+        "c, message",
+        [
+            ([1.0, True], "c must be a finite number, got True"),
+            ([2.0, 0.0], "c must be positive, got 0.0"),
+            (np.array([1.0, np.inf]), "c must be a finite number, got inf"),
+        ],
+    )
+    def test_each_c_of_a_column_keeps_its_rule(self, c, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dilation_profile(cruise_worldline(0.1, 1.0, 5), c)
+
+    def test_rows_of_a_stack_and_of_its_column_must_agree(self):
+        stack = uniform_gravity_worldline([0.01, 0.02], 1.0, 5)
+        with pytest.raises(ValueError):
+            dilation_profile(stack, [1.0, 2.0, 3.0])
+        assert dilation_profile(stack, [1.0, 2.0]).alpha.shape == (2, 5)
+
+    def test_a_stack_shares_its_grid_and_counts_every_row(self):
+        stack = uniform_gravity_worldline([0.01, 0.02, 0.03], 2.0, 7, p=0.1)
+        assert stack.phi.shape == stack.p.shape == (3, 7) and stack.t.shape == (7,)
+        assert stack.samples == 21
+        repeated = cruise_worldline(0.1, 2.0, 7).repeated(4)
+        assert repeated.samples == 28 and not repeated.phi.flags.writeable
+        with pytest.raises(ValueError, match="identical lengths"):
+            Worldline(np.arange(3.0), np.zeros((2, 3)), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="identical lengths"):
+            Worldline(np.arange(3.0), np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), 1.0)
+
+    def test_a_profile_stack_is_checked_as_its_rows(self):
+        prof = DilationProfile([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 2.0]])
+        assert prof.row(1).tau_total == 2.0 and prof.row(0).alpha_final == 1.0
+        with pytest.raises(WeakFieldViolationError):
+            DilationProfile([[1.0, 1.0], [2.0, -2.0]], [[0.0, 1.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match="tau"):
+            DilationProfile([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 0.0]])
