@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__, acceptance
 from .operators import require
 from .protocol import ProtocolReport, reduce_run, report_rows
-from .scenarios import STACK_ATOMS, ScenarioConfig, build_scenario, parse_document, stacks
+from .scenarios import ScenarioConfig, build_scenario, parse_document, run_scenario, stacks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -25,9 +25,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 SWEEP_PARAMS = ("alpha", "beta", "omega", "c", "gamma")
-# a pending point's own objects, about 1 KB, count as POINT_ATOMS more atoms of
-# its ``estimate`` stack
-POINT_ATOMS = 128
 
 
 def _labelled(label: str, call, *args, **kwargs):
@@ -74,11 +71,10 @@ def _run_points(args, points: list, table: str | None = None) -> int:
     report. ``table`` names the one file that holds every report (a sweep);
     without it each report gets a file named after its scenario_id.
     Points are built in the groups of ``stacks``, which share one profile
-    call; a group that raises builds its points alone, in order. Each point is
-    reduced once built, so no profile or run is kept, and joins a stack that
-    runs as one ``estimate`` call before a point of another dimension or
-    transition form or past ``STACK_ATOMS``, before a later point's error, and
-    at the end. A stack that raises runs its points alone.
+    call, and each is reduced once built, so no profile or run is kept;
+    ``report_rows`` stacks the reduced points into ``estimate`` calls. When
+    that raises, the points without a report run alone, in order, so the
+    first failing point names itself with the error it raises alone.
     """
     out_dir = Path(args.out)
     try:
@@ -90,40 +86,16 @@ def _run_points(args, points: list, table: str | None = None) -> int:
         raise OSError(f"output directory not writable: {exc}") from None
     # points that share the system section share one decomposition
     memo: dict = {}
-    reports, stack = [], []
-
-    def flush():
-        try:
-            reports.extend(report_rows([run for _, run, _ in stack]) if stack else ())
-        except ValueError:  # alone, in order, the first failing point names itself
-            for label, run, _ in stack:
-                reports.extend(_labelled(label, report_rows, [run]))
-        stack.clear()
-
-    built = 0
-    for group in stacks([config for _, config in points]):
-        try:
-            runs = build_scenario(group, memo)
-        except (OSError, ValueError):  # alone, in order, the first failing point names itself
-            runs = [None] * len(group)
-        for (label, config), run in zip(points[built : built + len(group)], runs):
-            try:
-                run = _labelled(
-                    label, lambda: reduce_run(run or build_scenario([config], memo)[0])
-                )
-            except (OSError, ValueError):
-                flush()  # an earlier point's error comes first
-                raise
-            form = run.final.size, run.transitions is None
-            atoms = POINT_ATOMS + (
-                run.final.size if run.transitions is None else run.transitions.size
-            )
-            if stack and (form != stack[-1][2] or (len(stack) + 1) * atoms > STACK_ATOMS):
-                flush()
-            stack.append((label, run, form))
-        built += len(group)
-        del runs  # a run's profile row keeps its whole stack alive
-    flush()
+    groups = stacks([config for _, config in points])
+    reduced = (reduce_run(run) for group in groups for run in build_scenario(group, memo))
+    reports = []
+    try:
+        for report in report_rows(reduced):
+            reports.append(report)
+    except (OSError, ValueError):
+        pass  # the error shows again below, at the first point that raises it alone
+    for label, config in points[len(reports):]:
+        reports.append(_labelled(label, run_scenario, config, memo))
     memo.clear()  # the last stack's worldline and profile are not needed to write the reports
     files = [(table, reports)] if table else [(r.scenario_id, [r]) for r in reports]
     for stem, group in files:

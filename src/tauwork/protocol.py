@@ -44,6 +44,11 @@ from .thermo import log_sum_exp, thermal_state
 PROB_SUM_ATOL = 1e-10
 PROB_NEGATIVE_ATOL = 1e-12
 MERGE_REL_TOL = 1e-9
+# the elements of one stacked array, 256 KB in float64: the atoms of a stack of
+# runs in one ``estimate`` call, and the samples of a stack of profiles
+STACK_ATOMS = 2**15
+# a pending run's own objects, about 1 KB, count as POINT_ATOMS more atoms of its stack
+POINT_ATOMS = 128
 
 
 class WorkRows(NamedTuple):
@@ -490,10 +495,26 @@ def reduce_run(run) -> ReducedRun:
     return ReducedRun(spec0.eigenvalues, run.beta, e_final, trans, correction, labels)
 
 
-def report_rows(runs: list) -> list:
-    """The report rows of reduced runs of one dimension and transition form from
-    one ``estimate`` call, a stack's row i bit for bit run i alone. A stack
-    raises the first error of its runs; which run raised shows alone."""
+def report_rows(runs):
+    """The report row of each reduced run of ``runs``, any iterable read lazily, in
+    order. Consecutive runs of one dimension and transition form share one
+    ``estimate`` call while the stack's atoms, each run counting ``POINT_ATOMS``
+    more, stay within ``STACK_ATOMS``; a stack's row i is bit for bit run i alone.
+    A stack raises the first error of its runs; which run raised shows alone."""
+    stack, form = [], None
+    for run in runs:
+        last, form = form, (run.final.size, run.transitions is None)
+        atoms = POINT_ATOMS + (run.final.size if run.transitions is None else run.transitions.size)
+        if stack and (form != last or (len(stack) + 1) * atoms > STACK_ATOMS):
+            yield from _stack_rows(stack)
+            stack = []
+        stack.append(run)
+    if stack:
+        yield from _stack_rows(stack)
+
+
+def _stack_rows(runs: list) -> list:
+    """The report rows of reduced runs of one dimension and form, from one ``estimate``."""
     if len(runs) == 1:
         gibbs, inputs = ThermalEnsemble(runs[0].beta, runs[0].initial), runs[0][2:5]
     else:
@@ -505,4 +526,4 @@ def report_rows(runs: list) -> list:
 
 def run_protocol(run) -> ProtocolReport:
     """The report row of a prepared run: ``reduce_run``, then ``report_rows``."""
-    return report_rows([reduce_run(run)])[0]
+    return next(report_rows([reduce_run(run)]))

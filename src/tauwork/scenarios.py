@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .channels import (
 )
 from .operators import _INTEGER, MAX_DIM, RULES, HermitianOperator, Spectrum
 from .operators import matrix_from_pairs, random_hermitian, require, spectral_decompose
-from .protocol import AppendixRun, DilatedRun, FlatRun, ProtocolReport
+from .protocol import STACK_ATOMS, AppendixRun, DilatedRun, FlatRun, ProtocolReport
 from .protocol import run_protocol
 from .spacetime import (
     DilationProfile,
@@ -52,9 +52,6 @@ from .spacetime import (
 DEFAULT_STEPS = 1000
 DEFAULT_SAMPLES = 1001
 TAIL_WEIGHT = 1e-12
-# the elements of one stacked array, 256 KB in float64: the samples of a stack of
-# profiles, and the atoms of a stack of runs in one ``estimate`` call
-STACK_ATOMS = 2**15
 
 
 class ScenarioValidationError(ValueError):
@@ -361,7 +358,14 @@ class ScenarioConfig:
             _check(value, name, name, errors)
         if errors:
             raise ScenarioValidationError(errors)
-        return replace(self, scenario_id=scenario_id, **{name: _cast(name, value)})
+        # set field by field, as __init__ sets them: ``dataclasses.replace`` would rerun
+        # __init__, and filling ``vars(config)`` would hold 64 more bytes per sweep point
+        config = object.__new__(type(self))
+        for key, item in vars(self).items():
+            object.__setattr__(config, key, item)
+        object.__setattr__(config, "scenario_id", scenario_id)
+        object.__setattr__(config, name, _cast(name, value))
+        return config
 
 
 _FIELDS = {f.name: f for f in fields(ScenarioConfig)}
@@ -510,8 +514,9 @@ def build_scenario(configs: list, memo: dict | None = None) -> list:
     ``beta`` or ``omega`` reuses all of them, one over ``c`` builds its
     trajectory once and profiles it once per stack, one over ``alpha`` builds
     and profiles once per stack, and all of them decompose each system once.
-    The CLI reduces each run once built and keeps none. Only ``explicit`` and
-    ``random`` systems decompose a matrix; a ladder or two levels is diagonal.
+    The CLI reduces each run once built and keeps none, and runs the points left
+    alone, by ``run_scenario``, once a group or stack raises. Only ``explicit``
+    and ``random`` systems decompose a matrix; a ladder or two levels is diagonal.
     """
     runs = []
     for group in stacks(configs):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1104,12 +1105,12 @@ class TestStreamedStacks:
         monkeypatch.setattr(protocol, "estimate", spy)
         path = write_scenario(tmp_path, system=dict(LADDER, levels=1024))
         spec = "beta=0.5:4:40"
-        assert 40 * (1024 + cli.POINT_ATOMS) > cli.STACK_ATOMS
+        assert 40 * (1024 + protocol.POINT_ATOMS) > protocol.STACK_ATOMS
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
         assert main([*argv, "--quiet"]) == 0
         assert len(calls) >= 2 and sum(shape[0] for shape in calls) == 40
         for rows, atoms in calls:
-            assert rows * (atoms + cli.POINT_ATOMS) <= cli.STACK_ATOMS
+            assert rows * (atoms + protocol.POINT_ATOMS) <= protocol.STACK_ATOMS
         monkeypatch.setattr(protocol, "estimate", original)
         base = ScenarioConfig.from_dict(json.loads(path.read_text()))
         alone = [run_scenario(_sweep_config(base, "beta", 0.5 + 3.5 * k / 39)) for k in range(40)]
@@ -1175,6 +1176,52 @@ class TestStreamedStacks:
     @pytest.mark.parametrize(
         "command",
         [
+            ["sweep", "--sweep", "beta=0.5:4:40", "--scenario", "{ladder}"],
+            ["sweep", "--sweep", "c=1:100:7", "--scenario", "{osc}"],
+            ["sweep", "--sweep", "alpha=0.8:1.2:7", "--scenario", "{osc}"],
+            ["sweep", "--sweep", "gamma=0:1:4", "--scenario", "{flat}"],
+            ["sweep", "--sweep", "alpha=0.8:1.2:3", "--scenario", "{driven}", "--steps", "50"],
+            ["run", "--scenario", "{osc}", "--scenario", "{flat}", "--scenario", "{driven}"],
+        ],
+        ids=["beta-stacks", "c", "alpha", "flat", "driven", "run"],
+    )
+    def test_a_successful_invocation_runs_no_point_alone(self, tmp_path, monkeypatch, command):
+        alone = []
+        monkeypatch.setattr(cli, "run_scenario", lambda *args: alone.append(args))
+        ladder = write_scenario(tmp_path, "ladder.json", system=dict(LADDER, levels=1024))
+        paths = dict(osc=write_scenario(tmp_path), flat=DEMO_SCENARIOS / "flat_damping.json",
+                     driven=DEMO_SCENARIOS / "driven_two_segment.json", ladder=ladder)
+        argv = [arg.format(**paths) for arg in command] + ["--quiet"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert alone == []
+
+    def test_a_failing_stack_runs_alone_only_its_points_up_to_the_failing_one(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        alone = []
+
+        def spy(config, memo):
+            alone.append(config.scenario_id)
+            return run_scenario(config, memo)
+
+        monkeypatch.setattr(cli, "run_scenario", spy)
+        path = write_scenario(tmp_path, system=dict(LADDER, levels=1024))
+        # 28 points of a 1024-level ladder fill a stack; from point 30 on, in the
+        # second stack, beta * 1023.5 overflows a float
+        assert protocol.STACK_ATOMS // (1024 + protocol.POINT_ATOMS) == 28
+        values = sorted(1 + (2.3e305 - 1) * k / 39 for k in range(40))
+        assert values[29] * 1023.5 < sys.float_info.max < values[30] * 1023.5
+        out = tmp_path / "o"
+        argv = ["sweep", "--scenario", str(path), "--sweep", "beta=1:2.3e305:40"]
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: beta={values[30]}: beta * energy overflows a float: ")
+        assert alone == [f"osc@beta={value:.9g}" for value in values[28:31]]
+        assert all_files(out) == []
+
+    @pytest.mark.parametrize(
+        "command",
+        [
             ["sweep", "--sweep", "beta=0.5:4:7", "--scenario", "{osc}"],
             ["sweep", "--sweep", "gamma=0:1:4", "--scenario", "{flat}"],
             ["sweep", "--sweep", "alpha=0.8:1.2:3", "--scenario", "{driven}", "--steps", "50"],
@@ -1187,8 +1234,9 @@ class TestStreamedStacks:
         seen, original = [], cli.report_rows
 
         def spy(runs):
-            seen.extend(original(runs))
-            return seen[-len(runs):]
+            for row in original(runs):
+                seen.append(row)
+                yield row
 
         monkeypatch.setattr(cli, "report_rows", spy)
         paths = dict(osc=write_scenario(tmp_path), flat=DEMO_SCENARIOS / "flat_damping.json",

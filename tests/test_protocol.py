@@ -1,6 +1,8 @@
 import dataclasses
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,8 @@ from tauwork.protocol import (
     sample_outcomes,
     work_distribution_dilated,
 )
-from tauwork.scenarios import harmonic_hamiltonian, two_level_hamiltonian
+from tauwork.scenarios import ScenarioConfig, build_scenario, harmonic_hamiltonian
+from tauwork.scenarios import two_level_hamiltonian
 from tauwork.spacetime import (
     DilationProfile,
     comoving_worldline,
@@ -51,6 +54,7 @@ from tauwork.spacetime import (
 )
 from tauwork.thermo import ThermalEnsemble, thermal_state
 
+DEMO_SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -610,8 +614,8 @@ class TestStackedEstimate:
             alone = estimate(gibbs, run.final, run.transitions, run.correction)
             assert bits(stacked, i) == bits(alone)
         # numpy scalars print as np.float64(...): the reprs hold every field's type
-        rows = protocol.report_rows(runs)
-        assert list(map(repr, rows)) == [repr(protocol.report_rows([run])[0]) for run in runs]
+        rows = list(protocol.report_rows(runs))
+        assert list(map(repr, rows)) == [repr(next(protocol.report_rows([run]))) for run in runs]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1365,6 +1369,43 @@ class TestRunProtocol:
         # by alpha_final, the final basis)
         assert len(decompositions) == 2
         assert sum(h is h1 for h in decompositions) == 1
+
+
+class TestReportRows:
+    """``report_rows`` reads any iterable of reduced runs lazily and gives each
+    consecutive block of one dimension and transition form one ``estimate`` call."""
+
+    def test_a_generator_of_mixed_dimensions_and_forms(self, monkeypatch):
+        # 40 levels twice, then two levels: without transitions, with (flat and
+        # instantaneous driven), and without (evolved driven)
+        names = ["oscillator_blueshift", "comoving", "cruise_redshift", "flat_damping"]
+        documents = [json.loads((DEMO_SCENARIOS / f"{name}.json").read_text()) for name in names]
+        driven = json.loads((DEMO_SCENARIOS / "driven_two_segment.json").read_text())
+        documents.append(dict(driven, scenario_id="inst", steps=100, final_basis="instantaneous"))
+        documents.append(dict(driven, steps=100))
+        runs = build_scenario([ScenarioConfig.from_dict(document) for document in documents])
+        calls, read, original = [], [], protocol.estimate
+
+        def spy(gibbs, final, *args):
+            calls.append(np.shape(final))
+            return original(gibbs, final, *args)
+
+        def reduced():
+            for run in runs:
+                read.append(run)
+                yield protocol.reduce_run(run)
+
+        monkeypatch.setattr(protocol, "estimate", spy)
+        rows = protocol.report_rows(reduced())
+        assert read == []
+        # the first block's rows come once a run of another form is read
+        first = [next(rows), next(rows)]
+        assert len(read) == 3 and calls == [(2, 40)]
+        rows = first + list(rows)
+        assert calls == [(2, 40), (2,), (2, 2), (2,)]
+        monkeypatch.setattr(protocol, "estimate", original)
+        # numpy scalars print as np.float64(...): the reprs hold every field's type
+        assert list(map(repr, rows)) == [repr(run_protocol(run)) for run in runs]
 
 
 class TestFrameInvariance:
