@@ -10,14 +10,18 @@ scenario file that is not UTF-8.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__, acceptance
 from .operators import require
 from .protocol import ProtocolReport, reduce_run, report_rows
-from .scenarios import ScenarioConfig, build_scenario, parse_document, run_scenario, stacks
+from .scenarios import ScenarioConfig, alpha_ramp, build_scenario, dilated_sweep, parse_document
+from .scenarios import run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -64,17 +68,25 @@ def _load_document(path: str, steps: int | None) -> ScenarioConfig:
     return _labelled(path, ScenarioConfig.from_dict, document)
 
 
-def _run_points(args, points: list, table: str | None = None) -> int:
-    """Run validated ``(label, config)`` points, then write and print their reports.
+def _rows(runs, reports: list) -> list:
+    """``reports`` with the rows ``report_rows`` gives for ``runs``, until a stack raises."""
+    try:
+        for report in report_rows(runs):
+            reports.append(report)
+    except (OSError, ValueError):
+        pass  # the error shows again when the first point that raises it runs alone
+    return reports
 
-    Every point runs before any report is written, so a failure leaves no
-    report. ``table`` names the one file that holds every report (a sweep);
-    without it each report gets a file named after its scenario_id.
-    Points are built in the groups of ``stacks``, which share one profile
-    call, and each is reduced once built, so no profile or run is kept;
-    ``report_rows`` stacks the reduced points into ``estimate`` calls. When
-    that raises, the points without a report run alone, in order, so the
-    first failing point names itself with the error it raises alone.
+
+def _run_points(args, points: list, stacks=None, make=None) -> list:
+    """The reports of validated ``(label, config)`` points, once ``--out`` is writable.
+
+    ``stacks``, a dilated sweep's reduced stacks, run first; its points are
+    ``(label, value)``, and those from the first stack that raises on get their
+    configs from ``make(value)``. Points are built and reduced in turn, and
+    ``report_rows`` stacks them into ``estimate`` calls. When that raises, the
+    points without a report run alone, in order, so the first failing point
+    names itself with the error it raises alone.
     """
     out_dir = Path(args.out)
     try:
@@ -84,28 +96,44 @@ def _run_points(args, points: list, table: str | None = None) -> int:
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory not writable: {exc}") from None
-    # points that share the system section share one decomposition
-    memo: dict = {}
-    groups = stacks([config for _, config in points])
-    reduced = (reduce_run(run) for group in groups for run in build_scenario(group, memo))
-    reports = []
-    try:
-        for report in report_rows(reduced):
-            reports.append(report)
-    except (OSError, ValueError):
-        pass  # the error shows again below, at the first point that raises it alone
-    for label, config in points[len(reports):]:
+    reports = _rows(stacks, []) if stacks else []
+    done, rest = len(reports), points[len(reports) :]
+    if stacks:
+        rest = [(label, _labelled(label, make, value)) for label, value in rest]
+    memo: dict = {}  # points that share a section share its build stages
+    _rows((reduce_run(build_scenario([config], memo)[0]) for _, config in rest), reports)
+    for label, config in rest[len(reports) - done :]:
         reports.append(_labelled(label, run_scenario, config, memo))
-    memo.clear()  # the last stack's worldline and profile are not needed to write the reports
+    return reports
+
+
+def _write_reports(args, reports: list, table: str | None = None) -> int:
+    """Write and print ``reports``. ``table`` names the one file that holds every
+    report (a sweep); without it each report gets a file named after its scenario_id.
+    All files are written under temporary names in ``--out``, then moved into place;
+    a failure removes the temporary files, so ``--out`` holds what it held before.
+    """
     files = [(table, reports)] if table else [(r.scenario_id, [r]) for r in reports]
-    for stem, group in files:
-        if args.format == "csv":
-            text = "\n".join([ProtocolReport.csv_header()] + [r.to_csv_row() for r in group])
-        else:
-            payload = [r.to_dict() for r in group]
-            text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-        path = out_dir / f"{stem}.{args.format}"
-        _labelled(f"cannot write {path}", path.write_text, text + "\n", encoding="utf-8")
+    moves = []
+    try:
+        for stem, group in files:
+            if args.format == "csv":
+                text = "\n".join([ProtocolReport.csv_header()] + [r.to_csv_row() for r in group])
+            else:
+                payload = [r.to_dict() for r in group]
+                text = json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
+            path = Path(args.out) / f"{stem}.{args.format}"
+            moves.append((path.with_name(f".{path.name}.part"), path))
+            # no file moves onto a directory: writing to it fails first, with its own error
+            target = path if path.is_dir() else moves[-1][0]
+            _labelled(f"cannot write {path}", target.write_text, text + "\n", encoding="utf-8")
+        for part, path in moves:
+            _labelled(f"cannot write {path}", os.replace, part, path)
+    except BaseException:
+        for part, _ in moves:
+            with contextlib.suppress(OSError):  # moved already, or never written
+                part.unlink()
+        raise
     for report in [] if args.quiet else reports:
         print(
             f"{report.scenario_id}: residual={report.residual:.3e} "
@@ -129,7 +157,7 @@ def cmd_run(args) -> int:
             )
         paths_by_id[config.scenario_id] = path
         points.append((path, config))
-    return _run_points(args, points)
+    return _write_reports(args, _run_points(args, points))
 
 
 def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioConfig:
@@ -147,19 +175,7 @@ def _sweep_config(base: ScenarioConfig, param: str, value: float) -> ScenarioCon
         key = "lambda" if channel.get("preset") == "depolarizing" else "gamma"
         name, edited = "channel", dict(channel, **{key: value})
     else:
-        # realize the requested final clock rate alpha with a potential ramp
-        # read by a heavy particle: phi_end = (alpha - 1) c^2
-        t_end, samples = 1.0, 101
-        if base.worldline and "t_end" in base.worldline:
-            t_end = base.worldline["t_end"]
-            samples = base.worldline.get("samples", samples)
-        name, edited = "worldline", {
-            "preset": "uniform_gravity",
-            "g": (value - 1.0) * base.c**2 / t_end,
-            "t_end": t_end,
-            "samples": samples,
-            "gravitational_only": True,
-        }
+        name, edited = "worldline", alpha_ramp(base, value)
     return base.edited(name, edited, f"{base.scenario_id}@{param}={value:.9g}")
 
 
@@ -170,17 +186,21 @@ def cmd_sweep(args) -> int:
     # the file is validated once; each point checks only the field it edits
     base = _load_document(args.scenario[0], args.steps)
     values = sorted(start + (stop - start) * k / (count - 1) for k in range(count))
+    ids = [f"{base.scenario_id}@{param}={value:.9g}" for value in values]
+    stacks = dilated_sweep(base, param, values, ids)
+    make = functools.partial(_sweep_config, base, param)
     points = []
-    for value in values:
+    for k, (value, sid) in enumerate(zip(values, ids)):
         label = f"{param}={value}"
-        config = _labelled(label, _sweep_config, base, param, value)
+        # a point of a dilated sweep makes its config only once its stack fails
+        config = value if stacks else _labelled(label, make, value)
         # a row's scenario_id shows its value to 9 digits, so points may share
         # one; the values are sorted, so such points are neighbours
-        if points and points[-1][1].scenario_id == config.scenario_id:
-            first, sid = points[-1][0], config.scenario_id
+        if k and ids[k - 1] == sid:
+            first = points[-1][0]
             raise ValueError(f"sweep points {first} and {label} both have scenario_id {sid!r}")
         points.append((label, config))
-    return _run_points(args, points, f"sweep_{param}")
+    return _write_reports(args, _run_points(args, points, stacks, make), f"sweep_{param}")
 
 
 def cmd_verify(quiet: bool = False) -> int:
@@ -196,6 +216,7 @@ def cmd_verify(quiet: bool = False) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
+@functools.cache  # parse_args fills a new namespace each call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tauwork",

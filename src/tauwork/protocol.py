@@ -312,7 +312,7 @@ def estimate(
     and (r,). Every numpy call runs once per stack. One run gives floats.
     """
     initial, beta, log_z, probs = gibbs.energies, gibbs.beta, gibbs.log_z, gibbs.probs
-    final = np.asarray(final_energies, dtype=float)
+    final = np.asarray(final_energies, dtype=float, order="C")
     if final.shape != initial.shape:
         raise ValueError(f"final energies have shape {final.shape}, not {initial.shape}")
     with np.errstate(all="ignore"):
@@ -385,7 +385,7 @@ class ProtocolReport:
         return {name: getattr(self, name) for name in CSV_COLUMNS}
 
     def to_csv_row(self) -> str:
-        return ",".join(str(getattr(self, name)) for name in CSV_COLUMNS)
+        return ",".join([str(getattr(self, name)) for name in CSV_COLUMNS])
 
     @staticmethod
     def csv_header() -> str:
@@ -457,7 +457,8 @@ def _appendix_inputs(run: AppendixRun):
 
 
 class ReducedRun(NamedTuple):
-    """A run's TPM inputs, as ``estimate`` takes them, and its report labels."""
+    """A run's or a stack's TPM inputs, as ``estimate`` takes them, and its report
+    labels, one dict a row."""
 
     initial: np.ndarray
     beta: float
@@ -492,7 +493,7 @@ def reduce_run(run) -> ReducedRun:
     require(beta=run.beta)  # a stack reads its betas as one float array, where a bool passes
     labels = dict(scenario_id=run.scenario_id, pipeline=pipeline, dim=spec0.dim, alpha_final=alpha)
     labels.update(tau_total=tau_total, final_basis=final_basis, steps=steps)
-    return ReducedRun(spec0.eigenvalues, run.beta, e_final, trans, correction, labels)
+    return ReducedRun(spec0.eigenvalues, run.beta, e_final, trans, correction, [labels])
 
 
 def report_rows(runs):
@@ -500,15 +501,19 @@ def report_rows(runs):
     order. Consecutive runs of one dimension and transition form share one
     ``estimate`` call while the stack's atoms, each run counting ``POINT_ATOMS``
     more, stay within ``STACK_ATOMS``; a stack's row i is bit for bit run i alone.
+    A reduced stack, sized by its maker, is one call of its own.
     A stack raises the first error of its runs; which run raised shows alone."""
     stack, form = [], None
     for run in runs:
-        last, form = form, (run.final.size, run.transitions is None)
+        last, form = form, (run.final.shape, run.transitions is None)
         atoms = POINT_ATOMS + (run.final.size if run.transitions is None else run.transitions.size)
         if stack and (form != last or (len(stack) + 1) * atoms > STACK_ATOMS):
             yield from _stack_rows(stack)
             stack = []
         stack.append(run)
+        if run.final.ndim > 1:  # a reduced stack's rows come before the next run is read
+            yield from _stack_rows(stack)
+            stack = []
     if stack:
         yield from _stack_rows(stack)
 
@@ -521,7 +526,8 @@ def _stack_rows(runs: list) -> list:
         initial, betas, *inputs, _ = zip(*runs)  # final, transitions, correction
         gibbs = ThermalEnsemble(np.array(betas, dtype=float), initial)
         inputs = [None if column[0] is None else np.array(column) for column in inputs]
-    return ProtocolReport.rows(estimate(gibbs, *inputs), [run.labels for run in runs])
+    labels = [row for run in runs for row in run.labels]
+    return ProtocolReport.rows(estimate(gibbs, *inputs), labels)
 
 
 def run_protocol(run) -> ProtocolReport:

@@ -37,8 +37,8 @@ from .channels import (
 )
 from .operators import _INTEGER, MAX_DIM, RULES, HermitianOperator, Spectrum
 from .operators import matrix_from_pairs, random_hermitian, require, spectral_decompose
-from .protocol import STACK_ATOMS, AppendixRun, DilatedRun, FlatRun, ProtocolReport
-from .protocol import run_protocol
+from .protocol import POINT_ATOMS, STACK_ATOMS, AppendixRun, DilatedRun, FlatRun, ProtocolReport
+from .protocol import ReducedRun, run_protocol
 from .spacetime import (
     DilationProfile,
     Worldline,
@@ -443,53 +443,93 @@ def build_trajectory(worldline: dict, mass: float) -> Worldline:
     return entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
 
 
-def stacks(configs: list):
-    """``configs`` in consecutive groups that share one trajectory and one profile call.
-
-    A config joins the group before it when its profile inputs differ from the
-    last config's in ``c`` or a ``uniform_gravity`` ramp's ``g`` alone, and the
-    group's samples stay within ``STACK_ATOMS``. Equal profile inputs are the
-    memo's; a ``csv`` worldline, whose length is known only once read, stacks
-    with none.
-    """
-    group = []
-    for config in configs:
-        last, w = group[-1] if group else None, config.worldline
-        if group and not (
-            w and last.worldline and "csv" not in w
-            and (last.c != config.c or last.worldline.get("g") != w.get("g"))
-            and last.mass == config.mass and dict(last.worldline, g=None) == dict(w, g=None)
-            and (len(group) + 1) * w.get("samples", DEFAULT_SAMPLES) <= STACK_ATOMS
-        ):
-            yield group
-            group = []
-        group.append(config)
-    if group:
-        yield group
-
-
-def _profiles(group: list, memo: dict | None) -> list:
-    """The clock-rate profile of each config of a group of ``stacks``, from one call in
-    ``memo``'s profile stage, or a None for a flat config. The trajectory comes from
-    its own stage, which ``c`` does not enter; a stack of one ramp repeats it."""
-    first, rows = group[0], len(group)
-    worldline, c = first.worldline, first.c
+def _profile(config: ScenarioConfig, memo: dict | None) -> DilationProfile | None:
+    """The clock-rate profile of ``config`` from ``memo``'s profile stage, or None for a
+    flat config. The trajectory comes from its own stage, which ``c`` does not enter."""
+    worldline = config.worldline
     if worldline is None:
-        return [None]
-    if rows > 1:
-        ramps = tuple(config.worldline.get("g") for config in group)
-        worldline = dict(worldline, g=ramps) if len(set(ramps)) > 1 else worldline
-        c = tuple(config.c for config in group)
+        return None
 
     def compute(worldline, mass, c):
         trajectory = _stage(memo, "trajectory", build_trajectory, worldline=worldline, mass=mass)
-        if rows > 1 and trajectory.phi.ndim == 1:
-            trajectory = trajectory.repeated(rows)
         grav_only = worldline.get("gravitational_only", False)
         return dilation_profile(trajectory, c, gravitational_only=grav_only)
 
-    profile = _stage(memo, "profile", compute, worldline=worldline, mass=first.mass, c=c)
-    return [profile] if rows == 1 else [profile.row(i) for i in range(rows)]
+    return _stage(memo, "profile", compute, worldline=worldline, mass=config.mass, c=config.c)
+
+
+def alpha_ramp(base: ScenarioConfig, alpha) -> dict:
+    """The worldline section that realizes the final clock rate ``alpha``, a number or a
+    column, with a potential ramp read by a heavy particle: phi_end = (alpha - 1) c^2."""
+    t_end, samples = 1.0, 101
+    if base.worldline and "t_end" in base.worldline:
+        t_end = base.worldline["t_end"]
+        samples = base.worldline.get("samples", samples)
+    g = (alpha - 1.0) * base.c**2 / t_end
+    return dict(preset="uniform_gravity", g=g, t_end=t_end, samples=samples,
+                gravitational_only=True)
+
+
+def dilated_sweep(base: ScenarioConfig, param: str, values: list, ids: list):
+    """The points of a sweep of a dilated ``base`` as reduced stacks for ``report_rows``,
+    row k bit for bit point k run alone; or None, before anything runs, unless every
+    value passes the rule of the field it edits. ``param`` edits as ``cli._sweep_config``
+    does, and enters as a column where its field does: beta as the ensemble's betas,
+    omega as ``omega * E(1)``, and c or alpha (as ramps) as one profile call a stack."""
+    if base.pipeline != "dilated" or param == "gamma":
+        return None
+    column = np.array(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the float range fails
+        if param == "alpha":  # the ramp's one new number
+            column = alpha_ramp(base, column)["g"]
+            ok = np.isfinite(column)
+        else:  # beta, c and omega are positive numbers
+            ok = np.isfinite(column) & (column > 0.0)
+        if param == "c":
+            ok &= column * column < math.inf
+        elif param == "omega":
+            entry = SYSTEMS[base.system["kind"]]
+            ok &= entry.scale == "omega" and entry.rule[0](dict(base.system, omega=column))
+    return _dilated_stacks(base, param, column, ids) if ok.all() else None
+
+
+def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: list):
+    """The stacks of ``dilated_sweep`` over ``column`` (g for alpha), each within
+    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point, and profile samples."""
+    system = dict(base.system, omega=1.0) if param == "omega" else base.system
+    energies = _system_spectrum(system, None).eigenvalues
+    # one profile serves a beta or omega sweep; c and alpha make one a stack
+    worldline = alpha_ramp(base, 1.0) if param == "alpha" else base.worldline
+    grav_only, samples = worldline.get("gravitational_only", False), 0
+    if param == "c":
+        trajectory = build_trajectory(worldline, base.mass)
+        samples = trajectory.t.size
+    elif param == "alpha":
+        samples = worldline["samples"]
+    else:
+        profile = _profile(base, None)
+    rows = max(1, STACK_ATOMS // max(energies.size + POINT_ATOMS, samples))
+    for start in range(0, column.size, rows):
+        block = column[start : start + rows]
+        if param == "c":
+            stack = trajectory.repeated(block.size)
+            profile = dilation_profile(stack, block, gravitational_only=grav_only)
+        elif param == "alpha":
+            stack = build_trajectory(dict(worldline, g=block), base.mass)
+            profile = dilation_profile(stack, base.c, gravitational_only=grav_only)
+        # C-order stacks, so that each row's sums run as its run's alone do
+        initial = np.tile(energies, (block.size, 1))
+        if param == "omega":  # the bits of each row's ``scaled(omega)``
+            initial *= block[:, None]
+        alpha, tau = profile.alpha[..., -1:], profile.tau[..., -1]
+        with np.errstate(over="ignore"):  # a final energy past the float range fails in estimate
+            final = alpha * initial
+        betas = block if param == "beta" else np.full(block.size, base.beta)
+        alphas, taus = (np.broadcast_to(x, block.shape).tolist() for x in (alpha[..., 0], tau))
+        labels = dict(pipeline="dilated", dim=energies.size, final_basis="evolved", steps=0)
+        labels = [dict(labels, scenario_id=sid, alpha_final=a, tau_total=t)
+                  for sid, a, t in zip(ids[start : start + rows], alphas, taus)]
+        yield ReducedRun(initial, betas, final, None, 0.0, labels)
 
 
 def _schedule_spectra(schedule: list) -> list:
@@ -509,20 +549,12 @@ def build_scenario(configs: list, memo: dict | None = None) -> list:
     section, the decomposition it is rescaled from (an oscillator's ``omega``
     only rescales it), the sampled trajectory of ``worldline`` and ``mass``,
     its dilation profile at ``c``, and the segment spectra of ``schedule``.
-    Consecutive configs in one group of ``stacks`` share one trajectory and one
-    profile call, each run holding a row of the stack. So a sweep over
-    ``beta`` or ``omega`` reuses all of them, one over ``c`` builds its
-    trajectory once and profiles it once per stack, one over ``alpha`` builds
-    and profiles once per stack, and all of them decompose each system once.
-    The CLI reduces each run once built and keeps none, and runs the points left
-    alone, by ``run_scenario``, once a group or stack raises. Only ``explicit``
-    and ``random`` systems decompose a matrix; a ladder or two levels is diagonal.
+    So points of a flat or driven sweep decompose each system once. The CLI
+    builds a dilated sweep by ``dilated_sweep`` instead, and here only its
+    points from a failing stack on. Only ``explicit`` and ``random`` systems
+    decompose a matrix; a ladder or two levels is diagonal.
     """
-    runs = []
-    for group in stacks(configs):
-        profiles = _profiles(group, memo)
-        runs += [_build(config, profile, memo) for config, profile in zip(group, profiles)]
-    return runs
+    return [_build(config, _profile(config, memo), memo) for config in configs]
 
 
 def _build(config: ScenarioConfig, profile: DilationProfile | None, memo: dict | None):

@@ -196,7 +196,7 @@ class DilationProfile:
 
     ``tau`` is the running trapezoidal integral of ``alpha`` over the
     worldline's ``t`` with tau[0] = 0. A stack of r worldlines has ``alpha``
-    and ``tau`` of shape (r, n), and ``row(i)`` is row i's profile.
+    and ``tau`` of shape (r, n), row i that worldline's.
     """
 
     alpha: np.ndarray
@@ -220,17 +220,13 @@ class DilationProfile:
     def alpha_final(self) -> float:
         return float(self.alpha[-1])
 
-    def row(self, i: int) -> "DilationProfile":
-        """Row ``i`` of a stack, as read-only views that keep the whole stack alive."""
-        return _profile(self.alpha[i], self.tau[i], checked=True)
 
-
-def _profile(alpha: np.ndarray, tau: np.ndarray, checked: bool = False) -> DilationProfile:
-    """A profile of checked rates ``alpha`` and of ``tau``, checked here unless ``checked``
+def _profile(alpha: np.ndarray, tau: np.ndarray) -> DilationProfile:
+    """A profile of rates ``alpha``, checked already, and of ``tau``, checked here
     (tau.T[k] is sample k of each row); both are made read-only, not copied."""
-    if not (checked or (
+    if not (
         (tau.T[0] == 0.0).all() and (tau.T[1:] > tau.T[:-1]).all() and (tau.T[-1] < math.inf).all()
-    )):
+    ):
         raise ValueError("tau must start at 0 and increase strictly to a finite total")
     alpha.flags.writeable = tau.flags.writeable = False
     prof = object.__new__(DilationProfile)

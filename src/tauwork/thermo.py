@@ -43,7 +43,7 @@ class ThermalEnsemble:
     log_z: float | np.ndarray
 
     def __init__(self, beta, energies):
-        energies = np.array(energies, dtype=float)
+        energies = np.array(energies, dtype=float, order="C")
         if energies.ndim not in (1, 2) or not energies.size:
             raise ValueError(f"energies must have shape (d,) or (r, d), got {energies.shape}")
         if one := energies.ndim == 1:  # a run keeps its checks in Python floats

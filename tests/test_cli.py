@@ -557,6 +557,29 @@ def test_verify_command_passes(capsys):
     assert "9/9 criteria passed" in out
 
 
+def test_the_parser_is_built_once_and_each_call_parses_afresh(monkeypatch, capsys):
+    from tauwork import __version__
+
+    seen = []
+    for name in ("cmd_run", "cmd_sweep"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(dict(vars(args))) or 0)
+    assert main(["run", "--scenario", "a.json", "--scenario", "b.json", "--quiet"]) == 0
+    assert main(["sweep", "--scenario", "c.json", "--sweep", "beta=1:2:2"]) == 0
+    assert main(["run", "--scenario=d.json", "--format", "json"]) == 0
+    # an append list starts empty each call, and each call has its own options
+    assert [args["scenario"] for args in seen] == [["a.json", "b.json"], ["c.json"], ["d.json"]]
+    assert [args["quiet"] for args in seen] == [True, False, False]
+    assert [args["format"] for args in seen] == ["csv", "csv", "json"]
+    assert "sweep" not in seen[0] and seen[1]["sweep"] == "beta=1:2:2" and "sweep" not in seen[2]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"tauwork {__version__}\n"
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from tauwork import acceptance
 
@@ -857,6 +880,33 @@ class TestNoPartialResults:
             assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert all_files(out) == []
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_report_that_cannot_be_written_leaves_out_as_it_was(self, tmp_path, capsys, fmt):
+        # the second report's path is a directory: the first report is not written
+        # either, an older file keeps its bytes and no temporary file stays behind
+        out = tmp_path / "o"
+        (out / f"oscillator-blueshift.{fmt}").mkdir(parents=True)
+        (out / f"comoving.{fmt}").write_text("older report\n")
+        before = {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")}
+        paths = [DEMO_SCENARIOS / "comoving.json", DEMO_SCENARIOS / "oscillator_blueshift.json"]
+        argv = ["run", *(f"--scenario={path}" for path in paths), "--out", str(out)]
+        assert main([*argv, "--format", fmt]) == 3
+        target = out / f"oscillator-blueshift.{fmt}"
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {target}: [Errno 21] Is a directory: '{target}'\n"
+        )
+        assert {p: p.read_bytes() if p.is_file() else None for p in out.rglob("*")} == before
+
+    def test_a_sweep_table_replaces_its_file_whole(self, tmp_path):
+        out = tmp_path / "o"
+        path = write_scenario(tmp_path)
+        for spec in ("beta=0.5:4:50", "beta=1:2:3"):
+            argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(out)]
+            assert main([*argv, "--quiet"]) == 0
+        assert all_files(out) == [Path("sweep_beta.csv")]
+        _, rows = read_rows(out / "sweep_beta.csv")
+        assert [row["beta"] for row in rows] == ["1.0", "1.5", "2.0"]
 
     def test_sweep_failing_at_a_later_point_prints_and_writes_nothing(self, tmp_path, capsys):
         import warnings

@@ -680,6 +680,20 @@ class TestStackedEstimate:
         assert stacked.atoms.values.shape == (1, 5)
         assert bits(stacked, 0) == bits(estimate(gibbs, final))
 
+    @pytest.mark.parametrize("layout", ["fortran", "strided"])
+    def test_final_energies_in_any_memory_layout_give_each_row_alone(self, layout):
+        # final energies that are not C-contiguous sum their rows in another order,
+        # unless read in C order: Fortran-ordered ones moved dF in 27 of 50 rows
+        spec = harmonic_hamiltonian(1.0, 20)
+        betas, alphas = np.linspace(0.1, 3.0, 50), np.linspace(0.8, 1.2, 50)
+        finals = alphas[:, None] * spec.eigenvalues
+        finals = {"fortran": np.asfortranarray(finals),
+                  "strided": np.repeat(finals, 2, axis=1)[:, ::2]}[layout]
+        stacked = estimate(ThermalEnsemble(betas, np.tile(spec.eigenvalues, (50, 1))), finals)
+        for i, (beta, alpha) in enumerate(zip(betas.tolist(), alphas.tolist())):
+            alone = estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
+            assert bits(stacked, i) == bits(alone)
+
     def test_a_row_index_counts_from_the_end_as_the_columns_do(self):
         # the last run merges (rate 1): row(-1) is its merged atom, not its sorted row
         gibbs = thermal_state(harmonic_hamiltonian(1.0, 4), 1.0)

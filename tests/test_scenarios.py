@@ -14,6 +14,7 @@ from tauwork.protocol import (
     DilatedRun,
     FlatRun,
     estimate,
+    report_rows,
     run_protocol,
 )
 from tauwork.scenarios import (
@@ -411,10 +412,9 @@ class TestBuildScenario:
         # the other stage reads none of the changed fields, so it is computed once
         assert all(getattr(run, untouched) is getattr(runs[0], untouched) for run in runs)
 
-    def test_a_list_builds_in_stacks_each_run_its_config_alone(self, tmp_path):
-        # c and ramp stacks past the sample budget (a row may differ in both), points
-        # that share one profile, a flat point, a csv worldline, which stacks with none,
-        # and moving particles of two masses, which do not stack
+    def test_a_list_builds_each_run_as_its_config_alone(self, tmp_path):
+        # points that differ in c or a ramp's g (or in both), points that share one
+        # profile, a flat point, a csv worldline and moving particles of two masses
         ramp = dict(dilated_config()["worldline"], samples=10**4)
         documents = [dilated_config(worldline=ramp, c=c) for c in (1.0, 2.0, 3.0, 4.0, 5.0)]
         documents += [dilated_config(worldline=dict(ramp, g=g)) for g in (0.01, 0.02, 0.03)]
@@ -425,12 +425,58 @@ class TestBuildScenario:
         cruise = {"preset": "cruise", "p": 0.3, "t_end": 5.0}
         documents += [dilated_config(worldline=cruise, c=c, mass=c) for c in (1.0, 2.0)]
         configs = [ScenarioConfig.from_dict(d) for d in documents]
-        groups = [len(group) for group in scenarios.stacks(configs)]
-        assert groups == [3, 3, 2, 1, 1, 1, 1, 1, 1, 1]
         runs = build_scenario(configs, {})
-        assert runs[0].profile.alpha.base is runs[2].profile.alpha.base
         for config, run in zip(configs, runs):
             assert run_protocol(run).to_csv_row() == run_scenario(config).to_csv_row()
+
+    @pytest.mark.parametrize(
+        "param, values, edits, rows",
+        [
+            # 10^4 samples a point: three points fill the sample budget
+            ("c", [1.0 + k for k in range(7)], {"samples": 10**4}, [3, 3, 1]),
+            ("alpha", [0.8 + 0.05 * k for k in range(7)], {"samples": 10**4}, [3, 3, 1]),
+            # 1024 levels a point: 28 points fill the atom budget
+            ("beta", [0.5 + 0.05 * k for k in range(60)], {"levels": 1024}, [28, 28, 4]),
+            ("omega", [0.5 + 0.01 * k for k in range(60)], {"levels": 1024}, [28, 28, 4]),
+        ],
+    )
+    def test_a_dilated_sweep_runs_in_stacks_each_row_its_point_alone(
+        self, param, values, edits, rows
+    ):
+        from tauwork.cli import _sweep_config
+
+        document = dilated_config()
+        for section in ("system", "worldline"):
+            document[section] = {**document[section], **{
+                key: value for key, value in edits.items() if key in document[section]
+            }}
+        base = ScenarioConfig.from_dict(document)
+        ids = [f"osc@{param}={value:.9g}" for value in values]
+        stacks = list(scenarios.dilated_sweep(base, param, values, ids))
+        assert [len(stack.labels) for stack in stacks] == rows
+        assert all(stack.initial.flags.c_contiguous for stack in stacks)
+        got = [row.to_csv_row() for row in report_rows(stacks)]
+        assert got == [run_scenario(_sweep_config(base, param, v)).to_csv_row() for v in values]
+
+    @pytest.mark.parametrize(
+        "document, param, values",
+        [
+            (dilated_config(), "beta", [-1.0, 1.0]),
+            (dilated_config(), "c", [1.0, 1e155]),
+            (dilated_config(system={"kind": "two_level", "gap": 1.0}), "omega", [1.0, 2.0]),
+            (dilated_config(system={"kind": "harmonic", "omega": 1.0, "levels": 40}), "omega",
+             [1.0, 1e307]),
+            # g = (alpha - 1) c^2 / t_end past the float range
+            (dilated_config(c=1e150), "alpha", [1.0, 1e20]),
+            (dilated_config(), "gamma", [0.1, 0.2]),
+            (APPENDIX, "beta", [1.0, 2.0]),
+        ],
+    )
+    def test_a_sweep_with_a_value_its_rule_rejects_or_not_dilated_has_no_stacks(
+        self, document, param, values
+    ):
+        base = ScenarioConfig.from_dict(document)
+        assert scenarios.dilated_sweep(base, param, values, ["x"] * len(values)) is None
 
     def test_a_ladder_is_decomposed_once_and_rescaled_once_per_omega(self, monkeypatch):
         built, scaled = [], []

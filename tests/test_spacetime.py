@@ -414,12 +414,10 @@ class TestStackedProfile:
         prof = dilation_profile(stack, c, gravitational_only)
         assert prof.alpha.shape == prof.tau.shape == (rows, samples)
         assert stack.samples == rows * samples or form == "c column"
+        assert not (prof.alpha.flags.writeable or prof.tau.flags.writeable)
         for i, one in enumerate(alone):
-            row = prof.row(i)
-            assert row.alpha.tobytes() == one.alpha.tobytes()
-            assert row.tau.tobytes() == one.tau.tobytes()
-            assert row.tau_total == one.tau_total and row.alpha_final == one.alpha_final
-            assert not (row.alpha.flags.writeable or row.tau.flags.writeable)
+            assert prof.alpha[i].tobytes() == one.alpha.tobytes()
+            assert prof.tau[i].tobytes() == one.tau.tobytes()
 
     def test_the_first_failing_row_raises_alone(self):
         # row 1 moves too fast and row 2 breaks the weak-field bound, which a
@@ -464,7 +462,7 @@ class TestStackedProfile:
 
     def test_a_profile_stack_is_checked_as_its_rows(self):
         prof = DilationProfile([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 2.0]])
-        assert prof.row(1).tau_total == 2.0 and prof.row(0).alpha_final == 1.0
+        assert prof.tau[1, -1] == 2.0 and prof.alpha[0, -1] == 1.0
         with pytest.raises(WeakFieldViolationError):
             DilationProfile([[1.0, 1.0], [2.0, -2.0]], [[0.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValueError, match="tau"):

@@ -238,6 +238,24 @@ class TestStackedEnsemble:
             row += stack.probs[i].tobytes(), stack.energies[i].tobytes()
             assert row == one_run(thermal_state(spec, float(beta)))
 
+    @pytest.mark.parametrize("layout", ["broadcast", "fortran", "strided"])
+    def test_a_stack_in_any_memory_layout_reads_as_its_rows(self, layout):
+        # a stack that is not C-contiguous sums its rows in another order, unless copied
+        # in C order: a broadcast ladder of 20 levels moved log_z in 39 of 50 rows
+        spec = harmonic_hamiltonian(1.0, 20)
+        betas = np.linspace(0.1, 3.0, 50)
+        energies = {
+            "broadcast": np.broadcast_to(spec.eigenvalues, (50, 20)),
+            "fortran": np.asfortranarray(np.tile(spec.eigenvalues, (50, 1))),
+            "strided": np.tile(np.repeat(spec.eigenvalues, 2), (50, 1))[:, ::2],
+        }[layout]
+        stack = ThermalEnsemble(betas, energies)
+        assert stack.energies.flags.c_contiguous
+        for i, beta in enumerate(betas.tolist()):
+            row = repr(float(stack.beta[i])), repr(float(stack.log_z[i]))
+            row += stack.probs[i].tobytes(), stack.energies[i].tobytes()
+            assert row == one_run(thermal_state(spec, beta))
+
     def test_fields_are_read_only_arrays_and_the_inputs_are_not(self):
         betas, energies = np.array([1.0, 2.0]), np.array([[0.0, 1.0], [0.5, 3.0]])
         stack = ThermalEnsemble(betas, energies)
