@@ -19,9 +19,8 @@ from pathlib import Path
 
 from . import __version__, acceptance
 from .operators import require
-from .protocol import ProtocolReport, reduce_run, report_rows
-from .scenarios import ScenarioConfig, alpha_ramp, build_scenario, dilated_sweep, parse_document
-from .scenarios import run_scenario
+from .protocol import ProtocolReport, report_rows
+from .scenarios import ScenarioConfig, alpha_ramp, dilated_sweep, parse_document, run_scenario
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -68,25 +67,14 @@ def _load_document(path: str, steps: int | None) -> ScenarioConfig:
     return _labelled(path, ScenarioConfig.from_dict, document)
 
 
-def _rows(runs, reports: list) -> list:
-    """``reports`` with the rows ``report_rows`` gives for ``runs``, until a stack raises."""
-    try:
-        for report in report_rows(runs):
-            reports.append(report)
-    except (OSError, ValueError):
-        pass  # the error shows again when the first point that raises it runs alone
-    return reports
-
-
 def _run_points(args, points: list, stacks=None, make=None) -> list:
     """The reports of validated ``(label, config)`` points, once ``--out`` is writable.
 
-    ``stacks``, a dilated sweep's reduced stacks, run first; its points are
-    ``(label, value)``, and those from the first stack that raises on get their
-    configs from ``make(value)``. Points are built and reduced in turn, and
-    ``report_rows`` stacks them into ``estimate`` calls. When that raises, the
-    points without a report run alone, in order, so the first failing point
-    names itself with the error it raises alone.
+    ``stacks``, a dilated sweep's reduced stacks, run first, through
+    ``report_rows``; its points are ``(label, value)``. Then each point without
+    a report runs alone, in order, a sweep's point with its config from
+    ``make(value)``: so after a stack raises, the first failing point names
+    itself with the error it raises alone.
     """
     out_dir = Path(args.out)
     try:
@@ -96,14 +84,15 @@ def _run_points(args, points: list, stacks=None, make=None) -> list:
         probe.unlink()
     except OSError as exc:
         raise OSError(f"output directory not writable: {exc}") from None
-    reports = _rows(stacks, []) if stacks else []
-    done, rest = len(reports), points[len(reports) :]
-    if stacks:
-        rest = [(label, _labelled(label, make, value)) for label, value in rest]
-    memo: dict = {}  # points that share a section share its build stages
-    _rows((reduce_run(build_scenario([config], memo)[0]) for _, config in rest), reports)
-    for label, config in rest[len(reports) - done :]:
-        reports.append(_labelled(label, run_scenario, config, memo))
+    reports = []
+    try:
+        for report in report_rows(stacks or ()):
+            reports.append(report)
+    except (OSError, ValueError):
+        pass  # the error shows again when the first point that raises it runs alone
+    for label, point in points[len(reports) :]:
+        config = _labelled(label, make, point) if stacks else point
+        reports.append(_labelled(label, run_scenario, config))
     return reports
 
 

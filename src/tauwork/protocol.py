@@ -44,11 +44,6 @@ from .thermo import log_sum_exp, thermal_state
 PROB_SUM_ATOL = 1e-10
 PROB_NEGATIVE_ATOL = 1e-12
 MERGE_REL_TOL = 1e-9
-# the elements of one stacked array, 256 KB in float64: the atoms of a stack of
-# runs in one ``estimate`` call, and the samples of a stack of profiles
-STACK_ATOMS = 2**15
-# a pending run's own objects, about 1 KB, count as POINT_ATOMS more atoms of its stack
-POINT_ATOMS = 128
 
 
 class WorkRows(NamedTuple):
@@ -461,11 +456,11 @@ class ReducedRun(NamedTuple):
     labels, one dict a row."""
 
     initial: np.ndarray
-    beta: float
+    beta: float | np.ndarray
     final: np.ndarray
     transitions: np.ndarray | None
     correction: float
-    labels: dict
+    labels: list
 
 
 def reduce_run(run) -> ReducedRun:
@@ -497,37 +492,13 @@ def reduce_run(run) -> ReducedRun:
 
 
 def report_rows(runs):
-    """The report row of each reduced run of ``runs``, any iterable read lazily, in
-    order. Consecutive runs of one dimension and transition form share one
-    ``estimate`` call while the stack's atoms, each run counting ``POINT_ATOMS``
-    more, stay within ``STACK_ATOMS``; a stack's row i is bit for bit run i alone.
-    A reduced stack, sized by its maker, is one call of its own.
-    A stack raises the first error of its runs; which run raised shows alone."""
-    stack, form = [], None
+    """The report rows of each reduced run or stack of ``runs``, any iterable read
+    lazily, in order: one ``estimate`` call for each item read, whose rows come
+    before the next item is read. A stack's row i is bit for bit its run alone,
+    and a stack raises the first error of its runs."""
     for run in runs:
-        last, form = form, (run.final.shape, run.transitions is None)
-        atoms = POINT_ATOMS + (run.final.size if run.transitions is None else run.transitions.size)
-        if stack and (form != last or (len(stack) + 1) * atoms > STACK_ATOMS):
-            yield from _stack_rows(stack)
-            stack = []
-        stack.append(run)
-        if run.final.ndim > 1:  # a reduced stack's rows come before the next run is read
-            yield from _stack_rows(stack)
-            stack = []
-    if stack:
-        yield from _stack_rows(stack)
-
-
-def _stack_rows(runs: list) -> list:
-    """The report rows of reduced runs of one dimension and form, from one ``estimate``."""
-    if len(runs) == 1:
-        gibbs, inputs = ThermalEnsemble(runs[0].beta, runs[0].initial), runs[0][2:5]
-    else:
-        initial, betas, *inputs, _ = zip(*runs)  # final, transitions, correction
-        gibbs = ThermalEnsemble(np.array(betas, dtype=float), initial)
-        inputs = [None if column[0] is None else np.array(column) for column in inputs]
-    labels = [row for run in runs for row in run.labels]
-    return ProtocolReport.rows(estimate(gibbs, *inputs), labels)
+        gibbs = ThermalEnsemble(run.beta, run.initial)
+        yield from ProtocolReport.rows(estimate(gibbs, *run[2:5]), run.labels)
 
 
 def run_protocol(run) -> ProtocolReport:

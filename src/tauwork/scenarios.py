@@ -37,8 +37,7 @@ from .channels import (
 )
 from .operators import _INTEGER, MAX_DIM, RULES, HermitianOperator, Spectrum
 from .operators import matrix_from_pairs, random_hermitian, require, spectral_decompose
-from .protocol import POINT_ATOMS, STACK_ATOMS, AppendixRun, DilatedRun, FlatRun, ProtocolReport
-from .protocol import ReducedRun, run_protocol
+from .protocol import AppendixRun, DilatedRun, FlatRun, ProtocolReport, ReducedRun, run_protocol
 from .spacetime import (
     DilationProfile,
     Worldline,
@@ -399,43 +398,6 @@ def build_system(system: dict) -> Spectrum:
     return SYSTEMS[system["kind"]].build(system)
 
 
-def _copy(value):
-    """A copy of a JSON value: new dicts and lists, the same scalars."""
-    if isinstance(value, dict):
-        return {key: _copy(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copy(item) for item in value]
-    return value
-
-
-def _stage(memo: dict | None, stage: str, compute: Callable, **inputs):
-    """``compute(**inputs)``, taken from ``memo`` when ``stage`` holds equal inputs.
-
-    ``memo`` maps each stage to a copy of the inputs it computed from and the
-    value computed from them, so a hit costs one ``==`` and a section edited
-    in place after the run misses. A stage keeps one entry and drops it before
-    computing a new one, so a sweep holds one value per stage at a time.
-    """
-    if memo is None:
-        return compute(**inputs)
-    held = memo.get(stage)
-    if held is None or held[0] != inputs:
-        memo.pop(stage, None)
-        memo[stage] = (_copy(inputs), compute(**inputs))
-    return memo[stage][1]
-
-
-def _system_spectrum(system: dict, memo: dict | None) -> Spectrum:
-    """The system's spectrum from ``memo``'s system stage. A system linear in its
-    ``scale`` field is decomposed at scale 1, in the spectrum stage, and rescaled
-    once per value of that field."""
-    scale = SYSTEMS[system["kind"]].scale
-    if scale is None:
-        return _stage(memo, "system", build_system, system=system)
-    unit = _stage(memo, "spectrum", build_system, system=dict(system, **{scale: 1.0}))
-    return _stage(memo, "system", lambda system: unit.scaled(system[scale]), system=system)
-
-
 def build_trajectory(worldline: dict, mass: float) -> Worldline:
     """The sampled trajectory of a ``worldline`` section for a particle of ``mass``;
     a column of ``g`` values gives a stack of ``uniform_gravity`` ramps."""
@@ -443,19 +405,14 @@ def build_trajectory(worldline: dict, mass: float) -> Worldline:
     return entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
 
 
-def _profile(config: ScenarioConfig, memo: dict | None) -> DilationProfile | None:
-    """The clock-rate profile of ``config`` from ``memo``'s profile stage, or None for a
-    flat config. The trajectory comes from its own stage, which ``c`` does not enter."""
+def _profile(config: ScenarioConfig) -> DilationProfile | None:
+    """The clock-rate profile of ``config``, or None for a flat config."""
     worldline = config.worldline
     if worldline is None:
         return None
-
-    def compute(worldline, mass, c):
-        trajectory = _stage(memo, "trajectory", build_trajectory, worldline=worldline, mass=mass)
-        grav_only = worldline.get("gravitational_only", False)
-        return dilation_profile(trajectory, c, gravitational_only=grav_only)
-
-    return _stage(memo, "profile", compute, worldline=worldline, mass=config.mass, c=config.c)
+    trajectory = build_trajectory(worldline, config.mass)
+    grav_only = worldline.get("gravitational_only", False)
+    return dilation_profile(trajectory, config.c, gravitational_only=grav_only)
 
 
 def alpha_ramp(base: ScenarioConfig, alpha) -> dict:
@@ -493,11 +450,19 @@ def dilated_sweep(base: ScenarioConfig, param: str, values: list, ids: list):
     return _dilated_stacks(base, param, column, ids) if ok.all() else None
 
 
+# the elements of one stacked array, 256 KB in float64: the atoms of a stack of
+# points in one ``estimate`` call, and the samples of a stack of profiles
+STACK_ATOMS = 2**15
+# a point's own objects, its labels and its report row, about 1 KB, count as
+# POINT_ATOMS more atoms of its stack
+POINT_ATOMS = 128
+
+
 def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: list):
     """The stacks of ``dilated_sweep`` over ``column`` (g for alpha), each within
     ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point, and profile samples."""
     system = dict(base.system, omega=1.0) if param == "omega" else base.system
-    energies = _system_spectrum(system, None).eigenvalues
+    energies = build_system(system).eigenvalues
     # one profile serves a beta or omega sweep; c and alpha make one a stack
     worldline = alpha_ramp(base, 1.0) if param == "alpha" else base.worldline
     grav_only, samples = worldline.get("gravitational_only", False), 0
@@ -507,7 +472,7 @@ def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: l
     elif param == "alpha":
         samples = worldline["samples"]
     else:
-        profile = _profile(base, None)
+        profile = _profile(base)
     rows = max(1, STACK_ATOMS // max(energies.size + POINT_ATOMS, samples))
     for start in range(0, column.size, rows):
         block = column[start : start + rows]
@@ -532,35 +497,20 @@ def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: l
         yield ReducedRun(initial, betas, final, None, 0.0, labels)
 
 
-def _schedule_spectra(schedule: list) -> list:
-    return [(seg["tau_end"], build_system(seg["system"])) for seg in schedule]
-
-
 def build_channel(channel: dict, dim: int) -> QuantumChannel:
     return CHANNELS[channel["preset"]].build(channel, dim)
 
 
-def build_scenario(configs: list, memo: dict | None = None) -> list:
-    """Validated configs as prepared runs for ``run_protocol`` or ``reduce_run``, in order.
+def build_scenario(config: ScenarioConfig) -> FlatRun | DilatedRun | AppendixRun:
+    """A validated config as a prepared run for ``run_protocol`` or ``reduce_run``.
 
-    One config is a list of one. Callers that build several lists pass one
-    ``memo`` (an empty dict to start), which holds one value per build stage,
-    keyed on the fields that stage reads: the spectrum of the ``system``
-    section, the decomposition it is rescaled from (an oscillator's ``omega``
-    only rescales it), the sampled trajectory of ``worldline`` and ``mass``,
-    its dilation profile at ``c``, and the segment spectra of ``schedule``.
-    So points of a flat or driven sweep decompose each system once. The CLI
-    builds a dilated sweep by ``dilated_sweep`` instead, and here only its
-    points from a failing stack on. Only ``explicit`` and ``random`` systems
-    decompose a matrix; a ladder or two levels is diagonal.
+    Each call builds every section anew: the CLI runs a dilated sweep as
+    columns by ``dilated_sweep``, and builds here each point it runs alone.
+    Only ``explicit`` and ``random`` systems decompose a matrix; a ladder or
+    two levels is diagonal.
     """
-    return [_build(config, _profile(config, memo), memo) for config in configs]
-
-
-def _build(config: ScenarioConfig, profile: DilationProfile | None, memo: dict | None):
-    """One config's prepared run, given its profile."""
     if config.pipeline == "flat":
-        spec = _system_spectrum(config.system, memo)
+        spec = build_system(config.system)
         channel = build_channel(config.channel, spec.dim)
         if channel.dim != spec.dim:
             raise ScenarioValidationError(
@@ -573,24 +523,23 @@ def _build(config: ScenarioConfig, profile: DilationProfile | None, memo: dict |
             h_final=spec,
             channel=channel,
         )
+    profile = _profile(config)
     if config.pipeline == "dilated":
         return DilatedRun(
             scenario_id=config.scenario_id,
             beta=config.beta,
-            h0=_system_spectrum(config.system, memo),
+            h0=build_system(config.system),
             profile=profile,
         )
-
-    segments = _stage(memo, "schedule", _schedule_spectra, schedule=config.schedule)
-    schedule = PropagatorSchedule(segments, profile, config.steps)
+    segments = [(seg["tau_end"], build_system(seg["system"])) for seg in config.schedule]
     return AppendixRun(
         scenario_id=config.scenario_id,
         beta=config.beta,
-        schedule=schedule,
+        schedule=PropagatorSchedule(segments, profile, config.steps),
         final_basis=config.final_basis,
     )
 
 
-def run_scenario(config: ScenarioConfig, memo: dict | None = None) -> ProtocolReport:
-    """Build and execute one validated scenario; ``memo`` as in :func:`build_scenario`."""
-    return run_protocol(build_scenario([config], memo)[0])
+def run_scenario(config: ScenarioConfig) -> ProtocolReport:
+    """Build and execute one validated scenario."""
+    return run_protocol(build_scenario(config))

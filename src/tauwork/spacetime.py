@@ -53,7 +53,11 @@ def dilation_factor(phi, p, mass: float, c=1.0):
     the expansion makes sense.
     """
     require(mass=mass)
-    column = _speeds(c)
+    return _rates(phi, p, mass, _speeds(c), c)
+
+
+def _rates(phi, p, mass: float, column: list | None, c):
+    """``dilation_factor`` of a checked ``mass`` and ``c``, ``column`` its ``_speeds(c)``."""
     phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
     # the direct expression is exact to rounding while c^2 and each partial product of
     # 2 m^2 c^2 are normal floats: a p^2 that underflows then stands for a term below an ulp of 1
@@ -264,7 +268,7 @@ def dilation_profile(
             raise WeakFieldViolationError(
                 f"|phi|/c^2 = {over[0]:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
             )
-        alpha = dilation_factor(phi, p, worldline.mass, column or c)
+        alpha = _rates(phi, p, worldline.mass, column, c)  # the worldline checked its mass
         # tau is 0, then the running sum of 0.5 (alpha_k + alpha_k+1) dt_k, in one buffer
         t, tau = worldline.t, np.zeros(alpha.shape)
         with np.errstate(over="ignore"):  # a tau past the float range fails the profile's check

@@ -45,12 +45,13 @@ def test_battery_runs_in_budget(battery):
 
 
 def test_injected_fault_is_caught(monkeypatch):
-    # flip the sign of the potential term in the clock-rate formula; the
-    # potential-difference criterion must notice
-    def broken(phi, p, mass, c=1.0):
+    # flip the sign of the potential term in the clock-rate formula that
+    # dilation_factor and dilation_profile share; the potential-difference
+    # criterion must notice
+    def broken(phi, p, mass, column, c):
         return 1.0 - phi / c**2 - p * p / (2.0 * mass * mass * c * c)
 
-    monkeypatch.setattr(spacetime, "dilation_factor", broken)
+    monkeypatch.setattr(spacetime, "_rates", broken)
     result = acceptance.criterion_potential_difference()
     assert not result.passed
 
@@ -174,7 +175,7 @@ def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch
         for name in ("flat_damping", "oscillator_blueshift", "driven_two_segment")
     ]
     docs.append(dict(docs[-1], final_basis="instantaneous"))
-    runs = scenarios.build_scenario([scenarios.ScenarioConfig.from_dict(d) for d in docs])
+    runs = [scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(d)) for d in docs]
     plain = [protocol.run_protocol(run) for run in runs]
     for name in ("residual", "entropy_production"):
         exact = getattr(protocol.Estimates, name).fget

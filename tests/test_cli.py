@@ -411,9 +411,10 @@ class TestSweep:
 
 
 class TestDecompositionReuse:
-    """One build per distinct ``system`` section in each invocation. Harmonic
-    and two-level systems are built as spectra, with no decomposition; a
-    system given as a matrix is decomposed once, when it is built."""
+    """A dilated sweep builds its system once, for all its columns, and a run
+    of one file builds its system once. Harmonic and two-level systems are
+    built as spectra, with no decomposition; a system given as a matrix is
+    decomposed once, when it is built."""
 
     @pytest.mark.parametrize(
         "spec, calls",
@@ -439,13 +440,15 @@ class TestDecompositionReuse:
         assert len(builds) == len(decompositions) == 1
 
     @pytest.mark.parametrize("spec, steps", [("beta=0.5:3:5", "300"), ("alpha=0.8:1.2:5", "200")])
-    def test_driven_sweep_decomposes_each_segment_once(
+    def test_driven_sweep_builds_each_segment_once_a_point(
         self, spec, steps, tmp_path, builds, decompositions
     ):
+        # a driven point runs alone, so each of its two segments is built once for it
         scenario = DEMO_SCENARIOS / "driven_two_segment.json"
         argv = ["sweep", "--scenario", str(scenario), "--sweep", spec, "--steps", steps]
         assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(builds) == 2
+        segments = json.loads(scenario.read_text())["schedule"]
+        assert builds == [segment["system"] for segment in segments] * 5
         assert decompositions == []
 
     def test_flat_run_decomposes_once(self, tmp_path, builds, decompositions):
@@ -454,11 +457,13 @@ class TestDecompositionReuse:
         assert len(builds) == 1
         assert decompositions == []
 
-    def test_flat_gamma_sweep_decomposes_once(self, tmp_path, builds, decompositions):
+    def test_flat_gamma_sweep_builds_its_system_once_a_point(
+        self, tmp_path, builds, decompositions
+    ):
         scenario = DEMO_SCENARIOS / "flat_damping.json"
         argv = ["sweep", "--scenario", str(scenario), "--sweep", "gamma=0:0.9:50"]
         assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(builds) == 1
+        assert builds == [json.loads(scenario.read_text())["system"]] * 50
         assert decompositions == []
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1118,8 +1123,8 @@ class TestErrorLines:
 
 
 class TestStreamedStacks:
-    """Points run in stacks of one dimension and transition form, each stack one
-    ``estimate`` call; a table is byte for byte its points run alone, and a
+    """A dilated sweep runs in stacks, each one ``estimate`` call, and every other
+    point runs alone; a table is byte for byte its points run alone, and a
     failure is the first failing point's, as when each runs alone."""
 
     def test_run_with_files_of_mixed_dimensions_and_forms(self, tmp_path):
@@ -1155,12 +1160,12 @@ class TestStreamedStacks:
         monkeypatch.setattr(protocol, "estimate", spy)
         path = write_scenario(tmp_path, system=dict(LADDER, levels=1024))
         spec = "beta=0.5:4:40"
-        assert 40 * (1024 + protocol.POINT_ATOMS) > protocol.STACK_ATOMS
+        assert 40 * (1024 + scenarios.POINT_ATOMS) > scenarios.STACK_ATOMS
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
         assert main([*argv, "--quiet"]) == 0
         assert len(calls) >= 2 and sum(shape[0] for shape in calls) == 40
         for rows, atoms in calls:
-            assert rows * (atoms + protocol.POINT_ATOMS) <= protocol.STACK_ATOMS
+            assert rows * (atoms + scenarios.POINT_ATOMS) <= scenarios.STACK_ATOMS
         monkeypatch.setattr(protocol, "estimate", original)
         base = ScenarioConfig.from_dict(json.loads(path.read_text()))
         alone = [run_scenario(_sweep_config(base, "beta", 0.5 + 3.5 * k / 39)) for k in range(40)]
@@ -1229,36 +1234,64 @@ class TestStreamedStacks:
             ["sweep", "--sweep", "beta=0.5:4:40", "--scenario", "{ladder}"],
             ["sweep", "--sweep", "c=1:100:7", "--scenario", "{osc}"],
             ["sweep", "--sweep", "alpha=0.8:1.2:7", "--scenario", "{osc}"],
-            ["sweep", "--sweep", "gamma=0:1:4", "--scenario", "{flat}"],
-            ["sweep", "--sweep", "alpha=0.8:1.2:3", "--scenario", "{driven}", "--steps", "50"],
-            ["run", "--scenario", "{osc}", "--scenario", "{flat}", "--scenario", "{driven}"],
         ],
-        ids=["beta-stacks", "c", "alpha", "flat", "driven", "run"],
+        ids=["beta-stacks", "c", "alpha"],
     )
     def test_a_successful_invocation_runs_no_point_alone(self, tmp_path, monkeypatch, command):
         alone = []
         monkeypatch.setattr(cli, "run_scenario", lambda *args: alone.append(args))
         ladder = write_scenario(tmp_path, "ladder.json", system=dict(LADDER, levels=1024))
-        paths = dict(osc=write_scenario(tmp_path), flat=DEMO_SCENARIOS / "flat_damping.json",
-                     driven=DEMO_SCENARIOS / "driven_two_segment.json", ladder=ladder)
+        paths = dict(osc=write_scenario(tmp_path), ladder=ladder)
         argv = [arg.format(**paths) for arg in command] + ["--quiet"]
         assert main([*argv, "--out", str(tmp_path / "o")]) == 0
         assert alone == []
+
+    @pytest.mark.parametrize(
+        "command, ids",
+        [
+            (["sweep", "--sweep", "gamma=0:1:4", "--scenario", "{flat}"],
+             [f"flat-damping@gamma={g:.9g}" for g in (0, 1 / 3, 2 / 3, 1)]),
+            (["sweep", "--sweep", "alpha=0.8:1.2:3", "--scenario", "{driven}", "--steps", "50"],
+             [f"driven-two-segment@alpha={a:.9g}" for a in (0.8, 1.0, 1.2)]),
+            (["run", "--scenario", "{osc}", "--scenario", "{flat}", "--scenario", "{driven}"],
+             ["osc", "flat-damping", "driven-two-segment"]),
+        ],
+        ids=["flat", "driven", "run"],
+    )
+    def test_a_successful_invocation_runs_every_other_point_alone(
+        self, tmp_path, monkeypatch, command, ids
+    ):
+        # no stacks: each point is one run_scenario call and one estimate call, in order
+        alone, calls = [], []
+        run, estimate = cli.run_scenario, protocol.estimate
+
+        def spy(config):
+            alone.append(config.scenario_id)
+            return run(config)
+
+        monkeypatch.setattr(cli, "run_scenario", spy)
+        monkeypatch.setattr(protocol, "estimate", lambda *a: calls.append(a) or estimate(*a))
+        paths = dict(osc=write_scenario(tmp_path), flat=DEMO_SCENARIOS / "flat_damping.json",
+                     driven=DEMO_SCENARIOS / "driven_two_segment.json")
+        argv = [arg.format(**paths) for arg in command] + ["--quiet"]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        assert alone == ids
+        assert len(calls) == len(ids)
 
     def test_a_failing_stack_runs_alone_only_its_points_up_to_the_failing_one(
         self, tmp_path, capsys, monkeypatch
     ):
         alone = []
 
-        def spy(config, memo):
+        def spy(config):
             alone.append(config.scenario_id)
-            return run_scenario(config, memo)
+            return run_scenario(config)
 
         monkeypatch.setattr(cli, "run_scenario", spy)
         path = write_scenario(tmp_path, system=dict(LADDER, levels=1024))
         # 28 points of a 1024-level ladder fill a stack; from point 30 on, in the
         # second stack, beta * 1023.5 overflows a float
-        assert protocol.STACK_ATOMS // (1024 + protocol.POINT_ATOMS) == 28
+        assert scenarios.STACK_ATOMS // (1024 + scenarios.POINT_ATOMS) == 28
         values = sorted(1 + (2.3e305 - 1) * k / 39 for k in range(40))
         assert values[29] * 1023.5 < sys.float_info.max < values[30] * 1023.5
         out = tmp_path / "o"
@@ -1268,6 +1301,33 @@ class TestStreamedStacks:
         assert err.startswith(f"error: beta={values[30]}: beta * energy overflows a float: ")
         assert alone == [f"osc@beta={value:.9g}" for value in values[28:31]]
         assert all_files(out) == []
+
+    def test_a_sweep_failing_at_its_last_of_ten_thousand_points_runs_its_last_stack_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # alpha = 1.5, the last point, puts |phi|/c^2 at the weak-field bound; of the
+        # stacks of 195 points, the last one, points 9945 on, fails and runs alone
+        alone = []
+
+        def spy(config):
+            alone.append(config.scenario_id)
+            return run_scenario(config)
+
+        monkeypatch.setattr(cli, "run_scenario", spy)
+        out = tmp_path / "out"
+        scenario = DEMO_SCENARIOS / "oscillator_blueshift.json"
+        argv = ["sweep", "--scenario", str(scenario), "--sweep", "alpha=0.8:1.5:10000"]
+        assert main([*argv, "--out", str(out)]) == 2
+        line = "error: alpha=1.5: |phi|/c^2 = 0.5 exceeds the weak-field bound 0.5\n"
+        assert capsys.readouterr() == ("", line)
+        assert list(out.iterdir()) == []
+        assert len(alone) == 55 and alone[-1] == "oscillator-blueshift@alpha=1.5"
+
+    def test_a_ten_thousand_point_c_sweep_writes_a_row_per_point(self, tmp_path):
+        scenario = DEMO_SCENARIOS / "oscillator_blueshift.json"
+        argv = ["sweep", "--scenario", str(scenario), "--sweep", "c=100:1000000:10000"]
+        assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
+        assert (tmp_path / "sweep_c.csv").read_text().count("\n") == 10**4 + 1
 
     @pytest.mark.parametrize(
         "command",
@@ -1281,14 +1341,19 @@ class TestStreamedStacks:
     )
     def test_every_report_field_has_its_schema_type(self, tmp_path, monkeypatch, command):
         cast = {"str": str, "int": int, "float": float}
-        seen, original = [], cli.report_rows
+        seen, rows, alone = [], cli.report_rows, cli.run_scenario
 
-        def spy(runs):
-            for row in original(runs):
+        def stacked(runs):
+            for row in rows(runs):
                 seen.append(row)
                 yield row
 
-        monkeypatch.setattr(cli, "report_rows", spy)
+        def run_alone(config):
+            seen.append(alone(config))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "report_rows", stacked)
+        monkeypatch.setattr(cli, "run_scenario", run_alone)
         paths = dict(osc=write_scenario(tmp_path), flat=DEMO_SCENARIOS / "flat_damping.json",
                      driven=DEMO_SCENARIOS / "driven_two_segment.json")
         argv = [arg.format(**paths) for arg in command] + ["--format", "json", "--quiet"]

@@ -122,10 +122,9 @@ def test_a_dilated_sweep_table_is_its_points_run_alone(system, worldline, sweep,
             assert (code, err.getvalue(), written) == (2, line, [])
 
 
-def test_a_dilated_sweep_whose_stacks_fail_runs_its_points_in_stacks(tmp_path, monkeypatch):
+def test_a_dilated_sweep_whose_stacks_fail_runs_its_points_alone(tmp_path, monkeypatch):
     """The rows of the stacks before a failing one are kept, and the points from
-    its first on take the stacked pass of the other sweeps: none runs alone, and
-    the table is unchanged."""
+    its first on run alone, one ``estimate`` call each: the table is unchanged."""
     document = json.loads((DEMO_SCENARIOS / "oscillator_blueshift.json").read_text())
     document["worldline"]["samples"] = 10**4  # three points fill a stack
     path = tmp_path / "osc.json"
@@ -139,12 +138,18 @@ def test_a_dilated_sweep_whose_stacks_fail_runs_its_points_in_stacks(tmp_path, m
         yield next(stacks)
         raise ValueError("a stack that fails")
 
+    def alone(config):
+        ran_alone.append(config.scenario_id)
+        return run_scenario(config)
+
     ran_alone, estimates, estimate = [], [], protocol.estimate
     monkeypatch.setattr(cli, "dilated_sweep", second_stack_fails)
-    monkeypatch.setattr(cli, "run_scenario", lambda *args: ran_alone.append(args))
+    monkeypatch.setattr(cli, "run_scenario", alone)
     monkeypatch.setattr(protocol, "estimate", lambda *a: estimates.append(a) or estimate(*a))
     assert main([*argv, "--out", str(tmp_path / "points")]) == 0
-    # the first stack's 3 rows, then one call for the other 6 points
-    assert ran_alone == [] and [len(a[1]) for a in estimates] == [3, 6]
+    # the first stack's 3 rows, then one call for each of the other 6 points
+    values = [10 + 990 * k / 8 for k in range(9)]
+    assert ran_alone == [f"{document['scenario_id']}@c={value:.9g}" for value in values[3:]]
+    assert [a[1].shape for a in estimates] == [(3, 40)] + [(40,)] * 6
     points, columns = (tmp_path / name / "sweep_c.csv" for name in ("points", "columns"))
     assert points.read_bytes() == columns.read_bytes()

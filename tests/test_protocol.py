@@ -1386,18 +1386,24 @@ class TestRunProtocol:
 
 
 class TestReportRows:
-    """``report_rows`` reads any iterable of reduced runs lazily and gives each
-    consecutive block of one dimension and transition form one ``estimate`` call."""
+    """``report_rows`` reads any iterable of reduced runs or stacks lazily and makes
+    one ``estimate`` call for each item it reads."""
 
-    def test_a_generator_of_mixed_dimensions_and_forms(self, monkeypatch):
+    def test_a_generator_of_runs_and_a_stack(self, monkeypatch):
         # 40 levels twice, then two levels: without transitions, with (flat and
-        # instantaneous driven), and without (evolved driven)
+        # instantaneous driven), and without (evolved driven); then a stack of two
         names = ["oscillator_blueshift", "comoving", "cruise_redshift", "flat_damping"]
         documents = [json.loads((DEMO_SCENARIOS / f"{name}.json").read_text()) for name in names]
         driven = json.loads((DEMO_SCENARIOS / "driven_two_segment.json").read_text())
         documents.append(dict(driven, scenario_id="inst", steps=100, final_basis="instantaneous"))
         documents.append(dict(driven, steps=100))
-        runs = build_scenario([ScenarioConfig.from_dict(document) for document in documents])
+        runs = [build_scenario(ScenarioConfig.from_dict(document)) for document in documents]
+        reduced_runs = [protocol.reduce_run(run) for run in runs]
+        first, second = reduced_runs[:2]
+        stack = protocol.ReducedRun(
+            np.array([first.initial, second.initial]), np.array([first.beta, second.beta]),
+            np.array([first.final, second.final]), None, 0.0, first.labels + second.labels,
+        )
         calls, read, original = [], [], protocol.estimate
 
         def spy(gibbs, final, *args):
@@ -1405,21 +1411,22 @@ class TestReportRows:
             return original(gibbs, final, *args)
 
         def reduced():
-            for run in runs:
+            for run in [*reduced_runs, stack]:
                 read.append(run)
-                yield protocol.reduce_run(run)
+                yield run
 
         monkeypatch.setattr(protocol, "estimate", spy)
         rows = protocol.report_rows(reduced())
         assert read == []
-        # the first block's rows come once a run of another form is read
-        first = [next(rows), next(rows)]
-        assert len(read) == 3 and calls == [(2, 40)]
-        rows = first + list(rows)
-        assert calls == [(2, 40), (2,), (2, 2), (2,)]
+        # each item's rows come before the next item is read
+        first_row = next(rows)
+        assert len(read) == 1 and calls == [(40,)]
+        rows = [first_row, *rows]
+        assert calls == [(40,), (40,), (2,), (2,), (2,), (2,), (2, 40)]
         monkeypatch.setattr(protocol, "estimate", original)
         # numpy scalars print as np.float64(...): the reprs hold every field's type
-        assert list(map(repr, rows)) == [repr(run_protocol(run)) for run in runs]
+        expected = [repr(run_protocol(run)) for run in [*runs, *runs[:2]]]
+        assert list(map(repr, rows)) == expected
 
 
 class TestFrameInvariance:

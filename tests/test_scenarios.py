@@ -325,7 +325,7 @@ class TestValidation:
 
 class TestBuildScenario:
     def test_dilated_build(self):
-        run = build_scenario([ScenarioConfig.from_dict(dilated_config())])[0]
+        run = build_scenario(ScenarioConfig.from_dict(dilated_config()))
         assert isinstance(run, DilatedRun)
         assert run.profile.alpha_final == pytest.approx(1.2, abs=1e-15)
 
@@ -333,7 +333,7 @@ class TestBuildScenario:
         raw = dilated_config(
             worldline={"preset": "comoving", "t_end": 5.0, "samples": 3}
         )
-        run = build_scenario([ScenarioConfig.from_dict(raw)])[0]
+        run = build_scenario(ScenarioConfig.from_dict(raw))
         assert np.all(run.profile.alpha == 1.0)
 
     def test_flat_build(self):
@@ -344,7 +344,7 @@ class TestBuildScenario:
             "system": {"kind": "two_level", "gap": 1.0},
             "channel": {"preset": "amplitude_damping", "gamma": 0.5},
         }
-        run = build_scenario([ScenarioConfig.from_dict(raw)])[0]
+        run = build_scenario(ScenarioConfig.from_dict(raw))
         assert isinstance(run, FlatRun)
         assert not run.channel.is_unital
 
@@ -361,58 +361,45 @@ class TestBuildScenario:
             "steps": 64,
             "final_basis": "instantaneous",
         }
-        run = build_scenario([ScenarioConfig.from_dict(raw)])[0]
+        run = build_scenario(ScenarioConfig.from_dict(raw))
         assert isinstance(run, AppendixRun)
         assert run.schedule.steps == 64
         assert run.final_basis == "instantaneous"
 
     @pytest.mark.parametrize(
-        "stage, computes, section, other, field, untouched",
+        "computes, section, other, field",
         [
+            ("build_system", "system", {"kind": "harmonic", "omega": 1.0, "levels": 20}, "h0"),
             (
-                "spectrum",
-                "build_system",
-                "system",
-                {"kind": "harmonic", "omega": 1.0, "levels": 20},
-                "h0",
-                "profile",
-            ),
-            (
-                "profile",
                 "dilation_profile",
                 "worldline",
                 {"preset": "cruise", "p": 0.3, "t_end": 5.0, "samples": 11},
                 "profile",
-                "h0",
             ),
         ],
+        ids=["spectrum", "profile"],
     )
-    def test_memo_holds_one_entry_per_stage_and_frees_it_before_computing(
-        self, stage, computes, section, other, field, untouched, monkeypatch
+    def test_each_build_computes_each_stage_once_and_keeps_nothing(
+        self, computes, section, other, field, monkeypatch
     ):
-        memo, held = {}, []
+        calls = []
         compute = getattr(scenarios, computes)
 
         def spy(*args, **kwargs):
-            held.append(stage in memo)
+            calls.append(args)
             return compute(*args, **kwargs)
 
         monkeypatch.setattr(scenarios, computes, spy)
         a = ScenarioConfig.from_dict(dilated_config())
-        # the same section with its keys in another order
-        reordered = dict(reversed(dilated_config()[section].items()))
-        a2 = ScenarioConfig.from_dict(dilated_config(**{section: reordered}))
         b = ScenarioConfig.from_dict(dilated_config(**{section: other}))
-        runs = [build_scenario([config], memo)[0] for config in (a, a2, b, b, a)]
-        assert held == [False, False, False]
-        assert sorted(memo) == ["profile", "spectrum", "system", "trajectory"]
-        values = [getattr(run, field) for run in runs]
-        assert values[0] is values[1] and values[2] is values[3]
-        assert values[4] is not values[0]
-        # the other stage reads none of the changed fields, so it is computed once
-        assert all(getattr(run, untouched) is getattr(runs[0], untouched) for run in runs)
+        runs = [build_scenario(config) for config in (a, b, a)]
+        assert len(calls) == 3
+        # the third build computes its stage anew, to the same bits as the first
+        assert getattr(runs[2], field) is not getattr(runs[0], field)
+        rows = [run_protocol(run).to_csv_row() for run in runs]
+        assert rows[0] == rows[2] != rows[1]
 
-    def test_a_list_builds_each_run_as_its_config_alone(self, tmp_path):
+    def test_a_config_builds_the_same_run_whatever_was_built_before(self, tmp_path):
         # points that differ in c or a ramp's g (or in both), points that share one
         # profile, a flat point, a csv worldline and moving particles of two masses
         ramp = dict(dilated_config()["worldline"], samples=10**4)
@@ -425,9 +412,10 @@ class TestBuildScenario:
         cruise = {"preset": "cruise", "p": 0.3, "t_end": 5.0}
         documents += [dilated_config(worldline=cruise, c=c, mass=c) for c in (1.0, 2.0)]
         configs = [ScenarioConfig.from_dict(d) for d in documents]
-        runs = build_scenario(configs, {})
-        for config, run in zip(configs, runs):
-            assert run_protocol(run).to_csv_row() == run_scenario(config).to_csv_row()
+        forward = [run_protocol(build_scenario(config)).to_csv_row() for config in configs]
+        backward = [run_scenario(config).to_csv_row() for config in reversed(configs)]
+        assert forward == backward[::-1]
+        assert len(set(forward)) == len(forward) - 1  # the two betas of one profile differ
 
     @pytest.mark.parametrize(
         "param, values, edits, rows",
@@ -478,39 +466,46 @@ class TestBuildScenario:
         base = ScenarioConfig.from_dict(document)
         assert scenarios.dilated_sweep(base, param, values, ["x"] * len(values)) is None
 
-    def test_a_ladder_is_decomposed_once_and_rescaled_once_per_omega(self, monkeypatch):
+    def test_an_omega_column_builds_its_ladder_once_at_unit_omega(self, monkeypatch):
         built, scaled = [], []
         build, scale = scenarios.build_system, Spectrum.scaled
         spy = lambda system: built.append(system) or build(system)  # noqa: E731
         monkeypatch.setattr(scenarios, "build_system", spy)
         monkeypatch.setattr(Spectrum, "scaled", lambda sp, f: scaled.append(f) or scale(sp, f))
         ladder = dilated_config()["system"]
-        documents = [dilated_config(beta=beta) for beta in (1.0, 2.0, 3.0)]
-        documents += [dilated_config(system=dict(ladder, omega=w)) for w in (1.5, 1.5, 2.0)]
-        memo = {}
-        runs = [build_scenario([ScenarioConfig.from_dict(d)], memo)[0] for d in documents]
-        assert built == [dict(ladder, omega=1.0)] and scaled == [1.0, 1.5, 2.0]
-        assert runs[0].h0 is runs[2].h0 and runs[3].h0 is runs[4].h0
-        assert runs[5].h0.eigenvectors is runs[0].h0.eigenvectors
+        base = ScenarioConfig.from_dict(dilated_config())
+        omegas = [1.5, 1.5, 2.0]
+        (stack,) = scenarios.dilated_sweep(base, "omega", omegas, ["x"] * 3)
+        assert built == [dict(ladder, omega=1.0)] and scaled == []
+        monkeypatch.setattr(scenarios, "build_system", build)
+        for row, omega in zip(stack.initial, omegas):
+            point = ScenarioConfig.from_dict(dilated_config(system=dict(ladder, omega=omega)))
+            alone = build_scenario(point).h0.eigenvalues
+            assert row.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize(
-        "change",
+        "change, mass, c",
         [
-            {"mass": 2.0},
-            {"c": 3.0},
-            {"worldline": {"preset": "cruise", "p": 0.3, "t_end": 5.0, "gravitational_only": True}},
+            ({"mass": 2.0}, 2.0, 1.0),
+            ({"c": 3.0}, 1.0, 3.0),
+            (
+                {"worldline": {"preset": "cruise", "p": 0.3, "t_end": 5.0,
+                               "gravitational_only": True}},
+                1.0,
+                math.inf,
+            ),
         ],
         ids=["mass", "c", "gravitational_only"],
     )
-    def test_profile_key_holds_every_field_the_profile_reads(self, change):
-        # a moving particle (p != 0), so the kinetic term reads mass and c
+    def test_the_profile_reads_every_field_its_rate_depends_on(self, change, mass, c):
+        # a moving particle (p != 0) with no potential: alpha = 1 - p^2 / (2 m^2 c^2),
+        # and 1 in the heavy-particle limit
         first = dilated_config(worldline={"preset": "cruise", "p": 0.3, "t_end": 5.0})
         configs = [ScenarioConfig.from_dict(d) for d in (first, dict(first, **change))]
-        memo = {}
-        shared = [run_scenario(config, memo) for config in configs]
-        alone = [run_scenario(config) for config in configs]
-        assert shared[0].alpha_final != shared[1].alpha_final
-        assert [r.to_csv_row() for r in shared] == [r.to_csv_row() for r in alone]
+        runs = [build_scenario(config) for config in configs]
+        expected = [1.0 - 0.3**2 / 2.0, 1.0 - 0.3**2 / (2.0 * mass**2 * c**2)]
+        assert [run.profile.alpha_final for run in runs] == pytest.approx(expected, abs=1e-15)
+        assert runs[0].profile.alpha_final != runs[1].profile.alpha_final
 
     @pytest.mark.parametrize(
         "section, path, value",
@@ -520,20 +515,18 @@ class TestBuildScenario:
             ("worldline", ("g",), -0.01),
         ],
     )
-    def test_section_edited_in_place_misses_the_memo(self, section, path, value):
+    def test_a_section_edited_in_place_is_read_by_the_next_build(self, section, path, value):
         matrix = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-        config = ScenarioConfig.from_dict(
-            dilated_config(system={"kind": "explicit", "matrix": matrix})
-        )
-        memo = {}
-        first = run_scenario(config, memo).to_csv_row()
-        target = getattr(config, section)
-        for key in path[:-1]:
-            target = target[key]
-        target[path[-1]] = value
-        again = run_scenario(config, memo).to_csv_row()
+        document = dilated_config(system={"kind": "explicit", "matrix": matrix})
+        config = ScenarioConfig.from_dict(document)
+        first = run_scenario(config).to_csv_row()
+        for target in (getattr(config, section), document[section]):
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        again = run_scenario(config).to_csv_row()
         assert again != first
-        assert again == run_scenario(config).to_csv_row()
+        assert again == run_scenario(ScenarioConfig.from_dict(document)).to_csv_row()
 
     def test_channel_dimension_mismatch_reported(self):
         raw = {
@@ -547,7 +540,7 @@ class TestBuildScenario:
             },
         }
         with pytest.raises(ScenarioValidationError, match="dimension"):
-            build_scenario([ScenarioConfig.from_dict(raw)])
+            build_scenario(ScenarioConfig.from_dict(raw))
 
 
 class TestRunScenario:
@@ -665,7 +658,7 @@ class TestSchemaTables:
     def test_minimal_document_validates_builds_and_runs(self, section, name, tmp_path):
         obj = TABLES[section][1][name]
         config = ScenarioConfig.from_dict(minimal_document(section, obj, tmp_path))
-        assert isinstance(build_scenario([config])[0], (FlatRun, DilatedRun))
+        assert isinstance(build_scenario(config), (FlatRun, DilatedRun))
         report = run_scenario(config)
         assert abs(report.residual) < 1e-10
 

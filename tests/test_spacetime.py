@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tauwork import spacetime
 from tauwork.spacetime import (
     DilationProfile,
     WeakFieldViolationError,
@@ -442,6 +443,16 @@ class TestStackedProfile:
     def test_each_c_of_a_column_keeps_its_rule(self, c, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             dilation_profile(cruise_worldline(0.1, 1.0, 5), c)
+
+    def test_each_c_of_a_column_is_checked_once(self, monkeypatch):
+        checked, require, c = [], spacetime.require, [1.0, 2.0, 3.0]
+        worldline = cruise_worldline(0.1, 1.0, 5).repeated(3)
+        monkeypatch.setattr(spacetime, "require", lambda **kw: checked.append(kw) or require(**kw))
+        dilation_profile(worldline, c)
+        assert checked == [{"c": value} for value in c]
+        checked.clear()
+        dilation_factor(worldline.phi, worldline.p, worldline.mass, c)
+        assert checked == [{"mass": 1.0}] + [{"c": value} for value in c]
 
     def test_rows_of_a_stack_and_of_its_column_must_agree(self):
         stack = uniform_gravity_worldline([0.01, 0.02], 1.0, 5)
