@@ -365,12 +365,22 @@ class ProtocolReport:
     @classmethod
     def rows(cls, est: Estimates, labels: list) -> list:
         """One row per run of ``est``, a run's floats or a stack's columns, with its
-        ``labels``; raises ``ValueError`` naming each non-finite column of the first bad row."""
+        ``labels``; raises ``TypeError`` unless each row's labels are the other columns,
+        and ``ValueError`` naming each non-finite column of the first bad row."""
         with np.errstate(all="ignore"):  # a stack's inf - inf is nan, as a run's is
-            columns = [np.ravel(getattr(est, name)).tolist() for name in _ESTIMATED.values()]
-        pairs = zip(labels, zip(*columns), strict=True)
-        reports = [cls(**row, **dict(zip(_ESTIMATED, numbers))) for row, numbers in pairs]
-        for rep in reports:
+            numbers = np.array([np.ravel(getattr(est, name)) for name in _ESTIMATED.values()])
+        reports, label_sum = [], 0.0
+        for row, values in zip(labels, numbers.T.tolist(), strict=True):
+            if row.keys() != _LABELS:
+                raise TypeError(f"report labels {sorted(row)} are not {sorted(_LABELS)}")
+            # filled in place, numbers first: an empty __dict__ would copy a dict's whole table
+            rep = object.__new__(cls)
+            vars(rep).update(zip(_ESTIMATED, values))
+            vars(rep).update(row)
+            # the labels' float columns: their sum is finite unless one is not, or it overflows
+            label_sum += row["alpha_final"] + row["tau_total"]
+            reports.append(rep)
+        for rep in [] if math.isfinite(label_sum) and np.isfinite(numbers).all() else reports:
             bad = [f"{n}={v!r}" for n in _FLOAT_COLUMNS if not math.isfinite(v := getattr(rep, n))]
             if bad:
                 raise ValueError(f"report has non-finite values: {', '.join(bad)}")
@@ -392,6 +402,7 @@ _FLOAT_COLUMNS = tuple(f.name for f in fields(ProtocolReport) if f.type == "floa
 # report column -> the ``Estimates`` field it copies
 _ESTIMATED = dict(beta="beta", mean_work="mean_work", delta_F="delta_f", lhs="lhs", rhs="rhs",
                   residual="residual", entropy_production="entropy_production")
+_LABELS = frozenset(CSV_COLUMNS).difference(_ESTIMATED)
 
 
 @dataclass(frozen=True)

@@ -432,7 +432,7 @@ def dilated_sweep(base: ScenarioConfig, param: str, values: list, ids: list):
     row k bit for bit point k run alone; or None, before anything runs, unless every
     value passes the rule of the field it edits. ``param`` edits as ``cli._sweep_config``
     does, and enters as a column where its field does: beta as the ensemble's betas,
-    omega as ``omega * E(1)``, and c or alpha (as ramps) as one profile call a stack."""
+    omega as ``omega * E(1)``, and c or alpha (as ramps) as one profile call a block."""
     if base.pipeline != "dilated" or param == "gamma":
         return None
     column = np.array(values, dtype=float)
@@ -451,7 +451,8 @@ def dilated_sweep(base: ScenarioConfig, param: str, values: list, ids: list):
 
 
 # the elements of one stacked array, 256 KB in float64: the atoms of a stack of
-# points in one ``estimate`` call, and the samples of a stack of profiles
+# points in one ``estimate`` call, and the samples of a block of profiles in one
+# ``dilation_profile`` call
 STACK_ATOMS = 2**15
 # a point's own objects, its labels and its report row, about 1 KB, count as
 # POINT_ATOMS more atoms of its stack
@@ -460,12 +461,14 @@ POINT_ATOMS = 128
 
 def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: list):
     """The stacks of ``dilated_sweep`` over ``column`` (g for alpha), each within
-    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point, and profile samples."""
+    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point. A stack of c or alpha points
+    profiles them in blocks of at most ``STACK_ATOMS`` samples, each cut to its
+    rows' final rate and proper time and freed before the next is built."""
     system = dict(base.system, omega=1.0) if param == "omega" else base.system
     energies = build_system(system).eigenvalues
-    # one profile serves a beta or omega sweep; c and alpha make one a stack
+    # one profile serves a beta or omega sweep; c and alpha make one a block
     worldline = alpha_ramp(base, 1.0) if param == "alpha" else base.worldline
-    grav_only, samples = worldline.get("gravitational_only", False), 0
+    grav_only, samples = worldline.get("gravitational_only", False), 1
     if param == "c":
         trajectory = build_trajectory(worldline, base.mass)
         samples = trajectory.t.size
@@ -473,27 +476,32 @@ def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: l
         samples = worldline["samples"]
     else:
         profile = _profile(base)
-    rows = max(1, STACK_ATOMS // max(energies.size + POINT_ATOMS, samples))
+        ends = np.array([[profile.alpha_final], [profile.tau_total]])
+    rows, block = (max(1, STACK_ATOMS // n) for n in (energies.size + POINT_ATOMS, samples))
+    rows = rows - rows % block or rows  # whole blocks a stack, if one fits
     for start in range(0, column.size, rows):
-        block = column[start : start + rows]
-        if param == "c":
-            stack = trajectory.repeated(block.size)
-            profile = dilation_profile(stack, block, gravitational_only=grav_only)
-        elif param == "alpha":
-            stack = build_trajectory(dict(worldline, g=block), base.mass)
-            profile = dilation_profile(stack, base.c, gravitational_only=grav_only)
+        stack = column[start : start + rows]
+        if param in ("c", "alpha"):  # each row's final rate and proper time
+            ends = np.empty((2, stack.size))
+            for k in range(0, stack.size, block):
+                part = stack[k : k + block]
+                # a c block repeats the one trajectory; an alpha block is a ramp a point
+                args = ((trajectory.repeated(part.size), part) if param == "c" else
+                        (build_trajectory(dict(worldline, g=part), base.mass), base.c))
+                profile = dilation_profile(*args, gravitational_only=grav_only)
+                ends[:, k : k + part.size] = profile.alpha[:, -1], profile.tau[:, -1]
+                del args, profile  # before the next block is built
+        alpha, tau = np.broadcast_to(ends, (2, stack.size))
         # C-order stacks, so that each row's sums run as its run's alone do
-        initial = np.tile(energies, (block.size, 1))
+        initial = np.tile(energies, (stack.size, 1))
         if param == "omega":  # the bits of each row's ``scaled(omega)``
-            initial *= block[:, None]
-        alpha, tau = profile.alpha[..., -1:], profile.tau[..., -1]
+            initial *= stack[:, None]
         with np.errstate(over="ignore"):  # a final energy past the float range fails in estimate
-            final = alpha * initial
-        betas = block if param == "beta" else np.full(block.size, base.beta)
-        alphas, taus = (np.broadcast_to(x, block.shape).tolist() for x in (alpha[..., 0], tau))
+            final = alpha[:, None] * initial
+        betas = stack if param == "beta" else np.full(stack.size, base.beta)
         labels = dict(pipeline="dilated", dim=energies.size, final_basis="evolved", steps=0)
         labels = [dict(labels, scenario_id=sid, alpha_final=a, tau_total=t)
-                  for sid, a, t in zip(ids[start : start + rows], alphas, taus)]
+                  for sid, a, t in zip(ids[start : start + rows], alpha.tolist(), tau.tolist())]
         yield ReducedRun(initial, betas, final, None, 0.0, labels)
 
 

@@ -58,7 +58,8 @@ def dilation_factor(phi, p, mass: float, c=1.0):
 
 def _rates(phi, p, mass: float, column: list | None, c):
     """``dilation_factor`` of a checked ``mass`` and ``c``, ``column`` its ``_speeds(c)``."""
-    phi, p = np.broadcast_arrays(np.asarray(phi, dtype=float), np.asarray(p, dtype=float))
+    phi, p = np.asarray(phi, dtype=float), np.asarray(p, dtype=float)
+    phi = np.broadcast_to(phi, np.broadcast_shapes(phi.shape, p.shape))
     # the direct expression is exact to rounding while c^2 and each partial product of
     # 2 m^2 c^2 are normal floats: a p^2 that underflows then stands for a term below an ulp of 1
     m2 = 2.0 * mass * mass
@@ -69,15 +70,19 @@ def _rates(phi, p, mass: float, column: list | None, c):
     with np.errstate(all="ignore"):  # a rate that is not finite is computed again, then checked
         alpha = phi / c2  # 1 + phi/c^2 - p^2/den, in place
         alpha += 1.0
-        alpha -= p * p / den
-        finite = np.isfinite(alpha)
-        ok = normal & finite.all(axis=-1, keepdims=True) if column else normal and finite.all()
-        slow = not (ok.all() if column else ok)
+        if p.ndim or p:  # a gravitational-only profile's p is the number 0
+            alpha -= p * p / den
+        axis = -1 if column else None  # each row's least and greatest rate, nan if it holds one
+        low = np.min(alpha, axis, keepdims=True, initial=math.inf)
+        high = np.max(alpha, axis, keepdims=True, initial=-math.inf)
+        ok = normal & (low > -math.inf) & (high < math.inf)
+        slow = not ok.all()
         if slow:  # a term under- or overflowed in some rows: those rows are redone
             kinetic = np.where(p == 0.0, 0.0, 0.5 * (p / mass / c) ** 2)
             alpha = np.where(ok, alpha, 1.0 + np.where(phi == 0.0, 0.0, phi / c / c) - kinetic)
-    bad = np.flatnonzero(~((alpha > 0.0) & (alpha < math.inf)) if slow else alpha <= 0.0)
-    if bad.size:
+    scan = slow or (low <= 0.0).any()  # else every rate is in (0, inf)
+    bad = np.flatnonzero(~((alpha > 0.0) & (alpha < math.inf))) if scan else ()
+    if len(bad):
         i, rate = bad[0], alpha.flat[bad[0]]
         phi, p = (np.broadcast_to(x, np.shape(alpha)) for x in (phi, p))
         raise WeakFieldViolationError(
@@ -136,7 +141,8 @@ def _worldline(t: np.ndarray, phi: np.ndarray, p: np.ndarray, mass: float) -> Wo
         raise ValueError("worldline needs at least 2 samples")
     if phi.shape != p.shape or phi.shape[-1:] != t.shape or phi.ndim > 2:
         raise ValueError("t, phi, p must have identical lengths")
-    if not (np.isfinite(t).all() and np.isfinite(phi).all() and np.isfinite(p).all()):
+    # an array whose rows (or entries) all view its first, as a broadcast's do, is checked there
+    if not all(np.isfinite(x if x.strides[0] else x[:1]).all() for x in (t, phi, p)):
         raise ValueError("worldline samples must be finite")
     if (t[1:] <= t[:-1]).any():
         raise ValueError("t must be strictly increasing")
@@ -262,7 +268,7 @@ def dilation_profile(
         # an underflowed c^2 gives a huge ratio (or 0); one past the float range is inf
         c2 = [max(float(value) ** 2, math.ulp(0.0)) for value in column or [c]]
         with np.errstate(over="ignore"):
-            ratios = np.abs(phi).max(-1) / (c2 if column else c2[0])
+            ratios = np.maximum(phi.max(-1), -phi.min(-1)) / (c2 if column else c2[0])
         over = ratios[ratios >= WEAK_FIELD_MAX_PHI]
         if over.size:
             raise WeakFieldViolationError(

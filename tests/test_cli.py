@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1171,33 +1172,58 @@ class TestStreamedStacks:
         alone = [run_scenario(_sweep_config(base, "beta", 0.5 + 3.5 * k / 39)) for k in range(40)]
         assert (tmp_path / "sweep_beta.csv").read_bytes() == report_bytes(alone, "csv")
 
-    @pytest.mark.parametrize("spec", ["c=1:100:7", "alpha=0.8:1.2:7"])
+    @pytest.mark.parametrize("spec", ["c=1:100:50", "alpha=0.8:1.2:50"])
     def test_a_sweep_past_the_sample_budget_makes_several_profile_calls(
         self, spec, tmp_path, monkeypatch
     ):
-        calls = []
-        original = scenarios.dilation_profile
+        # the atom budget holds the 50 points in one estimate call; the sample budget
+        # profiles them in blocks of three
+        calls, estimates = [], []
+        original, estimate = scenarios.dilation_profile, protocol.estimate
 
         def spy(worldline, c, **kwargs):
             calls.append((worldline.samples // worldline.t.size, worldline.t.size))
             return original(worldline, c, **kwargs)
 
         monkeypatch.setattr(scenarios, "dilation_profile", spy)
+        monkeypatch.setattr(protocol, "estimate", lambda *a: estimates.append(a) or estimate(*a))
         ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 10**4}
         path = write_scenario(tmp_path, worldline=dict(ramp, gravitational_only=True))
-        assert 7 * 10**4 > scenarios.STACK_ATOMS
+        assert 3 * 10**4 <= scenarios.STACK_ATOMS < 4 * 10**4
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
         assert main([*argv, "--quiet"]) == 0
-        assert len(calls) >= 2 and sum(shape[0] for shape in calls) == 7
-        for rows, samples in calls:
-            assert samples == 10**4 and rows * samples <= scenarios.STACK_ATOMS
+        assert [a[1].shape for a in estimates] == [(50, 40)]
+        assert calls == [(3, 10**4)] * 16 + [(2, 10**4)]
         monkeypatch.setattr(scenarios, "dilation_profile", original)
+        monkeypatch.setattr(protocol, "estimate", estimate)
         param, grid = spec.split("=")
         base = ScenarioConfig.from_dict(json.loads(path.read_text()))
         start, stop, _ = (float(x) for x in grid.split(":"))
-        alone = [run_scenario(_sweep_config(base, param, start + (stop - start) * k / 6))
-                 for k in range(7)]
+        alone = [run_scenario(_sweep_config(base, param, start + (stop - start) * k / 49))
+                 for k in range(50)]
         assert (tmp_path / f"sweep_{param}.csv").read_bytes() == report_bytes(alone, "csv")
+
+    @pytest.mark.parametrize("spec", ["c=1:100:50", "alpha=0.8:1.2:50"])
+    def test_each_profile_block_is_freed_before_the_next_profile_call_returns(
+        self, spec, tmp_path, monkeypatch
+    ):
+        # a block's arrays are 240 KB here, past the allocator's mmap threshold: if a
+        # block outlives the next one's profile call, each call maps and faults fresh pages
+        blocks = []
+        original = scenarios.dilation_profile
+
+        def spy(*args, **kwargs):
+            profile = original(*args, **kwargs)
+            assert [ref() for pair in blocks for ref in pair] == [None] * 2 * len(blocks)
+            blocks.append((weakref.ref(profile.alpha), weakref.ref(profile.tau)))
+            return profile
+
+        monkeypatch.setattr(scenarios, "dilation_profile", spy)
+        ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 10**4}
+        path = write_scenario(tmp_path, worldline=dict(ramp, gravitational_only=True))
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
+        assert main([*argv, "--quiet"]) == 0
+        assert len(blocks) == 17 and [ref() for pair in blocks for ref in pair] == [None] * 34
 
     @pytest.mark.parametrize(
         "overrides, spec, line",
@@ -1212,8 +1238,13 @@ class TestStreamedStacks:
             # the first point fails in the estimators, the second when it is built
             (dict(TestNoPartialResults.HOT, beta=40000.0), "alpha=0.9:1.6:2",
              "alpha=0.9: report has non-finite values: lhs=inf, rhs=inf, residual=nan"),
+            # one stack of 50 points profiled in blocks of three; point 43, in the 15th
+            # block, breaks the weak-field bound after 14 blocks have been profiled
+            ({"worldline": {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0,
+                            "samples": 10**4, "gravitational_only": True}}, "alpha=0.8:1.6:50",
+             "alpha=1.5020408163265306: |phi|/c^2 = 0.502 exceeds the weak-field bound 0.5"),
         ],
-        ids=["overflow", "non-finite", "weak-field", "estimators-then-build"],
+        ids=["overflow", "non-finite", "weak-field", "estimators-then-build", "later-block"],
     )
     def test_the_first_failing_point_names_itself(self, tmp_path, capsys, overrides, spec, line):
         import warnings
@@ -1328,6 +1359,25 @@ class TestStreamedStacks:
         argv = ["sweep", "--scenario", str(scenario), "--sweep", "c=100:1000000:10000"]
         assert main([*argv, "--out", str(tmp_path), "--quiet"]) == 0
         assert (tmp_path / "sweep_c.csv").read_text().count("\n") == 10**4 + 1
+
+    @pytest.mark.parametrize("levels, spec", [(40, "alpha=0.8:1.2:10000"),
+                                              (1024, "beta=0.5:4:10000")])
+    def test_a_ten_thousand_point_sweep_writes_a_row_per_point_without_a_warning(
+        self, tmp_path, levels, spec
+    ):
+        # the 10^4-point sweeps of CI's console-script step, with warnings as errors
+        import warnings
+
+        document = _demo("oscillator_blueshift")
+        document["system"]["levels"] = levels
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(document))
+        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--quiet"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+        table = tmp_path / "o" / f"sweep_{spec.split('=')[0]}.csv"
+        assert table.read_text().count("\n") == 10**4 + 1
 
     @pytest.mark.parametrize(
         "command",

@@ -126,9 +126,10 @@ def test_a_dilated_sweep_whose_stacks_fail_runs_its_points_alone(tmp_path, monke
     """The rows of the stacks before a failing one are kept, and the points from
     its first on run alone, one ``estimate`` call each: the table is unchanged."""
     document = json.loads((DEMO_SCENARIOS / "oscillator_blueshift.json").read_text())
-    document["worldline"]["samples"] = 10**4  # three points fill a stack
     path = tmp_path / "osc.json"
     path.write_text(json.dumps(document))
+    # three points of the 40-level ladder fill a stack
+    monkeypatch.setattr(scenarios, "STACK_ATOMS", 3 * (40 + scenarios.POINT_ATOMS))
     argv = ["sweep", "--scenario", str(path), "--sweep", "c=10:1000:9", "--quiet"]
     assert main([*argv, "--out", str(tmp_path / "columns")]) == 0
     original = cli.dilated_sweep

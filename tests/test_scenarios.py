@@ -420,10 +420,11 @@ class TestBuildScenario:
     @pytest.mark.parametrize(
         "param, values, edits, rows",
         [
-            # 10^4 samples a point: three points fill the sample budget
-            ("c", [1.0 + k for k in range(7)], {"samples": 10**4}, [3, 3, 1]),
-            ("alpha", [0.8 + 0.05 * k for k in range(7)], {"samples": 10**4}, [3, 3, 1]),
-            # 1024 levels a point: 28 points fill the atom budget
+            # 1024 levels a point: 28 points fill the atom budget; 10^4 samples a point
+            # profile in blocks of three, so a stack holds 9 whole blocks
+            ("c", [1.0 + k for k in range(60)], {"levels": 1024, "samples": 10**4}, [27, 27, 6]),
+            ("alpha", [0.8 + 0.005 * k for k in range(60)], {"levels": 1024, "samples": 10**4},
+             [27, 27, 6]),
             ("beta", [0.5 + 0.05 * k for k in range(60)], {"levels": 1024}, [28, 28, 4]),
             ("omega", [0.5 + 0.01 * k for k in range(60)], {"levels": 1024}, [28, 28, 4]),
         ],
