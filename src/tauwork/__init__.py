@@ -28,7 +28,6 @@ from .operators import (
 )
 from .protocol import (
     AppendixRun,
-    DilatedRun,
     Estimates,
     FlatRun,
     ProtocolReport,

@@ -3,10 +3,10 @@
 Each criterion is a function returning a :class:`CriterionResult` built
 from its :class:`Check` rows, so the same battery backs both ``tauwork
 verify`` and the test suite. The numbers come from the code the CLI runs:
-``protocol.run_protocol`` or its estimator tail ``protocol.estimate``. Per
-dimension, the random grids decompose their systems in one ``eigh`` call and
-call the tail once, for a stack of 15 runs per system, and get one column per
-estimator, entry i bit for bit run i alone. The estimators are sums over each
+``scenarios.run_scenario``, ``protocol.run_protocol`` or their estimator tail
+``protocol.estimate``. Per dimension, the random grids decompose their systems
+in one ``eigh`` call and call the tail once, for a stack of 15 runs per
+system, and get one column per estimator, entry i bit for bit run i alone. The estimators are sums over each
 run's sorted, unmerged atoms; criterion 9 draws from ``atoms.row()``, the
 merged atoms as a one-run ``WorkRows``, and compares its draws as bytes.
 Each criterion folds its values with numpy, which keeps a nan that Python's
@@ -293,16 +293,14 @@ def criterion_appendix_convergence() -> list[Check]:
     beta = 1.0
     h = scenarios.harmonic_hamiltonian(1.0, 3)
 
-    dilated = protocol.run_protocol(
-        protocol.DilatedRun(scenario_id="ref", beta=beta, h0=h, profile=prof)
-    )
+    dilated = _dilated(thermo.thermal_state(h, beta), prof.alpha_final)
     deviations = []
     for steps in (1, 13, 1000):
         sched = PropagatorSchedule.constant(h, prof, steps=steps)
         rep = protocol.run_protocol(
             protocol.AppendixRun(scenario_id="const", beta=beta, schedule=sched)
         )
-        deviations += [rep.lhs - dilated.lhs, rep.delta_F - dilated.delta_F,
+        deviations += [rep.lhs - dilated.lhs, rep.delta_F - dilated.delta_f,
                        rep.mean_work - dilated.mean_work]
 
     hams = _two_level_schedule_segments()

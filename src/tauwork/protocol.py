@@ -11,7 +11,8 @@ tail that turns those into work atoms and estimators:
 * ``dilated`` -- the internal Hamiltonian is fixed but the particle's clock
   runs at a rate ``alpha`` relative to the laboratory at the second
   measurement point, so every energy eigenvalue is rescaled and the work
-  variable is diagonal in the initial eigenbasis.
+  variable is diagonal in the initial eigenbasis. Its reduction, for a
+  sweep's column or one config alone, is ``scenarios._dilated_stacks``.
 * ``appendix`` (driven) -- the internal Hamiltonian depends on proper time;
   the evolution is a time-ordered product and the final measurement basis is
   either the transported initial eigenbasis or the eigenbasis of the final
@@ -37,7 +38,6 @@ from .channels import time_ordered_propagator, unitality_deviation
 from .operators import FINAL_BASES, HermitianOperator, Spectrum, _as_spectrum, cluster_bounds
 # spectral_decompose is unused here; bench/test_bench.py reads protocol.spectral_decompose
 from .operators import require, spectral_decompose  # noqa: F401
-from .spacetime import DilationProfile
 from .thermo import ThermalEnsemble, free_energy_difference_from_log_z
 from .thermo import log_sum_exp, thermal_state
 
@@ -418,16 +418,6 @@ class FlatRun:
 
 
 @dataclass(frozen=True)
-class DilatedRun:
-    """Prepared inputs for the time-independent dilated pipeline."""
-
-    scenario_id: str
-    beta: float
-    h0: Spectrum
-    profile: DilationProfile
-
-
-@dataclass(frozen=True)
 class AppendixRun:
     """Prepared inputs for the driven (proper-time-dependent) pipeline."""
 
@@ -484,11 +474,6 @@ def reduce_run(run) -> ReducedRun:
         trans = conditional_probabilities(spec0, spec_f, run.channel)
         correction = _nonunital_correction(spec_f, run.channel, run.beta)
         pipeline, alpha, tau_total, final_basis, steps = "flat", 1.0, 0.0, "instantaneous", 0
-    elif isinstance(run, DilatedRun):
-        spec0, trans = run.h0, None
-        alpha, tau_total = run.profile.alpha_final, run.profile.tau_total
-        e_final = spec0.scaled(alpha).eigenvalues
-        pipeline, final_basis, steps = "dilated", "evolved", 0
     elif isinstance(run, AppendixRun):
         spec0, e_final, trans = _appendix_inputs(run)
         prof = run.schedule.dilation

@@ -37,7 +37,7 @@ from .channels import (
 )
 from .operators import _INTEGER, MAX_DIM, RULES, HermitianOperator, Spectrum
 from .operators import matrix_from_pairs, random_hermitian, require, spectral_decompose
-from .protocol import AppendixRun, DilatedRun, FlatRun, ProtocolReport, ReducedRun, run_protocol
+from .protocol import AppendixRun, FlatRun, ProtocolReport, ReducedRun, reduce_run, report_rows
 from .spacetime import (
     DilationProfile,
     Worldline,
@@ -405,11 +405,9 @@ def build_trajectory(worldline: dict, mass: float) -> Worldline:
     return entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
 
 
-def _profile(config: ScenarioConfig) -> DilationProfile | None:
-    """The clock-rate profile of ``config``, or None for a flat config."""
+def _profile(config: ScenarioConfig) -> DilationProfile:
+    """The clock-rate profile of ``config``'s worldline."""
     worldline = config.worldline
-    if worldline is None:
-        return None
     trajectory = build_trajectory(worldline, config.mass)
     grav_only = worldline.get("gravitational_only", False)
     return dilation_profile(trajectory, config.c, gravitational_only=grav_only)
@@ -461,11 +459,11 @@ POINT_ATOMS = 128
 
 def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: list):
     """The stacks of ``dilated_sweep`` over ``column`` (g for alpha), each within
-    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point. A stack of c or alpha points
-    profiles them in blocks of at most ``STACK_ATOMS`` samples, each cut to its
-    rows' final rate and proper time and freed before the next is built."""
-    system = dict(base.system, omega=1.0) if param == "omega" else base.system
-    energies = build_system(system).eigenvalues
+    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point; a dilated config run alone is
+    the one stack of its own beta. A stack of c or alpha points profiles them in
+    blocks of at most ``STACK_ATOMS`` samples, each cut to its rows' final rate
+    and proper time and freed before the next is built. A stack whose final
+    energies overflow raises before it is yielded."""
     # one profile serves a beta or omega sweep; c and alpha make one a block
     worldline = alpha_ramp(base, 1.0) if param == "alpha" else base.worldline
     grav_only, samples = worldline.get("gravitational_only", False), 1
@@ -477,6 +475,8 @@ def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: l
     else:
         profile = _profile(base)
         ends = np.array([[profile.alpha_final], [profile.tau_total]])
+    system = dict(base.system, omega=1.0) if param == "omega" else base.system
+    energies = build_system(system).eigenvalues
     rows, block = (max(1, STACK_ATOMS // n) for n in (energies.size + POINT_ATOMS, samples))
     rows = rows - rows % block or rows  # whole blocks a stack, if one fits
     for start in range(0, column.size, rows):
@@ -496,8 +496,10 @@ def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: l
         initial = np.tile(energies, (stack.size, 1))
         if param == "omega":  # the bits of each row's ``scaled(omega)``
             initial *= stack[:, None]
-        with np.errstate(over="ignore"):  # a final energy past the float range fails in estimate
+        with np.errstate(over="ignore"):  # checked below, at each row's ends
             final = alpha[:, None] * initial
+        if not np.isfinite(final[:, [0, -1]]).all():  # as ``Spectrum.scaled`` checks a run's
+            raise ValueError("spectrum contains non-finite entries")
         betas = stack if param == "beta" else np.full(stack.size, base.beta)
         labels = dict(pipeline="dilated", dim=energies.size, final_basis="evolved", steps=0)
         labels = [dict(labels, scenario_id=sid, alpha_final=a, tau_total=t)
@@ -509,14 +511,17 @@ def build_channel(channel: dict, dim: int) -> QuantumChannel:
     return CHANNELS[channel["preset"]].build(channel, dim)
 
 
-def build_scenario(config: ScenarioConfig) -> FlatRun | DilatedRun | AppendixRun:
-    """A validated config as a prepared run for ``run_protocol`` or ``reduce_run``.
+def build_scenario(config: ScenarioConfig) -> ReducedRun:
+    """A validated config as its TPM inputs and report labels, a ``ReducedRun`` of
+    one row for ``report_rows``.
 
-    Each call builds every section anew: the CLI runs a dilated sweep as
-    columns by ``dilated_sweep``, and builds here each point it runs alone.
-    Only ``explicit`` and ``random`` systems decompose a matrix; a ladder or
-    two levels is diagonal.
+    Each call builds every section anew. A dilated config is the one-row
+    stack of ``_dilated_stacks`` that a sweep of its beta would make; a flat
+    or driven config goes through ``reduce_run``. Only ``explicit`` and
+    ``random`` systems decompose a matrix; a ladder or two levels is diagonal.
     """
+    if config.pipeline == "dilated":
+        return next(_dilated_stacks(config, "beta", np.array([config.beta]), [config.scenario_id]))
     if config.pipeline == "flat":
         spec = build_system(config.system)
         channel = build_channel(config.channel, spec.dim)
@@ -524,30 +529,13 @@ def build_scenario(config: ScenarioConfig) -> FlatRun | DilatedRun | AppendixRun
             raise ScenarioValidationError(
                 [f"channel: dimension {channel.dim} does not match system dimension {spec.dim}"]
             )
-        return FlatRun(
-            scenario_id=config.scenario_id,
-            beta=config.beta,
-            h0=spec,
-            h_final=spec,
-            channel=channel,
-        )
+        return reduce_run(FlatRun(config.scenario_id, config.beta, spec, spec, channel))
     profile = _profile(config)
-    if config.pipeline == "dilated":
-        return DilatedRun(
-            scenario_id=config.scenario_id,
-            beta=config.beta,
-            h0=build_system(config.system),
-            profile=profile,
-        )
     segments = [(seg["tau_end"], build_system(seg["system"])) for seg in config.schedule]
-    return AppendixRun(
-        scenario_id=config.scenario_id,
-        beta=config.beta,
-        schedule=PropagatorSchedule(segments, profile, config.steps),
-        final_basis=config.final_basis,
-    )
+    schedule = PropagatorSchedule(segments, profile, config.steps)
+    return reduce_run(AppendixRun(config.scenario_id, config.beta, schedule, config.final_basis))
 
 
 def run_scenario(config: ScenarioConfig) -> ProtocolReport:
     """Build and execute one validated scenario."""
-    return run_protocol(build_scenario(config))
+    return next(report_rows([build_scenario(config)]))

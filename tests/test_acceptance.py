@@ -176,14 +176,14 @@ def test_report_and_gate_read_residual_and_production_from_estimates(monkeypatch
     ]
     docs.append(dict(docs[-1], final_basis="instantaneous"))
     runs = [scenarios.build_scenario(scenarios.ScenarioConfig.from_dict(d)) for d in docs]
-    plain = [protocol.run_protocol(run) for run in runs]
+    plain = [next(protocol.report_rows([run])) for run in runs]
     for name in ("residual", "entropy_production"):
         exact = getattr(protocol.Estimates, name).fget
         monkeypatch.setattr(
             protocol.Estimates, name, property(lambda est, exact=exact: exact(est) + shift)
         )
     for before, run in zip(plain, runs):
-        after = protocol.run_protocol(run)
+        after = next(protocol.report_rows([run]))
         assert after.residual == before.residual + shift
         assert after.entropy_production == before.entropy_production + shift
         restored = dataclasses.replace(

@@ -1046,22 +1046,30 @@ class TestErrorLines:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "document, message",
+        "document, argv, line",
         [
             (
                 dict(_demo("oscillator_blueshift"), beta=1e307),
-                "beta * energy overflows a float: beta=1e+307, energies 0.5 to 39.5",
+                ["run"],
+                "{path}: beta * energy overflows a float: beta=1e+307, energies 0.5 to 39.5",
             ),
             # the ladder is finite, but its blueshifted final levels are not
             (
                 dict(_demo("oscillator_blueshift"), system=dict(HUGE_LADDER, omega=4.4e306)),
-                "spectrum contains non-finite entries",
+                ["run"],
+                "{path}: spectrum contains non-finite entries",
+            ),
+            # the stack fails, so its points run alone, each a stack of one
+            (
+                dict(_demo("oscillator_blueshift"), system=dict(HUGE_LADDER, omega=4.4e306)),
+                ["sweep", "--sweep", "beta=1:2:3"],
+                "beta=1.0: spectrum contains non-finite entries",
             ),
         ],
-        ids=["beta", "omega"],
+        ids=["beta", "omega", "omega-sweep"],
     )
     def test_energy_product_that_overflows_exits_2_without_warnings(
-        self, tmp_path, capsys, document, message
+        self, tmp_path, capsys, document, argv, line
     ):
         import warnings
 
@@ -1070,8 +1078,8 @@ class TestErrorLines:
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+            assert main(argv + ["--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {line.format(path=path)}\n"
         assert all_files(out) == []
 
     @pytest.mark.parametrize(

@@ -148,9 +148,9 @@ def test_a_dilated_sweep_whose_stacks_fail_runs_its_points_alone(tmp_path, monke
     monkeypatch.setattr(cli, "run_scenario", alone)
     monkeypatch.setattr(protocol, "estimate", lambda *a: estimates.append(a) or estimate(*a))
     assert main([*argv, "--out", str(tmp_path / "points")]) == 0
-    # the first stack's 3 rows, then one call for each of the other 6 points
+    # the first stack's 3 rows, then a stack of one for each of the other 6 points
     values = [10 + 990 * k / 8 for k in range(9)]
     assert ran_alone == [f"{document['scenario_id']}@c={value:.9g}" for value in values[3:]]
-    assert [a[1].shape for a in estimates] == [(3, 40)] + [(40,)] * 6
+    assert [a[1].shape for a in estimates] == [(3, 40)] + [(1, 40)] * 6
     points, columns = (tmp_path / name / "sweep_c.csv" for name in ("points", "columns"))
     assert points.read_bytes() == columns.read_bytes()

@@ -30,7 +30,6 @@ from tauwork.protocol import (
     CSV_COLUMNS,
     FINAL_BASES,
     AppendixRun,
-    DilatedRun,
     Estimates,
     FlatRun,
     ProtocolReport,
@@ -45,9 +44,8 @@ from tauwork.protocol import (
     work_distribution_dilated,
 )
 from tauwork.scenarios import ScenarioConfig, build_scenario, harmonic_hamiltonian
-from tauwork.scenarios import two_level_hamiltonian
+from tauwork.scenarios import run_scenario, two_level_hamiltonian
 from tauwork.spacetime import (
-    DilationProfile,
     comoving_worldline,
     dilation_profile,
     uniform_gravity_worldline,
@@ -93,6 +91,14 @@ def work_atoms(values, probs):
 def dilated(spec, alpha, beta):
     """The dilated pipeline's estimators: every eigenvalue rescaled by ``alpha``."""
     return estimate(thermal_state(spec, beta), alpha * spec.eigenvalues)
+
+
+def dilated_oscillator(levels, worldline, beta=2.0):
+    """The reduced run of a dilated config: a ladder of ``levels`` unit-spaced
+    levels at ``beta``, carried along ``worldline``."""
+    system = {"kind": "harmonic", "omega": 1.0, "levels": levels}
+    raw = dict(scenario_id="d", pipeline="dilated", beta=beta, system=system, worldline=worldline)
+    return build_scenario(ScenarioConfig.from_dict(raw))
 
 
 class TestConditionalProbabilities:
@@ -1225,10 +1231,9 @@ class TestSampling:
 
 class TestRunProtocol:
     def test_comoving_run(self):
-        prof = dilation_profile(comoving_worldline(5.0, samples=5))
-        rep = run_protocol(
-            DilatedRun(scenario_id="x", beta=2.0, h0=harmonic_hamiltonian(1.0, 30), profile=prof)
-        )
+        run = dilated_oscillator(30, {"preset": "comoving", "t_end": 5.0, "samples": 5})
+        assert run.transitions is None and run.final.tobytes() == run.initial.tobytes()
+        rep = next(protocol.report_rows([run]))
         assert rep.lhs == pytest.approx(1.0, abs=1e-14)
         assert rep.rhs == pytest.approx(1.0, abs=1e-14)
         assert rep.entropy_production == pytest.approx(0.0, abs=1e-14)
@@ -1236,12 +1241,9 @@ class TestRunProtocol:
         assert rep.tau_total == pytest.approx(5.0)
 
     def test_oscillator_blueshift_report(self):
-        prof = dilation_profile(
-            uniform_gravity_worldline(0.02, 10.0, samples=101), gravitational_only=True
-        )
-        rep = run_protocol(
-            DilatedRun(scenario_id="osc", beta=2.0, h0=harmonic_hamiltonian(1.0, 40), profile=prof)
-        )
+        ramp = dict(preset="uniform_gravity", g=0.02, t_end=10.0, samples=101)
+        ramp.update(gravitational_only=True)
+        rep = next(protocol.report_rows([dilated_oscillator(40, ramp)]))
         assert rep.alpha_final == pytest.approx(1.2, abs=1e-15)
         assert 2.0 * rep.delta_F == pytest.approx(0.2503135073464562, abs=1e-7)
         assert 2.0 * rep.mean_work == pytest.approx(0.2626070570998662, abs=1e-7)
@@ -1265,7 +1267,7 @@ class TestRunProtocol:
     def test_appendix_constant_schedule_matches_dilated(self):
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=501))
         h = harmonic_hamiltonian(1.0, 2)
-        dil = run_protocol(DilatedRun(scenario_id="d", beta=1.0, h0=h, profile=prof))
+        dil = dilated(h, prof.alpha_final, 1.0)
         for steps in (1, 17):
             app = run_protocol(
                 AppendixRun(
@@ -1275,7 +1277,7 @@ class TestRunProtocol:
                 )
             )
             assert app.lhs == pytest.approx(dil.lhs, abs=1e-10)
-            assert app.delta_F == pytest.approx(dil.delta_F, abs=1e-10)
+            assert app.delta_F == pytest.approx(dil.delta_f, abs=1e-10)
             assert app.mean_work == pytest.approx(dil.mean_work, abs=1e-10)
 
     def test_appendix_final_basis_choices(self):
@@ -1306,11 +1308,14 @@ class TestRunProtocol:
     @pytest.mark.parametrize("pipeline", ["flat", "dilated", "appendix"])
     def test_unit_rate_gives_zero_work_in_every_pipeline(self, pipeline, monkeypatch):
         h = harmonic_hamiltonian(1.0, 6)
+        comoving = {"preset": "comoving", "t_end": 5.0, "samples": 11}
         prof = dilation_profile(comoving_worldline(5.0, samples=11))
         run = {
-            "flat": FlatRun("f", 2.0, h, h, identity_channel(h.dim)),
-            "dilated": DilatedRun("d", 2.0, h, prof),
-            "appendix": AppendixRun("a", 2.0, PropagatorSchedule.constant(h, prof, steps=7)),
+            "flat": protocol.reduce_run(FlatRun("f", 2.0, h, h, identity_channel(h.dim))),
+            "dilated": dilated_oscillator(6, comoving),
+            "appendix": protocol.reduce_run(
+                AppendixRun("a", 2.0, PropagatorSchedule.constant(h, prof, steps=7))
+            ),
         }[pipeline]
         seen = []
 
@@ -1319,14 +1324,15 @@ class TestRunProtocol:
             return seen[-1]
 
         monkeypatch.setattr(protocol, "estimate", spy)
-        rep = run_protocol(run)
+        (rep,) = protocol.report_rows([run])
         (est,) = seen
         # the report's lhs was summed over these atoms, of which only zero work
-        # carries weight; merged, they are one atom at 0
+        # carries weight; merged, they are one atom at 0 (a dilated run is a
+        # stack of one, whose columns have one entry)
         atoms = est.atoms
         assert np.all(atoms.values[atoms.probs > 0.0] == 0.0)
         assert atoms.row().values.tolist() == [0.0]
-        assert rep.lhs == est.lhs == jarzynski_lhs(atoms.row(), 2.0)
+        assert rep.lhs == np.ravel(est.lhs)[0] == jarzynski_lhs(atoms.row(), 2.0)
         assert rep.mean_work == 0.0
         assert dict(zip(CSV_COLUMNS, rep.to_csv_row().split(",")))["delta_F"] == "0.0"
 
@@ -1337,13 +1343,18 @@ class TestRunProtocol:
         beta = np.float64(1.5)
         prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
         if pipeline == "flat":
-            run = FlatRun("f", beta, h, h.scaled(1.1), amplitude_damping_channel(0.3, 3))
-        elif pipeline == "dilated":
-            run = DilatedRun("d", beta, h, prof)
+            rep = run_protocol(
+                FlatRun("f", beta, h, h.scaled(1.1), amplitude_damping_channel(0.3, 3))
+            )
+        elif pipeline == "dilated":  # a config whose numbers are numpy scalars
+            system = dict(kind="harmonic", omega=np.float64(1.0), levels=np.int64(3))
+            ramp = dict(preset="uniform_gravity", g=np.float64(0.02), t_end=np.float64(10.0))
+            ramp.update(samples=np.int64(101))
+            raw = dict(scenario_id="d", pipeline="dilated", beta=beta, system=system)
+            rep = run_scenario(ScenarioConfig.from_dict(dict(raw, worldline=ramp)))
         else:
             sched = PropagatorSchedule.constant(h, prof, steps=np.int64(7))
-            run = AppendixRun("a", beta, sched, final_basis=pipeline)
-        rep = run_protocol(run)
+            rep = run_protocol(AppendixRun("a", beta, sched, final_basis=pipeline))
         cast = {"str": str, "int": int, "float": float}
         for field in dataclasses.fields(ProtocolReport):
             assert type(getattr(rep, field.name)) is cast[field.type], field.name
@@ -1390,19 +1401,20 @@ class TestReportRows:
     one ``estimate`` call for each item it reads."""
 
     def test_a_generator_of_runs_and_a_stack(self, monkeypatch):
-        # 40 levels twice, then two levels: without transitions, with (flat and
-        # instantaneous driven), and without (evolved driven); then a stack of two
+        # dilated stacks of one, 40 levels twice and two levels once; then two
+        # levels with transitions (flat and instantaneous driven) and without
+        # (evolved driven); then a stack of the first two
         names = ["oscillator_blueshift", "comoving", "cruise_redshift", "flat_damping"]
         documents = [json.loads((DEMO_SCENARIOS / f"{name}.json").read_text()) for name in names]
         driven = json.loads((DEMO_SCENARIOS / "driven_two_segment.json").read_text())
         documents.append(dict(driven, scenario_id="inst", steps=100, final_basis="instantaneous"))
         documents.append(dict(driven, steps=100))
         runs = [build_scenario(ScenarioConfig.from_dict(document)) for document in documents]
-        reduced_runs = [protocol.reduce_run(run) for run in runs]
-        first, second = reduced_runs[:2]
+        first, second = runs[:2]
         stack = protocol.ReducedRun(
-            np.array([first.initial, second.initial]), np.array([first.beta, second.beta]),
-            np.array([first.final, second.final]), None, 0.0, first.labels + second.labels,
+            np.concatenate([first.initial, second.initial]),
+            np.concatenate([first.beta, second.beta]),
+            np.concatenate([first.final, second.final]), None, 0.0, first.labels + second.labels,
         )
         calls, read, original = [], [], protocol.estimate
 
@@ -1411,7 +1423,7 @@ class TestReportRows:
             return original(gibbs, final, *args)
 
         def reduced():
-            for run in [*reduced_runs, stack]:
+            for run in [*runs, stack]:
                 read.append(run)
                 yield run
 
@@ -1420,12 +1432,13 @@ class TestReportRows:
         assert read == []
         # each item's rows come before the next item is read
         first_row = next(rows)
-        assert len(read) == 1 and calls == [(40,)]
+        assert len(read) == 1 and calls == [(1, 40)]
         rows = [first_row, *rows]
-        assert calls == [(40,), (40,), (2,), (2,), (2,), (2,), (2, 40)]
+        assert calls == [(1, 40), (1, 40), (1, 2), (2,), (2,), (2,), (2, 40)]
         monkeypatch.setattr(protocol, "estimate", original)
         # numpy scalars print as np.float64(...): the reprs hold every field's type
-        expected = [repr(run_protocol(run)) for run in [*runs, *runs[:2]]]
+        expected = [repr(run_scenario(ScenarioConfig.from_dict(document))) for document in
+                    [*documents, *documents[:2]]]
         assert list(map(repr, rows)) == expected
 
 
@@ -1482,8 +1495,7 @@ class TestFlatIsDilated:
         spec = spectral_decompose(h0)
         final = HermitianOperator(alpha * h0.matrix)
         flat = run_protocol(FlatRun("f", beta, h0, final, identity_channel(dim)))
-        profile = DilationProfile([1.0, alpha], [0.0, 0.5 * (1.0 + alpha)])
-        dilated = run_protocol(DilatedRun("d", beta, spec, profile))
+        est = dilated(spec, alpha, beta)
         # H_f is decomposed on its own, so its levels differ from alpha E_n by a
         # rounding of the energy scale: <W> and dF (as small as that near alpha = 1)
         # agree to 1e-13 of it, and lhs and rhs, exponentials of beta times such
@@ -1491,9 +1503,9 @@ class TestFlatIsDilated:
         energy = max(1.0, alpha) * float(np.max(np.abs(spec.eigenvalues)))
         size = max(abs(flat.lhs), abs(flat.rhs)) * max(1.0, beta * energy)
         scales = dict(mean_work=energy, delta_F=energy, entropy_production=beta * energy)
-        assert flat.beta == dilated.beta
+        assert flat.beta == est.beta
         for column, scale in dict(scales, lhs=size, rhs=size, residual=size).items():
-            a, b = getattr(flat, column), getattr(dilated, column)
+            a, b = getattr(flat, column), getattr(est, column.replace("delta_F", "delta_f"))
             assert abs(a - b) <= 1e-13 * max(abs(a), abs(b), scale), column
 
 

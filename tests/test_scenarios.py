@@ -11,8 +11,8 @@ from tauwork.operators import spectral_decompose
 from tauwork.protocol import (
     FINAL_BASES,
     AppendixRun,
-    DilatedRun,
     FlatRun,
+    ReducedRun,
     estimate,
     report_rows,
     run_protocol,
@@ -214,19 +214,21 @@ class TestSystems:
 
 
 def _report_rows(spec, other):
-    """The report rows of flat, dilated and driven runs on ``spec``; ``other``
-    is the driven schedule's second generator, before and after ``spec``."""
+    """The report rows of flat and driven runs on ``spec``, and the dilated
+    estimators; ``other`` is the driven schedule's second generator, before and
+    after ``spec``."""
     prof = dilation_profile(uniform_gravity_worldline(0.02, 10.0, samples=101))
     dim, total = spec.dim, prof.tau_total
     runs = [
         FlatRun("damping", 1.0, spec, spec, amplitude_damping_channel(0.4, dim)),
         FlatRun("depolarizing", 1.0, spec, spec, depolarizing_channel(0.3, dim)),
-        DilatedRun("dilated", 2.0, spec, prof),
     ]
     for segments in ((spec, other), (other, spec)):
         schedule = PropagatorSchedule(list(zip((0.6 * total, total), segments)), prof, 50)
         runs += [AppendixRun("driven", 1.0, schedule, basis) for basis in FINAL_BASES]
-    return [run_protocol(run).to_csv_row() for run in runs]
+    dilated = estimate(thermal_state(spec, 2.0), prof.alpha_final * spec.eigenvalues)
+    columns = (dilated.mean_work, dilated.delta_f, dilated.lhs, dilated.rhs)
+    return [run_protocol(run).to_csv_row() for run in runs] + [repr(columns)]
 
 
 class TestValidation:
@@ -326,15 +328,27 @@ class TestValidation:
 class TestBuildScenario:
     def test_dilated_build(self):
         run = build_scenario(ScenarioConfig.from_dict(dilated_config()))
-        assert isinstance(run, DilatedRun)
-        assert run.profile.alpha_final == pytest.approx(1.2, abs=1e-15)
+        assert isinstance(run, ReducedRun)
+        (labels,) = run.labels
+        assert labels["pipeline"] == "dilated" and labels["scenario_id"] == "osc"
+        assert labels["alpha_final"] == pytest.approx(1.2, abs=1e-15)
+        ladder = harmonic_hamiltonian(1.0, 40).eigenvalues
+        assert run.initial.tobytes() == ladder.tobytes() and run.beta.tolist() == [2.0]
+        assert run.final.tobytes() == (labels["alpha_final"] * ladder).tobytes()
+        assert run.transitions is None and run.correction == 0.0
 
-    def test_comoving_preset_alpha_one(self):
+    def test_comoving_preset_alpha_one(self, monkeypatch):
+        profiles, profile = [], scenarios.dilation_profile
+        spy = lambda *a, **k: profiles.append(profile(*a, **k)) or profiles[-1]  # noqa: E731
+        monkeypatch.setattr(scenarios, "dilation_profile", spy)
         raw = dilated_config(
             worldline={"preset": "comoving", "t_end": 5.0, "samples": 3}
         )
         run = build_scenario(ScenarioConfig.from_dict(raw))
-        assert np.all(run.profile.alpha == 1.0)
+        (prof,) = profiles
+        assert np.all(prof.alpha == 1.0)
+        assert run.labels[0]["alpha_final"] == 1.0
+        assert run.final.tobytes() == run.initial.tobytes()
 
     def test_flat_build(self):
         raw = {
@@ -345,8 +359,10 @@ class TestBuildScenario:
             "channel": {"preset": "amplitude_damping", "gamma": 0.5},
         }
         run = build_scenario(ScenarioConfig.from_dict(raw))
-        assert isinstance(run, FlatRun)
-        assert not run.channel.is_unital
+        assert isinstance(run, ReducedRun)
+        assert run.labels[0]["pipeline"] == "flat"
+        assert run.transitions.shape == (2, 2)
+        assert run.correction != 0.0  # the channel is not unital
 
     def test_appendix_build(self):
         raw = {
@@ -362,32 +378,34 @@ class TestBuildScenario:
             "final_basis": "instantaneous",
         }
         run = build_scenario(ScenarioConfig.from_dict(raw))
-        assert isinstance(run, AppendixRun)
-        assert run.schedule.steps == 64
-        assert run.final_basis == "instantaneous"
+        assert isinstance(run, ReducedRun)
+        assert run.labels[0]["pipeline"] == "appendix"
+        assert run.labels[0]["steps"] == 64
+        assert run.labels[0]["final_basis"] == "instantaneous"
+        assert run.transitions.shape == (2, 2)  # the instantaneous basis keeps them
 
     @pytest.mark.parametrize(
-        "computes, section, other, field",
+        "computes, section, other",
         [
-            ("build_system", "system", {"kind": "harmonic", "omega": 1.0, "levels": 20}, "h0"),
+            ("build_system", "system", {"kind": "harmonic", "omega": 1.0, "levels": 20}),
             (
                 "dilation_profile",
                 "worldline",
                 {"preset": "cruise", "p": 0.3, "t_end": 5.0, "samples": 11},
-                "profile",
             ),
         ],
         ids=["spectrum", "profile"],
     )
     def test_each_build_computes_each_stage_once_and_keeps_nothing(
-        self, computes, section, other, field, monkeypatch
+        self, computes, section, other, monkeypatch
     ):
-        calls = []
+        calls, computed = [], []
         compute = getattr(scenarios, computes)
 
         def spy(*args, **kwargs):
             calls.append(args)
-            return compute(*args, **kwargs)
+            computed.append(compute(*args, **kwargs))
+            return computed[-1]
 
         monkeypatch.setattr(scenarios, computes, spy)
         a = ScenarioConfig.from_dict(dilated_config())
@@ -395,8 +413,8 @@ class TestBuildScenario:
         runs = [build_scenario(config) for config in (a, b, a)]
         assert len(calls) == 3
         # the third build computes its stage anew, to the same bits as the first
-        assert getattr(runs[2], field) is not getattr(runs[0], field)
-        rows = [run_protocol(run).to_csv_row() for run in runs]
+        assert computed[2] is not computed[0]
+        rows = [row.to_csv_row() for row in report_rows(runs)]
         assert rows[0] == rows[2] != rows[1]
 
     def test_a_config_builds_the_same_run_whatever_was_built_before(self, tmp_path):
@@ -412,7 +430,7 @@ class TestBuildScenario:
         cruise = {"preset": "cruise", "p": 0.3, "t_end": 5.0}
         documents += [dilated_config(worldline=cruise, c=c, mass=c) for c in (1.0, 2.0)]
         configs = [ScenarioConfig.from_dict(d) for d in documents]
-        forward = [run_protocol(build_scenario(config)).to_csv_row() for config in configs]
+        forward = [row.to_csv_row() for row in report_rows(map(build_scenario, configs))]
         backward = [run_scenario(config).to_csv_row() for config in reversed(configs)]
         assert forward == backward[::-1]
         assert len(set(forward)) == len(forward) - 1  # the two betas of one profile differ
@@ -481,7 +499,7 @@ class TestBuildScenario:
         monkeypatch.setattr(scenarios, "build_system", build)
         for row, omega in zip(stack.initial, omegas):
             point = ScenarioConfig.from_dict(dilated_config(system=dict(ladder, omega=omega)))
-            alone = build_scenario(point).h0.eigenvalues
+            (alone,) = build_scenario(point).initial
             assert row.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize(
@@ -505,8 +523,9 @@ class TestBuildScenario:
         configs = [ScenarioConfig.from_dict(d) for d in (first, dict(first, **change))]
         runs = [build_scenario(config) for config in configs]
         expected = [1.0 - 0.3**2 / 2.0, 1.0 - 0.3**2 / (2.0 * mass**2 * c**2)]
-        assert [run.profile.alpha_final for run in runs] == pytest.approx(expected, abs=1e-15)
-        assert runs[0].profile.alpha_final != runs[1].profile.alpha_final
+        alphas = [run.labels[0]["alpha_final"] for run in runs]
+        assert alphas == pytest.approx(expected, abs=1e-15)
+        assert alphas[0] != alphas[1]
 
     @pytest.mark.parametrize(
         "section, path, value",
@@ -528,6 +547,18 @@ class TestBuildScenario:
         again = run_scenario(config).to_csv_row()
         assert again != first
         assert again == run_scenario(ScenarioConfig.from_dict(document)).to_csv_row()
+
+    def test_a_dilated_build_profiles_its_worldline_before_it_builds_its_system(self):
+        # both sections fail: the error is the worldline's, as for a driven config
+        not_hermitian = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        steep = dict(dilated_config()["worldline"], g=0.2)
+        config = ScenarioConfig.from_dict(
+            dilated_config(system={"kind": "explicit", "matrix": not_hermitian}, worldline=steep)
+        )
+        with pytest.raises(ValueError, match="exceeds the weak-field bound"):
+            build_scenario(config)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            build_scenario(ScenarioConfig.from_dict(dilated_config(system=config.system)))
 
     def test_channel_dimension_mismatch_reported(self):
         raw = {
@@ -659,7 +690,8 @@ class TestSchemaTables:
     def test_minimal_document_validates_builds_and_runs(self, section, name, tmp_path):
         obj = TABLES[section][1][name]
         config = ScenarioConfig.from_dict(minimal_document(section, obj, tmp_path))
-        assert isinstance(build_scenario(config), (FlatRun, DilatedRun))
+        run = build_scenario(config)
+        assert isinstance(run, ReducedRun) and run.labels[0]["pipeline"] == config.pipeline
         report = run_scenario(config)
         assert abs(report.residual) < 1e-10
 
