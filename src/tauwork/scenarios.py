@@ -39,7 +39,7 @@ from .operators import _INTEGER, MAX_DIM, RULES, HermitianOperator, Spectrum
 from .operators import matrix_from_pairs, random_hermitian, require, spectral_decompose
 from .protocol import AppendixRun, FlatRun, ProtocolReport, ReducedRun, reduce_run, report_rows
 from .spacetime import (
-    DilationProfile,
+    Clock,
     Worldline,
     comoving_worldline,
     cruise_worldline,
@@ -161,8 +161,9 @@ FIELD_RULES = {
 class _Entry:
     """One system kind or worldline/channel preset: its fields and builder.
 
-    ``scale`` names the field a system's Hamiltonian is linear in, if any:
-    H(x) = x * H(1), so every value of that field shares one eigenbasis.
+    ``scale`` names the field a system's Hamiltonian or a worldline's potential
+    is linear in, if any: H(x) = x * H(1), so every value of that field shares
+    one eigenbasis, and phi(x) = x * phi(1), so it shares one ``Clock``.
     ``rule`` is an (accepts, message) stage across the entry's fields, checked
     once each field has passed its own rule.
     """
@@ -208,6 +209,7 @@ WORLDLINES = {
         ("g", "t_end"),
         ("p", *_TIMED),
         lambda w, n, m: uniform_gravity_worldline(w["g"], w["t_end"], n, w.get("p", 0.0), m),
+        scale="g",
     ),
     "point_mass": _Entry(
         ("M", "r_start", "r_end", "t_end"),
@@ -399,18 +401,9 @@ def build_system(system: dict) -> Spectrum:
 
 
 def build_trajectory(worldline: dict, mass: float) -> Worldline:
-    """The sampled trajectory of a ``worldline`` section for a particle of ``mass``;
-    a column of ``g`` values gives a stack of ``uniform_gravity`` ramps."""
+    """The sampled trajectory of a ``worldline`` section for a particle of ``mass``."""
     entry = WORLDLINES[worldline.get("preset", "csv")]
     return entry.build(worldline, worldline.get("samples", DEFAULT_SAMPLES), mass)
-
-
-def _profile(config: ScenarioConfig) -> DilationProfile:
-    """The clock-rate profile of ``config``'s worldline."""
-    worldline = config.worldline
-    trajectory = build_trajectory(worldline, config.mass)
-    grav_only = worldline.get("gravitational_only", False)
-    return dilation_profile(trajectory, config.c, gravitational_only=grav_only)
 
 
 def alpha_ramp(base: ScenarioConfig, alpha) -> dict:
@@ -430,7 +423,7 @@ def dilated_sweep(base: ScenarioConfig, param: str, values: list, ids: list):
     row k bit for bit point k run alone; or None, before anything runs, unless every
     value passes the rule of the field it edits. ``param`` edits as ``cli._sweep_config``
     does, and enters as a column where its field does: beta as the ensemble's betas,
-    omega as ``omega * E(1)``, and c or alpha (as ramps) as one profile call a block."""
+    omega as ``omega * E(1)``, and c or alpha (as ramps of g) as a column of one clock."""
     if base.pipeline != "dilated" or param == "gamma":
         return None
     column = np.array(values, dtype=float)
@@ -449,8 +442,7 @@ def dilated_sweep(base: ScenarioConfig, param: str, values: list, ids: list):
 
 
 # the elements of one stacked array, 256 KB in float64: the atoms of a stack of
-# points in one ``estimate`` call, and the samples of a block of profiles in one
-# ``dilation_profile`` call
+# points in one ``estimate`` call
 STACK_ATOMS = 2**15
 # a point's own objects, its labels and its report row, about 1 KB, count as
 # POINT_ATOMS more atoms of its stack
@@ -459,39 +451,23 @@ POINT_ATOMS = 128
 
 def _dilated_stacks(base: ScenarioConfig, param: str, column: np.ndarray, ids: list):
     """The stacks of ``dilated_sweep`` over ``column`` (g for alpha), each within
-    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point; a dilated config run alone is
-    the one stack of its own beta. A stack of c or alpha points profiles them in
-    blocks of at most ``STACK_ATOMS`` samples, each cut to its rows' final rate
-    and proper time and freed before the next is built. A stack whose final
-    energies overflow raises before it is yielded."""
-    # one profile serves a beta or omega sweep; c and alpha make one a block
+    ``STACK_ATOMS`` atoms, ``POINT_ATOMS`` a point, with each row's final rate and
+    proper time from one ``Clock``; a dilated config run alone is the one stack of
+    its own beta. A stack whose final energies overflow raises before it is yielded."""
+    # the worldline is read first, as a driven run's is; its clock is built at scale 1
     worldline = alpha_ramp(base, 1.0) if param == "alpha" else base.worldline
-    grav_only, samples = worldline.get("gravitational_only", False), 1
-    if param == "c":
-        trajectory = build_trajectory(worldline, base.mass)
-        samples = trajectory.t.size
-    elif param == "alpha":
-        samples = worldline["samples"]
-    else:
-        profile = _profile(base)
-        ends = np.array([[profile.alpha_final], [profile.tau_total]])
+    scale = WORLDLINES[worldline.get("preset", "csv")].scale
+    g, unit = (worldline[scale], dict(worldline, **{scale: 1.0})) if scale else (1.0, worldline)
+    clock = Clock(build_trajectory(unit, base.mass), worldline.get("gravitational_only", False))
+    ends = None if param in ("c", "alpha") else clock.ends(base.c, g)
     system = dict(base.system, omega=1.0) if param == "omega" else base.system
     energies = build_system(system).eigenvalues
-    rows, block = (max(1, STACK_ATOMS // n) for n in (energies.size + POINT_ATOMS, samples))
-    rows = rows - rows % block or rows  # whole blocks a stack, if one fits
+    rows = max(1, STACK_ATOMS // (energies.size + POINT_ATOMS))
     for start in range(0, column.size, rows):
         stack = column[start : start + rows]
-        if param in ("c", "alpha"):  # each row's final rate and proper time
-            ends = np.empty((2, stack.size))
-            for k in range(0, stack.size, block):
-                part = stack[k : k + block]
-                # a c block repeats the one trajectory; an alpha block is a ramp a point
-                args = ((trajectory.repeated(part.size), part) if param == "c" else
-                        (build_trajectory(dict(worldline, g=part), base.mass), base.c))
-                profile = dilation_profile(*args, gravitational_only=grav_only)
-                ends[:, k : k + part.size] = profile.alpha[:, -1], profile.tau[:, -1]
-                del args, profile  # before the next block is built
-        alpha, tau = np.broadcast_to(ends, (2, stack.size))
+        if param in ("c", "alpha"):  # the points' one new number
+            ends = clock.ends(stack, g) if param == "c" else clock.ends(base.c, stack)
+        alpha, tau = (np.broadcast_to(x, stack.size) for x in ends)
         # C-order stacks, so that each row's sums run as its run's alone do
         initial = np.tile(energies, (stack.size, 1))
         if param == "omega":  # the bits of each row's ``scaled(omega)``
@@ -530,7 +506,9 @@ def build_scenario(config: ScenarioConfig) -> ReducedRun:
                 [f"channel: dimension {channel.dim} does not match system dimension {spec.dim}"]
             )
         return reduce_run(FlatRun(config.scenario_id, config.beta, spec, spec, channel))
-    profile = _profile(config)
+    worldline = config.worldline
+    trajectory = build_trajectory(worldline, config.mass)
+    profile = dilation_profile(trajectory, config.c, worldline.get("gravitational_only", False))
     segments = [(seg["tau_end"], build_system(seg["system"])) for seg in config.schedule]
     schedule = PropagatorSchedule(segments, profile, config.steps)
     return reduce_run(AppendixRun(config.scenario_id, config.beta, schedule, config.final_basis))

@@ -8,6 +8,10 @@ factor ``dtau/dt`` per sample and accumulate proper time by trapezoidal
 quadrature. Tables keep the thermodynamic protocol decoupled from any
 trajectory integrator and make runs exactly reproducible.
 
+``dilation_profile`` gives the rate and the proper time at every sample; a
+dilated run reads only their final values, which ``Clock`` gives from three
+trajectory integrals, with the profile's checks and errors.
+
 Units: c enters explicitly (default 1) so the non-relativistic limit
 ``c -> infinity`` is directly testable; ``phi`` and ``p`` are given in the
 c = 1 convention and are rescaled internally.
@@ -31,35 +35,26 @@ class WeakFieldViolationError(ValueError):
     """The requested point is outside the weak-field regime of validity."""
 
 
-def _speeds(c) -> list | None:
-    """A column of ``c`` as a list of Python numbers, None for one number; each is checked."""
-    column = not isinstance(c, float) and np.ndim(c) == 1
-    speeds = np.asarray(c, dtype=object).tolist() if column else [c]
-    for value in speeds:
-        require(c=value)
-    return speeds if column else None
-
-
-def dilation_factor(phi, p, mass: float, c=1.0):
+def dilation_factor(phi, p, mass: float, c: float = 1.0):
     """Clock rate dtau/dt of the particle relative to the static observers.
 
-    First order in the potential and in (p/mc)^2:
-    ``1 + phi/c^2 - p^2 / (2 m^2 c^2)``, where a term whose numerator is 0 is 0
-    even if its denominator underflows. Scalars give a float; arrays give the
-    per-element array. ``c`` is a number, or a column of r numbers, one per
-    row of (r, n) samples, each row bit for bit what it gives at its own ``c``.
-    Raises :class:`WeakFieldViolationError` naming the first sample whose rate
-    is not positive and finite, which signals inputs outside the regime where
-    the expansion makes sense.
+    First order in the potential and in (p/mc)^2: ``1 + phi/c^2 - p^2 / (2 m^2 c^2)``,
+    where a term whose numerator is 0 is 0 even if its denominator underflows. Scalars
+    give a float; arrays give the per-element array. Raises :class:`WeakFieldViolationError`
+    naming the first sample whose rate is not positive and finite, which signals inputs
+    outside the regime where the expansion makes sense.
     """
-    require(mass=mass)
-    return _rates(phi, p, mass, _speeds(c), c)
+    require(mass=mass, c=c)
+    return _rates(phi, p, mass, None, c)
 
 
 def _rates(phi, p, mass: float, column: list | None, c):
-    """``dilation_factor`` of a checked ``mass`` and ``c``, ``column`` its ``_speeds(c)``."""
+    """``dilation_factor`` of a checked ``mass``; ``column`` is None for the one number
+    ``c``, else a list of r values of c, one per row of (r, n) samples (or of samples
+    that broadcast to them), each row bit for bit what it gives at its own c."""
     phi, p = np.asarray(phi, dtype=float), np.asarray(p, dtype=float)
-    phi = np.broadcast_to(phi, np.broadcast_shapes(phi.shape, p.shape))
+    if p.ndim and p.shape != phi.shape:
+        phi = np.broadcast_to(phi, np.broadcast_shapes(phi.shape, p.shape))
     # the direct expression is exact to rounding while c^2 and each partial product of
     # 2 m^2 c^2 are normal floats: a p^2 that underflows then stands for a term below an ulp of 1
     m2 = 2.0 * mass * mass
@@ -72,15 +67,12 @@ def _rates(phi, p, mass: float, column: list | None, c):
         alpha += 1.0
         if p.ndim or p:  # a gravitational-only profile's p is the number 0
             alpha -= p * p / den
-        axis = -1 if column else None  # each row's least and greatest rate, nan if it holds one
-        low = np.min(alpha, axis, keepdims=True, initial=math.inf)
-        high = np.max(alpha, axis, keepdims=True, initial=-math.inf)
-        ok = normal & (low > -math.inf) & (high < math.inf)
+        ok = normal & np.isfinite(alpha).all(-1 if column else None, keepdims=True)
         slow = not ok.all()
         if slow:  # a term under- or overflowed in some rows: those rows are redone
             kinetic = np.where(p == 0.0, 0.0, 0.5 * (p / mass / c) ** 2)
             alpha = np.where(ok, alpha, 1.0 + np.where(phi == 0.0, 0.0, phi / c / c) - kinetic)
-    scan = slow or (low <= 0.0).any()  # else every rate is in (0, inf)
+    scan = slow or (alpha <= 0.0).any()  # else every rate is in (0, inf)
     bad = np.flatnonzero(~((alpha > 0.0) & (alpha < math.inf))) if scan else ()
     if len(bad):
         i, rate = bad[0], alpha.flat[bad[0]]
@@ -95,8 +87,7 @@ def _rates(phi, p, mass: float, column: list | None, c):
 
 @dataclass(frozen=True)
 class Worldline:
-    """Sampled trajectory data: strictly increasing t, potential and |p| per sample;
-    a stack of r worldlines shares its grid ``t`` and has ``phi`` and ``p`` of shape (r, n)."""
+    """Sampled trajectory data: strictly increasing t, potential and |p| per sample."""
 
     t: np.ndarray
     phi: np.ndarray
@@ -108,15 +99,8 @@ class Worldline:
 
     @property
     def samples(self) -> int:
-        """The samples a profile evaluates: n, times r for a stack."""
+        """The samples a profile evaluates."""
         return self.phi.size
-
-    def repeated(self, rows: int) -> "Worldline":
-        """A stack of ``rows`` copies of this worldline, read-only views of its arrays."""
-        stack, shape = object.__new__(Worldline), (rows, self.t.size)
-        phi, p = (np.broadcast_to(x, shape) for x in (self.phi, self.p))
-        vars(stack).update(t=self.t, phi=phi, p=p, mass=self.mass)
-        return stack
 
     @classmethod
     def from_csv(cls, path, mass: float) -> "Worldline":
@@ -139,10 +123,9 @@ def _worldline(t: np.ndarray, phi: np.ndarray, p: np.ndarray, mass: float) -> Wo
     """A worldline of float arrays, checked and made read-only, not copied."""
     if t.ndim != 1 or t.size < 2:
         raise ValueError("worldline needs at least 2 samples")
-    if phi.shape != p.shape or phi.shape[-1:] != t.shape or phi.ndim > 2:
+    if phi.shape != t.shape or p.shape != t.shape:
         raise ValueError("t, phi, p must have identical lengths")
-    # an array whose rows (or entries) all view its first, as a broadcast's do, is checked there
-    if not all(np.isfinite(x if x.strides[0] else x[:1]).all() for x in (t, phi, p)):
+    if not all(np.isfinite(x).all() for x in (t, phi, p)):
         raise ValueError("worldline samples must be finite")
     if (t[1:] <= t[:-1]).any():
         raise ValueError("t must be strictly increasing")
@@ -166,12 +149,10 @@ def comoving_worldline(t_end: float, samples: int = 2, mass: float = 1.0) -> Wor
 def uniform_gravity_worldline(
     g: float, t_end: float, samples: int = 1001, p: float = 0.0, mass: float = 1.0
 ) -> Worldline:
-    """Steady climb in a uniform field: phi(t) = g * t (height grows linearly); a
-    column of r values of ``g`` gives a stack of r worldlines."""
+    """Steady climb in a uniform field: phi(t) = g * t (height grows linearly)."""
     require(samples=samples)
     t = np.linspace(0.0, t_end, samples)
-    phi = np.multiply.outer(g, t)
-    return _worldline(t, phi, np.broadcast_to(float(p), phi.shape), mass)
+    return _worldline(t, g * t, np.full_like(t, p), mass)
 
 
 @np.errstate(over="ignore")  # a potential past the float range fails the Worldline check
@@ -205,22 +186,23 @@ class DilationProfile:
     """Per-sample clock rate and the accumulated proper time along a worldline.
 
     ``tau`` is the running trapezoidal integral of ``alpha`` over the
-    worldline's ``t`` with tau[0] = 0. A stack of r worldlines has ``alpha``
-    and ``tau`` of shape (r, n), row i that worldline's.
+    worldline's ``t`` with tau[0] = 0.
     """
 
     alpha: np.ndarray
     tau: np.ndarray
 
     def __init__(self, alpha, tau):
-        alpha = np.array(alpha, dtype=float)
-        tau = np.array(tau, dtype=float)
-        if alpha.shape != tau.shape or alpha.ndim not in (1, 2) or alpha.shape[-1] < 2:
+        alpha, tau = np.array(alpha, dtype=float), np.array(tau, dtype=float)
+        if alpha.shape != tau.shape or alpha.ndim != 1 or alpha.size < 2:
             raise ValueError("profile arrays must be equal-length with >= 2 samples")
         # written so that a nan fails each test
         if not ((alpha > 0.0) & (alpha < math.inf)).all():
             raise WeakFieldViolationError("dilation factor must stay positive and finite")
-        vars(self).update(vars(_profile(alpha, tau)))
+        if not (tau[0] == 0.0 and (tau[1:] > tau[:-1]).all() and tau[-1] < math.inf):
+            raise ValueError("tau must start at 0 and increase strictly to a finite total")
+        alpha.flags.writeable = tau.flags.writeable = False
+        vars(self).update(alpha=alpha, tau=tau)
 
     @property
     def tau_total(self) -> float:
@@ -231,21 +213,8 @@ class DilationProfile:
         return float(self.alpha[-1])
 
 
-def _profile(alpha: np.ndarray, tau: np.ndarray) -> DilationProfile:
-    """A profile of rates ``alpha``, checked already, and of ``tau``, checked here
-    (tau.T[k] is sample k of each row); both are made read-only, not copied."""
-    if not (
-        (tau.T[0] == 0.0).all() and (tau.T[1:] > tau.T[:-1]).all() and (tau.T[-1] < math.inf).all()
-    ):
-        raise ValueError("tau must start at 0 and increase strictly to a finite total")
-    alpha.flags.writeable = tau.flags.writeable = False
-    prof = object.__new__(DilationProfile)
-    vars(prof).update(alpha=alpha, tau=tau)
-    return prof
-
-
 def dilation_profile(
-    worldline: Worldline, c=1.0, gravitational_only: bool = False
+    worldline: Worldline, c: float = 1.0, gravitational_only: bool = False
 ) -> DilationProfile:
     """Evaluate dtau/dt per sample at speed of light ``c`` and integrate proper time.
 
@@ -254,39 +223,91 @@ def dilation_profile(
     ``gravitational_only`` drops the kinetic term (the heavy-particle limit),
     leaving ``alpha = 1 + phi/c^2`` exactly; useful to isolate the
     equivalence-principle effect.
-
-    A stack of r worldlines, a column of r values of ``c``, or both, give a
-    stack of r profiles in one pass, row i bit for bit what row i gives alone.
-    A stack that fails runs its rows alone, in order, so the first failing
-    row raises its own error.
     """
+    require(c=c)
     phi, p = worldline.phi, 0.0 if gravitational_only else worldline.p
-    try:
-        column = _speeds(c)
-        if column:  # rows that view one row, as a repeated worldline's do, are read once
-            phi, p = (x[0] if np.ndim(x) == 2 and not x.strides[0] else x for x in (phi, p))
-        # an underflowed c^2 gives a huge ratio (or 0); one past the float range is inf
-        c2 = [max(float(value) ** 2, math.ulp(0.0)) for value in column or [c]]
-        with np.errstate(over="ignore"):
-            ratios = np.maximum(phi.max(-1), -phi.min(-1)) / (c2 if column else c2[0])
-        over = ratios[ratios >= WEAK_FIELD_MAX_PHI]
-        if over.size:
-            raise WeakFieldViolationError(
-                f"|phi|/c^2 = {over[0]:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
+    # an underflowed c^2 gives a huge ratio (or 0); one past the float range is inf
+    with np.errstate(over="ignore"):
+        ratio = max(phi.max(), -phi.min()) / max(float(c) ** 2, math.ulp(0.0))
+    if ratio >= WEAK_FIELD_MAX_PHI:
+        raise WeakFieldViolationError(
+            f"|phi|/c^2 = {ratio:.3g} exceeds the weak-field bound {WEAK_FIELD_MAX_PHI}"
+        )
+    alpha = _rates(phi, p, worldline.mass, None, c)  # the worldline checked its mass
+    # tau is 0, then the running sum of 0.5 (alpha_k + alpha_k+1) dt_k, in one buffer
+    t, tau = worldline.t, np.zeros(alpha.shape)
+    with np.errstate(over="ignore"):  # a tau past the float range fails the profile's check
+        steps = np.add(alpha[1:], alpha[:-1], out=tau[1:])
+        steps *= 0.5
+        steps *= t[1:] - t[:-1]
+        np.cumsum(steps, out=steps)
+    return DilationProfile(alpha, tau)
+
+
+class Clock:
+    """The final rate and total proper time of a worldline at any ``c``, and of each
+    worldline whose potential is ``g`` times its own, from one pass over its samples:
+    the rate is linear in phi and p^2, as the trapezoid rule is, so the total is
+    ``T + (g Phi/c^2 - K/(2 m^2 c^2))`` for T = t_n - t_0 and the integrals Phi, K."""
+
+    @np.errstate(over="ignore", invalid="ignore")  # a sum past the float range is undecided
+    def __init__(self, worldline: Worldline, gravitational_only: bool = False):
+        t, phi = worldline.t, worldline.phi
+        p = np.zeros_like(t) if gravitational_only else worldline.p
+        dt = np.diff(t)
+        (low, high), (slow, fast) = (np.array([x.min(), x.max()]) for x in (phi, np.abs(p)))
+        self.line, self.gravitational_only, self.moving = worldline, gravitational_only, fast > 0
+        self.span, self.step, self.reach = t[-1] - t[0], dt.min(), max(high, -low)
+        # the trapezoid integrals, 0.5 sum f_k (t_k+1 - t_k-1) as correctly rounded sums
+        weights = np.concatenate((dt[:1], t[2:] - t[:-2], dt[-1:]))
+        try:
+            self.potential, self.kinetic = (
+                a * self.span if a == b else 0.5 * math.fsum(memoryview(f * weights))
+                for f, a, b in ((phi, low, high), (p * p, slow * slow, fast * fast)))
+        except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+            self.potential = self.kinetic = math.inf
+        # the computed rate rises with phi and falls with p^2: the rates of these samples
+        # bound every sample's, and at one p (every preset) are the least and greatest
+        self.phi = np.array([low, high, low, high, phi[-1]])
+        self.p = np.array([fast, fast, slow, slow, p[-1]])
+
+    def ends(self, c=1.0, g=1.0):
+        """The final rate (from ``_rates``) and the total at ``c`` of the worldline whose
+        potential is ``g`` times this one's, for numbers or columns of c, g or both,
+        each row bit for bit what it gives alone. A profile's checks are decided with
+        room for rounding: the bound from max |phi|, the rates from the least and
+        greatest, and a finite total rising at every sample from the least step (least
+        rate times least dt) against the greatest total. An undecided row is profiled."""
+        c, g = (np.asarray(x, dtype=float) if np.ndim(x) else np.float64(x) for x in (c, g))
+        mass = self.line.mass
+        m2 = 2.0 * mass * mass
+        with np.errstate(all="ignore"):  # a term that is not finite leaves its row undecided
+            c2, reach = c * c, abs(g) * self.reach
+            bounded = reach < WEAK_FIELD_MAX_PHI * (1.0 - 2.0**-40) * c2
+            # a g row past the bound reads phi = 0, so that its rates leave the others' formula
+            phi = np.multiply.outer(np.where(bounded, g, 0.0) if g.ndim else g, self.phi)
+            try:
+                rates = _rates(phi, self.p, mass, c.tolist() if c.ndim else None, c)
+            except (OverflowError, WeakFieldViolationError):  # a c or a rate out of range
+                rates = np.full(np.broadcast_shapes(c.shape, g.shape) + (5,), math.nan)
+            least, greatest = rates[..., :4].min(-1), rates[..., :4].max(-1)
+            den = m2 * c2 if self.moving else 1.0  # a term is exact while its divisor is normal
+            tau = self.span + (g * self.potential / c2 - self.kinetic / den)
+            decided = (
+                bounded & (c > 0.0) & (c2 >= _TINY) & (c2 < math.inf) & (abs(tau) < math.inf)
+                & (not self.moving or (m2 >= _TINY) & (den >= _TINY) & (den < math.inf))
+                & (least * self.step >= np.maximum(2.0**-50 * greatest * self.span, _TINY))
+                & (greatest * self.span < 2.0**1000)
             )
-        alpha = _rates(phi, p, worldline.mass, column, c)  # the worldline checked its mass
-        # tau is 0, then the running sum of 0.5 (alpha_k + alpha_k+1) dt_k, in one buffer
-        t, tau = worldline.t, np.zeros(alpha.shape)
-        with np.errstate(over="ignore"):  # a tau past the float range fails the profile's check
-            steps = np.add(alpha[..., 1:], alpha[..., :-1], out=tau[..., 1:])
-            steps *= 0.5
-            steps *= t[1:] - t[:-1]
-            np.cumsum(steps, -1, out=steps)
-        return _profile(alpha, tau)
-    except ValueError:
-        rows = np.broadcast_shapes(worldline.phi.shape[:-1], np.shape(c))
-        for i in range(rows[0] if rows else 0):
-            phi, p = (x[i] if x.ndim == 2 else x for x in (worldline.phi, worldline.p))
-            ci = np.asarray(c, dtype=object)[i] if np.ndim(c) == 1 else c
-            dilation_profile(Worldline(worldline.t, phi, p, worldline.mass), ci, gravitational_only)
-        raise
+        if decided.all():
+            return rates[..., 4], tau
+        rows = np.shape(decided)
+        if not rows:
+            with np.errstate(over="ignore"):  # a potential past the float range fails the check
+                line = Worldline(self.line.t, g * self.line.phi, self.line.p, mass)
+            profile = dilation_profile(line, float(c), self.gravitational_only)
+            return profile.alpha_final, profile.tau_total
+        alpha, tau = (np.array(np.broadcast_to(x, rows)) for x in (rates[..., 4], tau))
+        for i in np.flatnonzero(~decided):
+            alpha[i], tau[i] = self.ends(*(np.broadcast_to(x, rows)[i] for x in (c, g)))
+        return alpha, tau

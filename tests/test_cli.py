@@ -1,13 +1,12 @@
 import dataclasses
 import json
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tauwork import cli, protocol, scenarios
+from tauwork import cli, protocol, scenarios, spacetime
 from tauwork.cli import _parse_sweep, _sweep_config, main
 from tauwork.protocol import CSV_COLUMNS, ProtocolReport
 from tauwork.scenarios import ScenarioConfig, run_scenario
@@ -73,6 +72,8 @@ def read_rows(path):
 
 
 LADDER = {"kind": "harmonic", "omega": 1.0, "levels": 40}
+# a table worldline whose potential and |p| change at every sample
+MOVING = {"csv": str(Path(__file__).resolve().parent / "data" / "moving_particle.csv")}
 
 
 def report_bytes(reports, fmt):
@@ -475,6 +476,13 @@ class TestDecompositionReuse:
             ("oscillator_blueshift", "beta=0.5:4:6", {}),
             ("oscillator_blueshift", "omega=0.5:2:5", {}),
             ("cruise_redshift", "c=1:1000000:6", {}),
+            # c columns over each worldline form: a point mass, a clock at rest and a
+            # table whose |p| changes at every sample; a cruise is the line above
+            ("oscillator_blueshift", "c=0.8:1000:7", {"worldline": {
+                "preset": "point_mass", "M": 0.3, "r_start": 2.0, "r_end": 5.0,
+                "t_end": 10.0, "samples": 301}}),
+            ("comoving", "c=1e-300:1e150:5", {}),
+            ("cruise_redshift", "c=0.9:30:6", {"worldline": MOVING, "mass": 1.3}),
             ("cruise_redshift", "beta=0.5:4:6", {}),
             # the demo's two-level system has no omega: swap in a ladder
             ("cruise_redshift", "omega=0.5:2:5", {"system": LADDER}),
@@ -508,33 +516,21 @@ class TestDecompositionReuse:
 
 
 class TestProfileReuse:
-    """One dilation profile per distinct (worldline, mass, c) in each invocation,
-    and one call per stack of them: 50 points of 101 samples fit in one."""
+    """One clock per dilated sweep, and no profile: each point's final rate and
+    proper time are a few column operations on the clock's integrals."""
 
-    @pytest.mark.parametrize(
-        "spec, calls",
-        [
-            ("beta=0.5:4:50", 1),
-            ("omega=0.5:2:50", 1),
-            ("c=1:100:50", 1),
-            # each alpha point realizes its clock rate with its own ramp, a row of the stack
-            ("alpha=0.8:1.2:50", 1),
-        ],
-    )
-    def test_dilated_sweep(self, spec, calls, tmp_path, monkeypatch):
-        profiled = []
-        original = scenarios.dilation_profile
-
-        def counting(*args, **kwargs):
-            profiled.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(scenarios, "dilation_profile", counting)
+    @pytest.mark.parametrize("spec", ["beta=0.5:4:50", "omega=0.5:2:50", "c=1:100:50",
+                                      "alpha=0.8:1.2:50"])
+    def test_dilated_sweep(self, spec, tmp_path, monkeypatch):
+        clocks, profiled = [], []
+        clock, profile = scenarios.Clock, spacetime.dilation_profile
+        monkeypatch.setattr(scenarios, "Clock", lambda *a: clocks.append(a) or clock(*a))
+        monkeypatch.setattr(spacetime, "dilation_profile",
+                            lambda *a: profiled.append(a) or profile(*a))
         path = write_scenario(tmp_path)
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path / "o")]
         assert main([*argv, "--quiet"]) == 0
-        assert len(profiled) == calls
-
+        assert len(clocks) == 1 and profiled == []
 
     @pytest.mark.parametrize("spec, builds", [("c=1:100:50", 1), ("alpha=0.8:1.2:50", 1)])
     def test_worldline_built_once_per_distinct_section(self, spec, builds, tmp_path, monkeypatch):
@@ -1181,28 +1177,21 @@ class TestStreamedStacks:
         assert (tmp_path / "sweep_beta.csv").read_bytes() == report_bytes(alone, "csv")
 
     @pytest.mark.parametrize("spec", ["c=1:100:50", "alpha=0.8:1.2:50"])
-    def test_a_sweep_past_the_sample_budget_makes_several_profile_calls(
+    def test_a_sweep_on_a_long_worldline_is_one_estimate_call_and_no_profile(
         self, spec, tmp_path, monkeypatch
     ):
-        # the atom budget holds the 50 points in one estimate call; the sample budget
-        # profiles them in blocks of three
-        calls, estimates = [], []
-        original, estimate = scenarios.dilation_profile, protocol.estimate
-
-        def spy(worldline, c, **kwargs):
-            calls.append((worldline.samples // worldline.t.size, worldline.t.size))
-            return original(worldline, c, **kwargs)
-
-        monkeypatch.setattr(scenarios, "dilation_profile", spy)
+        # the atom budget holds the 50 points in one estimate call, and the clock
+        # reads the 10^4 samples once, for all of them
+        profiled, estimates = [], []
+        profile, estimate = spacetime.dilation_profile, protocol.estimate
+        monkeypatch.setattr(spacetime, "dilation_profile",
+                            lambda *a: profiled.append(a) or profile(*a))
         monkeypatch.setattr(protocol, "estimate", lambda *a: estimates.append(a) or estimate(*a))
         ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 10**4}
         path = write_scenario(tmp_path, worldline=dict(ramp, gravitational_only=True))
-        assert 3 * 10**4 <= scenarios.STACK_ATOMS < 4 * 10**4
         argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
         assert main([*argv, "--quiet"]) == 0
-        assert [a[1].shape for a in estimates] == [(50, 40)]
-        assert calls == [(3, 10**4)] * 16 + [(2, 10**4)]
-        monkeypatch.setattr(scenarios, "dilation_profile", original)
+        assert [a[1].shape for a in estimates] == [(50, 40)] and profiled == []
         monkeypatch.setattr(protocol, "estimate", estimate)
         param, grid = spec.split("=")
         base = ScenarioConfig.from_dict(json.loads(path.read_text()))
@@ -1210,28 +1199,6 @@ class TestStreamedStacks:
         alone = [run_scenario(_sweep_config(base, param, start + (stop - start) * k / 49))
                  for k in range(50)]
         assert (tmp_path / f"sweep_{param}.csv").read_bytes() == report_bytes(alone, "csv")
-
-    @pytest.mark.parametrize("spec", ["c=1:100:50", "alpha=0.8:1.2:50"])
-    def test_each_profile_block_is_freed_before_the_next_profile_call_returns(
-        self, spec, tmp_path, monkeypatch
-    ):
-        # a block's arrays are 240 KB here, past the allocator's mmap threshold: if a
-        # block outlives the next one's profile call, each call maps and faults fresh pages
-        blocks = []
-        original = scenarios.dilation_profile
-
-        def spy(*args, **kwargs):
-            profile = original(*args, **kwargs)
-            assert [ref() for pair in blocks for ref in pair] == [None] * 2 * len(blocks)
-            blocks.append((weakref.ref(profile.alpha), weakref.ref(profile.tau)))
-            return profile
-
-        monkeypatch.setattr(scenarios, "dilation_profile", spy)
-        ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 10**4}
-        path = write_scenario(tmp_path, worldline=dict(ramp, gravitational_only=True))
-        argv = ["sweep", "--scenario", str(path), "--sweep", spec, "--out", str(tmp_path)]
-        assert main([*argv, "--quiet"]) == 0
-        assert len(blocks) == 17 and [ref() for pair in blocks for ref in pair] == [None] * 34
 
     @pytest.mark.parametrize(
         "overrides, spec, line",
@@ -1246,13 +1213,22 @@ class TestStreamedStacks:
             # the first point fails in the estimators, the second when it is built
             (dict(TestNoPartialResults.HOT, beta=40000.0), "alpha=0.9:1.6:2",
              "alpha=0.9: report has non-finite values: lhs=inf, rhs=inf, residual=nan"),
-            # one stack of 50 points profiled in blocks of three; point 43, in the 15th
-            # block, breaks the weak-field bound after 14 blocks have been profiled
+            # one stack of 50 points on a worldline of 10^4 samples; point 43 breaks
+            # the weak-field bound
             ({"worldline": {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0,
                             "samples": 10**4, "gravitational_only": True}}, "alpha=0.8:1.6:50",
              "alpha=1.5020408163265306: |phi|/c^2 = 0.502 exceeds the weak-field bound 0.5"),
+            # a c column of a moving particle: inside the weak-field bound, the kinetic
+            # term takes the rate of the first point below 0. A slower clock is a smaller
+            # c, and sweep values are sorted, so the first point of a c column is the
+            # first whose rate fails
+            ({"worldline": {"preset": "cruise", "p": 0.9, "t_end": 5.0, "samples": 11}},
+             "c=0.5:2:7",
+             "c=0.5: dtau/dt = -0.62 <= 0 for phi=0.0, p=0.9: outside the weak-field / "
+             "slow-motion regime"),
         ],
-        ids=["overflow", "non-finite", "weak-field", "estimators-then-build", "later-block"],
+        ids=["overflow", "non-finite", "weak-field", "estimators-then-build", "later-block",
+             "kinetic"],
     )
     def test_the_first_failing_point_names_itself(self, tmp_path, capsys, overrides, spec, line):
         import warnings

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tauwork import scenarios
+from tauwork import scenarios, spacetime
 from tauwork.channels import PropagatorSchedule, amplitude_damping_channel, depolarizing_channel
 from tauwork.operators import RULES, HermitianOperator, Spectrum, random_hermitian
 from tauwork.operators import spectral_decompose
@@ -338,16 +340,16 @@ class TestBuildScenario:
         assert run.transitions is None and run.correction == 0.0
 
     def test_comoving_preset_alpha_one(self, monkeypatch):
-        profiles, profile = [], scenarios.dilation_profile
+        # the clock's integrals are 0: the proper time is the span, and no sample is profiled
+        profiles, profile = [], spacetime.dilation_profile
         spy = lambda *a, **k: profiles.append(profile(*a, **k)) or profiles[-1]  # noqa: E731
-        monkeypatch.setattr(scenarios, "dilation_profile", spy)
+        monkeypatch.setattr(spacetime, "dilation_profile", spy)
         raw = dilated_config(
             worldline={"preset": "comoving", "t_end": 5.0, "samples": 3}
         )
         run = build_scenario(ScenarioConfig.from_dict(raw))
-        (prof,) = profiles
-        assert np.all(prof.alpha == 1.0)
-        assert run.labels[0]["alpha_final"] == 1.0
+        assert profiles == []
+        assert run.labels[0]["alpha_final"] == 1.0 and run.labels[0]["tau_total"] == 5.0
         assert run.final.tobytes() == run.initial.tobytes()
 
     def test_flat_build(self):
@@ -389,12 +391,12 @@ class TestBuildScenario:
         [
             ("build_system", "system", {"kind": "harmonic", "omega": 1.0, "levels": 20}),
             (
-                "dilation_profile",
+                "Clock",
                 "worldline",
                 {"preset": "cruise", "p": 0.3, "t_end": 5.0, "samples": 11},
             ),
         ],
-        ids=["spectrum", "profile"],
+        ids=["spectrum", "clock"],
     )
     def test_each_build_computes_each_stage_once_and_keeps_nothing(
         self, computes, section, other, monkeypatch
@@ -433,16 +435,18 @@ class TestBuildScenario:
         forward = [row.to_csv_row() for row in report_rows(map(build_scenario, configs))]
         backward = [run_scenario(config).to_csv_row() for config in reversed(configs)]
         assert forward == backward[::-1]
-        assert len(set(forward)) == len(forward) - 1  # the two betas of one profile differ
+        # the first ramp is listed twice (c = 1, g = 0.02); the trapezoid rule integrates
+        # a ramp exactly, so it reads the same on 10^4 samples as on the 101 of the
+        # beta = 2 point; the two betas of one clock differ
+        assert len(set(forward)) == len(forward) - 2
 
     @pytest.mark.parametrize(
         "param, values, edits, rows",
         [
-            # 1024 levels a point: 28 points fill the atom budget; 10^4 samples a point
-            # profile in blocks of three, so a stack holds 9 whole blocks
-            ("c", [1.0 + k for k in range(60)], {"levels": 1024, "samples": 10**4}, [27, 27, 6]),
+            # 1024 levels a point: 28 points fill the atom budget, whatever the samples
+            ("c", [1.0 + k for k in range(60)], {"levels": 1024, "samples": 10**4}, [28, 28, 4]),
             ("alpha", [0.8 + 0.005 * k for k in range(60)], {"levels": 1024, "samples": 10**4},
-             [27, 27, 6]),
+             [28, 28, 4]),
             ("beta", [0.5 + 0.05 * k for k in range(60)], {"levels": 1024}, [28, 28, 4]),
             ("omega", [0.5 + 0.01 * k for k in range(60)], {"levels": 1024}, [28, 28, 4]),
         ],
@@ -573,6 +577,67 @@ class TestBuildScenario:
         }
         with pytest.raises(ScenarioValidationError, match="dimension"):
             build_scenario(ScenarioConfig.from_dict(raw))
+
+
+def _exact_trapezoid(f: np.ndarray, t: np.ndarray, power: int = 1) -> Fraction:
+    """The trapezoid integral of ``f ** power`` over ``t`` for float samples ``f`` and
+    ``t``, in exact arithmetic."""
+    # every float is an integer multiple of 2^-1074
+    f, t = ([n * (2**1074 // d) for n, d in map(float.as_integer_ratio, a.tolist())]
+            for a in (f, t))
+    f = [x**power for x in f]
+    total = sum((f[k] + f[k + 1]) * (t[k + 1] - t[k]) for k in range(len(t) - 1))
+    return Fraction(total, 2 * 2 ** (1074 * (power + 1)))
+
+
+def _ulps_off(tau: float, trajectory, c: float, gravitational_only: bool = False) -> float:
+    """How far ``tau`` is from the exact trapezoid of the clock rates of ``trajectory``'s
+    float samples at ``c``, in units of the last place of the exact value."""
+    c2, m = Fraction(c) ** 2, Fraction(trajectory.mass)
+    exact = Fraction(trajectory.t[-1]) - Fraction(trajectory.t[0])
+    exact += _exact_trapezoid(trajectory.phi, trajectory.t) / c2
+    if not gravitational_only:
+        exact -= _exact_trapezoid(trajectory.p, trajectory.t, 2) / (2 * m * m * c2)
+    return float(abs(Fraction(tau) - exact) / Fraction(math.ulp(float(exact))))
+
+
+ORACLE_SPEEDS = (1.0, 17.0, 1e3, 1e6)
+
+
+class TestProperTimeOracle:
+    """A dilated run's proper time is the trapezoid integral of the clock rates of its
+    float samples, computed exactly, to within 1 ulp, at every c from 1 to 10^6."""
+
+    @pytest.mark.parametrize(
+        "worldline, mass",
+        [
+            ({"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 2000, "p": 0.2},
+             1.0),
+            ({"preset": "point_mass", "M": 0.3, "r_start": 2.0, "r_end": 5.0, "t_end": 10.0,
+              "samples": 1001}, 1.0),
+            ({"preset": "cruise", "p": 0.3, "t_end": 5.0, "samples": 1000}, 1.0),
+            ({"preset": "comoving", "t_end": 5.0, "samples": 11}, 1.0),
+            # a table whose potential and |p| change at every sample
+            ({"csv": str(Path(__file__).resolve().parent / "data" / "moving_particle.csv")}, 1.3),
+        ],
+        ids=["uniform_gravity", "point_mass", "cruise", "comoving", "csv"],
+    )
+    def test_a_run_is_the_exact_trapezoid_of_its_samples(self, worldline, mass):
+        trajectory = scenarios.build_trajectory(worldline, mass)
+        for c in ORACLE_SPEEDS:
+            config = ScenarioConfig.from_dict(dilated_config(worldline=worldline, mass=mass, c=c))
+            tau = build_scenario(config).labels[0]["tau_total"]
+            assert _ulps_off(tau, trajectory, c) <= 1.0, c
+
+    def test_an_alpha_column_is_the_exact_trapezoid_of_each_ramp(self):
+        alphas = [0.8, 0.95, 1.05, 1.3]
+        for c in ORACLE_SPEEDS:
+            ramp = dict(dilated_config()["worldline"], samples=500)
+            base = ScenarioConfig.from_dict(dilated_config(worldline=ramp, c=c))
+            (stack,) = scenarios.dilated_sweep(base, "alpha", alphas, ["x"] * len(alphas))
+            for alpha, labels in zip(alphas, stack.labels):
+                trajectory = scenarios.build_trajectory(scenarios.alpha_ramp(base, alpha), 1.0)
+                assert _ulps_off(labels["tau_total"], trajectory, c, True) <= 1.0, (c, alpha)
 
 
 class TestRunScenario:

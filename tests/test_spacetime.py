@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tauwork import spacetime
 from tauwork.spacetime import (
+    Clock,
     DilationProfile,
     WeakFieldViolationError,
     Worldline,
@@ -353,12 +354,17 @@ class TestClockRateOnArrays:
             dilation_profile(w, c=c)
 
 
-def _alone(build, c, gravitational_only):
-    """The profile of one worldline alone, or the error it raises."""
+def _alone(call, *args):
+    """What ``call(*args)`` gives, or the ValueError it raises."""
     try:
-        return dilation_profile(build(), c, gravitational_only)
+        return call(*args)
     except ValueError as exc:
         return exc
+
+
+def _ramp(g, samples, p, mass):
+    """The ramp of ``g`` and ``p`` on [0, 10], or the error that building it raises."""
+    return _alone(uniform_gravity_worldline, g, 10.0, samples, p, mass)
 
 
 # rates of 1 and nearly 1, c^2 and 2 m^2 c^2 below the normal range, c at the top of it
@@ -367,18 +373,19 @@ SPEEDS = st.one_of(
 )
 
 
-class TestStackedProfile:
-    """A stack of worldlines, a column of c, or both, give in one pass the
-    profiles of the rows alone, bit for bit; a stack that fails raises the
-    first failing row's own error."""
+class TestClock:
+    """A clock's ends, at a column of c, of g for a ramp, or both, are the ends of
+    each row alone, bit for bit; each row either fails with the error of its
+    profile alone or gives that profile's final rate and a proper time within
+    rounding of its running sum."""
 
     @settings(max_examples=80, deadline=None)
     @given(
-        form=st.sampled_from(["g column", "c column", "both", "repeated"]),
+        form=st.sampled_from(["g column", "c column", "both", "one"]),
         ramps=st.lists(st.floats(-0.06, 0.06), min_size=1, max_size=5),
         speeds=st.lists(SPEEDS, min_size=5, max_size=5),
         samples=st.one_of(st.integers(2, 300), st.just(10**4)),
-        p=st.sampled_from([0.0, 0.3, 1e-162]),
+        p=st.sampled_from([0.0, 0.3, 1e-162, 1.3]),
         mass=st.sampled_from([1.0, 2.5, 1e-161, 1e-200]),
         gravitational_only=st.booleans(),
     )
@@ -388,93 +395,112 @@ class TestStackedProfile:
     @example("both", [-0.059, 0.0], [1.1, 1e-160, 1, 1, 1], 101, 1e-162, 1.0, False)
     @example("both", [0.05, 0.0, -0.01], [1.1, 1e-300, 1.0, 1, 1], 10**4, 0.3, 1.0, True)
     @example("c column", [0.02, 0.0], [1.0, 1e-160, 1, 1, 1], 10**4, 1e-162, 1e-161, False)
-    def test_each_row_is_the_row_alone(
+    # the middle row moves too fast: its rate is <= 0 inside the weak-field bound
+    @example("c column", [0.01], [3.0, 1.0, 2.0, 1, 1], 101, 1.3, 1.0, False)
+    def test_each_row_is_its_profile_alone(
         self, form, ramps, speeds, samples, p, mass, gravitational_only
     ):
-        rows = len(ramps)
-        g = ramps if form in ("g column", "both") else ramps[0]
-        c = speeds[:rows] if form != "g column" else speeds[0]
-        stack = uniform_gravity_worldline(g, 10.0, samples, p, mass)
-        if form == "repeated":
-            stack = stack.repeated(rows)
-        alone = [
-            _alone(
-                lambda i=i: uniform_gravity_worldline(
-                    ramps[i] if np.ndim(g) else g, 10.0, samples, p, mass
-                ),
-                c[i] if np.ndim(c) else c,
-                gravitational_only,
-            )
-            for i in range(rows)
-        ]
+        rows = len(ramps) if form != "one" else 1
+        g = np.array(ramps[:rows]) if form in ("g column", "both") else ramps[0]
+        c = np.array(speeds[:rows]) if form in ("c column", "both") else speeds[0]
+        clock = Clock(uniform_gravity_worldline(1.0, 10.0, samples, p, mass), gravitational_only)
+        points = [(float(np.broadcast_to(c, rows)[i]), float(np.broadcast_to(g, rows)[i]))
+                  for i in range(rows)]
+        alone = []
+        for ci, gi in points:
+            ramp = _ramp(gi, samples, p, mass)
+            profile = ramp if isinstance(ramp, Exception) else _alone(
+                dilation_profile, ramp, ci, gravitational_only)
+            ends = _alone(clock.ends, ci, gi)
+            if isinstance(profile, Exception):
+                assert isinstance(ends, type(profile)) and str(ends) == str(profile)
+            else:
+                assert ends[0] == profile.alpha_final
+                assert ends[1] == pytest.approx(profile.tau_total, rel=1e-12)
+            alone.append(ends)
         failed = [a for a in alone if isinstance(a, Exception)]
         if failed:
             with pytest.raises(type(failed[0]), match=re.escape(str(failed[0]))):
-                dilation_profile(stack, c, gravitational_only)
+                clock.ends(c, g)
             return
-        prof = dilation_profile(stack, c, gravitational_only)
-        assert prof.alpha.shape == prof.tau.shape == (rows, samples)
-        assert stack.samples == rows * samples or form == "c column"
-        assert not (prof.alpha.flags.writeable or prof.tau.flags.writeable)
-        for i, one in enumerate(alone):
-            assert prof.alpha[i].tobytes() == one.alpha.tobytes()
-            assert prof.tau[i].tobytes() == one.tau.tobytes()
+        alpha, tau = clock.ends(c, g)
+        assert np.shape(alpha) == np.shape(tau) == ((rows,) if form != "one" else ())
+        assert np.ravel(alpha).tolist() == [a for a, _ in alone]
+        assert np.ravel(tau).tolist() == [t for _, t in alone]
 
     def test_the_first_failing_row_raises_alone(self):
         # row 1 moves too fast and row 2 breaks the weak-field bound, which a
-        # stack checks first: the stack raises row 1's error
+        # profile checks first: the column raises row 1's error
         w = uniform_gravity_worldline(0.02, 10.0, 101, p=2.0)
-        c = [10.0, 0.7, 0.5]
-        first = _alone(lambda: w, 0.7, False)
+        c = np.array([10.0, 0.7, 0.5])
+        first = _alone(dilation_profile, w, 0.7)
         assert "dtau/dt" in str(first)
         with pytest.raises(WeakFieldViolationError, match=re.escape(str(first))):
-            dilation_profile(w.repeated(3), c)
+            Clock(w).ends(c)
         with pytest.raises(WeakFieldViolationError, match="exceeds the weak-field bound"):
-            dilation_profile(w, c[::2] + [0.5])
+            Clock(w).ends(c[[0, 2]])
 
     @pytest.mark.parametrize(
         "c, message",
         [
-            ([1.0, True], "c must be a finite number, got True"),
             ([2.0, 0.0], "c must be positive, got 0.0"),
-            (np.array([1.0, np.inf]), "c must be a finite number, got inf"),
+            ([2.0, -1.0], "c must be positive, got -1.0"),
+            ([1.0, np.inf], "c must be a finite number, got inf"),
+            ([1.0, 1e155], "c must have a finite square, got 1e+155"),
         ],
     )
     def test_each_c_of_a_column_keeps_its_rule(self, c, message):
         with pytest.raises(ValueError, match=re.escape(message)):
-            dilation_profile(cruise_worldline(0.1, 1.0, 5), c)
+            Clock(comoving_worldline(1.0, 5)).ends(np.array(c))
 
-    def test_each_c_of_a_column_is_checked_once(self, monkeypatch):
-        checked, require, c = [], spacetime.require, [1.0, 2.0, 3.0]
-        worldline = cruise_worldline(0.1, 1.0, 5).repeated(3)
-        monkeypatch.setattr(spacetime, "require", lambda **kw: checked.append(kw) or require(**kw))
-        dilation_profile(worldline, c)
-        assert checked == [{"c": value} for value in c]
-        checked.clear()
-        dilation_factor(worldline.phi, worldline.p, worldline.mass, c)
-        assert checked == [{"mass": 1.0}] + [{"c": value} for value in c]
+    def test_a_decided_row_profiles_no_sample(self, monkeypatch):
+        profiled = []
+        monkeypatch.setattr(spacetime, "dilation_profile", lambda *a: profiled.append(a))
+        clock = Clock(uniform_gravity_worldline(1.0, 10.0, 10**4, 0.2))
+        alpha, tau = clock.ends(np.linspace(1.0, 100.0, 50), 0.02)
+        assert profiled == [] and alpha.shape == tau.shape == (50,)
 
-    def test_rows_of_a_stack_and_of_its_column_must_agree(self):
-        stack = uniform_gravity_worldline([0.01, 0.02], 1.0, 5)
-        with pytest.raises(ValueError):
-            dilation_profile(stack, [1.0, 2.0, 3.0])
-        assert dilation_profile(stack, [1.0, 2.0]).alpha.shape == (2, 5)
+    @pytest.mark.parametrize("gravitational_only", [False, True])
+    def test_a_table_whose_rate_bounds_are_not_its_samples_is_exact_or_profiled(
+        self, gravitational_only
+    ):
+        # the least potential and the greatest |p| are at different samples: their rate
+        # bounds every sample's from below, here -0.2, while each sample's is positive
+        w = Worldline([0.0, 1.0, 2.0, 3.0], [0.4, -0.4, 0.3, 0.0], [1.6, 0.0, -1.6, 0.5], 1.0)
+        profile = dilation_profile(w, 1.0, gravitational_only)
+        alpha, tau = Clock(w, gravitational_only).ends(1.0)
+        assert alpha == profile.alpha_final
+        if gravitational_only:  # the rates are 1 + phi: decided, within rounding
+            assert tau == pytest.approx(profile.tau_total, rel=1e-15)
+        else:
+            assert tau == profile.tau_total
 
-    def test_a_stack_shares_its_grid_and_counts_every_row(self):
-        stack = uniform_gravity_worldline([0.01, 0.02, 0.03], 2.0, 7, p=0.1)
-        assert stack.phi.shape == stack.p.shape == (3, 7) and stack.t.shape == (7,)
-        assert stack.samples == 21
-        repeated = cruise_worldline(0.1, 2.0, 7).repeated(4)
-        assert repeated.samples == 28 and not repeated.phi.flags.writeable
+    def test_a_proper_time_that_stalls_raises_the_profiles_error(self):
+        # the last step is below half an ulp of the running sum, so the sum stops rising
+        t = [0.0, 2.0**56, 2.0**56 + 16.0]
+        w = Worldline(t, [0.45, -0.45, -0.45], [0.0, 0.98, 0.98], 1.0)
+        message = "tau must start at 0 and increase strictly to a finite total"
+        with pytest.raises(ValueError, match=message):
+            dilation_profile(w)
+        with pytest.raises(ValueError, match=message):
+            Clock(w).ends(np.array([1.0, 1.0]))
+
+    def test_a_ramp_column_builds_no_ramp(self, monkeypatch):
+        built = []
+        clock = Clock(uniform_gravity_worldline(1.0, 10.0, 101), gravitational_only=True)
+        monkeypatch.setattr(Worldline, "__init__", lambda *a: built.append(a))
+        alpha, tau = clock.ends(1.0, np.array([0.01, 0.02, 0.03]))
+        assert built == []
+        assert alpha.tolist() == [1.1, 1.2, 1.3] and tau.tolist() == [10.5, 11.0, 11.5]
+
+
+class TestOneWorldline:
+    def test_a_worldline_and_a_profile_are_one_row(self):
+        w = cruise_worldline(0.1, 2.0, 7)
+        assert w.samples == 7 and not w.phi.flags.writeable
         with pytest.raises(ValueError, match="identical lengths"):
             Worldline(np.arange(3.0), np.zeros((2, 3)), np.zeros(3), 1.0)
         with pytest.raises(ValueError, match="identical lengths"):
-            Worldline(np.arange(3.0), np.zeros((2, 2, 3)), np.zeros((2, 2, 3)), 1.0)
-
-    def test_a_profile_stack_is_checked_as_its_rows(self):
-        prof = DilationProfile([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 2.0]])
-        assert prof.tau[1, -1] == 2.0 and prof.alpha[0, -1] == 1.0
-        with pytest.raises(WeakFieldViolationError):
-            DilationProfile([[1.0, 1.0], [2.0, -2.0]], [[0.0, 1.0], [0.0, 2.0]])
-        with pytest.raises(ValueError, match="tau"):
-            DilationProfile([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 0.0]])
+            Worldline(np.arange(3.0), np.zeros((2, 3)), np.zeros((2, 3)), 1.0)
+        with pytest.raises(ValueError, match="equal-length"):
+            DilationProfile([[1.0, 1.0], [2.0, 2.0]], [[0.0, 1.0], [0.0, 2.0]])
