@@ -3,10 +3,10 @@
 Each criterion is a function returning a :class:`CriterionResult` built
 from its :class:`Check` rows, so the same battery backs both ``tauwork
 verify`` and the test suite. The numbers come from the code the CLI runs:
-``scenarios.run_scenario``, ``protocol.run_protocol`` or their estimator tail
-``protocol.estimate``. Per dimension, the random grids decompose their systems
-in one ``eigh`` call and call the tail once, for a stack of 15 runs per
-system, and get one column per estimator, entry i bit for bit run i alone. The estimators are sums over each
+``scenarios.run_scenario``, a sweep column, ``protocol.run_protocol`` or their
+estimator tail ``protocol.estimate``. Per dimension, the random grids and the flat
+runs decompose each side in one ``stacked_spectra`` call and call the tail once,
+and get one column per estimator, entry i bit for bit run i alone. The estimators are sums over each
 run's sorted, unmerged atoms; criterion 9 draws from ``atoms.row()``, the
 merged atoms as a one-run ``WorkRows``, and compares its draws as bytes.
 Each criterion folds its values with numpy, which keeps a nan that Python's
@@ -34,7 +34,7 @@ from .operators import (
     HermitianOperator,
     random_hermitian,
     random_unitary,
-    stacked_eigenvalues,
+    stacked_spectra,
 )
 
 SEED = 20260809
@@ -116,7 +116,7 @@ def _random_grid(seed: int):
         dim = int(rng.integers(2, 9))
         by_dim.setdefault(dim, []).append(random_hermitian(dim, rng))
     for _, systems in sorted(by_dim.items()):
-        levels = stacked_eigenvalues(systems)
+        levels = np.array([spec.eigenvalues for spec in stacked_spectra(systems)])
         levels = np.repeat(levels - levels[:, :1], 15, 0)
         gibbs = thermo.ThermalEnsemble(np.tile(betas, len(systems)), levels)
         yield protocol.estimate(gibbs, np.tile(alphas, len(systems))[:, None] * gibbs.energies)
@@ -169,26 +169,35 @@ def criterion_nonunital_correction() -> list[Check]:
     """Generalized equality with the unitality correction holds for damping
     and random channels; unitary channels have zero correction."""
     rng = np.random.default_rng(SEED + 1)
-    residuals = []
-    cases = [(2, amplitude_damping_channel(gamma)) for gamma in (0.1, 0.5, 0.9)]
-    for _ in range(50):
-        dim = int(rng.integers(2, 5))
-        cases.append((dim, _random_channel(dim, rng)))
-    for dim, channel in cases:
-        h0 = random_hermitian(dim, rng)
-        h_final = random_hermitian(dim, rng)
-        beta = float(rng.uniform(0.2, 2.0))
-        run = protocol.FlatRun("nonunital", beta, h0, h_final, channel)
-        residuals.append(protocol.run_protocol(run).residual)
+    channels = [amplitude_damping_channel(gamma) for gamma in (0.1, 0.5, 0.9)]
+    channels += [_random_channel(int(rng.integers(2, 5)), rng) for _ in range(50)]
+    by_dim: dict[int, list] = {}
+    for channel in channels:
+        h0, h_final = random_hermitian(channel.dim, rng), random_hermitian(channel.dim, rng)
+        run = (h0, h_final, float(rng.uniform(0.2, 2.0)), channel)
+        by_dim.setdefault(channel.dim, []).append(run)
+    residuals = [_flat_stack(*zip(*runs)).residual for _, runs in sorted(by_dim.items())]
     deviations = []
     for _ in range(20):
         dim = int(rng.integers(2, 9))
         channel = unitary_channel(random_unitary(dim, rng))
         deviations.append(np.max(np.abs(protocol.unitality_deviation(channel))))
     return [
-        Check("max |lhs - rhs|", float(np.max(np.abs(residuals))), 1e-10),
+        Check("max |lhs - rhs|", float(np.max(np.abs(np.concatenate(residuals)))), 1e-10),
         Check("max |unitality deviation| over unitaries", float(np.max(deviations)), 1e-12),
     ]
+
+
+def _flat_stack(h0s, h_finals, betas, channels) -> protocol.Estimates:
+    """One ``estimate`` call for flat runs of one dimension; entry i is run i alone."""
+    specs0, specs_f = stacked_spectra(h0s), stacked_spectra(h_finals)
+    trans = [protocol.conditional_probabilities(*run) for run in zip(specs0, specs_f, channels)]
+    final = np.array([spec.eigenvalues for spec in specs_f])
+    weights = thermo.ThermalEnsemble(np.array(betas), final).probs
+    correction = [0.0 if ch.is_unital else protocol._nonunital_correction(ch, spec.eigenvectors, p)
+                  for ch, spec, p in zip(channels, specs_f, weights)]
+    gibbs = thermo.ThermalEnsemble(np.array(betas), [spec.eigenvalues for spec in specs0])
+    return protocol.estimate(gibbs, final, np.array(trans), np.array(correction))
 
 
 def _random_channel(dim: int, rng: np.random.Generator) -> QuantumChannel:
@@ -233,10 +242,10 @@ def criterion_comoving_null() -> list[Check]:
 def criterion_newtonian_limit() -> list[Check]:
     """Both dilation effects vanish as c grows: |<W>| decreases to rounding level."""
     ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 101, "p": 0.2}
-    works = [
-        abs(scenarios.run_scenario(_oscillator_scenario(f"newtonian-c-{c}", ramp, c=c)).mean_work)
-        for c in (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)
-    ]
+    cs = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6]
+    ids = [f"newtonian-c-{c}" for c in cs]
+    column = scenarios.dilated_sweep(_oscillator_scenario(ids[0], ramp), "c", cs, ids)
+    works = [abs(report.mean_work) for report in protocol.report_rows(column)]
     return [
         Check(
             f"|<W>| decreasing from {works[0]:.3e} at c=1",

@@ -269,18 +269,27 @@ def spectral_decompose(h: HermitianOperator) -> Spectrum:
     return Spectrum(evals, vecs)
 
 
-def stacked_eigenvalues(hs: list[HermitianOperator]) -> np.ndarray:
-    """The (r, d) eigenvalues of r operators of one dimension d, from one ``eigh`` call.
-
-    Row i is bit for bit ``spectral_decompose(hs[i]).eigenvalues`` and passes a
-    ``Spectrum``'s check. The degenerate-cluster fix is skipped: it only picks
-    the eigenvectors inside a cluster, and only eigenvalues are returned."""
+def stacked_spectra(hs: list[HermitianOperator]) -> list[Spectrum]:
+    """The spectra of r operators of one dimension from one ``eigh`` call, each bit for bit
+    ``spectral_decompose``'s. Only a row with a degenerate cluster takes the fix, and the
+    check runs once; a stack that fails either is decomposed one operator at a time."""
     shapes = sorted({h.matrix.shape for h in hs})
     if len(shapes) != 1:
         raise ValueError(f"a stack needs operators of one shape, got shapes {shapes}")
     evals, vecs = np.linalg.eigh(np.stack([h.matrix for h in hs]))
-    _check_spectrum(evals, vecs)
-    return evals
+    try:
+        lo, hi = evals[:, 0], evals[:, -1]
+        thresh = DEGENERACY_REL_GAP * np.maximum(np.maximum(hi - lo, abs(lo)), abs(hi))
+        # as in ``cluster_bounds``, a gap not above the threshold, nan included, joins two levels
+        for i in np.flatnonzero(~(evals[:, 1:] - evals[:, :-1] > thresh[:, None]).all(-1)):
+            vecs[i] = _fix_degenerate_clusters(evals[i], vecs[i])
+        _check_spectrum(evals, vecs)
+    except ValueError:  # so it raises the error of its first operator that raises alone
+        return [spectral_decompose(h) for h in hs]
+    specs = [object.__new__(Spectrum) for _ in hs]
+    for spec, e, v in zip(specs, evals, vecs):
+        vars(spec).update(eigenvalues=e, eigenvectors=v)
+    return specs
 
 
 def _as_spectrum(h: HermitianOperator | Spectrum) -> Spectrum:
@@ -307,7 +316,10 @@ def random_hermitian(dim: int, rng: np.random.Generator | int) -> HermitianOpera
     require(dim=dim)
     gen = np.random.default_rng(rng) if isinstance(rng, (int, np.integer)) else rng
     a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-    return HermitianOperator(0.5 * (a + a.conj().T))
+    h = object.__new__(HermitianOperator)  # finite and exactly Hermitian: the check moves no bit
+    vars(h).update(matrix=0.5 * (a + a.conj().T))
+    h.matrix.flags.writeable = False
+    return h
 
 
 def random_unitary(dim: int, rng: np.random.Generator | int) -> np.ndarray:

@@ -228,19 +228,16 @@ def _log_work_average(values: np.ndarray, probs: np.ndarray, beta):
     return log_sum_exp(np.log(probs) - beta * values)
 
 
-def _nonunital_correction(spec_f: Spectrum, channel: QuantumChannel, beta: float) -> float:
-    """Tr[(Theta(1) - 1) w_final]; exactly 0 for unital channels.
+def _nonunital_correction(channel: QuantumChannel, vecs: np.ndarray, probs: np.ndarray) -> float:
+    """Tr[(Theta(1) - 1) w_final] of a non-unital channel; a unital one's is exactly 0.
 
-    The final Gibbs state is diagonal in the final eigenbasis, so the trace is
-    the thermal average of the deviation's diagonal there. The unitality
-    deviation is stored relative to the maximally mixed state 1/d, so that
-    average is scaled back up by d.
+    The final Gibbs state, of weights ``probs``, is diagonal in the final eigenbasis
+    ``vecs``, so the trace is the thermal average of the deviation's diagonal there.
+    The unitality deviation is stored relative to the maximally mixed state 1/d, so
+    that average is scaled back up by d.
     """
-    if channel.is_unital:
-        return 0.0
-    v = spec_f.eigenvectors
-    diag = np.real(np.sum(v.conj() * (unitality_deviation(channel) @ v), axis=0))
-    return channel.dim * float(thermal_state(spec_f, beta).probs @ diag)
+    diag = np.real(np.sum(vecs.conj() * (unitality_deviation(channel) @ vecs), axis=0))
+    return channel.dim * float(probs @ diag)
 
 
 def generalized_jarzynski_rhs(delta_f, beta, correction: float) -> float | np.ndarray:
@@ -472,7 +469,9 @@ def reduce_run(run) -> ReducedRun:
         spec0, spec_f = map(_as_spectrum, (run.h0, run.h_final))
         e_final = spec_f.eigenvalues
         trans = conditional_probabilities(spec0, spec_f, run.channel)
-        correction = _nonunital_correction(spec_f, run.channel, run.beta)
+        if not run.channel.is_unital:
+            probs = thermal_state(spec_f, run.beta).probs
+            correction = _nonunital_correction(run.channel, spec_f.eigenvectors, probs)
         pipeline, alpha, tau_total, final_basis, steps = "flat", 1.0, 0.0, "instantaneous", 0
     elif isinstance(run, AppendixRun):
         spec0, e_final, trans = _appendix_inputs(run)

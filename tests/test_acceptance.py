@@ -14,6 +14,7 @@ import pytest
 
 from tauwork import acceptance, protocol, scenarios, spacetime, thermo
 from tauwork.acceptance import Check
+from tauwork.channels import amplitude_damping_channel
 from tauwork.operators import random_hermitian, spectral_decompose
 from test_protocol import bits, ground_at_zero
 
@@ -85,20 +86,20 @@ def test_gate_checks_the_production_tail(criterion, monkeypatch):
     monkeypatch.setattr(protocol, "estimate", spy)
     assert not criterion().passed
     # the random grids reach the tail as one stack per dimension (2-8), 3,000
-    # (system, beta, alpha) rows in all, and get back one Estimates of columns per
-    # stack, each entry its run alone; the flat runs one run at a time
+    # (system, beta, alpha) rows in all, and the flat runs as one stack per
+    # dimension (2-4), 53 runs with a transition matrix and a correction each;
+    # each stack gets back one Estimates of columns, each entry its run alone
     stacks = [shape for shape in shapes if len(shape) == 2]
     stacked = [call for call in calls if call[0].energies.ndim == 2]
-    if criterion is acceptance.criterion_nonunital_correction:
-        assert not stacks and shapes and not stacked
-    else:
-        assert sorted(dim for _, dim in stacks) == list(range(2, 9))
-        assert sum(rows for rows, _ in stacks) == 3000
-        assert len(stacked) == 7
-        for gibbs, finals, est in stacked:
-            for i in (0, len(finals) // 2, len(finals) - 1):
-                alone = thermo.ThermalEnsemble(float(gibbs.beta[i]), gibbs.energies[i])
-                assert bits(est, i) == bits(tail(alone, finals[i]))
+    flat = criterion is acceptance.criterion_nonunital_correction
+    dims, rows = (range(2, 5), 53) if flat else (range(2, 9), 3000)
+    assert sorted(dim for _, dim in stacks) == list(dims)
+    assert sum(rows for rows, _ in stacks) == rows
+    assert len(stacked) == len(dims) and (not flat or len(calls) == len(shapes) == 3)
+    for gibbs, finals, *tpm, est in stacked:
+        for i in (0, len(finals) // 2, len(finals) - 1):
+            alone = thermo.ThermalEnsemble(float(gibbs.beta[i]), gibbs.energies[i])
+            assert bits(est, i) == bits(tail(alone, finals[i], *(column[i] for column in tpm)))
 
 
 def test_grid_rows_are_each_system_alone():
@@ -128,13 +129,64 @@ def test_grid_rows_are_each_system_alone():
         assert [bits(est, i) for est, i in grid[at : at + 15]] == [bits(est) for est in alone]
 
 
+def test_flat_stack_rows_are_each_run_alone(monkeypatch):
+    # criterion 3 redrawn in its rng order and run one run_protocol call a run: the
+    # first, middle and last rows of each dimension's stack, and the three damping
+    # runs (the first rows of dim 2), have the bits of their runs alone
+    rng = np.random.default_rng(acceptance.SEED + 1)
+    channels = [amplitude_damping_channel(gamma) for gamma in (0.1, 0.5, 0.9)]
+    for _ in range(50):
+        dim = int(rng.integers(2, 5))
+        channels.append(acceptance._random_channel(dim, rng))
+    by_dim = {}
+    for channel in channels:
+        h0, h_final = random_hermitian(channel.dim, rng), random_hermitian(channel.dim, rng)
+        run = protocol.FlatRun("alone", float(rng.uniform(0.2, 2.0)), h0, h_final, channel)
+        by_dim.setdefault(channel.dim, []).append(run)
+    tail, stacks = protocol.estimate, []
+
+    def spy(*args):
+        stacks.append(tail(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(protocol, "estimate", spy)
+    assert acceptance.criterion_nonunital_correction().passed
+    assert [len(est.beta) for est in stacks] == [len(by_dim[dim]) for dim in (2, 3, 4)]
+    monkeypatch.setattr(protocol, "estimate", tail)
+    for est, (dim, runs) in zip(stacks, sorted(by_dim.items())):
+        picks = {0, len(runs) // 2, len(runs) - 1} | ({1, 2} if dim == 2 else set())
+        for i in sorted(picks):
+            alone = protocol.run_protocol(runs[i])
+            got = [float(getattr(est, name)[i]) for name in ("lhs", "rhs", "mean_work", "delta_f")]
+            want = [alone.lhs, alone.rhs, alone.mean_work, alone.delta_F]
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_newtonian_column_rows_are_each_point_alone(monkeypatch):
+    # criterion 6's seven c values run as one sweep column; each row's <W> has the
+    # bits of its config run alone
+    reports, rows = [], protocol.report_rows
+
+    def spy(runs):
+        reports.extend(rows(runs))
+        return reports
+
+    monkeypatch.setattr(protocol, "report_rows", spy)
+    assert acceptance.criterion_newtonian_limit().passed
+    ramp = {"preset": "uniform_gravity", "g": 0.02, "t_end": 10.0, "samples": 101, "p": 0.2}
+    assert len(reports) == 7
+    for report, c in zip(reports, (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6)):
+        config = acceptance._oscillator_scenario(report.scenario_id, ramp, c=c)
+        assert report.mean_work.hex() == scenarios.run_scenario(config).mean_work.hex()
+
+
 @pytest.mark.parametrize(
     "criterion, owner, name, call, field, row",
     [
         (acceptance.criterion_dilated_identity, protocol, "estimate", 3, "lhs", 7),
         (acceptance.criterion_second_law, protocol, "estimate", 3, "mean_work", 7),
         (acceptance.criterion_oscillator_closed_form, protocol, "estimate", 5, "delta_f", None),
-        (acceptance.criterion_nonunital_correction, protocol, "run_protocol", 5, "residual", None),
+        (acceptance.criterion_nonunital_correction, protocol, "estimate", 2, "lhs", 5),
         (acceptance.criterion_comoving_null, scenarios, "run_scenario", 1, "mean_work", None),
         (acceptance.criterion_appendix_convergence, protocol, "run_protocol", 3, "lhs", None),
     ],
@@ -144,7 +196,8 @@ def test_grid_rows_are_each_system_alone():
 def test_a_nan_fails_its_criterion(criterion, owner, name, call, field, row, monkeypatch):
     # a nan that is not the first value a criterion folds: Python's max and min
     # would drop it and pass. It is one field of one call's result, or one entry
-    # of a stack's column (row 7 of the third stack of a random grid)
+    # of a stack's column (row 7 of the third stack of a random grid, row 5 of the
+    # flat runs' dim-3 stack)
     original, seen = getattr(owner, name), []
 
     def spy(*args):

@@ -18,7 +18,7 @@ from tauwork.operators import (
     require,
     spectral_decompose,
     spectrum_expm,
-    stacked_eigenvalues,
+    stacked_spectra,
 )
 from tauwork.scenarios import harmonic_hamiltonian
 
@@ -188,7 +188,11 @@ class TestSpectralDecompose:
             Spectrum([0.0, 1.0], [[1, 1], [0, 0]])
 
 
-class TestStackedEigenvalues:
+def spectrum_bits(spec):
+    return spec.eigenvalues.tobytes(), spec.eigenvectors.tobytes()
+
+
+class TestStackedSpectra:
     @pytest.mark.parametrize("seed", [SEED, SEED + 2])
     def test_rows_are_each_decomposition_bit_for_bit(self, seed):
         # the random grids' 200 draws, stacked by dimension as the grids stack them
@@ -199,10 +203,35 @@ class TestStackedEigenvalues:
             by_dim.setdefault(dim, []).append(random_hermitian(dim, rng))
         assert sum(map(len, by_dim.values())) == 200
         for dim, systems in by_dim.items():
-            levels = stacked_eigenvalues(systems)
-            assert levels.shape == (len(systems), dim) and not levels.flags.writeable
-            for row, h in zip(levels, systems):
-                assert row.tobytes() == spectral_decompose(h).eigenvalues.tobytes()
+            specs = stacked_spectra(systems)
+            assert len(specs) == len(systems)
+            for spec, h in zip(specs, systems):
+                assert spec.dim == dim and not spec.eigenvectors.flags.writeable
+                assert not spec.eigenvalues.flags.writeable
+                assert spectrum_bits(spec) == spectrum_bits(spectral_decompose(h))
+
+    def test_a_row_with_a_degenerate_cluster_takes_the_fix(self):
+        # rotated levels with a cluster split by rounding, by 1e-12 or by 0.9 of the
+        # threshold (4e-10 at scale 4), beside rows without: random ones and a gap 1.1
+        # times the threshold
+        u = random_unitary(4, 7)
+        split = [[0.5, 2.0, 2.0 + gap, 4.0] for gap in (1e-12, 3.6e-10, 4.4e-10)]
+        clustered = [
+            HermitianOperator(u @ np.diag(levels).astype(complex) @ u.conj().T)
+            for levels in ([1.0, 1.0, 1.0, 3.0], *split, [2.5] * 4)
+        ]
+        systems = [random_hermitian(4, 1), *clustered, random_hermitian(4, 2)]
+        specs = stacked_spectra(systems)
+        for spec, h in zip(specs, systems):
+            assert spectrum_bits(spec) == spectrum_bits(spectral_decompose(h))
+        # the fix moved the frame of every clustered row: eigh's own frame differs
+        evals, vecs = np.linalg.eigh(np.stack([h.matrix for h in systems]))
+        assert [np.array_equal(vecs[i], spec.eigenvectors) for i, spec in enumerate(specs)] == [
+            True, False, False, False, True, False, True
+        ]
+        assert [cluster_bounds(specs[i].eigenvalues) for i in (2, 3, 4)] == [
+            [0, 1, 3, 4], [0, 1, 3, 4], [0, 1, 2, 3, 4]
+        ]
 
     @pytest.mark.parametrize(
         "dims, shapes", [((2, 3, 2), "[(2, 2), (3, 3)]"), ((), "[]")], ids=["mixed", "empty"]
@@ -210,31 +239,51 @@ class TestStackedEigenvalues:
     def test_a_stack_needs_one_dimension(self, dims, shapes):
         systems = [random_hermitian(dim, dim) for dim in dims]
         with pytest.raises(ValueError, match=re.escape(f"one shape, got shapes {shapes}")):
-            stacked_eigenvalues(systems)
+            stacked_spectra(systems)
 
     @pytest.mark.parametrize(
-        "corrupt, message",
+        "corrupt",
         [
-            (lambda evals, vecs: evals.__setitem__((1, 2), np.nan), "non-finite"),
-            (lambda evals, vecs: vecs.__setitem__((2, 0, 1), np.inf), "non-finite"),
-            (lambda evals, vecs: evals.__setitem__(2, evals[2, ::-1].copy()), "ascending"),
-            (lambda evals, vecs: vecs.__setitem__((1, slice(None), 0), 1.001 * vecs[1, :, 0]),
-             "orthonormal"),
+            lambda evals, vecs, f: evals.__setitem__(2, np.nan),
+            lambda evals, vecs, f: vecs.__setitem__((0, 1), np.inf),
+            lambda evals, vecs, f: evals.__setitem__(slice(None), evals[::-1].copy()),
+            lambda evals, vecs, f: vecs.__setitem__((slice(None), 0), f * vecs[:, 0]),
         ],
         ids=["nan eigenvalue", "inf eigenvector", "descending", "not orthonormal"],
     )
-    def test_the_spectrum_check_guards_every_row(self, corrupt, message, monkeypatch):
-        # a LAPACK result that a Spectrum would reject, in one row of the stack
+    def test_a_bad_row_raises_its_error_alone(self, corrupt, monkeypatch):
+        # a LAPACK result that a Spectrum would reject, for rows 1 and 3 of a stack of
+        # five, row 1 the less far off: the stack raises row 1's error alone
+        systems = [random_hermitian(4, seed) for seed in range(5)]
+        factors = {systems[1].matrix.tobytes(): 1.001, systems[3].matrix.tobytes(): 1.01}
         eigh = np.linalg.eigh
 
         def broken(stack):
             evals, vecs = eigh(stack)
-            corrupt(evals, vecs)
+            rows = zip(evals.reshape(-1, 4), vecs.reshape(-1, 4, 4), stack.reshape(-1, 4, 4))
+            for e, v, m in rows:
+                if m.tobytes() in factors:
+                    corrupt(e, v, factors[m.tobytes()])
             return evals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", broken)
-        with pytest.raises(ValueError, match=message):
-            stacked_eigenvalues([random_hermitian(4, seed) for seed in range(3)])
+        with pytest.raises(ValueError) as alone:
+            spectral_decompose(systems[1])
+        with pytest.raises(ValueError) as stacked:
+            stacked_spectra(systems)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_a_non_finite_matrix_raises_its_error_alone(self):
+        # a matrix past the constructor's check, in row 2 of a stack
+        systems = [random_hermitian(3, seed) for seed in range(4)]
+        broken = object.__new__(HermitianOperator)
+        vars(broken).update(matrix=np.where(np.eye(3) > 0, np.nan, systems[2].matrix))
+        systems[2] = broken
+        with pytest.raises(ValueError) as alone:
+            spectral_decompose(broken)
+        with pytest.raises(ValueError) as stacked:
+            stacked_spectra(systems)
+        assert str(stacked.value) == str(alone.value)
 
 
 class TestScaled:
@@ -394,6 +443,20 @@ def test_random_draws_follow_the_dim_rule(draw):
         draw(3.0, 0)
     drawn = draw(3, 0)
     assert getattr(drawn, "matrix", drawn).shape == (3, 3)
+
+
+def test_random_hermitian_is_its_checked_symmetrized_draw():
+    # the draw is wrapped without the constructor, which would give the same bits
+    for dim in range(2, 17):
+        for seed in range(50):
+            gen = np.random.default_rng(seed)
+            a = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+            m = random_hermitian(dim, seed).matrix
+            assert m.tobytes() == HermitianOperator(0.5 * (a + a.conj().T)).matrix.tobytes()
+            assert m.dtype == complex and m.flags.c_contiguous and not m.flags.writeable
+            assert np.array_equal(m, m.conj().T)
+    with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+        random_hermitian(1, 0)
 
 
 def test_random_unitary_is_unitary_and_deterministic():

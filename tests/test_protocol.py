@@ -1550,7 +1550,10 @@ def tpm_run(kind, dim, seed, turn=None, both=0.0, final=0.0):
     else:
         spec_f = shifted(spectral_decompose(HermitianOperator(hf)), both + final)
         e_final, trans = spec_f.eigenvalues, conditional_probabilities(spec0, spec_f, channel)
-        correction = protocol._nonunital_correction(spec_f, channel, beta)
+        correction = 0.0
+        if not channel.is_unital:
+            probs = thermal_state(spec_f, beta).probs
+            correction = protocol._nonunital_correction(channel, spec_f.eigenvectors, probs)
     spec0 = shifted(spec0, both)
     est = estimate(thermal_state(spec0, beta), e_final, trans, correction)
     energy = max(1.0, float(np.abs(spec0.eigenvalues).max()), float(np.abs(e_final).max()))
